@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all check build vet lint lint-baseline test race bench bench-json bench-lint chaos chaos-scale experiments examples cover fuzz-smoke
+.PHONY: all check build vet lint lint-baseline test race bench bench-json bench-lint bench-e2e-test chaos chaos-scale experiments examples cover fuzz-smoke
 
 all: check
 
@@ -52,6 +52,12 @@ bench-json:
 # rerun whenever an analyzer changes, without the full simulator matrix.
 bench-lint:
 	go run ./cmd/cscwbench -date $(BENCH_DATE) -lint-only -out BENCH_$(BENCH_DATE)-lint.json
+
+# The end-to-end benchmark harness is its own Go module (benchmark/go.mod),
+# which root `./...` skips: vet it and run its tests, including a -quick rep
+# of every workload against a real sessiond child.
+bench-e2e-test:
+	cd benchmark && go vet ./... && go test ./...
 
 # Short-mode chaos matrix under the race detector, over a fixed seed set.
 # Any violation prints the seed and a one-command replay.

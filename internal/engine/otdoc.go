@@ -133,19 +133,11 @@ func (d *otDoc) Apply(from string, payload any) ([]Msg, error) {
 	switch m := payload.(type) {
 	case *MsgSubmit:
 		return d.applySubmit(m.Sub)
-	case MsgSubmit:
-		return d.applySubmit(m.Sub)
 	case *MsgCommit:
-		return d.applyCommits(m.C)
-	case MsgCommit:
 		return d.applyCommits(m.C)
 	case *MsgPull:
 		return d.applyPull(from, m.Base)
-	case MsgPull:
-		return d.applyPull(from, m.Base)
 	case *MsgCommits:
-		return d.applyCommits(m.Cs...)
-	case MsgCommits:
 		return d.applyCommits(m.Cs...)
 	default:
 		return nil, fmt.Errorf("engine: ot doc cannot apply %T", payload)

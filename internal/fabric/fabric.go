@@ -30,6 +30,11 @@ type Handler func(from string, payload any, size int)
 // SetHandler being called before, after, or between deliveries; messages
 // arriving while no handler is installed are buffered (bounded) rather than
 // silently dropped, and overflow is counted — see Dropped probing below.
+//
+// Struct payloads are pointers, on every substrate: senders pass &T{...},
+// in-process substrates hand that pointer through, and byte substrates
+// decode into a fresh *T. Receivers therefore switch on *T only; a T sent
+// by value reaches no case and is dropped as foreign traffic.
 type Endpoint interface {
 	// ID returns the endpoint's stable address on its substrate.
 	ID() string

@@ -2,26 +2,28 @@ package group
 
 import "time"
 
-// Sender-side batching and sequencer-side pipelining.
+// The send buffer: sender-side batching and sequencer-side pipelining.
 //
-// With batching enabled a Multicast does not go straight to the wire:
-// the stamped data packet is parked in an accumulation buffer, and the
-// whole buffer travels as one kBatch packet when the accumulation window
-// elapses, the buffer reaches MaxMsgs, or the application calls Flush.
-// Receivers unpack a batch into the ordinary per-message delivery paths,
-// so batched and unbatched members interoperate within one view.
+// Every Multicast takes one path: the stamped data packet is appended to
+// the member's accumulation buffer, and the buffer is flushed as one run
+// when it reaches its limit, when the accumulation window elapses, or when
+// the application calls Flush. The limit is 1 by default, so each message
+// flushes itself; BatchConfig raises it. A run of one leaves as the bare
+// kData packet — an unbatched member is simply one whose every run has
+// length one — and a longer run travels as one kBatch packet. Receivers
+// unpack either form into the same per-message delivery code, so members
+// with different limits interoperate within one view.
 //
-// The pipelining half lives on the ordering side: a sequencer that
-// receives a batch assigns the whole contiguous sequence run at once and
-// announces it with a single kOrder packet (MsgIDs + starting GlobalSeq),
-// and a token holder stamps a contiguous run onto the batch before it is
-// sent. At high fan-in this collapses the per-message sequencer round
-// trip — the paper's §5 scalability bottleneck — into one exchange per
-// window.
+// The pipelining half lives on the ordering side: a sequencer assigns a
+// received run one contiguous stretch of the global sequence and announces
+// it with a single kOrder packet (one MsgID for a run of one, MsgIDs plus
+// the starting GlobalSeq otherwise), and a token holder stamps a contiguous
+// stretch onto a run before it is sent. At high fan-in this collapses the
+// per-message sequencer round trip — the paper's §5 scalability bottleneck
+// — into one exchange per window.
 
-// BatchConfig configures sender-side batching. The zero value disables
-// batching (every Multicast is one wire packet, the pre-existing
-// behaviour).
+// BatchConfig configures sender-side batching. The zero value sends every
+// Multicast as its own wire packet.
 type BatchConfig struct {
 	// Window is how long the first buffered message may wait for
 	// companions before the batch is flushed. A non-zero window requires
@@ -35,76 +37,28 @@ type BatchConfig struct {
 // DefaultBatchMsgs bounds a batch when only a window is configured.
 const DefaultBatchMsgs = 64
 
-// Enabled reports whether this configuration batches at all.
-func (b BatchConfig) Enabled() bool { return b.Window > 0 || b.MaxMsgs > 1 }
-
-func (b BatchConfig) maxMsgs() int {
-	if b.MaxMsgs > 1 {
-		return b.MaxMsgs
-	}
-	return DefaultBatchMsgs
-}
-
-// batchable reports whether the configured ordering supports batching.
-// Unordered and Causal multicasts gain nothing from coalescing here (no
-// ordering round trip to amortise) and keep the unbatched path.
-func (m *Member) batchable() bool {
-	switch m.ordering {
+// limit is the longest run one wire packet may carry under ordering o: 1
+// unless batching is configured and the ordering has a per-message cost to
+// amortise. Unordered and Causal multicasts gain nothing from coalescing
+// (there is no ordering round trip), so they always run at 1.
+func (b BatchConfig) limit(o Ordering) int {
+	switch o {
 	case FIFO, TotalSequencer, TotalToken:
-		return true
-	}
-	return false
-}
-
-// enqueueBatched stamps the outgoing message exactly as the unbatched path
-// would and parks it in the accumulation buffer. Called with m.mu held.
-// The flush — and therefore the wire send — happens later, so errors on
-// the fan-out surface as loss (repaired by NACK for FIFO, visible as
-// stalled delivery for the total orders), not as a Multicast error.
-//
-//cscw:hotpath
-func (m *Member) enqueueBatched(body any, size int) error {
-	if !m.view.Contains(m.id) {
-		return ErrNotMember
-	}
-	pkt := m.newPacket()
-	*pkt = packet{Kind: kData, From: m.id, ViewID: m.view.ID, Body: body, Size: size}
-	switch m.ordering {
-	case FIFO:
-		m.fifoSent++
-		pkt.SenderSeq = m.fifoSent
-		m.sentBuf[pkt.SenderSeq] = pkt
-		if old := pkt.SenderSeq - retainWindow; old > 0 {
-			delete(m.sentBuf, old)
+		if b.MaxMsgs > 1 {
+			return b.MaxMsgs
 		}
-	case TotalSequencer, TotalToken:
-		m.msgCounter++
-		pkt.MsgID = msgID{Origin: m.id, N: m.msgCounter}
+		if b.Window > 0 {
+			return DefaultBatchMsgs
+		}
 	}
-	if m.batchBuf == nil {
-		// One full-size allocation per accumulation window instead of a
-		// growth ladder; the buffer is handed off wholesale at flush (the
-		// wire batch references it), so it cannot be recycled.
-		m.batchBuf = make([]*packet, 0, m.batch.maxMsgs())
-	}
-	m.batchBuf = append(m.batchBuf, pkt)
-	if len(m.batchBuf) >= m.batch.maxMsgs() {
-		m.flushBatch()
-		return nil
-	}
-	if m.batch.Window > 0 && !m.batchArmed {
-		m.batchArmed = true
-		//lint:ignore hot-alloc one timer closure per accumulation window, amortized over the whole batch
-		m.timer.After(m.batch.Window, m.batchTimerFire)
-	}
-	return nil
+	return 1
 }
 
 // batchTimerFire is the accumulation-window callback.
 func (m *Member) batchTimerFire() {
 	m.mu.Lock()
 	m.batchArmed = false
-	m.flushBatch()
+	m.queueFlush()
 	m.runCallbacks()
 }
 
@@ -112,100 +66,65 @@ func (m *Member) batchTimerFire() {
 // unbatched members and empty buffers.
 func (m *Member) Flush() {
 	m.mu.Lock()
-	m.flushBatch()
+	m.queueFlush()
 	m.runCallbacks()
 }
 
-// flushBatch moves the accumulation buffer onto the wire as one kBatch
-// packet. Called with m.mu held; the sends are queued on the callback
-// queue and run after release. A token-protocol member without the token
-// parks the batch in the outbox and requests the token instead — the
-// batch goes out, contiguously stamped, when the token arrives.
+// queueFlush flushes the accumulation buffer as a fire-and-forget fan-out
+// on the callback queue. Called with m.mu held. The flush is detached from
+// the Multicast calls that filled the buffer, so a failed send surfaces as
+// loss (repaired by NACK for FIFO, visible as stalled delivery for the
+// total orders), not as an error.
+func (m *Member) queueFlush() {
+	if pkt := m.flush(); pkt != nil {
+		m.queueSendToView(pkt)
+	}
+}
+
+// flush empties the accumulation buffer and returns the packet to fan out
+// to the view for it, or nil when the buffer was empty. Called with m.mu
+// held.
 //
 //cscw:hotpath
-func (m *Member) flushBatch() {
+func (m *Member) flush() *packet {
 	if len(m.batchBuf) == 0 {
-		return
+		return nil
 	}
-	buf := m.batchBuf
-	m.batchBuf = nil
+	run := m.batchBuf
+	m.batchBuf = m.batchBuf[:0] // wireRun keeps no reference to run
+	return m.wireRun(run)
+}
+
+// wireRun turns a run of stamped data packets into what goes on the wire
+// for it now. A token-protocol member without the token parks the run in
+// the outbox and the packet returned is the token request — the run goes
+// out, contiguously stamped, when the token arrives (drainOutbox). A
+// holder stamps the run's stretch of the global sequence here. A run of
+// one is returned as the bare kData packet, a longer one wrapped in a
+// kBatch. Called with m.mu held; run is not retained.
+//
+//cscw:hotpath
+func (m *Member) wireRun(run []*packet) *packet {
 	if m.ordering == TotalToken {
 		if !m.hasToken {
-			m.outbox = append(m.outbox, buf...)
-			req := &packet{Kind: kTokenReq, From: m.id, ViewID: m.view.ID}
-			m.queueSendToView(req)
-			return
+			m.outbox = append(m.outbox, run...)
+			return &packet{Kind: kTokenReq, From: m.id, ViewID: m.view.ID}
 		}
-		for _, p := range buf {
+		for _, p := range run {
 			p.GlobalSeq = m.seqNext
 			m.seqNext++
 		}
 	}
-	m.queueSendToView(m.makeBatch(buf))
-}
-
-// makeBatch wraps the stamped packets in one wire batch.
-//
-//cscw:hotpath
-func (m *Member) makeBatch(buf []*packet) *packet {
+	if len(run) == 1 {
+		return run[0]
+	}
+	msgs := make([]*packet, len(run))
 	total := 0
-	for _, p := range buf {
+	for i, p := range run {
+		msgs[i] = p
 		total += p.Size
 	}
 	pkt := m.newPacket()
-	*pkt = packet{Kind: kBatch, From: m.id, ViewID: m.view.ID, Msgs: buf, Size: total}
+	*pkt = packet{Kind: kBatch, From: m.id, ViewID: m.view.ID, Msgs: msgs, Size: total}
 	return pkt
-}
-
-// receiveBatch unpacks a wire batch into the per-message receive paths.
-// For the sequencer protocol the sequencer assigns one contiguous run to
-// the whole batch and announces it with a single kOrder packet; everyone
-// else just files the messages and waits for that announcement. Token
-// batches arrive pre-stamped by the holder.
-//
-//cscw:hotpath
-func (m *Member) receiveBatch(pkt *packet) {
-	switch m.ordering {
-	case TotalSequencer:
-		if m.view.Sequencer() == m.id {
-			ids := make([]msgID, 0, len(pkt.Msgs))
-			var start uint64
-			for _, p := range pkt.Msgs {
-				if _, done := m.seqOf[p.MsgID]; done {
-					continue // duplicate batch replay
-				}
-				if len(ids) == 0 {
-					start = m.seqNext
-				}
-				m.seqOf[p.MsgID] = m.seqNext
-				m.seqNext++
-				ids = append(ids, p.MsgID)
-			}
-			if len(ids) > 0 {
-				order := m.newPacket()
-				*order = packet{Kind: kOrder, From: m.id, ViewID: m.view.ID, GlobalSeq: start, MsgIDs: ids}
-				m.queueSendToView(order)
-			}
-		}
-		for _, p := range pkt.Msgs {
-			m.pendingMsg[p.MsgID] = p
-		}
-		m.drainTotal()
-	case TotalToken:
-		for _, p := range pkt.Msgs {
-			m.pendingMsg[p.MsgID] = p
-			m.orderOf[p.GlobalSeq] = p.MsgID
-		}
-		m.drainTotal()
-	case FIFO:
-		for _, p := range pkt.Msgs {
-			m.receiveFIFO(p)
-		}
-	default:
-		// A batch arriving at an Unordered/Causal member (foreign or
-		// misconfigured sender): deliver the contents best-effort.
-		for _, p := range pkt.Msgs {
-			m.emit(p, 0)
-		}
-	}
 }

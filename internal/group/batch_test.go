@@ -197,48 +197,91 @@ func TestBatchExplicitFlush(t *testing.T) {
 }
 
 // TestBatchedAndUnbatchedInteroperate runs one batched and one unbatched
-// sender in the same sequencer group: both reach the same global order.
+// sender in the same group, under both total orders: everyone reaches the
+// same global order. A tap on the batched sender's wire checks the framing
+// rule on the way: a kBatch never carries fewer than two messages, and with
+// MaxMsgs 2 and an odd number of sends the final message — the one only
+// Flush moves — leaves as a bare kData.
 func TestBatchedAndUnbatchedInteroperate(t *testing.T) {
-	r := newRig(t, 3, TotalSequencer, netsim.LANLink) // unbatched members
-	batchedNode := r.sim.MustAddNode("m99")
-	var batchedDeliv []Delivery
-	batched, err := NewMember(Config{
-		Endpoint: fabric.FromSim(batchedNode),
-		Timer:    TimerFunc(func(d time.Duration, fn func()) { r.sim.At(d, fn) }),
-		Ordering: TotalSequencer,
-		Batch:    BatchConfig{Window: 2 * time.Millisecond, MaxMsgs: 8},
-		Deliver:  func(d Delivery) { batchedDeliv = append(batchedDeliv, d) },
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		ord      Ordering
+		batch    BatchConfig
+		sends    int
+		bareTail bool
+	}{
+		{"sequencer-window", TotalSequencer, BatchConfig{Window: 2 * time.Millisecond, MaxMsgs: 8}, 6, false},
+		{"token-window", TotalToken, BatchConfig{Window: 2 * time.Millisecond, MaxMsgs: 8}, 6, false},
+		{"sequencer-odd-tail", TotalSequencer, BatchConfig{MaxMsgs: 2}, 5, true},
+		{"token-odd-tail", TotalToken, BatchConfig{MaxMsgs: 2}, 5, true},
 	}
-	ids := append(append([]string(nil), r.ids...), "m99")
-	v := NewView(2, ids)
-	for _, m := range r.members {
-		m.InstallView(v)
-	}
-	batched.InstallView(v)
-	for i := 0; i < 6; i++ {
-		i := i
-		r.sim.At(time.Duration(i)*time.Millisecond, func() {
-			_ = r.members["m01"].Multicast(fmt.Sprintf("plain-%d", i), 8)
-			_ = batched.Multicast(fmt.Sprintf("batch-%d", i), 8)
-		})
-	}
-	r.sim.Run()
-	want := 12
-	if len(batchedDeliv) != want {
-		t.Fatalf("batched member delivered %d, want %d", len(batchedDeliv), want)
-	}
-	for _, id := range r.ids {
-		if len(r.deliv[id]) != want {
-			t.Fatalf("member %s delivered %d, want %d", id, len(r.deliv[id]), want)
-		}
-		for i := range r.deliv[id] {
-			if r.deliv[id][i].Seq != batchedDeliv[i].Seq || fmt.Sprint(r.deliv[id][i].Body) != fmt.Sprint(batchedDeliv[i].Body) {
-				t.Fatalf("member %s disagrees with batched member at %d", id, i)
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 3, tc.ord, netsim.LANLink) // unbatched members
+			// frames is the message count of each data frame m99 sent to m00.
+			var frames []int
+			tap := fabric.Tap(func(to string, payload any, _ int) {
+				p := payload.(*packet)
+				if to != "m00" || (p.Kind != kData && p.Kind != kBatch) {
+					return
+				}
+				if p.Kind == kBatch && len(p.Msgs) < 2 {
+					t.Errorf("kBatch frame carrying %d message(s); a run of one must travel bare", len(p.Msgs))
+				}
+				frames = append(frames, max(1, len(p.Msgs)))
+			}, nil)
+			var batchedDeliv []Delivery
+			batched, err := NewMember(Config{
+				Endpoint: fabric.Wrap(fabric.FromSim(r.sim.MustAddNode("m99")), tap),
+				Timer:    TimerFunc(func(d time.Duration, fn func()) { r.sim.At(d, fn) }),
+				Ordering: tc.ord,
+				Batch:    tc.batch,
+				Deliver:  func(d Delivery) { batchedDeliv = append(batchedDeliv, d) },
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			ids := append(append([]string(nil), r.ids...), "m99")
+			v := NewView(2, ids)
+			for _, m := range r.members {
+				m.InstallView(v)
+			}
+			batched.InstallView(v)
+			for i := 0; i < tc.sends; i++ {
+				i := i
+				r.sim.At(time.Duration(i)*time.Millisecond, func() {
+					_ = r.members["m01"].Multicast(fmt.Sprintf("plain-%d", i), 8)
+					_ = batched.Multicast(fmt.Sprintf("batch-%d", i), 8)
+				})
+			}
+			r.sim.At(time.Duration(tc.sends)*time.Millisecond, batched.Flush)
+			r.sim.Run()
+			want := 2 * tc.sends
+			if len(batchedDeliv) != want {
+				t.Fatalf("batched member delivered %d, want %d", len(batchedDeliv), want)
+			}
+			for _, id := range r.ids {
+				if len(r.deliv[id]) != want {
+					t.Fatalf("member %s delivered %d, want %d", id, len(r.deliv[id]), want)
+				}
+				for i := range r.deliv[id] {
+					if r.deliv[id][i].Seq != batchedDeliv[i].Seq || fmt.Sprint(r.deliv[id][i].Body) != fmt.Sprint(batchedDeliv[i].Body) {
+						t.Fatalf("member %s disagrees with batched member at %d", id, i)
+					}
+				}
+			}
+			sent := 0
+			for _, n := range frames {
+				sent += n
+			}
+			if sent != tc.sends {
+				t.Fatalf("batched sender framed %d messages as %v, want %d", sent, frames, tc.sends)
+			}
+			if tc.bareTail && frames[len(frames)-1] != 1 {
+				t.Fatalf("frames %v: the odd final message must leave as a bare kData", frames)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,13 @@
 // Total order is provided by two interchangeable protocols — a fixed
 // sequencer and a circulating token — which experiment E7 ablates against
 // each other.
+//
+// There is one send path and one receive path. Every Multicast is stamped
+// and appended to the member's send buffer, which flushes as a run: of one
+// message by default, of up to BatchConfig's limit when batching is
+// configured (batch.go). A run of one is the bare data packet, so batching
+// is a matter of how long the runs are, not of which code handles them, and
+// members with different limits share a view.
 package group
 
 import (
@@ -171,10 +178,11 @@ type packet struct {
 	// nack: the sender-sequence range [NackFrom, NackTo] being requested
 	NackFrom uint64
 	NackTo   uint64
-	// batching: a kBatch packet carries the coalesced data packets of one
-	// accumulation window; a kOrder packet with MsgIDs assigns the
-	// contiguous sequence run starting at GlobalSeq to those messages in
-	// order (one announcement per batch — the sequencer pipelining).
+	// runs: a kBatch packet carries the data packets of a flushed run of
+	// two or more (a run of one travels as the bare kData); a kOrder packet
+	// with MsgIDs assigns the contiguous sequence run starting at GlobalSeq
+	// to those messages in order (one announcement per batch — the
+	// sequencer pipelining).
 	Msgs   []*packet
 	MsgIDs []msgID
 }

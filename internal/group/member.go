@@ -74,9 +74,10 @@ type Member struct {
 	waitKnown  map[string]bool // dedup for tokenWait
 	outbox     []*packet       // token protocol: sends queued awaiting token
 
-	// Sender-side batching (see batch.go).
+	// The send buffer every Multicast goes through (see batch.go).
 	batch      BatchConfig
-	batchBuf   []*packet // stamped messages awaiting the window/flush
+	limit      int       // batchBuf flushes at this length; 1 unless batching is configured
+	batchBuf   []*packet // stamped messages awaiting the flush
 	batchArmed bool      // an accumulation-window timer is pending
 
 	// RPC state.
@@ -154,9 +155,9 @@ type Config struct {
 	Ordering Ordering
 	Deliver  DeliverFunc
 	OnView   ViewFunc
-	// Batch enables sender-side batching for FIFO and the two total
-	// orders (see batch.go); the zero value keeps one packet per
-	// Multicast. A non-zero Window requires Timer.
+	// Batch raises the send buffer's flush limit above one message for
+	// FIFO and the two total orders (see batch.go); the zero value keeps
+	// one packet per Multicast. A non-zero Window requires Timer.
 	Batch BatchConfig
 }
 
@@ -196,6 +197,7 @@ func NewMember(cfg Config) (*Member, error) {
 		handlers:   make(map[string]HandlerFunc),
 		calls:      make(map[uint64]*pendingCall),
 		batch:      cfg.Batch,
+		limit:      cfg.Batch.limit(cfg.Ordering),
 	}
 	cfg.Endpoint.SetHandler(func(from string, payload any, size int) {
 		m.Receive(from, payload)
@@ -289,7 +291,7 @@ func (m *Member) installView(v View) {
 	m.orderOf = make(map[uint64]msgID)
 	m.seqOf = make(map[msgID]uint64)
 	m.outbox = nil
-	m.batchBuf = nil // view change assumes quiescence; unsent coalesced messages drop with it
+	m.batchBuf = nil // view change assumes quiescence; unsent buffered messages drop with it
 	m.tokenWait = nil
 	m.waitKnown = make(map[string]bool)
 	m.hasToken = m.ordering == TotalToken && v.Sequencer() == m.id
@@ -328,35 +330,46 @@ func (m *Member) ProposeView(v View) error {
 
 // Multicast sends body to every member of the current view (including the
 // caller) with the configured ordering guarantee. size is the payload size
-// hint for bandwidth accounting. With batching configured the message is
-// coalesced into the pending accumulation window instead of going straight
-// to the wire (see batch.go); it flushes when the window elapses, the
-// batch fills, or Flush is called.
+// hint for bandwidth accounting. The stamped message joins the send buffer
+// (see batch.go), which flushes when it reaches its limit — at once unless
+// batching is configured — when the window elapses, or when Flush is
+// called. A flush this call triggers is fanned out before it returns and
+// its first send error is reported; a message left in the buffer goes out
+// later, fire-and-forget.
+//
+//cscw:hotpath
 func (m *Member) Multicast(body any, size int) error {
 	m.mu.Lock()
-	if m.batch.Enabled() && m.batchable() {
-		err := m.enqueueBatched(body, size)
-		m.runCallbacks()
-		return err
-	}
-	targets, pkt, err := m.multicast(body, size)
-	m.runCallbacks() // releases m.mu: the fan-out below must not run under it
-	if err != nil {
-		return err
-	}
-	return m.sendToAll(targets, pkt)
-}
-
-// multicast stamps the outgoing packet under the lock and returns the view
-// snapshot to fan it out to; the caller performs the sends after release.
-// In the token protocol a member without the token parks the data packet in
-// the outbox and what goes on the wire now is the token request instead.
-func (m *Member) multicast(body any, size int) ([]string, *packet, error) {
 	if !m.view.Contains(m.id) {
-		return nil, nil, ErrNotMember
+		m.mu.Unlock()
+		return ErrNotMember
 	}
 	pkt := m.newPacket()
 	*pkt = packet{Kind: kData, From: m.id, ViewID: m.view.ID, Body: body, Size: size}
+	m.stamp(pkt)
+	m.batchBuf = append(m.batchBuf, pkt)
+	var out *packet
+	if len(m.batchBuf) >= m.limit {
+		out = m.flush()
+	} else if m.batch.Window > 0 && !m.batchArmed {
+		m.batchArmed = true
+		//lint:ignore hot-alloc one timer closure per accumulation window, amortized over the whole batch
+		m.timer.After(m.batch.Window, m.batchTimerFire)
+	}
+	targets := m.viewTargets()
+	m.runCallbacks() // releases m.mu: the fan-out below must not run under it
+	if out == nil {
+		return nil
+	}
+	return m.sendToAll(targets, out)
+}
+
+// stamp gives an outgoing data packet its identity under the configured
+// ordering: the per-sender sequence (FIFO), the vector timestamp (Causal)
+// or the message ID the total orders pair with a global sequence number.
+// The token protocol's global sequence is stamped at flush, when the run
+// is known to hold the token (wireRun). Called with m.mu held.
+func (m *Member) stamp(pkt *packet) {
 	switch m.ordering {
 	case FIFO:
 		m.fifoSent++
@@ -371,21 +384,10 @@ func (m *Member) multicast(body any, size int) ([]string, *packet, error) {
 		stamp := m.vc.Clone()
 		stamp[m.id] = m.causalSent
 		pkt.VC = stamp
-	case TotalSequencer:
+	case TotalSequencer, TotalToken:
 		m.msgCounter++
 		pkt.MsgID = msgID{Origin: m.id, N: m.msgCounter}
-	case TotalToken:
-		m.msgCounter++
-		pkt.MsgID = msgID{Origin: m.id, N: m.msgCounter}
-		if !m.hasToken {
-			m.outbox = append(m.outbox, pkt)
-			req := &packet{Kind: kTokenReq, From: m.id, ViewID: m.view.ID}
-			return m.viewTargets(), req, nil
-		}
-		pkt.GlobalSeq = m.seqNext
-		m.seqNext++
 	}
-	return m.viewTargets(), pkt, nil
 }
 
 // viewTargets returns the current view's membership for fan-out, without
@@ -448,9 +450,9 @@ func (m *Member) Receive(from string, payload any) {
 	case kView:
 		m.installView(*pkt.NewView)
 	case kData:
-		m.receiveData(pkt)
+		m.receiveMsgs(pkt)
 	case kBatch:
-		m.receiveBatch(pkt)
+		m.receiveMsgs(pkt.Msgs...)
 	case kOrder:
 		m.receiveOrder(pkt)
 	case kToken:
@@ -476,35 +478,74 @@ func (m *Member) emit(pkt *packet, seq uint64) {
 	}})
 }
 
-func (m *Member) receiveData(pkt *packet) {
+// receiveMsgs files a run of data packets — one bare kData, or the contents
+// of a kBatch — under the configured ordering. For the sequencer protocol
+// the sequencer assigns the whole run one contiguous stretch of the global
+// sequence; everyone else just files the messages and waits for the
+// announcement. Token runs arrive pre-stamped by the holder.
+//
+//cscw:hotpath
+func (m *Member) receiveMsgs(msgs ...*packet) {
 	switch m.ordering {
 	case Unordered:
-		m.emit(pkt, 0)
+		for _, p := range msgs {
+			m.emit(p, 0)
+		}
 	case FIFO:
-		m.receiveFIFO(pkt)
+		for _, p := range msgs {
+			m.receiveFIFO(p)
+		}
 	case Causal:
-		m.receiveCausal(pkt)
+		for _, p := range msgs {
+			m.receiveCausal(p)
+		}
 	case TotalSequencer:
 		if m.view.Sequencer() == m.id {
-			// Assign the next global sequence number and announce it.
-			if _, done := m.seqOf[pkt.MsgID]; !done {
-				order := m.newPacket()
-				*order = packet{Kind: kOrder, From: m.id, ViewID: m.view.ID, MsgID: pkt.MsgID, GlobalSeq: m.seqNext}
-				m.seqOf[pkt.MsgID] = m.seqNext
-				m.seqNext++
-				// Ordering announcements ride reliable sim links; a loss
-				// means a partition, surfaced by stalled delivery which the
-				// experiments measure.
-				m.queueSendToView(order)
-			}
+			m.sequenceRun(msgs)
 		}
-		m.pendingMsg[pkt.MsgID] = pkt
+		for _, p := range msgs {
+			m.pendingMsg[p.MsgID] = p
+		}
 		m.drainTotal()
 	case TotalToken:
-		m.pendingMsg[pkt.MsgID] = pkt
-		m.orderOf[pkt.GlobalSeq] = pkt.MsgID
+		for _, p := range msgs {
+			m.pendingMsg[p.MsgID] = p
+			m.orderOf[p.GlobalSeq] = p.MsgID
+		}
 		m.drainTotal()
 	}
+}
+
+// sequenceRun is the sequencer's half of the total order: it assigns the
+// not-yet-sequenced messages of a received run the next contiguous stretch
+// of the global sequence and announces the stretch with one kOrder packet —
+// the single-MsgID form for a bare packet, MsgIDs from GlobalSeq upward for
+// a batch. Ordering announcements ride reliable sim links; a loss means a
+// partition, surfaced by stalled delivery which the experiments measure.
+func (m *Member) sequenceRun(msgs []*packet) {
+	start := m.seqNext
+	for _, p := range msgs {
+		if _, done := m.seqOf[p.MsgID]; !done { // else a duplicate replay
+			m.seqOf[p.MsgID] = m.seqNext
+			m.seqNext++
+		}
+	}
+	if m.seqNext == start {
+		return
+	}
+	order := m.newPacket()
+	*order = packet{Kind: kOrder, From: m.id, ViewID: m.view.ID, GlobalSeq: start}
+	if len(msgs) == 1 {
+		order.MsgID = msgs[0].MsgID
+	} else {
+		order.MsgIDs = make([]msgID, m.seqNext-start)
+		for _, p := range msgs {
+			if seq := m.seqOf[p.MsgID]; seq >= start {
+				order.MsgIDs[seq-start] = p.MsgID
+			}
+		}
+	}
+	m.queueSendToView(order)
 }
 
 // retainWindow bounds the FIFO repair buffer per sender.
@@ -744,32 +785,17 @@ func (m *Member) receiveTokenReq(pkt *packet) {
 	}
 }
 
+// drainOutbox ships the backlog parked while the token was away, as runs of
+// at most the flush limit. A lost send stalls delivery, which measurements
+// surface.
 func (m *Member) drainOutbox() {
-	if m.batch.Enabled() && len(m.outbox) > 1 {
-		// Pipeline the backlog: stamp and ship contiguous runs as wire
-		// batches instead of one packet per message.
-		max := m.batch.maxMsgs()
-		for len(m.outbox) > 0 {
-			n := min(max, len(m.outbox))
-			chunk := append([]*packet(nil), m.outbox[:n]...)
-			m.outbox = m.outbox[n:]
-			for _, p := range chunk {
-				p.GlobalSeq = m.seqNext
-				m.seqNext++
-			}
-			m.queueSendToView(m.makeBatch(chunk))
-		}
-		m.outbox = nil
-		return
-	}
-	for _, pkt := range m.outbox {
-		pkt.GlobalSeq = m.seqNext
-		m.seqNext++
-		// See receiveData: a lost send stalls delivery, which measurements
-		// surface.
-		m.queueSendToView(pkt)
-	}
+	backlog := m.outbox
 	m.outbox = nil
+	for len(backlog) > 0 {
+		n := min(m.limit, len(backlog))
+		m.queueSendToView(m.wireRun(backlog[:n]))
+		backlog = backlog[n:]
+	}
 }
 
 func (m *Member) maybePassToken() {

@@ -167,20 +167,12 @@ func (c *Client) Receive(from string, payload any) {
 	switch m := payload.(type) {
 	case *MsgJoinAck:
 		c.onJoinAck(*m)
-	case MsgJoinAck:
-		c.onJoinAck(m)
 	case *MsgItems:
 		c.onItems(*m)
-	case MsgItems:
-		c.onItems(m)
 	case *MsgMode:
 		c.onMode(*m)
-	case MsgMode:
-		c.onMode(m)
 	case *MsgPresence:
 		c.onPresenceMsg(*m)
-	case MsgPresence:
-		c.onPresenceMsg(m)
 	}
 	c.runCallbacks()
 }

@@ -48,29 +48,33 @@ func TestJoinWithoutHost(t *testing.T) {
 	}
 }
 
-func TestReceiveValueVariants(t *testing.T) {
-	// Host and Client accept both pointer and value message forms (netsim
-	// passes pointers; decoded JSON arrives as pointers too, but value
-	// forms are part of the contract).
+func TestReceiveHandFedMessages(t *testing.T) {
+	// Host and Client process every message kind handed straight to
+	// Receive. Payloads are pointers (the fabric.Endpoint contract); a
+	// struct passed by value is foreign traffic and changes nothing.
 	sim := netsim.New(1, netsim.LANLink)
 	hostNode := sim.MustAddNode("host")
 	h := NewHost(fabric.FromSim(hostNode), Synchronous, sim.Now)
 
-	h.Receive("u1", MsgJoin{From: "u1", State: Active})
+	h.Receive("u0", MsgJoin{From: "u0", State: Active})
+	if h.PresenceOf("u0") != Offline {
+		t.Fatalf("a by-value MsgJoin was processed: presence = %v", h.PresenceOf("u0"))
+	}
+	h.Receive("u1", &MsgJoin{From: "u1", State: Active})
 	sim.Run()
 	if h.PresenceOf("u1") != Active {
 		t.Fatalf("presence = %v", h.PresenceOf("u1"))
 	}
-	h.Receive("u1", MsgPost{From: "u1", Kind: "k", Body: "v"})
+	h.Receive("u1", &MsgPost{From: "u1", Kind: "k", Body: "v"})
 	if h.LogLen() != 1 {
 		t.Fatalf("log = %d", h.LogLen())
 	}
-	h.Receive("u1", MsgPoll{From: "u1", Since: 0})
-	h.Receive("u1", MsgPresence{From: "u1", State: Away})
+	h.Receive("u1", &MsgPoll{From: "u1", Since: 0})
+	h.Receive("u1", &MsgPresence{From: "u1", State: Away})
 	if h.PresenceOf("u1") != Away {
 		t.Errorf("presence = %v", h.PresenceOf("u1"))
 	}
-	h.Receive("u1", MsgLeave{From: "u1"})
+	h.Receive("u1", &MsgLeave{From: "u1"})
 	if h.PresenceOf("u1") != Offline {
 		t.Errorf("presence = %v", h.PresenceOf("u1"))
 	}
@@ -84,16 +88,16 @@ func TestReceiveValueVariants(t *testing.T) {
 	var presences []string
 	c.OnMode = func(m Mode) { modes = append(modes, m) }
 	c.OnPresence = func(u string, p Presence) { presences = append(presences, u) }
-	c.Receive("host", MsgJoinAck{Mode: Asynchronous})
+	c.Receive("host", &MsgJoinAck{Mode: Asynchronous})
 	if !c.Joined() || c.Mode() != Asynchronous {
-		t.Error("value JoinAck not processed")
+		t.Error("JoinAck not processed")
 	}
-	c.Receive("host", MsgItems{Items: []Item{{Seq: 1, From: "x", Body: "b"}}})
+	c.Receive("host", &MsgItems{Items: []Item{{Seq: 1, From: "x", Body: "b"}}})
 	if c.LastSeq() != 1 {
 		t.Errorf("LastSeq = %d", c.LastSeq())
 	}
-	c.Receive("host", MsgMode{Mode: Synchronous})
-	c.Receive("host", MsgPresence{From: "x", State: Away})
+	c.Receive("host", &MsgMode{Mode: Synchronous})
+	c.Receive("host", &MsgPresence{From: "x", State: Away})
 	if len(modes) != 1 || modes[0] != Synchronous {
 		t.Errorf("modes = %v", modes)
 	}

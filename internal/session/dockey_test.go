@@ -19,7 +19,7 @@ func TestDocOfDocKeyedFallthrough(t *testing.T) {
 		t.Fatalf("unkeyed payload demuxed to %q", got)
 	}
 	// Session's own types still resolve through the typed switch.
-	if got := DocOf(MsgPost{Doc: "p"}); got != "p" {
+	if got := DocOf(&MsgPost{Doc: "p"}); got != "p" {
 		t.Fatalf("session payload demuxed to %q", got)
 	}
 }

@@ -154,24 +154,14 @@ func (h *Host) Receive(from string, payload any) {
 	switch m := payload.(type) {
 	case *MsgJoin:
 		h.onJoin(*m)
-	case MsgJoin:
-		h.onJoin(m)
 	case *MsgPost:
 		h.onPost(*m)
-	case MsgPost:
-		h.onPost(m)
 	case *MsgPoll:
 		h.onPoll(*m)
-	case MsgPoll:
-		h.onPoll(m)
 	case *MsgPresence:
 		h.onPresence(*m)
-	case MsgPresence:
-		h.onPresence(m)
 	case *MsgLeave:
 		h.onLeave(*m)
-	case MsgLeave:
-		h.onLeave(m)
 	}
 	h.runCallbacks()
 }

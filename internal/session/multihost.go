@@ -64,7 +64,7 @@ func (mh *MultiHost) receive(from string, payload any) {
 		// would drop them anyway — creating state for them would let
 		// strangers allocate documents.
 		switch payload.(type) {
-		case *MsgJoin, MsgJoin:
+		case *MsgJoin:
 		default:
 			mh.mu.Unlock()
 			return

@@ -161,35 +161,19 @@ func DocOf(payload any) string {
 	switch m := payload.(type) {
 	case *MsgJoin:
 		return m.Doc
-	case MsgJoin:
-		return m.Doc
 	case *MsgJoinAck:
-		return m.Doc
-	case MsgJoinAck:
 		return m.Doc
 	case *MsgPost:
 		return m.Doc
-	case MsgPost:
-		return m.Doc
 	case *MsgItems:
-		return m.Doc
-	case MsgItems:
 		return m.Doc
 	case *MsgPoll:
 		return m.Doc
-	case MsgPoll:
-		return m.Doc
 	case *MsgMode:
-		return m.Doc
-	case MsgMode:
 		return m.Doc
 	case *MsgPresence:
 		return m.Doc
-	case MsgPresence:
-		return m.Doc
 	case *MsgLeave:
-		return m.Doc
-	case MsgLeave:
 		return m.Doc
 	case DocKeyed:
 		return m.DocKey()

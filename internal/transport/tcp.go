@@ -44,6 +44,12 @@ func (b *AddressBook) Lookup(id string) (string, bool) {
 // outbound connections. Wire format per frame:
 //
 //	uint32 total length (big endian) | uint16 sender-ID length | sender ID | payload
+//
+// Connections are one-way: frames flow from the dialer to the acceptor and
+// nothing comes back. A dialed connection is still read, by a watcher
+// goroutine whose only purpose is to learn that the peer has gone (see
+// watch) — without it a write after the peer's FIN is accepted by the kernel
+// and Send would report success for a frame nobody will ever read.
 type TCPEndpoint struct {
 	id       string
 	book     *AddressBook
@@ -58,8 +64,9 @@ type TCPEndpoint struct {
 }
 
 type tcpConn struct {
-	mu sync.Mutex // serializes writes
-	c  net.Conn
+	mu   sync.Mutex // serializes writes; guards dead
+	c    net.Conn
+	dead bool // the watcher saw the peer hang up (or the conn fail)
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)
@@ -169,8 +176,41 @@ func writeFrame(w io.Writer, from string, payload []byte) error {
 	return err
 }
 
+// watch reads a dialed connection until it ends. The acceptor never writes,
+// so the read returns only when the peer has closed (EOF), the connection
+// has failed, or this endpoint closed it; in every case tc is finished. It
+// is then evicted, so the next Send dials afresh, and marked dead, so a
+// Send that already holds tc reports an error instead of writing into a
+// socket whose far end is gone.
+func (e *TCPEndpoint) watch(to string, tc *tcpConn) {
+	defer e.wg.Done()
+	var b [1]byte
+	for {
+		if _, err := tc.c.Read(b[:]); err != nil {
+			break
+		}
+	}
+	e.evict(to, tc)
+	tc.mu.Lock()
+	tc.dead = true
+	tc.mu.Unlock()
+}
+
+// evict drops a finished connection from the cache, so the next Send to the
+// peer redials, and closes it.
+func (e *TCPEndpoint) evict(to string, tc *tcpConn) {
+	e.mu.Lock()
+	if e.conns[to] == tc {
+		delete(e.conns, to)
+	}
+	e.mu.Unlock()
+	tc.c.Close()
+}
+
 // Send transmits data to the named peer, dialing a connection if none is
-// cached.
+// cached. A nil return means the frame was written to a connection the peer
+// had not been seen to close; a peer that closed earlier yields a fresh dial
+// or an error, never a silent success.
 func (e *TCPEndpoint) Send(to string, data []byte) error {
 	e.mu.Lock()
 	if e.closed {
@@ -204,19 +244,20 @@ func (e *TCPEndpoint) Send(to string, data []byte) error {
 		} else {
 			tc = &tcpConn{c: c}
 			e.conns[to] = tc
+			e.wg.Add(1) // under e.mu with closed false, so Close waits for it
 			e.mu.Unlock()
+			go e.watch(to, tc)
 		}
 	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
+	if tc.dead {
+		// The watcher got here between our lookup and our lock; it has
+		// already evicted tc, so the caller's next Send redials.
+		return fmt.Errorf("send to %s: %w", to, net.ErrClosed)
+	}
 	if err := writeFrame(tc.c, e.id, data); err != nil {
-		// Drop the broken connection so the next Send redials.
-		e.mu.Lock()
-		if e.conns[to] == tc {
-			delete(e.conns, to)
-		}
-		e.mu.Unlock()
-		tc.c.Close()
+		e.evict(to, tc)
 		return fmt.Errorf("send to %s: %w", to, err)
 	}
 	return nil

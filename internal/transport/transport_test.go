@@ -394,6 +394,17 @@ func TestTCPSendRacingCloseLeaksNothing(t *testing.T) {
 	}
 }
 
+// TestTCPSendAfterPeerRestart restarts b under a's cached connection, many
+// times over. A write into a socket whose peer has sent FIN is accepted by
+// the kernel, so without a's watcher on the dialed conn the first Send after
+// a restart returns nil and the frame vanishes.
+//
+// Even rounds pin the guarantee: once a has seen b hang up, the very next
+// Send dials b's new listener and the frame arrives — one call, no retry.
+// Odd rounds send at once, racing the watcher. TCP acknowledges nothing, so
+// a frame written before the FIN was seen may still be lost in flight; what
+// must hold is that Send keeps working (each call a clean nil or error) and
+// a resend gets through.
 func TestTCPSendAfterPeerRestart(t *testing.T) {
 	book := NewAddressBook()
 	a, err := ListenTCP("a", "127.0.0.1:0", book)
@@ -405,36 +416,61 @@ func TestTCPSendAfterPeerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send("b", []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	// b goes away; the cached conn breaks; the first send may fail, after
-	// which a redial is attempted on the next send.
-	bAddr := b.Addr()
-	b.Close()
-	b2, err := ListenTCP("b", bAddr, book)
-	if err != nil {
-		t.Fatalf("rebind %s: %v", bAddr, err)
-	}
-	defer b2.Close()
-	got := make(chan string, 4)
-	b2.SetHandler(func(from string, data []byte) { got <- string(data) })
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := a.Send("b", []byte("two")); err == nil {
-			break
+	defer func() { b.Close() }()
+	got := make(chan string, 256) // odd rounds resend every 5ms for up to 5s
+	handler := func(from string, data []byte) { got <- string(data) }
+	b.SetHandler(handler)
+	// arrived waits for want, skipping resends left over from earlier rounds.
+	arrived := func(want string, within time.Duration) bool {
+		timeout := time.After(within)
+		for {
+			select {
+			case msg := <-got:
+				if msg == want {
+					return true
+				}
+			case <-timeout:
+				return false
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("send never recovered after peer restart")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	select {
-	case msg := <-got:
-		if msg != "two" {
-			t.Errorf("got %q", msg)
+	for round := 0; round < 20; round++ {
+		pre, post := fmt.Sprintf("pre-%d", round), fmt.Sprintf("post-%d", round)
+		if err := a.Send("b", []byte(pre)); err != nil {
+			t.Fatalf("round %d: send before restart: %v", round, err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("message never arrived after restart")
+		if !arrived(pre, 5*time.Second) {
+			t.Fatalf("round %d: message before restart never arrived", round)
+		}
+		addr := b.Addr()
+		b.Close()
+		if b, err = ListenTCP("b", addr, book); err != nil {
+			t.Fatalf("round %d: rebind %s: %v", round, addr, err)
+		}
+		b.SetHandler(handler)
+		if round%2 == 0 {
+			waitFor(t, func() bool {
+				a.mu.Lock()
+				defer a.mu.Unlock()
+				return a.conns["b"] == nil
+			}, "a to see b's close and evict the cached conn")
+			if err := a.Send("b", []byte(post)); err != nil {
+				t.Fatalf("round %d: send after a saw the restart: %v", round, err)
+			}
+			if !arrived(post, 5*time.Second) {
+				t.Fatalf("round %d: Send returned nil after a saw the restart, but the message never arrived", round)
+			}
+			continue
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			_ = a.Send("b", []byte(post)) // nil or error; a lost frame is resent below
+			if arrived(post, 5*time.Millisecond) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: no resend got through after restart", round)
+			}
+		}
 	}
 }
