@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all check build vet lint lint-baseline test race bench bench-json bench-lint bench-e2e-test chaos chaos-scale experiments examples cover fuzz-smoke
+.PHONY: all check build vet lint lint-baseline lint-golden test race bench bench-json bench-lint bench-e2e-test chaos chaos-scale experiments examples cover fuzz-smoke
 
 all: check
 
@@ -30,6 +30,12 @@ lint:
 # exits 0 — the output feeds a human edit, not CI.
 lint-baseline:
 	go run ./cmd/cscwlint -format=baseline .
+
+# Rewrite internal/lint/testdata/fixtures.golden, the exact rendering of every
+# fixture diagnostic that TestFixturesGolden compares against. Read the diff:
+# a changed `via` chain or held-lock name is a behaviour change.
+lint-golden:
+	go test ./internal/lint -run TestFixturesGolden -update
 
 test:
 	go test ./...

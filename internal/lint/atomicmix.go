@@ -95,12 +95,12 @@ func runAtomicMix(m *Module) []Diagnostic {
 		if !inModuleScope(mf.pkg.Path) {
 			continue
 		}
-		out = append(out, atomicMixFunc(mf, witnesses, atomicUse)...)
+		out = append(out, atomicMixFunc(m, mf, witnesses, atomicUse)...)
 	}
 	return out
 }
 
-func atomicMixFunc(mf *modFunc, witnesses map[string]atomicWitness, atomicUse map[token.Pos]bool) []Diagnostic {
+func atomicMixFunc(m *Module, mf *modFunc, witnesses map[string]atomicWitness, atomicUse map[token.Pos]bool) []Diagnostic {
 	p := mf.pkg
 	// Cheap pre-scan: does this body mention any atomic field name at all?
 	names := make(map[string]bool)
@@ -119,7 +119,7 @@ func atomicMixFunc(mf *modFunc, witnesses map[string]atomicWitness, atomicUse ma
 		return nil
 	}
 
-	g := buildCFG(mf.decl.Body)
+	g := m.cfgOf(mf.decl.Body)
 	du := newDefUse(p, g, mf.decl)
 	writes := writePositions(mf.decl.Body)
 

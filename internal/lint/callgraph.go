@@ -189,35 +189,12 @@ func chanClassOf(p *Package, f *modFunc, e ast.Expr) string {
 	case *ast.SelectorExpr:
 		return fieldClass(p, e)
 	case *ast.Ident:
-		obj := p.Info.Uses[e]
-		if obj == nil {
-			obj = p.Info.Defs[e]
+		class, local := varClass(p, f, e, isChanType)
+		if local != nil {
+			return local.Pkg().Path() + "." + f.obj.Name() + "." + local.Name() +
+				"@L" + strconv.Itoa(p.Fset.Position(local.Pos()).Line)
 		}
-		v, ok := obj.(*types.Var)
-		if !ok || v.Pkg() == nil {
-			return ""
-		}
-		if v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Path() + "." + v.Name()
-		}
-		if !isChanType(v.Type()) {
-			return ""
-		}
-		if f != nil && f.decl.Type.Params != nil {
-			i := 0
-			for _, field := range f.decl.Type.Params.List {
-				for _, name := range field.Names {
-					if p.Info.Defs[name] == obj {
-						return paramClass(i)
-					}
-					i++
-				}
-			}
-		}
-		if f != nil {
-			return v.Pkg().Path() + "." + f.obj.Name() + "." + v.Name() +
-				"@L" + strconv.Itoa(p.Fset.Position(v.Pos()).Line)
-		}
+		return class
 	}
 	return ""
 }
@@ -241,11 +218,7 @@ func substituteChanClass(p *Package, f *modFunc, class string, call *ast.CallExp
 	if !isParamClass(class) {
 		return class
 	}
-	i := int(class[len("$param:")] - '0')
-	if i < 0 || i >= len(call.Args) {
-		return ""
-	}
-	return chanClassOf(p, f, call.Args[i])
+	return chanClassOf(p, f, paramArg(class, call))
 }
 
 // closeArgClass matches the builtin close(ch) and names its argument's

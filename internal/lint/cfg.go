@@ -6,13 +6,19 @@ import (
 	"go/types"
 )
 
-// This file is the control-flow half of the dataflow stage (PR 8): a
-// lightweight intraprocedural CFG over ast.FuncDecl bodies. Where the
-// bodyWalker in module.go threads one abstract lock state through the
-// syntax tree, the analyses built here (hot-alloc, wire-compat,
-// atomic-mix) need an explicit block graph: reaching definitions must
-// merge facts at joins and carry them around loop back-edges, and the
-// cold-path computation is a backward fixpoint over successors.
+// This file is the linter's one model of Go control flow: a lightweight
+// intraprocedural CFG over function and closure bodies. if/for/range/
+// switch/select/break/continue/fallthrough are interpreted here and nowhere
+// else; every flow-sensitive analysis is an evaluation over these blocks:
+//
+//   - the held-lock walk (module.go) runs the blocks once in source order,
+//     merging predecessor states at joins — back edges carry nothing;
+//   - reaching definitions (dataflow.go) and chan-proto's may-closed set
+//     iterate to a fixpoint, carrying facts around loop back-edges;
+//   - the cold-path computation below is a backward fixpoint over
+//     successors.
+//
+// Module.cfgOf memoizes one graph per body, so the consumers share it.
 //
 // Blocks hold *shallow* nodes: simple statements and the scrutinee
 // expressions of compound statements (an if's condition, a switch's tag,
@@ -24,9 +30,16 @@ import (
 
 // cfgBlock is one basic block.
 type cfgBlock struct {
-	index int
+	index int // position in cfg.blocks
 	nodes []ast.Node
 	succs []*cfgBlock
+	preds []*cfgBlock // in link order: an if's then before its else, clauses top to bottom
+
+	// branch is the if or select statement that ends the block. An if's
+	// condition is the block's last node and its then-edge is succs[0]; a
+	// select has no scrutinee, so it is reachable only from here — it must
+	// not be a block node, its extent would cover its own clause blocks.
+	branch ast.Stmt
 
 	// panics marks a block terminated by panic() (always a cold exit).
 	panics bool
@@ -36,8 +49,15 @@ type cfgBlock struct {
 
 // cfg is the control-flow graph of one function body.
 type cfg struct {
+	// blocks lists every block in the order the builder entered it, which
+	// is source order; each edge that is not a loop back-edge points forward
+	// in it. Unreachable statements get predecessor-less blocks of their own.
 	blocks []*cfgBlock
 	entry  *cfgBlock
+	// end is the block flow falls off the end of the body from; nil when
+	// the body cannot complete normally. Blocks ended by panic or goto have
+	// no successors either, but are not function exits.
+	end *cfgBlock
 }
 
 // --- builder -------------------------------------------------------------
@@ -61,25 +81,32 @@ type cfgTarget struct {
 // buildCFG constructs the CFG of a function body.
 func buildCFG(body *ast.BlockStmt) *cfg {
 	b := &cfgBuilder{g: &cfg{}}
-	b.cur = b.newBlock()
+	b.enter(new(cfgBlock))
 	b.g.entry = b.cur
 	b.stmts(body.List)
+	b.g.end = b.cur
 	return b.g
 }
 
-func (b *cfgBuilder) newBlock() *cfgBlock {
-	bl := &cfgBlock{index: len(b.g.blocks)}
-	b.g.blocks = append(b.g.blocks, bl)
-	return bl
+// cfgOf returns the CFG of a function or closure body, built on first use:
+// the lock walk visits every body several times per run and the dataflow
+// analyzers want the same graph.
+func (m *Module) cfgOf(body *ast.BlockStmt) *cfg {
+	g := m.cfgs[body]
+	if g == nil {
+		g = buildCFG(body)
+		m.cfgs[body] = g
+	}
+	return g
 }
 
-// startBlock makes next the current block, linking it from the previous
-// current block when flow can fall through into it.
-func (b *cfgBuilder) startBlock(next *cfgBlock) {
-	if b.cur != nil {
-		b.link(b.cur, next)
-	}
-	b.cur = next
+// enter makes bl the current block. Every block is entered exactly once,
+// when the builder reaches the source it holds, so cfg.blocks comes out in
+// source order however early a jump target had to be allocated.
+func (b *cfgBuilder) enter(bl *cfgBlock) {
+	bl.index = len(b.g.blocks)
+	b.g.blocks = append(b.g.blocks, bl)
+	b.cur = bl
 }
 
 func (b *cfgBuilder) link(from, to *cfgBlock) {
@@ -87,6 +114,7 @@ func (b *cfgBuilder) link(from, to *cfgBlock) {
 		return
 	}
 	from.succs = append(from.succs, to)
+	to.preds = append(to.preds, from)
 }
 
 // add appends a shallow node to the current block; unreachable statements
@@ -97,7 +125,7 @@ func (b *cfgBuilder) add(n ast.Node) {
 		return
 	}
 	if b.cur == nil {
-		b.cur = b.newBlock()
+		b.enter(new(cfgBlock))
 	}
 	b.cur.nodes = append(b.cur.nodes, n)
 }
@@ -157,6 +185,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	case *ast.SelectStmt:
 		// A select always runs exactly one clause, so there is no
 		// no-clause fallthrough edge.
+		if b.cur != nil {
+			b.cur.branch = s
+		}
 		b.switchBody(s.Body, label, true)
 	}
 }
@@ -171,13 +202,11 @@ func (b *cfgBuilder) branch(s *ast.BranchStmt) {
 		b.jump(b.breaks, label)
 	case token.CONTINUE:
 		b.jump(b.continues, label)
-	case token.FALLTHROUGH:
-		// switchBody links fallthrough edges structurally; the statement
-		// itself just ends the block.
-		b.cur = nil
-	case token.GOTO:
-		// No goto in the analyzed tree today; treat as an opaque exit so
-		// nothing downstream is wrongly assumed reachable from here.
+	case token.FALLTHROUGH, token.GOTO:
+		// switchBody consumes a clause's trailing fallthrough itself, and
+		// there is no goto in the analyzed tree today; either one reaching
+		// here is an opaque exit, so nothing downstream is wrongly assumed
+		// reachable from it.
 		b.cur = nil
 	}
 }
@@ -198,101 +227,103 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 	}
 	b.add(s.Cond)
 	cond := b.cur
-	join := b.newBlock()
+	cond.branch = s
+	join := new(cfgBlock)
 
-	then := b.newBlock()
+	then := new(cfgBlock)
 	b.link(cond, then)
-	b.cur = then
+	b.enter(then)
 	b.stmts(s.Body.List)
 	b.link(b.cur, join)
 
 	if s.Else != nil {
-		els := b.newBlock()
+		els := new(cfgBlock)
 		b.link(cond, els)
-		b.cur = els
+		b.enter(els)
 		b.stmt(s.Else)
 		b.link(b.cur, join)
 	} else {
 		b.link(cond, join)
 	}
-	b.cur = join
+	b.enter(join)
 }
 
 func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 	if s.Init != nil {
 		b.stmt(s.Init)
 	}
-	head := b.newBlock()
-	b.startBlock(head)
+	head := new(cfgBlock)
+	b.link(b.cur, head)
+	b.enter(head)
 	b.add(s.Cond)
 
-	after := b.newBlock()
+	after := new(cfgBlock)
 	post := head
 	if s.Post != nil {
-		post = b.newBlock()
+		post = new(cfgBlock)
 	}
 	b.breaks = append(b.breaks, cfgTarget{label, after}, cfgTarget{"", after})
 	b.continues = append(b.continues, cfgTarget{label, post}, cfgTarget{"", post})
 
-	body := b.newBlock()
+	body := new(cfgBlock)
 	b.link(head, body)
 	if s.Cond != nil {
 		b.link(head, after)
 	}
-	b.cur = body
+	b.enter(body)
 	b.stmts(s.Body.List)
 	b.link(b.cur, post)
 	if s.Post != nil {
-		b.cur = post
+		b.enter(post)
 		b.stmt(s.Post)
 		b.link(b.cur, head)
 	}
 
 	b.breaks = b.breaks[:len(b.breaks)-2]
 	b.continues = b.continues[:len(b.continues)-2]
-	b.cur = after
+	b.enter(after)
 }
 
 func (b *cfgBuilder) rangeStmt(s *ast.RangeStmt, label string) {
-	head := b.newBlock()
-	b.startBlock(head)
+	head := new(cfgBlock)
+	b.link(b.cur, head)
+	b.enter(head)
 	// The RangeStmt itself is the head's shallow node: it reads s.X and
 	// defines s.Key/s.Value each iteration. inspectShallow prunes s.Body.
 	b.add(s)
 
-	after := b.newBlock()
+	after := new(cfgBlock)
 	b.link(head, after)
 	b.breaks = append(b.breaks, cfgTarget{label, after}, cfgTarget{"", after})
 	b.continues = append(b.continues, cfgTarget{label, head}, cfgTarget{"", head})
 
-	body := b.newBlock()
+	body := new(cfgBlock)
 	b.link(head, body)
-	b.cur = body
+	b.enter(body)
 	b.stmts(s.Body.List)
 	b.link(b.cur, head)
 
 	b.breaks = b.breaks[:len(b.breaks)-2]
 	b.continues = b.continues[:len(b.continues)-2]
-	b.cur = after
+	b.enter(after)
 }
 
 // switchBody builds clause blocks for switch/type-switch/select bodies.
 // exhaustive means one clause always runs (a default exists, or select).
 func (b *cfgBuilder) switchBody(body *ast.BlockStmt, label string, exhaustive bool) {
 	scrutinee := b.cur
-	join := b.newBlock()
+	join := new(cfgBlock)
 	b.breaks = append(b.breaks, cfgTarget{label, join}, cfgTarget{"", join})
 
 	// First pass: create a body block per clause so fallthrough can link
 	// forward.
-	var caseBlocks []*cfgBlock
-	for range body.List {
-		caseBlocks = append(caseBlocks, b.newBlock())
+	caseBlocks := make([]*cfgBlock, len(body.List))
+	for i := range caseBlocks {
+		caseBlocks[i] = new(cfgBlock)
 	}
 	for i, c := range body.List {
-		bl := caseBlocks[i]
-		b.link(scrutinee, bl)
-		b.cur = bl
+		b.link(scrutinee, caseBlocks[i])
+		b.enter(caseBlocks[i])
 		var stmts []ast.Stmt
 		switch c := c.(type) {
 		case *ast.CaseClause:
@@ -306,24 +337,24 @@ func (b *cfgBuilder) switchBody(body *ast.BlockStmt, label string, exhaustive bo
 			}
 			stmts = c.Body
 		}
-		fallsThrough := false
-		if n := len(stmts); n > 0 {
+		// A trailing fallthrough is the edge into the next clause; it is
+		// taken off the list here, because as a statement it would end the
+		// block before the edge could be linked from it.
+		if n := len(stmts); n > 0 && i+1 < len(caseBlocks) {
 			if br, ok := stmts[n-1].(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH {
-				fallsThrough = i+1 < len(caseBlocks)
+				b.stmts(stmts[:n-1])
+				b.link(b.cur, caseBlocks[i+1])
+				continue
 			}
 		}
 		b.stmts(stmts)
-		if fallsThrough {
-			b.link(b.cur, caseBlocks[i+1])
-			b.cur = nil
-		}
 		b.link(b.cur, join)
 	}
 	if !exhaustive {
 		b.link(scrutinee, join)
 	}
 	b.breaks = b.breaks[:len(b.breaks)-2]
-	b.cur = join
+	b.enter(join)
 }
 
 func hasDefaultClause(body *ast.BlockStmt) bool {
@@ -375,44 +406,6 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return true
 	})
-}
-
-// postorder lists blocks in DFS postorder following succs in creation
-// order; reversing it yields a deterministic approximation of source
-// order for structured control flow.
-func (g *cfg) postorder() []*cfgBlock {
-	seen := make([]bool, len(g.blocks))
-	var out []*cfgBlock
-	var visit func(bl *cfgBlock)
-	visit = func(bl *cfgBlock) {
-		if seen[bl.index] {
-			return
-		}
-		seen[bl.index] = true
-		for _, s := range bl.succs {
-			visit(s)
-		}
-		out = append(out, bl)
-	}
-	visit(g.entry)
-	// Unreachable blocks (dead code after return) still carry nodes that
-	// scanning passes may want; append them after the reachable graph.
-	for _, bl := range g.blocks {
-		if !seen[bl.index] {
-			out = append(out, bl)
-		}
-	}
-	return out
-}
-
-// reversePostorder returns blocks entry-first in program-ish order.
-func (g *cfg) reversePostorder() []*cfgBlock {
-	po := g.postorder()
-	out := make([]*cfgBlock, len(po))
-	for i, bl := range po {
-		out[len(po)-1-i] = bl
-	}
-	return out
 }
 
 // --- cold-path analysis --------------------------------------------------

@@ -267,7 +267,7 @@ type chanEvent struct {
 
 func chanCFGUnit(m *Module, conc *concGraph, mf *modFunc, body *ast.BlockStmt) []Diagnostic {
 	p := mf.pkg
-	g := buildCFG(body)
+	g := m.cfgOf(body)
 	events := make(map[*cfgBlock][]chanEvent)
 	var deferred []chanEvent
 	any := false
@@ -303,12 +303,8 @@ func chanCFGUnit(m *Module, conc *concGraph, mf *modFunc, body *ast.BlockStmt) [
 			var anchor ast.Expr
 			cls := f.class
 			if isParamClass(cls) {
-				i := int(cls[len("$param:")] - '0')
-				if i < 0 || i >= len(call.Args) {
-					continue
-				}
-				anchor = call.Args[i]
-				cls = chanClassOf(p, mf, call.Args[i])
+				anchor = paramArg(cls, call)
+				cls = chanClassOf(p, mf, anchor)
 			} else if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 				anchor = sel.X
 			}
@@ -386,19 +382,12 @@ func chanCFGUnit(m *Module, conc *concGraph, mf *modFunc, body *ast.BlockStmt) [
 
 	// Forward may-analysis: the set of instance keys whose close may have
 	// executed on some path into the block.
-	preds := make(map[*cfgBlock][]*cfgBlock)
-	for _, bl := range g.blocks {
-		for _, s := range bl.succs {
-			preds[s] = append(preds[s], bl)
-		}
-	}
 	closedOut := make(map[*cfgBlock]map[string]bool)
-	order := g.reversePostorder()
 	for changed := true; changed; {
 		changed = false
-		for _, bl := range order {
+		for _, bl := range g.blocks {
 			in := map[string]bool{}
-			for _, pr := range preds[bl] {
+			for _, pr := range bl.preds {
 				for k := range closedOut[pr] {
 					in[k] = true
 				}
@@ -425,9 +414,9 @@ func chanCFGUnit(m *Module, conc *concGraph, mf *modFunc, body *ast.BlockStmt) [
 		reported[rk] = true
 		out = append(out, Diagnostic{Pos: p.position(e.node), Rule: "chan-proto", Message: msg})
 	}
-	for _, bl := range order {
+	for _, bl := range g.blocks {
 		soFar := map[string]bool{}
-		for _, pr := range preds[bl] {
+		for _, pr := range bl.preds {
 			for k := range closedOut[pr] {
 				soFar[k] = true
 			}

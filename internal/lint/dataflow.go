@@ -35,9 +35,9 @@ type defUse struct {
 	g *cfg
 	p *Package
 
-	blockDefs map[*cfgBlock][]*defInfo          // defs per block, in order
+	blockDefs map[*cfgBlock][]*defInfo                  // defs per block, in order
 	in        map[*cfgBlock]map[types.Object][]*defInfo // defs reaching block entry
-	nodeBlock []nodeInterval                    // shallow node -> owning block
+	nodeBlock []nodeInterval                            // shallow node -> owning block
 }
 
 type nodeInterval struct {
@@ -79,14 +79,6 @@ func newDefUse(p *Package, g *cfg, decl *ast.FuncDecl) *defUse {
 	addFields(decl.Type.Params)
 	addFields(decl.Type.Results)
 
-	// preds for the forward merge.
-	preds := make(map[*cfgBlock][]*cfgBlock, len(g.blocks))
-	for _, bl := range g.blocks {
-		for _, s := range bl.succs {
-			preds[s] = append(preds[s], bl)
-		}
-	}
-
 	// out[b] = (in[b] − kill) ∪ gen, where gen is the last def per object
 	// in the block. Iterate to fixpoint (monotone, finite lattice).
 	out := make(map[*cfgBlock]map[types.Object]map[*defInfo]bool, len(g.blocks))
@@ -111,7 +103,7 @@ func newDefUse(p *Package, g *cfg, decl *ast.FuncDecl) *defUse {
 					addDef(in, d)
 				}
 			}
-			for _, pr := range preds[bl] {
+			for _, pr := range bl.preds {
 				for obj, defs := range out[pr] {
 					for d := range defs {
 						if in[obj] == nil {

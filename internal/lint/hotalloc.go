@@ -99,15 +99,15 @@ func runHotAlloc(m *Module) []Diagnostic {
 		if why == "" || !inModuleScope(mf.pkg.Path) {
 			continue
 		}
-		out = append(out, hotAllocFunc(mf, why)...)
+		out = append(out, hotAllocFunc(m, mf, why)...)
 	}
 	return out
 }
 
 // hotAllocFunc scans one hot function's non-cold blocks.
-func hotAllocFunc(mf *modFunc, why string) []Diagnostic {
+func hotAllocFunc(m *Module, mf *modFunc, why string) []Diagnostic {
 	p := mf.pkg
-	g := buildCFG(mf.decl.Body)
+	g := m.cfgOf(mf.decl.Body)
 	cold := g.coldBlocks(p, mf.decl.Body)
 	du := newDefUse(p, g, mf.decl)
 	loops, loopVars := loopExtents(p, mf.decl.Body)
@@ -136,7 +136,7 @@ func hotAllocFunc(mf *modFunc, why string) []Diagnostic {
 	// method values.
 	callFuns := make(map[ast.Expr]bool)
 
-	for _, bl := range g.reversePostorder() {
+	for _, bl := range g.blocks {
 		if cold[bl] {
 			continue
 		}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/fixtures.golden from this run")
 
 // Fixture packages under testdata/src, each loaded under an assumed import
 // path so the path-scoped rules see what they would in the real tree. Every
@@ -38,25 +41,101 @@ var fixtures = []struct {
 	{"chansubst", "repro/internal/fixture/chansubst"},
 }
 
+// fixtureBase is the one loader whose FileSet, build context and stdlib
+// source importer every fixture shares, so the standard library is
+// type-checked once per test binary instead of once per fixture.
+var (
+	fixtureBase *Loader
+	fixtureMemo = make(map[string][]Diagnostic)
+)
+
+// fixtureDiags loads one fixture and runs the full suite over it, memoized
+// so TestFixtures and TestFixturesGolden pay for each fixture once. Each
+// fixture gets its own `loaded` map: packages memoize by import path, and a
+// fixture loaded under a real package's path (lifeleak assumes the
+// transport's) must not collide with the real package pulled in by another
+// fixture's imports.
+func fixtureDiags(t *testing.T, dir, path string) []Diagnostic {
+	t.Helper()
+	if diags, ok := fixtureMemo[dir]; ok {
+		return diags
+	}
+	if fixtureBase == nil {
+		l, err := NewLoader(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtureBase = l
+	}
+	l := &Loader{
+		ModuleRoot: fixtureBase.ModuleRoot,
+		ModulePath: fixtureBase.ModulePath,
+		Fset:       fixtureBase.Fset,
+		ctxt:       fixtureBase.ctxt,
+		std:        fixtureBase.std,
+		loaded:     make(map[string]*Package),
+	}
+	p, err := l.LoadDir(dir, path)
+	if err != nil {
+		t.Fatalf("load %s as %s: %v", dir, path, err)
+	}
+	fixtureMemo[dir] = Check([]*Package{p})
+	return fixtureMemo[dir]
+}
+
 func TestFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.dir, func(t *testing.T) {
-			// A fresh loader per fixture: packages memoize by import path, and
-			// a fixture loaded under a real package's path (lifeleak assumes
-			// the transport's) must not collide with the real package pulled
-			// in by another fixture's imports.
-			l, err := NewLoader(".")
-			if err != nil {
-				t.Fatal(err)
-			}
 			dir := filepath.Join("testdata", "src", fx.dir)
-			p, err := l.LoadDir(dir, fx.path)
-			if err != nil {
-				t.Fatalf("load %s as %s: %v", dir, fx.path, err)
-			}
-			checkWants(t, dir, Check([]*Package{p}))
+			checkWants(t, dir, fixtureDiags(t, dir, fx.path))
 		})
 	}
+}
+
+// TestFixturesGolden pins every fixture diagnostic message-for-message.
+// TestFixtures matches // want regexps, which a drifting `via` chain or
+// held-lock name slips through; this compares the full rendering
+// (file:line:col: [rule] message) against testdata/fixtures.golden.
+// `make lint-golden` (-update) rewrites the file.
+func TestFixturesGolden(t *testing.T) {
+	var got strings.Builder
+	for _, fx := range fixtures {
+		dir := filepath.Join("testdata", "src", fx.dir)
+		for _, d := range fixtureDiags(t, dir, fx.path) {
+			d.Pos.Filename = filepath.ToSlash(d.Pos.Filename)
+			got.WriteString(d.String() + "\n")
+		}
+	}
+	golden := filepath.Join("testdata", "fixtures.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	inWant, inGot := make(map[string]bool), make(map[string]bool)
+	for _, l := range strings.Split(string(want), "\n") {
+		inWant[l] = true
+	}
+	for _, l := range strings.Split(got.String(), "\n") {
+		inGot[l] = true
+		if !inWant[l] {
+			t.Errorf("not in golden: %s", l)
+		}
+	}
+	for l := range inWant {
+		if !inGot[l] {
+			t.Errorf("missing from run: %s", l)
+		}
+	}
+	t.Errorf("fixture diagnostics differ from %s; if the change is intended: make lint-golden", golden)
 }
 
 // TestRepoIsClean is the gate the Makefile relies on: the repository itself

@@ -8,13 +8,14 @@ import (
 	"strings"
 )
 
-// This file is the shared infrastructure for the interprocedural analyzers
-// (lock-order, life-leak, guard-infer). Where locks.go reasons about one
-// package at a time with a linear walk, the Module view indexes every
-// function declaration across all loaded packages, names locks by their
-// *class* (the struct field or package variable, not the instance), and
-// walks bodies with a branch-aware held-lock state so early returns,
-// defer-unlocks and TryLock branches do not poison the fallthrough path.
+// This file is the shared infrastructure for the interprocedural analyzers.
+// The Module view indexes every function declaration across all loaded
+// packages, names locks by their *class* (the struct field or package
+// variable, not the instance), and evaluates a held-lock state over each
+// body's CFG (cfg.go), so early returns, breaks, defer-unlocks and TryLock
+// branches do not poison the fallthrough path. Control flow is cfg.go's
+// business; what this file knows is what one shallow node does to the
+// state.
 //
 // Lock classes are canonical strings:
 //
@@ -41,6 +42,9 @@ type Module struct {
 	// module calls Close/Stop/Shutdown: "pkgpath.Type.field" -> witness.
 	// life-leak uses it as the per-type must-release summary.
 	releasedFields map[string]token.Position
+
+	// cfgs memoizes one CFG per function or closure body (cfgOf).
+	cfgs map[*ast.BlockStmt]*cfg
 
 	// conc is the lazily built concurrency call graph (channel summaries,
 	// blocking descriptions, spawn sites) shared by the stage-4 analyzers.
@@ -82,6 +86,7 @@ func NewModule(pkgs []*Package) *Module {
 		Pkgs:           pkgs,
 		funcs:          make(map[types.Object]*modFunc),
 		releasedFields: make(map[string]token.Position),
+		cfgs:           make(map[*ast.BlockStmt]*cfg),
 	}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
@@ -165,33 +170,45 @@ func classOf(p *Package, f *modFunc, e ast.Expr) string {
 	case *ast.SelectorExpr:
 		return fieldClass(p, e)
 	case *ast.Ident:
-		obj := p.Info.Uses[e]
-		if obj == nil {
-			obj = p.Info.Defs[e]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || v.Pkg() == nil {
-			return ""
-		}
-		if v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Path() + "." + v.Name()
-		}
-		// A *sync.Mutex/*sync.RWMutex parameter: name it positionally so call
-		// sites can substitute the argument's class.
-		if f != nil && f.decl.Type.Params != nil && isMutexType(v.Type()) {
-			i := 0
-			for _, field := range f.decl.Type.Params.List {
-				for _, name := range field.Names {
-					if p.Info.Defs[name] == obj {
-						return paramClass(i)
-					}
-					i++
-				}
-			}
-		}
-		return ""
+		class, _ := varClass(p, f, e, isMutexType)
+		return class
 	}
 	return ""
+}
+
+// varClass is the part of naming an identifier that mutexes (classOf) and
+// channels (chanClassOf) share: a package-level variable is "pkgpath.name"
+// whatever its type; inside f, a variable whose type satisfies kind is
+// "$param:i" when it is f's i-th parameter — named positionally so call
+// sites can substitute the argument's class — and is otherwise returned as
+// local, for the caller to name or ignore.
+func varClass(p *Package, f *modFunc, id *ast.Ident, kind func(types.Type) bool) (class string, local *types.Var) {
+	obj := p.Info.Uses[id]
+	if obj == nil {
+		obj = p.Info.Defs[id]
+	}
+	v, ok := obj.(*types.Var)
+	if !ok || v.Pkg() == nil {
+		return "", nil
+	}
+	if v.Parent() == v.Pkg().Scope() {
+		return v.Pkg().Path() + "." + v.Name(), nil
+	}
+	if f == nil || !kind(v.Type()) {
+		return "", nil
+	}
+	if f.decl.Type.Params != nil {
+		i := 0
+		for _, field := range f.decl.Type.Params.List {
+			for _, name := range field.Names {
+				if p.Info.Defs[name] == obj {
+					return paramClass(i), nil
+				}
+				i++
+			}
+		}
+	}
+	return "", v
 }
 
 // fieldClass names a struct-field access "pkgpath.Type.field", or "" when
@@ -217,6 +234,17 @@ func paramClass(i int) string {
 }
 
 func isParamClass(c string) bool { return strings.HasPrefix(c, "$param:") }
+
+// paramArg returns the argument a callee summary's $param:i class stands
+// for at a call site, or nil when the call does not pass one (classOf and
+// chanClassOf name a nil expression "").
+func paramArg(class string, call *ast.CallExpr) ast.Expr {
+	i := int(class[len("$param:")] - '0')
+	if i < 0 || i >= len(call.Args) {
+		return nil
+	}
+	return call.Args[i]
+}
 
 // classShort renders a class for diagnostics: package short name, type,
 // field — "group.Member.mu".
@@ -290,17 +318,17 @@ type heldLock struct {
 	pos   token.Position
 }
 
-// lockState is the branch-aware abstract state: the stack of held lock
-// classes plus a borrow counter (unlocks of locks the caller holds, as in
-// runCallbacks-style helpers that are entered locked and return unlocked).
+// lockState is the abstract state at one program point: the stack of held
+// lock classes plus a borrow counter (unlocks of locks the caller holds, as
+// in runCallbacks-style helpers that are entered locked and return
+// unlocked).
 type lockState struct {
-	held       []heldLock
-	borrowed   int
-	terminated bool
+	held     []heldLock
+	borrowed int
 }
 
 func (st *lockState) clone() *lockState {
-	return &lockState{held: append([]heldLock(nil), st.held...), borrowed: st.borrowed, terminated: st.terminated}
+	return &lockState{held: append([]heldLock(nil), st.held...), borrowed: st.borrowed}
 }
 
 func (st *lockState) holds(class string) bool {
@@ -328,31 +356,24 @@ func (st *lockState) release(class string) {
 
 func (st *lockState) delta() int { return len(st.held) - st.borrowed }
 
-// merge combines two branch outcomes: a terminated branch yields to the
-// other; otherwise the held set is the intersection (a lock is held after
-// the join only if every live path holds it) and borrowed is the max.
-func merge(a, b *lockState) *lockState {
-	if a.terminated && b.terminated {
-		out := a.clone()
-		out.terminated = true
-		return out
+// merge folds one more incoming path into a join. acc is nil before the
+// first path. The held set is the intersection (a lock is held after the
+// join only if every live path holds it), in acc's order and with acc's
+// positions — diagnostics name the innermost — and borrowed is the max.
+func merge(acc, st *lockState) *lockState {
+	if acc == nil {
+		return st.clone()
 	}
-	if a.terminated {
-		return b.clone()
-	}
-	if b.terminated {
-		return a.clone()
-	}
-	out := &lockState{borrowed: max(a.borrowed, b.borrowed)}
-	for _, h := range a.held {
-		if b.holds(h.class) {
+	out := &lockState{borrowed: max(acc.borrowed, st.borrowed)}
+	for _, h := range acc.held {
+		if st.holds(h.class) {
 			out.held = append(out.held, h)
 		}
 	}
 	return out
 }
 
-// --- structured walker ---------------------------------------------------
+// --- lock walk -----------------------------------------------------------
 
 // walkEvents receives the walker's observations. Any callback may be nil.
 type walkEvents struct {
@@ -375,199 +396,122 @@ type bodyWalker struct {
 	f  *modFunc // enclosing declared function (for param classes); may be nil
 	ev walkEvents
 
-	// returns collects the state at every return statement.
-	returns []*lockState
 	// deferred releases seen so far, applied to the exit state (a deferred
 	// unlock keeps its lock held until the end of the body, which is what
 	// the mid-body state should say).
 	deferredReleases []string
 }
 
-// walkBody runs the walker and returns the exit state: every return path
-// merged with the fallthrough, deferred releases applied.
+// walkBody evaluates the body's CFG and returns the exit state: every
+// return path merged with the fall-off-the-end path, deferred releases
+// applied. Blocks run once each, in source order — summaries are
+// first-witness-wins, so the order events fire in ends up in message text —
+// and a block starts from the merge of its already evaluated predecessors,
+// in link order. Loop back-edges therefore carry nothing: loop bodies are
+// assumed lock-balanced (an unbalanced body is its own finding). Iterating
+// to a fixpoint instead would not converge on a helper that is entered
+// locked and loops around Unlock … Lock: every trip bumps borrowed, and
+// merge takes the max.
 func (w *bodyWalker) walkBody(body *ast.BlockStmt, entry *lockState) *lockState {
-	st := entry.clone()
-	st.terminated = false
-	w.block(body.List, st)
-	exit := &lockState{terminated: true} // identity for merge
-	for _, r := range w.returns {
-		exit = merge(exit, r)
+	g := w.m.cfgOf(body)
+	out := make([]*lockState, len(g.blocks)) // nil: not reached (yet)
+	var tryHeld map[*cfgBlock]heldLock       // then-blocks of `if mu.TryLock()`
+	var exit *lockState
+	for _, bl := range g.blocks {
+		var st *lockState
+		if bl == g.entry {
+			st = entry.clone()
+		}
+		for _, pr := range bl.preds {
+			if from := out[pr.index]; from != nil {
+				st = merge(st, from)
+			}
+		}
+		if st == nil {
+			continue // unreachable
+		}
+		if h, ok := tryHeld[bl]; ok {
+			st.push(h)
+		}
+		out[bl.index] = st
+
+		nodes := bl.nodes
+		var try *ast.CallExpr
+		ifs, _ := bl.branch.(*ast.IfStmt)
+		if ifs != nil {
+			try = tryLockCond(ifs.Cond)
+		}
+		if try != nil {
+			nodes = nodes[:len(nodes)-1] // the condition, evaluated below
+		}
+		for _, n := range nodes {
+			w.node(n, st)
+		}
+		if try != nil {
+			// The lock is held in the then-block (succs[0], whose only
+			// predecessor is this block) and nowhere else.
+			w.exprSkipping(ifs.Cond, st, try)
+			_, read, class := mutexClassOf(w.p, w.f, try)
+			if w.ev.onLock != nil {
+				w.ev.onLock(try, class, read, st)
+			}
+			if tryHeld == nil {
+				tryHeld = make(map[*cfgBlock]heldLock)
+			}
+			tryHeld[bl.succs[0]] = heldLock{class: class, read: read, pos: w.p.position(try)}
+		}
+		if sel, ok := bl.branch.(*ast.SelectStmt); ok && w.ev.onNode != nil {
+			w.ev.onNode(sel, st)
+		}
+		if bl.ret != nil || bl == g.end {
+			exit = merge(exit, st)
+		}
 	}
-	exit = merge(exit, st)
+	if exit == nil {
+		// No path returns: the body has no effect a caller could observe.
+		return &lockState{}
+	}
 	for _, class := range w.deferredReleases {
 		exit.release(class)
 	}
 	return exit
 }
 
-// block evaluates a statement list, mutating st; st.terminated is set when
-// flow cannot fall out of the list.
-func (w *bodyWalker) block(stmts []ast.Stmt, st *lockState) {
-	for _, s := range stmts {
-		if st.terminated {
-			return
-		}
-		w.stmt(s, st)
-	}
-}
-
-// stmt evaluates one statement, mutating st in place.
-func (w *bodyWalker) stmt(s ast.Stmt, st *lockState) {
-	switch s := s.(type) {
+// node evaluates one shallow CFG node, mutating st in place.
+func (w *bodyWalker) node(n ast.Node, st *lockState) {
+	switch n := n.(type) {
 	case *ast.ExprStmt:
-		w.expr(s.X, st)
+		w.expr(n.X, st)
 	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
+		for _, e := range n.Rhs {
 			w.expr(e, st)
 		}
-		for _, e := range s.Lhs {
+		for _, e := range n.Lhs {
 			w.expr(e, st)
 		}
 	case *ast.IncDecStmt:
-		w.expr(s.X, st)
+		w.expr(n.X, st)
 	case *ast.DeclStmt:
-		w.exprIn(s, st)
+		w.exprIn(n, st)
 	case *ast.SendStmt:
-		w.expr(s.Chan, st)
-		w.expr(s.Value, st)
+		w.expr(n.Chan, st)
+		w.expr(n.Value, st)
 		if w.ev.onNode != nil {
-			w.ev.onNode(s, st)
+			w.ev.onNode(n, st)
 		}
 	case *ast.ReturnStmt:
-		for _, e := range s.Results {
+		for _, e := range n.Results {
 			w.expr(e, st)
 		}
-		w.returns = append(w.returns, st.clone())
-		st.terminated = true
-	case *ast.BranchStmt:
-		// break/continue/goto leave the linear path; the state stops flowing
-		// here so `if done { mu.Unlock(); continue }` does not poison the
-		// fallthrough after the if.
-		st.terminated = true
 	case *ast.DeferStmt:
-		w.deferStmt(s, st)
+		w.deferStmt(n, st)
 	case *ast.GoStmt:
-		w.goStmt(s, st)
-	case *ast.BlockStmt:
-		w.block(s.List, st)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		w.ifStmt(s, st)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, st)
-		}
-		body := st.clone()
-		w.block(s.Body.List, body)
-		// After the loop the state is the entry state: loop bodies are
-		// assumed lock-balanced (an unbalanced body is its own finding).
+		w.goStmt(n, st)
 	case *ast.RangeStmt:
-		w.expr(s.X, st)
-		body := st.clone()
-		w.block(s.Body.List, body)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, st)
-		}
-		w.clauses(s.Body, st, false)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		w.stmt(s.Assign, st)
-		w.clauses(s.Body, st, false)
-	case *ast.SelectStmt:
-		if w.ev.onNode != nil {
-			w.ev.onNode(s, st)
-		}
-		// A select always runs exactly one clause.
-		w.clauses(s.Body, st, true)
+		w.expr(n.X, st)
+	case ast.Expr: // a condition, switch tag or case expression
+		w.expr(n, st)
 	}
-}
-
-// clauses evaluates switch/select clause bodies on clones and folds the
-// live outcomes back into st. exhaustive marks constructs guaranteed to run
-// one clause (select); switches fall through untouched when no case matches
-// and no default exists.
-func (w *bodyWalker) clauses(body *ast.BlockStmt, st *lockState, exhaustive bool) {
-	merged := &lockState{terminated: true}
-	sawDefault := false
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		cl := st.clone()
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.expr(e, st)
-			}
-			if c.List == nil {
-				sawDefault = true
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				sawDefault = true
-			} else {
-				w.stmt(c.Comm, cl)
-			}
-			stmts = c.Body
-		}
-		w.block(stmts, cl)
-		merged = merge(merged, cl)
-	}
-	covered := exhaustive || sawDefault
-	if merged.terminated {
-		// Every clause returned/broke; flow continues only on the
-		// no-clause-matched path.
-		if covered {
-			st.terminated = true
-		}
-		return
-	}
-	if covered {
-		*st = *merged
-	} else {
-		*st = *merge(merged, st)
-	}
-}
-
-// ifStmt handles branches, TryLock conditions and terminating arms.
-func (w *bodyWalker) ifStmt(s *ast.IfStmt, st *lockState) {
-	if s.Init != nil {
-		w.stmt(s.Init, st)
-	}
-	tryCall := tryLockCond(s.Cond)
-	if tryCall != nil {
-		w.exprSkipping(s.Cond, st, tryCall)
-	} else {
-		w.expr(s.Cond, st)
-	}
-	thenSt := st.clone()
-	if tryCall != nil {
-		_, read, class := mutexClassOf(w.p, w.f, tryCall)
-		if w.ev.onLock != nil {
-			w.ev.onLock(tryCall, class, read, st)
-		}
-		thenSt.push(heldLock{class: class, read: read, pos: w.p.position(tryCall)})
-	}
-	w.block(s.Body.List, thenSt)
-	elseSt := st.clone()
-	if s.Else != nil {
-		switch e := s.Else.(type) {
-		case *ast.BlockStmt:
-			w.block(e.List, elseSt)
-		case *ast.IfStmt:
-			w.ifStmt(e, elseSt)
-		}
-	}
-	*st = *merge(thenSt, elseSt)
 }
 
 // tryLockCond extracts a bare mu.TryLock()/TryRLock() call used as an if
@@ -627,7 +571,7 @@ func (w *bodyWalker) expr(e ast.Expr, st *lockState) {
 }
 
 // exprSkipping is expr with one call exempted from lock effects (the
-// TryLock condition, which ifStmt applies branch-sensitively).
+// TryLock condition, which walkBody applies to the then-block only).
 func (w *bodyWalker) exprSkipping(e ast.Expr, st *lockState, skip *ast.CallExpr) {
 	if e == nil {
 		return
@@ -716,11 +660,7 @@ func (w *bodyWalker) substitute(class string, call *ast.CallExpr) string {
 	if !isParamClass(class) {
 		return class
 	}
-	i := int(class[len("$param:")] - '0')
-	if i < 0 || i >= len(call.Args) {
-		return ""
-	}
-	return classOf(w.p, w.f, call.Args[i])
+	return classOf(w.p, w.f, paramArg(class, call))
 }
 
 // calleeOf resolves a call to a module function declaration (any package).

@@ -130,3 +130,38 @@ func (p *pipes) okHotPoll() int {
 		return 0
 	}
 }
+
+// --- loop exits and post statements ---------------------------------------
+
+type feed struct {
+	mu   sync.Mutex
+	done bool
+	n    int
+	ch   chan int
+}
+
+// okBreakUnlocked leaves the loop only through the break, which has
+// released the lock: nothing is held at the send. A walk that drops break
+// paths and resumes after the loop with the state it entered with reports a
+// lock that is no longer there.
+func (f *feed) okBreakUnlocked(v int) {
+	f.mu.Lock()
+	for {
+		if f.done {
+			f.mu.Unlock()
+			break
+		}
+		f.n++
+	}
+	f.ch <- v
+}
+
+// badPostSend sends from the for statement's post clause, once per
+// iteration, with the deferred unlock still pending.
+func (f *feed) badPostSend() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i := 0; i < f.n; f.ch <- i { // want "block-lock.*channel send while blocklock.feed.mu is held"
+		i++
+	}
+}
