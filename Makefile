@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all check build vet lint lint-baseline lint-golden test race bench bench-json bench-lint bench-e2e-test chaos chaos-scale experiments examples cover fuzz-smoke
+.PHONY: all check build vet lint lint-baseline lint-golden test race bench bench-json bench-lint bench-e2e-test chaos chaos-scale experiments experiments-golden examples cover fuzz-smoke
 
 all: check
 
@@ -94,6 +94,12 @@ fuzz-smoke:
 
 experiments:
 	go run ./cmd/experiments
+
+# Rewrite internal/exps/testdata/experiments.golden, the exact `-seed 1`
+# output that TestExperimentsGolden compares against. Read the diff: a moved
+# number is a behaviour change in a harness or in the layer it measures.
+experiments-golden:
+	go test ./internal/exps -run TestExperimentsGolden -update
 
 examples:
 	@for ex in quickstart coauthoring atc conference mobilefield mediaspace shareddraw; do \

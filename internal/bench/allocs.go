@@ -14,9 +14,7 @@ import (
 // lives here rather than in package group because the rig needs netsim,
 // which the protocol layer must not import.
 func MulticastAllocsPerOp(o MulticastOptions, ops int) float64 {
-	sim, members := multicastRig(o, netsim.LocalLink, func(int) group.DeliverFunc {
-		return func(group.Delivery) {}
-	})
+	sim, members := multicastRig(o, netsim.LocalLink, func(group.Delivery) {})
 	n := len(members)
 	total := testing.AllocsPerRun(3, func() {
 		for i := 0; i < ops; i++ {

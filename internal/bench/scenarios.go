@@ -10,6 +10,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/ot"
 	"repro/internal/session"
+	"repro/internal/simworld"
 )
 
 // MulticastOptions configures a group-multicast benchmark rig.
@@ -24,33 +25,23 @@ type MulticastOptions struct {
 	Seed  int64
 }
 
-// multicastRig builds members over a simulated link. deliver is called
-// once per member index to produce that member's delivery callback.
-func multicastRig(o MulticastOptions, link netsim.Link, deliver func(i int) group.DeliverFunc) (*netsim.Sim, []*group.Member) {
-	sim := netsim.New(o.Seed, link)
-	members := make([]*group.Member, o.Members)
+// multicastRig builds members over a simulated link, every one delivering
+// to the same callback.
+func multicastRig(o MulticastOptions, link netsim.Link, deliver func(group.Delivery)) (*netsim.Sim, []*group.Member) {
+	w := simworld.New(o.Seed, link)
 	ids := make([]string, o.Members)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("m%02d", i)
 	}
-	for i := range members {
-		m, err := group.NewMember(group.Config{
-			Endpoint: fabric.FromSim(sim.MustAddNode(ids[i])),
-			Timer:    group.TimerFunc(func(d time.Duration, fn func()) { sim.At(d, fn) }),
-			Ordering: o.Ordering,
-			Batch:    o.Batch,
-			Deliver:  deliver(i),
-		})
-		if err != nil {
-			panic(err)
-		}
-		members[i] = m
+	byID, err := w.Members(ids, o.Ordering, o.Batch, func(string) func(group.Delivery) { return deliver })
+	if err != nil {
+		panic(err)
 	}
-	v := group.NewView(1, ids)
-	for _, m := range members {
-		m.InstallView(v)
+	members := make([]*group.Member, o.Members)
+	for i, id := range ids {
+		members[i] = byID[id]
 	}
-	return sim, members
+	return w.Sim, members
 }
 
 // MulticastBench returns a benchmark function: each op is one multicast
@@ -60,9 +51,7 @@ func multicastRig(o MulticastOptions, link netsim.Link, deliver func(i int) grou
 func MulticastBench(o MulticastOptions) func(b *testing.B) {
 	return func(b *testing.B) {
 		delivered := 0
-		sim, members := multicastRig(o, netsim.LocalLink, func(int) group.DeliverFunc {
-			return func(group.Delivery) { delivered++ }
-		})
+		sim, members := multicastRig(o, netsim.LocalLink, func(group.Delivery) { delivered++ })
 		n := len(members)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -112,7 +101,7 @@ func MulticastLatencies(o MulticastOptions, samples int) LatencyProfile {
 		}
 	}
 	var members []*group.Member
-	sim, members = multicastRig(o, netsim.LANLink, func(int) group.DeliverFunc { return record })
+	sim, members = multicastRig(o, netsim.LANLink, record)
 	const gap = 200 * time.Microsecond
 	for i := 0; i < samples; i++ {
 		i := i
@@ -183,11 +172,11 @@ func OTBench(clients int) func(b *testing.B) {
 // participant.
 func SessionPostBench(seed int64) func(b *testing.B) {
 	return func(b *testing.B) {
-		sim := netsim.New(seed, netsim.LocalLink)
-		session.NewHost(fabric.FromSim(sim.MustAddNode("host")), session.Synchronous, sim.Now)
-		poster := session.NewClient(fabric.FromSim(sim.MustAddNode("poster")), "host")
+		w := simworld.New(seed, netsim.LocalLink)
+		sim := w.Sim
+		_, clients := w.Session("host", session.Synchronous, "poster", "watcher")
+		poster, watcher := clients["poster"], clients["watcher"]
 		got := 0
-		watcher := session.NewClient(fabric.FromSim(sim.MustAddNode("watcher")), "host")
 		watcher.OnItem = func(session.Item) { got++ }
 		if err := poster.Join(0); err != nil {
 			b.Fatal(err)

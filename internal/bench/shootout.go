@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
+	"repro/internal/simworld"
 )
 
 // OT-vs-CRDT shootout: both convergence engines driven through the same
@@ -109,13 +110,18 @@ func ShootoutRow(name string, o ShootoutOptions) (Result, error) {
 	}, nil
 }
 
-// shootoutDocs builds one engine.Doc per site. Site ids sort so s00 is the
-// group's first member and the OT server.
-func shootoutDocs(kind string, sites int) ([]string, map[string]engine.Doc, error) {
+// shootoutSites names the sites; s00 is the first and hosts the OT server.
+func shootoutSites(sites int) []string {
 	ids := make([]string, sites)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("s%02d", i)
 	}
+	return ids
+}
+
+// shootoutDocs builds one engine.Doc per site for the in-memory pipeline.
+func shootoutDocs(kind string, sites int) ([]string, map[string]engine.Doc, error) {
+	ids := shootoutSites(sites)
 	docs := make(map[string]engine.Doc, sites)
 	for _, id := range ids {
 		d, err := engine.New(kind, "doc", id, ids[0])
@@ -133,14 +139,22 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 	if o.Sites < 2 || o.Edits < 1 || o.Tick <= 0 {
 		return ShootoutResult{}, fmt.Errorf("shootout: need >=2 sites, >=1 edit and a tick cadence")
 	}
-	ids, docs, err := shootoutDocs(o.Engine, o.Sites)
+	res := ShootoutResult{}
+	w := simworld.New(o.Seed, o.Link)
+	// Every frame offered to the wire counts, lost or not.
+	w.Wrap = func(_ string, base *fabric.SimEndpoint) fabric.Endpoint {
+		return fabric.Wrap(base, fabric.Tap(func(_ string, _ any, size int) {
+			res.Msgs++
+			res.Bytes += size
+		}, nil))
+	}
+	sim := w.Sim
+	ids := shootoutSites(o.Sites)
+	reps, err := w.Replicas(o.Engine, ids...)
 	if err != nil {
 		return ShootoutResult{}, err
 	}
-	sim := netsim.New(o.Seed, o.Link)
-	codec := fabric.NewBinaryCodec(engine.NewWireCodec())
-	res := ShootoutResult{}
-	eps := make(map[string]*fabric.SimEndpoint, o.Sites)
+	docs := reps.Docs
 	lens := make(map[string]int, o.Sites)
 	issued := make([]time.Duration, o.Edits)
 	lat := make([]time.Duration, 0, o.Edits)
@@ -149,32 +163,6 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 	done := false
 	var convergedAt time.Duration
 	var lastEditAt time.Duration
-
-	// send encodes each engine message once and offers it to the wire,
-	// expanding broadcasts to every other site.
-	send := func(from string, msgs []engine.Msg) error {
-		for _, m := range msgs {
-			data, err := codec.Encode(m.Body)
-			if err != nil {
-				return err
-			}
-			targets := []string{m.To}
-			if m.To == "" {
-				targets = targets[:0]
-				for _, id := range ids {
-					if id != from {
-						targets = append(targets, id)
-					}
-				}
-			}
-			for _, to := range targets {
-				res.Msgs++
-				res.Bytes += len(data)
-				_ = eps[from].Send(to, data, len(data)) // loss is the link's job
-			}
-		}
-		return nil
-	}
 
 	// progress records newly group-wide edits and full convergence.
 	progress := func() {
@@ -188,49 +176,15 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 			lat = append(lat, sim.Now()-issued[confirmed])
 			confirmed++
 		}
-		if done || editsDone < o.Edits {
+		if done || editsDone < o.Edits || !reps.Converged() {
 			return
-		}
-		ref := docs[ids[0]].Text()
-		for _, id := range ids {
-			if d := docs[id]; d.Text() != ref || d.Pending() != 0 {
-				return
-			}
 		}
 		done = true
 		convergedAt = sim.Now()
 	}
-
-	var applyErr error
-	for _, id := range ids {
-		id := id
-		ep := fabric.FromSim(sim.MustAddNode(id))
-		eps[id] = ep
-		ep.SetHandler(func(from string, payload any, size int) {
-			if applyErr != nil {
-				return
-			}
-			data, ok := payload.([]byte)
-			if !ok {
-				return
-			}
-			body, err := codec.Decode(data)
-			if err != nil {
-				applyErr = err
-				return
-			}
-			out, err := docs[id].Apply(from, body)
-			if err != nil {
-				applyErr = fmt.Errorf("%s applying %T: %w", id, body, err)
-				return
-			}
-			if err := send(id, out); err != nil {
-				applyErr = err
-				return
-			}
-			lens[id] = utf8.RuneCountInString(docs[id].Text())
-			progress()
-		})
+	reps.Applied = func(id string) {
+		lens[id] = utf8.RuneCountInString(docs[id].Text())
+		progress()
 	}
 
 	r := rand.New(rand.NewSource(o.Seed))
@@ -238,27 +192,15 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 		i := i
 		site := ids[i%o.Sites]
 		sim.At(time.Duration(i)*editGap, func() {
-			if applyErr != nil {
-				return
-			}
-			d := docs[site]
 			pos := 0
 			if lens[site] > 0 {
 				pos = r.Intn(lens[site] + 1)
 			}
-			msgs, err := d.Insert(pos, rune('a'+r.Intn(26)))
-			if err != nil {
-				applyErr = err
-				return
-			}
+			reps.Insert(site, pos, rune('a'+r.Intn(26)))
 			issued[i] = sim.Now()
 			lastEditAt = sim.Now()
 			editsDone++
-			lens[site] = utf8.RuneCountInString(d.Text())
-			if err := send(site, msgs); err != nil {
-				applyErr = err
-				return
-			}
+			lens[site] = utf8.RuneCountInString(docs[site].Text())
 			progress()
 		})
 	}
@@ -275,21 +217,16 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 	// run terminates and reports honestly.
 	deadline := time.Duration(o.Edits)*editGap + o.PartitionFor + 60*time.Second
 	sim.Every(o.Tick, func() bool {
-		if done || applyErr != nil || sim.Now() > deadline {
+		if done || reps.Err() != nil || sim.Now() > deadline {
 			return false
 		}
-		for _, id := range ids {
-			if err := send(id, docs[id].Tick()); err != nil {
-				applyErr = err
-				return false
-			}
-		}
+		reps.Tick()
 		return true
 	})
 
 	sim.Run()
-	if applyErr != nil {
-		return res, applyErr
+	if err := reps.Err(); err != nil {
+		return res, err
 	}
 	res.Converged = done
 	res.Latency = percentiles(lat)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/crdt"
 	"repro/internal/engine"
-	"repro/internal/fabric"
 	"repro/internal/group"
 	"repro/internal/netsim"
 )
@@ -32,52 +31,10 @@ func init() {
 
 func runPartitionCRDTConverge(w *World) {
 	ids := []string{"r1", "r2", "r3", "r4"}
-	codec := fabric.NewBinaryCodec(engine.NewWireCodec())
-	docs := make(map[string]engine.Doc, len(ids))
-	eps := make(map[string]fabric.Endpoint, len(ids))
-	w.Topo().Named(ids...)
-	for _, id := range ids {
-		d, err := engine.New(engine.CRDT, "doc", id, "")
-		if err != nil {
-			w.Violatef("setup", "doc %s: %v", id, err)
-			return
-		}
-		docs[id] = d
-		eps[id] = w.Endpoint(id)
-	}
-
-	// send binary-encodes each engine message and offers it to the fabric;
-	// a partitioned link drops it into the accounted buckets.
-	send := func(from string, msgs []engine.Msg) {
-		for _, m := range msgs {
-			data, err := codec.Encode(m.Body)
-			if err != nil {
-				w.Violatef("setup", "encode %T: %v", m.Body, err)
-				return
-			}
-			for _, to := range ids {
-				if to != from {
-					_ = eps[from].Send(to, data, len(data))
-				}
-			}
-		}
-	}
-	for _, id := range ids {
-		id := id
-		eps[id].SetHandler(func(from string, payload any, size int) {
-			data, ok := payload.([]byte)
-			if !ok {
-				return
-			}
-			body, err := codec.Decode(data)
-			if err != nil {
-				w.Violatef("crdt-convergence", "%s decoding from %s: %v", id, from, err)
-				return
-			}
-			if _, err := docs[id].Apply(from, body); err != nil {
-				w.Violatef("crdt-convergence", "%s applying %T: %v", id, body, err)
-			}
-		})
+	reps, err := w.Replicas(engine.CRDT, ids...)
+	if err != nil {
+		w.Violatef("setup", "%v", err)
+		return
 	}
 
 	// Edits on every replica, continuing straight through the partition:
@@ -88,20 +45,12 @@ func runPartitionCRDTConverge(w *World) {
 		i := i
 		site := ids[i%len(ids)]
 		w.Sim.At(ms(1+2*i), func() {
-			d := docs[site]
-			n := len([]rune(d.Text()))
-			var msgs []engine.Msg
-			var err error
+			n := len([]rune(reps.Docs[site].Text()))
 			if n == 0 || r.Intn(100) < 70 {
-				msgs, err = d.Insert(r.Intn(n+1), rune('a'+r.Intn(26)))
+				reps.Insert(site, r.Intn(n+1), rune('a'+r.Intn(26)))
 			} else {
-				msgs, err = d.Delete(r.Intn(n))
+				reps.Delete(site, r.Intn(n))
 			}
-			if err != nil {
-				w.Violatef("crdt-convergence", "edit %d at %s: %v", i, site, err)
-				return
-			}
-			send(site, msgs)
 		})
 	}
 
@@ -116,43 +65,36 @@ func runPartitionCRDTConverge(w *World) {
 
 	// Anti-entropy: every replica gossips its full state on a cadence until
 	// the group converges (or the deadline passes and the check below fails).
-	converged := func() bool {
-		ref := docs[ids[0]].Text()
-		for _, id := range ids {
-			if d := docs[id]; d.Text() != ref || d.Pending() != 0 {
-				return false
-			}
-		}
-		return true
-	}
 	done := false
 	w.Sim.Every(ms(15), func() bool {
 		if w.Sim.Now() > ms(600) {
 			return false
 		}
-		if w.Sim.Now() > ms(2*edits) && converged() {
+		if w.Sim.Now() > ms(2*edits) && reps.Converged() {
 			done = true
 			w.Logf("converged at %v", w.Sim.Now())
 			return false
 		}
-		for _, id := range ids {
-			send(id, docs[id].Tick())
-		}
+		reps.Tick()
 		return true
 	})
 
 	w.Run()
-	if !done && !converged() {
+	if err := reps.Err(); err != nil {
+		w.Violatef("crdt-convergence", "%v", err)
+	}
+	if !done && !reps.Converged() {
 		for _, id := range ids {
 			w.Violatef("crdt-convergence", "%s ends with %q (%d pending)",
-				id, docs[id].Text(), docs[id].Pending())
+				id, reps.Docs[id].Text(), reps.Docs[id].Pending())
 		}
 		return
 	}
-	if docs[ids[0]].Text() == "" {
+	final := reps.Docs[ids[0]].Text()
+	if final == "" {
 		w.Violatef("crdt-convergence", "replicas converged on an empty document; the edits never happened")
 	}
-	w.Logf("final doc %q at all %d replicas", docs[ids[0]].Text(), len(ids))
+	w.Logf("final doc %q at all %d replicas", final, len(ids))
 }
 
 // --- scenario: reorder-loss-crdt-set ------------------------------------
@@ -176,9 +118,8 @@ func runReorderLossCRDTSet(w *World) {
 		sets[id] = crdt.NewSet(id)
 		ctrs[id] = crdt.NewCounter(id)
 	}
-	top := w.Topo()
-	top.FullMesh(adverse, ids...)
-	members := top.Members(ids, group.Unordered, group.BatchConfig{}, func(id string) func(group.Delivery) {
+	w.FullMesh(adverse, ids...)
+	members := w.Members(ids, group.Unordered, group.BatchConfig{}, func(id string) func(group.Delivery) {
 		return func(d group.Delivery) {
 			switch b := d.Body.(type) {
 			case *crdt.MsgOp:

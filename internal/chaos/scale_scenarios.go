@@ -7,6 +7,7 @@ import (
 	"repro/internal/floor"
 	"repro/internal/netsim"
 	"repro/internal/session"
+	"repro/internal/simworld"
 	"repro/internal/workload"
 )
 
@@ -43,12 +44,11 @@ func init() {
 // --- scenario: federation-crdt-wan --------------------------------------
 
 func runFederationCRDTWAN(w *World) {
-	top := w.Topo()
-	per := top.sized("replicas-per-lan", scaled(100, 8), 100)
-	lanA := top.Cluster("lan-a", "fa", per, netsim.LANLink)
-	lanB := top.Cluster("lan-b", "fb", per, netsim.LANLink)
-	top.Isolate(lanA, lanB)
-	gwA, gwB := top.Bridge(lanA, lanB, netsim.WANLink)
+	per := w.sized("replicas-per-lan", scaled(100, 8), 100)
+	lanA := w.Cluster("lan-a", "fa", per, netsim.LANLink)
+	lanB := w.Cluster("lan-b", "fb", per, netsim.LANLink)
+	w.Isolate(lanA, lanB)
+	gwA, gwB := w.Bridge(lanA, lanB, netsim.WANLink)
 	all := append(append([]string(nil), lanA.IDs...), lanB.IDs...)
 
 	sets := make(map[string]*crdt.Set, len(all))
@@ -142,14 +142,14 @@ func runFederationCRDTWAN(w *World) {
 			w.Logf("both federations converged at %v", w.Sim.Now())
 			return false
 		}
-		for _, c := range []*Cluster{lanA, lanB} {
+		for _, c := range []*simworld.Cluster{lanA, lanB} {
 			for _, id := range c.IDs[1:] {
 				send(id, c.Gateway())
 			}
 		}
 		send(gwA, gwB)
 		send(gwB, gwA)
-		for _, c := range []*Cluster{lanA, lanB} {
+		for _, c := range []*simworld.Cluster{lanA, lanB} {
 			for _, id := range c.IDs[1:] {
 				send(c.Gateway(), id)
 			}
@@ -197,14 +197,13 @@ type floorGrant struct{ User string }
 type floorRel struct{ User string }
 
 func runConferenceFloorStorm(w *World) {
-	top := w.Topo()
-	n := top.sized("speakers", scaled(1000, 60), 1000)
+	n := w.sized("speakers", scaled(1000, 60), 1000)
 	// Deterministic handoff latency keeps the grant->hold->release cycle
 	// exact; the storm is the stress, not the link.
 	lan := netsim.Link{Latency: ms(1), Bandwidth: 12_500_000}
-	conf := top.Cluster("conf", "spk", n, lan)
+	conf := w.Cluster("conf", "spk", n, lan)
 	speakers := append([]string(nil), conf.IDs...)
-	arb := top.In(conf, "floord")
+	arb := w.In(conf, "floord")
 
 	reqs := workload.GenerateFloorStorm(w.Sim.Rand(), speakers, ms(50), ms(2))
 	holds := make(map[string]time.Duration, len(reqs))
@@ -330,15 +329,14 @@ func runConferenceFloorStorm(w *World) {
 // --- scenario: flash-crowd-join-leave -----------------------------------
 
 func runFlashCrowdJoinLeave(w *World) {
-	top := w.Topo()
-	n := top.sized("members", scaled(300, 30), 300)
+	n := w.sized("members", scaled(300, 30), 300)
 	// The session client's duplicate filter assumes same-pair FIFO delivery
 	// (a gap-skipping lastSeq), which jitter breaks — keep the LAN clean.
 	clean := netsim.Link{Latency: ms(1), Bandwidth: 12_500_000}
-	crowd := top.Cluster("crowd", "m", n, clean)
+	crowd := w.Cluster("crowd", "m", n, clean)
 	ids := append([]string(nil), crowd.IDs...)
-	hostID := top.In(crowd, "crowd-host")
-	h, cls := top.Session(hostID, session.Synchronous, netsim.Link{}, netsim.Link{}, ids...)
+	hostID := w.In(crowd, "crowd-host")
+	h, cls := w.Session(hostID, session.Synchronous, ids...)
 
 	var hostItems []session.Item
 	h.OnItem = func(it session.Item) { hostItems = append(hostItems, it) }

@@ -6,17 +6,12 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/group"
 	"repro/internal/netsim"
-	"repro/internal/ot"
 	"repro/internal/session"
 	"repro/internal/txn"
 )
-
-// simTimer adapts the world's virtual clock to the group.Timer interface.
-type simTimer struct{ w *World }
-
-func (t simTimer) After(d time.Duration, fn func()) { t.w.Sim.At(d, fn) }
 
 // ms is sugar for scheduling scenario scripts on millisecond boundaries.
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -94,7 +89,7 @@ func runPartitionHealGroup(w *World) {
 	ids := []string{"g1", "g2", "g3", "g4"}
 	const msgs = 10
 	deliv := make(map[string][]string)
-	members := w.Topo().Members(ids, group.FIFO, group.BatchConfig{}, func(id string) func(group.Delivery) {
+	members := w.Members(ids, group.FIFO, group.BatchConfig{}, func(id string) func(group.Delivery) {
 		return func(d group.Delivery) {
 			deliv[id] = append(deliv[id], fmt.Sprintf("%s:%v", d.From, d.Body))
 		}
@@ -166,7 +161,8 @@ func runCrashRestartSession(w *World) {
 	// Zero-jitter links: the session layer's client-side dedup assumes
 	// same-pair FIFO delivery (a gap-skipping lastSeq), which jitter breaks.
 	clean := netsim.Link{Latency: time.Millisecond, Bandwidth: 1_250_000}
-	h, cls := w.Topo().Session("host", session.Synchronous, clean, clean, clients...)
+	w.Star("host", clean, clean, clients...)
+	h, cls := w.Session("host", session.Synchronous, clients...)
 	var hostItems []session.Item
 	h.OnItem = func(it session.Item) { hostItems = append(hostItems, it) }
 	got := make(map[string][]string)
@@ -242,149 +238,55 @@ func fmtItem(it session.Item) string {
 
 // --- scenario: loss-resync-ot -------------------------------------------
 
-// Wire messages for the OT scenario: the chaos harness supplies the
-// (unreliable) transport discipline around the transport-agnostic ot core.
-type otSubmitMsg struct{ Sub ot.Submission }
-type otCommitMsg struct{ C ot.Committed }
-type otPullMsg struct{ After int }
-type otCommitsMsg struct{ Cs []ot.Committed }
-
-type otReplica struct {
-	cl       *ot.Client
-	hold     map[int]ot.Committed // commits waiting for revision order
-	inflight *ot.Submission
-}
-
 func runLossResyncOT(w *World) {
+	const server = "doc-server"
 	sites := []string{"ot-a", "ot-b", "ot-c"}
 	const opsPerSite = 8
 	lossy := netsim.Link{Latency: time.Millisecond, Jitter: 2 * time.Millisecond, Loss: 0.2, Bandwidth: 1_250_000}
-	w.Topo().Star("doc-server", lossy, lossy, sites...)
-	srvEp := w.Endpoint("doc-server")
-	srv := ot.NewServer("base:")
-	var history []ot.Committed
-	lastSeq := make(map[string]uint64)
-	srvEp.SetHandler(func(from string, payload any, size int) {
-		switch m := payload.(type) {
-		case otSubmitMsg:
-			if m.Sub.Seq != lastSeq[m.Sub.Site]+1 {
-				return // duplicate resend; the pull protocol re-delivers its commit
-			}
-			cm, err := srv.Submit(m.Sub.Op, m.Sub.Base, m.Sub.Site, m.Sub.Seq)
-			if err != nil {
-				w.Violatef("ot-convergence", "server rejected %s/%d: %v", m.Sub.Site, m.Sub.Seq, err)
-				return
-			}
-			lastSeq[m.Sub.Site] = m.Sub.Seq
-			history = append(history, cm)
-			for _, s := range sites {
-				_ = srvEp.Send(s, otCommitMsg{C: cm}, 24)
-			}
-		case otPullMsg:
-			if m.After < len(history) {
-				cs := append([]ot.Committed(nil), history[m.After:]...)
-				_ = srvEp.Send(from, otCommitsMsg{Cs: cs}, 16+24*len(cs))
-			}
-		}
-	})
-	reps := make(map[string]*otReplica)
-	for _, s := range sites {
-		s := s
-		r := &otReplica{cl: ot.NewClient(s, srv), hold: make(map[int]ot.Committed)}
-		reps[s] = r
-		ep := w.Endpoint(s)
-		ep.SetHandler(func(from string, payload any, size int) {
-			switch m := payload.(type) {
-			case otCommitMsg:
-				r.hold[m.C.Rev] = m.C
-			case otCommitsMsg:
-				for _, c := range m.Cs {
-					r.hold[c.Rev] = c
-				}
-			}
-			drainReplica(w, s, r, ep)
-		})
+	w.Star(server, lossy, lossy, sites...)
+	// The shipped OT binding, server site first: submissions, commit fan-out,
+	// the hold-back map and the resend + pull recovery round are engine.Doc's.
+	reps, err := w.Replicas(engine.OT, append([]string{server}, sites...)...)
+	if err != nil {
+		w.Violatef("setup", "%v", err)
+		return
 	}
 	for i := 0; i < opsPerSite; i++ {
 		for j, s := range sites {
 			s := s
 			ch := rune('a' + j)
-			w.Sim.At(ms(2+3*i)+time.Duration(j)*500*time.Microsecond, func() {
-				r := reps[s]
-				sub, send, err := r.cl.Generate(ot.Op{Kind: ot.Insert, Pos: 0, Ch: ch, Site: s})
-				if err != nil {
-					w.Violatef("ot-convergence", "%s generate: %v", s, err)
-					return
-				}
-				if send {
-					r.inflight = &sub
-					_ = w.Endpoint(s).Send("doc-server", otSubmitMsg{Sub: sub}, 32)
-				}
-			})
+			w.Sim.At(ms(2+3*i)+time.Duration(j)*500*time.Microsecond, func() { reps.Insert(s, 0, ch) })
 		}
 	}
-	// Resync loop: resend unacknowledged submissions and pull missed
-	// commits until every replica has caught up with the server.
+	// Resync loop: every client resends its unacknowledged submission and
+	// pulls missed commits until all of them have caught up with the server.
 	w.Sim.Every(25*time.Millisecond, func() bool {
 		if w.Sim.Now() > 600*time.Millisecond {
 			w.Logf("resync loop gave up")
 			return false
 		}
-		done := true
-		for _, s := range sites {
-			r := reps[s]
-			if r.inflight != nil {
-				done = false
-				_ = w.Endpoint(s).Send("doc-server", otSubmitMsg{Sub: *r.inflight}, 32)
-			}
-			if r.cl.Base() < len(history) || r.cl.PendingCount() > 0 {
-				done = false
-				_ = w.Endpoint(s).Send("doc-server", otPullMsg{After: r.cl.Base()}, 16)
-			}
+		if reps.Converged() {
+			return false
 		}
-		return !done
+		reps.Tick()
+		return true
 	})
 	w.Run()
-	final := srv.Text()
-	w.Logf("server document: %q (rev %d)", final, srv.Rev())
-	if got, want := len([]rune(final)), len("base:")+len(sites)*opsPerSite; got != want {
+	if err := reps.Err(); err != nil {
+		w.Violatef("ot-convergence", "%v", err)
+	}
+	final := reps.Docs[server].Text()
+	w.Logf("server document: %q", final)
+	if got, want := len([]rune(final)), len(sites)*opsPerSite; got != want {
 		w.Violatef("ot-convergence", "server document has %d runes, want %d", got, want)
 	}
 	for _, s := range sites {
-		r := reps[s]
-		if r.cl.Text() != final {
-			w.Violatef("ot-convergence", "%s document %q != server %q", s, r.cl.Text(), final)
+		d := reps.Docs[s]
+		if d.Text() != final {
+			w.Violatef("ot-convergence", "%s document %q != server %q", s, d.Text(), final)
 		}
-		if r.cl.Base() != srv.Rev() {
-			w.Violatef("ot-convergence", "%s at revision %d, server at %d", s, r.cl.Base(), srv.Rev())
-		}
-		if n := r.cl.PendingCount(); n != 0 || r.inflight != nil {
-			w.Violatef("ot-convergence", "%s still has %d pending ops (inflight %v)", s, n, r.inflight != nil)
-		}
-	}
-}
-
-func drainReplica(w *World, id string, r *otReplica, ep interface {
-	Send(to string, payload any, size int) error
-}) {
-	for {
-		rev := r.cl.Base() + 1
-		cm, ok := r.hold[rev]
-		if !ok {
-			return
-		}
-		delete(r.hold, rev)
-		next, send, err := r.cl.Integrate(cm)
-		if err != nil {
-			w.Violatef("ot-convergence", "%s integrate rev %d: %v", id, cm.Rev, err)
-			return
-		}
-		if cm.Site == id {
-			r.inflight = nil
-		}
-		if send {
-			r.inflight = &next
-			_ = ep.Send("doc-server", otSubmitMsg{Sub: next}, 32)
+		if n := d.Pending(); n != 0 {
+			w.Violatef("ot-convergence", "%s still has %d operations pending or held back", s, n)
 		}
 	}
 }
@@ -398,10 +300,9 @@ func runReorderTotalOrder(w *World) {
 		Latency: time.Millisecond, Jitter: time.Millisecond,
 		Reorder: 0.3, ReorderDelay: 4 * time.Millisecond, Bandwidth: 1_250_000,
 	}
-	top := w.Topo()
-	top.FullMesh(link, ids...)
+	w.FullMesh(link, ids...)
 	deliv := make(map[string][]string)
-	members := top.Members(ids, group.TotalSequencer, group.BatchConfig{}, func(id string) func(group.Delivery) {
+	members := w.Members(ids, group.TotalSequencer, group.BatchConfig{}, func(id string) func(group.Delivery) {
 		return func(d group.Delivery) {
 			deliv[id] = append(deliv[id], fmt.Sprintf("%03d:%s:%v", d.Seq, d.From, d.Body))
 		}
@@ -456,8 +357,7 @@ func runReorderLossBatchedOrder(w *World) {
 	}
 	lossyLink := link
 	lossyLink.Loss = 0.4
-	top := w.Topo()
-	top.FullMesh(link, ids...)
+	w.FullMesh(link, ids...)
 
 	type entry struct {
 		seq   uint64
@@ -465,7 +365,7 @@ func runReorderLossBatchedOrder(w *World) {
 		batch string // "from/wNN": the wire batch this delivery belongs to
 	}
 	deliv := make(map[string][]entry)
-	members := top.Members(ids, group.TotalSequencer, group.BatchConfig{MaxMsgs: burstMsgs}, func(id string) func(group.Delivery) {
+	members := w.Members(ids, group.TotalSequencer, group.BatchConfig{MaxMsgs: burstMsgs}, func(id string) func(group.Delivery) {
 		return func(d group.Delivery) {
 			body := fmt.Sprintf("%v", d.Body)
 			deliv[id] = append(deliv[id], entry{
@@ -580,7 +480,7 @@ func runStallCausalGroup(w *World) {
 	deliv := make(map[string][]string)
 	w.Stall("c3").Hold(10 * time.Millisecond)
 	var members map[string]*group.Member
-	members = w.Topo().Members(ids, group.Causal, group.BatchConfig{}, func(id string) func(group.Delivery) {
+	members = w.Members(ids, group.Causal, group.BatchConfig{}, func(id string) func(group.Delivery) {
 		return func(d group.Delivery) {
 			deliv[id] = append(deliv[id], fmt.Sprintf("%s:%v", d.From, d.Body))
 			// c2 answers every question it sees: the answer is causally
@@ -770,7 +670,8 @@ func runSessionModeChurn(w *World) {
 	clean := netsim.Link{Latency: time.Millisecond, Bandwidth: 1_250_000}
 	lossyUp := clean
 	lossyUp.Loss = 0.25
-	h, cls := w.Topo().Session("host", session.Synchronous, lossyUp, clean, clients...)
+	w.Star("host", lossyUp, clean, clients...)
+	h, cls := w.Session("host", session.Synchronous, clients...)
 	var hostItems []session.Item
 	h.OnItem = func(it session.Item) { hostItems = append(hostItems, it) }
 	got := make(map[string][]string)
@@ -881,7 +782,7 @@ func runInducedDropBlindness(w *World) {
 	const msgs = 20
 	w.Faults("b1").DropProb(0.5)
 	deliv := make(map[string][]string)
-	members := w.Topo().Members(ids, group.Unordered, group.BatchConfig{}, func(id string) func(group.Delivery) {
+	members := w.Members(ids, group.Unordered, group.BatchConfig{}, func(id string) func(group.Delivery) {
 		return func(d group.Delivery) {
 			deliv[id] = append(deliv[id], fmt.Sprintf("%s:%v", d.From, d.Body))
 		}

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/group"
 	"repro/internal/netsim"
+	"repro/internal/simworld"
 )
 
 // trace is the deterministic event log: every line is stamped with virtual
@@ -31,34 +35,34 @@ type nodeChain struct {
 	base   *fabric.SimEndpoint
 	faults *fabric.Faults
 	stall  *fabric.Stall
-	ep     fabric.Endpoint
 	digest uint64 // FNV-1a over (virtual time, from, payload type, size) of every delivery
 	recvd  uint64
 }
 
-// World is the environment one scenario runs in: a seeded simulator, a
-// fabric endpoint per node with per-node fault and stall injectors, a
-// shared metrics collector whose drop probe spans every endpoint, the
+// World is the environment one scenario runs in: the shared simulated
+// deployment (seeded simulator, endpoints, link shapes, protocol stacks —
+// see simworld) with a fault chain wrapped around every node, a shared
+// metrics collector whose drop probe spans every endpoint, the
 // deterministic trace, and the accumulated invariant violations.
 type World struct {
-	Seed    int64
-	Sim     *netsim.Sim
+	*simworld.World
 	Metrics *fabric.Metrics
 
 	trace      *trace
 	nodes      map[string]*nodeChain
-	order      []string // node creation order: the deterministic iteration order
+	order      []*nodeChain // node creation order: the deterministic iteration order
 	violations []Violation
 }
 
 func newWorld(seed int64) *World {
-	return &World{
-		Seed:    seed,
-		Sim:     netsim.New(seed, netsim.LANLink),
+	w := &World{
+		World:   simworld.New(seed, netsim.LANLink),
 		Metrics: fabric.NewMetrics(),
 		trace:   &trace{},
 		nodes:   make(map[string]*nodeChain),
 	}
+	w.Wrap = w.chain
+	return w
 }
 
 // Logf records a scenario event in the trace at the current virtual time.
@@ -73,40 +77,26 @@ func (w *World) Violatef(invariant, format string, args ...any) {
 	w.trace.eventf(w.Sim.Now(), "VIOLATION [%s] %s", v.Invariant, v.Detail)
 }
 
-// Endpoint returns (creating on first use) the named node's fabric
-// endpoint: SimEndpoint wrapped by Stall, Faults and the shared Metrics.
-// The per-node fault injector's randomness derives deterministically from
-// the world seed and the node name.
-func (w *World) Endpoint(id string) fabric.Endpoint {
-	return w.EndpointAt(netsim.DefaultRegion, id)
-}
-
-// EndpointAt is Endpoint with the node placed in a topology region (see
-// the Topology builder's Cluster). The region only matters on first use;
-// later calls return the existing endpoint wherever it lives.
-func (w *World) EndpointAt(r netsim.RegionID, id string) fabric.Endpoint {
-	if nc, ok := w.nodes[id]; ok {
-		return nc.ep
-	}
-	nc := &nodeChain{id: id}
-	nc.base = fabric.FromSim(w.Sim.MustAddNodeAt(r, id))
+// chain is the world's per-node wrap hook: SimEndpoint wrapped by Stall,
+// Faults, the shared Metrics and the digest tap. The fault injector's
+// randomness derives deterministically from the world seed and the node
+// name.
+func (w *World) chain(id string, base *fabric.SimEndpoint) fabric.Endpoint {
+	nc := &nodeChain{id: id, base: base}
 	h := fnv.New64a()
 	h.Write([]byte(id))
-	nc.faults = fabric.NewFaults(w.Seed ^ int64(h.Sum64())).
-		SetTimer(func(d time.Duration, fn func()) { w.Sim.At(d, fn) })
-	nc.stall = fabric.NewStall().
-		SetTimer(func(d time.Duration, fn func()) { w.Sim.At(d, fn) })
+	nc.faults = fabric.NewFaults(w.Seed ^ int64(h.Sum64())).SetTimer(w.After)
+	nc.stall = fabric.NewStall().SetTimer(w.After)
 	digestTap := fabric.Tap(nil, func(peer string, payload any, size int) {
 		nc.recvd++
 		dh := fnv.New64a()
 		fmt.Fprintf(dh, "%d|%s|%s|%T|%d", nc.digest, w.Sim.Now(), peer, payload, size)
 		nc.digest = dh.Sum64()
 	})
-	nc.ep = fabric.Wrap(nc.base,
-		digestTap, w.Metrics.Middleware(), nc.faults.Middleware(), nc.stall.Middleware())
 	w.nodes[id] = nc
-	w.order = append(w.order, id)
-	return nc.ep
+	w.order = append(w.order, nc)
+	return fabric.Wrap(base,
+		digestTap, w.Metrics.Middleware(), nc.faults.Middleware(), nc.stall.Middleware())
 }
 
 // Faults returns the named node's send-path fault injector (creating the
@@ -123,8 +113,15 @@ func (w *World) Stall(id string) *fabric.Stall {
 	return w.nodes[id].stall
 }
 
-// Timer adapts the simulator clock to the group.Timer shape.
-func (w *World) Timer(d time.Duration, fn func()) { w.Sim.At(d, fn) }
+// Members is the shared builder's Members with a setup failure recorded as
+// a violation (and nil returned) instead of handed back.
+func (w *World) Members(ids []string, ordering group.Ordering, batch group.BatchConfig, deliver func(id string) func(group.Delivery)) map[string]*group.Member {
+	members, err := w.World.Members(ids, ordering, batch, deliver)
+	if err != nil {
+		w.Violatef("setup", "%v", err)
+	}
+	return members
+}
 
 // Run drains the simulator and then reconciles the message accounting —
 // the zero-unaccounted-drops invariant. Every scenario ends with it.
@@ -143,8 +140,8 @@ func (w *World) checkAccounting() {
 		return
 	}
 	var faultDrops uint64
-	for _, id := range w.order {
-		d, _ := w.nodes[id].faults.Injected()
+	for _, nc := range w.order {
+		d, _ := nc.faults.Injected()
 		faultDrops += d
 	}
 	snap := w.Metrics.Snapshot()
@@ -183,14 +180,46 @@ func (w *World) finish() {
 	w.trace.eventf(at, "summary: app sent=%d senderrs=%d recv=%d inboxdrops=%d | netsim sent=%d delivered=%d dropped=%d nohandler=%d",
 		snap.Sent, snap.SendErrs, snap.Recv, snap.Dropped,
 		sent, w.Sim.Delivered(), dropped, w.Sim.DroppedNoHandler())
-	for _, id := range w.order {
-		nc := w.nodes[id]
-		var faultDrops, faultDelays uint64
-		faultDrops, faultDelays = nc.faults.Injected()
+	for _, nc := range w.order {
+		faultDrops, faultDelays := nc.faults.Injected()
 		w.trace.eventf(at, "node %s: recv=%d digest=%016x faultdrops=%d faultdelays=%d stalled=%d inboxdrops=%d",
-			id, nc.recvd, nc.digest, faultDrops, faultDelays, nc.stall.Stalled(), nc.base.Dropped())
+			nc.id, nc.recvd, nc.digest, faultDrops, faultDelays, nc.stall.Stalled(), nc.base.Dropped())
 	}
 	if len(w.violations) == 0 {
 		w.trace.eventf(at, "all invariants held")
 	}
+}
+
+// scaleDiv is the divisor applied to the scale scenarios' node counts. The
+// CHAOS_SCALE environment variable sets it ("1" = full scale); the default
+// of 10 keeps the CI matrix inside its time budget (`make chaos-scale`
+// runs the full-size worlds). The value is constant for a whole process,
+// so per-seed trace determinism is unaffected.
+func scaleDiv() int {
+	if v := os.Getenv("CHAOS_SCALE"); v != "" {
+		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
+			return n
+		}
+	}
+	return 10
+}
+
+// scaled shrinks a full-scale count by the scale divisor, with a floor
+// that keeps the reduced scenario meaningful.
+func scaled(full, min int) int {
+	n := full / scaleDiv()
+	if n < min {
+		n = min
+	}
+	return n
+}
+
+// sized logs the effective scale so a trace records which world it ran in.
+func (w *World) sized(what string, n, full int) int {
+	if n != full {
+		w.Logf("scale: %s=%d (full %d, CHAOS_SCALE divisor %d)", what, n, full, scaleDiv())
+	} else {
+		w.Logf("scale: %s=%d (full)", what, n)
+	}
+	return n
 }

@@ -45,14 +45,7 @@ func (d *crdtDoc) Apply(_ string, payload any) ([]Msg, error) {
 	switch m := payload.(type) {
 	case *crdt.MsgOp:
 		return nil, d.seq.Apply(m.Op)
-	case crdt.MsgOp:
-		return nil, d.seq.Apply(m.Op)
 	case *crdt.MsgState:
-		if m.Seq == nil {
-			return nil, fmt.Errorf("engine: crdt doc received a non-sequence state")
-		}
-		return nil, d.seq.MergeState(m.Seq)
-	case crdt.MsgState:
 		if m.Seq == nil {
 			return nil, fmt.Errorf("engine: crdt doc received a non-sequence state")
 		}

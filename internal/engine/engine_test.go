@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/crdt"
 	"repro/internal/fabric"
 	"repro/internal/ot"
 )
@@ -187,6 +190,29 @@ func TestNewValidation(t *testing.T) {
 	}
 	if d.Engine() != CRDT || d.Site() != "a" || d.DocKey() != "d7" {
 		t.Fatalf("doc identity wrong: %s %s %s", d.Engine(), d.Site(), d.DocKey())
+	}
+}
+
+// Payloads are pointers on every substrate (fabric.Endpoint's contract): a
+// struct handed to Apply by value is foreign traffic for both engines.
+func TestApplyRejectsByValuePayloads(t *testing.T) {
+	for _, tc := range []struct {
+		engine  string
+		payload any
+	}{
+		{CRDT, crdt.MsgOp{Doc: "d"}},
+		{CRDT, crdt.MsgState{Doc: "d"}},
+		{OT, MsgCommit{Doc: "d"}},
+		{OT, MsgPull{Doc: "d"}},
+	} {
+		d, err := New(tc.engine, "d", "a", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = d.Apply("b", tc.payload)
+		if want := fmt.Sprintf("cannot apply %T", tc.payload); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s Apply(%T by value) = %v, want an error containing %q", tc.engine, tc.payload, err, want)
+		}
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fabric"
 	"repro/internal/netsim"
 	"repro/internal/qos"
+	"repro/internal/simworld"
 	"repro/internal/stream"
 )
 
@@ -91,23 +91,21 @@ func RunE6StreamQoS(seed int64) Table {
 
 	// -- 3: lip sync on/off over asymmetric paths. --
 	for _, synced := range []bool{false, true} {
-		sim := netsim.New(seed, netsim.Link{Latency: ms(5)})
-		sim.MustAddNode("asrc")
-		sim.MustAddNode("vsrc")
-		an := sim.MustAddNode("adst")
-		vn := sim.MustAddNode("vdst")
+		w := simworld.New(seed, netsim.Link{Latency: ms(5)})
+		sim := w.Sim
+		w.Named("asrc", "vsrc", "adst", "vdst")
 		sim.SetLink("vsrc", "vdst", netsim.Link{Latency: ms(90)})
 		tiers := e6Tiers()
-		audio, _ := stream.NewSource(sim, fabric.FromSim(sim.Node("asrc")), "a", "audio", []string{"adst"}, tiers[:1])
-		video, _ := stream.NewSource(sim, fabric.FromSim(sim.Node("vsrc")), "v", "video",
+		audio, _ := stream.NewSource(sim, w.Endpoint("asrc"), "a", "audio", []string{"adst"}, tiers[:1])
+		video, _ := stream.NewSource(sim, w.Endpoint("vsrc"), "v", "video",
 			[]string{"vdst"}, []stream.Tier{{Name: "v", Interval: ms(40), Size: 1500}})
 		asink := stream.NewSink(sim, "adst", ms(20), ms(40))
 		vsink := stream.NewSink(sim, "vdst", ms(40), ms(40))
 		if synced {
 			stream.NewSyncGroup(asink, vsink)
 		}
-		fabric.FromSim(an).SetHandler(asink.Handle)
-		fabric.FromSim(vn).SetHandler(vsink.Handle)
+		w.Endpoint("adst").SetHandler(asink.Handle)
+		w.Endpoint("vdst").SetHandler(vsink.Handle)
 		var maxSkew time.Duration
 		asink.OnPlay = func(f *stream.Frame, _ time.Duration) {
 			if f != nil && vsink.LastGen() > 0 {
@@ -133,12 +131,11 @@ func RunE6StreamQoS(seed int64) Table {
 
 	// -- 4: jitter buffer ablation. --
 	for _, depth := range []time.Duration{ms(5), ms(30), ms(80)} {
-		sim := netsim.New(seed+7, netsim.Link{Latency: ms(10), Jitter: ms(25)})
-		sim.MustAddNode("src")
-		dst := sim.MustAddNode("dst")
-		src, _ := stream.NewSource(sim, fabric.FromSim(sim.Node("src")), "a", "audio", []string{"dst"}, e6Tiers()[:1])
+		w := simworld.New(seed+7, netsim.Link{Latency: ms(10), Jitter: ms(25)})
+		sim := w.Sim
+		src, _ := stream.NewSource(sim, w.Endpoint("src"), "a", "audio", []string{"dst"}, e6Tiers()[:1])
 		sink := stream.NewSink(sim, "dst", ms(20), depth)
-		fabric.FromSim(dst).SetHandler(sink.Handle)
+		w.Endpoint("dst").SetHandler(sink.Handle)
 		src.Start()
 		sim.At(5*time.Second, src.Stop)
 		sim.Run()

@@ -5,9 +5,9 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/fabric"
 	"repro/internal/group"
 	"repro/internal/netsim"
+	"repro/internal/simworld"
 )
 
 // RunE7Groups measures group communication (§4.2.2.iv): multicast delivery
@@ -52,17 +52,22 @@ func RunE7Groups(seed int64) Table {
 // runLossyFIFO pushes 60 messages over a 15%-lossy link with a periodic
 // repair pass and reports completeness.
 func runLossyFIFO(seed int64) (delivered, retrans int) {
-	sim := netsim.New(seed, netsim.Link{Latency: 5 * time.Millisecond, Loss: 0.15})
-	na := sim.MustAddNode("a")
-	nb := sim.MustAddNode("b")
+	w := simworld.New(seed, netsim.Link{Latency: 5 * time.Millisecond, Loss: 0.15})
+	sim := w.Sim
+	members, err := w.Members(w.Named("a", "b"), group.FIFO, group.BatchConfig{}, func(id string) func(group.Delivery) {
+		return func(group.Delivery) {
+			if id == "b" {
+				delivered++
+			}
+		}
+	})
+	if err != nil {
+		panic(err)
+	}
+	ma, mb := members["a"], members["b"]
 	// Self-delivery (loopback) is reliable; only the radio hop is lossy.
 	sim.SetBiLink("a", "a", netsim.Link{Latency: time.Millisecond})
 	sim.SetBiLink("b", "b", netsim.Link{Latency: time.Millisecond})
-	ma, _ := group.NewMember(group.Config{Endpoint: fabric.FromSim(na), Ordering: group.FIFO, Deliver: func(group.Delivery) {}})
-	mb, _ := group.NewMember(group.Config{Endpoint: fabric.FromSim(nb), Ordering: group.FIFO, Deliver: func(group.Delivery) { delivered++ }})
-	v := group.NewView(1, []string{"a", "b"})
-	ma.InstallView(v)
-	mb.InstallView(v)
 	for i := 0; i < 60; i++ {
 		i := i
 		sim.At(time.Duration(i)*50*time.Millisecond, func() { _ = ma.Multicast(i, 16) })
@@ -77,31 +82,31 @@ func runLossyFIFO(seed int64) (delivered, retrans int) {
 	return delivered, ma.RetransmissionCount()
 }
 
+// memberIDs names a group's members m00, m01, …
+func memberIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m%02d", i)
+	}
+	return ids
+}
+
 func runMulticast(seed int64, n int, ord group.Ordering) (mean, p95 time.Duration, delivered int) {
-	sim := netsim.New(seed, netsim.WANLink)
-	members := make(map[string]*group.Member, n)
-	ids := make([]string, 0, n)
+	w := simworld.New(seed, netsim.WANLink)
+	sim := w.Sim
+	ids := memberIDs(n)
 	sent := make(map[string]time.Duration)
 	var lats []time.Duration
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("m%02d", i)
-		ids = append(ids, id)
-		node := sim.MustAddNode(id)
-		m, _ := group.NewMember(group.Config{
-			Endpoint: fabric.FromSim(node),
-			Ordering: ord,
-			Deliver: func(d group.Delivery) {
-				delivered++
-				if at, ok := sent[fmt.Sprint(d.Body)]; ok {
-					lats = append(lats, sim.Now()-at)
-				}
-			},
-		})
-		members[id] = m
-	}
-	v := group.NewView(1, ids)
-	for _, m := range members {
-		m.InstallView(v)
+	members, err := w.Members(ids, ord, group.BatchConfig{}, func(string) func(group.Delivery) {
+		return func(d group.Delivery) {
+			delivered++
+			if at, ok := sent[fmt.Sprint(d.Body)]; ok {
+				lats = append(lats, sim.Now()-at)
+			}
+		}
+	})
+	if err != nil {
+		panic(err)
 	}
 	const rounds = 10
 	for r := 0; r < rounds; r++ {
@@ -128,26 +133,17 @@ func runMulticast(seed int64, n int, ord group.Ordering) (mean, p95 time.Duratio
 }
 
 func runGroupRPC(seed int64, bounded bool) (label, detail string) {
-	sim := netsim.New(seed, netsim.WANLink)
-	const n = 8
-	ids := make([]string, 0, n)
-	members := make(map[string]*group.Member, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("m%02d", i)
-		ids = append(ids, id)
-		node := sim.MustAddNode(id)
-		m, _ := group.NewMember(group.Config{
-			Endpoint: fabric.FromSim(node),
-			Timer:    group.TimerFunc(func(d time.Duration, fn func()) { sim.At(d, fn) }),
-			Ordering: group.FIFO,
-			Deliver:  func(group.Delivery) {},
-		})
-		m.Handle("status", func(from string, body any) (any, error) { return "ok", nil })
-		members[id] = m
+	w := simworld.New(seed, netsim.WANLink)
+	sim := w.Sim
+	ids := memberIDs(8)
+	members, err := w.Members(ids, group.FIFO, group.BatchConfig{}, func(string) func(group.Delivery) {
+		return func(group.Delivery) {}
+	})
+	if err != nil {
+		panic(err)
 	}
-	v := group.NewView(1, ids)
-	for _, m := range members {
-		m.InstallView(v)
+	for _, id := range ids {
+		members[id].Handle("status", func(from string, body any) (any, error) { return "ok", nil })
 	}
 	// m07 is unreachable.
 	sim.Partition([]string{"m07"}, ids[:7])

@@ -5,9 +5,9 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/fabric"
 	"repro/internal/netsim"
 	"repro/internal/session"
+	"repro/internal/simworld"
 )
 
 // RunF1SpaceTime reproduces Figure 1 quantitatively: the same cooperative
@@ -67,22 +67,18 @@ func RunF1SpaceTime(seed int64) Table {
 }
 
 func runQuadrant(seed int64, mode session.Mode, link netsim.Link, pollGap time.Duration, posts int, horizon time.Duration) []time.Duration {
-	sim := netsim.New(seed, link)
-	hostNode := sim.MustAddNode("host")
-	session.NewHost(fabric.FromSim(hostNode), mode, sim.Now)
+	w := simworld.New(seed, link)
+	sim := w.Sim
+	_, clients := w.Session("host", mode, "alice", "bob")
 
 	postTimes := make(map[string]time.Duration)
 	var lats []time.Duration
-	clients := make(map[string]*session.Client)
-	for _, id := range []string{"alice", "bob"} {
-		node := sim.MustAddNode(id)
-		c := session.NewClient(fabric.FromSim(node), "host")
+	for _, c := range clients {
 		c.OnItem = func(it session.Item) {
 			if at, ok := postTimes[it.Body]; ok {
 				lats = append(lats, sim.Now()-at)
 			}
 		}
-		clients[id] = c
 	}
 	clients["alice"].Join(0)
 	clients["bob"].Join(0)
@@ -116,15 +112,12 @@ func runQuadrant(seed int64, mode session.Mode, link netsim.Link, pollGap time.D
 // into synchronous mode: either by the seamless flush, or by tearing down
 // and rejoining from scratch (replaying the entire log).
 func transitionCost(seed int64, rebuild bool) (items int, elapsed time.Duration) {
-	sim := netsim.New(seed, netsim.WANLink)
-	hostNode := sim.MustAddNode("host")
-	host := session.NewHost(fabric.FromSim(hostNode), session.Asynchronous, sim.Now)
+	w := simworld.New(seed, netsim.WANLink)
+	sim := w.Sim
+	host, clients := w.Session("host", session.Asynchronous, "bob", "alice")
+	alice, bob := clients["alice"], clients["bob"]
 	received := 0
-	node := sim.MustAddNode("bob")
-	bob := session.NewClient(fabric.FromSim(node), "host")
 	bob.OnItem = func(session.Item) { received++ }
-	aliceNode := sim.MustAddNode("alice")
-	alice := session.NewClient(fabric.FromSim(aliceNode), "host")
 	alice.Join(0)
 	bob.Join(0)
 	sim.Run()
@@ -144,8 +137,7 @@ func transitionCost(seed int64, rebuild bool) (items int, elapsed time.Duration)
 	if rebuild {
 		// Tear-down: a fresh client (no history) joins a fresh sync session
 		// view — the host replays the entire log to it.
-		node2 := sim.MustAddNode("bob2")
-		bob2 := session.NewClient(fabric.FromSim(node2), "host")
+		bob2 := session.NewClient(w.Endpoint("bob2"), "host")
 		got := 0
 		bob2.OnItem = func(session.Item) { got++ }
 		host.SetMode(session.Synchronous)

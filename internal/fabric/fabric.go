@@ -8,8 +8,9 @@
 //
 // The package owns the typed-envelope codec (previously duplicated between
 // transport and session/wire.go): payload structs register under a string
-// tag once and travel as JSON envelopes over byte-oriented substrates, while
-// in-process substrates pass the typed values straight through.
+// tag once and travel over byte-oriented substrates in whichever
+// PayloadCodec the endpoint was given (JSON envelopes or binary frames),
+// while in-process substrates pass the typed values straight through.
 package fabric
 
 import (
