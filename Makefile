@@ -82,7 +82,7 @@ chaos-scale:
 # Short coverage-guided fuzz pass over every Fuzz* target (the checked-in
 # seed corpora always run in plain `make test`; this explores beyond them).
 # `go test -fuzz` takes exactly one target per invocation, hence the loop.
-FUZZ_PKGS := ./internal/crdt ./internal/fabric
+FUZZ_PKGS := ./internal/crdt ./internal/engine ./internal/fabric
 FUZZ_TIME := 10s
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \

@@ -127,7 +127,7 @@ func run(args []string) error {
 	user := fs.String("user", "", "participant name (required)")
 	hostAddr := fs.String("host", "127.0.0.1:7480", "sessiond address")
 	doc := fs.String("doc", "", "document (session) to join; empty joins the unnamed session")
-	codecFlag := fs.String("codec", "json", "wire codec: json or binary (match sessiond)")
+	codecFlag := fs.String("codec", "json", "wire codec: json or binary (both ends must match)")
 	engFlag := fs.String("engine", "", "edit -doc through a convergence engine: ot or crdt (default: plain chat)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -54,7 +54,7 @@ func run(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:7480", "listen address")
 	modeFlag := fs.String("mode", "sync", "session mode: sync or async")
 	verbose := fs.Bool("v", false, "log every frame sent and received")
-	codecFlag := fs.String("codec", "json", "wire codec: json or binary")
+	codecFlag := fs.String("codec", "json", "wire codec: json or binary (both ends must match)")
 	engFlag := fs.String("engine", engine.CRDT, "convergence engine for eng/op items: crdt (pure relay) or ot (daemon integrates)")
 	shards := fs.Int("shards", 1, "ordering domains documents are routed across")
 	shard := fs.Int("shard", 0, "domain this daemon serves (0-based, < shards)")

@@ -21,16 +21,11 @@ func appendID(dst []byte, id ID) []byte {
 	return fabric.AppendString(dst, id.Site)
 }
 
-func consumeID(data []byte) (ID, []byte, error) {
+func readID(r *fabric.Reader) ID {
 	var id ID
-	var err error
-	if id.N, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return id, nil, err
-	}
-	if id.Site, data, err = fabric.ConsumeString(data); err != nil {
-		return id, nil, err
-	}
-	return id, data, nil
+	id.N = r.Uvarint()
+	id.Site = r.String()
+	return id
 }
 
 func appendIDs(dst []byte, ids []ID) []byte {
@@ -41,28 +36,16 @@ func appendIDs(dst []byte, ids []ID) []byte {
 	return dst
 }
 
-func consumeIDs(data []byte) ([]ID, []byte, error) {
-	n, data, err := fabric.ConsumeUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
+func readIDs(r *fabric.Reader) []ID {
+	n := r.Count("ids", 2) // N and an empty Site
 	if n == 0 {
-		return nil, data, nil
-	}
-	// An ID takes at least 2 bytes; bound the allocation by what the body
-	// could actually hold so a corrupt count cannot balloon memory.
-	if n > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("%w: %d ids in %d bytes", fabric.ErrTruncatedFrame, n, len(data))
+		return nil
 	}
 	ids := make([]ID, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var id ID
-		if id, data, err = consumeID(data); err != nil {
-			return nil, nil, err
-		}
-		ids = append(ids, id)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		ids = append(ids, readID(r))
 	}
-	return ids, data, nil
+	return ids
 }
 
 func appendVC(dst []byte, vv vclock.VC) []byte {
@@ -79,27 +62,14 @@ func appendVC(dst []byte, vv vclock.VC) []byte {
 	return dst
 }
 
-func consumeVC(data []byte) (vclock.VC, []byte, error) {
-	n, data, err := fabric.ConsumeUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("%w: %d vector entries in %d bytes", fabric.ErrTruncatedFrame, n, len(data))
-	}
+func readVC(r *fabric.Reader) vclock.VC {
+	n := r.Count("vector entries", 2) // an empty site and its counter
 	vv := vclock.New()
-	for i := uint64(0); i < n; i++ {
-		var site string
-		var v uint64
-		if site, data, err = fabric.ConsumeString(data); err != nil {
-			return nil, nil, err
-		}
-		if v, data, err = fabric.ConsumeUvarint(data); err != nil {
-			return nil, nil, err
-		}
-		vv[site] = v
+	for i := 0; i < n && r.Err() == nil; i++ {
+		site := r.String()
+		vv[site] = r.Uvarint()
 	}
-	return vv, data, nil
+	return vv
 }
 
 func appendOp(dst []byte, op Op) []byte {
@@ -114,51 +84,18 @@ func appendOp(dst []byte, op Op) []byte {
 	return binary.AppendVarint(dst, op.Delta)
 }
 
-func consumeOp(data []byte) (Op, []byte, error) {
+func readOp(r *fabric.Reader) Op {
 	var op Op
-	if len(data) == 0 {
-		return op, nil, fmt.Errorf("%w: missing op kind", fabric.ErrTruncatedFrame)
-	}
-	op.Kind = OpKind(data[0])
-	data = data[1:]
-	var err error
-	if op.Site, data, err = fabric.ConsumeString(data); err != nil {
-		return op, nil, err
-	}
-	if op.Seq, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return op, nil, err
-	}
-	if op.ID, data, err = consumeID(data); err != nil {
-		return op, nil, err
-	}
-	if op.After, data, err = consumeID(data); err != nil {
-		return op, nil, err
-	}
-	var ch uint64
-	if ch, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return op, nil, err
-	}
-	op.Ch = rune(uint32(ch))
-	if op.Elem, data, err = fabric.ConsumeString(data); err != nil {
-		return op, nil, err
-	}
-	if op.Dots, data, err = consumeIDs(data); err != nil {
-		return op, nil, err
-	}
-	delta, n := binary.Varint(data)
-	if n <= 0 {
-		return op, nil, fmt.Errorf("%w: bad delta varint", fabric.ErrTruncatedFrame)
-	}
-	op.Delta = delta
-	return op, data[n:], nil
-}
-
-// done rejects trailing bytes after a fully parsed body.
-func done(what string, rest []byte) error {
-	if len(rest) != 0 {
-		return fmt.Errorf("crdt: %s body carries %d trailing bytes", what, len(rest))
-	}
-	return nil
+	op.Kind = OpKind(r.Byte())
+	op.Site = r.String()
+	op.Seq = r.Uvarint()
+	op.ID = readID(r)
+	op.After = readID(r)
+	op.Ch = rune(uint32(r.Uvarint()))
+	op.Elem = r.String()
+	op.Dots = readIDs(r)
+	op.Delta = r.Varint()
+	return op
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -169,14 +106,10 @@ func (m MsgOp) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgOp) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Op, data, err = consumeOp(data); err != nil {
-		return err
-	}
-	return done("op", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.Op = readOp(&r)
+	return r.Done(tagOp)
 }
 
 func appendSeqState(dst []byte, st *SeqState) []byte {
@@ -194,39 +127,19 @@ func appendSeqState(dst []byte, st *SeqState) []byte {
 	return appendVC(dst, st.VV)
 }
 
-func consumeSeqState(data []byte) (*SeqState, []byte, error) {
-	n, data, err := fabric.ConsumeUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("%w: %d nodes in %d bytes", fabric.ErrTruncatedFrame, n, len(data))
-	}
+func readSeqState(r *fabric.Reader) *SeqState {
+	n := r.Count("nodes", 6) // two IDs, Ch and the tombstone flag
 	st := &SeqState{Nodes: make([]SeqNode, 0, n)}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		var node SeqNode
-		if node.ID, data, err = consumeID(data); err != nil {
-			return nil, nil, err
-		}
-		if node.After, data, err = consumeID(data); err != nil {
-			return nil, nil, err
-		}
-		var ch uint64
-		if ch, data, err = fabric.ConsumeUvarint(data); err != nil {
-			return nil, nil, err
-		}
-		node.Ch = rune(uint32(ch))
-		if len(data) == 0 {
-			return nil, nil, fmt.Errorf("%w: missing tombstone flag", fabric.ErrTruncatedFrame)
-		}
-		node.Deleted = data[0] == 1
-		data = data[1:]
+		node.ID = readID(r)
+		node.After = readID(r)
+		node.Ch = rune(uint32(r.Uvarint()))
+		node.Deleted = r.Byte() == 1
 		st.Nodes = append(st.Nodes, node)
 	}
-	if st.VV, data, err = consumeVC(data); err != nil {
-		return nil, nil, err
-	}
-	return st, data, nil
+	st.VV = readVC(r)
+	return st
 }
 
 func appendSetState(dst []byte, st *SetState) []byte {
@@ -244,33 +157,16 @@ func appendSetState(dst []byte, st *SetState) []byte {
 	return appendVC(dst, st.VV)
 }
 
-func consumeSetState(data []byte) (*SetState, []byte, error) {
-	n, data, err := fabric.ConsumeUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("%w: %d elements in %d bytes", fabric.ErrTruncatedFrame, n, len(data))
-	}
+func readSetState(r *fabric.Reader) *SetState {
+	n := r.Count("elements", 2) // an empty name and an empty dot list
 	st := &SetState{Elems: make(map[string][]ID, n)}
-	for i := uint64(0); i < n; i++ {
-		var elem string
-		var ids []ID
-		if elem, data, err = fabric.ConsumeString(data); err != nil {
-			return nil, nil, err
-		}
-		if ids, data, err = consumeIDs(data); err != nil {
-			return nil, nil, err
-		}
-		st.Elems[elem] = ids
+	for i := 0; i < n && r.Err() == nil; i++ {
+		elem := r.String()
+		st.Elems[elem] = readIDs(r)
 	}
-	if st.Removed, data, err = consumeIDs(data); err != nil {
-		return nil, nil, err
-	}
-	if st.VV, data, err = consumeVC(data); err != nil {
-		return nil, nil, err
-	}
-	return st, data, nil
+	st.Removed = readIDs(r)
+	st.VV = readVC(r)
+	return st
 }
 
 func appendCtrState(dst []byte, st *CtrState) []byte {
@@ -293,42 +189,22 @@ func appendSiteCounts(dst []byte, m map[string]uint64) []byte {
 	return dst
 }
 
-func consumeSiteCounts(data []byte) (map[string]uint64, []byte, error) {
-	n, data, err := fabric.ConsumeUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("%w: %d site counts in %d bytes", fabric.ErrTruncatedFrame, n, len(data))
-	}
+func readSiteCounts(r *fabric.Reader) map[string]uint64 {
+	n := r.Count("site counts", 2) // an empty site and its count
 	m := make(map[string]uint64, n)
-	for i := uint64(0); i < n; i++ {
-		var site string
-		var v uint64
-		if site, data, err = fabric.ConsumeString(data); err != nil {
-			return nil, nil, err
-		}
-		if v, data, err = fabric.ConsumeUvarint(data); err != nil {
-			return nil, nil, err
-		}
-		m[site] = v
+	for i := 0; i < n && r.Err() == nil; i++ {
+		site := r.String()
+		m[site] = r.Uvarint()
 	}
-	return m, data, nil
+	return m
 }
 
-func consumeCtrState(data []byte) (*CtrState, []byte, error) {
+func readCtrState(r *fabric.Reader) *CtrState {
 	st := &CtrState{}
-	var err error
-	if st.Pos, data, err = consumeSiteCounts(data); err != nil {
-		return nil, nil, err
-	}
-	if st.Neg, data, err = consumeSiteCounts(data); err != nil {
-		return nil, nil, err
-	}
-	if st.VV, data, err = consumeVC(data); err != nil {
-		return nil, nil, err
-	}
-	return st, data, nil
+	st.Pos = readSiteCounts(r)
+	st.Neg = readSiteCounts(r)
+	st.VV = readVC(r)
+	return st
 }
 
 // State-kind discriminators in the MsgState binary body.
@@ -355,30 +231,19 @@ func (m MsgState) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgState) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("%w: missing state kind", fabric.ErrTruncatedFrame)
-	}
-	kind := data[0]
-	data = data[1:]
-	switch kind {
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	switch kind := r.Byte(); kind {
 	case stateSeq:
-		if m.Seq, data, err = consumeSeqState(data); err != nil {
-			return err
-		}
+		m.Seq = readSeqState(&r)
 	case stateSet:
-		if m.Set, data, err = consumeSetState(data); err != nil {
-			return err
-		}
+		m.Set = readSetState(&r)
 	case stateCtr:
-		if m.Ctr, data, err = consumeCtrState(data); err != nil {
-			return err
-		}
+		m.Ctr = readCtrState(&r)
 	default:
-		return fmt.Errorf("crdt: unknown state kind %d", kind)
+		if r.Err() == nil {
+			return fmt.Errorf("crdt: unknown state kind %d", kind)
+		}
 	}
-	return done("state", data)
+	return r.Done(tagState)
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/fabric"
 	"repro/internal/ot"
 )
@@ -18,26 +16,13 @@ func appendOTOp(dst []byte, op ot.Op) []byte {
 	return fabric.AppendString(dst, op.Site)
 }
 
-func consumeOTOp(data []byte) (ot.Op, []byte, error) {
+func readOTOp(r *fabric.Reader) ot.Op {
 	var op ot.Op
-	var err error
-	var v uint64
-	if v, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return op, nil, err
-	}
-	op.Kind = ot.Kind(v)
-	if v, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return op, nil, err
-	}
-	op.Pos = int(v)
-	if v, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return op, nil, err
-	}
-	op.Ch = rune(uint32(v))
-	if op.Site, data, err = fabric.ConsumeString(data); err != nil {
-		return op, nil, err
-	}
-	return op, data, nil
+	op.Kind = ot.Kind(r.Uvarint())
+	op.Pos = int(r.Uvarint())
+	op.Ch = rune(uint32(r.Uvarint()))
+	op.Site = r.String()
+	return op
 }
 
 func appendCommitted(dst []byte, cm ot.Committed) []byte {
@@ -47,32 +32,13 @@ func appendCommitted(dst []byte, cm ot.Committed) []byte {
 	return fabric.AppendUvarint(dst, cm.Seq)
 }
 
-func consumeCommitted(data []byte) (ot.Committed, []byte, error) {
+func readCommitted(r *fabric.Reader) ot.Committed {
 	var cm ot.Committed
-	var err error
-	if cm.Op, data, err = consumeOTOp(data); err != nil {
-		return cm, nil, err
-	}
-	var v uint64
-	if v, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return cm, nil, err
-	}
-	cm.Rev = int(v)
-	if cm.Site, data, err = fabric.ConsumeString(data); err != nil {
-		return cm, nil, err
-	}
-	if cm.Seq, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return cm, nil, err
-	}
-	return cm, data, nil
-}
-
-// done rejects trailing bytes after a fully parsed body.
-func done(what string, rest []byte) error {
-	if len(rest) != 0 {
-		return fmt.Errorf("engine: %s body carries %d trailing bytes", what, len(rest))
-	}
-	return nil
+	cm.Op = readOTOp(r)
+	cm.Rev = int(r.Uvarint())
+	cm.Site = r.String()
+	cm.Seq = r.Uvarint()
+	return cm
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -86,25 +52,13 @@ func (m MsgSubmit) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgSubmit) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Sub.Op, data, err = consumeOTOp(data); err != nil {
-		return err
-	}
-	var v uint64
-	if v, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	m.Sub.Base = int(v)
-	if m.Sub.Site, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Sub.Seq, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	return done("submit", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.Sub.Op = readOTOp(&r)
+	m.Sub.Base = int(r.Uvarint())
+	m.Sub.Site = r.String()
+	m.Sub.Seq = r.Uvarint()
+	return r.Done(tagSubmit)
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -115,14 +69,10 @@ func (m MsgCommit) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgCommit) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.C, data, err = consumeCommitted(data); err != nil {
-		return err
-	}
-	return done("commit", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.C = readCommitted(&r)
+	return r.Done(tagCommit)
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -133,16 +83,10 @@ func (m MsgPull) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgPull) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	var v uint64
-	if v, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	m.Base = int(v)
-	return done("pull", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.Base = int(r.Uvarint())
+	return r.Done(tagPull)
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -157,26 +101,13 @@ func (m MsgCommits) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgCommits) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	var n uint64
-	if n, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	if n > uint64(len(data)) {
-		return fmt.Errorf("%w: %d commits in %d bytes", fabric.ErrTruncatedFrame, n, len(data))
-	}
-	if n > 0 {
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	if n := r.Count("commits", 7); n > 0 { // a 4-byte op, Rev, Site, Seq
 		m.Cs = make([]ot.Committed, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var cm ot.Committed
-			if cm, data, err = consumeCommitted(data); err != nil {
-				return err
-			}
-			m.Cs = append(m.Cs, cm)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			m.Cs = append(m.Cs, readCommitted(&r))
 		}
 	}
-	return done("commits", data)
+	return r.Done(tagCommits)
 }

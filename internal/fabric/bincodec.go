@@ -26,10 +26,9 @@ import (
 // everything else falls back to a JSON body inside the binary frame,
 // which still skips the outer envelope document and its RawMessage copy.
 //
-// Decode interoperates with JSON peers: a frame that does not start with
-// the magic byte is handed to the underlying JSON codec, so a
-// binary-selected endpoint can survive a mixed deployment while it rolls
-// out.
+// Both ends of a link must run the same codec: Decode rejects a frame that
+// does not start with the magic byte, and FromTransport counts it in
+// Dropped().
 type BinaryCodec struct {
 	reg *Codec
 }
@@ -120,8 +119,8 @@ func (c *BinaryCodec) Encode(payload any) ([]byte, error) {
 // Unknown tags return (nil, nil) so callers can skip foreign traffic, as
 // with the JSON codec; malformed frames (bad version, truncation, a length
 // prefix past the limit or disagreeing with the actual frame size) are
-// errors. Frames without the binary magic byte are delegated to the
-// underlying JSON codec.
+// errors, and so is a frame without the magic byte — a JSON envelope from
+// a peer running the other codec included.
 //
 //cscw:hotpath
 func (c *BinaryCodec) Decode(data []byte) (any, error) {
@@ -129,7 +128,7 @@ func (c *BinaryCodec) Decode(data []byte) (any, error) {
 		return nil, fmt.Errorf("%w: empty", ErrTruncatedFrame)
 	}
 	if data[0] != binMagic {
-		return c.reg.Decode(data)
+		return nil, fmt.Errorf("fabric: not a binary frame (leading byte %#x)", data[0])
 	}
 	if len(data) < 4 {
 		return nil, fmt.Errorf("%w: %d-byte header", ErrTruncatedFrame, len(data))
@@ -183,9 +182,10 @@ func (c *BinaryCodec) Decode(data []byte) (any, error) {
 
 // --- binary body building blocks ---------------------------------------
 //
-// Small append/consume helpers for hand-rolled binary bodies (uvarint
-// integers, length-prefixed strings). Session and friends build their
-// BinaryAppender/BinaryParser implementations from these.
+// Hand-rolled binary bodies are uvarint integers and length-prefixed
+// strings. Session and friends build their BinaryAppender from the Append
+// helpers and their BinaryParser on a Reader, which owns every truncation,
+// count-bound and trailing-byte check.
 
 // AppendUvarint appends v as a varint.
 func AppendUvarint(dst []byte, v uint64) []byte {
@@ -198,27 +198,96 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// ConsumeUvarint reads a varint from data, returning the value and the
-// remaining bytes.
-func ConsumeUvarint(data []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrTruncatedFrame)
-	}
-	return v, data[n:], nil
+// Reader is the decode half: a cursor over one body with a sticky error.
+// The first malformed field is kept (wrapping ErrTruncatedFrame) and every
+// later read returns the zero value, so a ParseBinary is straight-line
+// `m.F = r.X()` in wire order with one check, Done, at the end. Element
+// loops stop at r.Err() != nil. Use it as a local, passed down by pointer.
+type Reader struct {
+	data []byte
+	err  error
 }
 
-// ConsumeString reads a length-prefixed string from data, returning the
-// string and the remaining bytes.
-func ConsumeString(data []byte) (string, []byte, error) {
-	n, rest, err := ConsumeUvarint(data)
-	if err != nil {
-		return "", nil, err
+// NewReader returns a cursor at the start of body.
+func NewReader(body []byte) Reader { return Reader{data: body} }
+
+// fail keeps the first error and empties the body, which is what makes the
+// error sticky: every later read finds nothing left and fails into its zero
+// value without overwriting it.
+func (r *Reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	if uint64(len(rest)) < n {
-		return "", nil, fmt.Errorf("%w: string declares %d bytes, %d remain", ErrTruncatedFrame, n, len(rest))
+	r.data = nil
+}
+
+// Uvarint reads a varint.
+func (r *Reader) Uvarint() uint64 {
+	v, n := binary.Uvarint(r.data)
+	if n <= 0 {
+		r.fail(fmt.Errorf("%w: bad uvarint", ErrTruncatedFrame))
+		return 0
 	}
-	return string(rest[:n]), rest[n:], nil
+	r.data = r.data[n:]
+	return v
+}
+
+// Varint reads a zigzag varint.
+func (r *Reader) Varint() int64 {
+	v, n := binary.Varint(r.data)
+	if n <= 0 {
+		r.fail(fmt.Errorf("%w: bad varint", ErrTruncatedFrame))
+		return 0
+	}
+	r.data = r.data[n:]
+	return v
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if len(r.data) == 0 {
+		r.fail(fmt.Errorf("%w: missing byte", ErrTruncatedFrame))
+		return 0
+	}
+	b := r.data[0]
+	r.data = r.data[1:]
+	return b
+}
+
+// String reads a length-prefixed string.
+func (r *Reader) String() string {
+	n := r.Uvarint()
+	if n > uint64(len(r.data)) {
+		r.fail(fmt.Errorf("%w: string declares %d bytes, %d remain", ErrTruncatedFrame, n, len(r.data)))
+		return ""
+	}
+	s := string(r.data[:n])
+	r.data = r.data[n:]
+	return s
+}
+
+// Count reads an element count and rejects one the rest of the body could
+// not hold at minElemBytes (the element's smallest encoding) apiece, so a
+// corrupt count cannot balloon the caller's allocation.
+func (r *Reader) Count(what string, minElemBytes int) int {
+	n := r.Uvarint()
+	if n > uint64(len(r.data)/minElemBytes) {
+		r.fail(fmt.Errorf("%w: %d %s in %d bytes", ErrTruncatedFrame, n, what, len(r.data)))
+		return 0
+	}
+	return int(n)
+}
+
+// Err returns the first error any read hit, nil while the body is sound.
+func (r *Reader) Err() error { return r.err }
+
+// Done ends a parse: the first read error if there was one, otherwise an
+// error if bytes remain after the last field of the what body.
+func (r *Reader) Done(what string) error {
+	if r.err == nil && len(r.data) != 0 {
+		return fmt.Errorf("fabric: %s body carries %d trailing bytes", what, len(r.data))
+	}
+	return r.err
 }
 
 // AppendBinary implements BinaryAppender for the fabric Hello.
@@ -228,13 +297,7 @@ func (h Hello) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements BinaryParser for the fabric Hello.
 func (h *Hello) ParseBinary(data []byte) error {
-	addr, rest, err := ConsumeString(data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("fabric: hello body carries %d trailing bytes", len(rest))
-	}
-	h.Addr = addr
-	return nil
+	r := NewReader(data)
+	h.Addr = r.String()
+	return r.Done("hello")
 }

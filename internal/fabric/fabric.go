@@ -9,8 +9,10 @@
 // The package owns the typed-envelope codec (previously duplicated between
 // transport and session/wire.go): payload structs register under a string
 // tag once and travel over byte-oriented substrates in whichever
-// PayloadCodec the endpoint was given (JSON envelopes or binary frames),
-// while in-process substrates pass the typed values straight through.
+// PayloadCodec the endpoint was given (JSON envelopes or binary frames —
+// the same one at both ends of a link; a frame in the other format is a
+// counted drop), while in-process substrates pass the typed values
+// straight through.
 package fabric
 
 import (

@@ -263,8 +263,7 @@ func (du *defUse) reaching(obj types.Object, pos token.Pos) []*defInfo {
 // sliceDerived computes the set of local variables transitively derived
 // from seed (a []byte parameter) by assignment through calls, append,
 // slicing and plain copies anywhere in body. wire-compat uses it to prove
-// AppendBinary's returned slice carries the encoded bytes and ParseBinary
-// threads the input through every Consume call.
+// AppendBinary's returned slice carries the encoded bytes.
 func sliceDerived(p *Package, body ast.Node, seed types.Object) map[types.Object]bool {
 	derived := map[types.Object]bool{seed: true}
 	usesDerived := func(e ast.Expr) bool {

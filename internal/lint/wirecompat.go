@@ -22,14 +22,15 @@ import (
 // populates but AppendBinary never writes decodes to garbage the moment
 // replicas disagree about it; an exported field neither side touches is
 // silently absent from the format. On top of the field symmetry, a
-// derived-slice taint over each body proves the bytes actually thread
+// derived-slice taint over the appender proves the bytes actually thread
 // through: AppendBinary must return a slice derived from dst, and a
-// discarded Append*/Consume* result (an expression statement returning
-// []byte) means encoded bytes or the consume cursor were dropped.
+// discarded Append* result (an expression statement returning []byte)
+// means encoded bytes were dropped. The parse half has no such check: a
+// ParseBinary reads through a fabric.Reader, which owns the cursor.
 func WireCompat() *ModuleAnalyzer {
 	return &ModuleAnalyzer{
 		Name: "wire-compat",
-		Doc:  "BinaryAppender/BinaryParser pairs must encode and decode the same fields in the same order, threading dst/data through",
+		Doc:  "BinaryAppender/BinaryParser pairs must encode and decode the same fields in the same order, threading dst through",
 		Run:  runWireCompat,
 	}
 }
@@ -184,15 +185,13 @@ func checkWirePair(wp *wirePair) []Diagnostic {
 		}
 	}
 
-	out = append(out, checkSliceThreading(wp.app, "AppendBinary", true)...)
-	out = append(out, checkSliceThreading(wp.par, "ParseBinary", false)...)
-	return out
+	return append(out, checkSliceThreading(wp.app)...)
 }
 
-// checkSliceThreading taints the []byte parameter (dst or data) through the
-// body and flags (a) a discarded call result carrying derived bytes and,
-// for the appender, (b) a return whose slice is not derived from dst.
-func checkSliceThreading(mf *modFunc, method string, appender bool) []Diagnostic {
+// checkSliceThreading taints AppendBinary's dst parameter through the body
+// and flags (a) a discarded call result carrying derived bytes and (b) a
+// return whose slice is not derived from dst.
+func checkSliceThreading(mf *modFunc) []Diagnostic {
 	p := mf.pkg
 	sig := mf.obj.(*types.Func).Type().(*types.Signature)
 	seed := sig.Params().At(0)
@@ -221,18 +220,13 @@ func checkSliceThreading(mf *modFunc, method string, appender bool) []Diagnostic
 			if !ok || !hasByteSliceResult(p, call) || !usesDerived(call) {
 				return true
 			}
-			what := "encoded bytes are dropped"
-			if !appender {
-				what = "the consume cursor is lost"
-			}
 			out = append(out, Diagnostic{
-				Pos:  p.position(call),
-				Rule: "wire-compat",
-				Message: fmt.Sprintf("%s discards the []byte result of %s — %s",
-					method, callName(call), what),
+				Pos:     p.position(call),
+				Rule:    "wire-compat",
+				Message: fmt.Sprintf("AppendBinary discards the []byte result of %s — encoded bytes are dropped", callName(call)),
 			})
 		case *ast.ReturnStmt:
-			if !appender || len(n.Results) == 0 {
+			if len(n.Results) == 0 {
 				return true
 			}
 			first := ast.Unparen(n.Results[0])
@@ -242,7 +236,7 @@ func checkSliceThreading(mf *modFunc, method string, appender bool) []Diagnostic
 			out = append(out, Diagnostic{
 				Pos:     p.position(n),
 				Rule:    "wire-compat",
-				Message: fmt.Sprintf("%s returns a slice not derived from dst — everything appended so far is dropped", method),
+				Message: "AppendBinary returns a slice not derived from dst — everything appended so far is dropped",
 			})
 		}
 		return true

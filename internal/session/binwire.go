@@ -1,7 +1,6 @@
 package session
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/fabric"
@@ -22,27 +21,14 @@ func appendItem(dst []byte, it Item) []byte {
 	return fabric.AppendUvarint(dst, uint64(it.At))
 }
 
-func consumeItem(data []byte) (Item, []byte, error) {
+func readItem(r *fabric.Reader) Item {
 	var it Item
-	var err error
-	if it.Seq, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return it, nil, err
-	}
-	if it.From, data, err = fabric.ConsumeString(data); err != nil {
-		return it, nil, err
-	}
-	if it.Kind, data, err = fabric.ConsumeString(data); err != nil {
-		return it, nil, err
-	}
-	if it.Body, data, err = fabric.ConsumeString(data); err != nil {
-		return it, nil, err
-	}
-	var at uint64
-	if at, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return it, nil, err
-	}
-	it.At = time.Duration(at)
-	return it, data, nil
+	it.Seq = r.Uvarint()
+	it.From = r.String()
+	it.Kind = r.String()
+	it.Body = r.String()
+	it.At = time.Duration(r.Uvarint())
+	return it
 }
 
 func appendItems(dst []byte, items []Item) []byte {
@@ -53,36 +39,16 @@ func appendItems(dst []byte, items []Item) []byte {
 	return dst
 }
 
-func consumeItems(data []byte) ([]Item, []byte, error) {
-	n, data, err := fabric.ConsumeUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
+func readItems(r *fabric.Reader) []Item {
+	n := r.Count("items", 5) // five fields, a byte each at the least
 	if n == 0 {
-		return nil, data, nil
-	}
-	// Each item takes at least 5 bytes; bound the allocation by what the
-	// body could actually hold so a corrupt count cannot balloon memory.
-	if n > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("%w: %d items in %d bytes", fabric.ErrTruncatedFrame, n, len(data))
+		return nil
 	}
 	items := make([]Item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var it Item
-		if it, data, err = consumeItem(data); err != nil {
-			return nil, nil, err
-		}
-		items = append(items, it)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		items = append(items, readItem(r))
 	}
-	return items, data, nil
-}
-
-// done rejects trailing bytes after a fully parsed body.
-func done(what string, rest []byte) error {
-	if len(rest) != 0 {
-		return fmt.Errorf("session: %s body carries %d trailing bytes", what, len(rest))
-	}
-	return nil
+	return items
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -95,22 +61,12 @@ func (m MsgJoin) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgJoin) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.From, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Since, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	var st uint64
-	if st, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	m.State = Presence(st)
-	return done("join", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.From = r.String()
+	m.Since = r.Uvarint()
+	m.State = Presence(r.Uvarint())
+	return r.Done(tagJoin)
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -126,35 +82,17 @@ func (m MsgJoinAck) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgJoinAck) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	var mode, n uint64
-	if mode, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	m.Mode = Mode(mode)
-	if n, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	if n > uint64(len(data)) {
-		return fmt.Errorf("%w: %d members in %d bytes", fabric.ErrTruncatedFrame, n, len(data))
-	}
-	if n > 0 {
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.Mode = Mode(r.Uvarint())
+	if n := r.Count("members", 1); n > 0 { // an empty name is one byte
 		m.Members = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var id string
-			if id, data, err = fabric.ConsumeString(data); err != nil {
-				return err
-			}
-			m.Members = append(m.Members, id)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			m.Members = append(m.Members, r.String())
 		}
 	}
-	if m.Backlog, data, err = consumeItems(data); err != nil {
-		return err
-	}
-	return done("join-ack", data)
+	m.Backlog = readItems(&r)
+	return r.Done(tagJoinAck)
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -167,20 +105,12 @@ func (m MsgPost) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgPost) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.From, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Kind, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Body, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	return done("post", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.From = r.String()
+	m.Kind = r.String()
+	m.Body = r.String()
+	return r.Done(tagPost)
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -191,14 +121,10 @@ func (m MsgItems) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgItems) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Items, data, err = consumeItems(data); err != nil {
-		return err
-	}
-	return done("items", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.Items = readItems(&r)
+	return r.Done(tagItems)
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -210,17 +136,11 @@ func (m MsgPoll) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgPoll) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.From, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Since, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	return done("poll", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.From = r.String()
+	m.Since = r.Uvarint()
+	return r.Done(tagPoll)
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -231,16 +151,10 @@ func (m MsgMode) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgMode) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	var mode uint64
-	if mode, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	m.Mode = Mode(mode)
-	return done("mode", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.Mode = Mode(r.Uvarint())
+	return r.Done(tagMode)
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -252,19 +166,11 @@ func (m MsgPresence) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgPresence) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.From, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	var st uint64
-	if st, data, err = fabric.ConsumeUvarint(data); err != nil {
-		return err
-	}
-	m.State = Presence(st)
-	return done("presence", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.From = r.String()
+	m.State = Presence(r.Uvarint())
+	return r.Done(tagPresence)
 }
 
 // AppendBinary implements fabric.BinaryAppender.
@@ -275,12 +181,8 @@ func (m MsgLeave) AppendBinary(dst []byte) ([]byte, error) {
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgLeave) ParseBinary(data []byte) error {
-	var err error
-	if m.Doc, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.From, data, err = fabric.ConsumeString(data); err != nil {
-		return err
-	}
-	return done("leave", data)
+	r := fabric.NewReader(data)
+	m.Doc = r.String()
+	m.From = r.String()
+	return r.Done(tagLeave)
 }
