@@ -48,15 +48,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/daemon"
 	"repro/internal/engine"
-	"repro/internal/fabric"
 	"repro/internal/lint"
 	"repro/internal/session"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -124,97 +122,41 @@ func runChaos(args []string) int {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("cscwctl", flag.ContinueOnError)
-	user := fs.String("user", "", "participant name (required)")
-	hostAddr := fs.String("host", "127.0.0.1:7480", "sessiond address")
-	doc := fs.String("doc", "", "document (session) to join; empty joins the unnamed session")
-	codecFlag := fs.String("codec", "json", "wire codec: json or binary (both ends must match)")
-	engFlag := fs.String("engine", "", "edit -doc through a convergence engine: ot or crdt (default: plain chat)")
+	var cfg daemon.Config
+	fs.StringVar(&cfg.User, "user", "", "participant name (required)")
+	fs.StringVar(&cfg.Host, "host", "127.0.0.1:7480", "sessiond address")
+	fs.StringVar(&cfg.Doc, "doc", "", "document (session) to join; empty joins the unnamed session")
+	fs.StringVar(&cfg.Codec, "codec", "json", "wire codec: json or binary (both ends must match)")
+	fs.StringVar(&cfg.Engine, "engine", "", "edit -doc through a convergence engine: ot or crdt (default: plain chat)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *user == "" {
+	if cfg.User == "" {
 		return fmt.Errorf("cscwctl: -user is required")
 	}
-
-	// Engine mode keeps a local replica; the OT integration site is the
-	// daemon itself (session.HostAuthor), so -engine ot needs a sessiond
-	// running with -engine ot.
-	var eng engine.Doc
-	var engMu sync.Mutex
-	engCodec := fabric.NewBinaryCodec(engine.NewWireCodec())
-	if *engFlag != "" {
-		var err error
-		eng, err = engine.New(*engFlag, *doc, *user, session.HostAuthor)
-		if err != nil {
-			return fmt.Errorf("cscwctl: %v", err)
-		}
-	}
-
-	book := transport.NewAddressBook()
-	book.Set("host", *hostAddr)
-	tep, err := transport.ListenTCP(*user, "127.0.0.1:0", book)
+	p, err := daemon.Dial(cfg)
 	if err != nil {
-		return err
+		return fmt.Errorf("cscwctl: %w", err)
 	}
+	defer p.Close()
 
-	reg := session.NewWireCodec()
-	fabric.RegisterBase(reg)
-	var codec fabric.PayloadCodec = reg
-	switch *codecFlag {
-	case "json":
-	case "binary":
-		codec = fabric.NewBinaryCodec(reg)
-	default:
-		return fmt.Errorf("cscwctl: unknown codec %q (json or binary)", *codecFlag)
-	}
-	ep := fabric.FromTransport(tep, codec)
-	defer ep.Close()
-
-	cli := session.NewClientForDoc(ep, "host", *doc)
-
-	// postMsgs publishes engine messages into the session log. Callers hold
-	// engMu; Post itself is safe to call from the item callback.
-	postMsgs := func(msgs []engine.Msg) {
-		for _, m := range msgs {
-			body, err := engine.EncodeItemBody(engCodec, m)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "engine: %v\n", err)
-				return
-			}
-			if err := cli.Post(engine.ItemKind, body, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "engine: post: %v\n", err)
-				return
-			}
-		}
+	cli := p.Client
+	showDoc := func(format string) {
+		text, pending := p.Text()
+		fmt.Printf(format, text, pending)
 	}
 	cli.OnItem = func(it session.Item) {
-		if eng != nil && it.Kind == engine.ItemKind {
-			if it.From == *user {
-				return // our own op, already applied locally
-			}
-			to, payload, err := engine.DecodeItemBody(engCodec, it.Body)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "engine: bad eng/op from %s: %v\n", it.From, err)
-				return
-			}
-			if to != "" && to != *user {
-				return // addressed to another replica
-			}
-			engMu.Lock()
-			out, err := eng.Apply(it.From, payload)
-			if err == nil {
-				postMsgs(out)
-			}
-			text, pending := eng.Text(), eng.Pending()
-			engMu.Unlock()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "engine: applying %T from %s: %v\n", payload, it.From, err)
-				return
-			}
-			fmt.Printf("-- doc now %q (%d pending) --\n", text, pending)
+		if p.Pump == nil || it.Kind != engine.ItemKind {
+			fmt.Printf("[#%d %s] %s: %s\n", it.Seq, it.Kind, it.From, it.Body)
 			return
 		}
-		fmt.Printf("[#%d %s] %s: %s\n", it.Seq, it.Kind, it.From, it.Body)
+		applied, _, err := p.Deliver(it)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "engine: %v\n", err)
+		}
+		if applied {
+			showDoc("-- doc now %q (%d pending) --\n")
+		}
 	}
 	cli.OnMode = func(m session.Mode) {
 		fmt.Printf("-- session is now %s --\n", m)
@@ -222,26 +164,12 @@ func run(args []string) error {
 	cli.OnPresence = func(who string, p session.Presence) {
 		fmt.Printf("-- %s is %s --\n", who, p)
 	}
-	joined := make(chan struct{})
-	var joinedOnce sync.Once
+	// The host acks every MsgJoin, so a resumed session prints this again.
 	cli.OnJoined = func(m session.Mode, members []string) {
 		fmt.Printf("-- joined (%s mode); members: %s --\n", m, strings.Join(members, ", "))
-		// The host acks every MsgJoin, and a resumed session re-fires this
-		// callback; closing twice would panic the client.
-		joinedOnce.Do(func() { close(joined) })
 	}
-
-	// Introduce ourselves so the host can dial back, then join.
-	if err := ep.Send("host", &fabric.Hello{Addr: tep.Addr()}, 0); err != nil {
-		return fmt.Errorf("reach sessiond at %s: %w", *hostAddr, err)
-	}
-	if err := cli.Join(0); err != nil {
+	if err := p.Join(5 * time.Second); err != nil {
 		return err
-	}
-	select {
-	case <-joined:
-	case <-time.After(5 * time.Second):
-		return fmt.Errorf("join timed out")
 	}
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -257,20 +185,19 @@ func run(args []string) error {
 		case line == "/back":
 			err = cli.SetPresence(session.Active, 0)
 		case line == "/leave":
-			err = cli.Leave(0)
-			return err
-		case eng != nil && line == "/text":
-			engMu.Lock()
-			fmt.Printf("-- doc %q (%d pending) --\n", eng.Text(), eng.Pending())
-			engMu.Unlock()
-		case eng != nil && line == "/tick":
-			engMu.Lock()
-			postMsgs(eng.Tick())
-			engMu.Unlock()
-		case eng != nil && strings.HasPrefix(line, "/i "):
-			err = engineInsert(eng, &engMu, postMsgs, line[len("/i "):])
-		case eng != nil && strings.HasPrefix(line, "/d "):
-			err = engineDelete(eng, &engMu, postMsgs, line[len("/d "):])
+			return cli.Leave(0)
+		case p.Pump != nil && line == "/text":
+			showDoc("-- doc %q (%d pending) --\n")
+		case p.Pump != nil && line == "/tick":
+			_, err = p.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Tick(), nil })
+		case p.Pump != nil && strings.HasPrefix(line, "/i "):
+			if err = engineInsert(p, line[len("/i "):]); err == nil {
+				showDoc("-- doc now %q (%d pending) --\n")
+			}
+		case p.Pump != nil && strings.HasPrefix(line, "/d "):
+			if err = engineDelete(p, line[len("/d "):]); err == nil {
+				showDoc("-- doc now %q (%d pending) --\n")
+			}
 		default:
 			err = cli.Post("chat", line, 0)
 		}
@@ -283,7 +210,7 @@ func run(args []string) error {
 
 // engineInsert handles "/i <pos> <text>": each rune applies to the local
 // replica at once and its op goes out as an eng/op item.
-func engineInsert(eng engine.Doc, mu *sync.Mutex, post func([]engine.Msg), arg string) error {
+func engineInsert(p *daemon.Participant, arg string) error {
 	posStr, text, ok := strings.Cut(strings.TrimSpace(arg), " ")
 	if !ok || text == "" {
 		return fmt.Errorf("usage: /i <pos> <text>")
@@ -292,33 +219,26 @@ func engineInsert(eng engine.Doc, mu *sync.Mutex, post func([]engine.Msg), arg s
 	if err != nil {
 		return fmt.Errorf("usage: /i <pos> <text>: %v", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, ch := range text {
-		msgs, err := eng.Insert(pos, ch)
-		if err != nil {
-			return err
+	_, err = p.Edit(func(d engine.Doc) (msgs []engine.Msg, err error) {
+		for _, ch := range text {
+			out, err := d.Insert(pos, ch)
+			if err != nil {
+				return msgs, err
+			}
+			msgs = append(msgs, out...)
+			pos++
 		}
-		post(msgs)
-		pos++
-	}
-	fmt.Printf("-- doc now %q (%d pending) --\n", eng.Text(), eng.Pending())
-	return nil
+		return msgs, nil
+	})
+	return err
 }
 
 // engineDelete handles "/d <pos>".
-func engineDelete(eng engine.Doc, mu *sync.Mutex, post func([]engine.Msg), arg string) error {
+func engineDelete(p *daemon.Participant, arg string) error {
 	pos, err := strconv.Atoi(strings.TrimSpace(arg))
 	if err != nil {
 		return fmt.Errorf("usage: /d <pos>: %v", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	msgs, err := eng.Delete(pos)
-	if err != nil {
-		return err
-	}
-	post(msgs)
-	fmt.Printf("-- doc now %q (%d pending) --\n", eng.Text(), eng.Pending())
-	return nil
+	_, err = p.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Delete(pos) })
+	return err
 }

@@ -10,9 +10,11 @@ import (
 //
 //   - layer-net: only the transport (which owns the sockets) and the fabric
 //     (which adapts it) may import net. Everything else is substrate-blind.
-//   - layer-transport: only internal/fabric may adapt internal/transport,
-//     plus command mains, which construct the TCP edge and hand it straight
-//     to fabric.FromTransport.
+//   - layer-transport: internal/fabric adapts internal/transport and
+//     internal/daemon builds the TCP edge of the live deployment (listener,
+//     address book, fabric.FromTransport); cmd/cscwbench attaches to the
+//     in-memory hub for its fabric_hub_send_recv rows. Commands get the
+//     edge from internal/daemon.
 //   - layer-netsim: internal/netsim is the discrete-event world — virtual
 //     time, topology, QoS links. The fabric adapter and the declared
 //     simulation-world packages (bench, chaos, core, exps, mgmt, mobile,
@@ -32,6 +34,8 @@ func Layering() *Analyzer {
 	}
 	transportImporters := map[string]bool{
 		modulePrefix + "/internal/fabric": true,
+		modulePrefix + "/internal/daemon": true,
+		modulePrefix + "/cmd/cscwbench":   true,
 	}
 	netsimImporters := map[string]bool{
 		modulePrefix + "/internal/fabric":   true,
@@ -52,7 +56,6 @@ func Layering() *Analyzer {
 			if !strings.HasPrefix(p.Path, modulePrefix+"/") && p.Path != modulePrefix {
 				return nil
 			}
-			isCmd := strings.HasPrefix(p.Path, modulePrefix+"/cmd/")
 			isExample := strings.HasPrefix(p.Path, modulePrefix+"/examples/")
 			var out []Diagnostic
 			for _, f := range p.Files {
@@ -69,10 +72,10 @@ func Layering() *Analyzer {
 									"use a fabric.Endpoint"))
 						}
 					case path == modulePrefix+"/internal/transport":
-						if !transportImporters[p.Path] && !isCmd {
+						if !transportImporters[p.Path] {
 							out = append(out, diagImport(p, imp, "layer-transport",
-								"only internal/fabric (and command mains building the TCP edge) "+
-									"may import internal/transport; use a fabric.Endpoint"))
+								"fabric adapts internal/transport and internal/daemon builds the "+
+									"TCP edge; use a fabric.Endpoint, or daemon.New / daemon.Dial"))
 						}
 					case path == modulePrefix+"/internal/netsim":
 						if !netsimImporters[p.Path] && !isExample {

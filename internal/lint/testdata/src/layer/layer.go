@@ -5,5 +5,5 @@ package layer
 import (
 	_ "net"                      // want "layer-net"
 	_ "repro/internal/netsim"    // want "layer-netsim"
-	_ "repro/internal/transport" // want "layer-transport"
+	_ "repro/internal/transport" // want "layer-transport.*internal/daemon builds the TCP edge"
 )
