@@ -31,11 +31,12 @@ lint:
 lint-baseline:
 	go run ./cmd/cscwlint -format=baseline .
 
-# Rewrite internal/lint/testdata/fixtures.golden, the exact rendering of every
-# fixture diagnostic that TestFixturesGolden compares against. Read the diff:
-# a changed `via` chain or held-lock name is a behaviour change.
+# Rewrite internal/lint/testdata/fixtures.golden (the exact rendering of every
+# fixture diagnostic, TestFixturesGolden) and summaries.golden (every fixture
+# function's call-graph summary, TestSummariesGolden). Read the diff: a
+# changed `via` chain, held-lock name or summary fact is a behaviour change.
 lint-golden:
-	go test ./internal/lint -run TestFixturesGolden -update
+	go test ./internal/lint -run 'TestFixturesGolden|TestSummariesGolden' -update
 
 test:
 	go test ./...
@@ -54,8 +55,8 @@ BENCH_DATE := $(shell date +%F)
 bench-json:
 	go run ./cmd/cscwbench -date $(BENCH_DATE) -out BENCH_$(BENCH_DATE).json
 
-# Lint-suite timing rows only (lint_wall_ms, lint_stage4_ms): fast enough to
-# rerun whenever an analyzer changes, without the full simulator matrix.
+# Lint-suite timing row only (lint_wall_ms): fast enough to rerun whenever
+# an analyzer changes, without the full simulator matrix.
 bench-lint:
 	go run ./cmd/cscwbench -date $(BENCH_DATE) -lint-only -out BENCH_$(BENCH_DATE)-lint.json
 

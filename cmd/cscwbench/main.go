@@ -50,7 +50,7 @@ func run(args []string) error {
 	out := fs.String("out", "", "output file (default stdout)")
 	seed := fs.Int64("seed", 1, "simulator seed")
 	quick := fs.Bool("quick", false, "skip slower scenarios, shrink latency samples")
-	lintOnly := fs.Bool("lint-only", false, "run only the lint-suite timing rows (lint_wall_ms, lint_stage4_ms)")
+	lintOnly := fs.Bool("lint-only", false, "run only the lint-suite timing row (lint_wall_ms)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -66,13 +66,11 @@ func run(args []string) error {
 			res.Iters, res.NsPerOp, res.MsgsPerSec, res.AllocsPerOp)
 	}
 
-	// Lint-suite timing rows (run from the module root, like `make lint`):
-	// the full-suite wall cost, and the marginal cost of the stage-4
-	// concurrency pass over an already-summarized module. `make bench-lint`
-	// writes these alone into the dated BENCH_<date>-lint.json.
+	// Lint-suite timing row (run from the module root, like `make lint`):
+	// the full-suite wall cost. `make bench-lint` writes it alone into the
+	// dated BENCH_<date>-lint.json.
 	if *lintOnly {
 		add("lint_wall_ms", lintWall())
-		add("lint_stage4_ms", lintStage4())
 		return writeReport(rep, *out)
 	}
 
@@ -166,7 +164,6 @@ func run(args []string) error {
 
 	if !*quick {
 		add("lint_wall_ms", lintWall())
-		add("lint_stage4_ms", lintStage4())
 	}
 
 	return writeReport(rep, *out)
@@ -199,27 +196,6 @@ func lintWall() func(b *testing.B) {
 			if _, err := lint.CheckModule("."); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// lintStage4 prices the marginal cost of the stage-4 concurrency pass: the
-// module is loaded and summarized once outside the timer, each iteration
-// rebuilds the call graph and runs block-lock, chan-proto and shutdown-prop.
-func lintStage4() func(b *testing.B) {
-	return func(b *testing.B) {
-		l, err := lint.NewLoader(".")
-		if err != nil {
-			b.Fatal(err)
-		}
-		pkgs, err := l.LoadModule()
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := lint.NewModule(pkgs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.ConcStage()
 		}
 	}
 }

@@ -26,8 +26,8 @@ import (
 // the base variable reaching that access is a fresh &T{}/T{}/new(T) — the
 // def-use precision this stage adds. Rebinding the variable to a shared
 // instance on any path re-arms the rule.
-func AtomicMix() *ModuleAnalyzer {
-	return &ModuleAnalyzer{
+func AtomicMix() *Analyzer {
+	return &Analyzer{
 		Name: "atomic-mix",
 		Doc:  "fields accessed via sync/atomic must never be read or written plainly elsewhere",
 		Run:  runAtomicMix,

@@ -54,32 +54,12 @@ func BenchmarkDataflowStage(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := NewModule(pkgs)
-	stage := []*ModuleAnalyzer{HotAlloc(), WireCompat(), AtomicMix()}
+	stage := []*Analyzer{HotAlloc(), WireCompat(), AtomicMix()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, a := range stage {
 			a.Run(m)
 		}
-	}
-}
-
-// BenchmarkConcStage times the stage-4 concurrency call graph and its three
-// analyzers (block-lock, chan-proto, shutdown-prop) alone. The cached graph
-// is rebuilt each iteration, so the number is the marginal cost stage 4
-// added to `make lint` over an already-summarized module.
-func BenchmarkConcStage(b *testing.B) {
-	l, err := NewLoader(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := NewModule(pkgs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ConcStage()
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 // The repo-wide convention is prepare-under-lock / send-outside (see
 // group.Member.runCallbacks).
 //
-// This is the stage-4 replacement for the retired lock-send linear walk:
-// the branch-aware bodyWalker supplies the held-lock state (so an early
-// unlock in one branch no longer masks the lock held on the fallthrough
-// path), and the concurrency call graph supplies module-wide blocking
-// summaries (so a send two packages away through helpers is still seen).
+// This replaced the retired lock-send linear walk: the branch-aware
+// bodyWalker supplies the held-lock state (so an early unlock in one branch
+// no longer masks the lock held on the fallthrough path), and each callee's
+// summary supplies its blocking description (so a send two packages away
+// through helpers is still seen).
 // Function literals stay separate units — their bodies run later, off the
 // locked path — and operations in select communication clauses are the
 // select's own business, not independent blocking sites.
@@ -30,8 +30,8 @@ import (
 // closure must not perform hard-blocking operations at all (unbuffered or
 // unknown channel ops, default-less selects, sleeps, waits, socket I/O) —
 // the hot path's latency budget is the batch window, not a kernel queue.
-func BlockLock() *ModuleAnalyzer {
-	return &ModuleAnalyzer{
+func BlockLock() *Analyzer {
+	return &Analyzer{
 		Name: "block-lock",
 		Doc:  "no blocking op (Send, channel op, sleep, wait, socket I/O) while a mutex is held or on a hot path",
 		Run:  runBlockLock,
@@ -39,15 +39,14 @@ func BlockLock() *ModuleAnalyzer {
 }
 
 func runBlockLock(m *Module) []Diagnostic {
-	conc := m.concurrency()
 	hot := hotFuncs(m)
 	var out []Diagnostic
 	for _, mf := range m.byName {
 		if inLockScope(mf.pkg.Path) {
-			out = append(out, blockLockFunc(m, conc, mf)...)
+			out = append(out, blockLockFunc(m, mf)...)
 		}
 		if why, isHot := hot[mf]; isHot && inModuleScope(mf.pkg.Path) {
-			out = append(out, blockHotFunc(conc, mf, why)...)
+			out = append(out, blockHotFunc(m, mf, why)...)
 		}
 	}
 	return out
@@ -56,7 +55,7 @@ func runBlockLock(m *Module) []Diagnostic {
 // blockLockFunc reports blocking operations under locks acquired within mf
 // itself (empty entry state: helpers entered locked are the caller's
 // report, at the call site, via the callee's blocking summary).
-func blockLockFunc(m *Module, conc *concGraph, mf *modFunc) []Diagnostic {
+func blockLockFunc(m *Module, mf *modFunc) []Diagnostic {
 	p := mf.pkg
 	comm := selectCommRanges(mf.decl.Body)
 	var out []Diagnostic
@@ -103,8 +102,8 @@ func blockLockFunc(m *Module, conc *concGraph, mf *modFunc) []Diagnostic {
 				report(call, desc, st)
 				return
 			}
-			if s := conc.sums[callee]; s.blockDesc != "" {
-				report(call, "call to "+callee.obj.Name()+" (which performs "+s.blockDesc+")", st)
+			if callee.blockDesc != "" {
+				report(call, "call to "+callee.obj.Name()+" (which performs "+callee.blockDesc+")", st)
 			}
 		},
 	}
@@ -132,7 +131,7 @@ func heldName(st *lockState) string {
 // (they only block when full — the batch path relies on them), as do
 // method calls merely named Send: the hot path's job is handing frames to
 // the transport, which prices that call itself.
-func blockHotFunc(conc *concGraph, mf *modFunc, why string) []Diagnostic {
+func blockHotFunc(m *Module, mf *modFunc, why string) []Diagnostic {
 	p := mf.pkg
 	comm := selectCommRanges(mf.decl.Body)
 	var out []Diagnostic
@@ -149,12 +148,12 @@ func blockHotFunc(conc *concGraph, mf *modFunc, why string) []Diagnostic {
 		case *ast.FuncLit:
 			return false // separate unit, off the hot path
 		case *ast.SendStmt:
-			if !comm.contains(n.Pos()) && !provablyBuffered(conc, chanClassOf(p, mf, n.Chan)) {
+			if !comm.contains(n.Pos()) && !provablyBuffered(m, chanClassOf(p, mf, n.Chan)) {
 				report(n, "channel send")
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && !comm.contains(n.Pos()) &&
-				!provablyBuffered(conc, chanClassOf(p, mf, n.X)) {
+				!provablyBuffered(m, chanClassOf(p, mf, n.X)) {
 				report(n, "channel receive")
 			}
 		case *ast.SelectStmt:
@@ -173,11 +172,11 @@ func blockHotFunc(conc *concGraph, mf *modFunc, why string) []Diagnostic {
 
 // provablyBuffered reports whether every known make site for class is
 // buffered; unknown channels count as unbuffered (they might be).
-func provablyBuffered(conc *concGraph, class string) bool {
+func provablyBuffered(m *Module, class string) bool {
 	if class == "" {
 		return false
 	}
-	ci := conc.chans[class]
+	ci := m.chans[class]
 	return ci != nil && ci.buffered && !ci.unbuffered
 }
 

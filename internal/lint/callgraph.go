@@ -11,14 +11,14 @@ import (
 	"strings"
 )
 
-// The stage-4 concurrency call graph (DESIGN.md §6). It lifts the PR 8
-// CFG/def-use machinery interprocedurally the way PR 5 lifted lock deltas:
-// every declared function gets a summary of its channel operations and its
-// most blocking behaviour, with $param:i placeholders substituted at call
-// sites, and the whole module gets a per-channel-class index of make/send/
-// recv/close sites with the lock context each site runs under. The three
-// stage-4 analyzers (chan-proto, block-lock, shutdown-prop) are views over
-// this one structure, so it is built once per Module and cached.
+// The channel half of the concurrency call graph (DESIGN.md §6). Each
+// function's summary (modFunc, module.go) carries its channel operations,
+// its first blocking behaviour and whether it constructs a channel, with
+// $param:i placeholders substituted at call sites; this file names channel
+// classes and, once the summaries have converged, builds the module's
+// per-class index of make/send/recv/close sites with the lock context each
+// site runs under, plus the spawn and stop indexes. chan-proto, block-lock
+// and shutdown-prop are views over these indexes.
 
 // chanOpKind classifies one channel operation in a summary.
 type chanOpKind int
@@ -51,22 +51,6 @@ type chanFact struct {
 
 func chanFactKey(kind chanOpKind, class string) string {
 	return kind.String() + "|" + class
-}
-
-// concSummary is the per-function half of the call graph.
-type concSummary struct {
-	// ops is the set of channel operations reachable from this function's
-	// straight-line body (closures excluded — they run later, off the
-	// caller's path), keyed by kind|class. Bounded by classes × kinds, so
-	// the propagation fixpoint terminates.
-	ops map[string]chanFact
-	// blockDesc is a human description of the first blocking behaviour the
-	// body can reach ("a channel send", "time.Sleep", "net.Conn.Read
-	// (blocking I/O)", ...), or "" when nothing blocking was found.
-	blockDesc string
-	// retMake classifies single-result channel constructors: 0 means not
-	// one, chanUnbuffered/chanBuffered mean `return make(chan T[, n])`.
-	retMake int8
 }
 
 const (
@@ -108,67 +92,20 @@ type spawnSite struct {
 	g  *ast.GoStmt
 }
 
-// concGraph is the module-level aggregate.
-type concGraph struct {
-	sums   map[*modFunc]*concSummary
-	chans  map[string]*chanInfo
-	spawns []spawnSite
-	// stoppedFields records field/package-var classes on which some module
-	// function calls close/Close/Stop/Shutdown — evidence that a resource a
-	// loop blocks on is stoppable (the lowercase-close complement of
-	// Module.releasedFields).
-	stoppedFields map[string]bool
-}
-
-// concurrency builds (once) and returns the stage-4 call graph.
-func (m *Module) concurrency() *concGraph {
-	if m.conc != nil {
-		return m.conc
-	}
-	c := &concGraph{
-		sums:          make(map[*modFunc]*concSummary),
-		chans:         make(map[string]*chanInfo),
-		stoppedFields: make(map[string]bool),
-	}
-	for _, mf := range m.byName {
-		c.sums[mf] = &concSummary{ops: make(map[string]chanFact)}
-	}
-	c.retMakeFixpoint(m)
-	c.collectMakes(m)
-	c.opsFixpoint(m)
-	c.collectSites(m)
-	c.indexStops(m)
-	m.conc = c
-	return c
-}
-
-// ConcStage drops the cached call graph and reruns the three stage-4
-// analyzers over it from scratch. This is the benchmark surface behind
-// cscwbench's lint_stage4_ms row and BenchmarkConcStage: the module's older
-// summaries (locks, entry contexts) are reused, so what is measured is the
-// marginal cost stage 4 added to the suite.
-func (m *Module) ConcStage() []Diagnostic {
-	m.conc = nil
-	var out []Diagnostic
-	for _, a := range []*ModuleAnalyzer{BlockLock(), ChanProto(), ShutdownProp()} {
-		out = append(out, a.Run(m)...)
-	}
-	return out
-}
-
-func (c *concGraph) info(class string) *chanInfo {
-	ci := c.chans[class]
+// channel returns class's index entry, creating it on first use.
+func (m *Module) channel(class string) *chanInfo {
+	ci := m.chans[class]
 	if ci == nil {
 		ci = &chanInfo{}
-		c.chans[class] = ci
+		m.chans[class] = ci
 	}
 	return ci
 }
 
 // sortedChanClasses returns the class keys in deterministic order.
-func (c *concGraph) sortedChanClasses() []string {
-	out := make([]string, 0, len(c.chans))
-	for k := range c.chans {
+func (m *Module) sortedChanClasses() []string {
+	out := make([]string, 0, len(m.chans))
+	for k := range m.chans {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -261,71 +198,30 @@ func chanMakeKind(p *Package, e ast.Expr) int8 {
 	return chanBuffered
 }
 
-// --- pass 1: constructor returns -----------------------------------------
-
-// retMakeFixpoint classifies functions whose single result is a freshly
-// made channel, including through one or more layers of wrapping
-// constructors (newOut() → make(chan int); newRelay() → &relay{out: newOut()}).
-func (c *concGraph) retMakeFixpoint(m *Module) {
-	for round := 0; round < 4; round++ {
-		changed := false
-		for _, mf := range m.byName {
-			s := c.sums[mf]
-			if s.retMake != 0 {
-				continue
-			}
-			res := mf.decl.Type.Results
-			if res == nil || len(res.List) != 1 || len(res.List[0].Names) > 1 {
-				continue
-			}
-			ast.Inspect(mf.decl.Body, func(n ast.Node) bool {
-				if s.retMake != 0 {
-					return false
-				}
-				if _, isLit := n.(*ast.FuncLit); isLit {
-					return false
-				}
-				ret, ok := n.(*ast.ReturnStmt)
-				if !ok || len(ret.Results) != 1 {
-					return true
-				}
-				if k := c.exprMakeKind(m, mf, ret.Results[0]); k != 0 {
-					s.retMake = k
-					changed = true
-				}
-				return true
-			})
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
 // exprMakeKind classifies an expression as a channel construction: a direct
-// make, or a call to a module function already known to return one.
-func (c *concGraph) exprMakeKind(m *Module, mf *modFunc, e ast.Expr) int8 {
+// make, or a call to a module function known to return one.
+func (m *Module) exprMakeKind(mf *modFunc, e ast.Expr) int8 {
 	if k := chanMakeKind(mf.pkg, e); k != 0 {
 		return k
 	}
 	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
 		if callee := m.calleeOf(mf.pkg, call); callee != nil {
-			return c.sums[callee].retMake
+			return callee.retMake
 		}
 	}
 	return 0
 }
 
-// --- pass 2: make sites --------------------------------------------------
+// --- channel indexes -----------------------------------------------------
 
 // collectMakes binds channel constructions to classes: assignments, var
 // specs, composite-literal fields, and package-level var declarations.
-func (c *concGraph) collectMakes(m *Module) {
+func (m *Module) collectMakes() {
 	record := func(class string, kind int8) {
 		if class == "" || isParamClass(class) || kind == 0 {
 			return
 		}
-		ci := c.info(class)
+		ci := m.channel(class)
 		if kind == chanUnbuffered {
 			ci.unbuffered = true
 		} else {
@@ -341,14 +237,14 @@ func (c *concGraph) collectMakes(m *Module) {
 					return true
 				}
 				for i, rhs := range n.Rhs {
-					record(chanClassOf(p, mf, n.Lhs[i]), c.exprMakeKind(m, mf, rhs))
+					record(chanClassOf(p, mf, n.Lhs[i]), m.exprMakeKind(mf, rhs))
 				}
 			case *ast.ValueSpec:
 				if len(n.Names) != len(n.Values) {
 					return true
 				}
 				for i, v := range n.Values {
-					record(chanClassOf(p, mf, n.Names[i]), c.exprMakeKind(m, mf, v))
+					record(chanClassOf(p, mf, n.Names[i]), m.exprMakeKind(mf, v))
 				}
 			case *ast.CompositeLit:
 				for _, el := range n.Elts {
@@ -356,7 +252,7 @@ func (c *concGraph) collectMakes(m *Module) {
 					if !ok {
 						continue
 					}
-					if k := c.exprMakeKind(m, mf, kv.Value); k != 0 {
+					if k := m.exprMakeKind(mf, kv.Value); k != 0 {
 						record(compositeFieldClass(p, n, kv.Key), k)
 					}
 				}
@@ -387,100 +283,11 @@ func (c *concGraph) collectMakes(m *Module) {
 	}
 }
 
-// --- pass 3: operation + blocking summaries ------------------------------
-
-// opsFixpoint propagates channel facts and blocking descriptions up the
-// call graph. ops only grow and blockDesc is set at most once per round, so
-// with facts bounded by classes × kinds the loop converges; the round cap
-// bounds pathological recursion.
-func (c *concGraph) opsFixpoint(m *Module) {
-	for round := 0; round < 12; round++ {
-		changed := false
-		for _, mf := range m.byName {
-			if c.summarizeOps(m, mf) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
-func (c *concGraph) summarizeOps(m *Module, mf *modFunc) bool {
-	s := c.sums[mf]
-	opsBefore, blockBefore := len(s.ops), s.blockDesc
-	p := mf.pkg
-	comm := selectCommRanges(mf.decl.Body)
-	addOp := func(kind chanOpKind, class, via string) {
-		if class == "" {
-			return
-		}
-		key := chanFactKey(kind, class)
-		if _, ok := s.ops[key]; !ok {
-			s.ops[key] = chanFact{kind: kind, class: class, via: via}
-		}
-	}
-	setBlock := func(desc string) {
-		if s.blockDesc == "" && desc != "" {
-			s.blockDesc = desc
-		}
-	}
-	w := &bodyWalker{m: m, p: p, f: mf}
-	w.ev.onNode = func(n ast.Node, st *lockState) {
-		switch n := n.(type) {
-		case *ast.SendStmt:
-			addOp(chSend, chanClassOf(p, mf, n.Chan), "")
-			if !comm.contains(n.Pos()) {
-				setBlock("a channel send")
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				addOp(chRecv, chanClassOf(p, mf, n.X), "")
-				if !comm.contains(n.Pos()) {
-					setBlock("a channel receive")
-				}
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(n) {
-				setBlock("a select with no default")
-			}
-		case *ast.CallExpr:
-			if cls, isClose := closeArgClass(p, mf, n); isClose {
-				addOp(chClose, cls, "")
-				return
-			}
-			if desc, _ := blockingCallDesc(p, n); desc != "" {
-				setBlock(desc)
-			}
-		}
-	}
-	w.ev.onCall = func(call *ast.CallExpr, callee *modFunc, st *lockState) {
-		cs := c.sums[callee]
-		for _, f := range cs.ops {
-			via := callee.obj.Name()
-			if f.via != "" {
-				via += " → " + f.via
-			}
-			addOp(f.kind, substituteChanClass(p, mf, f.class, call), via)
-		}
-		if desc, _ := blockingCallDesc(p, call); desc != "" {
-			setBlock(desc)
-		} else {
-			setBlock(cs.blockDesc)
-		}
-	}
-	w.walkBody(mf.decl.Body, &lockState{})
-	return len(s.ops) != opsBefore || s.blockDesc != blockBefore
-}
-
-// --- pass 4: concrete sites, spawns --------------------------------------
-
 // collectSites walks every function (with its converged entry lock context)
 // and records each channel operation site under its class, plus every `go`
 // statement. Callee facts are expanded at the call site so a send hidden
 // two helpers deep still registers against the caller's lock context.
-func (c *concGraph) collectSites(m *Module) {
+func (m *Module) collectSites() {
 	for _, mf := range m.byName {
 		mf := mf
 		p := mf.pkg
@@ -497,7 +304,7 @@ func (c *concGraph) collectSites(m *Module) {
 				substituted: substituted,
 				nonblocking: comm.contains(n.Pos()),
 			}
-			ci := c.info(class)
+			ci := m.channel(class)
 			switch kind {
 			case chSend:
 				ci.sends = append(ci.sends, site)
@@ -521,17 +328,13 @@ func (c *concGraph) collectSites(m *Module) {
 						add(chClose, cls, n, st, "", false)
 					}
 				case *ast.GoStmt:
-					c.spawns = append(c.spawns, spawnSite{mf: mf, g: n})
+					m.spawns = append(m.spawns, spawnSite{mf: mf, g: n})
 				}
 			},
 			onCall: func(call *ast.CallExpr, callee *modFunc, st *lockState) {
-				for _, f := range c.sums[callee].ops {
-					via := callee.obj.Name()
-					if f.via != "" {
-						via += " → " + f.via
-					}
+				for _, f := range callee.ops {
 					add(f.kind, substituteChanClass(p, mf, f.class, call), call, st,
-						via, isParamClass(f.class))
+						viaCall(callee, f.via), isParamClass(f.class))
 				}
 			},
 		}
@@ -551,8 +354,10 @@ func heldClasses(st *lockState) []string {
 
 // indexStops records field and package-var classes with a close/Close/Stop/
 // Shutdown call anywhere in the module (case-insensitive first letter: the
-// transport's inbox queue is stopped by an unexported close method).
-func (c *concGraph) indexStops(m *Module) {
+// transport's inbox queue is stopped by an unexported close method) for
+// shutdown-prop, and the struct fields with a Close/Stop/Shutdown call for
+// life-leak.
+func (m *Module) indexStops() {
 	for _, mf := range m.byName {
 		p := mf.pkg
 		ast.Inspect(mf.decl.Body, func(n ast.Node) bool {
@@ -571,13 +376,18 @@ func (c *concGraph) indexStops(m *Module) {
 			}
 			switch x := ast.Unparen(sel.X).(type) {
 			case *ast.SelectorExpr:
-				if cls := fieldClass(p, x); cls != "" {
-					c.stoppedFields[cls] = true
+				cls := fieldClass(p, x)
+				if cls == "" {
+					break
+				}
+				m.stoppedFields[cls] = true
+				if sel.Sel.Name != "close" {
+					m.releasedFields[cls] = true
 				}
 			case *ast.Ident:
 				if v, ok := p.Info.Uses[x].(*types.Var); ok && v.Pkg() != nil &&
 					v.Parent() == v.Pkg().Scope() {
-					c.stoppedFields[v.Pkg().Path()+"."+v.Name()] = true
+					m.stoppedFields[v.Pkg().Path()+"."+v.Name()] = true
 				}
 			}
 			return true

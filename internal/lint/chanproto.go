@@ -8,11 +8,12 @@ import (
 	"strings"
 )
 
-// ChanProto checks channel lifecycle protocol over the stage-4 concurrency
-// call graph. Go's channel rules are directional: only the sending side
-// may close (a send on a closed channel panics, a second close panics),
-// and an unbuffered channel is a rendezvous — if every receiver needs a
-// lock the sender is holding, the handoff can never complete. Four checks:
+// ChanProto checks channel lifecycle protocol over the module's channel
+// indexes and call summaries. Go's channel rules are directional: only the
+// sending side may close (a send on a closed channel panics, a second close
+// panics), and an unbuffered channel is a rendezvous — if every receiver
+// needs a lock the sender is holding, the handoff can never complete. Four
+// checks:
 //
 //   - close by a non-sender: a module-internal channel class closed by a
 //     function that never sends on it, while other functions do send.
@@ -36,8 +37,8 @@ import (
 // two different endpoints' done channels in sequence is not a double
 // close. Unanchorable expressions get unique keys: false negatives over
 // false positives, as everywhere in this suite.
-func ChanProto() *ModuleAnalyzer {
-	return &ModuleAnalyzer{
+func ChanProto() *Analyzer {
+	return &Analyzer{
 		Name: "chan-proto",
 		Doc:  "channel lifecycle: sender-side close, no double close, no send after close, no locked unbuffered handoff",
 		Run:  runChanProto,
@@ -45,13 +46,12 @@ func ChanProto() *ModuleAnalyzer {
 }
 
 func runChanProto(m *Module) []Diagnostic {
-	conc := m.concurrency()
 	var out []Diagnostic
-	out = append(out, chanOwnership(conc)...)
-	out = append(out, chanLockedHandoff(conc)...)
+	out = append(out, chanOwnership(m)...)
+	out = append(out, chanLockedHandoff(m)...)
 	for _, mf := range m.byName {
 		if inModuleScope(mf.pkg.Path) {
-			out = append(out, chanCFGFunc(m, conc, mf)...)
+			out = append(out, chanCFGFunc(m, mf)...)
 			out = append(out, chanCallbackClose(mf)...)
 		}
 	}
@@ -151,13 +151,13 @@ func isSyncOnce(t types.Type) bool {
 // functions that never (even transitively) send on them, when someone else
 // does. The via chain names the helper that performed the close when the
 // close arrived through substitution.
-func chanOwnership(conc *concGraph) []Diagnostic {
+func chanOwnership(m *Module) []Diagnostic {
 	var out []Diagnostic
-	for _, class := range conc.sortedChanClasses() {
+	for _, class := range m.sortedChanClasses() {
 		if !strings.HasPrefix(class, modulePrefix+"/") && !strings.HasPrefix(class, modulePrefix+".") {
 			continue
 		}
-		ci := conc.chans[class]
+		ci := m.chans[class]
 		if len(ci.closes) == 0 || len(ci.sends) == 0 {
 			continue
 		}
@@ -194,10 +194,10 @@ func chanOwnership(conc *concGraph) []Diagnostic {
 
 // chanLockedHandoff flags unbuffered sends made while holding a lock that
 // every known receiver of the channel also holds on entry to its receive.
-func chanLockedHandoff(conc *concGraph) []Diagnostic {
+func chanLockedHandoff(m *Module) []Diagnostic {
 	var out []Diagnostic
-	for _, class := range conc.sortedChanClasses() {
-		ci := conc.chans[class]
+	for _, class := range m.sortedChanClasses() {
+		ci := m.chans[class]
 		if !ci.unbuffered || ci.buffered || len(ci.recvs) == 0 {
 			continue
 		}
@@ -241,7 +241,7 @@ func chanLockedHandoff(conc *concGraph) []Diagnostic {
 
 // chanCFGFunc runs the per-function CFG checks (double close, send after
 // close) over the declared body and each function literal as its own unit.
-func chanCFGFunc(m *Module, conc *concGraph, mf *modFunc) []Diagnostic {
+func chanCFGFunc(m *Module, mf *modFunc) []Diagnostic {
 	units := []*ast.BlockStmt{mf.decl.Body}
 	ast.Inspect(mf.decl.Body, func(n ast.Node) bool {
 		if fl, ok := n.(*ast.FuncLit); ok {
@@ -251,7 +251,7 @@ func chanCFGFunc(m *Module, conc *concGraph, mf *modFunc) []Diagnostic {
 	})
 	var out []Diagnostic
 	for _, u := range units {
-		out = append(out, chanCFGUnit(m, conc, mf, u)...)
+		out = append(out, chanCFGUnit(m, mf, u)...)
 	}
 	return out
 }
@@ -265,7 +265,7 @@ type chanEvent struct {
 	node ast.Node
 }
 
-func chanCFGUnit(m *Module, conc *concGraph, mf *modFunc, body *ast.BlockStmt) []Diagnostic {
+func chanCFGUnit(m *Module, mf *modFunc, body *ast.BlockStmt) []Diagnostic {
 	p := mf.pkg
 	g := m.cfgOf(body)
 	events := make(map[*cfgBlock][]chanEvent)
@@ -296,7 +296,7 @@ func chanCFGUnit(m *Module, conc *concGraph, mf *modFunc, body *ast.BlockStmt) [
 			return nil
 		}
 		var evs []chanEvent
-		for _, f := range sortedOps(conc.sums[callee]) {
+		for _, f := range sortedOps(callee) {
 			if f.kind == chRecv || (closesOnly && f.kind != chClose) {
 				continue
 			}
@@ -311,11 +311,7 @@ func chanCFGUnit(m *Module, conc *concGraph, mf *modFunc, body *ast.BlockStmt) [
 			if anchor == nil {
 				continue
 			}
-			via := callee.obj.Name()
-			if f.via != "" {
-				via += " → " + f.via
-			}
-			if ev, ok := mkEvent(f.kind, cls, anchor, call, via); ok {
+			if ev, ok := mkEvent(f.kind, cls, anchor, call, viaCall(callee, f.via)); ok {
 				evs = append(evs, ev)
 			}
 		}
@@ -458,28 +454,16 @@ func chanCFGUnit(m *Module, conc *concGraph, mf *modFunc, body *ast.BlockStmt) [
 	return out
 }
 
-// sortedOps returns a summary's facts in deterministic key order.
-func sortedOps(s *concSummary) []chanFact {
-	keys := make([]string, 0, len(s.ops))
-	for k := range s.ops {
+// sortedOps returns a function's channel facts in deterministic key order.
+func sortedOps(mf *modFunc) []chanFact {
+	keys := make([]string, 0, len(mf.ops))
+	for k := range mf.ops {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	out := make([]chanFact, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, s.ops[k])
+		out = append(out, mf.ops[k])
 	}
 	return out
-}
-
-func sameKeys(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }

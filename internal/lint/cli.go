@@ -141,9 +141,6 @@ func CLIMain(tool string, args []string, stdout, stderr io.Writer) int {
 		for _, a := range Analyzers() {
 			fmt.Fprintf(stdout, "%-38s %s\n", a.Name, a.Doc)
 		}
-		for _, a := range ModuleAnalyzers() {
-			fmt.Fprintf(stdout, "%-38s %s\n", a.Name, a.Doc)
-		}
 		return 0
 	}
 	switch *format {

@@ -140,11 +140,8 @@ func ruleDocs() map[string]string {
 	}
 	for _, a := range Analyzers() {
 		for _, r := range strings.Split(a.Name, ",") {
-			docs[strings.TrimSpace(r)] = a.Doc
+			docs[r] = a.Doc
 		}
-	}
-	for _, a := range ModuleAnalyzers() {
-		docs[a.Name] = a.Doc
 	}
 	return docs
 }

@@ -30,8 +30,8 @@ import (
 // module analyzers use, so an unexported helper only ever called under the
 // lock counts as locked, while closures and exported entry points start
 // lock-free.
-func GuardInfer() *ModuleAnalyzer {
-	return &ModuleAnalyzer{
+func GuardInfer() *Analyzer {
+	return &Analyzer{
 		Name: "guard-infer",
 		Doc:  "fields written under a struct's own mutex must not be accessed without it",
 		Run:  runGuardInfer,

@@ -26,8 +26,8 @@ import (
 // the lock summaries use); an interface call is a hot-path boundary, and a
 // closure body is its own unit — the closure's *creation* is what the hot
 // function pays for, and that is what gets flagged.
-func HotAlloc() *ModuleAnalyzer {
-	return &ModuleAnalyzer{
+func HotAlloc() *Analyzer {
+	return &Analyzer{
 		Name: "hot-alloc",
 		Doc:  "//cscw:hotpath functions and their static callees must not box, close over, build maps, grow bare appends, or call fmt outside error paths",
 		Run:  runHotAlloc,

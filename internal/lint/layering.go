@@ -52,7 +52,7 @@ func Layering() *Analyzer {
 	return &Analyzer{
 		Name: "layer-net,layer-transport,layer-netsim",
 		Doc:  "imports respect the fabric seam: substrates stay behind fabric.Endpoint",
-		Run: func(p *Package) []Diagnostic {
+		Run: eachPackage(func(p *Package) []Diagnostic {
 			if !strings.HasPrefix(p.Path, modulePrefix+"/") && p.Path != modulePrefix {
 				return nil
 			}
@@ -88,7 +88,7 @@ func Layering() *Analyzer {
 				}
 			}
 			return out
-		},
+		}),
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 // on one path but leaked on an early return is missed (false-negative
 // bias, like block-lock). time.AfterFunc is exempt — a one-shot timer that
 // discharges itself by firing.
-func LifeLeak() *ModuleAnalyzer {
-	return &ModuleAnalyzer{
+func LifeLeak() *Analyzer {
+	return &Analyzer{
 		Name: "life-leak",
 		Doc:  "every goroutine and tracked resource (listener, conn, ticker, timer, endpoint) must reach a join/Close/Stop",
 		Run:  runLifeLeak,
@@ -385,7 +385,7 @@ func discharge(m *Module, mf *modFunc, obj types.Object, creation *ast.CallExpr)
 					class := fieldClass(p, lhs)
 					if class == "" {
 						ok = true // untrackable, prefer the false negative
-					} else if _, released := m.releasedFields[class]; released {
+					} else if m.releasedFields[class] {
 						ok = true
 					} else {
 						badStore = "it is stored in " + classShort(class) +
@@ -415,7 +415,7 @@ func discharge(m *Module, mf *modFunc, obj types.Object, creation *ast.CallExpr)
 				class := compositeFieldClass(p, n, key)
 				if class == "" {
 					ok = true
-				} else if _, released := m.releasedFields[class]; released {
+				} else if m.releasedFields[class] {
 					ok = true
 				} else {
 					badStore = "it is stored in " + classShort(class) +

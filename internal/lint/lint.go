@@ -36,6 +36,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -63,11 +64,12 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Analyzer is one named rule family.
+// Analyzer is one named rule family. Name may list several rules,
+// comma-separated, when one pass reports them all.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(p *Package) []Diagnostic
+	Run  func(m *Module) []Diagnostic
 }
 
 // Analyzers returns the full suite, in reporting order.
@@ -78,6 +80,26 @@ func Analyzers() []*Analyzer {
 		DetMapOrder(),
 		Layering(),
 		ErrDrop(),
+		LockOrder(),
+		LifeLeak(),
+		GuardInfer(),
+		HotAlloc(),
+		WireCompat(),
+		AtomicMix(),
+		BlockLock(),
+		ChanProto(),
+		ShutdownProp(),
+	}
+}
+
+// eachPackage runs a syntactic rule over one package at a time.
+func eachPackage(run func(p *Package) []Diagnostic) func(*Module) []Diagnostic {
+	return func(m *Module) []Diagnostic {
+		var out []Diagnostic
+		for _, p := range m.Pkgs {
+			out = append(out, run(p)...)
+		}
+		return out
 	}
 }
 
@@ -86,46 +108,31 @@ func Rules() map[string]bool {
 	m := make(map[string]bool)
 	for _, a := range Analyzers() {
 		for _, r := range strings.Split(a.Name, ",") {
-			m[strings.TrimSpace(r)] = true
+			m[r] = true
 		}
-	}
-	for _, a := range ModuleAnalyzers() {
-		m[a.Name] = true
 	}
 	return m
 }
 
-// Check runs every analyzer over the packages and returns the surviving
-// (non-suppressed) diagnostics sorted by position, plus any malformed
-// suppression directives as lint-directive diagnostics. The per-package
-// analyzers see one package at a time; the interprocedural suite runs once
-// over the whole set through the Module view.
+// Check runs every analyzer over the packages, through one Module view,
+// and returns the surviving (non-suppressed) diagnostics sorted by
+// position, plus any malformed suppression directives as lint-directive
+// diagnostics.
 func Check(pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
 	rules := Rules()
-	allIgnores := make(ignoreSet)
+	ignores := make(ignoreSet)
 	for _, p := range pkgs {
-		ignores, bad := collectIgnores(p, rules)
+		set, bad := collectIgnores(p, rules)
 		out = append(out, bad...)
-		for k := range ignores {
-			allIgnores[k] = true
-		}
-		for _, a := range Analyzers() {
-			for _, d := range a.Run(p) {
-				if ignores.covers(d) {
-					continue
-				}
+		maps.Copy(ignores, set)
+	}
+	m := NewModule(pkgs)
+	for _, a := range Analyzers() {
+		for _, d := range a.Run(m) {
+			if !ignores.covers(d) {
 				out = append(out, d)
 			}
-		}
-	}
-	mod := NewModule(pkgs)
-	for _, a := range ModuleAnalyzers() {
-		for _, d := range a.Run(mod) {
-			if allIgnores.covers(d) {
-				continue
-			}
-			out = append(out, d)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

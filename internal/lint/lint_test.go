@@ -6,21 +6,19 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/fixtures.golden from this run")
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
 
 // Fixture packages under testdata/src, each loaded under an assumed import
 // path so the path-scoped rules see what they would in the real tree. Every
 // analyzer has both failing fixtures (annotated with // want) and passing
 // ones (idioms the rules must accept).
-var fixtures = []struct {
-	dir  string
-	path string
-}{
+var fixtures = []fixture{
 	{"det", "repro/internal/fixture/det"},
 	{"locks", "repro/internal/fixture/locks"},
 	{"errs", "repro/internal/fixture/errs"},
@@ -41,24 +39,32 @@ var fixtures = []struct {
 	{"chansubst", "repro/internal/fixture/chansubst"},
 }
 
+// recursionFixture holds summary-only cases: summaries.golden renders it,
+// TestFixtures does not run it.
+var recursionFixture = fixture{"recursion", "repro/internal/fixture/recursion"}
+
+type fixture struct {
+	dir  string
+	path string
+}
+
 // fixtureBase is the one loader whose FileSet, build context and stdlib
 // source importer every fixture shares, so the standard library is
 // type-checked once per test binary instead of once per fixture.
 var (
 	fixtureBase *Loader
+	fixturePkgs = make(map[string]*Package)
 	fixtureMemo = make(map[string][]Diagnostic)
 )
 
-// fixtureDiags loads one fixture and runs the full suite over it, memoized
-// so TestFixtures and TestFixturesGolden pay for each fixture once. Each
-// fixture gets its own `loaded` map: packages memoize by import path, and a
-// fixture loaded under a real package's path (lifeleak assumes the
-// transport's) must not collide with the real package pulled in by another
-// fixture's imports.
-func fixtureDiags(t *testing.T, dir, path string) []Diagnostic {
+// fixturePkg loads one fixture, memoized. Each fixture gets its own
+// `loaded` map: packages memoize by import path, and a fixture loaded under
+// a real package's path (lifeleak assumes the transport's) must not collide
+// with the real package pulled in by another fixture's imports.
+func fixturePkg(t *testing.T, fx fixture) *Package {
 	t.Helper()
-	if diags, ok := fixtureMemo[dir]; ok {
-		return diags
+	if p, ok := fixturePkgs[fx.dir]; ok {
+		return p
 	}
 	if fixtureBase == nil {
 		l, err := NewLoader(".")
@@ -75,19 +81,29 @@ func fixtureDiags(t *testing.T, dir, path string) []Diagnostic {
 		std:        fixtureBase.std,
 		loaded:     make(map[string]*Package),
 	}
-	p, err := l.LoadDir(dir, path)
+	p, err := l.LoadDir(filepath.Join("testdata", "src", fx.dir), fx.path)
 	if err != nil {
-		t.Fatalf("load %s as %s: %v", dir, path, err)
+		t.Fatalf("load %s as %s: %v", fx.dir, fx.path, err)
 	}
-	fixtureMemo[dir] = Check([]*Package{p})
-	return fixtureMemo[dir]
+	fixturePkgs[fx.dir] = p
+	return p
+}
+
+// fixtureDiags runs the full suite over one fixture, memoized so
+// TestFixtures and TestFixturesGolden pay for each fixture once.
+func fixtureDiags(t *testing.T, fx fixture) []Diagnostic {
+	t.Helper()
+	if diags, ok := fixtureMemo[fx.dir]; ok {
+		return diags
+	}
+	fixtureMemo[fx.dir] = Check([]*Package{fixturePkg(t, fx)})
+	return fixtureMemo[fx.dir]
 }
 
 func TestFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.dir, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", fx.dir)
-			checkWants(t, dir, fixtureDiags(t, dir, fx.path))
+			checkWants(t, filepath.Join("testdata", "src", fx.dir), fixtureDiags(t, fx))
 		})
 	}
 }
@@ -100,15 +116,72 @@ func TestFixtures(t *testing.T) {
 func TestFixturesGolden(t *testing.T) {
 	var got strings.Builder
 	for _, fx := range fixtures {
-		dir := filepath.Join("testdata", "src", fx.dir)
-		for _, d := range fixtureDiags(t, dir, fx.path) {
+		for _, d := range fixtureDiags(t, fx) {
 			d.Pos.Filename = filepath.ToSlash(d.Pos.Filename)
 			got.WriteString(d.String() + "\n")
 		}
 	}
-	golden := filepath.Join("testdata", "fixtures.golden")
+	checkGolden(t, "fixtures.golden", got.String())
+}
+
+// TestSummariesGolden pins the call-graph summary of every fixture
+// function: the lock facts (delta, leaves, acquires and pairs with their
+// via chains, entry context) and the channel facts (ops with via,
+// blockDesc, retMake). A fixpoint that stops early or diverges moves a
+// line here before it moves a diagnostic. `make lint-golden` rewrites it.
+func TestSummariesGolden(t *testing.T) {
+	var lines []string
+	for _, fx := range append(fixtures[:len(fixtures):len(fixtures)], recursionFixture) {
+		m := NewModule([]*Package{fixturePkg(t, fx)})
+		for _, mf := range m.byName {
+			lines = append(lines, renderSummary(mf))
+		}
+	}
+	sort.Strings(lines)
+	checkGolden(t, "summaries.golden", strings.Join(lines, "\n")+"\n")
+}
+
+// renderSummary prints one function's summary on one line, facts sorted.
+func renderSummary(mf *modFunc) string {
+	pos := mf.pkg.position(mf.decl)
+	var leaves, entry, acquires, pairs, ops []string
+	for _, c := range mf.leaves {
+		leaves = append(leaves, classShort(c))
+	}
+	for c := range mf.entry {
+		entry = append(entry, classShort(c))
+	}
+	for c, via := range mf.acquires {
+		acquires = append(acquires, classShort(c)+viaSuffix(via))
+	}
+	for _, pf := range mf.pairs {
+		pairs = append(pairs, classShort(pf.from)+"→"+classShort(pf.to)+viaSuffix(pf.via))
+	}
+	for _, f := range mf.ops {
+		ops = append(ops, f.kind.String()+" "+classShort(f.class)+viaSuffix(f.via))
+	}
+	for _, s := range [][]string{entry, acquires, pairs, ops} {
+		sort.Strings(s)
+	}
+	return fmt.Sprintf("%s:%d %s delta=%d leaves=%v entry=%v acquires=%v pairs=%v ops=%v block=%q ret=%d",
+		filepath.ToSlash(pos.Filename), pos.Line, mf.obj.Name(), mf.delta, leaves, entry,
+		acquires, pairs, ops, mf.blockDesc, mf.retMake)
+}
+
+func viaSuffix(via string) string {
+	if via == "" {
+		return ""
+	}
+	return " (via " + via + ")"
+}
+
+// checkGolden compares got with testdata/<name>, or rewrites it under
+// -update, reporting the differing lines.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -117,14 +190,14 @@ func TestFixturesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() == string(want) {
+	if got == string(want) {
 		return
 	}
 	inWant, inGot := make(map[string]bool), make(map[string]bool)
 	for _, l := range strings.Split(string(want), "\n") {
 		inWant[l] = true
 	}
-	for _, l := range strings.Split(got.String(), "\n") {
+	for _, l := range strings.Split(got, "\n") {
 		inGot[l] = true
 		if !inWant[l] {
 			t.Errorf("not in golden: %s", l)
@@ -135,7 +208,7 @@ func TestFixturesGolden(t *testing.T) {
 			t.Errorf("missing from run: %s", l)
 		}
 	}
-	t.Errorf("fixture diagnostics differ from %s; if the change is intended: make lint-golden", golden)
+	t.Errorf("%s differs from this run; if the change is intended: make lint-golden", golden)
 }
 
 // TestRepoIsClean is the gate the Makefile relies on: the repository itself

@@ -23,8 +23,8 @@ import (
 // Callee propagation only considers locks a callee acquires *before* it
 // releases any caller-held lock (the runCallbacks pattern — enter locked,
 // release, re-acquire in a loop — must not read as a self-cycle).
-func LockOrder() *ModuleAnalyzer {
-	return &ModuleAnalyzer{
+func LockOrder() *Analyzer {
+	return &Analyzer{
 		Name: "lock-order",
 		Doc:  "no cycles in the module-wide lock-acquisition graph (potential deadlock)",
 		Run:  runLockOrder,
@@ -75,10 +75,7 @@ func runLockOrder(m *Module) []Diagnostic {
 					if rc == "" {
 						continue
 					}
-					chain := callee.obj.Name()
-					if via != "" {
-						chain += " → " + via
-					}
+					chain := viaCall(callee, via)
 					for _, h := range st.held {
 						addEdge(lockEdge{from: h.class, to: rc, pos: mf.pkg.position(call), fn: fname, via: chain, inScope: scoped})
 					}

@@ -4,18 +4,25 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// This file is the shared infrastructure for the interprocedural analyzers.
-// The Module view indexes every function declaration across all loaded
-// packages, names locks by their *class* (the struct field or package
-// variable, not the instance), and evaluates a held-lock state over each
-// body's CFG (cfg.go), so early returns, breaks, defer-unlocks and TryLock
-// branches do not poison the fallthrough path. Control flow is cfg.go's
-// business; what this file knows is what one shallow node does to the
-// state.
+// This file is the shared infrastructure for the analyzers. The Module view
+// indexes every function declaration across all loaded packages, names
+// locks by their *class* (the struct field or package variable, not the
+// instance), and evaluates a held-lock state over each body's CFG (cfg.go),
+// so early returns, breaks, defer-unlocks and TryLock branches do not
+// poison the fallthrough path. Control flow is cfg.go's business; what this
+// file knows is what one shallow node does to the state.
+//
+// Every declared function gets one summary (modFunc): its lock facts
+// (delta, leaves, acquires, pairs) and its channel facts (ops, blockDesc,
+// retMake) come from one walk of its body per round, and one fixpoint
+// driver (fixpoint) runs that step upward and the entry-context step
+// downward until nothing changes. callgraph.go names channels and builds
+// the module's channel indexes from the converged summaries.
 //
 // Lock classes are canonical strings:
 //
@@ -31,25 +38,28 @@ import (
 // reported, because nested same-class acquisition is a real self-deadlock
 // with Go's non-reentrant sync.Mutex unless instances are globally ordered.
 
-// Module is the whole-module view handed to ModuleAnalyzers.
+// Module is the whole-module view handed to every Analyzer.
 type Module struct {
 	Pkgs []*Package
 
 	funcs  map[types.Object]*modFunc
 	byName []*modFunc // deterministic iteration order
 
-	// releasedFields records struct fields on which some function in the
-	// module calls Close/Stop/Shutdown: "pkgpath.Type.field" -> witness.
-	// life-leak uses it as the per-type must-release summary.
-	releasedFields map[string]token.Position
+	// releasedFields records struct fields ("pkgpath.Type.field") on which
+	// some function in the module calls Close/Stop/Shutdown. life-leak uses
+	// it as the per-type must-release summary.
+	releasedFields map[string]bool
 
 	// cfgs memoizes one CFG per function or closure body (cfgOf).
 	cfgs map[*ast.BlockStmt]*cfg
 
-	// conc is the lazily built concurrency call graph (channel summaries,
-	// blocking descriptions, spawn sites) shared by the stage-4 analyzers.
-	// Analyzers run sequentially, so no locking around the build.
-	conc *concGraph
+	// The channel indexes (callgraph.go), built from the summaries: every
+	// make/send/recv/close site per channel class, every go statement, and
+	// the field and package-var classes some function close/Close/Stop/
+	// Shutdowns — evidence that a resource a loop blocks on is stoppable.
+	chans         map[string]*chanInfo
+	spawns        []spawnSite
+	stoppedFields map[string]bool
 }
 
 // modFunc is one declared function with its interprocedural summaries.
@@ -58,8 +68,9 @@ type modFunc struct {
 	decl *ast.FuncDecl
 	pkg  *Package
 
-	// Fixpoint summaries (closure bodies excluded: they run later, off the
-	// caller's lock path; each closure is its own unit in reporting passes).
+	// The summary, computed by summarize (closure bodies excluded: they run
+	// later, off the caller's lock path; each closure is its own unit in
+	// reporting passes).
 	delta    int               // net lock delta (negative: releases caller's locks)
 	leaves   []string          // classes left held on return when delta > 0
 	acquires map[string]string // lock class -> via-description (transitive)
@@ -68,25 +79,41 @@ type modFunc struct {
 	// mechanism that concretizes lock order through helpers taking mutexes
 	// by pointer (lockBoth(&a.mu, &b.mu) reversed elsewhere is a cycle).
 	pairs map[string]pairFact
+	// ops is the set of channel operations reachable from the body, keyed
+	// by kind|class (chanFactKey); class may be a $param:i placeholder.
+	ops map[string]chanFact
+	// blockDesc describes the first blocking behaviour the body can reach
+	// ("a channel send", "time.Sleep", "net.Conn.Read (blocking I/O)", ...),
+	// or "" when nothing blocking was found.
+	blockDesc string
+	// retMake classifies single-result channel constructors: 0 means not
+	// one, chanUnbuffered/chanBuffered mean `return make(chan T[, n])`,
+	// directly or through another constructor.
+	retMake int8
+
+	// cycle numbers the call cycle the function sits on (0: none); a call
+	// into the caller's own cycle does not apply the callee's lock effect.
+	cycle int
 
 	// Entry context: lock classes held at every static call site
-	// (intersection). entryTop marks "no call site seen yet".
-	entry    map[string]bool
-	entryTop bool
+	// (intersection).
+	entry map[string]bool
 
 	// addrTaken: the function is used as a value (callback, handler), so it
 	// can run from anywhere; its entry context is forced empty.
 	addrTaken bool
 }
 
-// NewModule indexes the packages and computes every summary the module
-// analyzers share.
+// NewModule indexes the packages, computes every function's summary and
+// entry context, and builds the channel indexes the analyzers share.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
 		Pkgs:           pkgs,
 		funcs:          make(map[types.Object]*modFunc),
-		releasedFields: make(map[string]token.Position),
+		releasedFields: make(map[string]bool),
 		cfgs:           make(map[*ast.BlockStmt]*cfg),
+		chans:          make(map[string]*chanInfo),
+		stoppedFields:  make(map[string]bool),
 	}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
@@ -99,7 +126,7 @@ func NewModule(pkgs []*Package) *Module {
 				if obj == nil {
 					continue
 				}
-				mf := &modFunc{obj: obj, decl: fd, pkg: p, acquires: make(map[string]string), entryTop: true}
+				mf := &modFunc{obj: obj, decl: fd, pkg: p, ops: make(map[string]chanFact)}
 				m.funcs[obj] = mf
 				m.byName = append(m.byName, mf)
 			}
@@ -113,13 +140,16 @@ func NewModule(pkgs []*Package) *Module {
 		return pi.Line < pj.Line
 	})
 	m.markAddrTaken()
-	m.summarize()
+	m.markCycles()
+	m.fixpoint(m.summarize, nil)
 	m.entryFixpoint()
-	m.indexReleases()
+	m.indexStops()
+	m.collectMakes()
+	m.collectSites()
 	return m
 }
 
-// inModuleScope limits module-analyzer reporting to the packages whose
+// inModuleScope limits interprocedural reporting to the packages whose
 // concurrency discipline the repo owns: everything under internal/ plus the
 // command mains. Unlike block-lock's mutex half, internal/transport is in
 // scope — its
@@ -128,28 +158,6 @@ func NewModule(pkgs []*Package) *Module {
 func inModuleScope(path string) bool {
 	return strings.HasPrefix(path, modulePrefix+"/internal/") ||
 		strings.HasPrefix(path, modulePrefix+"/cmd/")
-}
-
-// ModuleAnalyzer is a rule family that needs the whole-module view.
-type ModuleAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(m *Module) []Diagnostic
-}
-
-// ModuleAnalyzers returns the interprocedural suite, in reporting order.
-func ModuleAnalyzers() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{
-		LockOrder(),
-		LifeLeak(),
-		GuardInfer(),
-		HotAlloc(),
-		WireCompat(),
-		AtomicMix(),
-		BlockLock(),
-		ChanProto(),
-		ShutdownProp(),
-	}
 }
 
 // --- lock classes --------------------------------------------------------
@@ -319,16 +327,23 @@ type heldLock struct {
 }
 
 // lockState is the abstract state at one program point: the stack of held
-// lock classes plus a borrow counter (unlocks of locks the caller holds, as
-// in runCallbacks-style helpers that are entered locked and return
-// unlocked).
+// lock classes, a borrow counter (unlocks of locks the caller holds, as in
+// runCallbacks-style helpers that are entered locked and return unlocked),
+// and the releases deferred so far on this path. A deferred unlock keeps
+// its lock held until the body exits, and only on the paths that passed
+// the defer.
 type lockState struct {
 	held     []heldLock
 	borrowed int
+	deferred []string
 }
 
 func (st *lockState) clone() *lockState {
-	return &lockState{held: append([]heldLock(nil), st.held...), borrowed: st.borrowed}
+	return &lockState{
+		held:     append([]heldLock(nil), st.held...),
+		borrowed: st.borrowed,
+		deferred: append([]string(nil), st.deferred...),
+	}
 }
 
 func (st *lockState) holds(class string) bool {
@@ -356,10 +371,26 @@ func (st *lockState) release(class string) {
 
 func (st *lockState) delta() int { return len(st.held) - st.borrowed }
 
+// exit returns the state a caller sees when the body leaves from here: the
+// deferred releases applied.
+func (st *lockState) exit() *lockState {
+	if len(st.deferred) == 0 {
+		return st
+	}
+	out := st.clone()
+	for _, class := range st.deferred {
+		out.release(class)
+	}
+	out.deferred = nil
+	return out
+}
+
 // merge folds one more incoming path into a join. acc is nil before the
 // first path. The held set is the intersection (a lock is held after the
 // join only if every live path holds it), in acc's order and with acc's
 // positions — diagnostics name the innermost — and borrowed is the max.
+// A deferred release survives the join only if every path deferred it,
+// like the lock it releases.
 func merge(acc, st *lockState) *lockState {
 	if acc == nil {
 		return st.clone()
@@ -368,6 +399,11 @@ func merge(acc, st *lockState) *lockState {
 	for _, h := range acc.held {
 		if st.holds(h.class) {
 			out.held = append(out.held, h)
+		}
+	}
+	for _, class := range acc.deferred {
+		if slices.Contains(st.deferred, class) {
+			out.deferred = append(out.deferred, class)
 		}
 	}
 	return out
@@ -393,21 +429,16 @@ type walkEvents struct {
 type bodyWalker struct {
 	m  *Module
 	p  *Package
-	f  *modFunc // enclosing declared function (for param classes); may be nil
+	f  *modFunc // enclosing declared function (for param and cycle facts)
 	ev walkEvents
-
-	// deferred releases seen so far, applied to the exit state (a deferred
-	// unlock keeps its lock held until the end of the body, which is what
-	// the mid-body state should say).
-	deferredReleases []string
 }
 
 // walkBody evaluates the body's CFG and returns the exit state: every
-// return path merged with the fall-off-the-end path, deferred releases
-// applied. Blocks run once each, in source order — summaries are
-// first-witness-wins, so the order events fire in ends up in message text —
-// and a block starts from the merge of its already evaluated predecessors,
-// in link order. Loop back-edges therefore carry nothing: loop bodies are
+// return path and the fall-off-the-end path, each with its own deferred
+// releases applied, merged. Blocks run once each, in source order —
+// summaries are first-witness-wins, so the order events fire in ends up in
+// message text — and a block starts from the merge of its already
+// evaluated predecessors, in link order. Loop back-edges therefore carry nothing: loop bodies are
 // assumed lock-balanced (an unbalanced body is its own finding). Iterating
 // to a fixpoint instead would not converge on a helper that is entered
 // locked and loops around Unlock … Lock: every trip bumps borrowed, and
@@ -464,15 +495,12 @@ func (w *bodyWalker) walkBody(body *ast.BlockStmt, entry *lockState) *lockState 
 			w.ev.onNode(sel, st)
 		}
 		if bl.ret != nil || bl == g.end {
-			exit = merge(exit, st)
+			exit = merge(exit, st.exit())
 		}
 	}
 	if exit == nil {
 		// No path returns: the body has no effect a caller could observe.
 		return &lockState{}
-	}
-	for _, class := range w.deferredReleases {
-		exit.release(class)
 	}
 	return exit
 }
@@ -502,6 +530,9 @@ func (w *bodyWalker) node(n ast.Node, st *lockState) {
 	case *ast.ReturnStmt:
 		for _, e := range n.Results {
 			w.expr(e, st)
+		}
+		if w.ev.onNode != nil {
+			w.ev.onNode(n, st)
 		}
 	case *ast.DeferStmt:
 		w.deferStmt(n, st)
@@ -533,14 +564,15 @@ func tryLockCond(cond ast.Expr) *ast.CallExpr {
 // locks, so it is walked inline (its net releases become deferred).
 func (w *bodyWalker) deferStmt(s *ast.DeferStmt, st *lockState) {
 	if kind, _, class := mutexClassOf(w.p, w.f, s.Call); kind == -1 {
-		w.deferredReleases = append(w.deferredReleases, class)
+		st.deferred = append(st.deferred, class)
 		return
 	}
 	if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		sub := &bodyWalker{m: w.m, p: w.p, f: w.f, ev: w.ev}
-		exit := sub.walkBody(fl.Body, st.clone())
+		entry := st.clone()
+		entry.deferred = nil
+		exit := w.walkBody(fl.Body, entry)
 		for i := exit.delta(); i < 0; i++ {
-			w.deferredReleases = append(w.deferredReleases, "")
+			st.deferred = append(st.deferred, "")
 		}
 		return
 	}
@@ -643,6 +675,9 @@ func (w *bodyWalker) call(call *ast.CallExpr, st *lockState) {
 	if w.ev.onCall != nil {
 		w.ev.onCall(call, callee, st)
 	}
+	if callee.cycle != 0 && callee.cycle == w.f.cycle {
+		return // recursion: lock-neutral, like a loop back-edge
+	}
 	// Apply the callee's net effect, substituting parameter-passed classes.
 	if callee.delta < 0 {
 		for i := 0; i < -callee.delta; i++ {
@@ -737,6 +772,80 @@ func (m *Module) markAddrTaken() {
 	}
 }
 
+// markCycles numbers the call cycles: the strongly connected components
+// (Tarjan) of the calls the summary walk makes that hold more than one
+// function or a direct self-call.
+func (m *Module) markCycles() {
+	calls := make(map[*modFunc][]*modFunc)
+	for _, mf := range m.byName {
+		onCall := func(_ *ast.CallExpr, callee *modFunc, _ *lockState) {
+			calls[mf] = append(calls[mf], callee)
+		}
+		w := &bodyWalker{m: m, p: mf.pkg, f: mf, ev: walkEvents{onCall: onCall}}
+		w.walkBody(mf.decl.Body, &lockState{})
+	}
+	index, low := make(map[*modFunc]int), make(map[*modFunc]int)
+	var stack []*modFunc
+	var connect func(f *modFunc)
+	connect = func(f *modFunc) {
+		index[f] = len(index) + 1
+		low[f] = index[f]
+		stack = append(stack, f)
+		for _, g := range calls[f] {
+			if index[g] == 0 {
+				connect(g)
+				low[f] = min(low[f], low[g])
+			} else if slices.Contains(stack, g) {
+				low[f] = min(low[f], index[g])
+			}
+		}
+		if low[f] != index[f] {
+			return
+		}
+		i := slices.Index(stack, f)
+		if comp := stack[i:]; len(comp) > 1 || slices.Contains(calls[f], f) {
+			for _, g := range comp {
+				g.cycle = index[f]
+			}
+		}
+		stack = stack[:i]
+	}
+	for _, mf := range m.byName {
+		if index[mf] == 0 {
+			connect(mf)
+		}
+	}
+}
+
+// fixpoint is the one driver behind the call-graph summaries. A round runs
+// step on every declared function in byName order — a step sees what the
+// steps before it in the same round produced — then settle, when given;
+// rounds repeat until one changes nothing. Nothing caps the rounds: every
+// fact is bounded by construction, so the iteration stops by itself.
+//
+//   - Upward (summarize). delta and leaves depend only on the function's own
+//     lock operations and on callees outside its call cycle (a call into
+//     the cycle is lock-neutral, as a loop back-edge is), so they are fixed
+//     once the rounds have climbed the acyclic call graph; from then on
+//     every lock state is fixed and acquires and pairs only grow. ops only
+//     grow, and blockDesc and retMake are set at most once. Every set is
+//     drawn from the module's finite lock and channel classes.
+//   - Downward (entryFixpoint). Entry contexts start empty and only grow: a
+//     caller walked with more locks held holds more at each call site, and
+//     the intersection over sites is monotone. They are bounded by the lock
+//     classes.
+func (m *Module) fixpoint(step func(*modFunc) bool, settle func() bool) {
+	for changed := true; changed; {
+		changed = false
+		for _, mf := range m.byName {
+			changed = step(mf) || changed
+		}
+		if settle != nil {
+			changed = settle() || changed
+		}
+	}
+}
+
 // pairFact is one witnessed ordered acquisition for the lock graph.
 type pairFact struct {
 	from, to string
@@ -746,133 +855,170 @@ type pairFact struct {
 
 func pairKey(from, to string) string { return from + "|" + to }
 
-// summarize runs the delta/leaves/acquires/pairs fixpoint. All facts grow
-// monotonically from the direct facts, so iteration converges.
-func (m *Module) summarize() {
-	for round := 0; round < 12; round++ {
-		changed := false
-		for _, mf := range m.byName {
-			w := &bodyWalker{m: m, p: mf.pkg, f: mf}
-			acquired := make(map[string]string)
-			pairs := make(map[string]pairFact)
-			addPair := func(pf pairFact) {
-				if pf.from == "" || pf.to == "" {
-					return
-				}
-				if _, ok := pairs[pairKey(pf.from, pf.to)]; !ok {
-					pairs[pairKey(pf.from, pf.to)] = pf
-				}
-			}
-			w.ev.onLock = func(call *ast.CallExpr, class string, read bool, st *lockState) {
-				if class == "" {
-					return
-				}
-				// Both ends of a pair are genuinely held together here, so a
-				// pair is a fact regardless of borrow state.
-				for _, h := range st.held {
-					addPair(pairFact{from: h.class, to: class, pos: mf.pkg.position(call)})
-				}
-				// Only acquisitions made while the caller's locks could still
-				// be held (no borrowed release yet) propagate to callers: a
-				// helper that is entered locked, releases, and re-acquires
-				// (runCallbacks) must not read as acquiring under the caller.
-				if st.borrowed > 0 {
-					return
-				}
-				if _, ok := acquired[class]; !ok {
-					acquired[class] = "" // direct acquisition
-				}
-			}
-			w.ev.onCall = func(call *ast.CallExpr, callee *modFunc, st *lockState) {
-				// A callee's witnessed pairs concretize at this call site:
-				// $param:i ends become the argument's class.
-				for _, pf := range callee.pairs {
-					from, to := w.substitute(pf.from, call), w.substitute(pf.to, call)
-					via := callee.obj.Name()
-					if pf.via != "" {
-						via += " → " + pf.via
-					}
-					addPair(pairFact{from: from, to: to, pos: mf.pkg.position(call), via: via})
-				}
-				// Anything the callee acquires while we hold a lock is a pair.
-				for c, sub := range callee.acquires {
-					rc := w.substitute(c, call)
-					if rc == "" {
-						continue
-					}
-					via := callee.obj.Name()
-					if sub != "" {
-						via = via + " → " + sub
-					}
-					for _, h := range st.held {
-						addPair(pairFact{from: h.class, to: rc, pos: mf.pkg.position(call), via: via})
-					}
-				}
-				if st.borrowed > 0 {
-					return
-				}
-				for c, sub := range callee.acquires {
-					rc := w.substitute(c, call)
-					if rc == "" {
-						continue
-					}
-					if _, ok := acquired[rc]; !ok {
-						via := callee.obj.Name()
-						if sub != "" {
-							via = via + " → " + sub
-						}
-						acquired[rc] = via
-					}
-				}
-			}
-			exit := w.walkBody(mf.decl.Body, &lockState{})
-			d := exit.delta()
-			var leaves []string
-			for _, h := range exit.held {
-				if h.class != "" {
-					leaves = append(leaves, h.class)
-				}
-			}
-			if d != mf.delta || len(leaves) != len(mf.leaves) ||
-				len(acquired) != len(mf.acquires) || len(pairs) != len(mf.pairs) {
-				changed = true
-			}
-			mf.delta, mf.leaves = d, leaves
-			mf.acquires, mf.pairs = acquired, pairs
-		}
-		if !changed {
-			break
-		}
+// viaCall extends a callee fact's call chain with the callee itself.
+func viaCall(callee *modFunc, via string) string {
+	if via == "" {
+		return callee.obj.Name()
 	}
+	return callee.obj.Name() + " → " + via
 }
 
-// entryFixpoint computes the intersection of held locks over every static
-// call site of each function. Exported functions, address-taken functions
-// and closures get the empty context (callable from anywhere); unexported
-// functions converge downward from "unconstrained" to the intersection.
-func (m *Module) entryFixpoint() {
-	for round := 0; round < 8; round++ {
-		changed := false
-		sites := make(map[*modFunc][]map[string]bool)
-		onCall := func(call *ast.CallExpr, callee *modFunc, st *lockState) {
-			ctx := make(map[string]bool)
+// summarize is the upward step: one walk of mf's body over its callees'
+// current summaries recomputes mf's lock facts and extends its channel
+// facts. It reports whether any fact changed; a via is the first witness in
+// walk order and is not itself a fact (through a call cycle it would grow
+// every round).
+func (m *Module) summarize(mf *modFunc) bool {
+	p := mf.pkg
+	comm := selectCommRanges(mf.decl.Body)
+	res := mf.decl.Type.Results
+	constructor := res != nil && len(res.List) == 1 && len(res.List[0].Names) <= 1
+	opsBefore, blockBefore, retBefore := len(mf.ops), mf.blockDesc, mf.retMake
+	acquired := make(map[string]string)
+	pairs := make(map[string]pairFact)
+	addPair := func(pf pairFact) {
+		if pf.from == "" || pf.to == "" {
+			return
+		}
+		if _, ok := pairs[pairKey(pf.from, pf.to)]; !ok {
+			pairs[pairKey(pf.from, pf.to)] = pf
+		}
+	}
+	addOp := func(kind chanOpKind, class, via string) {
+		if class == "" {
+			return
+		}
+		if _, ok := mf.ops[chanFactKey(kind, class)]; !ok {
+			mf.ops[chanFactKey(kind, class)] = chanFact{kind: kind, class: class, via: via}
+		}
+	}
+	setBlock := func(desc string) {
+		if mf.blockDesc == "" {
+			mf.blockDesc = desc
+		}
+	}
+	w := &bodyWalker{m: m, p: p, f: mf}
+	w.ev.onLock = func(call *ast.CallExpr, class string, read bool, st *lockState) {
+		if class == "" {
+			return
+		}
+		// Both ends of a pair are genuinely held together here, so a pair
+		// is a fact regardless of borrow state.
+		for _, h := range st.held {
+			addPair(pairFact{from: h.class, to: class, pos: p.position(call)})
+		}
+		// Only acquisitions made while the caller's locks could still be
+		// held (no borrowed release yet) propagate to callers: a helper
+		// that is entered locked, releases, and re-acquires (runCallbacks)
+		// must not read as acquiring under the caller.
+		if _, ok := acquired[class]; !ok && st.borrowed == 0 {
+			acquired[class] = "" // direct acquisition
+		}
+	}
+	w.ev.onCall = func(call *ast.CallExpr, callee *modFunc, st *lockState) {
+		// Anything the callee acquires while we hold a lock is a pair. This
+		// witness goes before the ones relayed through the callee's own
+		// pairs, so a recursive function's self-pair names the call once.
+		for c, sub := range callee.acquires {
+			rc := w.substitute(c, call)
+			if rc == "" {
+				continue
+			}
 			for _, h := range st.held {
-				if h.class != "" && !isParamClass(h.class) {
-					ctx[h.class] = true
+				addPair(pairFact{from: h.class, to: rc, pos: p.position(call), via: viaCall(callee, sub)})
+			}
+			if _, ok := acquired[rc]; !ok && st.borrowed == 0 {
+				acquired[rc] = viaCall(callee, sub)
+			}
+		}
+		// A callee's witnessed pairs concretize at this call site:
+		// $param:i ends become the argument's class.
+		for _, pf := range callee.pairs {
+			from, to := w.substitute(pf.from, call), w.substitute(pf.to, call)
+			addPair(pairFact{from: from, to: to, pos: p.position(call), via: viaCall(callee, pf.via)})
+		}
+		for _, f := range callee.ops {
+			addOp(f.kind, substituteChanClass(p, mf, f.class, call), viaCall(callee, f.via))
+		}
+		if desc, _ := blockingCallDesc(p, call); desc != "" {
+			setBlock(desc)
+		} else {
+			setBlock(callee.blockDesc)
+		}
+	}
+	w.ev.onNode = func(n ast.Node, st *lockState) {
+		switch n := n.(type) {
+		case *ast.SendStmt:
+			addOp(chSend, chanClassOf(p, mf, n.Chan), "")
+			if !comm.contains(n.Pos()) {
+				setBlock("a channel send")
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				addOp(chRecv, chanClassOf(p, mf, n.X), "")
+				if !comm.contains(n.Pos()) {
+					setBlock("a channel receive")
 				}
 			}
-			sites[callee] = append(sites[callee], ctx)
+		case *ast.SelectStmt:
+			if !selectHasDefault(n) {
+				setBlock("a select with no default")
+			}
+		case *ast.CallExpr:
+			if cls, isClose := closeArgClass(p, mf, n); isClose {
+				addOp(chClose, cls, "")
+			} else if desc, _ := blockingCallDesc(p, n); desc != "" {
+				setBlock(desc)
+			}
+		case *ast.ReturnStmt:
+			if constructor && mf.retMake == 0 && len(n.Results) == 1 {
+				mf.retMake = m.exprMakeKind(mf, n.Results[0])
+			}
 		}
-		for _, mf := range m.byName {
-			m.walkAllUnits(mf, m.entryState(mf), walkEvents{onCall: onCall})
+	}
+	exit := w.walkBody(mf.decl.Body, &lockState{})
+	var leaves []string
+	for _, h := range exit.held {
+		if h.class != "" {
+			leaves = append(leaves, h.class)
 		}
+	}
+	changed := exit.delta() != mf.delta || !slices.Equal(leaves, mf.leaves) ||
+		!sameKeys(acquired, mf.acquires) || !sameKeys(pairs, mf.pairs) ||
+		len(mf.ops) != opsBefore || mf.blockDesc != blockBefore || mf.retMake != retBefore
+	mf.delta, mf.leaves = exit.delta(), leaves
+	mf.acquires, mf.pairs = acquired, pairs
+	return changed
+}
+
+// entryFixpoint is the downward pass: each round walks every function from
+// its current entry context and records the locks held at each static call
+// site; settling narrows each callee's entry to the intersection over its
+// sites. Exported functions, address-taken functions and closures keep the
+// empty context (callable from anywhere).
+func (m *Module) entryFixpoint() {
+	sites := make(map[*modFunc][]map[string]bool)
+	onCall := func(call *ast.CallExpr, callee *modFunc, st *lockState) {
+		ctx := make(map[string]bool)
+		for _, h := range st.held {
+			if h.class != "" && !isParamClass(h.class) {
+				ctx[h.class] = true
+			}
+		}
+		sites[callee] = append(sites[callee], ctx)
+	}
+	walk := func(mf *modFunc) bool {
+		m.walkAllUnits(mf, m.entryState(mf), walkEvents{onCall: onCall})
+		return false
+	}
+	m.fixpoint(walk, func() bool {
+		changed := false
 		for _, mf := range m.byName {
 			next := map[string]bool{}
 			if !mf.addrTaken && !ast.IsExported(mf.obj.Name()) {
-				top := true
-				for _, ctx := range sites[mf] {
-					if top {
-						next, top = ctx, false
+				for i, ctx := range sites[mf] {
+					if i == 0 {
+						next = ctx
 						continue
 					}
 					for c := range next {
@@ -882,15 +1028,12 @@ func (m *Module) entryFixpoint() {
 					}
 				}
 			}
-			if !equalSet(mf.entry, next) || mf.entryTop {
-				changed = true
-			}
-			mf.entry, mf.entryTop = next, false
+			changed = changed || !sameKeys(mf.entry, next)
+			mf.entry = next
 		}
-		if !changed {
-			break
-		}
-	}
+		clear(sites)
+		return changed
+	})
 }
 
 // entryState builds the walker's entry lockState from the (converged or
@@ -908,46 +1051,15 @@ func (m *Module) entryState(mf *modFunc) *lockState {
 	return st
 }
 
-func equalSet(a, b map[string]bool) bool {
+// sameKeys reports whether two maps have the same key set.
+func sameKeys[V any](a, b map[string]V) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for k := range a {
-		if !b[k] {
+		if _, ok := b[k]; !ok {
 			return false
 		}
 	}
 	return true
-}
-
-// indexReleases scans every function for Close/Stop/Shutdown calls on
-// struct-field selectors, building the per-type must-release summary
-// life-leak checks stores against.
-func (m *Module) indexReleases() {
-	for _, mf := range m.byName {
-		p := mf.pkg
-		ast.Inspect(mf.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			switch sel.Sel.Name {
-			case "Close", "Stop", "Shutdown":
-			default:
-				return true
-			}
-			if fieldSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-				if class := fieldClass(p, fieldSel); class != "" {
-					if _, seen := m.releasedFields[class]; !seen {
-						m.releasedFields[class] = p.position(call)
-					}
-				}
-			}
-			return true
-		})
-	}
 }

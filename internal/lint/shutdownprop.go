@@ -26,8 +26,8 @@ import (
 // time.Ticker.C) are assumed stoppable; loops with a condition are assumed
 // bounded. False negatives over false positives, like the rest of the
 // suite.
-func ShutdownProp() *ModuleAnalyzer {
-	return &ModuleAnalyzer{
+func ShutdownProp() *Analyzer {
+	return &Analyzer{
 		Name: "shutdown-prop",
 		Doc:  "every spawned endless loop must have reachable stop evidence (done recv, ctx check, closable I/O)",
 		Run:  runShutdownProp,
@@ -35,20 +35,19 @@ func ShutdownProp() *ModuleAnalyzer {
 }
 
 func runShutdownProp(m *Module) []Diagnostic {
-	conc := m.concurrency()
 	var out []Diagnostic
-	for _, sp := range conc.spawns {
+	for _, sp := range m.spawns {
 		if !inModuleScope(sp.mf.pkg.Path) {
 			continue
 		}
-		if d := checkSpawn(m, conc, sp); d != nil {
+		if d := checkSpawn(m, sp); d != nil {
 			out = append(out, *d)
 		}
 	}
 	return out
 }
 
-func checkSpawn(m *Module, conc *concGraph, sp spawnSite) *Diagnostic {
+func checkSpawn(m *Module, sp spawnSite) *Diagnostic {
 	p := sp.mf.pkg
 	owner := sp.mf
 	var body *ast.BlockStmt
@@ -65,7 +64,7 @@ func checkSpawn(m *Module, conc *concGraph, sp spawnSite) *Diagnostic {
 	if body == nil {
 		return nil // dynamic spawn target: nothing to prove
 	}
-	v := &shutdownScan{m: m, conc: conc, visited: make(map[*modFunc]bool)}
+	v := &shutdownScan{m: m, visited: make(map[*modFunc]bool)}
 	v.scan(p, owner, body, 3)
 	if v.endless && !v.evidence {
 		return &Diagnostic{
@@ -83,7 +82,6 @@ func checkSpawn(m *Module, conc *concGraph, sp spawnSite) *Diagnostic {
 // depth) looking for an endless loop and for stop evidence.
 type shutdownScan struct {
 	m        *Module
-	conc     *concGraph
 	visited  map[*modFunc]bool
 	endless  bool
 	evidence bool
@@ -140,7 +138,7 @@ func (v *shutdownScan) chanStoppable(p *Package, f *modFunc, e ast.Expr) bool {
 	if !strings.HasPrefix(class, modulePrefix+"/") && !strings.HasPrefix(class, modulePrefix+".") {
 		return true // external channel (time.Ticker.C, signal.Notify, ...)
 	}
-	ci := v.conc.chans[class]
+	ci := v.m.chans[class]
 	return ci != nil && (len(ci.closes) > 0 || len(ci.sends) > 0)
 }
 
@@ -178,7 +176,7 @@ func (v *shutdownScan) closableCall(p *Package, f *modFunc, call *ast.CallExpr) 
 			return true
 		}
 		if fieldSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-			if cls := fieldClass(p, fieldSel); cls != "" && v.conc.stoppedFields[cls] {
+			if cls := fieldClass(p, fieldSel); cls != "" && v.m.stoppedFields[cls] {
 				return true
 			}
 		}

@@ -165,3 +165,64 @@ func (f *feed) badPostSend() {
 		i++
 	}
 }
+
+// --- long helper chains ---------------------------------------------------
+
+type ring struct {
+	mu  sync.Mutex
+	out chan int
+}
+
+// badDeepChain sends fourteen helpers down while holding r.mu. The helpers
+// are declared callers-first, so a pass over them in source order learns
+// one level of the chain per round: a summary loop that stops after a fixed
+// number of rounds leaves step1 looking non-blocking and the call unseen.
+func (r *ring) badDeepChain(v int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	step1(r.out, v) // want "block-lock.*call to step1 .which performs a channel send. while blocklock.ring.mu is held"
+}
+
+func step1(c chan int, v int)  { step2(c, v) }
+func step2(c chan int, v int)  { step3(c, v) }
+func step3(c chan int, v int)  { step4(c, v) }
+func step4(c chan int, v int)  { step5(c, v) }
+func step5(c chan int, v int)  { step6(c, v) }
+func step6(c chan int, v int)  { step7(c, v) }
+func step7(c chan int, v int)  { step8(c, v) }
+func step8(c chan int, v int)  { step9(c, v) }
+func step9(c chan int, v int)  { step10(c, v) }
+func step10(c chan int, v int) { step11(c, v) }
+func step11(c chan int, v int) { step12(c, v) }
+func step12(c chan int, v int) { step13(c, v) }
+func step13(c chan int, v int) { step14(c, v) }
+func step14(c chan int, v int) { c <- v }
+
+// --- deferred unlocks on one path -------------------------------------------
+
+type box struct {
+	mu   sync.Mutex
+	aux  sync.Mutex
+	idle bool
+	out  chan int
+}
+
+// tidy returns before it takes aux on one path and defers aux's unlock on
+// the other: neither path releases a lock tidy did not take. A deferred
+// unlock applied after the exit paths merge reads the early return as
+// releasing the caller's lock.
+func (b *box) tidy() {
+	if b.idle {
+		return
+	}
+	b.aux.Lock()
+	defer b.aux.Unlock()
+}
+
+// badTidySend still holds b.mu after tidy returns.
+func (b *box) badTidySend(v int) {
+	b.mu.Lock()
+	b.tidy()
+	b.out <- v // want "block-lock.*channel send while blocklock.box.mu is held"
+	b.mu.Unlock()
+}

@@ -78,3 +78,22 @@ func methodValue(r *relay) func(int) {
 func feedHop(v int) {
 	hop <- v
 }
+
+type deep struct {
+	in chan int
+}
+
+// newDeep fills deep.in through a six-deep constructor chain declared
+// callers-first, so a pass over them in source order classifies one link
+// per round: a loop stopped after a fixed number of rounds leaves mk1
+// unclassified and deep.in neither buffered nor unbuffered.
+func newDeep() *deep {
+	return &deep{in: mk1()}
+}
+
+func mk1() chan int { return mk2() }
+func mk2() chan int { return mk3() }
+func mk3() chan int { return mk4() }
+func mk4() chan int { return mk5() }
+func mk5() chan int { return mk6() }
+func mk6() chan int { return make(chan int) }

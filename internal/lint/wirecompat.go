@@ -27,8 +27,8 @@ import (
 // discarded Append* result (an expression statement returning []byte)
 // means encoded bytes were dropped. The parse half has no such check: a
 // ParseBinary reads through a fabric.Reader, which owns the cursor.
-func WireCompat() *ModuleAnalyzer {
-	return &ModuleAnalyzer{
+func WireCompat() *Analyzer {
+	return &Analyzer{
 		Name: "wire-compat",
 		Doc:  "BinaryAppender/BinaryParser pairs must encode and decode the same fields in the same order, threading dst through",
 		Run:  runWireCompat,
