@@ -203,8 +203,14 @@ func AppendString(dst []byte, s string) []byte {
 // later read returns the zero value, so a ParseBinary is straight-line
 // `m.F = r.X()` in wire order with one check, Done, at the end. Element
 // loops stop at r.Err() != nil. Use it as a local, passed down by pointer.
+//
+// A body is copied once: the first non-empty String converts the rest of
+// the body to one string, and that and every later string field is a
+// substring of it. No decoded field aliases the body slice, which the
+// transport reuses, but any one string field keeps the whole copy alive.
 type Reader struct {
 	data []byte
+	str  string // the body from the first non-empty String on; data is its suffix
 	err  error
 }
 
@@ -261,9 +267,15 @@ func (r *Reader) String() string {
 		r.fail(fmt.Errorf("%w: string declares %d bytes, %d remain", ErrTruncatedFrame, n, len(r.data)))
 		return ""
 	}
-	s := string(r.data[:n])
+	if n == 0 {
+		return ""
+	}
+	if r.str == "" {
+		r.str = string(r.data)
+	}
+	off := len(r.str) - len(r.data)
 	r.data = r.data[n:]
-	return s
+	return r.str[off : off+int(n)]
 }
 
 // Count reads an element count and rejects one the rest of the body could

@@ -35,7 +35,7 @@ var fixtures = []fixture{
 	{"atomicmix", "repro/internal/fixture/atomicmix"},
 	{"blocklock", "repro/internal/fixture/blocklock"},
 	{"chanproto", "repro/internal/fixture/chanproto"},
-	{"shutdownprop", "repro/internal/fixture/shutdownprop"},
+	{"shutdownprop", "repro/internal/transport"}, // buffered.go reads a net.Conn, which layer-net reserves for the transport
 	{"chansubst", "repro/internal/fixture/chansubst"},
 }
 

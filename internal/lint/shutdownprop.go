@@ -18,9 +18,10 @@ import (
 //     no module-wide close or send is deaf: it does not count.
 //   - a context.Context Done/Err check;
 //   - blocking on a stoppable resource — a net connection/listener or
-//     os.File (its Close unblocks the Read/Accept with an error), or a
-//     field the module explicitly close()/Close()/Stop()/Shutdown()s —
-//     together with a loop exit (return/break) to take when it fails.
+//     os.File (its Close unblocks the Read/Accept with an error), a local
+//     bufio.Reader over one, or a field the module explicitly
+//     close()/Close()/Stop()/Shutdown()s — together with a loop exit
+//     (return/break) to take when it fails.
 //
 // Channels the analysis cannot resolve (parameters, externals like
 // time.Ticker.C) are assumed stoppable; loops with a condition are assumed
@@ -169,7 +170,8 @@ func (v *shutdownScan) loopEscape(p *Package, f *modFunc, body *ast.BlockStmt) b
 // closableCall reports whether a call blocks on something whose Close (or
 // unexported close) elsewhere in the module will unblock it: a method on a
 // net conn/listener or os.File, a method on a field the module stops, or a
-// call passing such a value as an argument (readFrame(conn)).
+// call passing such a value — or a local bufio reader over one — as an
+// argument (readFrame(conn), fr.read(br)).
 func (v *shutdownScan) closableCall(p *Package, f *modFunc, call *ast.CallExpr) bool {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if s := p.Info.Selections[sel]; s != nil && isNetOrFileType(s.Recv()) {
@@ -185,8 +187,46 @@ func (v *shutdownScan) closableCall(p *Package, f *modFunc, call *ast.CallExpr) 
 		if t := typeOf(p, a); t != nil && isNetOrFileType(t) {
 			return true
 		}
+		if id, ok := ast.Unparen(a).(*ast.Ident); ok && bufferedCloser(p, f, id) {
+			return true
+		}
 	}
 	return false
+}
+
+// bufferedCloser reports whether id is a local of f assigned from
+// bufio.NewReader(x) or bufio.NewReaderSize(x, n) with x a net conn or
+// *os.File: reading through the buffer blocks on x, so x's Close unblocks
+// it just the same.
+func bufferedCloser(p *Package, f *modFunc, id *ast.Ident) bool {
+	obj := p.Info.Uses[id]
+	if obj == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(f.decl.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return !found
+		}
+		for i, lhs := range as.Lhs {
+			lid, ok := lhs.(*ast.Ident)
+			if !ok || (p.Info.Defs[lid] != obj && p.Info.Uses[lid] != obj) {
+				continue
+			}
+			call, ok := as.Rhs[i].(*ast.CallExpr)
+			if !ok {
+				continue
+			}
+			if name, ok := pkgFuncCall(p, call, "bufio"); ok && (name == "NewReader" || name == "NewReaderSize") {
+				if t := typeOf(p, call.Args[0]); t != nil && isNetOrFileType(t) {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // isCtxCheck matches ctx.Done() / ctx.Err() on a context.Context receiver.

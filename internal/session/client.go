@@ -16,8 +16,13 @@ type Client struct {
 	host string
 	doc  string // document key; "" is the unnamed session
 
+	// mu guards everything below. cbs queues the On* callbacks due while
+	// mu is held; runCallbacks runs them with it released, and cbsSpare
+	// recycles the previous flush's backing array, so a steady push stream
+	// does not allocate a fresh queue per Receive.
 	mu       sync.Mutex
-	cbs      []func()
+	cbs      []cb
+	cbsSpare []cb
 	flushing bool
 
 	joined  bool
@@ -32,6 +37,15 @@ type Client struct {
 	OnPresence func(user string, p Presence)
 	// OnJoined fires when the join acknowledgement (with backlog) arrives.
 	OnJoined func(mode Mode, members []string)
+}
+
+// cb is one queued callback. An item — the push hot path — rides inline
+// (onItem/item) rather than as a closure; mode, presence and joined
+// notifications ride fn.
+type cb struct {
+	fn     func()
+	onItem func(Item)
+	item   Item
 }
 
 // NewClient creates a client on the given endpoint that will talk to the
@@ -65,12 +79,21 @@ func (c *Client) runCallbacks() {
 	c.flushing = true
 	for len(c.cbs) > 0 {
 		batch := c.cbs
-		c.cbs = nil
+		c.cbs = c.cbsSpare[:0]
+		c.cbsSpare = nil
 		c.mu.Unlock()
-		for _, fn := range batch {
-			fn()
+		for i := range batch {
+			if batch[i].onItem != nil {
+				batch[i].onItem(batch[i].item)
+			} else {
+				batch[i].fn()
+			}
 		}
 		c.mu.Lock()
+		if c.cbsSpare == nil {
+			clear(batch) // drop item and closure references before recycling
+			c.cbsSpare = batch[:0]
+		}
 	}
 	c.flushing = false
 	c.mu.Unlock()
@@ -181,14 +204,14 @@ func (c *Client) onMode(m MsgMode) {
 	c.mode = m.Mode
 	if c.OnMode != nil {
 		onMode := c.OnMode
-		c.cbs = append(c.cbs, func() { onMode(m.Mode) })
+		c.cbs = append(c.cbs, cb{fn: func() { onMode(m.Mode) }})
 	}
 }
 
 func (c *Client) onPresenceMsg(m MsgPresence) {
 	if c.OnPresence != nil {
 		onPresence := c.OnPresence
-		c.cbs = append(c.cbs, func() { onPresence(m.From, m.State) })
+		c.cbs = append(c.cbs, cb{fn: func() { onPresence(m.From, m.State) }})
 	}
 }
 
@@ -197,7 +220,7 @@ func (c *Client) onJoinAck(m MsgJoinAck) {
 	c.mode = m.Mode
 	if c.OnJoined != nil {
 		onJoined := c.OnJoined
-		c.cbs = append(c.cbs, func() { onJoined(m.Mode, m.Members) })
+		c.cbs = append(c.cbs, cb{fn: func() { onJoined(m.Mode, m.Members) }})
 	}
 	c.deliver(m.Backlog)
 }
@@ -206,6 +229,9 @@ func (c *Client) onItems(m MsgItems) {
 	c.deliver(m.Items)
 }
 
+// deliver queues the items this client has not seen yet, in order.
+//
+//cscw:hotpath
 func (c *Client) deliver(items []Item) {
 	for _, it := range items {
 		if it.Seq <= c.lastSeq {
@@ -213,9 +239,7 @@ func (c *Client) deliver(items []Item) {
 		}
 		c.lastSeq = it.Seq
 		if c.OnItem != nil {
-			onItem := c.OnItem
-			item := it
-			c.cbs = append(c.cbs, func() { onItem(item) })
+			c.cbs = append(c.cbs, cb{onItem: c.OnItem, item: it})
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,6 +13,11 @@ import (
 // maxFrame bounds a single message to protect against corrupt length
 // prefixes.
 const maxFrame = 16 << 20
+
+// frameBufCap is the largest frame buffer an accepted connection keeps
+// between frames; a larger frame is read into a one-off buffer that is
+// dropped once its handler returns.
+const frameBufCap = 64 << 10
 
 // AddressBook maps peer IDs to dialable TCP addresses. It is safe for
 // concurrent use.
@@ -44,6 +50,11 @@ func (b *AddressBook) Lookup(id string) (string, bool) {
 // outbound connections. Wire format per frame:
 //
 //	uint32 total length (big endian) | uint16 sender-ID length | sender ID | payload
+//
+// Each accepted connection reads through one bufio.Reader into one frame
+// buffer that is reused for every frame (kept up to 64 KiB; a larger frame
+// gets a one-off buffer), so the data a Handler receives is valid only
+// until it returns.
 //
 // Connections are one-way: frames flow from the dialer to the acceptor and
 // nothing comes back. A dialed connection is still read, by a watcher
@@ -128,8 +139,10 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		delete(e.accepted, c)
 		e.mu.Unlock()
 	}()
+	br := bufio.NewReader(c)
+	var fr frameReader
 	for {
-		from, payload, err := readFrame(c)
+		from, payload, err := fr.read(br)
 		if err != nil {
 			return
 		}
@@ -142,16 +155,34 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 	}
 }
 
-func readFrame(r io.Reader) (from string, payload []byte, err error) {
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+// frameReader decodes the frames of one connection. Its buffer and sender
+// id carry over from frame to frame: the payload read returns aliases buf
+// and is overwritten by the next read, and from is re-allocated only when
+// the sender-id bytes change.
+type frameReader struct {
+	head [4]byte
+	buf  []byte
+	from string
+}
+
+func (fr *frameReader) read(r io.Reader) (from string, payload []byte, err error) {
+	if _, err := io.ReadFull(r, fr.head[:]); err != nil {
 		return "", nil, err
 	}
-	total := binary.BigEndian.Uint32(head[:])
+	total := binary.BigEndian.Uint32(fr.head[:])
 	if total > maxFrame || total < 2 {
 		return "", nil, fmt.Errorf("transport: bad frame length %d", total)
 	}
-	buf := make([]byte, total)
+	buf := fr.buf
+	switch {
+	case int(total) <= cap(buf):
+		buf = buf[:total]
+	case total > frameBufCap:
+		buf = make([]byte, total) // one-off: not kept past this frame
+	default:
+		buf = make([]byte, total, min(max(int(total), 2*cap(buf)), frameBufCap))
+		fr.buf = buf
+	}
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", nil, err
 	}
@@ -159,7 +190,10 @@ func readFrame(r io.Reader) (from string, payload []byte, err error) {
 	if int(idLen)+2 > len(buf) {
 		return "", nil, errors.New("transport: bad frame id length")
 	}
-	return string(buf[2 : 2+idLen]), buf[2+idLen:], nil
+	if id := buf[2 : 2+idLen]; string(id) != fr.from {
+		fr.from = string(id)
+	}
+	return fr.from, buf[2+idLen:], nil
 }
 
 func writeFrame(w io.Writer, from string, payload []byte) error {

@@ -18,7 +18,9 @@ var (
 )
 
 // Handler consumes inbound messages. Handlers must not block for long; slow
-// consumers delay only their own queue.
+// consumers delay only their own queue. data is valid only until the
+// handler returns: the TCP endpoint reads every frame of a connection into
+// one reused buffer, so a handler that keeps bytes must copy them.
 type Handler func(from string, data []byte)
 
 // Endpoint is a bidirectional message port identified by a name.
