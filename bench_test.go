@@ -108,10 +108,11 @@ func BenchmarkFabricSendRecv(b *testing.B) {
 			}
 		})
 	})
-	// Over the byte-oriented hub the codec is in the path; json vs binary
-	// isolates the envelope cost (allocs/op is the figure to watch — the
-	// binary frame exists to cut it).
-	hubRun := func(b *testing.B, codec fabric.PayloadCodec) {
+	// Over the byte-oriented hub the codec is in the path (allocs/op is the
+	// figure to watch).
+	b.Run("hub-binary", func(b *testing.B) {
+		codec := session.NewWireCodec()
+		fabric.RegisterBase(codec)
 		hub := transport.NewHub()
 		src := fabric.FromTransport(hub.MustAttach("a"), codec)
 		dst := fabric.FromTransport(hub.MustAttach("b"), codec)
@@ -134,12 +135,5 @@ func BenchmarkFabricSendRecv(b *testing.B) {
 		if d := src.Dropped() + dst.Dropped(); d != 0 {
 			b.Fatalf("%d frames dropped", d)
 		}
-	}
-	newReg := func() *fabric.Codec {
-		reg := session.NewWireCodec()
-		fabric.RegisterBase(reg)
-		return reg
-	}
-	b.Run("hub-json", func(b *testing.B) { hubRun(b, newReg()) })
-	b.Run("hub-binary", func(b *testing.B) { hubRun(b, fabric.NewBinaryCodec(newReg())) })
+	})
 }

@@ -100,11 +100,10 @@ func run(args []string) error {
 	payload := &session.MsgItems{Doc: "doc-7", Items: []session.Item{
 		{Seq: 42, From: "alice", Kind: "edit", Body: "insert the quick brown fox", At: 1234567},
 	}}
-	add("codec_json_roundtrip", bench.CodecRoundTripBench(reg, payload))
-	add("codec_binary_roundtrip", bench.CodecRoundTripBench(fabric.NewBinaryCodec(reg), payload))
+	add("codec_binary_roundtrip", bench.CodecRoundTripBench(reg, payload))
+	add("codec_group_packet_roundtrip", bench.GroupPacketRoundTripBench())
 	if !*quick {
-		add("fabric_hub_send_recv_json", hubSendRecv(reg))
-		add("fabric_hub_send_recv_binary", hubSendRecv(fabric.NewBinaryCodec(reg)))
+		add("fabric_hub_send_recv_binary", hubSendRecv(reg))
 	}
 
 	// Topology-engine scale rows: the send+deliver hot path and the cut-set
@@ -201,10 +200,9 @@ func lintWall() func(b *testing.B) {
 }
 
 // hubSendRecv prices one message through the full byte-transport path: a
-// typed payload enveloped by the codec, carried over the in-memory hub,
-// decoded and delivered on the far side. The codec is the only variable
-// between the json and binary runs.
-func hubSendRecv(codec fabric.PayloadCodec) func(b *testing.B) {
+// typed payload framed by the codec, carried over the in-memory hub,
+// decoded and delivered on the far side.
+func hubSendRecv(codec *fabric.Codec) func(b *testing.B) {
 	return func(b *testing.B) {
 		hub := transport.NewHub()
 		src := fabric.FromTransport(hub.MustAttach("a"), codec)

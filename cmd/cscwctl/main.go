@@ -5,12 +5,14 @@
 //
 // Usage:
 //
-//	cscwctl -user alice [-host 127.0.0.1:7480] [-doc name] [-codec json|binary]
-//	        [-engine ot|crdt]
+//	cscwctl -user alice [-host 127.0.0.1:7480] [-doc name] [-engine ot|crdt]
 //	cscwctl chaos -list
 //	cscwctl chaos -scenario <name> [-seed <n>] [-v]
 //	cscwctl lint [-format=text|json|sarif|github] [-baseline=file]
 //	        [-stale=warn|fail] [dir] [pkgfilter]
+//
+// The wire has one codec; -codec binary, its one accepted value, is still
+// taken for old scripts.
 //
 // The chaos subcommand runs one deterministic fault scenario from
 // internal/chaos and exits non-zero if any invariant is violated; -v prints
@@ -126,13 +128,16 @@ func run(args []string) error {
 	fs.StringVar(&cfg.User, "user", "", "participant name (required)")
 	fs.StringVar(&cfg.Host, "host", "127.0.0.1:7480", "sessiond address")
 	fs.StringVar(&cfg.Doc, "doc", "", "document (session) to join; empty joins the unnamed session")
-	fs.StringVar(&cfg.Codec, "codec", "json", "wire codec: json or binary (both ends must match)")
+	codec := fs.String("codec", "binary", "wire codec: binary, the only one")
 	fs.StringVar(&cfg.Engine, "engine", "", "edit -doc through a convergence engine: ot or crdt (default: plain chat)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if cfg.User == "" {
 		return fmt.Errorf("cscwctl: -user is required")
+	}
+	if *codec != "binary" {
+		return fmt.Errorf("cscwctl: unknown codec %q (binary is the only codec)", *codec)
 	}
 	p, err := daemon.Dial(cfg)
 	if err != nil {

@@ -6,12 +6,13 @@
 // Usage:
 //
 //	sessiond [-listen 127.0.0.1:7480] [-mode sync|async] [-v]
-//	         [-codec json|binary] [-engine ot|crdt] [-shards N -shard K]
+//	         [-engine ot|crdt] [-shards N -shard K]
 //
 // With -engine crdt the daemon relays eng/op items untouched; with -engine ot
 // it is the integration site of every document. In a sharded deployment run
 // one daemon per ordering domain with the same -shards and distinct -shard.
-// SIGINT or SIGTERM closes the listener and exits 0.
+// SIGINT or SIGTERM closes the listener and exits 0. The wire has one codec;
+// -codec binary, its one accepted value, is still taken for old scripts.
 package main
 
 import (
@@ -46,12 +47,15 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs.StringVar(&cfg.Listen, "listen", "127.0.0.1:7480", "listen address")
 	fs.StringVar(&cfg.Mode, "mode", "sync", "session mode: sync or async")
 	verbose := fs.Bool("v", false, "log every frame sent and received")
-	fs.StringVar(&cfg.Codec, "codec", "json", "wire codec: json or binary (both ends must match)")
+	codec := fs.String("codec", "binary", "wire codec: binary, the only one")
 	fs.StringVar(&cfg.Engine, "engine", engine.CRDT, "convergence engine for eng/op items: crdt (pure relay) or ot (daemon integrates)")
 	fs.IntVar(&cfg.Shards, "shards", 1, "ordering domains documents are routed across")
 	fs.IntVar(&cfg.Shard, "shard", 0, "domain this daemon serves (0-based, < shards)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *codec != "binary" {
+		return fmt.Errorf("sessiond: unknown codec %q (binary is the only codec)", *codec)
 	}
 	if *verbose {
 		cfg.Middleware = []fabric.Middleware{fabric.Logging(log.Printf)}
@@ -61,7 +65,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("sessiond: %w", err)
 	}
 	fmt.Fprintf(stdout, "sessiond listening on %s (%s mode, %s codec, %s engine, domain %s of %d)\n",
-		d.Addr(), d.Mode, cfg.Codec, cfg.Engine, route.DomainName(cfg.Shard), cfg.Shards)
+		d.Addr(), d.Mode, *codec, cfg.Engine, route.DomainName(cfg.Shard), cfg.Shards)
 	d.Serve(ctx)
 	return d.Close()
 }

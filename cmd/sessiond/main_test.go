@@ -23,7 +23,7 @@ func TestMain(m *testing.M) {
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-mode asnyc", `sessiond: unknown mode "asnyc" (sync or async)`},
-		{"-codec xml", `sessiond: unknown codec "xml" (json or binary)`},
+		{"-codec json", `sessiond: unknown codec "json" (binary is the only codec)`},
 		{"-engine paxos", `sessiond: unknown engine "paxos" (ot or crdt)`},
 		{"-shards 2 -shard 2", `sessiond: -shard 2 outside [0,2)`},
 		{"-shard -1", `sessiond: -shard -1 outside [0,1)`},
@@ -47,7 +47,7 @@ func TestRunServesUntilCancelled(t *testing.T) {
 	defer cancel()
 	banner, out := io.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, []string{"-listen", "127.0.0.1:0", "-codec", "binary"}, out) }()
+	go func() { done <- run(ctx, []string{"-listen", "127.0.0.1:0"}, out) }()
 
 	line, err := bufio.NewReader(banner).ReadString('\n')
 	if err != nil {
@@ -58,7 +58,7 @@ func TestRunServesUntilCancelled(t *testing.T) {
 	if !ok || !strings.HasSuffix(line, want) {
 		t.Fatalf("banner %q", line)
 	}
-	p, err := daemon.Dial(daemon.Config{User: "alice", Host: addr, Codec: "binary"})
+	p, err := daemon.Dial(daemon.Config{User: "alice", Host: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRunServesUntilCancelled(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("run did not return after cancel")
 	}
-	late, err := daemon.Dial(daemon.Config{User: "bob", Host: addr, Codec: "binary"})
+	late, err := daemon.Dial(daemon.Config{User: "bob", Host: addr})
 	if err != nil {
 		t.Fatal(err)
 	}

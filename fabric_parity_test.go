@@ -3,7 +3,7 @@ package repro
 // Cross-substrate parity: the same cooperative scenario — a totally
 // observable group multicast plus a session edit exchange — is run once
 // over the simulator (fabric.FromSim) and once over the in-memory byte
-// transport (fabric.FromTransport + JSON codec). The fabric seam promises
+// transport (fabric.FromTransport + the wire codec). The fabric seam promises
 // the layers above cannot tell the difference: delivery orders and final
 // document state must match exactly.
 
@@ -165,7 +165,7 @@ func TestFabricSubstrateParity(t *testing.T) {
 		},
 	}
 
-	// Substrate 2: in-memory byte transport with the shared JSON codec.
+	// Substrate 2: in-memory byte transport with the shared wire codec.
 	hub := transport.NewHub()
 	codec := fabric.NewCodec()
 	group.RegisterWire(codec)

@@ -47,16 +47,16 @@ func BenchmarkOTRoundTrip(b *testing.B) {
 // BenchmarkSessionPost prices one synchronous session post and push.
 func BenchmarkSessionPost(b *testing.B) { SessionPostBench(1)(b) }
 
-// BenchmarkCodecRoundTrip compares the JSON envelope and binary frame on a
-// representative session push.
+// BenchmarkCodecRoundTrip prices the wire codec on a representative session
+// push and on a group data packet.
 func BenchmarkCodecRoundTrip(b *testing.B) {
 	reg := session.NewWireCodec()
 	fabric.RegisterBase(reg)
 	payload := &session.MsgItems{Doc: "doc-7", Items: []session.Item{
 		{Seq: 42, From: "alice", Kind: "edit", Body: "insert the quick brown fox", At: 1234567},
 	}}
-	b.Run("json", CodecRoundTripBench(reg, payload))
-	b.Run("binary", CodecRoundTripBench(fabric.NewBinaryCodec(reg), payload))
+	b.Run("binary", CodecRoundTripBench(reg, payload))
+	b.Run("group-packet", GroupPacketRoundTripBench())
 }
 
 // TestMulticastLatenciesDeterministic: the virtual-time profile is a pure

@@ -207,8 +207,7 @@ func SessionPostBench(seed int64) func(b *testing.B) {
 }
 
 // CodecRoundTripBench returns a benchmark of one encode+decode through a
-// fabric payload codec (the JSON envelope or the binary frame), isolating
-// wire-format cost from transport cost.
+// fabric payload codec, isolating wire-format cost from transport cost.
 func CodecRoundTripBench(codec fabric.PayloadCodec, payload any) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -224,3 +223,35 @@ func CodecRoundTripBench(codec fabric.PayloadCodec, payload any) func(b *testing
 		}
 	}
 }
+
+// GroupPacketRoundTripBench is CodecRoundTripBench on what a TotalSequencer
+// member hands its endpoint for one Multicast: the data packet group_seq_1x4
+// puts on the wire, caught at the endpoint because the type is group's own.
+func GroupPacketRoundTripBench() func(b *testing.B) {
+	return func(b *testing.B) {
+		ep := &catchEndpoint{id: "m1"}
+		m, err := group.NewMember(group.Config{Endpoint: ep, Ordering: group.TotalSequencer, Deliver: func(group.Delivery) {}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.InstallView(group.NewView(1, []string{"m0", "m1"}))
+		if err := m.Multicast("m1:42:insert the quick brown fox", 16); err != nil {
+			b.Fatal(err)
+		}
+		codec := fabric.NewCodec()
+		group.RegisterWire(codec)
+		b.ResetTimer()
+		CodecRoundTripBench(codec, ep.sent)(b)
+	}
+}
+
+// catchEndpoint keeps the last payload sent through it.
+type catchEndpoint struct {
+	id   string
+	sent any
+}
+
+func (e *catchEndpoint) ID() string                              { return e.id }
+func (e *catchEndpoint) Send(_ string, payload any, _ int) error { e.sent = payload; return nil }
+func (e *catchEndpoint) SetHandler(fabric.Handler)               {}
+func (e *catchEndpoint) Close() error                            { return nil }

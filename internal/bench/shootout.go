@@ -247,7 +247,7 @@ func ShootoutPipeline(kind string, sites int) (func(i int) error, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec := fabric.NewBinaryCodec(engine.NewWireCodec())
+	codec := engine.NewWireCodec()
 	type env struct {
 		from, to string
 		data     []byte

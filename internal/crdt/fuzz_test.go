@@ -3,8 +3,6 @@ package crdt
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/fabric"
 )
 
 // byteScript doles out fuzz bytes as small typed values; exhausted input
@@ -48,7 +46,7 @@ func FuzzOpWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 'a', 3, 0, 0, 0, 7, 'x', 'y', 255, 128, 9})
 	f.Add([]byte{4, 1, 'b', 0, 0, 0, 1, 'e', 'l', 'e', 'm', 2, 9, 'a', 8, 'b'})
-	codec := fabric.NewBinaryCodec(NewWireCodec())
+	codec := NewWireCodec()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &byteScript{data: data}
 		msg := &MsgOp{

@@ -1,15 +1,15 @@
 // Package daemon is the one place the live deployment is assembled: New
 // builds what cmd/sessiond runs, Dial what cmd/cscwctl runs, and both
-// commands are flag parsing over them. Placement, codec and engine arrive as
-// Config policy; the seam fields let a harness interpose on the shipped wiring
+// commands are flag parsing over them. Placement and engine arrive as Config
+// policy; the seam fields let a harness interpose on the shipped wiring
 // instead of copying it. Pump is how an engine rides the session log.
 //
-// Protocol: length-prefixed frames (internal/transport) carrying either JSON
-// envelopes or binary frames (Config.Codec, internal/fabric) with the session
-// wire tags. TCP connections are one-way, so a participant listens too: the
-// first frame of Participant.Join is a fabric.Hello carrying its dialable
-// address, and a Tap middleware on the daemon feeds those into the address
-// book so the host can push back.
+// Protocol: length-prefixed frames (internal/transport) carrying the binary
+// frames of the one wire codec (internal/fabric) with the session wire tags.
+// TCP connections are one-way, so a participant listens too: the first frame
+// of Participant.Join is a fabric.Hello carrying its dialable address, and a
+// Tap middleware on the daemon feeds those into the address book so the host
+// can push back.
 package daemon
 
 import (
@@ -42,7 +42,6 @@ type Config struct {
 	Host string // cscwctl -host
 	Doc  string // cscwctl -doc
 
-	Codec  string // -codec: "json" or "binary", the same at both ends
 	Engine string // -engine: "ot" or "crdt"; for cscwctl also "", plain chat
 
 	// Seams, nil in both commands. A Wrap returns what the wiring uses in
@@ -61,13 +60,6 @@ func (cfg Config) edge(id, listen string, book *transport.AddressBook) (fabric.E
 	reg := session.NewWireCodec()
 	fabric.RegisterBase(reg)
 	var codec fabric.PayloadCodec = reg
-	switch cfg.Codec {
-	case "json":
-	case "binary":
-		codec = fabric.NewBinaryCodec(reg)
-	default:
-		return nil, "", fmt.Errorf("unknown codec %q (json or binary)", cfg.Codec)
-	}
 	if cfg.WrapCodec != nil {
 		codec = cfg.WrapCodec(codec)
 	}
@@ -205,7 +197,7 @@ type Participant struct {
 }
 
 // Dial builds a participant's half of the deployment from User, Host, Doc,
-// Codec, Engine and the seams; nothing is sent before Join.
+// Engine and the seams; nothing is sent before Join.
 func Dial(cfg Config) (*Participant, error) {
 	p := &Participant{host: cfg.Host, acked: make(chan struct{}, 1)}
 	if cfg.Engine != "" {

@@ -30,8 +30,8 @@ func TestMain(m *testing.M) {
 
 const wait = 5 * time.Second
 
-func hostConfig(codec, eng string) Config {
-	return Config{Listen: "127.0.0.1:0", Mode: "sync", Shards: 1, Codec: codec, Engine: eng}
+func hostConfig(eng string) Config {
+	return Config{Listen: "127.0.0.1:0", Mode: "sync", Shards: 1, Engine: eng}
 }
 
 func startDaemon(t *testing.T, cfg Config) *Daemon {
@@ -56,8 +56,8 @@ type peer struct {
 	changed chan struct{} // one token after every item and every join ack
 }
 
-// dial fills in the participant side of cfg (its Codec, Engine and seams are
-// the caller's) and wires the callbacks; it does not join.
+// dial fills in the participant side of cfg (its Engine and seams are the
+// caller's) and wires the callbacks; it does not join.
 func dial(t *testing.T, d *Daemon, user, doc string, cfg Config) *peer {
 	t.Helper()
 	cfg.User, cfg.Host, cfg.Doc = user, d.Addr(), doc
@@ -152,82 +152,81 @@ func hostBodies(items []session.Item) (bodies []string) {
 }
 
 // TestDeployment drives the shipped path over loopback TCP: a daemon and two
-// participants per codec and engine. The chat cells are what cmd/sessiond and
-// a plain cmd/cscwctl run.
+// participants per engine, on the one codec (the subtests keep its flag
+// value, binary, in their names). The chat cells are what cmd/sessiond and a
+// plain cmd/cscwctl run.
 func TestDeployment(t *testing.T) {
-	for _, codec := range []string{"json", "binary"} {
-		for _, eng := range []string{"chat", engine.CRDT, engine.OT} {
-			t.Run(codec+"/"+eng, func(t *testing.T) {
-				hostEng, cliEng := eng, eng
-				if eng == "chat" {
-					hostEng, cliEng = engine.CRDT, ""
-				}
-				d := startDaemon(t, hostConfig(codec, hostEng))
-				alice := dial(t, d, "alice", "notes", Config{Codec: codec, Engine: cliEng})
-				bob := dial(t, d, "bob", "notes", Config{Codec: codec, Engine: cliEng})
-				alice.join()
-				bob.join()
-				if _, got := alice.seen(); !reflect.DeepEqual(got, []string{"alice"}) {
-					t.Errorf("alice joined with members %v", got)
-				}
-				if _, got := bob.seen(); !reflect.DeepEqual(got, []string{"alice", "bob"}) {
-					t.Errorf("bob joined with members %v", got)
-				}
+	for _, eng := range []string{"chat", engine.CRDT, engine.OT} {
+		t.Run("binary/"+eng, func(t *testing.T) {
+			hostEng, cliEng := eng, eng
+			if eng == "chat" {
+				hostEng, cliEng = engine.CRDT, ""
+			}
+			d := startDaemon(t, hostConfig(hostEng))
+			alice := dial(t, d, "alice", "notes", Config{Engine: cliEng})
+			bob := dial(t, d, "bob", "notes", Config{Engine: cliEng})
+			alice.join()
+			bob.join()
+			if _, got := alice.seen(); !reflect.DeepEqual(got, []string{"alice"}) {
+				t.Errorf("alice joined with members %v", got)
+			}
+			if _, got := bob.seen(); !reflect.DeepEqual(got, []string{"alice", "bob"}) {
+				t.Errorf("bob joined with members %v", got)
+			}
 
-				// A post reaches the peer. The reply comes back on the
-				// connection an echo would have used, behind it: when alice
-				// has the reply and nothing else, nothing echoed.
-				if err := alice.Client.Post("chat", "over real sockets", 0); err != nil {
-					t.Fatal(err)
-				}
-				bob.until("alice's post", func() bool { return len(bob.items) == 1 })
-				if items, _ := bob.seen(); items[0].From != "alice" || items[0].Kind != "chat" || items[0].Body != "over real sockets" {
-					t.Errorf("bob received %+v", items[0])
-				}
-				if err := bob.Client.Post("chat", "heard", 0); err != nil {
-					t.Fatal(err)
-				}
-				alice.until("bob's reply", func() bool { return len(alice.items) == 1 })
-				if items, _ := alice.seen(); items[0].From != "bob" || items[0].Body != "heard" {
-					t.Errorf("alice received %+v: an echo?", items[0])
-				}
-				if eng == "chat" {
-					return
-				}
+			// A post reaches the peer. The reply comes back on the
+			// connection an echo would have used, behind it: when alice
+			// has the reply and nothing else, nothing echoed.
+			if err := alice.Client.Post("chat", "over real sockets", 0); err != nil {
+				t.Fatal(err)
+			}
+			bob.until("alice's post", func() bool { return len(bob.items) == 1 })
+			if items, _ := bob.seen(); items[0].From != "alice" || items[0].Kind != "chat" || items[0].Body != "over real sockets" {
+				t.Errorf("bob received %+v", items[0])
+			}
+			if err := bob.Client.Post("chat", "heard", 0); err != nil {
+				t.Fatal(err)
+			}
+			alice.until("bob's reply", func() bool { return len(alice.items) == 1 })
+			if items, _ := alice.seen(); items[0].From != "bob" || items[0].Body != "heard" {
+				t.Errorf("alice received %+v: an echo?", items[0])
+			}
+			if eng == "chat" {
+				return
+			}
 
-				// Under ot every edit comes back to everyone as a commit the
-				// daemon authored; under crdt the daemon authors nothing and
-				// each peer sees only the other's ops.
-				commits, fromAlice, fromBob := 0, 3, 2
-				if eng == engine.OT {
-					commits = 5
-				}
-				alice.insert(0, "abc")
-				bob.insert(0, "xy")
-				for pr, ops := range map[*peer]int{alice: fromBob, bob: fromAlice} {
-					pr.until("convergence", func() bool {
-						text, pending := pr.Text()
-						return len(text) == 5 && pending == 0 && len(pr.items) == 1+ops+commits
-					})
-				}
-				if at, _ := alice.Text(); at != first(bob.Text()) {
-					t.Errorf("alice has %q, bob has %q", at, first(bob.Text()))
-				}
-				if items, _ := bob.seen(); len(hostBodies(items)) != commits {
-					t.Errorf("bob saw %d items from %s, want %d", len(hostBodies(items)), session.HostAuthor, commits)
-				}
-				if got := d.Host.Host("notes").LogLen(); got != 2+5+commits {
-					t.Errorf("log holds %d items, want %d", got, 2+5+commits)
-				}
-			})
-		}
+			// Under ot every edit comes back to everyone as a commit the
+			// daemon authored; under crdt the daemon authors nothing and
+			// each peer sees only the other's ops.
+			commits, fromAlice, fromBob := 0, 3, 2
+			if eng == engine.OT {
+				commits = 5
+			}
+			alice.insert(0, "abc")
+			bob.insert(0, "xy")
+			for pr, ops := range map[*peer]int{alice: fromBob, bob: fromAlice} {
+				pr.until("convergence", func() bool {
+					text, pending := pr.Text()
+					return len(text) == 5 && pending == 0 && len(pr.items) == 1+ops+commits
+				})
+			}
+			if at, _ := alice.Text(); at != first(bob.Text()) {
+				t.Errorf("alice has %q, bob has %q", at, first(bob.Text()))
+			}
+			if items, _ := bob.seen(); len(hostBodies(items)) != commits {
+				t.Errorf("bob saw %d items from %s, want %d", len(hostBodies(items)), session.HostAuthor, commits)
+			}
+			if got := d.Host.Host("notes").LogLen(); got != 2+5+commits {
+				t.Errorf("log holds %d items, want %d", got, 2+5+commits)
+			}
+		})
 	}
 }
 
 // TestShardRejection: a daemon confined to one ordering domain drops, and
 // counts, traffic for documents the router places elsewhere.
 func TestShardRejection(t *testing.T) {
-	cfg := hostConfig("binary", engine.CRDT)
+	cfg := hostConfig(engine.CRDT)
 	cfg.Shards, cfg.Shard = 2, 0
 	d := startDaemon(t, cfg)
 	router := route.New(2)
@@ -239,9 +238,9 @@ func TestShardRejection(t *testing.T) {
 			foreign = doc
 		}
 	}
-	dial(t, d, "alice", mine, Config{Codec: "binary"}).join()
+	dial(t, d, "alice", mine, Config{}).join()
 	before := d.Host.Rejected()
-	bob := dial(t, d, "bob", foreign, Config{Codec: "binary"})
+	bob := dial(t, d, "bob", foreign, Config{})
 	if err := bob.Join(200 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("join of a foreign document: %v, want a timeout", err)
 	}
@@ -261,13 +260,12 @@ func TestShardRejection(t *testing.T) {
 func first(text string, _ int) string { return text }
 
 func TestConfigErrors(t *testing.T) {
-	ok := hostConfig("json", engine.CRDT)
+	ok := hostConfig(engine.CRDT)
 	for _, c := range []struct {
 		name string
 		edit func(*Config)
 		want string
 	}{
-		{"codec", func(c *Config) { c.Codec = "xml" }, `unknown codec "xml" (json or binary)`},
 		{"engine", func(c *Config) { c.Engine = "paxos" }, `unknown engine "paxos" (ot or crdt)`},
 		{"mode", func(c *Config) { c.Mode = "asnyc" }, `unknown mode "asnyc" (sync or async)`},
 		{"shard", func(c *Config) { c.Shard = 1 }, `-shard 1 outside [0,1)`},
@@ -281,14 +279,9 @@ func TestConfigErrors(t *testing.T) {
 			}
 		}
 	}
-	for _, cfg := range []Config{
-		{User: "u", Host: "127.0.0.1:1", Codec: "xml"},
-		{User: "u", Host: "127.0.0.1:1", Codec: "json", Engine: "paxos"},
-	} {
-		if p, err := Dial(cfg); err == nil {
-			p.Close()
-			t.Errorf("Dial(%+v) succeeded", cfg)
-		}
+	if p, err := Dial(Config{User: "u", Host: "127.0.0.1:1", Engine: "paxos"}); err == nil {
+		p.Close()
+		t.Errorf("Dial with engine paxos succeeded")
 	}
 }
 
@@ -353,9 +346,9 @@ const parityOps = 200
 // submission in flight and nothing is concurrent with it.
 func parityStream(t *testing.T, seams func(Config) Config) []session.Item {
 	t.Helper()
-	d := startDaemon(t, seams(hostConfig("binary", engine.OT)))
-	writer := dial(t, d, "writer", "doc", seams(Config{Codec: "binary", Engine: engine.OT}))
-	reader := dial(t, d, "reader", "doc", seams(Config{Codec: "binary", Engine: engine.OT}))
+	d := startDaemon(t, seams(hostConfig(engine.OT)))
+	writer := dial(t, d, "writer", "doc", seams(Config{Engine: engine.OT}))
+	reader := dial(t, d, "reader", "doc", seams(Config{Engine: engine.OT}))
 	writer.join()
 	reader.join()
 	rng, length := rand.New(rand.NewSource(42)), 0

@@ -21,14 +21,14 @@ import (
 type Pump struct {
 	self  string
 	post  func(body string) error
-	codec *fabric.BinaryCodec
+	codec *fabric.Codec
 
 	mu  sync.Mutex
 	eng engine.Doc
 }
 
 func newPump(self string, eng engine.Doc, post func(body string) error) *Pump {
-	return &Pump{self: self, eng: eng, post: post, codec: fabric.NewBinaryCodec(engine.NewWireCodec())}
+	return &Pump{self: self, eng: eng, post: post, codec: engine.NewWireCodec()}
 }
 
 // Deliver feeds one logged item to the replica; posted are the bodies it

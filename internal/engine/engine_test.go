@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/crdt"
-	"repro/internal/fabric"
 	"repro/internal/ot"
 )
 
@@ -217,8 +216,7 @@ func TestApplyRejectsByValuePayloads(t *testing.T) {
 }
 
 func TestOTWireRoundTrip(t *testing.T) {
-	jsonCodec := NewWireCodec()
-	binCodec := fabric.NewBinaryCodec(NewWireCodec())
+	codec := NewWireCodec()
 	op := ot.Op{Kind: ot.Insert, Pos: 4, Ch: 'ß', Site: "c1"}
 	msgs := []any{
 		&MsgSubmit{Doc: "d", Sub: ot.Submission{Op: op, Base: 9, Site: "c1", Seq: 3}},
@@ -228,18 +226,16 @@ func TestOTWireRoundTrip(t *testing.T) {
 		&MsgCommits{Doc: "d"},
 	}
 	for _, msg := range msgs {
-		for name, codec := range map[string]fabric.PayloadCodec{"json": jsonCodec, "binary": binCodec} {
-			data, err := codec.Encode(msg)
-			if err != nil {
-				t.Fatalf("%s encode %T: %v", name, msg, err)
-			}
-			out, err := codec.Decode(data)
-			if err != nil {
-				t.Fatalf("%s decode %T: %v", name, msg, err)
-			}
-			if !reflect.DeepEqual(out, msg) {
-				t.Errorf("%s round trip changed %T:\n got %+v\nwant %+v", name, msg, out, msg)
-			}
+		data, err := codec.Encode(msg)
+		if err != nil {
+			t.Fatalf("encode %T: %v", msg, err)
+		}
+		out, err := codec.Decode(data)
+		if err != nil {
+			t.Fatalf("decode %T: %v", msg, err)
+		}
+		if !reflect.DeepEqual(out, msg) {
+			t.Errorf("round trip changed %T:\n got %+v\nwant %+v", msg, out, msg)
 		}
 	}
 	// Every engine payload carries the doc key for session demux.

@@ -2,40 +2,31 @@ package fabric
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
 )
 
-// BinaryCodec is the allocation-conscious alternative to the JSON envelope:
-// a length-prefixed binary frame instead of nested JSON documents. It
-// shares a registry with a JSON *Codec, so the same Register calls serve
-// both, and codecs are selected per endpoint (FromTransport takes either).
+// The wire frame Codec encodes every payload in: a length-prefixed binary
+// frame around a hand-rolled body, no reflection past the tag lookup and no
+// intermediate buffers.
 //
 // Frame layout:
 //
 //	[0]  magic 0xC5
 //	[1]  version (1)
-//	[2]  body encoding: 0 = JSON body, 1 = binary body
+//	[2]  body encoding (1, binary: the only one)
 //	[3]  tag length (tags are short path-like strings, ≤255 bytes)
 //	[4:] tag, then a big-endian uint32 body length, then the body
 //
-// Payload types that implement BinaryAppender/BinaryParser get a
-// hand-rolled binary body (no reflection, no intermediate buffers);
-// everything else falls back to a JSON body inside the binary frame,
-// which still skips the outer envelope document and its RawMessage copy.
-//
-// Both ends of a link must run the same codec: Decode rejects a frame that
-// does not start with the magic byte, and FromTransport counts it in
-// Dropped().
-type BinaryCodec struct {
-	reg *Codec
-}
+// Every registered type writes its own body (BinaryAppender) and parses it
+// back on a Reader (BinaryParser); Register refuses a type without both.
 
-// NewBinaryCodec wraps a registry codec. Register payload types on reg;
-// both codecs then carry them.
-func NewBinaryCodec(reg *Codec) *BinaryCodec { return &BinaryCodec{reg: reg} }
+// BinaryCodec is Codec under the name the frozen benchmark harness uses.
+type BinaryCodec = Codec
+
+// NewBinaryCodec returns reg: the registry is the binary codec.
+func NewBinaryCodec(reg *Codec) *BinaryCodec { return reg }
 
 // BinaryAppender is implemented by payload types with a hand-rolled binary
 // body encoding. AppendBinary appends the encoded body to dst and returns
@@ -53,7 +44,6 @@ type BinaryParser interface {
 const (
 	binMagic   = 0xC5
 	binVersion = 1
-	bodyJSON   = 0
 	bodyBinary = 1
 )
 
@@ -68,44 +58,30 @@ var (
 	ErrOversizedFrame = errors.New("fabric: binary frame body length exceeds limit")
 )
 
-// Encode frames payload under its registered tag.
+// Encode frames payload under its registered tag. Unregistered payload
+// types are an error: wire substrates can only carry known shapes.
 //
 //cscw:hotpath
-func (c *BinaryCodec) Encode(payload any) ([]byte, error) {
+func (c *Codec) Encode(payload any) ([]byte, error) {
 	t := reflect.TypeOf(payload)
 	for t != nil && t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
-	c.reg.mu.RLock()
-	tag, ok := c.reg.byTyp[t]
-	c.reg.mu.RUnlock()
+	c.mu.RLock()
+	tag, ok := c.byTyp[t]
+	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("fabric: no tag registered for payload type %T", payload)
 	}
-	if len(tag) > 255 {
-		return nil, fmt.Errorf("fabric: tag %q too long for binary frame", tag)
-	}
 	dst := make([]byte, 0, 64+len(tag))
-	enc := byte(bodyJSON)
-	if _, ok := payload.(BinaryAppender); ok {
-		enc = bodyBinary
-	}
-	dst = append(dst, binMagic, binVersion, enc, byte(len(tag)))
+	dst = append(dst, binMagic, binVersion, bodyBinary, byte(len(tag)))
 	dst = append(dst, tag...)
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	if enc == bodyBinary {
-		var err error
-		dst, err = payload.(BinaryAppender).AppendBinary(dst)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: binary-encode %s body: %w", tag, err)
-		}
-	} else {
-		body, err := json.Marshal(payload)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: marshal %s body: %w", tag, err)
-		}
-		dst = append(dst, body...)
+	// Register checked that the type implements BinaryAppender.
+	dst, err := payload.(BinaryAppender).AppendBinary(dst)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: binary-encode %s body: %w", tag, err)
 	}
 	bodyLen := len(dst) - lenAt - 4
 	if bodyLen > MaxBinaryFrame {
@@ -116,14 +92,14 @@ func (c *BinaryCodec) Encode(payload any) ([]byte, error) {
 }
 
 // Decode parses a frame into a pointer to the registered type for its tag.
-// Unknown tags return (nil, nil) so callers can skip foreign traffic, as
-// with the JSON codec; malformed frames (bad version, truncation, a length
-// prefix past the limit or disagreeing with the actual frame size) are
-// errors, and so is a frame without the magic byte — a JSON envelope from
-// a peer running the other codec included.
+// Unknown tags return (nil, nil) so callers can skip traffic meant for other
+// protocols sharing the endpoint; malformed frames (no magic byte, bad
+// version or body encoding, truncation, a length prefix past the limit or
+// disagreeing with the actual frame size, a body its parser rejects) are
+// errors.
 //
 //cscw:hotpath
-func (c *BinaryCodec) Decode(data []byte) (any, error) {
+func (c *Codec) Decode(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrTruncatedFrame)
 	}
@@ -154,28 +130,19 @@ func (c *BinaryCodec) Decode(data []byte) (any, error) {
 	if uint32(len(body)) > bodyLen {
 		return nil, fmt.Errorf("fabric: binary frame carries %d trailing bytes", uint32(len(body))-bodyLen)
 	}
-	c.reg.mu.RLock()
-	t, ok := c.reg.byTag[string(tag)]
-	c.reg.mu.RUnlock()
+	if enc != bodyBinary {
+		return nil, fmt.Errorf("fabric: unknown body encoding %d", enc)
+	}
+	c.mu.RLock()
+	t, ok := c.byTag[string(tag)]
+	c.mu.RUnlock()
 	if !ok {
 		return nil, nil
 	}
 	out := reflect.New(t).Interface()
-	switch enc {
-	case bodyBinary:
-		bp, ok := out.(BinaryParser)
-		if !ok {
-			return nil, fmt.Errorf("fabric: binary body for %s but %T implements no BinaryParser", string(tag), out)
-		}
-		if err := bp.ParseBinary(body); err != nil {
-			return nil, fmt.Errorf("fabric: binary-decode %s body: %w", string(tag), err)
-		}
-	case bodyJSON:
-		if err := json.Unmarshal(body, out); err != nil {
-			return nil, fmt.Errorf("fabric: decode %s body: %w", string(tag), err)
-		}
-	default:
-		return nil, fmt.Errorf("fabric: unknown body encoding %d", enc)
+	// Register checked that the pointer type implements BinaryParser.
+	if err := out.(BinaryParser).ParseBinary(body); err != nil {
+		return nil, fmt.Errorf("fabric: binary-decode %s body: %w", string(tag), err)
 	}
 	return out, nil
 }

@@ -1,12 +1,12 @@
 package fabric_test
 
-// Binary codec conformance: round-trip parity against the JSON codec for
-// every payload type registered anywhere in the repo (fabric, session,
-// mobile, crdt, engine — the group packet, being unexported, has its parity
-// test in package group), plus the frame-level error paths: truncation at
-// every byte boundary, oversized length prefixes, trailing bytes, version
-// mismatches, unknown tags, a JSON envelope at a binary endpoint — and the
-// body cursor (Reader) every ParseBinary in the repo is built on.
+// Codec conformance: a round trip for every payload type registered
+// anywhere in the repo (fabric, session, mobile, crdt, engine — the group
+// packet, being unexported, has its round-trip table in package group),
+// plus the frame-level error paths: truncation at every byte boundary,
+// oversized length prefixes, trailing bytes, version mismatches, unknown
+// tags, a JSON envelope from a pre-binary peer — and the body cursor
+// (Reader) every ParseBinary in the repo is built on.
 
 import (
 	"encoding/binary"
@@ -27,14 +27,14 @@ import (
 )
 
 // fullRegistry returns a codec with every wire type in the repo registered
-// (except group's unexported packet), plus the binary codec sharing it.
-func fullRegistry() (*fabric.Codec, *fabric.BinaryCodec) {
-	reg := fabric.NewCodec()
-	fabric.RegisterBase(reg)
-	session.RegisterWire(reg)
-	mobile.RegisterWire(reg)
-	engine.RegisterWire(reg) // both engines: the OT messages and crdt's
-	return reg, fabric.NewBinaryCodec(reg)
+// (except group's unexported packet).
+func fullRegistry() *fabric.Codec {
+	c := fabric.NewCodec()
+	fabric.RegisterBase(c)
+	session.RegisterWire(c)
+	mobile.RegisterWire(c)
+	engine.RegisterWire(c) // both engines: the OT messages and crdt's
+	return c
 }
 
 // registeredPayloads is one representative non-trivial instance per
@@ -80,100 +80,88 @@ func registeredPayloads() map[string]any {
 	}
 }
 
-// TestBinaryRoundTripParity: for every registered payload type, the binary
-// codec round-trips to the same decoded value the JSON codec produces.
+// TestBinaryRoundTripParity: every registered payload type decodes to a
+// pointer to the value that was encoded.
 func TestBinaryRoundTripParity(t *testing.T) {
-	reg, bin := fullRegistry()
+	codec := fullRegistry()
 	for tag, payload := range registeredPayloads() {
-		bframe, err := bin.Encode(payload)
+		frame, err := codec.Encode(payload)
 		if err != nil {
-			t.Fatalf("%s: binary encode: %v", tag, err)
+			t.Fatalf("%s: encode: %v", tag, err)
 		}
-		jframe, err := reg.Encode(payload)
+		got, err := codec.Decode(frame)
 		if err != nil {
-			t.Fatalf("%s: json encode: %v", tag, err)
+			t.Fatalf("%s: decode: %v", tag, err)
 		}
-		bdec, err := bin.Decode(bframe)
-		if err != nil {
-			t.Fatalf("%s: binary decode: %v", tag, err)
-		}
-		jdec, err := reg.Decode(jframe)
-		if err != nil {
-			t.Fatalf("%s: json decode: %v", tag, err)
-		}
-		if bdec == nil {
-			t.Fatalf("%s: binary decode returned nil for a registered tag", tag)
-		}
-		if !reflect.DeepEqual(bdec, jdec) {
-			t.Errorf("%s: binary round-trip %#v disagrees with json round-trip %#v", tag, bdec, jdec)
+		want := reflect.New(reflect.TypeOf(payload))
+		want.Elem().Set(reflect.ValueOf(payload))
+		if !reflect.DeepEqual(got, want.Interface()) {
+			t.Errorf("%s: round trip gave %#v, want %#v", tag, got, want.Interface())
 		}
 	}
 }
 
-// TestBinaryJSONInterop: both ends of a link must run the same codec. A
-// JSON envelope reaching a binary-selected endpoint is rejected by Decode
+// TestBinaryJSONInterop: a JSON envelope — what a peer from before the one
+// codec sent under -codec json — reaching an endpoint is rejected by Decode
 // and counted in Dropped(), never delivered.
 func TestBinaryJSONInterop(t *testing.T) {
-	reg, bin := fullRegistry()
+	codec := fullRegistry()
 	hub := transport.NewHub()
-	jsonEP := fabric.FromTransport(hub.MustAttach("json"), reg)
-	binEP := fabric.FromTransport(hub.MustAttach("bin"), bin)
-	defer jsonEP.Close()
-	defer binEP.Close()
-	binEP.SetHandler(func(from string, payload any, _ int) {
-		t.Errorf("binary endpoint delivered %T from %s", payload, from)
+	raw := hub.MustAttach("json")
+	ep := fabric.FromTransport(hub.MustAttach("bin"), codec)
+	defer raw.Close()
+	defer ep.Close()
+	ep.SetHandler(func(from string, payload any, _ int) {
+		t.Errorf("endpoint delivered %T from %s", payload, from)
 	})
-	var sent uint64
-	for tag, payload := range registeredPayloads() {
-		jframe, err := reg.Encode(payload)
-		if err != nil {
-			t.Fatalf("%s: json encode: %v", tag, err)
+	envelopes := []string{
+		`{"type":"fabric/hello","body":{"addr":"127.0.0.1:9"}}`,
+		`{"type":"session/post","body":{"From":"alice","Kind":"chat","Body":"hi"}}`,
+		`{"type":"group/packet","body":{"Kind":1,"From":"m0"}}`,
+	}
+	for _, env := range envelopes {
+		if got, err := codec.Decode([]byte(env)); err == nil {
+			t.Fatalf("codec accepted a json envelope as %#v", got)
 		}
-		if got, err := bin.Decode(jframe); err == nil {
-			t.Fatalf("%s: binary codec accepted a json frame as %#v", tag, got)
+		if err := raw.Send("bin", []byte(env)); err != nil {
+			t.Fatal(err)
 		}
-		if err := jsonEP.Send("bin", payload, 0); err != nil {
-			t.Fatalf("%s: send: %v", tag, err)
-		}
-		sent++
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for binEP.Dropped() != sent && time.Now().Before(deadline) {
+	for ep.Dropped() != uint64(len(envelopes)) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if d := binEP.Dropped(); d != sent {
-		t.Fatalf("dropped = %d, want %d (one per json frame)", d, sent)
+	if d := ep.Dropped(); d != uint64(len(envelopes)) {
+		t.Fatalf("dropped = %d, want %d (one per json envelope)", d, len(envelopes))
 	}
 }
 
-// TestBinaryUnknownTag: frames for unregistered tags are skipped (nil, nil),
-// matching the JSON codec's contract for foreign traffic.
+// TestBinaryUnknownTag: frames for unregistered tags are skipped (nil, nil):
+// foreign traffic on a shared endpoint is not an error.
 func TestBinaryUnknownTag(t *testing.T) {
-	full, fullBin := fullRegistry()
-	frame, err := fullBin.Encode(mobile.Traffic{Op: "read", Key: "k"})
+	frame, err := fullRegistry().Encode(mobile.Traffic{Op: "read", Key: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bare := fabric.NewCodec()
 	fabric.RegisterBase(bare)
-	got, err := fabric.NewBinaryCodec(bare).Decode(frame)
+	got, err := bare.Decode(frame)
 	if err != nil || got != nil {
 		t.Fatalf("unknown tag: got (%v, %v), want (nil, nil)", got, err)
 	}
-	_ = full
 }
 
 // TestBinaryTruncatedFrames: every proper prefix of a valid frame must fail
 // with ErrTruncatedFrame — no panics, no silent partial decodes.
 func TestBinaryTruncatedFrames(t *testing.T) {
-	_, bin := fullRegistry()
+	codec := fullRegistry()
 	for tag, payload := range registeredPayloads() {
-		frame, err := bin.Encode(payload)
+		frame, err := codec.Encode(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for n := 0; n < len(frame); n++ {
-			_, err := bin.Decode(frame[:n])
+			_, err := codec.Decode(frame[:n])
 			if !errors.Is(err, fabric.ErrTruncatedFrame) {
 				t.Fatalf("%s: prefix %d/%d bytes: got %v, want ErrTruncatedFrame", tag, n, len(frame), err)
 			}
@@ -188,11 +176,7 @@ func TestBinaryTruncatedFrames(t *testing.T) {
 // byte is rejected as trailing garbage rather than as a truncation.
 func TestBinaryBodyPrefixesAndTrailing(t *testing.T) {
 	for tag, payload := range registeredPayloads() {
-		app, ok := payload.(fabric.BinaryAppender)
-		if !ok {
-			continue // JSON body inside the binary frame (mobile.Traffic)
-		}
-		body, err := app.AppendBinary(nil)
+		body, err := payload.(fabric.BinaryAppender).AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
@@ -249,15 +233,15 @@ func TestCountBoundUsesElementSize(t *testing.T) {
 // TestBinaryOversizedLength: a declared body length past MaxBinaryFrame is
 // rejected before any allocation, regardless of actual frame size.
 func TestBinaryOversizedLength(t *testing.T) {
-	_, bin := fullRegistry()
-	frame, err := bin.Encode(fabric.Hello{Addr: "x"})
+	codec := fullRegistry()
+	frame, err := codec.Encode(fabric.Hello{Addr: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The length prefix sits right after the 4-byte header and the tag.
 	tagLen := int(frame[3])
 	binary.BigEndian.PutUint32(frame[4+tagLen:], fabric.MaxBinaryFrame+1)
-	if _, err := bin.Decode(frame); !errors.Is(err, fabric.ErrOversizedFrame) {
+	if _, err := codec.Decode(frame); !errors.Is(err, fabric.ErrOversizedFrame) {
 		t.Fatalf("got %v, want ErrOversizedFrame", err)
 	}
 }
@@ -265,35 +249,34 @@ func TestBinaryOversizedLength(t *testing.T) {
 // TestBinaryTrailingBytes: extra bytes past the declared body are an error —
 // the frame is the whole datagram, so surplus means corruption.
 func TestBinaryTrailingBytes(t *testing.T) {
-	_, bin := fullRegistry()
-	frame, err := bin.Encode(session.MsgLeave{From: "zed"})
+	codec := fullRegistry()
+	frame, err := codec.Encode(session.MsgLeave{From: "zed"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bin.Decode(append(frame, 0xEE)); err == nil {
+	if _, err := codec.Decode(append(frame, 0xEE)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
 
 // TestBinaryBadVersion pins the version gate.
 func TestBinaryBadVersion(t *testing.T) {
-	_, bin := fullRegistry()
-	frame, err := bin.Encode(fabric.Hello{Addr: "x"})
+	codec := fullRegistry()
+	frame, err := codec.Encode(fabric.Hello{Addr: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame[1] = 99
-	if _, err := bin.Decode(frame); err == nil {
+	if _, err := codec.Decode(frame); err == nil {
 		t.Fatal("unknown version accepted")
 	}
 }
 
-// TestHelloBinaryBody: Hello opts into the hand-rolled binary body; its
-// frame must not contain a JSON body, and trailing bytes inside the body
-// must be rejected by the parser.
+// TestHelloBinaryBody: Hello's frame says binary body in its encoding
+// byte, and trailing bytes inside the body are rejected by the parser.
 func TestHelloBinaryBody(t *testing.T) {
-	_, bin := fullRegistry()
-	frame, err := bin.Encode(fabric.Hello{Addr: "10.0.0.1:80"})
+	codec := fullRegistry()
+	frame, err := codec.Encode(fabric.Hello{Addr: "10.0.0.1:80"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,9 +292,9 @@ func TestHelloBinaryBody(t *testing.T) {
 // FuzzBinaryDecode: arbitrary bytes must never panic the decoder, and
 // anything it does accept must re-encode and decode to the same value.
 func FuzzBinaryDecode(f *testing.F) {
-	_, bin := fullRegistry()
+	codec := fullRegistry()
 	for _, payload := range registeredPayloads() {
-		frame, err := bin.Encode(payload)
+		frame, err := codec.Encode(payload)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -321,15 +304,15 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add([]byte{0xC5, 1, 0, 255})
 	f.Add([]byte(`{"type":"fabric/hello","body":{"addr":"x"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := bin.Decode(data)
+		got, err := codec.Decode(data)
 		if err != nil || got == nil {
 			return
 		}
-		frame, err := bin.Encode(got)
+		frame, err := codec.Encode(got)
 		if err != nil {
 			t.Fatalf("re-encode of accepted value %#v: %v", got, err)
 		}
-		again, err := bin.Decode(frame)
+		again, err := codec.Decode(frame)
 		if err != nil || !reflect.DeepEqual(got, again) {
 			t.Fatalf("re-decode mismatch: %#v vs %#v (err %v)", got, again, err)
 		}

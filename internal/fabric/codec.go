@@ -1,65 +1,25 @@
 package fabric
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"sync"
 )
 
-// Envelope is the typed wire format used over byte-oriented substrates: a
-// type tag plus a JSON body. It is the one envelope in the repo; transport
-// and session previously carried their own copies.
-type Envelope struct {
-	Type string          `json:"type"`
-	Body json.RawMessage `json:"body"`
-}
-
-// Marshal builds an envelope of the given type around body.
-func Marshal(msgType string, body any) ([]byte, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return nil, fmt.Errorf("marshal %s body: %w", msgType, err)
-	}
-	env := Envelope{Type: msgType, Body: raw}
-	data, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("marshal %s envelope: %w", msgType, err)
-	}
-	return data, nil
-}
-
-// Unmarshal parses an envelope from wire data.
-func Unmarshal(data []byte) (Envelope, error) {
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return Envelope{}, fmt.Errorf("unmarshal envelope: %w", err)
-	}
-	return env, nil
-}
-
-// Decode parses an envelope body into out.
-func Decode(env Envelope, out any) error {
-	if err := json.Unmarshal(env.Body, out); err != nil {
-		return fmt.Errorf("decode %s body: %w", env.Type, err)
-	}
-	return nil
-}
-
-// PayloadCodec turns typed payloads into wire frames and back. Two
-// implementations exist — *Codec (JSON envelopes) and *BinaryCodec
-// (length-prefixed binary frames, see bincodec.go) — and the codec is
-// selected per endpoint when a transport is adapted (FromTransport).
+// PayloadCodec turns typed payloads into wire frames and back. *Codec is the
+// one implementation; the interface is what FromTransport takes, so a
+// harness can wrap the codec (to count or time it) without copying it.
 // Decode returns (nil, nil) for frames tagged for other protocols.
 type PayloadCodec interface {
 	Encode(payload any) ([]byte, error)
 	Decode(data []byte) (any, error)
 }
 
-// Codec maps payload types to envelope tags and back, so callers send and
-// receive typed values while byte-oriented substrates carry envelopes.
-// Register every wire type once at setup; Encode and Decode are safe for
-// concurrent use afterwards.
+// Codec is the wire codec: a registry mapping payload types to frame tags
+// and back, and the binary frame (bincodec.go) it encodes them in, so
+// callers send and receive typed values while byte-oriented substrates
+// carry frames. Register every wire type once at setup; Encode and Decode
+// are safe for concurrent use afterwards.
 type Codec struct {
 	mu    sync.RWMutex
 	byTag map[string]reflect.Type
@@ -74,13 +34,29 @@ func NewCodec() *Codec {
 	}
 }
 
+var (
+	appenderType = reflect.TypeFor[BinaryAppender]()
+	parserType   = reflect.TypeFor[BinaryParser]()
+)
+
 // Register associates tag with prototype's (pointer-stripped) type. Both a
 // value and a pointer of the type encode under the tag; Decode always
-// returns a pointer to a freshly allocated value.
+// returns a pointer to a freshly allocated value. It panics — a set-up
+// error, not a wire one — when the type lacks a half of the binary body
+// (a value-receiver BinaryAppender and a BinaryParser on the pointer) or
+// the tag does not fit the frame's one-byte length.
 func (c *Codec) Register(tag string, prototype any) {
 	t := reflect.TypeOf(prototype)
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
+	}
+	switch {
+	case len(tag) > 255:
+		panic(fmt.Sprintf("fabric: tag %q for %v is longer than 255 bytes", tag, t))
+	case !t.Implements(appenderType):
+		panic(fmt.Sprintf("fabric: %v (tag %s) implements no BinaryAppender", t, tag))
+	case !reflect.PointerTo(t).Implements(parserType):
+		panic(fmt.Sprintf("fabric: *%v (tag %s) implements no BinaryParser", t, tag))
 	}
 	c.mu.Lock()
 	c.byTag[tag] = t
@@ -88,47 +64,10 @@ func (c *Codec) Register(tag string, prototype any) {
 	c.mu.Unlock()
 }
 
-// Encode envelopes payload under its registered tag. Unregistered payload
-// types are an error: wire substrates can only carry known shapes.
-func (c *Codec) Encode(payload any) ([]byte, error) {
-	t := reflect.TypeOf(payload)
-	for t != nil && t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	c.mu.RLock()
-	tag, ok := c.byTyp[t]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("fabric: no tag registered for payload type %T", payload)
-	}
-	return Marshal(tag, payload)
-}
-
-// Decode parses wire data into a pointer to the registered type for
-// its tag. Unknown tags return (nil, nil) so callers can skip traffic meant
-// for other protocols sharing the endpoint; malformed data is an error.
-func (c *Codec) Decode(data []byte) (any, error) {
-	env, err := Unmarshal(data)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.RLock()
-	t, ok := c.byTag[env.Type]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, nil
-	}
-	out := reflect.New(t).Interface()
-	if err := Decode(env, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Hello announces an endpoint's dialable address, used by TCP deployments
 // to populate the address book before application traffic flows.
 type Hello struct {
-	Addr string `json:"addr"`
+	Addr string
 }
 
 // RegisterBase registers fabric's own housekeeping messages (currently just

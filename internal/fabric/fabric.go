@@ -6,12 +6,10 @@
 // any of them. Middlewares (metrics, fault injection, tracing) interpose on
 // the message path by wrapping an Endpoint; Wrap composes them into a chain.
 //
-// The package owns the typed-envelope codec (previously duplicated between
-// transport and session/wire.go): payload structs register under a string
-// tag once and travel over byte-oriented substrates in whichever
-// PayloadCodec the endpoint was given (JSON envelopes or binary frames —
-// the same one at both ends of a link; a frame in the other format is a
-// counted drop), while in-process substrates pass the typed values
+// The package owns the one wire codec: payload structs register under a
+// string tag once, with a hand-rolled binary body, and travel over
+// byte-oriented substrates as binary frames (a frame the codec cannot read
+// is a counted drop), while in-process substrates pass the typed values
 // straight through.
 package fabric
 

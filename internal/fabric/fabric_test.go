@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -12,48 +13,69 @@ import (
 )
 
 type ping struct {
-	N    int    `json:"n"`
-	Note string `json:"note"`
+	N    int
+	Note string
 }
 
-// --- envelope (moved here from transport) -------------------------------
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	data, err := Marshal("ping", ping{N: 7, Note: "hello"})
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	env, err := Unmarshal(data)
-	if err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if env.Type != "ping" {
-		t.Fatalf("type = %q, want ping", env.Type)
-	}
-	var out ping
-	if err := Decode(env, &out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if out.N != 7 || out.Note != "hello" {
-		t.Fatalf("round trip got %+v", out)
-	}
+func (p ping) AppendBinary(dst []byte) ([]byte, error) {
+	dst = AppendUvarint(dst, uint64(p.N))
+	return AppendString(dst, p.Note), nil
 }
 
-func TestUnmarshalGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte("{not json")); err == nil {
-		t.Fatal("want error for garbage input")
-	}
-}
-
-func TestDecodeBadBody(t *testing.T) {
-	env := Envelope{Type: "ping", Body: []byte(`"not an object"`)}
-	var out ping
-	if err := Decode(env, &out); err == nil {
-		t.Fatal("want error decoding string body into struct")
-	}
+func (p *ping) ParseBinary(data []byte) error {
+	r := NewReader(data)
+	p.N = int(r.Uvarint())
+	p.Note = r.String()
+	return r.Done("ping")
 }
 
 // --- codec --------------------------------------------------------------
+
+// TestDecodeBadBody: a well-formed frame whose body its parser rejects is a
+// decode error, not a nil payload.
+func TestDecodeBadBody(t *testing.T) {
+	c := newTestCodec()
+	frame, err := c.Encode(&ping{N: 7, Note: "hello"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the body's last byte and shrink the length prefix to match, so
+	// the frame is sound and the ping body is one byte short.
+	frame = frame[:len(frame)-1]
+	frame[4+len("test/ping")+3]-- // the low byte of the big-endian length
+	if got, err := c.Decode(frame); !errors.Is(err, ErrTruncatedFrame) || !strings.Contains(err.Error(), "test/ping body") {
+		t.Fatalf("Decode = %v, %v; want the ping body's truncation", got, err)
+	}
+}
+
+// TestRegisterChecks: a type without both binary halves, or a tag the
+// frame's one length byte cannot carry, fails at Register, naming the type.
+func TestRegisterChecks(t *testing.T) {
+	type jsonOnly struct{ X int }
+	for _, c := range []struct {
+		tag   string
+		proto any
+		want  string
+	}{
+		{"test/json", jsonOnly{}, "fabric.jsonOnly (tag test/json) implements no BinaryAppender"},
+		{"test/half", appendOnly{}, "*fabric.appendOnly (tag test/half) implements no BinaryParser"},
+		{strings.Repeat("t", 256), ping{}, "fabric.ping is longer than 255 bytes"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("Register(%.12s, %T) panicked with %q, want %q", c.tag, c.proto, msg, c.want)
+				}
+			}()
+			NewCodec().Register(c.tag, c.proto)
+		}()
+	}
+	NewCodec().Register(strings.Repeat("t", 255), ping{}) // the longest tag fits
+}
+
+type appendOnly struct{}
+
+func (appendOnly) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
 
 func TestCodecRoundTrip(t *testing.T) {
 	c := NewCodec()
@@ -82,7 +104,9 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecUnknownTagSkipped(t *testing.T) {
 	c := NewCodec()
 	c.Register("test/ping", ping{})
-	data, err := Marshal("someone/elses", map[string]int{"a": 1})
+	other := NewCodec()
+	other.Register("someone/elses", ping{})
+	data, err := other.Encode(ping{N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +356,12 @@ func TestFromTransportCountsUndecodableFrames(t *testing.T) {
 	if err := raw.Send("b", []byte("not an envelope")); err != nil {
 		t.Fatal(err)
 	}
-	unknown, _ := Marshal("nobody/home", 1)
+	other := NewCodec()
+	other.Register("nobody/home", ping{})
+	unknown, err := other.Encode(ping{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := raw.Send("b", unknown); err != nil {
 		t.Fatal(err)
 	}

@@ -18,21 +18,21 @@ import (
 // read would, and re-encode. The bytes must match the original frame, so
 // no decoded field points into the input.
 func TestDecodedPayloadOutlivesFrame(t *testing.T) {
-	_, bin := fullRegistry()
+	codec := fullRegistry()
 	for tag, payload := range registeredPayloads() {
-		frame, err := bin.Encode(payload)
+		frame, err := codec.Encode(payload)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", tag, err)
 		}
 		buf := bytes.Clone(frame)
-		decoded, err := bin.Decode(buf)
+		decoded, err := codec.Decode(buf)
 		if err != nil || decoded == nil {
 			t.Fatalf("%s: decode = %v, %v", tag, decoded, err)
 		}
 		for i := range buf {
 			buf[i] = 0xFF
 		}
-		again, err := bin.Encode(decoded)
+		again, err := codec.Encode(decoded)
 		if err != nil {
 			t.Fatalf("%s: re-encode: %v", tag, err)
 		}
@@ -49,7 +49,7 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	_, bin := fullRegistry()
+	codec := fullRegistry()
 	cases := []struct {
 		name    string
 		payload any
@@ -60,12 +60,12 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 		{"crdt/op", crdt.MsgOp{Doc: "doc", Op: crdt.Op{Kind: crdt.OpSeqInsert, Site: "alice", Seq: 4, ID: crdt.ID{N: 4, Site: "alice"}, After: crdt.ID{N: 3, Site: "bob"}, Ch: 'x'}}, 2},
 	}
 	for _, tc := range cases {
-		frame, err := bin.Encode(tc.payload)
+		frame, err := codec.Encode(tc.payload)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", tc.name, err)
 		}
 		got := testing.AllocsPerRun(100, func() {
-			if _, err := bin.Decode(frame); err != nil {
+			if _, err := codec.Decode(frame); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -5,7 +5,7 @@ import (
 )
 
 // TransportEndpoint adapts a byte-oriented transport endpoint (in-memory
-// hub or TCP) to the fabric Endpoint interface, using a Codec to envelope
+// hub or TCP) to the fabric Endpoint interface, using a Codec to frame
 // typed payloads onto the wire and back.
 type TransportEndpoint struct {
 	ep    transport.Endpoint
@@ -13,12 +13,11 @@ type TransportEndpoint struct {
 	in    inbox
 }
 
-// FromTransport wraps a transport endpoint with the given codec (JSON
-// *Codec or *BinaryCodec — the wire format is selected per endpoint here).
-// The raw byte handler is claimed immediately: frames arriving before
-// SetHandler are decoded and buffered rather than dropped by the
-// transport's drain loop. Frames that fail to decode, or whose tag is not
-// registered with the codec, are counted as dropped.
+// FromTransport wraps a transport endpoint with the given codec (a *Codec,
+// or a wrapper around one). The raw byte handler is claimed immediately:
+// frames arriving before SetHandler are decoded and buffered rather than
+// dropped by the transport's drain loop. Frames that fail to decode, or
+// whose tag is not registered with the codec, are counted as dropped.
 func FromTransport(ep transport.Endpoint, codec PayloadCodec) *TransportEndpoint {
 	t := &TransportEndpoint{ep: ep, codec: codec}
 	ep.SetHandler(func(from string, data []byte) {
@@ -35,7 +34,7 @@ func FromTransport(ep transport.Endpoint, codec PayloadCodec) *TransportEndpoint
 // ID returns the underlying transport endpoint id.
 func (t *TransportEndpoint) ID() string { return t.ep.ID() }
 
-// Send envelopes payload via the codec and transmits it. The declared size
+// Send frames payload via the codec and transmits it. The declared size
 // is advisory on byte transports — the encoded frame length is what travels.
 func (t *TransportEndpoint) Send(to string, payload any, size int) error {
 	data, err := t.codec.Encode(payload)

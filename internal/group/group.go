@@ -156,7 +156,8 @@ const (
 
 // packet is the wire unit exchanged between members. Over netsim it
 // travels as an in-memory value; over byte transports RegisterWire gives it
-// an envelope tag so the fabric codec can carry it.
+// a frame tag and binwire.go its binary body. The field names and kData=1,
+// kOrder=2 are read by reflection in benchmark/load/shim.go.
 type packet struct {
 	Kind   kind
 	From   string

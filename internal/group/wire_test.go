@@ -1,53 +1,169 @@
 package group
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
 	"repro/internal/vclock"
 )
 
-// TestPacketBinaryCodecParity: the group packet (unexported, so its parity
-// test lives here rather than with the fabric suite) decodes to the same
-// value through the binary codec as through the JSON codec — including a
-// batched packet with nested Msgs and a batched order announcement.
-func TestPacketBinaryCodecParity(t *testing.T) {
-	reg := fabric.NewCodec()
-	RegisterWire(reg)
-	bin := fabric.NewBinaryCodec(reg)
+// wireCodec is a codec carrying the group packet, as a TCP member has.
+func wireCodec() *fabric.Codec {
+	c := fabric.NewCodec()
+	RegisterWire(c)
+	return c
+}
 
+// samplePackets is one packet of every kind, shaped the way members build
+// them, plus the batched order announcement, an RPC reply both ways and
+// the zero packet.
+func samplePackets() map[string]*packet {
 	inner := []*packet{
-		{Kind: kData, From: "a", ViewID: 3, Body: "one", Size: 8, MsgID: msgID{Origin: "a", N: 1}},
-		{Kind: kData, From: "a", ViewID: 3, Body: "two", Size: 8, MsgID: msgID{Origin: "a", N: 2}},
+		{Kind: kData, From: "a", ViewID: 3, Body: "one", Size: 8, MsgID: msgID{Origin: "a", N: 1}, GlobalSeq: 4},
+		{Kind: kData, From: "a", ViewID: 3, Body: "two", Size: 8, MsgID: msgID{Origin: "a", N: 2}, GlobalSeq: 5},
 	}
-	cases := []*packet{
-		{Kind: kData, From: "a", ViewID: 3, Body: "hi", Size: 16, SenderSeq: 7,
+	return map[string]*packet{
+		"data": {Kind: kData, From: "a", ViewID: 3, Body: "hi", Size: 16, SenderSeq: 7,
 			VC: vclock.VC{"a": 4, "b": 2}, MsgID: msgID{Origin: "a", N: 7}},
-		{Kind: kBatch, From: "a", ViewID: 3, Size: 16, Msgs: inner},
-		{Kind: kOrder, From: "s", ViewID: 3, GlobalSeq: 11,
-			MsgIDs: []msgID{{Origin: "a", N: 1}, {Origin: "a", N: 2}}},
-		{Kind: kNack, From: "b", ViewID: 3, NackFrom: 2, NackTo: 5},
+		"order":         {Kind: kOrder, From: "s", ViewID: 3, GlobalSeq: 11, MsgID: msgID{Origin: "a", N: 1}},
+		"order batched": {Kind: kOrder, From: "s", ViewID: 3, GlobalSeq: 11, MsgIDs: []msgID{{Origin: "a", N: 1}, {Origin: "b", N: 2}}},
+		"view":          {Kind: kView, From: "a", NewView: &View{ID: 4, Members: []string{"a", "b", "c"}}},
+		"rpc request":   {Kind: kRPCReq, From: "a", ViewID: 3, CallID: 9, Op: "sum", Body: "1,2", Size: 8},
+		"rpc reply":     {Kind: kRPCRep, From: "b", ViewID: 3, CallID: 9, Body: "3"},
+		"rpc error":     {Kind: kRPCRep, From: "b", ViewID: 3, CallID: 9, IsError: true, ErrText: "group: unknown rpc call: sum"},
+		"token":         {Kind: kToken, From: "a", ViewID: 3, Body: "b", GlobalSeq: 12},
+		"token request": {Kind: kTokenReq, From: "c", ViewID: 3},
+		"nack":          {Kind: kNack, From: "b", ViewID: 3, NackFrom: 2, NackTo: 5},
+		"sync":          {Kind: kSync, From: "b", ViewID: 3, SenderSeq: 9},
+		"batch":         {Kind: kBatch, From: "a", ViewID: 3, Size: 16, Msgs: inner},
+		"zero":          {},
 	}
-	for _, p := range cases {
-		bframe, err := bin.Encode(p)
+}
+
+// TestPacketBinaryCodecParity: every kind of packet comes back from the
+// codec equal to what was encoded, and equal packets encode to equal bytes
+// (VC entries are sorted on the wire).
+func TestPacketBinaryCodecParity(t *testing.T) {
+	codec := wireCodec()
+	for name, p := range samplePackets() {
+		frame, err := codec.Encode(p)
 		if err != nil {
-			t.Fatalf("kind %d: binary encode: %v", p.Kind, err)
+			t.Fatalf("%s: encode: %v", name, err)
 		}
-		jframe, err := reg.Encode(p)
+		got, err := codec.Decode(frame)
 		if err != nil {
-			t.Fatalf("kind %d: json encode: %v", p.Kind, err)
+			t.Fatalf("%s: decode: %v", name, err)
 		}
-		bdec, err := bin.Decode(bframe)
-		if err != nil {
-			t.Fatalf("kind %d: binary decode: %v", p.Kind, err)
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("%s: round trip gave %#v, want %#v", name, got, p)
 		}
-		jdec, err := reg.Decode(jframe)
-		if err != nil {
-			t.Fatalf("kind %d: json decode: %v", p.Kind, err)
-		}
-		if !reflect.DeepEqual(bdec, jdec) {
-			t.Errorf("kind %d: binary %#v disagrees with json %#v", p.Kind, bdec, jdec)
+		for i := 0; i < 10; i++ { // map order varies between encodes
+			if again, _ := codec.Encode(got); !bytes.Equal(again, frame) {
+				t.Fatalf("%s: re-encoded to %x, first encoding %x", name, again, frame)
+			}
 		}
 	}
+}
+
+// TestPacketWireRejects: what the wire cannot carry fails at encode, and
+// malformed bodies fail at decode, each with the reason.
+func TestPacketWireRejects(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    *packet
+		want string
+	}{
+		{"number body", &packet{Kind: kData, Body: 42}, "nil or a string, not int"},
+		{"nested batch", &packet{Kind: kBatch, Msgs: []*packet{{Kind: kBatch, Msgs: []*packet{{Kind: kData}}}}}, errNestedBatch.Error()},
+	} {
+		if _, err := c.p.AppendBinary(nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: encode error %v, want %q", c.name, err, c.want)
+		}
+	}
+
+	body, err := samplePackets()["data"].AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p packet
+	for n := 0; n < len(body); n++ {
+		if err := p.ParseBinary(body[:n]); !errors.Is(err, fabric.ErrTruncatedFrame) {
+			t.Fatalf("body prefix %d/%d: got %v, want ErrTruncatedFrame", n, len(body), err)
+		}
+	}
+	if err := p.ParseBinary(append(body, 0)); err == nil || errors.Is(err, fabric.ErrTruncatedFrame) {
+		t.Fatalf("body plus a trailing byte: got %v, want a trailing-bytes error", err)
+	}
+	// Three batches nested, built by hand since the encoder refuses it: an
+	// empty batch's body less its two empty counts, then a count of one, for
+	// the outer and the inner batch, and a third-level body of bytes that
+	// cannot parse. The inner batch fails at its count, so the third level is
+	// never read: the error is errNestedBatch, not a truncation.
+	head, _ := packet{Kind: kBatch}.AppendBinary(nil)
+	batchOfOne := append(head[:len(head)-2:len(head)-2], 1)
+	nested := append(append(batchOfOne, batchOfOne...), bytes.Repeat([]byte{0xff}, minPacketBytes)...)
+	if err := p.ParseBinary(nested); !errors.Is(err, errNestedBatch) {
+		t.Fatalf("nested batch: got %v, want errNestedBatch", err)
+	}
+}
+
+// TestPacketDecodeAllocs pins the decode cost of the two frames
+// group_seq_1x4 moves per multicast and member: the packet and one copy of
+// the body's strings, plus for a data packet the string boxed into Body.
+func TestPacketDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	codec := wireCodec()
+	for _, c := range []struct {
+		name string
+		p    *packet
+		want float64
+	}{
+		{"data", &packet{Kind: kData, From: "m1", ViewID: 1, Body: "m1:17:ssssssssssss", Size: 16, MsgID: msgID{Origin: "m1", N: 17}}, 3},
+		{"order", &packet{Kind: kOrder, From: "m0", ViewID: 1, GlobalSeq: 65, MsgID: msgID{Origin: "m1", N: 17}}, 2},
+	} {
+		frame, err := codec.Encode(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := codec.Decode(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: Decode allocates %v objects, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// FuzzPacketDecode: arbitrary bytes never panic the packet parser, and
+// whatever it accepts re-encodes to bytes that parse to an equal packet.
+func FuzzPacketDecode(f *testing.F) {
+	for name, p := range samplePackets() {
+		body, err := p.AppendBinary(nil)
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p packet
+		if p.ParseBinary(data) != nil {
+			return
+		}
+		body, err := p.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("re-encode of accepted %#v: %v", p, err)
+		}
+		var again packet
+		if err := again.ParseBinary(body); err != nil || !reflect.DeepEqual(p, again) {
+			t.Fatalf("re-parse mismatch: %#v vs %#v (err %v)", p, again, err)
+		}
+	})
 }

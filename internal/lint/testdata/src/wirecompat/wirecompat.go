@@ -121,6 +121,44 @@ func (dt *Detached) ParseBinary(data []byte) error {
 	return nil
 }
 
+// Shared hands its receiver to helpers (a walk nested values would share):
+// the helpers' field accesses are the pair's, in call order.
+type Shared struct{ A, B uint64 }
+
+func (sh Shared) AppendBinary(dst []byte) ([]byte, error) {
+	return putShared(dst, &sh), nil
+}
+
+func (sh *Shared) ParseBinary(data []byte) error {
+	sh.getA(data[:1])
+	getB(data[1:], sh)
+	return nil
+}
+
+func putShared(dst []byte, sh *Shared) []byte {
+	dst = putU64(dst, sh.A)
+	return putU64(dst, sh.B)
+}
+
+func (sh *Shared) getA(data []byte) { sh.A, _ = getU64(data) }
+
+func getB(data []byte, sh *Shared) { sh.B, _ = getU64(data) }
+
+// SharedDropped's helper reads one field of the two its appender writes.
+type SharedDropped struct{ A, B uint64 }
+
+func (sd SharedDropped) AppendBinary(dst []byte) ([]byte, error) {
+	dst = putU64(dst, sd.A)
+	return putU64(dst, sd.B), nil
+}
+
+func (sd *SharedDropped) ParseBinary(data []byte) error { // want "SharedDropped.ParseBinary never reads field B"
+	getDroppedA(data, sd)
+	return nil
+}
+
+func getDroppedA(data []byte, sd *SharedDropped) { sd.A, _ = getU64(data) }
+
 // Pinned shows a justified suppression: Legacy is deliberately write-only
 // compatibility padding, and an ignore with a reason silences the finding.
 type Pinned struct{ A, Legacy uint64 }

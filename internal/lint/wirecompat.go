@@ -26,7 +26,9 @@ import (
 // through: AppendBinary must return a slice derived from dst, and a
 // discarded Append* result (an expression statement returning []byte)
 // means encoded bytes were dropped. The parse half has no such check: a
-// ParseBinary reads through a fabric.Reader, which owns the cursor.
+// ParseBinary reads through a fabric.Reader, which owns the cursor. A half
+// that hands its receiver on to a module helper (a walk shared with nested
+// values of the type) is checked through the helper's mentions of it.
 func WireCompat() *Analyzer {
 	return &Analyzer{
 		Name: "wire-compat",
@@ -103,12 +105,12 @@ func runWireCompat(m *Module) []Diagnostic {
 		if wp.app == nil || wp.par == nil || !inModuleScope(wp.app.pkg.Path) {
 			continue
 		}
-		out = append(out, checkWirePair(wp)...)
+		out = append(out, checkWirePair(m, wp)...)
 	}
 	return out
 }
 
-func checkWirePair(wp *wirePair) []Diagnostic {
+func checkWirePair(m *Module, wp *wirePair) []Diagnostic {
 	var out []Diagnostic
 	tname := wp.typ.Name()
 	appRecv := recvObject(wp.app)
@@ -116,8 +118,8 @@ func checkWirePair(wp *wirePair) []Diagnostic {
 	if appRecv == nil || parRecv == nil {
 		return nil // unnamed receiver: nothing to trace
 	}
-	enc := fieldMentions(wp.app.pkg, appRecv, wp.app.decl.Body)
-	dec := fieldMentions(wp.par.pkg, parRecv, wp.par.decl.Body)
+	enc := fieldMentions(m, wp.app, appRecv, map[*modFunc]bool{wp.app: true})
+	dec := fieldMentions(m, wp.par, parRecv, map[*modFunc]bool{wp.par: true})
 	encSet, decSet := mentionSet(enc), mentionSet(dec)
 
 	appPos := wp.app.pkg.position(wp.app.decl)
@@ -261,51 +263,88 @@ type fieldMention struct {
 	pos  token.Pos
 }
 
-// fieldMentions lists the receiver's top-level fields in first-mention
-// source order: for m.Sub.Op the wire-relevant field is Sub. Function
-// literal bodies are pruned (not this unit's wire traffic).
-func fieldMentions(p *Package, recv types.Object, body *ast.BlockStmt) []fieldMention {
+// fieldMentions lists recv's top-level fields in first-mention source
+// order within mf's body: for m.Sub.Op the wire-relevant field is Sub.
+// Function literal bodies are pruned (not this unit's wire traffic). A
+// call handing recv to a module function, as its receiver or an argument,
+// contributes that function's mentions of the parameter at the call's
+// place; seen stops a helper from being followed twice.
+func fieldMentions(m *Module, mf *modFunc, recv types.Object, seen map[*modFunc]bool) []fieldMention {
+	p := mf.pkg
 	type hit struct {
-		name string
-		pos  token.Pos
+		at token.Pos // where in mf's body: orders the hits
+		fieldMention
 	}
 	var hits []hit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
+	isRecv := func(e ast.Expr) bool {
+		if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e = u.X
+		}
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && p.Info.Uses[id] == recv
+	}
+	ast.Inspect(mf.decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
 			return false
+		case *ast.CallExpr:
+			callee := m.calleeOf(p, n)
+			if callee == nil || seen[callee] {
+				return true
+			}
+			if param := handedOn(p, callee, n, isRecv); param != nil {
+				seen[callee] = true
+				for _, f := range fieldMentions(m, callee, param, seen) {
+					hits = append(hits, hit{n.Pos(), f})
+				}
+			}
+		case *ast.SelectorExpr:
+			id, iok := ast.Unparen(n.X).(*ast.Ident)
+			if !iok {
+				return true
+			}
+			obj := p.Info.Uses[id]
+			if obj == nil {
+				obj = p.Info.Defs[id]
+			}
+			if obj != recv {
+				return true
+			}
+			if s := p.Info.Selections[n]; s == nil || s.Kind() != types.FieldVal {
+				return true // method call on the receiver: handedOn's case
+			}
+			hits = append(hits, hit{n.Pos(), fieldMention{n.Sel.Name, n.Pos()}})
 		}
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, iok := ast.Unparen(sel.X).(*ast.Ident)
-		if !iok {
-			return true
-		}
-		obj := p.Info.Uses[id]
-		if obj == nil {
-			obj = p.Info.Defs[id]
-		}
-		if obj != recv {
-			return true
-		}
-		if s := p.Info.Selections[sel]; s == nil || s.Kind() != types.FieldVal {
-			return true // method call on the receiver, not wire traffic
-		}
-		hits = append(hits, hit{sel.Sel.Name, sel.Pos()})
 		return true
 	})
-	sort.Slice(hits, func(i, j int) bool { return hits[i].pos < hits[j].pos })
+	sort.SliceStable(hits, func(i, j int) bool { return hits[i].at < hits[j].at })
 	var out []fieldMention
-	seen := make(map[string]bool)
+	seenField := make(map[string]bool)
 	for _, h := range hits {
-		if seen[h.name] {
+		if seenField[h.name] {
 			continue
 		}
-		seen[h.name] = true
-		out = append(out, fieldMention{h.name, h.pos})
+		seenField[h.name] = true
+		out = append(out, h.fieldMention)
 	}
 	return out
+}
+
+// handedOn is callee's parameter (or receiver) that call binds to an
+// expression isRecv accepts, nil when the call does not hand it on.
+func handedOn(p *Package, callee *modFunc, call *ast.CallExpr, isRecv func(ast.Expr) bool) types.Object {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isRecv(sel.X) {
+		if s := p.Info.Selections[sel]; s != nil && s.Kind() == types.MethodVal && callee.decl.Recv != nil {
+			return recvObject(callee)
+		}
+	}
+	params := callee.obj.(*types.Func).Type().(*types.Signature).Params()
+	for i, arg := range call.Args {
+		if i < params.Len() && isRecv(arg) {
+			return params.At(i)
+		}
+	}
+	return nil
 }
 
 func mentionSet(ms []fieldMention) map[string]bool {

@@ -1,6 +1,10 @@
 package mobile
 
-import "repro/internal/fabric"
+import (
+	"encoding/binary"
+
+	"repro/internal/fabric"
+)
 
 // Traffic is the cost record a mobile client emits for each remote
 // interaction once an uplink is attached. It makes the package's cost
@@ -8,15 +12,33 @@ import "repro/internal/fabric"
 // from the client's counters, while a server (or a metrics middleware on
 // the uplink) can account for them remotely.
 type Traffic struct {
-	Op    string `json:"op"` // fetch | read | write | replay | bulk
-	Key   string `json:"key"`
-	Bytes int    `json:"bytes"`
+	Op    string // fetch | read | write | replay | bulk
+	Key   string
+	Bytes int
 }
+
+const tagTraffic = "mobile/traffic"
 
 // RegisterWire registers the mobile wire records with a fabric codec, so
 // Traffic can cross byte-oriented transports as well as netsim.
 func RegisterWire(c *fabric.Codec) {
-	c.Register("mobile/traffic", Traffic{})
+	c.Register(tagTraffic, Traffic{})
+}
+
+// AppendBinary implements fabric.BinaryAppender.
+func (t Traffic) AppendBinary(dst []byte) ([]byte, error) {
+	dst = fabric.AppendString(dst, t.Op)
+	dst = fabric.AppendString(dst, t.Key)
+	return binary.AppendVarint(dst, int64(t.Bytes)), nil
+}
+
+// ParseBinary implements fabric.BinaryParser.
+func (t *Traffic) ParseBinary(data []byte) error {
+	r := fabric.NewReader(data)
+	t.Op = r.String()
+	t.Key = r.String()
+	t.Bytes = int(r.Varint())
+	return r.Done(tagTraffic)
 }
 
 // AttachUplink makes the client report every remote interaction as a

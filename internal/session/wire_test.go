@@ -82,7 +82,12 @@ func TestWireCodecUnknownAndGarbage(t *testing.T) {
 	if _, err := c.Decode([]byte("{broken")); err == nil {
 		t.Error("garbage should error")
 	}
-	data, _ := fabric.Marshal("other/tag", map[string]int{"x": 1})
+	other := fabric.NewCodec()
+	other.Register("other/tag", fabric.Hello{})
+	data, err := other.Encode(fabric.Hello{Addr: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	payload, err := c.Decode(data)
 	if err != nil || payload != nil {
 		t.Errorf("unknown tag = %v, %v; want nil, nil", payload, err)

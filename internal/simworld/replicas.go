@@ -25,7 +25,7 @@ type Replicas struct {
 	Applied func(site string)
 
 	w     *World
-	codec *fabric.BinaryCodec
+	codec *fabric.Codec
 	err   error
 }
 
@@ -37,7 +37,7 @@ func (w *World) Replicas(kind string, ids ...string) (*Replicas, error) {
 		IDs:   ids,
 		Docs:  make(map[string]engine.Doc, len(ids)),
 		w:     w,
-		codec: fabric.NewBinaryCodec(engine.NewWireCodec()),
+		codec: engine.NewWireCodec(),
 	}
 	for _, id := range ids {
 		d, err := engine.New(kind, "doc", id, ids[0])

@@ -15,8 +15,7 @@ import (
 // frame 1 must survive frame 2 landing in the same bytes — and a frame
 // past the buffer's cap, then a small one, must still round-trip.
 func TestTCPReusedBufferDecodedPayloadsIntact(t *testing.T) {
-	reg := session.NewWireCodec()
-	codec := fabric.NewBinaryCodec(reg)
+	codec := session.NewWireCodec()
 	book := transport.NewAddressBook()
 	a, err := transport.ListenTCP("a", "127.0.0.1:0", book)
 	if err != nil {
