@@ -152,7 +152,7 @@ func run(args []string) error {
 	}
 	cli.OnItem = func(it session.Item) {
 		if p.Pump == nil || it.Kind != engine.ItemKind {
-			fmt.Printf("[#%d %s] %s: %s\n", it.Seq, it.Kind, it.From, it.Body)
+			fmt.Printf("[#%d %s] %s: %s\n", it.Seq, it.Kind, it.From, engine.ShowItemBody(it.Kind, it.Body))
 			return
 		}
 		applied, _, err := p.Deliver(it)

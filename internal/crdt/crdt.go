@@ -38,8 +38,8 @@ import (
 // use the per-site operation counter; both are unique per site. The zero
 // ID names the sequence head sentinel.
 type ID struct {
-	N    uint64 `json:"n"`
-	Site string `json:"s,omitempty"`
+	N    uint64
+	Site string
 }
 
 // IsZero reports whether the ID is the zero value (the sequence head).
@@ -90,15 +90,15 @@ func (k OpKind) String() string {
 // header every CRDT uses for hold-back gating (Seq is dense per site); the
 // remaining fields are kind-specific payload.
 type Op struct {
-	Kind  OpKind `json:"k"`
-	Site  string `json:"site"`
-	Seq   uint64 `json:"seq"`
-	ID    ID     `json:"id"`              // insert: new element; delete: target; add: the new dot
-	After ID     `json:"after"`           // insert: reference element (zero = head)
-	Ch    rune   `json:"ch,omitempty"`    // insert payload
-	Elem  string `json:"elem,omitempty"`  // set element
-	Dots  []ID   `json:"dots,omitempty"`  // set remove: the add dots it observed
-	Delta int64  `json:"delta,omitempty"` // counter increment (may be negative)
+	Kind  OpKind
+	Site  string
+	Seq   uint64
+	ID    ID     // insert: new element; delete: target; add: the new dot
+	After ID     // insert: reference element (zero = head)
+	Ch    rune   // insert payload
+	Elem  string // set element
+	Dots  []ID   // set remove: the add dots it observed
+	Delta int64  // counter increment (may be negative)
 }
 
 // integrate runs the shared hold-back protocol: deliver op if its per-site

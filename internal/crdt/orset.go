@@ -136,9 +136,9 @@ func (s *Set) applyOp(op Op) {
 // the removed-dot tombstones, and the applied-op vector. Slices are sorted
 // so equal states encode identically.
 type SetState struct {
-	Elems   map[string][]ID `json:"elems"`
-	Removed []ID            `json:"removed"`
-	VV      vclock.VC       `json:"vv"`
+	Elems   map[string][]ID
+	Removed []ID
+	VV      vclock.VC
 }
 
 // State snapshots the replica for anti-entropy.

@@ -81,9 +81,9 @@ func (c *Counter) applyOp(op Op) {
 
 // CtrState is the full serializable state of a Counter.
 type CtrState struct {
-	Pos map[string]uint64 `json:"pos"`
-	Neg map[string]uint64 `json:"neg"`
-	VV  vclock.VC         `json:"vv"`
+	Pos map[string]uint64
+	Neg map[string]uint64
+	VV  vclock.VC
 }
 
 // State snapshots the replica for anti-entropy.

@@ -199,10 +199,10 @@ func (s *Sequence) insertNode(id, after ID, ch rune) {
 
 // SeqNode is one element of a serialized Sequence state.
 type SeqNode struct {
-	ID      ID   `json:"id"`
-	After   ID   `json:"after"`
-	Ch      rune `json:"ch"`
-	Deleted bool `json:"del,omitempty"`
+	ID      ID
+	After   ID
+	Ch      rune
+	Deleted bool
 }
 
 // SeqState is the full serializable state of a Sequence: every element
@@ -210,8 +210,8 @@ type SeqNode struct {
 // Elements always appear after their insert reference, so a receiver
 // integrates them in one forward pass.
 type SeqState struct {
-	Nodes []SeqNode `json:"nodes"`
-	VV    vclock.VC `json:"vv"`
+	Nodes []SeqNode
+	VV    vclock.VC
 }
 
 // State snapshots the replica for anti-entropy.

@@ -13,8 +13,8 @@ const (
 // bodies, or session items); Doc names the document so shared endpoints
 // can demultiplex.
 type MsgOp struct {
-	Doc string `json:"doc,omitempty"`
-	Op  Op     `json:"op"`
+	Doc string
+	Op  Op
 }
 
 // DocKey implements session.DocKeyed, letting the session layer demux CRDT
@@ -24,10 +24,10 @@ func (m MsgOp) DocKey() string { return m.Doc }
 // MsgState carries a full replica snapshot for anti-entropy (gossip after
 // loss or partition). Exactly one of Seq/Set/Ctr is set.
 type MsgState struct {
-	Doc string    `json:"doc,omitempty"`
-	Seq *SeqState `json:"seq,omitempty"`
-	Set *SetState `json:"set,omitempty"`
-	Ctr *CtrState `json:"ctr,omitempty"`
+	Doc string
+	Seq *SeqState
+	Set *SetState
+	Ctr *CtrState
 }
 
 // DocKey implements session.DocKeyed.

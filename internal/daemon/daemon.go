@@ -126,7 +126,7 @@ func NewHost(ep fabric.Endpoint, clock fabric.Clock, cfg Config) (*session.Multi
 		if name == "" {
 			name = "(unnamed)"
 		}
-		log.Printf("item %s#%d from %s (%s): %s", name, it.Seq, it.From, it.Kind, it.Body)
+		log.Printf("item %s#%d from %s (%s): %s", name, it.Seq, it.From, it.Kind, engine.ShowItemBody(it.Kind, it.Body))
 		switch {
 		case cfg.Engine != engine.OT || it.Kind != engine.ItemKind || it.From == session.HostAuthor:
 		case cfg.OnIntegrate != nil:

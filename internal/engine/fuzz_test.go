@@ -62,3 +62,41 @@ func FuzzEngineWireDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzItemBodyDecode feeds arbitrary strings to DecodeItemBody, which reads
+// what any session participant posts: it must never panic, and any body it
+// accepts must re-encode to one that decodes to the same address and
+// payload and encodes to the same bytes again.
+func FuzzItemBodyDecode(f *testing.F) {
+	codec := NewWireCodec()
+	for _, tc := range itemMsgs() {
+		for _, to := range []string{"", "!host"} {
+			body, err := EncodeItemBody(codec, Msg{To: to, Body: tc.msg.Body})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(body)
+		}
+	}
+	f.Add("a|\x09crdt/op")                  // the tag length runs past the end
+	f.Add("a|")                             // nothing after the separator
+	f.Add("|\x06nope/x\x01d")               // a tag nothing registered
+	f.Add("|\x0eengine/ot-pull\x03d|x\x07") // '|' inside the payload
+	f.Fuzz(func(t *testing.T, body string) {
+		to, payload, err := DecodeItemBody(codec, body)
+		if err != nil {
+			return
+		}
+		again, err := EncodeItemBody(codec, Msg{To: to, Body: payload})
+		if err != nil {
+			t.Fatalf("re-encode accepted %q: %v", body, err)
+		}
+		to2, payload2, err := DecodeItemBody(codec, again)
+		if err != nil || to2 != to || !reflect.DeepEqual(payload2, payload) {
+			t.Fatalf("re-decode of %x: (%q, %#v, %v), want (%q, %#v)", again, to2, payload2, err, to, payload)
+		}
+		if third, _ := EncodeItemBody(codec, Msg{To: to2, Body: payload2}); third != again {
+			t.Fatalf("%x encodes to %x, then to %x", body, again, third)
+		}
+	})
+}

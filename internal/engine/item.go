@@ -1,48 +1,74 @@
 package engine
 
 import (
-	"encoding/base64"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/fabric"
 )
 
-// Engine messages can ride a session log as ordinary items: the body is the
-// codec-encoded payload in base64 behind an addressing prefix, so a plain
-// session daemon relays them untouched (the CRDT deployment) and an
-// OT-integrating daemon picks out the ones addressed to its server site.
+// Engine messages can ride a session log as ordinary items: the body is an
+// addressing prefix and the payload's tagged binary form (fabric.Codec's
+// AppendTagged), raw bytes in a Go string, so a plain session daemon relays
+// them untouched (the CRDT deployment) and an OT-integrating daemon picks out
+// the ones addressed to its server site. The session frame already
+// length-prefixes the body, so the payload carries no frame of its own.
 
 // ItemKind is the session item kind carrying a convergence-engine message.
 const ItemKind = "eng/op"
 
+// itemBodyCap sizes EncodeItemBody's buffer past the address: room for a tag
+// and a per-keystroke op, so the common case never grows it.
+const itemBodyCap = 64
+
 // EncodeItemBody renders one engine message as a session item body:
-// "<to>|<base64 payload>", with an empty <to> meaning every replica.
-func EncodeItemBody(codec fabric.PayloadCodec, m Msg) (string, error) {
-	data, err := codec.Encode(m.Body)
+// "<to>|<tag length><tag><binary body>", with an empty <to> meaning every
+// replica.
+//
+//cscw:hotpath
+func EncodeItemBody(codec *fabric.Codec, m Msg) (string, error) {
+	if strings.IndexByte(m.To, '|') >= 0 {
+		return "", fmt.Errorf("engine: site %q cannot ride an item body ('|' is the address separator)", m.To)
+	}
+	dst := make([]byte, 0, len(m.To)+1+itemBodyCap)
+	dst = append(dst, m.To...)
+	dst = append(dst, '|')
+	dst, err := codec.AppendTagged(dst, m.Body)
 	if err != nil {
 		return "", err
 	}
-	if strings.Contains(m.To, "|") {
-		return "", fmt.Errorf("engine: site %q cannot ride an item body ('|' is the address separator)", m.To)
-	}
-	return m.To + "|" + base64.StdEncoding.EncodeToString(data), nil
+	return string(dst), nil
 }
 
-// DecodeItemBody reverses EncodeItemBody. Replicas apply the payload when
-// to is empty (broadcast) or names them, and skip it otherwise.
-func DecodeItemBody(codec fabric.PayloadCodec, body string) (to string, payload any, err error) {
-	to, b64, ok := strings.Cut(body, "|")
-	if !ok {
+// DecodeItemBody reverses EncodeItemBody: it cuts at the first '|' and
+// parses the rest. Replicas apply the payload when to is empty (broadcast)
+// or names them, and skip it otherwise. A payload whose tag no engine
+// registered is an error.
+//
+//cscw:hotpath
+func DecodeItemBody(codec *fabric.Codec, body string) (to string, payload any, err error) {
+	i := strings.IndexByte(body, '|')
+	if i < 0 {
 		return "", nil, fmt.Errorf("engine: item body has no address separator")
 	}
-	data, err := base64.StdEncoding.DecodeString(b64)
+	payload, err = codec.DecodeTagged([]byte(body[i+1:]))
 	if err != nil {
 		return "", nil, fmt.Errorf("engine: item body payload: %w", err)
 	}
-	payload, err = codec.Decode(data)
-	if err != nil {
-		return "", nil, err
+	return body[:i], payload, nil
+}
+
+// ShowItemBody renders an item body for a log line or a terminal. An eng/op
+// body is raw bytes after its address, so it shows as "<to>|<n bytes>" (just
+// "<n bytes>" without a separator); any other kind's body shows as it is.
+func ShowItemBody(kind, body string) string {
+	if kind != ItemKind {
+		return body
 	}
-	return to, payload, nil
+	to, payload, ok := strings.Cut(body, "|")
+	if !ok {
+		return strconv.Itoa(len(body)) + " bytes"
+	}
+	return to + "|" + strconv.Itoa(len(payload)) + " bytes"
 }

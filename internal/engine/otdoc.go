@@ -14,8 +14,8 @@ import (
 
 // MsgSubmit carries one client submission to the integration server.
 type MsgSubmit struct {
-	Doc string        `json:"doc,omitempty"`
-	Sub ot.Submission `json:"sub"`
+	Doc string
+	Sub ot.Submission
 }
 
 // DocKey implements session.DocKeyed.
@@ -23,8 +23,8 @@ func (m MsgSubmit) DocKey() string { return m.Doc }
 
 // MsgCommit broadcasts one committed operation.
 type MsgCommit struct {
-	Doc string       `json:"doc,omitempty"`
-	C   ot.Committed `json:"c"`
+	Doc string
+	C   ot.Committed
 }
 
 // DocKey implements session.DocKeyed.
@@ -32,8 +32,8 @@ func (m MsgCommit) DocKey() string { return m.Doc }
 
 // MsgPull asks the server for the commits after Base.
 type MsgPull struct {
-	Doc  string `json:"doc,omitempty"`
-	Base int    `json:"base"`
+	Doc  string
+	Base int
 }
 
 // DocKey implements session.DocKeyed.
@@ -41,8 +41,8 @@ func (m MsgPull) DocKey() string { return m.Doc }
 
 // MsgCommits answers a pull with commits in revision order.
 type MsgCommits struct {
-	Doc string         `json:"doc,omitempty"`
-	Cs  []ot.Committed `json:"cs"`
+	Doc string
+	Cs  []ot.Committed
 }
 
 // DocKey implements session.DocKeyed.

@@ -21,6 +21,11 @@ import (
 //
 // Every registered type writes its own body (BinaryAppender) and parses it
 // back on a Reader (BinaryParser); Register refuses a type without both.
+//
+// A carrier that already delimits its bytes (an engine op inside a session
+// item) takes the tagged form instead, AppendTagged/DecodeTagged: the tag
+// length, the tag and the body, which runs to the end. No magic, version or
+// body length.
 
 // BinaryCodec is Codec under the name the frozen benchmark harness uses.
 type BinaryCodec = Codec
@@ -63,25 +68,18 @@ var (
 //
 //cscw:hotpath
 func (c *Codec) Encode(payload any) ([]byte, error) {
-	t := reflect.TypeOf(payload)
-	for t != nil && t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	c.mu.RLock()
-	tag, ok := c.byTyp[t]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("fabric: no tag registered for payload type %T", payload)
+	tag, err := c.tagOf(payload)
+	if err != nil {
+		return nil, err
 	}
 	dst := make([]byte, 0, 64+len(tag))
 	dst = append(dst, binMagic, binVersion, bodyBinary, byte(len(tag)))
 	dst = append(dst, tag...)
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	// Register checked that the type implements BinaryAppender.
-	dst, err := payload.(BinaryAppender).AppendBinary(dst)
+	dst, err = appendBody(dst, tag, payload)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: binary-encode %s body: %w", tag, err)
+		return nil, err
 	}
 	bodyLen := len(dst) - lenAt - 4
 	if bodyLen > MaxBinaryFrame {
@@ -133,6 +131,74 @@ func (c *Codec) Decode(data []byte) (any, error) {
 	if enc != bodyBinary {
 		return nil, fmt.Errorf("fabric: unknown body encoding %d", enc)
 	}
+	return c.parse(tag, body)
+}
+
+// AppendTagged appends payload's tagged form to dst: a one-byte tag length,
+// the tag, then the binary body, which runs to the end of the encoding, so
+// the carrier must delimit it. Unregistered payload types are an error.
+//
+//cscw:hotpath
+func (c *Codec) AppendTagged(dst []byte, payload any) ([]byte, error) {
+	tag, err := c.tagOf(payload)
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst, byte(len(tag)))
+	dst = append(dst, tag...)
+	return appendBody(dst, tag, payload)
+}
+
+// DecodeTagged parses an AppendTagged encoding, all of data, into a pointer
+// to the registered type for its tag. Unlike Decode, an unknown tag is an
+// error: a tagged body has no other protocol to belong to.
+//
+//cscw:hotpath
+func (c *Codec) DecodeTagged(data []byte) (any, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("%w: empty tagged body", ErrTruncatedFrame)
+	}
+	tagLen := int(data[0])
+	if len(data) < 1+tagLen {
+		return nil, fmt.Errorf("%w: tagged body declares %d-byte tag, %d bytes remain", ErrTruncatedFrame, tagLen, len(data)-1)
+	}
+	tag := data[1 : 1+tagLen]
+	out, err := c.parse(tag, data[1+tagLen:])
+	if out == nil && err == nil {
+		return nil, fmt.Errorf("fabric: no type registered for tag %q", tag)
+	}
+	return out, err
+}
+
+// tagOf is the one type → tag lookup: the tag registered for payload's
+// (pointer-stripped) type.
+func (c *Codec) tagOf(payload any) (string, error) {
+	t := reflect.TypeOf(payload)
+	for t != nil && t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	c.mu.RLock()
+	tag, ok := c.byTyp[t]
+	c.mu.RUnlock()
+	if !ok {
+		return "", fmt.Errorf("fabric: no tag registered for payload type %T", payload)
+	}
+	return tag, nil
+}
+
+// appendBody appends payload's binary body; Register checked that its type
+// implements BinaryAppender.
+func appendBody(dst []byte, tag string, payload any) ([]byte, error) {
+	dst, err := payload.(BinaryAppender).AppendBinary(dst)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: binary-encode %s body: %w", tag, err)
+	}
+	return dst, nil
+}
+
+// parse is the one tag → type lookup: a fresh value of the type registered
+// under tag with body parsed into it, or (nil, nil) when no type is.
+func (c *Codec) parse(tag, body []byte) (any, error) {
 	c.mu.RLock()
 	t, ok := c.byTag[string(tag)]
 	c.mu.RUnlock()

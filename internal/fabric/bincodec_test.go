@@ -151,6 +151,52 @@ func TestBinaryUnknownTag(t *testing.T) {
 	}
 }
 
+// TestTaggedForm: for every registered payload the tagged form is the frame
+// without its magic, version, body-encoding byte and length prefix, appends
+// after whatever dst held, and decodes back to the value. Every proper
+// prefix fails with ErrTruncatedFrame, and a tag nothing registered is an
+// error naming it.
+func TestTaggedForm(t *testing.T) {
+	codec := fullRegistry()
+	for name, payload := range registeredPayloads() {
+		frame, err := codec.Encode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tagLen := int(frame[3])
+		want := append(append([]byte("to|"), frame[3:4+tagLen]...), frame[8+tagLen:]...)
+		got, err := codec.AppendTagged([]byte("to|"), payload)
+		if err != nil || string(got) != string(want) {
+			t.Fatalf("%s: AppendTagged = %x, %v; want %x", name, got, err, want)
+		}
+		tagged := got[3:]
+		back, err := codec.DecodeTagged(tagged)
+		if err != nil {
+			t.Fatalf("%s: DecodeTagged: %v", name, err)
+		}
+		if again, _ := codec.Encode(back); string(again) != string(frame) {
+			t.Errorf("%s: decoded to %#v", name, back)
+		}
+		for n := 0; n < len(tagged); n++ {
+			_, err := codec.DecodeTagged(tagged[:n])
+			if !errors.Is(err, fabric.ErrTruncatedFrame) {
+				t.Fatalf("%s: prefix %d/%d bytes: got %v", name, n, len(tagged), err)
+			}
+		}
+	}
+	bare := fabric.NewCodec()
+	tagged, err := fullRegistry().AppendTagged(nil, mobile.Traffic{Op: "read", Key: "k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := bare.DecodeTagged(tagged); err == nil || !strings.Contains(err.Error(), `"mobile/traffic"`) {
+		t.Fatalf("unknown tag: got (%v, %v), want an error naming the tag", got, err)
+	}
+	if _, err := bare.AppendTagged(nil, fabric.Hello{}); err == nil {
+		t.Fatal("unregistered payload type encoded")
+	}
+}
+
 // TestBinaryTruncatedFrames: every proper prefix of a valid frame must fail
 // with ErrTruncatedFrame — no panics, no silent partial decodes.
 func TestBinaryTruncatedFrames(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 // document without a side channel. One wrapper type serves every domain —
 // the shard is implied by which member carried it.
 type Tagged struct {
-	Doc  string `json:"doc"`
-	Body any    `json:"body"`
+	Doc  string
+	Body any
 }
 
 // Config assembles a DomainSet.

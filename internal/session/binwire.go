@@ -8,9 +8,9 @@ import (
 
 // Binary bodies for the session wire messages (fabric.BinaryAppender /
 // BinaryParser). Session traffic is the chattiest in the system — every
-// post, push and poll crosses the wire — so it gets hand-rolled bodies
-// instead of the JSON fallback: uvarint integers and length-prefixed
-// strings, no reflection, no intermediate buffers. Field order is fixed
+// post, push and poll crosses the wire — so it gets hand-rolled bodies:
+// uvarint integers and length-prefixed strings, no reflection, no
+// intermediate buffers. Field order is fixed
 // and versioning rides on the fabric frame header.
 
 func appendItem(dst []byte, it Item) []byte {

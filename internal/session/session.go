@@ -15,8 +15,8 @@
 //
 // The package is transport-agnostic in the same style as package group:
 // Host and Client speak through a fabric.Endpoint, so the same code runs
-// over netsim (experiments) and over TCP (cmd/sessiond) via the
-// JSON-tagged wire types registered by RegisterWire.
+// over netsim (experiments) and over TCP (cmd/sessiond) via the wire types
+// RegisterWire registers, each with a hand-rolled binary body (binwire.go).
 package session
 
 import (
@@ -77,15 +77,15 @@ var (
 
 // Item is one unit of session content (an edit, a chat line, a strip move).
 type Item struct {
-	Seq  uint64        `json:"seq"`
-	From string        `json:"from"`
-	Kind string        `json:"kind"`
-	Body string        `json:"body"`
-	At   time.Duration `json:"at"`
+	Seq  uint64
+	From string
+	Kind string
+	Body string
+	At   time.Duration
 }
 
-// Wire message types. Bodies are JSON-friendly so the TCP adapter can
-// marshal them; over netsim they travel as in-memory values. Every message
+// Wire message types. Over TCP the codec writes their binary bodies
+// (binwire.go); over netsim they travel as in-memory values. Every message
 // carries an optional Doc — the document (session) key — so one endpoint
 // can serve many sessions (MultiHost) and shard routers can place each
 // document in its own ordering domain. An empty Doc is the unnamed
@@ -93,58 +93,58 @@ type Item struct {
 
 // MsgJoin is a participant's join (or rejoin) request.
 type MsgJoin struct {
-	Doc   string   `json:"doc,omitempty"`
-	From  string   `json:"from"`
-	Since uint64   `json:"since"` // replay items after this sequence number
-	State Presence `json:"state"`
+	Doc   string
+	From  string
+	Since uint64 // replay items after this sequence number
+	State Presence
 }
 
 // MsgJoinAck carries the backlog and session mode to a joiner.
 type MsgJoinAck struct {
-	Doc     string   `json:"doc,omitempty"`
-	Mode    Mode     `json:"mode"`
-	Backlog []Item   `json:"backlog"`
-	Members []string `json:"members"`
+	Doc     string
+	Mode    Mode
+	Backlog []Item
+	Members []string
 }
 
 // MsgPost submits an item to the host.
 type MsgPost struct {
-	Doc  string `json:"doc,omitempty"`
-	From string `json:"from"`
-	Kind string `json:"kind"`
-	Body string `json:"body"`
+	Doc  string
+	From string
+	Kind string
+	Body string
 }
 
 // MsgItems pushes items to a participant.
 type MsgItems struct {
-	Doc   string `json:"doc,omitempty"`
-	Items []Item `json:"items"`
+	Doc   string
+	Items []Item
 }
 
 // MsgPoll requests items after Since.
 type MsgPoll struct {
-	Doc   string `json:"doc,omitempty"`
-	From  string `json:"from"`
-	Since uint64 `json:"since"`
+	Doc   string
+	From  string
+	Since uint64
 }
 
 // MsgMode announces a session mode switch.
 type MsgMode struct {
-	Doc  string `json:"doc,omitempty"`
-	Mode Mode   `json:"mode"`
+	Doc  string
+	Mode Mode
 }
 
 // MsgPresence announces a presence change.
 type MsgPresence struct {
-	Doc   string   `json:"doc,omitempty"`
-	From  string   `json:"from"`
-	State Presence `json:"state"`
+	Doc   string
+	From  string
+	State Presence
 }
 
 // MsgLeave announces departure.
 type MsgLeave struct {
-	Doc  string `json:"doc,omitempty"`
-	From string `json:"from"`
+	Doc  string
+	From string
 }
 
 // DocKeyed is implemented by foreign wire payloads (CRDT ops and state
