@@ -102,9 +102,11 @@ experiments:
 experiments-golden:
 	go test ./internal/exps -run TestExperimentsGolden -update
 
+# Every example, by directory: a new one is run without being listed here.
+# Each exits non-zero on failure.
 examples:
-	@for ex in quickstart coauthoring atc conference mobilefield mediaspace shareddraw; do \
-		echo "== examples/$$ex =="; go run ./examples/$$ex || exit 1; echo; \
+	@for ex in examples/*/; do \
+		echo "== $${ex%/} =="; go run ./$$ex || exit 1; echo; \
 	done
 
 cover:

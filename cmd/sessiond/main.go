@@ -28,7 +28,6 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/engine"
 	"repro/internal/fabric"
-	"repro/internal/route"
 )
 
 func main() {
@@ -64,8 +63,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("sessiond: %w", err)
 	}
-	fmt.Fprintf(stdout, "sessiond listening on %s (%s mode, %s codec, %s engine, domain %s of %d)\n",
-		d.Addr(), d.Mode, *codec, cfg.Engine, route.DomainName(cfg.Shard), cfg.Shards)
+	fmt.Fprintf(stdout, "sessiond listening on %s (%s mode, %s codec, %s engine, domain dom%02d of %d)\n",
+		d.Addr(), d.Mode, *codec, cfg.Engine, cfg.Shard, cfg.Shards)
 	d.Serve(ctx)
 	return d.Close()
 }

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fabric"
-	"repro/internal/route"
 	"repro/internal/session"
 	"repro/internal/transport"
 )
@@ -97,8 +96,7 @@ func NewHost(ep fabric.Endpoint, clock fabric.Clock, cfg Config) (*session.Multi
 	}
 	var owns func(doc string) bool // nil: one daemon owns every document
 	if cfg.Shards > 1 {
-		router := route.New(cfg.Shards)
-		owns = func(doc string) bool { return router.Shard(doc) == cfg.Shard }
+		owns = func(doc string) bool { return shardOf(doc, cfg.Shards) == cfg.Shard }
 	}
 	host := session.NewMultiHost(ep, mode, clock, owns)
 
@@ -136,6 +134,18 @@ func NewHost(ep fabric.Endpoint, clock fabric.Clock, cfg Config) (*session.Multi
 		}
 	}
 	return host, nil
+}
+
+// shardOf places doc in one of shards ordering domains: FNV-1a over the key,
+// modulo the count, so every daemon of a deployment agrees on the placement
+// without coordination. testdata/shards.golden pins it.
+func shardOf(doc string, shards int) int {
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for i := 0; i < len(doc); i++ {
+		h ^= uint64(doc[i])
+		h *= 1099511628211 // FNV-1a 64-bit prime
+	}
+	return int(h % uint64(shards))
 }
 
 // Daemon is a running sessiond: the host core on a TCP edge.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
-	"repro/internal/route"
 	"repro/internal/session"
 	"repro/internal/simworld"
 	"repro/internal/transport"
@@ -223,16 +223,70 @@ func TestDeployment(t *testing.T) {
 	}
 }
 
+// TestShardPlacementGolden: testdata/shards.golden holds, for a fixed key
+// list, the shard an older daemon placed each key in for shards = 1…8. A
+// daemon built from this tree must place every document in the same domain,
+// or a mixed deployment forks a document's log across two daemons. The file
+// is a compatibility record, never regenerated.
+func TestShardPlacementGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/shards.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 9 {
+			t.Fatalf("bad golden line %q", line)
+		}
+		key, err := strconv.Unquote(fields[0])
+		if err != nil {
+			t.Fatalf("bad golden key in %q: %v", line, err)
+		}
+		for n := 1; n <= 8; n++ {
+			if got, want := strconv.Itoa(shardOf(key, n)), fields[n]; got != want {
+				t.Errorf("shardOf(%q, %d) = %s, want %s", key, n, got, want)
+			}
+		}
+		keys++
+	}
+	if keys != 34 {
+		t.Errorf("golden holds %d keys, want 34 (doc-0…doc-31, \"\", hot-document)", keys)
+	}
+}
+
+func TestShardDeterministic(t *testing.T) {
+	hit := make(map[int]int)
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("doc-%03d", i)
+		s := shardOf(key, 4)
+		if s < 0 || s >= 4 {
+			t.Fatalf("shard %d out of range", s)
+		}
+		if again := shardOf(key, 4); again != s {
+			t.Fatalf("shard not deterministic for %q: %d then %d", key, s, again)
+		}
+		hit[s]++
+	}
+	for s := 0; s < 4; s++ {
+		if hit[s] == 0 {
+			t.Fatalf("200 keys never landed on shard %d: %v", s, hit)
+		}
+	}
+}
+
 // TestShardRejection: a daemon confined to one ordering domain drops, and
-// counts, traffic for documents the router places elsewhere.
+// counts, traffic for documents shardOf places elsewhere.
 func TestShardRejection(t *testing.T) {
 	cfg := hostConfig(engine.CRDT)
 	cfg.Shards, cfg.Shard = 2, 0
 	d := startDaemon(t, cfg)
-	router := route.New(2)
 	var mine, foreign string
 	for i := 0; mine == "" || foreign == ""; i++ {
-		if doc := fmt.Sprintf("doc-%d", i); router.Shard(doc) == 0 {
+		if doc := fmt.Sprintf("doc-%d", i); shardOf(doc, 2) == 0 {
 			mine = doc
 		} else {
 			foreign = doc
@@ -246,7 +300,7 @@ func TestShardRejection(t *testing.T) {
 	}
 	// The hello carries no document key, so it routes as the unnamed one.
 	want := before + 1
-	if router.Shard("") != 0 {
+	if shardOf("", 2) != 0 {
 		want++
 	}
 	if got := d.Host.Rejected(); got != want {

@@ -1,7 +1,7 @@
 package fabric_test
 
 // Codec conformance: a round trip for every payload type registered
-// anywhere in the repo (fabric, session, mobile, crdt, engine — the group
+// anywhere in the repo (fabric, session, crdt, engine — the group
 // packet, being unexported, has its round-trip table in package group),
 // plus the frame-level error paths: truncation at every byte boundary,
 // oversized length prefixes, trailing bytes, version mismatches, unknown
@@ -20,7 +20,6 @@ import (
 	"repro/internal/crdt"
 	"repro/internal/engine"
 	"repro/internal/fabric"
-	"repro/internal/mobile"
 	"repro/internal/ot"
 	"repro/internal/session"
 	"repro/internal/transport"
@@ -32,7 +31,6 @@ func fullRegistry() *fabric.Codec {
 	c := fabric.NewCodec()
 	fabric.RegisterBase(c)
 	session.RegisterWire(c)
-	mobile.RegisterWire(c)
 	engine.RegisterWire(c) // both engines: the OT messages and crdt's
 	return c
 }
@@ -76,7 +74,6 @@ func registeredPayloads() map[string]any {
 		"session/mode":     session.MsgMode{Mode: session.Synchronous},
 		"session/presence": session.MsgPresence{From: "carol", State: session.Offline},
 		"session/leave":    session.MsgLeave{From: "bob"},
-		"mobile/traffic":   mobile.Traffic{Op: "fetch", Key: "doc/7", Bytes: 1024},
 	}
 }
 
@@ -139,7 +136,7 @@ func TestBinaryJSONInterop(t *testing.T) {
 // TestBinaryUnknownTag: frames for unregistered tags are skipped (nil, nil):
 // foreign traffic on a shared endpoint is not an error.
 func TestBinaryUnknownTag(t *testing.T) {
-	frame, err := fullRegistry().Encode(mobile.Traffic{Op: "read", Key: "k"})
+	frame, err := fullRegistry().Encode(session.MsgLeave{From: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +182,11 @@ func TestTaggedForm(t *testing.T) {
 		}
 	}
 	bare := fabric.NewCodec()
-	tagged, err := fullRegistry().AppendTagged(nil, mobile.Traffic{Op: "read", Key: "k"})
+	tagged, err := fullRegistry().AppendTagged(nil, session.MsgLeave{From: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := bare.DecodeTagged(tagged); err == nil || !strings.Contains(err.Error(), `"mobile/traffic"`) {
+	if got, err := bare.DecodeTagged(tagged); err == nil || !strings.Contains(err.Error(), `"session/leave"`) {
 		t.Fatalf("unknown tag: got (%v, %v), want an error naming the tag", got, err)
 	}
 	if _, err := bare.AppendTagged(nil, fabric.Hello{}); err == nil {
@@ -348,6 +345,7 @@ func FuzzBinaryDecode(f *testing.F) {
 	}
 	f.Add([]byte{0xC5})
 	f.Add([]byte{0xC5, 1, 0, 255})
+	f.Add([]byte{0xC5, 1, 1, 1, 'x', 0, 0, 0, 0}) // well-formed, tag "x" unregistered: skipped
 	f.Add([]byte(`{"type":"fabric/hello","body":{"addr":"x"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := codec.Decode(data)

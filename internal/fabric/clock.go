@@ -4,7 +4,7 @@ import "time"
 
 // Clock supplies the current time as a monotonic offset from an arbitrary
 // epoch. Everything in the stack that needs "now" — metrics latency
-// accounting, session item stamping, failure detection — takes one of
+// accounting, session item stamping — takes one of
 // these instead of reading the wall clock, so the same code runs in
 // virtual time under netsim (Sim.Now) and in real time behind a daemon.
 // That injection is what lets chaos traces stay byte-identical per seed:

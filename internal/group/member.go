@@ -239,9 +239,6 @@ func (m *Member) runCallbacks() {
 	m.mu.Unlock()
 }
 
-// ID returns the member identifier.
-func (m *Member) ID() string { return m.id }
-
 // View returns the currently installed view.
 func (m *Member) View() View {
 	m.mu.Lock()
@@ -623,8 +620,7 @@ func (m *Member) maybeNack(sender string) {
 
 // SyncPoint advertises this member's FIFO send high-water mark to the view,
 // letting receivers detect and repair *tail* loss (a lost final message
-// reveals no gap by itself). Schedule it periodically over lossy links —
-// the failure detector's heartbeat interval is a natural carrier.
+// reveals no gap by itself). Schedule it periodically over lossy links.
 func (m *Member) SyncPoint() error {
 	m.mu.Lock()
 	if m.ordering != FIFO || !m.view.Contains(m.id) {

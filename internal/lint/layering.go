@@ -18,8 +18,8 @@ import (
 //   - layer-netsim: internal/netsim is the discrete-event world — virtual
 //     time, topology, QoS links. The fabric adapter and the declared
 //     simulation-world packages (bench, chaos, core, exps, mgmt, mobile,
-//     mobileip, simworld, stream) may import it, as may example mains that
-//     build demo worlds.
+//     simworld, stream) may import it, as may example mains that build demo
+//     worlds.
 //     The collaboration layers (group, session, ot, txn, floor, rooms, …)
 //     must not: they reach the network only through fabric.Endpoint, which
 //     is what keeps them runnable over every substrate and keeps the chaos
@@ -45,7 +45,6 @@ func Layering() *Analyzer {
 		modulePrefix + "/internal/exps":     true,
 		modulePrefix + "/internal/mgmt":     true,
 		modulePrefix + "/internal/mobile":   true,
-		modulePrefix + "/internal/mobileip": true,
 		modulePrefix + "/internal/simworld": true,
 		modulePrefix + "/internal/stream":   true,
 	}

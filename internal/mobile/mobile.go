@@ -21,7 +21,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/fabric"
 	"repro/internal/netsim"
 	"repro/internal/txn"
 )
@@ -93,9 +92,6 @@ type Client struct {
 	stats  Stats
 	limit  int    // max cache entries; 0 = unbounded
 	clock  uint64 // LRU recency counter
-
-	up       fabric.Endpoint // optional uplink for Traffic records
-	upServer string
 
 	// OnConflict observes reintegration conflicts (for the user's manual
 	// repair queue).
@@ -194,7 +190,6 @@ func (c *Client) fetch(keys []string) {
 			continue
 		}
 		c.stats.RemoteReads++
-		c.report("fetch", k, len(v))
 		e := &entry{value: v, version: c.server.Version(k)}
 		c.cache[k] = e
 		c.touch(k, e)
@@ -226,7 +221,6 @@ func (c *Client) Read(key string, now time.Duration) (string, error) {
 		return "", fmt.Errorf("mobile: %s not found", key)
 	}
 	c.stats.RemoteReads++
-	c.report("read", key, len(v))
 	e := &entry{value: v, version: c.server.Version(key)}
 	c.cache[key] = e
 	c.touch(key, e)
@@ -261,7 +255,6 @@ func (c *Client) Write(key, value string, now time.Duration) error {
 	}
 	c.server.Set(key, value)
 	c.stats.RemoteWrites++
-	c.report("write", key, len(value))
 	e := &entry{value: value, version: c.server.Version(key)}
 	c.cache[key] = e
 	c.touch(key, e)
@@ -311,7 +304,6 @@ func (c *Client) Reintegrate(now time.Duration) []Conflict {
 		}
 		c.server.Set(r.key, r.value)
 		c.stats.RemoteWrites++
-		c.report("replay", r.key, len(r.value))
 		c.cache[r.key] = &entry{value: r.value, version: c.server.Version(r.key)}
 	}
 	c.log = nil
@@ -342,7 +334,6 @@ func (c *Client) BulkUpdate(now time.Duration) {
 			continue
 		}
 		c.stats.BulkFetched++
-		c.report("bulk", k, len(v))
 		c.cache[k] = &entry{value: v, version: sv}
 	}
 }

@@ -36,6 +36,48 @@ func TestConnectedReadWrite(t *testing.T) {
 	}
 }
 
+// TestStatsCountServerTouches walks one script through every operation
+// class and checks which of them reach the server: a hoard fetch, a remote
+// read and a remote write count once each, a disconnected write and a cache
+// hit count nothing remote, and reconnection replays the logged write.
+func TestStatsCountServerTouches(t *testing.T) {
+	store := txn.NewStore()
+	store.Set("doc", "v1")
+	store.Set("aux", "v1")
+	c := NewClient("mob", store, ServerWins)
+	step := func(name string, want Stats) {
+		t.Helper()
+		if got := c.Stats(); got != want {
+			t.Errorf("after %s: stats = %+v, want %+v", name, got, want)
+		}
+	}
+
+	c.Hoard("doc")
+	step("hoard fetch", Stats{RemoteReads: 1})
+	if _, err := c.Read("aux", 0); err != nil {
+		t.Fatal(err)
+	}
+	step("remote read", Stats{RemoteReads: 2})
+	if err := c.Write("doc", "v2", 0); err != nil {
+		t.Fatal(err)
+	}
+	step("remote write", Stats{RemoteReads: 2, RemoteWrites: 1})
+	c.SetLevel(netsim.Disconnected, 0)
+	if err := c.Write("doc", "v3", 0); err != nil {
+		t.Fatal(err)
+	}
+	step("disconnected write", Stats{RemoteReads: 2, RemoteWrites: 1, LoggedWrites: 1})
+	if _, err := c.Read("doc", 0); err != nil {
+		t.Fatal(err)
+	}
+	step("cache hit", Stats{LocalHits: 1, RemoteReads: 2, RemoteWrites: 1, LoggedWrites: 1})
+	c.SetLevel(netsim.Full, 0)
+	step("reconnect", Stats{LocalHits: 1, RemoteReads: 2, RemoteWrites: 2, LoggedWrites: 1, Replayed: 1})
+	if v, _ := store.Get("doc"); v != "v3" || c.LogLen() != 0 {
+		t.Errorf("after reconnect: server doc = %q, log = %d; want the replayed v3 and an empty log", v, c.LogLen())
+	}
+}
+
 func TestDisconnectedMissAndHit(t *testing.T) {
 	srv := newServer()
 	c := NewClient("eng1", srv, ServerWins)

@@ -1,7 +1,5 @@
 package netsim
 
-import "time"
-
 // ConnLevel is a mobile host's level of connection (paper §4.2.2: "connection
 // may vary from being disconnected to being partially connected (through a
 // radio network) to being fully connected (through a high speed network)").
@@ -27,80 +25,5 @@ func (l ConnLevel) String() string {
 		return "full"
 	default:
 		return "unknown"
-	}
-}
-
-// LinkFor returns the link parameters used at this connection level.
-func (l ConnLevel) LinkFor() Link {
-	switch l {
-	case Partial:
-		return RadioLink
-	case Full:
-		return LANLink
-	default:
-		down := LANLink
-		down.Down = true
-		return down
-	}
-}
-
-// Phase is one step of a mobility schedule: the host stays at Level for
-// Duration.
-type Phase struct {
-	Level    ConnLevel
-	Duration time.Duration
-}
-
-// Mobility drives a mobile node through a schedule of connection levels,
-// rewriting the links between the mobile node and its peers at each phase
-// boundary. An optional OnChange callback observes transitions — the mobile
-// caching layer uses it to trigger bulk updates when connection improves.
-type Mobility struct {
-	sim      *Sim
-	mobile   string
-	peers    []string
-	level    ConnLevel
-	OnChange func(old, new ConnLevel)
-}
-
-// NewMobility creates a mobility controller for the mobile node against the
-// given fixed peers, initially at level Full.
-func NewMobility(sim *Sim, mobile string, peers []string) *Mobility {
-	m := &Mobility{sim: sim, mobile: mobile, peers: append([]string(nil), peers...), level: Full}
-	m.apply(Full)
-	return m
-}
-
-// Level returns the current connection level.
-func (m *Mobility) Level() ConnLevel { return m.level }
-
-// Set switches the mobile node to the given level immediately.
-func (m *Mobility) Set(level ConnLevel) {
-	if level == m.level {
-		return
-	}
-	old := m.level
-	m.level = level
-	m.apply(level)
-	if m.OnChange != nil {
-		m.OnChange(old, level)
-	}
-}
-
-func (m *Mobility) apply(level ConnLevel) {
-	link := level.LinkFor()
-	for _, p := range m.peers {
-		m.sim.SetBiLink(m.mobile, p, link)
-	}
-}
-
-// Schedule walks the node through the phases, starting now. Phases are
-// applied back to back; after the last phase the level stays put.
-func (m *Mobility) Schedule(phases []Phase) {
-	var offset time.Duration
-	for _, ph := range phases {
-		ph := ph
-		m.sim.At(offset, func() { m.Set(ph.Level) })
-		offset += ph.Duration
 	}
 }

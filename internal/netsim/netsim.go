@@ -70,8 +70,6 @@ var (
 	LANLink = Link{Latency: 1 * time.Millisecond, Jitter: 200 * time.Microsecond, Bandwidth: 1_250_000}
 	// WANLink approximates an inter-site wide-area path.
 	WANLink = Link{Latency: 40 * time.Millisecond, Jitter: 8 * time.Millisecond, Bandwidth: 256_000}
-	// RadioLink approximates a partial mobile connection: slow and lossy.
-	RadioLink = Link{Latency: 150 * time.Millisecond, Jitter: 60 * time.Millisecond, Loss: 0.05, Bandwidth: 2_400}
 	// LocalLink approximates same-host IPC.
 	LocalLink = Link{Latency: 50 * time.Microsecond}
 )

@@ -215,62 +215,9 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestMobilitySchedule(t *testing.T) {
-	s := New(1, LANLink)
-	s.MustAddNode("mobile")
-	s.MustAddNode("base")
-	m := NewMobility(s, "mobile", []string{"base"})
-	var transitions []ConnLevel
-	m.OnChange = func(_, newLevel ConnLevel) { transitions = append(transitions, newLevel) }
-	m.Schedule([]Phase{
-		{Level: Full, Duration: 10 * time.Millisecond},
-		{Level: Partial, Duration: 10 * time.Millisecond},
-		{Level: Disconnected, Duration: 10 * time.Millisecond},
-		{Level: Full, Duration: 10 * time.Millisecond},
-	})
-	s.RunUntil(5 * time.Millisecond)
-	if m.Level() != Full {
-		t.Errorf("level at 5ms = %v, want full", m.Level())
-	}
-	s.RunUntil(15 * time.Millisecond)
-	if m.Level() != Partial {
-		t.Errorf("level at 15ms = %v, want partial", m.Level())
-	}
-	got := s.LinkBetween("mobile", "base")
-	if got.Latency != RadioLink.Latency {
-		t.Errorf("partial link latency = %v, want radio %v", got.Latency, RadioLink.Latency)
-	}
-	s.RunUntil(25 * time.Millisecond)
-	if m.Level() != Disconnected {
-		t.Errorf("level at 25ms = %v, want disconnected", m.Level())
-	}
-	if err := s.Send("mobile", "base", "x", 0); !errors.Is(err, ErrNoRoute) {
-		t.Error("disconnected mobile should have no route")
-	}
-	s.RunUntil(40 * time.Millisecond)
-	if m.Level() != Full {
-		t.Errorf("final level = %v, want full", m.Level())
-	}
-	want := []ConnLevel{Partial, Disconnected, Full}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v", transitions)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Errorf("transition %d = %v, want %v", i, transitions[i], want[i])
-		}
-	}
-}
-
-func TestConnLevelStringAndLink(t *testing.T) {
+func TestConnLevelString(t *testing.T) {
 	if Disconnected.String() != "disconnected" || Partial.String() != "partial" || Full.String() != "full" {
 		t.Error("ConnLevel.String names wrong")
-	}
-	if !Disconnected.LinkFor().Down {
-		t.Error("disconnected link should be down")
-	}
-	if Full.LinkFor().Latency != LANLink.Latency {
-		t.Error("full level should use LAN link")
 	}
 }
 

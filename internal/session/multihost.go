@@ -10,10 +10,11 @@ import (
 
 // MultiHost serves many documents over one endpoint: it claims the
 // endpoint's handler, demultiplexes traffic by each message's Doc key, and
-// lazily creates one Host per document on first join. With a shard router
-// in front (internal/route), an Owns predicate confines the host to its
-// shards: traffic for documents placed elsewhere is counted and dropped
-// rather than silently answered, which would fork the document's log.
+// lazily creates one Host per document on first join. In a sharded
+// deployment an owns predicate (internal/daemon's shard placement) confines
+// the host to its shard: traffic for documents placed elsewhere is counted
+// and dropped rather than silently answered, which would fork the
+// document's log.
 type MultiHost struct {
 	ep    fabric.Endpoint
 	mode  Mode

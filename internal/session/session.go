@@ -87,8 +87,8 @@ type Item struct {
 // Wire message types. Over TCP the codec writes their binary bodies
 // (binwire.go); over netsim they travel as in-memory values. Every message
 // carries an optional Doc — the document (session) key — so one endpoint
-// can serve many sessions (MultiHost) and shard routers can place each
-// document in its own ordering domain. An empty Doc is the unnamed
+// can serve many sessions (MultiHost) and a sharded deployment can place
+// each document in its own ordering domain. An empty Doc is the unnamed
 // session, which keeps single-session deployments unchanged.
 
 // MsgJoin is a participant's join (or rejoin) request.
