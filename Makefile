@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all check build vet lint lint-baseline lint-golden test race bench bench-json bench-lint bench-e2e-test chaos chaos-scale experiments experiments-golden examples cover fuzz-smoke
+.PHONY: all check build vet lint lint-golden test race bench bench-json bench-lint bench-e2e-test chaos chaos-scale experiments experiments-golden examples cover fuzz-smoke
 
 all: check
 
@@ -20,16 +20,11 @@ vet:
 	fi
 
 # Project-specific invariants (determinism, layering, lock hygiene, error
-# discipline); see DESIGN.md "Enforced invariants". Exit codes: 0 clean,
-# 1 violation, 2 load error — shared with `cscwctl lint` and `cscwctl chaos`.
+# discipline); see DESIGN.md "Enforced invariants". A finding is accepted
+# only by a //lint:ignore at its site, and an unused one fails too. Exit
+# codes: 0 clean, 1 violation, 2 load error — shared with `cscwctl chaos`.
 lint:
-	go run ./cmd/cscwlint -stale=fail .
-
-# Print every current finding as lint.baseline candidate lines (the gate
-# fails on stale entries; this regenerates the non-comment body). Always
-# exits 0 — the output feeds a human edit, not CI.
-lint-baseline:
-	go run ./cmd/cscwlint -format=baseline .
+	go run ./cmd/cscwlint .
 
 # Rewrite internal/lint/testdata/fixtures.golden (the exact rendering of every
 # fixture diagnostic, TestFixturesGolden) and summaries.golden (every fixture

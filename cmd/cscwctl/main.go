@@ -8,8 +8,6 @@
 //	cscwctl -user alice [-host 127.0.0.1:7480] [-doc name] [-engine ot|crdt]
 //	cscwctl chaos -list
 //	cscwctl chaos -scenario <name> [-seed <n>] [-v]
-//	cscwctl lint [-format=text|json|sarif|github] [-baseline=file]
-//	        [-stale=warn|fail] [dir] [pkgfilter]
 //
 // The wire has one codec; -codec binary, its one accepted value, is still
 // taken for old scripts.
@@ -17,11 +15,7 @@
 // The chaos subcommand runs one deterministic fault scenario from
 // internal/chaos and exits non-zero if any invariant is violated; -v prints
 // the full event trace. The same seed always reproduces the same trace.
-//
-// The lint subcommand runs the static-analysis suite (internal/lint, the
-// same front-end as cmd/cscwlint, flag for flag) over the module containing
-// dir (default "."). Both subcommands share the exit-code contract:
-// 0 clean, 1 violation, 2 usage/load error.
+// Exit codes: 0 every invariant held, 1 a violation, 2 usage error.
 //
 // Stdin commands (session client):
 //
@@ -55,7 +49,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/daemon"
 	"repro/internal/engine"
-	"repro/internal/lint"
 	"repro/internal/session"
 )
 
@@ -64,20 +57,9 @@ func main() {
 	if len(args) > 0 && args[0] == "chaos" {
 		os.Exit(runChaos(args[1:]))
 	}
-	if len(args) > 0 && args[0] == "lint" {
-		os.Exit(runLint(args[1:]))
-	}
 	if err := run(args); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// runLint runs the static-analysis suite through the same front-end as
-// cmd/cscwlint (flag-for-flag parity: -rules, -format, -baseline, -stale,
-// [pkgfilter]) and the same exit codes as runChaos: 0 clean, 1 at least
-// one violation, 2 usage or load error.
-func runLint(args []string) int {
-	return lint.CLIMain("cscwctl lint", args, os.Stdout, os.Stderr)
 }
 
 // runChaos executes one chaos scenario and reports via the exit code:

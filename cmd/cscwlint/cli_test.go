@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,42 +10,16 @@ import (
 	"repro/internal/lint"
 )
 
-// These tests exercise the shared CLI front-end (lint.CLIMain, also behind
-// `cscwctl lint`) against the tiny deliberately-dirty module in
-// testdata/broken, so each run loads two packages instead of the whole
-// repository.
+// These tests exercise the CLI front-end (lint.CLIMain) against the tiny
+// deliberately-dirty module in testdata/broken, so each run loads one
+// package instead of the whole repository. It has two findings: a det-time
+// in clockbad.go and an unused //lint:ignore in stale.go.
 
 // runCLI invokes the front-end capturing both streams.
 func runCLI(args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
 	code = lint.CLIMain("cscwlint", args, &out, &errb)
 	return code, out.String(), errb.String()
-}
-
-func TestFormatJSON(t *testing.T) {
-	code, stdout, _ := runCLI("-format=json", "testdata/broken")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	var findings []struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Rule    string `json:"rule"`
-		Message string `json:"message"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &findings); err != nil {
-		t.Fatalf("output is not a JSON array: %v\n%s", err, stdout)
-	}
-	if len(findings) != 1 {
-		t.Fatalf("got %d findings, want 1: %+v", len(findings), findings)
-	}
-	f := findings[0]
-	if f.File != "internal/clockbad/clockbad.go" {
-		t.Errorf("file = %q, want module-relative internal/clockbad/clockbad.go", f.File)
-	}
-	if f.Rule != "det-time" || f.Line == 0 || f.Message == "" {
-		t.Errorf("unexpected finding: %+v", f)
-	}
 }
 
 func TestFormatSARIF(t *testing.T) {
@@ -110,19 +83,29 @@ func TestFormatSARIF(t *testing.T) {
 		}
 		ruleIDs[r.ID] = true
 	}
-	if len(run.Results) != 1 {
-		t.Fatalf("got %d results, want 1", len(run.Results))
+	// Results come in position order with module-relative URIs.
+	want := []struct {
+		rule, uri string
+		line      int
+	}{
+		{"det-time", "internal/clockbad/clockbad.go", 8},
+		{"lint-directive", "internal/clockbad/stale.go", 6},
 	}
-	res := run.Results[0]
-	if res.RuleID != "det-time" || res.Level != "error" || res.Message.Text == "" {
-		t.Errorf("unexpected result: %+v", res)
+	if len(run.Results) != len(want) {
+		t.Fatalf("got %d results, want %d", len(run.Results), len(want))
 	}
-	if !ruleIDs[res.RuleID] {
-		t.Errorf("result rule %q missing from driver rule metadata", res.RuleID)
-	}
-	loc := res.Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "internal/clockbad/clockbad.go" || loc.Region.StartLine == 0 {
-		t.Errorf("unexpected location: %+v", loc)
+	for i, w := range want {
+		res := run.Results[i]
+		if res.RuleID != w.rule || res.Level != "error" || res.Message.Text == "" {
+			t.Errorf("result %d: unexpected %+v, want rule %s", i, res, w.rule)
+		}
+		if !ruleIDs[res.RuleID] {
+			t.Errorf("result rule %q missing from driver rule metadata", res.RuleID)
+		}
+		loc := res.Locations[0].PhysicalLocation
+		if loc.ArtifactLocation.URI != w.uri || loc.Region.StartLine != w.line {
+			t.Errorf("result %d: location %+v, want %s:%d", i, loc, w.uri, w.line)
+		}
 	}
 }
 
@@ -149,108 +132,16 @@ func TestFormatUnknown(t *testing.T) {
 	}
 }
 
-func TestBaselineSuppresses(t *testing.T) {
-	// A baseline entry matches on file, rule and message — not line — so
-	// the finding stays suppressed when unrelated edits move it around.
-	bl := filepath.Join(t.TempDir(), "lint.baseline")
-	entry := "internal/clockbad/clockbad.go: [det-time] time.Now reads the wall clock in a trace-critical package; inject a clock (func() time.Duration) instead\n"
-	if err := os.WriteFile(bl, []byte("# accepted debt\n"+entry), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runCLI("-baseline="+bl, "testdata/broken")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, stderr)
-	}
-	if stdout != "" {
-		t.Errorf("stdout = %q, want empty (finding baselined)", stdout)
-	}
-	if !strings.Contains(stderr, "baselined") {
-		t.Errorf("stderr = %q, want baselined note", stderr)
-	}
-}
-
-func TestFormatBaseline(t *testing.T) {
-	// Regeneration mode: every current finding as a baseline candidate
-	// line, exit 0 even though the module is dirty.
-	code, stdout, stderr := runCLI("-format=baseline", "testdata/broken")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, stderr)
-	}
-	if !strings.HasPrefix(stdout, "internal/clockbad/clockbad.go: [det-time] ") {
-		t.Errorf("stdout = %q, want baseline-keyed candidate lines", stdout)
-	}
-	if !strings.Contains(stderr, "baseline candidate(s)") {
-		t.Errorf("stderr = %q, want candidate count note", stderr)
-	}
-}
-
-func TestFormatBaselineIncludesBaselined(t *testing.T) {
-	// Candidates are the full current finding set: an already-baselined
-	// finding still renders, so the file can be regenerated wholesale.
-	bl := filepath.Join(t.TempDir(), "lint.baseline")
-	entry := "internal/clockbad/clockbad.go: [det-time] time.Now reads the wall clock in a trace-critical package; inject a clock (func() time.Duration) instead\n"
-	if err := os.WriteFile(bl, []byte(entry), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, _ := runCLI("-format=baseline", "-baseline="+bl, "testdata/broken")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
-	}
-	if strings.TrimSpace(stdout) != strings.TrimSpace(entry) {
-		t.Errorf("stdout = %q, want the finding rendered despite the baseline", stdout)
-	}
-}
-
-func TestBaselineStaleEntryWarns(t *testing.T) {
-	// One matching entry, one paid-down: the run is clean but the gate
-	// names the stale entry so it gets deleted.
-	bl := filepath.Join(t.TempDir(), "lint.baseline")
-	live := "internal/clockbad/clockbad.go: [det-time] time.Now reads the wall clock in a trace-critical package; inject a clock (func() time.Duration) instead\n"
-	stale := "internal/gone/gone.go: [det-rand] finding that was fixed long ago\n"
-	if err := os.WriteFile(bl, []byte(live+stale), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := runCLI("-baseline="+bl, "testdata/broken")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 (stale entries warn, not fail): %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale baseline entry") || !strings.Contains(stderr, "internal/gone/gone.go") {
-		t.Errorf("stderr = %q, want stale-entry warning naming the entry", stderr)
-	}
-}
-
-func TestBaselineStaleModeFail(t *testing.T) {
-	// Same setup as the warn test, but -stale=fail (what CI and `make lint`
-	// pass): a clean run with a paid-down entry exits non-zero and the
-	// message carries the full key — rule name included — so the offending
-	// baseline line can be found and deleted.
-	bl := filepath.Join(t.TempDir(), "lint.baseline")
-	live := "internal/clockbad/clockbad.go: [det-time] time.Now reads the wall clock in a trace-critical package; inject a clock (func() time.Duration) instead\n"
-	stale := "internal/gone/gone.go: [det-rand] finding that was fixed long ago\n"
-	if err := os.WriteFile(bl, []byte(live+stale), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := runCLI("-stale=fail", "-baseline="+bl, "testdata/broken")
+func TestUnusedDirectiveFails(t *testing.T) {
+	// stale.go holds a //lint:ignore whose finding is gone: the directive
+	// itself is the finding, named by file:line so it can be deleted.
+	code, stdout, _ := runCLI("testdata/broken")
 	if code != 1 {
-		t.Fatalf("exit = %d, want 1 under -stale=fail: %s", code, stderr)
+		t.Fatalf("exit = %d, want 1", code)
 	}
-	if !strings.Contains(stderr, "error: stale baseline entry") ||
-		!strings.Contains(stderr, "internal/gone/gone.go: [det-rand]") {
-		t.Errorf("stderr = %q, want error naming the rule and key", stderr)
-	}
-	if code, _, stderr := runCLI("-stale=maybe", "testdata/broken"); code != 2 ||
-		!strings.Contains(stderr, "unknown -stale mode") {
-		t.Errorf("unknown -stale mode: exit %d, stderr %q; want usage error", code, stderr)
-	}
-}
-
-func TestBaselineStaleEntryStillFails(t *testing.T) {
-	bl := filepath.Join(t.TempDir(), "lint.baseline")
-	if err := os.WriteFile(bl, []byte("internal/other.go: [det-time] something else\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := runCLI("-baseline="+bl, "testdata/broken"); code != 1 {
-		t.Fatalf("exit = %d, want 1 (baseline must not blanket-suppress)", code)
+	site := filepath.Join("internal", "clockbad", "stale.go") + ":6:2: [lint-directive] //lint:ignore det-time suppresses no finding"
+	if !strings.Contains(stdout, site) {
+		t.Errorf("stdout = %q, want a finding at %s", stdout, site)
 	}
 }
 

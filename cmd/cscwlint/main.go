@@ -6,16 +6,16 @@
 //
 // Usage:
 //
-//	cscwlint [-rules] [-format=text|json|sarif|github|baseline] [-baseline=file]
-//	         [-stale=warn|fail] [dir] [pkgfilter]
+//	cscwlint [-rules] [-format=text|sarif|github] [dir] [pkgfilter]
 //
 // A positional argument that is not a directory is a package-path filter
 // (substring of an import path, e.g. "internal/group"); reporting is
 // restricted to matching packages while the whole module is still loaded,
-// since the interprocedural analyzers need every call summary. Findings
-// listed in the module's lint.baseline are suppressed (see README).
+// since the interprocedural analyzers need every call summary. A finding
+// is suppressed only by a //lint:ignore directive at its site, and a
+// directive that suppresses nothing is itself a finding.
 //
-// Exit codes, shared with `cscwctl lint` and `cscwctl chaos`:
+// Exit codes, shared with `cscwctl chaos`:
 //
 //	0  no violations
 //	1  at least one live violation

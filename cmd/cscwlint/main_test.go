@@ -2,7 +2,7 @@ package main
 
 import "testing"
 
-// The exit-code contract is shared with `cscwctl lint` and `cscwctl chaos`:
+// The exit-code contract is shared with `cscwctl chaos`:
 // 0 clean, 1 violations, 2 usage/load error.
 
 func TestRunCleanModule(t *testing.T) {

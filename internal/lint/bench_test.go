@@ -42,7 +42,7 @@ func BenchmarkAnalyzers(b *testing.B) {
 }
 
 // BenchmarkDataflowStage times only the CFG + def-use analyzers added in
-// the dataflow stage (hot-alloc, wire-compat, atomic-mix), so a regression
+// the dataflow stage (hot-alloc, wire-compat), so a regression
 // there is attributable separately from the older module passes.
 func BenchmarkDataflowStage(b *testing.B) {
 	l, err := NewLoader(".")
@@ -54,7 +54,7 @@ func BenchmarkDataflowStage(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := NewModule(pkgs)
-	stage := []*Analyzer{HotAlloc(), WireCompat(), AtomicMix()}
+	stage := []*Analyzer{HotAlloc(), WireCompat()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, a := range stage {

@@ -16,9 +16,6 @@ import (
 //
 //	hot-alloc  uses it to decide whether an append target was preallocated
 //	           with capacity on every path into the loop;
-//	atomic-mix uses it to exempt owner-local instances flow-sensitively
-//	           (every reaching def is a fresh &T{}/new(T), so nothing can
-//	           race yet);
 //	wire-compat uses the flow-insensitive taint variant (sliceDerived) to
 //	           prove encoded bytes actually thread through to the return.
 
@@ -327,24 +324,7 @@ func isByteSlice(t types.Type) bool {
 	return ok && b.Kind() == types.Byte
 }
 
-// --- freshness & preallocation classification ----------------------------
-
-// freshAlloc reports whether e constructs a brand-new value: &T{}, T{},
-// new(T). Used by atomic-mix's flow-sensitive owner-local exemption.
-func freshAlloc(p *Package, e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = ast.Unparen(u.X)
-	}
-	switch e := e.(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.CallExpr:
-		id, ok := e.Fun.(*ast.Ident)
-		return ok && id.Name == "new" && p.Info.Uses[id] == types.Universe.Lookup("new")
-	}
-	return false
-}
+// --- preallocation classification ----------------------------------------
 
 // appendPrealloc classifies the definitions of an append target reaching
 // a hot-loop append: it returns the first reaching definition that

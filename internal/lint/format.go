@@ -4,19 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Output formats shared by cmd/cscwlint and `cscwctl lint`:
+// Output formats of cmd/cscwlint:
 //
 //	text    file:line:col: [rule] message (the default)
-//	json    a flat array of finding objects, for scripting
 //	sarif   SARIF 2.1.0, the shape GitHub code scanning ingests
 //	github  GitHub Actions workflow commands (::error …), which render as
 //	        inline annotations without needing code-scanning upload
 //
-// File paths in json/sarif/github output are module-root-relative, which is
+// File paths in sarif/github output are module-root-relative, which is
 // what both SARIF artifactLocation URIs and Actions annotations expect.
 
 // WriteText prints diagnostics one per line.
@@ -24,31 +24,6 @@ func WriteText(w io.Writer, diags []Diagnostic) {
 	for _, d := range diags {
 		fmt.Fprintln(w, d)
 	}
-}
-
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-// WriteJSON prints diagnostics as a JSON array.
-func WriteJSON(w io.Writer, root string, diags []Diagnostic) error {
-	out := make([]jsonFinding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonFinding{
-			File:    relPath(root, d.Pos.Filename),
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Rule:    d.Rule,
-			Message: d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // WriteGitHub prints diagnostics as GitHub Actions error annotations.
@@ -63,6 +38,19 @@ func WriteGitHub(w io.Writer, root string, diags []Diagnostic) {
 		fmt.Fprintf(w, "::error file=%s,line=%d,col=%d::%s\n",
 			relPath(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, msg)
 	}
+}
+
+// relPath renders file module-root-relative with forward slashes; files
+// outside the root keep their absolute path.
+func relPath(root, file string) string {
+	if root == "" {
+		return file
+	}
+	rel, err := filepath.Rel(root, file)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return file
+	}
+	return filepath.ToSlash(rel)
 }
 
 // githubEscape encodes workflow-command message data: %, CR, LF.
@@ -136,7 +124,7 @@ type sarifRegion struct {
 // ruleDocs maps every rule name to its one-line doc, for SARIF metadata.
 func ruleDocs() map[string]string {
 	docs := map[string]string{
-		"lint-directive": "//lint:ignore directives must name a known rule and give a reason",
+		"lint-directive": "//lint:ignore directives must name a known rule, give a reason and suppress a finding",
 	}
 	for _, a := range Analyzers() {
 		for _, r := range strings.Split(a.Name, ",") {

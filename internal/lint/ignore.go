@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/token"
 	"strings"
 )
 
@@ -14,19 +15,51 @@ type ignoreKey struct {
 // ignoreSet records where //lint:ignore directives apply. A directive
 // suppresses diagnostics of its rule on its own line and on the next line
 // (the usual placement is a comment line directly above the statement).
-type ignoreSet map[ignoreKey]bool
-
-func (s ignoreSet) covers(d Diagnostic) bool {
-	return s[ignoreKey{d.Pos.Filename, d.Pos.Line, d.Rule}] ||
-		s[ignoreKey{d.Pos.Filename, d.Pos.Line - 1, d.Rule}]
+// Each directive remembers whether it suppressed anything: one that
+// outlived its finding would silently hide the next finding of its rule
+// to land there, so unused reports it.
+type ignoreSet struct {
+	at   map[ignoreKey]*ignoreDirective
+	list []*ignoreDirective // source order
 }
 
-// collectIgnores scans a package's comments for //lint:ignore directives.
+type ignoreDirective struct {
+	pos  token.Position
+	rule string
+	used bool
+}
+
+func (s *ignoreSet) covers(d Diagnostic) bool {
+	for _, line := range [2]int{d.Pos.Line, d.Pos.Line - 1} {
+		if dir := s.at[ignoreKey{d.Pos.Filename, line, d.Rule}]; dir != nil {
+			dir.used = true
+			return true
+		}
+	}
+	return false
+}
+
+// unused returns a lint-directive diagnostic for every directive that
+// suppressed no finding.
+func (s *ignoreSet) unused() []Diagnostic {
+	var out []Diagnostic
+	for _, dir := range s.list {
+		if !dir.used {
+			out = append(out, Diagnostic{
+				Pos:     dir.pos,
+				Rule:    "lint-directive",
+				Message: "//lint:ignore " + dir.rule + " suppresses no finding; delete it",
+			})
+		}
+	}
+	return out
+}
+
+// collect adds a package's //lint:ignore directives to the set.
 // Malformed directives — a missing reason, or an unknown rule name — are
 // themselves reported as lint-directive diagnostics so a typo cannot
 // silently disable a gate.
-func collectIgnores(p *Package, rules map[string]bool) (ignoreSet, []Diagnostic) {
-	set := make(ignoreSet)
+func (s *ignoreSet) collect(p *Package, rules map[string]bool) []Diagnostic {
 	var bad []Diagnostic
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
@@ -55,9 +88,11 @@ func collectIgnores(p *Package, rules map[string]bool) (ignoreSet, []Diagnostic)
 					})
 					continue
 				}
-				set[ignoreKey{pos.Filename, pos.Line, rule}] = true
+				dir := &ignoreDirective{pos: pos, rule: rule}
+				s.at[ignoreKey{pos.Filename, pos.Line, rule}] = dir
+				s.list = append(s.list, dir)
 			}
 		}
 	}
-	return set, bad
+	return bad
 }

@@ -26,8 +26,9 @@
 //
 //	//lint:ignore <rule> <reason>
 //
-// The reason is mandatory; DESIGN.md ("Enforced invariants") documents when
-// a suppression is acceptable. Each analyzer is exercised by annotated
+// The reason is mandatory, and a directive that suppresses no finding is
+// itself reported; DESIGN.md ("Enforced invariants") documents when a
+// suppression is acceptable. Each analyzer is exercised by annotated
 // fixture packages under testdata/src (see lint_test.go).
 package lint
 
@@ -36,7 +37,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"maps"
 	"sort"
 	"strings"
 )
@@ -85,7 +85,6 @@ func Analyzers() []*Analyzer {
 		GuardInfer(),
 		HotAlloc(),
 		WireCompat(),
-		AtomicMix(),
 		BlockLock(),
 		ChanProto(),
 		ShutdownProp(),
@@ -116,16 +115,14 @@ func Rules() map[string]bool {
 
 // Check runs every analyzer over the packages, through one Module view,
 // and returns the surviving (non-suppressed) diagnostics sorted by
-// position, plus any malformed suppression directives as lint-directive
-// diagnostics.
+// position, plus any malformed or unused suppression directives as
+// lint-directive diagnostics.
 func Check(pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
 	rules := Rules()
-	ignores := make(ignoreSet)
+	ignores := &ignoreSet{at: make(map[ignoreKey]*ignoreDirective)}
 	for _, p := range pkgs {
-		set, bad := collectIgnores(p, rules)
-		out = append(out, bad...)
-		maps.Copy(ignores, set)
+		out = append(out, ignores.collect(p, rules)...)
 	}
 	m := NewModule(pkgs)
 	for _, a := range Analyzers() {
@@ -135,6 +132,7 @@ func Check(pkgs []*Package) []Diagnostic {
 			}
 		}
 	}
+	out = append(out, ignores.unused()...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {

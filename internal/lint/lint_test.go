@@ -32,7 +32,6 @@ var fixtures = []fixture{
 	{"lockedge", "repro/internal/fixture/lockedge"},
 	{"hotalloc", "repro/internal/fixture/hotalloc"},
 	{"wirecompat", "repro/internal/fixture/wirecompat"},
-	{"atomicmix", "repro/internal/fixture/atomicmix"},
 	{"blocklock", "repro/internal/fixture/blocklock"},
 	{"chanproto", "repro/internal/fixture/chanproto"},
 	{"shutdownprop", "repro/internal/transport"}, // buffered.go reads a net.Conn, which layer-net reserves for the transport

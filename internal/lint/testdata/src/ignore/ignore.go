@@ -1,5 +1,5 @@
 // Package ignore exercises //lint:ignore suppression and the lint-directive
-// diagnostics for malformed directives.
+// diagnostics for malformed and unused directives.
 package ignore
 
 import "time"
@@ -14,7 +14,7 @@ func suppressedLineAbove() time.Time {
 }
 
 func wrongRuleDoesNotSuppress() time.Time {
-	//lint:ignore det-rand fixture: directive names a different rule
+	//lint:ignore det-rand fixture: directive names a different rule // want "lint-directive.*det-rand suppresses no finding"
 	return time.Now() // want "det-time"
 }
 
@@ -29,3 +29,7 @@ func missingReason() time.Time {
 	// want(1) "det-time"
 	return time.Now()
 }
+
+//lint:ignore det-time fixture: a directive reaches its own line and the next, no further
+// want(-1) "lint-directive.*det-time suppresses no finding"
+var outOfReach = time.Now() // want "det-time"
