@@ -22,65 +22,80 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-func TestFormatSARIF(t *testing.T) {
+// sarifLog is the exact shape GitHub code scanning reads; unknown or
+// missing fields here would make the upload step reject the log.
+type sarifLog struct {
+	Schema  string `json:"$schema"`
+	Version string `json:"version"`
+	Runs    []struct {
+		Tool struct {
+			Driver struct {
+				Name  string `json:"name"`
+				Rules []struct {
+					ID               string `json:"id"`
+					ShortDescription struct {
+						Text string `json:"text"`
+					} `json:"shortDescription"`
+				} `json:"rules"`
+			} `json:"driver"`
+		} `json:"tool"`
+		Results []struct {
+			RuleID  string `json:"ruleId"`
+			Level   string `json:"level"`
+			Message struct {
+				Text string `json:"text"`
+			} `json:"message"`
+			Locations []struct {
+				PhysicalLocation struct {
+					ArtifactLocation struct {
+						URI string `json:"uri"`
+					} `json:"artifactLocation"`
+					Region struct {
+						StartLine int `json:"startLine"`
+					} `json:"region"`
+				} `json:"physicalLocation"`
+			} `json:"locations"`
+		} `json:"results"`
+	} `json:"runs"`
+}
+
+// runSARIF lints testdata/broken with -format=sarif and decodes the log.
+func runSARIF(t *testing.T) sarifLog {
+	t.Helper()
 	code, stdout, _ := runCLI("-format=sarif", "testdata/broken")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	// Decode into the exact shape GitHub code scanning reads; unknown or
-	// missing fields here would make the upload step reject the log.
-	var log struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID               string `json:"id"`
-						ShortDescription struct {
-							Text string `json:"text"`
-						} `json:"shortDescription"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID  string `json:"ruleId"`
-				Level   string `json:"level"`
-				Message struct {
-					Text string `json:"text"`
-				} `json:"message"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
+	var log sarifLog
 	if err := json.Unmarshal([]byte(stdout), &log); err != nil {
 		t.Fatalf("output is not SARIF JSON: %v", err)
 	}
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-2.1.0") {
-		t.Errorf("version/schema = %q / %q, want 2.1.0", log.Version, log.Schema)
-	}
 	if len(log.Runs) != 1 {
 		t.Fatalf("got %d runs, want 1", len(log.Runs))
+	}
+	return log
+}
+
+func TestFormatSARIF(t *testing.T) {
+	log := runSARIF(t)
+	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-2.1.0") {
+		t.Errorf("version/schema = %q / %q, want 2.1.0", log.Version, log.Schema)
 	}
 	run := log.Runs[0]
 	if run.Tool.Driver.Name != "cscwlint" {
 		t.Errorf("driver name = %q", run.Tool.Driver.Name)
 	}
-	ruleIDs := make(map[string]bool)
 	for _, r := range run.Tool.Driver.Rules {
 		if r.ShortDescription.Text == "" {
 			t.Errorf("rule %s has no shortDescription", r.ID)
 		}
+	}
+}
+
+func TestFormatSARIFResults(t *testing.T) {
+	run := runSARIF(t).Runs[0]
+	ruleIDs := make(map[string]bool)
+	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
 	// Results come in position order with module-relative URIs.
