@@ -6,16 +6,16 @@
 //
 // Protocol: length-prefixed frames (internal/transport) carrying the binary
 // frames of the one wire codec (internal/fabric) with the session wire tags.
-// TCP connections are one-way, so a participant listens too: the first frame
-// of Participant.Join is a fabric.Hello carrying its dialable address, and a
-// Tap middleware on the daemon feeds those into the address book so the host
-// can push back.
+// A participant dials the daemon, and the daemon answers on that same
+// connection, so it never learns a participant's address: the first frame of
+// Participant.Join is the MsgJoin itself.
 package daemon
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 	"sync"
 	"time"
 
@@ -44,7 +44,7 @@ type Config struct {
 	Engine string // -engine: "ot" or "crdt"; for cscwctl also "", plain chat
 
 	// Seams, nil in both commands. A Wrap returns what the wiring uses in
-	// place of what it built; Middleware goes outside the daemon's hello tap;
+	// place of what it built; Middleware wraps the fabric endpoint;
 	// OnIntegrate stands around the host's integration of one eng/op item and
 	// must call integrate, which returns the commit bodies posted for it.
 	WrapTransport func(transport.Endpoint) transport.Endpoint
@@ -163,18 +163,11 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	book := transport.NewAddressBook()
-	ep, addr, err := cfg.edge(hostID, cfg.Listen, book)
+	ep, addr, err := cfg.edge(hostID, cfg.Listen, transport.NewAddressBook())
 	if err != nil {
 		return nil, err
 	}
-	hello := fabric.Tap(nil, func(from string, payload any, size int) {
-		if h, ok := payload.(*fabric.Hello); ok && h.Addr != "" {
-			book.Set(from, h.Addr)
-			log.Printf("hello from %s at %s", from, h.Addr)
-		}
-	})
-	ep = fabric.Wrap(ep, append([]fabric.Middleware{hello}, cfg.Middleware...)...)
+	ep = fabric.Wrap(ep, cfg.Middleware...)
 	// fabric.WallClock is the declared real-time boundary (cscwlint det-time).
 	host, err := NewHost(ep, fabric.WallClock(), cfg)
 	if err != nil {
@@ -201,14 +194,17 @@ type Participant struct {
 	*Pump
 
 	ep    fabric.Endpoint
-	addr  string        // where the daemon can dial back
 	host  string        // cfg.Host, for error messages
 	acked chan struct{} // one token per processed MsgJoinAck
 }
 
 // Dial builds a participant's half of the deployment from User, Host, Doc,
-// Engine and the seams; nothing is sent before Join.
+// Engine and the seams; nothing is sent before Join. User may be neither the
+// daemon's transport id nor in session.HostAuthor's '!' namespace.
 func Dial(cfg Config) (*Participant, error) {
+	if cfg.User == hostID || strings.HasPrefix(cfg.User, "!") {
+		return nil, fmt.Errorf("user %q is reserved", cfg.User)
+	}
 	p := &Participant{host: cfg.Host, acked: make(chan struct{}, 1)}
 	if cfg.Engine != "" {
 		// The OT server is the daemon (a sessiond running -engine ot).
@@ -222,11 +218,11 @@ func Dial(cfg Config) (*Participant, error) {
 	}
 	book := transport.NewAddressBook()
 	book.Set(hostID, cfg.Host)
-	ep, addr, err := cfg.edge(cfg.User, "127.0.0.1:0", book)
+	ep, _, err := cfg.edge(cfg.User, "127.0.0.1:0", book)
 	if err != nil {
 		return nil, err
 	}
-	p.ep, p.addr = fabric.Wrap(ep, cfg.Middleware...), addr
+	p.ep = fabric.Wrap(ep, cfg.Middleware...)
 	p.Client = session.NewClientForDoc(p.ep, hostID, cfg.Doc)
 	// The client runs OnJoined before the backlog's OnItem calls, so a join
 	// is over only when the handler that processed its ack returns.
@@ -242,14 +238,11 @@ func Dial(cfg Config) (*Participant, error) {
 	return p, nil
 }
 
-// Join introduces the participant so the host can dial back, joins, and
-// waits until the acknowledgement and its backlog have been processed.
+// Join joins, dialing the daemon if no connection is open, and waits until
+// the acknowledgement and its backlog have been processed.
 func (p *Participant) Join(timeout time.Duration) error {
-	if err := p.ep.Send(hostID, &fabric.Hello{Addr: p.addr}, 0); err != nil {
-		return fmt.Errorf("reach sessiond at %s: %w", p.host, err)
-	}
 	if err := p.Client.Join(0); err != nil {
-		return err
+		return fmt.Errorf("reach sessiond at %s: %w", p.host, err)
 	}
 	select {
 	case <-p.acked:

@@ -22,7 +22,7 @@ import (
 	"repro/internal/transport"
 )
 
-// The daemon logs a line per hello and per item.
+// The daemon logs a line per item.
 func TestMain(m *testing.M) {
 	log.SetOutput(io.Discard)
 	os.Exit(m.Run())
@@ -223,6 +223,44 @@ func TestDeployment(t *testing.T) {
 	}
 }
 
+// TestRestartedParticipantRejoins: a participant that closes and is dialed
+// again under the same user (on a new socket) joins on the first attempt, and
+// its backlog holds what was posted while it was gone. The daemon answers on
+// whatever connection the join arrived on, so nothing waits for it to notice
+// that the old one has closed.
+func TestRestartedParticipantRejoins(t *testing.T) {
+	d := startDaemon(t, hostConfig(engine.CRDT))
+	alice := dial(t, d, "alice", "notes", Config{})
+	bob := dial(t, d, "bob", "notes", Config{})
+	alice.join()
+	bob.join()
+	alice.Close()
+	var want []string
+	for i := 0; i < 3; i++ {
+		want = append(want, fmt.Sprintf("missed %d", i))
+		if err := bob.Client.Post("chat", want[i], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(wait); d.Host.Host("notes").LogLen() < len(want); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the daemon never logged bob's posts")
+		}
+	}
+	again := dial(t, d, "alice", "notes", Config{})
+	again.join()
+	items, _ := again.seen()
+	var got []string
+	for _, it := range items {
+		if it.From == "bob" {
+			got = append(got, it.Body)
+		}
+	}
+	if !reflect.DeepEqual(got, want) || len(items) != len(want) {
+		t.Errorf("rejoined with backlog %+v, want bob's %q", items, want)
+	}
+}
+
 // TestShardPlacementGolden: testdata/shards.golden holds, for a fixed key
 // list, the shard an older daemon placed each key in for shards = 1…8. A
 // daemon built from this tree must place every document in the same domain,
@@ -298,13 +336,8 @@ func TestShardRejection(t *testing.T) {
 	if err := bob.Join(200 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("join of a foreign document: %v, want a timeout", err)
 	}
-	// The hello carries no document key, so it routes as the unnamed one.
-	want := before + 1
-	if shardOf("", 2) != 0 {
-		want++
-	}
-	if got := d.Host.Rejected(); got != want {
-		t.Errorf("Rejected() = %d after a foreign join, want %d", got, want)
+	if got := d.Host.Rejected(); got != before+1 {
+		t.Errorf("Rejected() = %d after a foreign join, want %d", got, before+1)
 	}
 	if docs := d.Host.Docs(); !reflect.DeepEqual(docs, []string{mine}) {
 		t.Errorf("open documents %v, want only %s", docs, mine)
@@ -333,17 +366,26 @@ func TestConfigErrors(t *testing.T) {
 			}
 		}
 	}
-	if p, err := Dial(Config{User: "u", Host: "127.0.0.1:1", Engine: "paxos"}); err == nil {
-		p.Close()
-		t.Errorf("Dial with engine paxos succeeded")
+	for _, c := range []struct{ user, engine, want string }{
+		{"u", "paxos", `engine: unknown engine "paxos" (want "ot" or "crdt")`},
+		{hostID, "", `user "host" is reserved`},
+		{session.HostAuthor, "", `user "!host" is reserved`},
+		{"!x", "", `user "!x" is reserved`},
+	} {
+		if p, err := Dial(Config{User: c.user, Host: "127.0.0.1:1", Engine: c.engine}); err == nil || err.Error() != c.want {
+			t.Errorf("Dial as %q with engine %q: %v, want %s", c.user, c.engine, err, c.want)
+			if p != nil {
+				p.Close()
+			}
+		}
 	}
 }
 
 // recorder is a pass-through at each of the four seams that counts what went
 // by. One recorder serves the daemon and both participants.
 type recorder struct {
-	sends, encodes         atomic.Int64
-	hellosSent, hellosRecv atomic.Int64
+	sends, encodes       atomic.Int64
+	joinsSent, joinsRecv atomic.Int64
 
 	mu           sync.Mutex
 	integrations int
@@ -371,16 +413,16 @@ func (c countedCodec) Encode(payload any) ([]byte, error) {
 }
 
 func (r *recorder) seams(cfg Config) Config {
-	hello := func(n *atomic.Int64) func(string, any, int) {
+	join := func(n *atomic.Int64) func(string, any, int) {
 		return func(_ string, payload any, _ int) {
-			if _, ok := payload.(*fabric.Hello); ok {
+			if _, ok := payload.(*session.MsgJoin); ok {
 				n.Add(1)
 			}
 		}
 	}
 	cfg.WrapTransport = func(ep transport.Endpoint) transport.Endpoint { return countedTransport{ep, &r.sends} }
 	cfg.WrapCodec = func(c fabric.PayloadCodec) fabric.PayloadCodec { return countedCodec{c, &r.encodes} }
-	cfg.Middleware = []fabric.Middleware{fabric.Tap(hello(&r.hellosSent), hello(&r.hellosRecv))}
+	cfg.Middleware = []fabric.Middleware{fabric.Tap(join(&r.joinsSent), join(&r.joinsRecv))}
 	cfg.OnIntegrate = func(doc string, it session.Item, integrate func() []string) {
 		commits := integrate()
 		r.mu.Lock()
@@ -449,8 +491,8 @@ func TestSeamParity(t *testing.T) {
 	if s, e := rec.sends.Load(), rec.encodes.Load(); s == 0 || s != e {
 		t.Errorf("WrapTransport saw %d sends, WrapCodec %d encodes: want equal and non-zero", s, e)
 	}
-	if s, r := rec.hellosSent.Load(), rec.hellosRecv.Load(); s != 2 || r != 2 {
-		t.Errorf("Middleware saw %d hellos leave the participants and %d reach the daemon, want 2 and 2", s, r)
+	if s, r := rec.joinsSent.Load(), rec.joinsRecv.Load(); s != 2 || r != 2 {
+		t.Errorf("Middleware saw %d joins leave the participants and %d reach the daemon, want 2 and 2", s, r)
 	}
 	if rec.integrations != parityOps {
 		t.Errorf("OnIntegrate ran %d times, want once per submission (%d)", rec.integrations, parityOps)

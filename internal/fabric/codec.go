@@ -64,8 +64,9 @@ func (c *Codec) Register(tag string, prototype any) {
 	c.mu.Unlock()
 }
 
-// Hello announces an endpoint's dialable address, used by TCP deployments
-// to populate the address book before application traffic flows.
+// Hello announces an endpoint's dialable address. Nothing in the module sends
+// or reads it any more (a TCP peer is answered on the connection it dialed);
+// it stays registered only because the benchmark harness still sends one.
 type Hello struct {
 	Addr string
 }

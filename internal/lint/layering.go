@@ -12,9 +12,9 @@ import (
 //     (which adapts it) may import net. Everything else is substrate-blind.
 //   - layer-transport: internal/fabric adapts internal/transport and
 //     internal/daemon builds the TCP edge of the live deployment (listener,
-//     address book, fabric.FromTransport); cmd/cscwbench attaches to the
-//     in-memory hub for its fabric_hub_send_recv rows. Commands get the
-//     edge from internal/daemon.
+//     the daemon's address for participants, fabric.FromTransport);
+//     cmd/cscwbench attaches to the in-memory hub for its
+//     fabric_hub_send_recv rows. Commands get the edge from internal/daemon.
 //   - layer-netsim: internal/netsim is the discrete-event world — virtual
 //     time, topology, QoS links. The fabric adapter and the declared
 //     simulation-world packages (bench, chaos, core, exps, mgmt, mobile,

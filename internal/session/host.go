@@ -2,6 +2,7 @@ package session
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -167,6 +168,9 @@ func (h *Host) Receive(from string, payload any) {
 }
 
 func (h *Host) onJoin(m MsgJoin) {
+	if strings.HasPrefix(m.From, "!") {
+		return // HostAuthor's namespace: such a member's items would never be delivered
+	}
 	p, ok := h.parts[m.From]
 	if !ok {
 		p = &partState{id: m.From}
@@ -221,8 +225,9 @@ func (h *Host) onPost(m MsgPost) {
 }
 
 // HostAuthor is the author id of items the host posts itself (PostLocal).
-// Participant ids never start with '!', so host items are pushed to every
-// participant and are never filtered as someone's own.
+// Participant ids never start with '!' (onJoin ignores such a join), so host
+// items are pushed to every participant and are never filtered as someone's
+// own.
 const HostAuthor = "!host"
 
 // PostLocal appends an item authored by the host itself and propagates it

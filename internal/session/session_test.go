@@ -238,6 +238,30 @@ func TestStrangersDropped(t *testing.T) {
 	}
 }
 
+// TestReservedIDCannotJoin: an id in HostAuthor's '!' namespace is never a
+// member, so its posts are a stranger's and the host's own items still reach
+// every real participant.
+func TestReservedIDCannotJoin(t *testing.T) {
+	r := newRig(t, 1, Synchronous, netsim.LANLink)
+	r.joinAll(t)
+	node := r.sim.MustAddNode(HostAuthor)
+	impostor := NewClient(fabric.FromSim(node), "host")
+	if err := impostor.Join(r.sim.Now()); err != nil {
+		t.Fatal(err)
+	}
+	r.sim.Run()
+	if impostor.Joined() || len(r.host.Members()) != 1 {
+		t.Fatalf("%s joined (acked %v), members %v", HostAuthor, impostor.Joined(), r.host.Members())
+	}
+	node.Send("host", &MsgPost{From: HostAuthor, Kind: "chat", Body: "spoof"}, 64)
+	r.sim.Run()
+	r.host.PostLocal("eng/op", "commit")
+	r.sim.Run()
+	if r.host.LogLen() != 1 || len(r.items["u00"]) != 1 || r.items["u00"][0].Body != "commit" {
+		t.Fatalf("log holds %d items, u00 got %+v; want only the host's commit", r.host.LogLen(), r.items["u00"])
+	}
+}
+
 func TestModeAndPresenceStrings(t *testing.T) {
 	if Synchronous.String() != "synchronous" || Asynchronous.String() != "asynchronous" {
 		t.Error("mode names")

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -77,6 +78,7 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(append(frameBytes(f, "alice", []byte("one")), frameBytes(f, "bob", nil)...))
 	f.Add(append(frameBytes(f, "", []byte{0xC5, 1}), 0, 0, 0, 1))
 	f.Add([]byte{0, 0, 0, 3, 0, 9, 'x'})
+	f.Add(frameBytes(f, strings.Repeat("i", 0xFFFF), nil)) // 2 + id length overflows a uint16
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr frameReader
 		r := bytes.NewReader(data)

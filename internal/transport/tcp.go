@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 )
@@ -14,7 +15,7 @@ import (
 // prefixes.
 const maxFrame = 16 << 20
 
-// frameBufCap is the largest frame buffer an accepted connection keeps
+// frameBufCap is the largest frame buffer a connection's reader keeps
 // between frames; a larger frame is read into a one-off buffer that is
 // dropped once its handler returns.
 const frameBufCap = 64 << 10
@@ -51,45 +52,53 @@ func (b *AddressBook) Lookup(id string) (string, bool) {
 //
 //	uint32 total length (big endian) | uint16 sender-ID length | sender ID | payload
 //
-// Each accepted connection reads through one bufio.Reader into one frame
-// buffer that is reused for every frame (kept up to 64 KiB; a larger frame
-// gets a one-off buffer), so the data a Handler receives is valid only
-// until it returns.
+// Connections are duplex, and every one, dialed or accepted, has one reader
+// (serve). An accepted connection becomes the route to the peer named in the
+// first frame it delivers, unless this endpoint has dialed a live connection
+// to that peer itself; so a peer that dials in is answered on its own socket
+// and needs no entry in the address book, and when two peers dial each other
+// at once each direction keeps to one connection. When a connection ends, its
+// reader retires it: the next Send to the peer redials (or, with no address,
+// fails) instead of writing into a socket whose far end is gone.
 //
-// Connections are one-way: frames flow from the dialer to the acceptor and
-// nothing comes back. A dialed connection is still read, by a watcher
-// goroutine whose only purpose is to learn that the peer has gone (see
-// watch) — without it a write after the peer's FIN is accepted by the kernel
-// and Send would report success for a frame nobody will ever read.
+// Each connection reads through one bufio.Reader into one frame buffer that
+// is reused for every frame (kept up to 64 KiB; a larger frame gets a one-off
+// buffer), so the data a Handler receives is valid only until it returns.
 type TCPEndpoint struct {
 	id       string
 	book     *AddressBook
 	listener net.Listener
 
-	mu       sync.Mutex
-	conns    map[string]*tcpConn
-	accepted map[net.Conn]bool
-	closed   bool
-	handler  Handler
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	conns   map[string]*tcpConn // the route to each peer
+	open    map[*tcpConn]bool   // every connection not yet evicted
+	closed  bool
+	handler Handler
+	wg      sync.WaitGroup
 }
 
 type tcpConn struct {
+	c      net.Conn
+	dialed bool // this endpoint dialed c; fixed before tc is shared
+
 	mu   sync.Mutex // serializes writes; guards dead
-	c    net.Conn
-	dead bool // the watcher saw the peer hang up (or the conn fail)
+	dead bool       // the reader saw the conn end
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)
 
 // ListenTCP creates an endpoint listening on addr (use ":0" for an ephemeral
-// port) and registers the bound address in the book.
+// port) and registers the bound address in the book. The id rides in every
+// frame behind a 16-bit length, so it is at most 65 535 bytes.
 func ListenTCP(id, addr string, book *AddressBook) (*TCPEndpoint, error) {
+	if len(id) > math.MaxUint16 {
+		return nil, fmt.Errorf("transport: id of %d bytes does not fit a frame (at most %d)", len(id), math.MaxUint16)
+	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("listen %s: %w", addr, err)
 	}
-	ep := &TCPEndpoint{id: id, book: book, listener: l, conns: make(map[string]*tcpConn), accepted: make(map[net.Conn]bool)}
+	ep := &TCPEndpoint{id: id, book: book, listener: l, conns: make(map[string]*tcpConn), open: make(map[*tcpConn]bool)}
 	book.Set(id, l.Addr().String())
 	ep.wg.Add(1)
 	go ep.acceptLoop()
@@ -122,37 +131,48 @@ func (e *TCPEndpoint) acceptLoop() {
 			c.Close()
 			return
 		}
-		e.accepted[c] = true
+		e.start(&tcpConn{c: c}, "")
 		e.mu.Unlock()
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			e.readLoop(c)
-		}()
 	}
 }
 
-func (e *TCPEndpoint) readLoop(c net.Conn) {
-	defer func() {
-		c.Close()
-		e.mu.Lock()
-		delete(e.accepted, c)
-		e.mu.Unlock()
-	}()
-	br := bufio.NewReader(c)
+// start records tc as open and runs its reader. Callers hold e.mu and have
+// seen closed false, so Close will close tc and wait for the reader.
+func (e *TCPEndpoint) start(tc *tcpConn, peer string) {
+	e.open[tc] = true
+	e.wg.Add(1)
+	go e.serve(tc, peer)
+}
+
+// serve is tc's one reader; peer is whom tc was dialed to ("" if accepted).
+// A frame's sender takes tc as its route if it has none, or if this is tc's
+// first frame from it and the route it replaces was not dialed here. When the
+// read fails (EOF, a failed conn, or Close) tc is evicted, and marked dead so
+// a Send already holding it errors instead of writing into a dead socket.
+func (e *TCPEndpoint) serve(tc *tcpConn, peer string) {
+	defer e.wg.Done()
+	br := bufio.NewReader(tc.c)
 	var fr frameReader
 	for {
 		from, payload, err := fr.read(br)
 		if err != nil {
-			return
+			break
 		}
 		e.mu.Lock()
+		if cur := e.conns[from]; cur == nil || from != peer && !cur.dialed {
+			e.conns[from] = tc
+		}
+		peer = from
 		h := e.handler
 		e.mu.Unlock()
 		if h != nil {
 			h(from, payload)
 		}
 	}
+	e.evict(peer, tc)
+	tc.mu.Lock()
+	tc.dead = true
+	tc.mu.Unlock()
 }
 
 // frameReader decodes the frames of one connection. Its buffer and sender
@@ -186,14 +206,14 @@ func (fr *frameReader) read(r io.Reader) (from string, payload []byte, err error
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", nil, err
 	}
-	idLen := binary.BigEndian.Uint16(buf[:2])
-	if int(idLen)+2 > len(buf) {
+	end := 2 + int(binary.BigEndian.Uint16(buf[:2])) // an int: 2+0xFFFF wraps a uint16
+	if end > len(buf) {
 		return "", nil, errors.New("transport: bad frame id length")
 	}
-	if id := buf[2 : 2+idLen]; string(id) != fr.from {
+	if id := buf[2:end]; string(id) != fr.from {
 		fr.from = string(id)
 	}
-	return fr.from, buf[2+idLen:], nil
+	return fr.from, buf[end:], nil
 }
 
 func writeFrame(w io.Writer, from string, payload []byte) error {
@@ -210,41 +230,24 @@ func writeFrame(w io.Writer, from string, payload []byte) error {
 	return err
 }
 
-// watch reads a dialed connection until it ends. The acceptor never writes,
-// so the read returns only when the peer has closed (EOF), the connection
-// has failed, or this endpoint closed it; in every case tc is finished. It
-// is then evicted, so the next Send dials afresh, and marked dead, so a
-// Send that already holds tc reports an error instead of writing into a
-// socket whose far end is gone.
-func (e *TCPEndpoint) watch(to string, tc *tcpConn) {
-	defer e.wg.Done()
-	var b [1]byte
-	for {
-		if _, err := tc.c.Read(b[:]); err != nil {
-			break
-		}
-	}
-	e.evict(to, tc)
-	tc.mu.Lock()
-	tc.dead = true
-	tc.mu.Unlock()
-}
-
-// evict drops a finished connection from the cache, so the next Send to the
-// peer redials, and closes it.
-func (e *TCPEndpoint) evict(to string, tc *tcpConn) {
+// evict drops a finished connection from the open set and, if it is the
+// route to peer, from the routes, so the next Send finds another; then it
+// closes it, which ends its reader.
+func (e *TCPEndpoint) evict(peer string, tc *tcpConn) {
 	e.mu.Lock()
-	if e.conns[to] == tc {
-		delete(e.conns, to)
+	delete(e.open, tc)
+	if e.conns[peer] == tc {
+		delete(e.conns, peer)
 	}
 	e.mu.Unlock()
 	tc.c.Close()
 }
 
-// Send transmits data to the named peer, dialing a connection if none is
-// cached. A nil return means the frame was written to a connection the peer
-// had not been seen to close; a peer that closed earlier yields a fresh dial
-// or an error, never a silent success.
+// Send transmits data to the named peer over its route: the connection this
+// endpoint dialed to it, or the one it dialed in on, or else a fresh dial to
+// its address in the book. A nil return means the frame was written to a
+// connection the peer had not been seen to close; a peer that closed earlier
+// yields a fresh route or an error, never a silent success.
 func (e *TCPEndpoint) Send(to string, data []byte) error {
 	e.mu.Lock()
 	if e.closed {
@@ -265,29 +268,30 @@ func (e *TCPEndpoint) Send(to string, data []byte) error {
 		e.mu.Lock()
 		if e.closed {
 			// Close ran while we were dialing; it has already drained
-			// e.conns, so caching c now would leak the socket forever.
+			// e.open, so keeping c now would leak the socket forever.
 			e.mu.Unlock()
 			c.Close()
 			return ErrClosed
 		}
 		if existing, race := e.conns[to]; race {
-			// Another goroutine connected first; use its connection.
+			// A route appeared while we dialed (another Send's dial, or the
+			// peer dialing in); frames already sent may be on it, so use it.
 			e.mu.Unlock()
 			c.Close()
 			tc = existing
 		} else {
-			tc = &tcpConn{c: c}
+			tc = &tcpConn{c: c, dialed: true}
 			e.conns[to] = tc
-			e.wg.Add(1) // under e.mu with closed false, so Close waits for it
+			e.start(tc, to)
 			e.mu.Unlock()
-			go e.watch(to, tc)
 		}
 	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.dead {
-		// The watcher got here between our lookup and our lock; it has
-		// already evicted tc, so the caller's next Send redials.
+		// Retired between our lookup and our lock; evict it under to as
+		// well (its reader did so only under the last sender it read).
+		e.evict(to, tc)
 		return fmt.Errorf("send to %s: %w", to, net.ErrClosed)
 	}
 	if err := writeFrame(tc.c, e.id, data); err != nil {
@@ -297,8 +301,8 @@ func (e *TCPEndpoint) Send(to string, data []byte) error {
 	return nil
 }
 
-// Close shuts the listener and all connections, then waits for reader
-// goroutines to exit.
+// Close shuts the listener and all connections, then waits for their
+// readers to exit.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -306,21 +310,15 @@ func (e *TCPEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	conns := e.conns
-	e.conns = make(map[string]*tcpConn)
-	inbound := make([]net.Conn, 0, len(e.accepted))
-	for c := range e.accepted {
-		inbound = append(inbound, c)
+	open := make([]*tcpConn, 0, len(e.open))
+	for tc := range e.open {
+		open = append(open, tc)
 	}
+	e.conns = make(map[string]*tcpConn)
 	e.mu.Unlock()
 	err := e.listener.Close()
-	for _, tc := range conns {
+	for _, tc := range open {
 		tc.c.Close()
-	}
-	// Accepted (inbound) connections must be closed too, or their read
-	// loops would wait forever on peers that never hang up.
-	for _, c := range inbound {
-		c.Close()
 	}
 	e.wg.Wait()
 	return err

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,7 +180,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		defer mu.Unlock()
 		got = append(got, from+":"+string(data))
 	})
-	// b replies to a over its own outbound connection.
+	// b replies to a on the connection a dialed.
 	var amu sync.Mutex
 	var areply string
 	a.SetHandler(func(from string, data []byte) {
@@ -209,6 +210,175 @@ func TestTCPRoundTrip(t *testing.T) {
 	if areply != "b:pong" {
 		t.Errorf("reply = %q", areply)
 	}
+	onePair(t, a, b)
+}
+
+// onePair checks that a round trip between dialer and acceptor left one
+// connection between them: the one dialer opened.
+func onePair(t *testing.T, dialer, acceptor *TCPEndpoint) {
+	t.Helper()
+	for _, c := range []struct {
+		e      *TCPEndpoint
+		dialed int
+	}{{dialer, 1}, {acceptor, 0}} {
+		c.e.mu.Lock()
+		open, dialed := len(c.e.open), 0
+		for tc := range c.e.open {
+			if tc.dialed {
+				dialed++
+			}
+		}
+		c.e.mu.Unlock()
+		if open != 1 || dialed != c.dialed {
+			t.Errorf("%s holds %d open conns (%d dialed), want 1 (%d)", c.e.ID(), open, dialed, c.dialed)
+		}
+	}
+}
+
+// listen opens a TCP endpoint on an ephemeral loopback port, closed when the
+// test ends.
+func listen(t *testing.T, id string, book *AddressBook) *TCPEndpoint {
+	t.Helper()
+	e, err := ListenTCP(id, "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+// collect installs a handler on e that queues every frame as "from:data". The
+// queue holds more than the 500 frames a test sends one way before reading,
+// so the handler never blocks the reader.
+func collect(e *TCPEndpoint) chan string {
+	got := make(chan string, 1024)
+	e.SetHandler(func(from string, data []byte) { got <- from + ":" + string(data) })
+	return got
+}
+
+func expect(t *testing.T, got chan string, want string) {
+	t.Helper()
+	select {
+	case msg := <-got:
+		if msg != want {
+			t.Fatalf("received %q, want %q", msg, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timeout waiting for %q", want)
+	}
+}
+
+// TestTCPReplyNeedsNoAddress: b has no address for a, so it cannot reach a
+// until a has dialed in; from a's first frame on, b answers on a's
+// connection. Neither side opens a second one, and b never dials.
+func TestTCPReplyNeedsNoAddress(t *testing.T) {
+	bookA, bookB := NewAddressBook(), NewAddressBook()
+	a, b := listen(t, "a", bookA), listen(t, "b", bookB)
+	bookA.Set("b", b.Addr())
+	gotA, gotB := collect(a), collect(b)
+	if err := b.Send("a", []byte("early")); !errors.Is(err, ErrUnknownPeer) {
+		t.Fatalf("Send before a has dialed = %v, want ErrUnknownPeer", err)
+	}
+	if err := a.Send("b", []byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, gotB, "a:ping")
+	if err := b.Send("a", []byte("pong")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, gotA, "b:pong")
+	onePair(t, a, b)
+}
+
+// TestTCPSimultaneousDial: two cold endpoints stream to each other at once,
+// so each may dial while the other's conn is arriving. Every frame must
+// arrive, in order per direction.
+func TestTCPSimultaneousDial(t *testing.T) {
+	book := NewAddressBook()
+	a, b := listen(t, "a", book), listen(t, "b", book)
+	gotA, gotB := collect(a), collect(b)
+	const n = 500
+	var wg sync.WaitGroup
+	for _, e := range []struct {
+		from *TCPEndpoint
+		to   string
+	}{{a, "b"}, {b, "a"}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if err := e.from.Send(e.to, []byte(fmt.Sprintf("m%04d", i))); err != nil {
+					t.Errorf("%s to %s, frame %d: %v", e.from.ID(), e.to, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		expect(t, gotB, fmt.Sprintf("a:m%04d", i))
+		expect(t, gotA, fmt.Sprintf("b:m%04d", i))
+	}
+}
+
+// TestTCPRestartedDialerTakesOver: a client that dials the host is replaced
+// by a new endpoint under the same id on a new port. The host has no address
+// for it, yet its next Send reaches the new endpoint, from the new conn's
+// first frame on: in odd rounds the old endpoint is still open then, so the
+// host cannot be relying on having read the old conn's EOF.
+func TestTCPRestartedDialerTakesOver(t *testing.T) {
+	host := listen(t, "host", NewAddressBook())
+	fromClient := collect(host)
+	dialClient := func() (*TCPEndpoint, chan string) {
+		book := NewAddressBook()
+		book.Set("host", host.Addr())
+		c := listen(t, "c", book)
+		return c, collect(c)
+	}
+	old, _ := dialClient()
+	if err := old.Send("host", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, fromClient, "c:hello")
+	for round := 0; round < 20; round++ {
+		if round%2 == 0 {
+			old.Close()
+		}
+		cur, toClient := dialClient()
+		join := fmt.Sprintf("join-%d", round)
+		if err := cur.Send("host", []byte(join)); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		expect(t, fromClient, "c:"+join)
+		ack := fmt.Sprintf("ack-%d", round)
+		if err := host.Send("c", []byte(ack)); err != nil {
+			t.Fatalf("round %d: host Send: %v", round, err)
+		}
+		expect(t, toClient, "host:"+ack)
+		old.Close()
+		old = cur
+	}
+}
+
+// TestListenTCPRejectsLongID: a frame carries its sender id behind a 16-bit
+// length, so an id that does not fit is refused up front rather than sent as
+// frames every peer would misparse.
+func TestListenTCPRejectsLongID(t *testing.T) {
+	book := NewAddressBook()
+	long := strings.Repeat("x", 1<<16)
+	if e, err := ListenTCP(long, "127.0.0.1:0", book); err == nil {
+		e.Close()
+		t.Fatalf("ListenTCP accepted a %d-byte id", len(long))
+	}
+	if _, ok := book.Lookup(long); ok {
+		t.Error("a refused id was registered in the book")
+	}
+	e := listen(t, long[1:], book)
+	got := collect(e)
+	if err := e.Send(long[1:], []byte("self")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, got, long[1:]+":self")
 }
 
 func TestTCPManyMessagesOrdered(t *testing.T) {
