@@ -95,7 +95,7 @@ func runParityScenario(t *testing.T, sub paritySubstrate) parityResult {
 
 	// --- Session: host plus two clients editing a shared document.
 	host := session.NewHost(sub.endpoint("host"), session.Synchronous, func() time.Duration { return 0 })
-	host.OnItem = func(it session.Item) {
+	host.OnItem = func(_ string, it session.Item) {
 		mu.Lock()
 		res.HostDoc = append(res.HostDoc, it.Body)
 		mu.Unlock()
@@ -103,7 +103,7 @@ func runParityScenario(t *testing.T, sub paritySubstrate) parityResult {
 	clients := map[string]*session.Client{}
 	for _, id := range []string{"alice", "bob"} {
 		id := id
-		c := session.NewClient(sub.endpoint(id), "host")
+		c := session.NewClientForDoc(sub.endpoint(id), "host", "")
 		c.OnItem = func(it session.Item) {
 			mu.Lock()
 			if id == "alice" {

@@ -336,10 +336,10 @@ func runFlashCrowdJoinLeave(w *World) {
 	crowd := w.Cluster("crowd", "m", n, clean)
 	ids := append([]string(nil), crowd.IDs...)
 	hostID := w.In(crowd, "crowd-host")
-	h, cls := w.Session(hostID, session.Synchronous, ids...)
+	host, cls := w.Session(hostID, session.Synchronous, ids...)
 
 	var hostItems []session.Item
-	h.OnItem = func(it session.Item) { hostItems = append(hostItems, it) }
+	host.OnItem = func(_ string, it session.Item) { hostItems = append(hostItems, it) }
 	got := make(map[string][]string, len(ids))
 	for _, id := range ids {
 		id := id
@@ -400,6 +400,7 @@ func runFlashCrowdJoinLeave(w *World) {
 	}
 
 	w.Run()
+	h := host.Host("")
 
 	// Ledger: every accepted post is in the host log, nothing else is.
 	if h.LogLen() != posted {

@@ -164,7 +164,7 @@ func runCrashRestartSession(w *World) {
 	w.Star("host", clean, clean, clients...)
 	h, cls := w.Session("host", session.Synchronous, clients...)
 	var hostItems []session.Item
-	h.OnItem = func(it session.Item) { hostItems = append(hostItems, it) }
+	h.OnItem = func(_ string, it session.Item) { hostItems = append(hostItems, it) }
 	got := make(map[string][]string)
 	for _, id := range clients {
 		id := id
@@ -211,7 +211,7 @@ func runCrashRestartSession(w *World) {
 		}
 	})
 	w.Run()
-	gotMembers := h.Members()
+	gotMembers := h.Host("").Members()
 	if fmt.Sprint(gotMembers) != fmt.Sprint(clients) {
 		w.Violatef("membership-agreement", "host members %v, want %v", gotMembers, clients)
 	}
@@ -671,9 +671,9 @@ func runSessionModeChurn(w *World) {
 	lossyUp := clean
 	lossyUp.Loss = 0.25
 	w.Star("host", lossyUp, clean, clients...)
-	h, cls := w.Session("host", session.Synchronous, clients...)
+	host, cls := w.Session("host", session.Synchronous, clients...)
 	var hostItems []session.Item
-	h.OnItem = func(it session.Item) { hostItems = append(hostItems, it) }
+	host.OnItem = func(_ string, it session.Item) { hostItems = append(hostItems, it) }
 	got := make(map[string][]string)
 	for _, id := range clients {
 		id := id
@@ -686,7 +686,7 @@ func runSessionModeChurn(w *World) {
 		mode := mode
 		w.Sim.At(ms(mode.at), func() {
 			w.Logf("MODE -> %v", mode.to)
-			h.SetMode(mode.to)
+			host.Host("").SetMode(mode.to)
 		})
 	}
 	post := 0
@@ -734,17 +734,18 @@ func runSessionModeChurn(w *World) {
 		}
 		switch {
 		case now >= ms(150) && now < ms(250):
-			if h.PresenceOf("ben") != session.Away {
+			if host.Host("").PresenceOf("ben") != session.Away {
 				_ = cls["ben"].SetPresence(session.Away, now)
 			}
 		case now >= ms(250):
-			if h.PresenceOf("ben") != session.Active {
+			if host.Host("").PresenceOf("ben") != session.Active {
 				_ = cls["ben"].SetPresence(session.Active, now)
 			}
 		}
 		return now < ms(420) || !converged()
 	})
 	w.Run()
+	h := host.Host("")
 	if !converged() {
 		w.Violatef("session-completeness", "clients never converged on the host log (%d items)", len(hostItems))
 	}

@@ -87,18 +87,17 @@ func (cfg Config) mode() (session.Mode, error) {
 }
 
 // NewHost is the daemon above its TCP edge, on any endpoint and clock: a
-// MultiHost that logs every item and, with Engine ot, integrates eng/op
+// session.Host that logs every item and, with Engine ot, integrates eng/op
 // submissions. It reads Mode, Shards, Shard, Engine and OnIntegrate.
-func NewHost(ep fabric.Endpoint, clock fabric.Clock, cfg Config) (*session.MultiHost, error) {
+func NewHost(ep fabric.Endpoint, clock fabric.Clock, cfg Config) (*session.Host, error) {
 	mode, err := cfg.mode()
 	if err != nil {
 		return nil, err
 	}
-	var owns func(doc string) bool // nil: one daemon owns every document
-	if cfg.Shards > 1 {
-		owns = func(doc string) bool { return shardOf(doc, cfg.Shards) == cfg.Shard }
+	host := session.NewHost(ep, mode, clock)
+	if cfg.Shards > 1 { // otherwise one daemon owns every document
+		host.Owns = func(doc string) bool { return shardOf(doc, cfg.Shards) == cfg.Shard }
 	}
-	host := session.NewMultiHost(ep, mode, clock, owns)
 
 	var sites sync.Map // doc → *Pump, the document's integration site
 	integrate := func(doc string, it session.Item) []string {
@@ -150,7 +149,7 @@ func shardOf(doc string, shards int) int {
 
 // Daemon is a running sessiond: the host core on a TCP edge.
 type Daemon struct {
-	Host *session.MultiHost
+	Host *session.Host
 	Mode session.Mode // what cfg.Mode resolved to
 	addr string
 	ep   fabric.Endpoint

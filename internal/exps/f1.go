@@ -137,15 +137,15 @@ func transitionCost(seed int64, rebuild bool) (items int, elapsed time.Duration)
 	if rebuild {
 		// Tear-down: a fresh client (no history) joins a fresh sync session
 		// view — the host replays the entire log to it.
-		bob2 := session.NewClient(w.Endpoint("bob2"), "host")
+		bob2 := session.NewClientForDoc(w.Endpoint("bob2"), "host", "")
 		got := 0
 		bob2.OnItem = func(session.Item) { got++ }
-		host.SetMode(session.Synchronous)
+		host.Host("").SetMode(session.Synchronous)
 		bob2.Join(sim.Now())
 		sim.Run()
 		return got, sim.Now() - start
 	}
-	host.SetMode(session.Synchronous)
+	host.Host("").SetMode(session.Synchronous)
 	sim.Run()
 	return received - before, sim.Now() - start
 }

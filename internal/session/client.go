@@ -14,7 +14,7 @@ import (
 type Client struct {
 	ep   fabric.Endpoint
 	host string
-	doc  string // document key; "" is the unnamed session
+	doc  string // document key; "" is the unnamed document
 
 	// mu guards everything below. cbs queues the On* callbacks due while
 	// mu is held; runCallbacks runs them with it released, and cbsSpare
@@ -48,16 +48,11 @@ type cb struct {
 	item   Item
 }
 
-// NewClient creates a client on the given endpoint that will talk to the
-// named host, claiming the endpoint's handler.
-func NewClient(ep fabric.Endpoint, host string) *Client {
-	return NewClientForDoc(ep, host, "")
-}
-
-// NewClientForDoc creates a client bound to one named document on a
-// (possibly multi-document) host. Outgoing messages are stamped with doc;
-// incoming messages stamped for other documents are ignored, so several
-// documents can share a host endpoint without cross-talk.
+// NewClientForDoc creates a client bound to document doc ("" is the unnamed
+// document) on the named host, claiming the endpoint's handler. Outgoing
+// messages are stamped with doc; incoming messages stamped for other
+// documents are ignored, so several documents can share a host endpoint
+// without cross-talk.
 func NewClientForDoc(ep fabric.Endpoint, host, doc string) *Client {
 	c := &Client{ep: ep, host: host, doc: doc, mode: Synchronous}
 	ep.SetHandler(func(from string, payload any, size int) {
@@ -65,9 +60,6 @@ func NewClientForDoc(ep fabric.Endpoint, host, doc string) *Client {
 	})
 	return c
 }
-
-// Doc returns the document key this client is bound to.
-func (c *Client) Doc() string { return c.doc }
 
 // runCallbacks is called with c.mu held and returns with it released; see
 // group.Member.runCallbacks for the pattern.
@@ -176,15 +168,13 @@ func (c *Client) Leave(now time.Duration) error {
 	return c.ep.Send(c.host, &MsgLeave{Doc: c.doc, From: c.ID()}, 64)
 }
 
-// Receive ingests a wire message. NewClient wires the endpoint's handler
-// here; tests may call it directly.
+// Receive ingests a wire message. NewClientForDoc wires the endpoint's
+// handler here; tests may call it directly. Only the host speaks for the
+// session: a frame from any other sender (a participant's listener accepts
+// any local peer) or for another document is not ours.
 func (c *Client) Receive(from string, payload any) {
-	// Unstamped traffic (a single-session host) is accepted for
-	// compatibility; traffic stamped for another document is not ours.
-	if c.doc != "" {
-		if d := DocOf(payload); d != "" && d != c.doc {
-			return
-		}
+	if from != c.host || DocOf(payload) != c.doc {
+		return
 	}
 	c.mu.Lock()
 	switch m := payload.(type) {

@@ -14,14 +14,17 @@ import (
 
 func TestAccessors(t *testing.T) {
 	r := newRig(t, 1, Asynchronous, netsim.LANLink)
-	if r.host.Mode() != Asynchronous {
-		t.Errorf("host mode = %v", r.host.Mode())
+	if r.doc() != nil {
+		t.Error("a document is open before anyone joined it")
 	}
 	c := r.clients["u00"]
 	if c.Mode() != Synchronous {
 		t.Errorf("client default mode = %v", c.Mode())
 	}
 	r.joinAll(t)
+	if r.doc().Mode() != Asynchronous {
+		t.Errorf("document mode = %v", r.doc().Mode())
+	}
 	if c.Mode() != Asynchronous {
 		t.Errorf("client mode after join = %v", c.Mode())
 	}
@@ -42,7 +45,7 @@ func TestAccessors(t *testing.T) {
 func TestJoinWithoutHost(t *testing.T) {
 	hub := netsim.New(1, netsim.LANLink)
 	node := hub.MustAddNode("x")
-	c := NewClient(fabric.FromSim(node), "")
+	c := NewClientForDoc(fabric.FromSim(node), "", "")
 	if err := c.Join(0); !errors.Is(err, ErrNoHost) {
 		t.Errorf("Join = %v", err)
 	}
@@ -54,36 +57,37 @@ func TestReceiveHandFedMessages(t *testing.T) {
 	// struct passed by value is foreign traffic and changes nothing.
 	sim := netsim.New(1, netsim.LANLink)
 	hostNode := sim.MustAddNode("host")
-	h := NewHost(fabric.FromSim(hostNode), Synchronous, sim.Now)
+	host := NewHost(fabric.FromSim(hostNode), Synchronous, sim.Now)
 
-	h.Receive("u0", MsgJoin{From: "u0", State: Active})
-	if h.PresenceOf("u0") != Offline {
-		t.Fatalf("a by-value MsgJoin was processed: presence = %v", h.PresenceOf("u0"))
+	host.Receive("u0", MsgJoin{From: "u0", State: Active})
+	if host.Host("") != nil {
+		t.Fatal("a by-value MsgJoin opened a document")
 	}
-	h.Receive("u1", &MsgJoin{From: "u1", State: Active})
+	host.Receive("u1", &MsgJoin{From: "u1", State: Active})
 	sim.Run()
-	if h.PresenceOf("u1") != Active {
-		t.Fatalf("presence = %v", h.PresenceOf("u1"))
+	d := host.Host("")
+	if d.PresenceOf("u1") != Active {
+		t.Fatalf("presence = %v", d.PresenceOf("u1"))
 	}
-	h.Receive("u1", &MsgPost{From: "u1", Kind: "k", Body: "v"})
-	if h.LogLen() != 1 {
-		t.Fatalf("log = %d", h.LogLen())
+	host.Receive("u1", &MsgPost{From: "u1", Kind: "k", Body: "v"})
+	if d.LogLen() != 1 {
+		t.Fatalf("log = %d", d.LogLen())
 	}
-	h.Receive("u1", &MsgPoll{From: "u1", Since: 0})
-	h.Receive("u1", &MsgPresence{From: "u1", State: Away})
-	if h.PresenceOf("u1") != Away {
-		t.Errorf("presence = %v", h.PresenceOf("u1"))
+	host.Receive("u1", &MsgPoll{From: "u1", Since: 0})
+	host.Receive("u1", &MsgPresence{From: "u1", State: Away})
+	if d.PresenceOf("u1") != Away {
+		t.Errorf("presence = %v", d.PresenceOf("u1"))
 	}
-	h.Receive("u1", &MsgLeave{From: "u1"})
-	if h.PresenceOf("u1") != Offline {
-		t.Errorf("presence = %v", h.PresenceOf("u1"))
+	host.Receive("u1", &MsgLeave{From: "u1"})
+	if d.PresenceOf("u1") != Offline {
+		t.Errorf("presence = %v", d.PresenceOf("u1"))
 	}
-	if h.PresenceOf("never-joined") != Offline {
-		t.Errorf("unknown presence = %v", h.PresenceOf("never-joined"))
+	if d.PresenceOf("never-joined") != Offline {
+		t.Errorf("unknown presence = %v", d.PresenceOf("never-joined"))
 	}
 
 	cNode := sim.MustAddNode("c")
-	c := NewClient(fabric.FromSim(cNode), "host")
+	c := NewClientForDoc(fabric.FromSim(cNode), "host", "")
 	var modes []Mode
 	var presences []string
 	c.OnMode = func(m Mode) { modes = append(modes, m) }
@@ -109,7 +113,7 @@ func TestReceiveHandFedMessages(t *testing.T) {
 func TestSetPresenceBeforeJoin(t *testing.T) {
 	sim := netsim.New(1, netsim.LANLink)
 	node := sim.MustAddNode("x")
-	c := NewClient(fabric.FromSim(node), "host")
+	c := NewClientForDoc(fabric.FromSim(node), "host", "")
 	if err := c.SetPresence(Away, 0); !errors.Is(err, ErrNotJoined) {
 		t.Errorf("SetPresence = %v", err)
 	}
@@ -118,14 +122,14 @@ func TestSetPresenceBeforeJoin(t *testing.T) {
 func TestSetModeNoopAndSyncToAsync(t *testing.T) {
 	r := newRig(t, 2, Synchronous, netsim.LANLink)
 	r.joinAll(t)
-	st := r.host.Stats()
-	r.host.SetMode(Synchronous) // no-op
-	if r.host.Stats().ModeSwitches != st.ModeSwitches {
+	st := r.doc().Stats()
+	r.doc().SetMode(Synchronous) // no-op
+	if r.doc().Stats().ModeSwitches != st.ModeSwitches {
 		t.Error("same-mode switch counted")
 	}
-	r.host.SetMode(Asynchronous) // no flush on downgrade
+	r.doc().SetMode(Asynchronous) // no flush on downgrade
 	r.sim.Run()
-	if r.host.Stats().FlushServes != 0 {
+	if r.doc().Stats().FlushServes != 0 {
 		t.Error("sync->async should not flush")
 	}
 	if r.clients["u00"].Mode() != Asynchronous {
@@ -142,7 +146,7 @@ func TestModeSwitchFlushSkipsCaughtUp(t *testing.T) {
 	r.clients["u01"].Poll(time.Millisecond)
 	r.sim.Run()
 	n := len(r.items["u01"])
-	r.host.SetMode(Synchronous)
+	r.doc().SetMode(Synchronous)
 	r.sim.Run()
 	if len(r.items["u01"]) != n {
 		t.Error("caught-up participant received duplicate flush items")

@@ -18,19 +18,26 @@ func TestDocOfDocKeyedFallthrough(t *testing.T) {
 	if got := DocOf(struct{}{}); got != "" {
 		t.Fatalf("unkeyed payload demuxed to %q", got)
 	}
-	// Session's own types still resolve through the typed switch.
+	// Session's own types are DocKeyed too, as pointers and as values.
 	if got := DocOf(&MsgPost{Doc: "p"}); got != "p" {
 		t.Fatalf("session payload demuxed to %q", got)
+	}
+	if got := DocOf(MsgItems{Doc: "i"}); got != "i" {
+		t.Fatalf("session value demuxed to %q", got)
 	}
 }
 
 func TestHostIgnoresForeignKeyedTraffic(t *testing.T) {
 	sim := netsim.New(1, netsim.LocalLink)
-	h := NewDocHost(fabric.FromSim(sim.MustAddNode("h")), Synchronous, sim.Now, "mine")
-	h.Receive("x", keyed{"other"}) // other document: filtered by the doc gate
-	h.Receive("x", keyed{"mine"})  // right document, foreign type: ignored
-	if h.LogLen() != 0 || len(h.Members()) != 0 {
-		t.Fatalf("foreign traffic mutated host state: log %d members %d", h.LogLen(), len(h.Members()))
+	h := NewHost(fabric.FromSim(sim.MustAddNode("h")), Synchronous, sim.Now)
+	h.Receive("x", keyed{"other"}) // no join: opens nothing
+	if docs := h.Docs(); len(docs) != 0 {
+		t.Fatalf("foreign traffic opened documents %v", docs)
+	}
+	h.Receive("x", &MsgJoin{Doc: "mine", From: "x"})
+	h.Receive("x", keyed{"mine"}) // right document, foreign type: ignored
+	if d := h.Host("mine"); d.LogLen() != 0 || len(d.Members()) != 1 {
+		t.Fatalf("foreign traffic mutated host state: log %d members %v", d.LogLen(), d.Members())
 	}
 }
 
@@ -40,7 +47,7 @@ func TestPostLocalReachesEveryParticipant(t *testing.T) {
 	got := map[string]int{}
 	for _, id := range []string{"a", "b"} {
 		id := id
-		c := NewClient(fabric.FromSim(sim.MustAddNode(id)), "host")
+		c := NewClientForDoc(fabric.FromSim(sim.MustAddNode(id)), "host", "")
 		c.OnItem = func(it Item) {
 			if it.From != HostAuthor || it.Kind != "eng/op" {
 				t.Errorf("unexpected item %+v at %s", it, id)
@@ -52,13 +59,13 @@ func TestPostLocalReachesEveryParticipant(t *testing.T) {
 		}
 	}
 	sim.Run()
-	h.PostLocal("eng/op", "payload")
+	h.Host("").PostLocal("eng/op", "payload")
 	sim.Run()
 	if got["a"] != 1 || got["b"] != 1 {
 		t.Fatalf("host item fanout %v", got)
 	}
 	// A late joiner replays host items from the backlog.
-	late := NewClient(fabric.FromSim(sim.MustAddNode("late")), "host")
+	late := NewClientForDoc(fabric.FromSim(sim.MustAddNode("late")), "host", "")
 	late.OnItem = func(it Item) { got["late"]++ }
 	if err := late.Join(0); err != nil {
 		t.Fatal(err)

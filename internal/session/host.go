@@ -24,13 +24,119 @@ type partState struct {
 	acked    uint64 // highest sequence number delivered (push or poll)
 }
 
-// Host is the session coordinator. It claims its endpoint's handler at
-// construction and guards all state with an internal mutex, so it is safe
-// over netsim and over concurrent real transports alike; the OnItem
-// callback runs outside the lock.
+// Host is the session coordinator for every document on one endpoint. It
+// claims the endpoint's handler at construction, demultiplexes traffic by
+// each message's Doc key, and opens a document on the first join for its key
+// (the unnamed key "" included). Each document keeps its own log, members
+// and lock; h.mu guards only the document map and the rejected count, so it
+// is safe over netsim and over concurrent real transports alike. The OnItem
+// callback runs outside every lock.
 type Host struct {
-	ep  fabric.Endpoint
-	doc string // document key; "" is the unnamed (single-session) host
+	ep    fabric.Endpoint
+	mode  Mode // what a newly opened document starts in
+	clock func() time.Duration
+	// OnItem observes every accepted post under its document's key (the
+	// daemon and the harnesses tap this). It is read on every post: set it
+	// before traffic flows.
+	OnItem func(doc string, it Item)
+	// Owns, when set, confines the host to the documents it returns true
+	// for (internal/daemon's shard placement): traffic for documents placed
+	// elsewhere is counted and dropped rather than answered, which would fork
+	// the document's log. It is read on every message, like OnItem.
+	Owns func(doc string) bool
+
+	mu       sync.Mutex
+	docs     map[string]*docHost
+	rejected uint64
+}
+
+// NewHost creates a session host on the given endpoint and claims its
+// handler. Every document it opens starts in mode; clock supplies the
+// current (virtual or real) time for item stamping.
+func NewHost(ep fabric.Endpoint, mode Mode, clock func() time.Duration) *Host {
+	h := &Host{ep: ep, mode: mode, clock: clock, docs: make(map[string]*docHost)}
+	ep.SetHandler(func(from string, payload any, size int) {
+		h.Receive(from, payload)
+	})
+	return h
+}
+
+// Receive ingests a wire message from the transport sender from. NewHost
+// wires the endpoint's handler here; tests may call it directly. The
+// document's own receive runs outside h.mu: it can queue endpoint sends, and
+// those must never happen under a lock (the block-lock discipline).
+func (h *Host) Receive(from string, payload any) {
+	key := DocOf(payload)
+	if h.Owns != nil && !h.Owns(key) {
+		h.mu.Lock()
+		h.rejected++
+		h.mu.Unlock()
+		return
+	}
+	h.mu.Lock()
+	d, ok := h.docs[key]
+	if !ok {
+		// Only a join opens a document: posts or polls for an unknown
+		// document are from participants who never joined, and would be
+		// dropped anyway — creating state for them would let strangers
+		// allocate documents.
+		if _, join := payload.(*MsgJoin); !join {
+			h.mu.Unlock()
+			return
+		}
+		d = &docHost{host: h, key: key, mode: h.mode, parts: make(map[string]*partState)}
+		h.docs[key] = d
+	}
+	h.mu.Unlock()
+	d.receive(from, payload)
+}
+
+// Host returns the state of document doc, or nil if no participant has
+// joined it yet.
+func (h *Host) Host(doc string) *docHost {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.docs[doc]
+}
+
+// Docs returns the open documents, sorted.
+func (h *Host) Docs() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make([]string, 0, len(h.docs))
+	for doc := range h.docs {
+		out = append(out, doc)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Rejected counts messages dropped because their document is owned by
+// another shard's host.
+func (h *Host) Rejected() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.rejected
+}
+
+// MultiHost is Host under its old name, and NewMultiHost NewHost with Owns
+// set. Both stay only because the frozen benchmark harness names them;
+// ROADMAP item 1 deletes them.
+type MultiHost = Host
+
+// NewMultiHost is NewHost followed by setting Owns to owns.
+func NewMultiHost(ep fabric.Endpoint, mode Mode, clock func() time.Duration, owns func(doc string) bool) *Host {
+	h := NewHost(ep, mode, clock)
+	h.Owns = owns
+	return h
+}
+
+// docHost is one document's session: its item log, members and presence.
+// It guards all of that with its own mutex and queues every callback and
+// send to run after the mutex is released.
+type docHost struct {
+	host *Host
+	key  string
 
 	mu       sync.Mutex
 	cbs      []func()
@@ -40,95 +146,61 @@ type Host struct {
 	log   []Item
 	seq   uint64
 	parts map[string]*partState
-	clock func() time.Duration
 	stats HostStats
-	// OnItem observes every accepted post (the hyperdoc and experiment
-	// layers tap this).
-	OnItem func(Item)
 }
 
-// NewHost creates a session host on the given endpoint and claims its
-// handler. clock supplies the current (virtual or real) time for item
-// stamping.
-func NewHost(ep fabric.Endpoint, mode Mode, clock func() time.Duration) *Host {
-	h := NewDocHost(ep, mode, clock, "")
-	ep.SetHandler(func(from string, payload any, size int) {
-		h.Receive(from, payload)
-	})
-	return h
-}
-
-// NewDocHost creates a host for one named document WITHOUT claiming the
-// endpoint's handler: the caller (normally a MultiHost demultiplexing many
-// documents over one endpoint) owns the handler and feeds Receive. All
-// outbound messages are stamped with doc; inbound messages for other
-// documents are ignored.
-func NewDocHost(ep fabric.Endpoint, mode Mode, clock func() time.Duration, doc string) *Host {
-	return &Host{
-		ep:    ep,
-		doc:   doc,
-		mode:  mode,
-		parts: make(map[string]*partState),
-		clock: clock,
-	}
-}
-
-// Doc returns the document key this host serves ("" for the unnamed
-// session).
-func (h *Host) Doc() string { return h.doc }
-
-// runCallbacks is called with h.mu held and returns with it released; see
+// runCallbacks is called with d.mu held and returns with it released; see
 // group.Member.runCallbacks for the pattern.
-func (h *Host) runCallbacks() {
-	if h.flushing {
-		h.mu.Unlock()
+func (d *docHost) runCallbacks() {
+	if d.flushing {
+		d.mu.Unlock()
 		return
 	}
-	h.flushing = true
-	for len(h.cbs) > 0 {
-		batch := h.cbs
-		h.cbs = nil
-		h.mu.Unlock()
+	d.flushing = true
+	for len(d.cbs) > 0 {
+		batch := d.cbs
+		d.cbs = nil
+		d.mu.Unlock()
 		for _, fn := range batch {
 			fn()
 		}
-		h.mu.Lock()
+		d.mu.Lock()
 	}
-	h.flushing = false
-	h.mu.Unlock()
+	d.flushing = false
+	d.mu.Unlock()
 }
 
-// Mode returns the session's current mode.
-func (h *Host) Mode() Mode {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.mode
+// Mode returns the document's current session mode.
+func (d *docHost) Mode() Mode {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.mode
 }
 
 // Stats returns accumulated statistics.
-func (h *Host) Stats() HostStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats
+func (d *docHost) Stats() HostStats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.stats
 }
 
-// LogLen returns the number of items in the session log.
-func (h *Host) LogLen() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.log)
+// LogLen returns the number of items in the document's log.
+func (d *docHost) LogLen() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.log)
 }
 
 // Members returns joined participants (any presence), sorted.
-func (h *Host) Members() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.members()
+func (d *docHost) Members() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.members()
 }
 
-func (h *Host) members() []string {
-	out := make([]string, 0, len(h.parts))
-	for id := range h.parts {
+func (d *docHost) members() []string {
+	out := make([]string, 0, len(d.parts))
+	for id := range d.parts {
 		out = append(out, id)
 	}
 	sort.Strings(out)
@@ -136,67 +208,77 @@ func (h *Host) members() []string {
 }
 
 // PresenceOf returns a participant's presence (Offline if never joined).
-func (h *Host) PresenceOf(id string) Presence {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if p, ok := h.parts[id]; ok {
+func (d *docHost) PresenceOf(id string) Presence {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if p, ok := d.parts[id]; ok {
 		return p.presence
 	}
 	return Offline
 }
 
-// Receive ingests a wire message. NewHost wires the endpoint's handler
-// here; tests may call it directly.
-func (h *Host) Receive(from string, payload any) {
-	if h.doc != "" && DocOf(payload) != h.doc {
-		return // another document's traffic on a shared endpoint
-	}
-	h.mu.Lock()
+// receive ingests one message for this document. The author is the
+// transport sender: a message whose From names anyone else is dropped, so no
+// peer can post, poll or leave as someone else.
+func (d *docHost) receive(from string, payload any) {
+	d.mu.Lock()
 	switch m := payload.(type) {
 	case *MsgJoin:
-		h.onJoin(*m)
+		if m.From == from {
+			d.onJoin(*m)
+		}
 	case *MsgPost:
-		h.onPost(*m)
+		if m.From == from {
+			d.onPost(*m)
+		}
 	case *MsgPoll:
-		h.onPoll(*m)
+		if m.From == from {
+			d.onPoll(*m)
+		}
 	case *MsgPresence:
-		h.onPresence(*m)
+		if m.From == from {
+			d.onPresence(*m)
+		}
 	case *MsgLeave:
-		h.onLeave(*m)
+		if m.From == from {
+			d.onLeave(*m)
+		}
 	}
-	h.runCallbacks()
+	d.runCallbacks()
 }
 
-func (h *Host) onJoin(m MsgJoin) {
+func (d *docHost) onJoin(m MsgJoin) {
 	if strings.HasPrefix(m.From, "!") {
 		return // HostAuthor's namespace: such a member's items would never be delivered
 	}
-	p, ok := h.parts[m.From]
+	p, ok := d.parts[m.From]
 	if !ok {
 		p = &partState{id: m.From}
-		h.parts[m.From] = p
+		d.parts[m.From] = p
 	}
 	p.presence = m.State
 	if p.presence == 0 {
 		p.presence = Active
 	}
-	backlog := withoutFrom(h.itemsAfter(m.Since), m.From)
-	p.acked = h.seq
-	ack := &MsgJoinAck{Mode: h.mode, Backlog: backlog, Members: h.members()}
-	h.send(m.From, ack, len(backlog)*32+64)
+	backlog := withoutFrom(d.itemsAfter(m.Since), m.From)
+	p.acked = d.seq
+	ack := &MsgJoinAck{Doc: d.key, Mode: d.mode, Backlog: backlog, Members: d.members()}
+	d.send(m.From, ack, len(backlog)*32+64)
 	// Tell the others someone arrived (presence awareness).
-	h.fanout(&MsgPresence{From: m.From, State: p.presence}, m.From)
+	d.fanout(&MsgPresence{Doc: d.key, From: m.From, State: p.presence}, m.From)
 }
 
-func (h *Host) onLeave(m MsgLeave) {
-	if p, ok := h.parts[m.From]; ok {
-		p.presence = Offline
+func (d *docHost) onLeave(m MsgLeave) {
+	p, ok := d.parts[m.From]
+	if !ok {
+		return // a stranger's leave: there is no departure to announce
 	}
-	h.fanout(&MsgPresence{From: m.From, State: Offline}, m.From)
+	p.presence = Offline
+	d.fanout(&MsgPresence{Doc: d.key, From: m.From, State: Offline}, m.From)
 }
 
-func (h *Host) onPresence(m MsgPresence) {
-	p, ok := h.parts[m.From]
+func (d *docHost) onPresence(m MsgPresence) {
+	p, ok := d.parts[m.From]
 	if !ok {
 		return
 	}
@@ -206,22 +288,22 @@ func (h *Host) onPresence(m MsgPresence) {
 	// while away, before any new push: resumed pushes would otherwise move
 	// the participant's cursor past the interim items, losing them for good
 	// (clients poll from their highest seen sequence number).
-	if h.mode == Synchronous && m.State == Active && was != Active {
-		missed := withoutFrom(h.itemsAfter(p.acked), m.From)
+	if d.mode == Synchronous && m.State == Active && was != Active {
+		missed := withoutFrom(d.itemsAfter(p.acked), m.From)
 		if len(missed) > 0 {
-			h.stats.FlushServes += len(missed)
-			h.send(m.From, &MsgItems{Items: missed}, len(missed)*32+64)
+			d.stats.FlushServes += len(missed)
+			d.send(m.From, &MsgItems{Doc: d.key, Items: missed}, len(missed)*32+64)
 		}
-		p.acked = h.seq
+		p.acked = d.seq
 	}
-	h.fanout(&MsgPresence{From: m.From, State: m.State}, m.From)
+	d.fanout(&MsgPresence{Doc: d.key, From: m.From, State: m.State}, m.From)
 }
 
-func (h *Host) onPost(m MsgPost) {
-	if _, ok := h.parts[m.From]; !ok {
+func (d *docHost) onPost(m MsgPost) {
+	if _, ok := d.parts[m.From]; !ok {
 		return // posts from strangers are dropped
 	}
-	h.appendItem(m.From, m.Kind, m.Body)
+	d.appendItem(m.From, m.Kind, m.Body)
 }
 
 // HostAuthor is the author id of items the host posts itself (PostLocal).
@@ -233,28 +315,27 @@ const HostAuthor = "!host"
 // PostLocal appends an item authored by the host itself and propagates it
 // exactly like an accepted participant post — daemon-side convergence
 // engines publish OT commits into the session log this way.
-func (h *Host) PostLocal(kind, body string) {
-	h.mu.Lock()
-	h.appendItem(HostAuthor, kind, body)
-	h.runCallbacks()
+func (d *docHost) PostLocal(kind, body string) {
+	d.mu.Lock()
+	d.appendItem(HostAuthor, kind, body)
+	d.runCallbacks()
 }
 
 // appendItem logs one item and pushes it per the session mode. Callers
-// hold h.mu.
-func (h *Host) appendItem(from, kind, body string) {
-	h.seq++
-	it := Item{Seq: h.seq, From: from, Kind: kind, Body: body, At: h.clock()}
-	h.log = append(h.log, it)
-	h.stats.Posts++
-	if h.OnItem != nil {
-		onItem := h.OnItem
-		h.cbs = append(h.cbs, func() { onItem(it) })
+// hold d.mu.
+func (d *docHost) appendItem(from, kind, body string) {
+	d.seq++
+	it := Item{Seq: d.seq, From: from, Kind: kind, Body: body, At: d.host.clock()}
+	d.log = append(d.log, it)
+	d.stats.Posts++
+	if onItem := d.host.OnItem; onItem != nil {
+		d.cbs = append(d.cbs, func() { onItem(d.key, it) })
 	}
-	if h.mode != Synchronous {
+	if d.mode != Synchronous {
 		return
 	}
-	for _, id := range h.members() {
-		p := h.parts[id]
+	for _, id := range d.members() {
+		p := d.parts[id]
 		if p.presence != Active || id == from {
 			// The poster's own item counts as delivered to it — but only
 			// while Active, when everything before it was pushed too.
@@ -265,65 +346,65 @@ func (h *Host) appendItem(from, kind, body string) {
 			}
 			continue
 		}
-		h.stats.Pushes++
+		d.stats.Pushes++
 		p.acked = it.Seq
-		h.send(id, &MsgItems{Items: []Item{it}}, len(it.Body)+64)
+		d.send(id, &MsgItems{Doc: d.key, Items: []Item{it}}, len(it.Body)+64)
 	}
 }
 
-func (h *Host) onPoll(m MsgPoll) {
-	p, ok := h.parts[m.From]
+func (d *docHost) onPoll(m MsgPoll) {
+	p, ok := d.parts[m.From]
 	if !ok {
 		return
 	}
-	items := withoutFrom(h.itemsAfter(m.Since), m.From)
-	h.stats.PollServes += len(items)
-	p.acked = h.seq
-	h.send(m.From, &MsgItems{Items: items}, len(items)*32+64)
+	items := withoutFrom(d.itemsAfter(m.Since), m.From)
+	d.stats.PollServes += len(items)
+	p.acked = d.seq
+	d.send(m.From, &MsgItems{Doc: d.key, Items: items}, len(items)*32+64)
 }
 
-// SetMode switches the session mode. An asynchronous-to-synchronous switch
-// flushes every present participant's backlog so nobody resumes live work
-// with stale state — the seamless transition.
-func (h *Host) SetMode(mode Mode) {
-	h.mu.Lock()
-	if mode == h.mode {
-		h.mu.Unlock()
+// SetMode switches the document's session mode. An asynchronous-to-
+// synchronous switch flushes every present participant's backlog so nobody
+// resumes live work with stale state — the seamless transition.
+func (d *docHost) SetMode(mode Mode) {
+	d.mu.Lock()
+	if mode == d.mode {
+		d.mu.Unlock()
 		return
 	}
-	h.mode = mode
-	h.stats.ModeSwitches++
-	h.fanout(&MsgMode{Mode: mode}, "")
+	d.mode = mode
+	d.stats.ModeSwitches++
+	d.fanout(&MsgMode{Doc: d.key, Mode: mode}, "")
 	if mode == Synchronous {
-		for _, id := range h.members() {
-			p := h.parts[id]
+		for _, id := range d.members() {
+			p := d.parts[id]
 			if p.presence != Active {
 				continue
 			}
-			missed := withoutFrom(h.itemsAfter(p.acked), id)
+			missed := withoutFrom(d.itemsAfter(p.acked), id)
 			if len(missed) == 0 {
-				p.acked = h.seq
+				p.acked = d.seq
 				continue
 			}
-			h.stats.FlushServes += len(missed)
-			p.acked = h.seq
-			h.send(id, &MsgItems{Items: missed}, len(missed)*32+64)
+			d.stats.FlushServes += len(missed)
+			p.acked = d.seq
+			d.send(id, &MsgItems{Doc: d.key, Items: missed}, len(missed)*32+64)
 		}
 	}
-	h.runCallbacks()
+	d.runCallbacks()
 }
 
-func (h *Host) itemsAfter(since uint64) []Item {
-	if since >= h.seq {
+func (d *docHost) itemsAfter(since uint64) []Item {
+	if since >= d.seq {
 		return nil
 	}
 	// Sequence numbers are dense (1..seq), so index directly.
 	start := int(since)
-	if start > len(h.log) {
-		start = len(h.log)
+	if start > len(d.log) {
+		start = len(d.log)
 	}
-	out := make([]Item, len(h.log)-start)
-	copy(out, h.log[start:])
+	out := make([]Item, len(d.log)-start)
+	copy(out, d.log[start:])
 	return out
 }
 
@@ -339,44 +420,25 @@ func withoutFrom(items []Item, from string) []Item {
 	return out
 }
 
-// stamp writes the host's document key into an outbound message. All host
-// sends construct fresh pointer payloads, so mutating here is safe.
-func (h *Host) stamp(payload any) {
-	if h.doc == "" {
-		return
-	}
-	switch m := payload.(type) {
-	case *MsgJoinAck:
-		m.Doc = h.doc
-	case *MsgItems:
-		m.Doc = h.doc
-	case *MsgMode:
-		m.Doc = h.doc
-	case *MsgPresence:
-		m.Doc = h.doc
-	}
-}
-
-func (h *Host) fanout(payload any, except string) {
-	for _, id := range h.members() {
-		p := h.parts[id]
+func (d *docHost) fanout(payload any, except string) {
+	for _, id := range d.members() {
+		p := d.parts[id]
 		if id == except || p.presence == Offline {
 			continue
 		}
-		h.send(id, payload, 64)
+		d.send(id, payload, 64)
 	}
 }
 
 // send queues a delivery on the callback queue, so the actual endpoint
-// Send runs after h.mu is released (a Send can block over a real
+// Send runs after d.mu is released (a Send can block over a real
 // transport; holding the lock across it invites distributed deadlock —
 // cscwlint's block-lock rule enforces the discipline). Queued sends flush
 // in order, preserving the per-peer FIFO the clients rely on.
-func (h *Host) send(to string, payload any, size int) {
-	h.stamp(payload)
-	h.cbs = append(h.cbs, func() {
+func (d *docHost) send(to string, payload any, size int) {
+	d.cbs = append(d.cbs, func() {
 		// Transient send failures (partitions, disconnected mobiles) surface
 		// as missed pushes; the poll path recovers them, so drop silently.
-		_ = h.ep.Send(to, payload, size)
+		_ = d.host.ep.Send(to, payload, size)
 	})
 }

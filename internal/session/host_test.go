@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,9 +14,9 @@ import (
 // cross documents, and the OnItem observer sees each post under its key.
 func TestMultiHostDemux(t *testing.T) {
 	sim := netsim.New(1, netsim.LANLink)
-	mh := NewMultiHost(fabric.FromSim(sim.MustAddNode("host")), Synchronous, sim.Now, nil)
+	h := NewHost(fabric.FromSim(sim.MustAddNode("host")), Synchronous, sim.Now)
 	seen := make(map[string][]string)
-	mh.OnItem = func(doc string, it Item) { seen[doc] = append(seen[doc], it.Body) }
+	h.OnItem = func(doc string, it Item) { seen[doc] = append(seen[doc], it.Body) }
 
 	items := make(map[string][]Item)
 	mkClient := func(id, doc string) *Client {
@@ -42,7 +43,7 @@ func TestMultiHostDemux(t *testing.T) {
 	})
 	sim.Run()
 
-	if got := fmt.Sprint(mh.Docs()); got != "[docA docB]" {
+	if got := fmt.Sprint(h.Docs()); got != "[docA docB]" {
 		t.Fatalf("Docs() = %s", got)
 	}
 	if len(items["a2"]) != 1 || items["a2"][0].Body != "alpha" {
@@ -72,15 +73,15 @@ func TestMultiHostDemux(t *testing.T) {
 // allocate host state — only joins open documents.
 func TestMultiHostJoinOnlyCreation(t *testing.T) {
 	sim := netsim.New(1, netsim.LANLink)
-	mh := NewMultiHost(fabric.FromSim(sim.MustAddNode("host")), Synchronous, sim.Now, nil)
+	h := NewHost(fabric.FromSim(sim.MustAddNode("host")), Synchronous, sim.Now)
 	stranger := fabric.FromSim(sim.MustAddNode("s"))
 	_ = stranger.Send("host", &MsgPost{Doc: "ghost", From: "s", Kind: "edit", Body: "x"}, 64)
 	sim.Run()
-	if h := mh.Host("ghost"); h != nil {
+	if d := h.Host("ghost"); d != nil {
 		t.Fatal("post from a stranger allocated a document host")
 	}
-	if len(mh.Docs()) != 0 {
-		t.Fatalf("Docs() = %v, want empty", mh.Docs())
+	if len(h.Docs()) != 0 {
+		t.Fatalf("Docs() = %v, want empty", h.Docs())
 	}
 }
 
@@ -88,8 +89,8 @@ func TestMultiHostJoinOnlyCreation(t *testing.T) {
 // documents another shard owns, instead of forking their logs.
 func TestMultiHostOwns(t *testing.T) {
 	sim := netsim.New(1, netsim.LANLink)
-	mh := NewMultiHost(fabric.FromSim(sim.MustAddNode("host")), Synchronous, sim.Now,
-		func(doc string) bool { return doc == "mine" })
+	h := NewHost(fabric.FromSim(sim.MustAddNode("host")), Synchronous, sim.Now)
+	h.Owns = func(doc string) bool { return doc == "mine" }
 	cMine := NewClientForDoc(fabric.FromSim(sim.MustAddNode("c1")), "host", "mine")
 	cOther := NewClientForDoc(fabric.FromSim(sim.MustAddNode("c2")), "host", "theirs")
 	_ = cMine.Join(sim.Now())
@@ -101,30 +102,68 @@ func TestMultiHostOwns(t *testing.T) {
 	if cOther.Joined() {
 		t.Fatal("foreign document served")
 	}
-	if mh.Host("theirs") != nil {
+	if h.Host("theirs") != nil {
 		t.Fatal("foreign document allocated")
 	}
-	if mh.Rejected() == 0 {
+	if h.Rejected() == 0 {
 		t.Fatal("rejection not counted")
 	}
 }
 
-// TestMultiHostModeSwitch: SetMode reaches one document without touching
-// the other.
+// TestMultiHostModeSwitch: one document's SetMode does not touch the other.
 func TestMultiHostModeSwitch(t *testing.T) {
 	sim := netsim.New(1, netsim.LANLink)
-	mh := NewMultiHost(fabric.FromSim(sim.MustAddNode("host")), Synchronous, sim.Now, nil)
+	h := NewHost(fabric.FromSim(sim.MustAddNode("host")), Synchronous, sim.Now)
 	a := NewClientForDoc(fabric.FromSim(sim.MustAddNode("a")), "host", "docA")
 	b := NewClientForDoc(fabric.FromSim(sim.MustAddNode("b")), "host", "docB")
 	_ = a.Join(sim.Now())
 	_ = b.Join(sim.Now())
 	sim.Run()
-	mh.SetMode("docA", Asynchronous)
+	h.Host("docA").SetMode(Asynchronous)
 	sim.Run()
 	if got := a.Mode(); got != Asynchronous {
 		t.Fatalf("docA client mode = %v, want asynchronous", got)
 	}
 	if got := b.Mode(); got != Synchronous {
 		t.Fatalf("docB client mode = %v, want synchronous (leaked switch)", got)
+	}
+}
+
+// TestHostConcurrentDocuments: documents on one host are served from many
+// goroutines at once — each feeding its own document while the others read
+// the document map — and no post is lost or crosses documents. Run it with
+// -race: the host's map lock and the per-document locks are what it checks.
+func TestHostConcurrentDocuments(t *testing.T) {
+	h := NewHost(nullEndpoint{}, Synchronous, func() time.Duration { return 0 })
+	var mu sync.Mutex
+	seen := map[string]int{}
+	h.OnItem = func(doc string, it Item) {
+		mu.Lock()
+		seen[doc]++
+		mu.Unlock()
+	}
+	const docs, posts = 4, 100
+	var wg sync.WaitGroup
+	for i := 0; i < docs; i++ {
+		doc := fmt.Sprintf("d%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, id := range []string{"a", "b"} {
+				h.Receive(id, &MsgJoin{Doc: doc, From: id, State: Active})
+			}
+			for n := 0; n < posts; n++ {
+				h.Receive("a", &MsgPost{Doc: doc, From: "a", Kind: "chat", Body: "x"})
+				_ = h.Docs()
+				_ = h.Host(doc).LogLen()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < docs; i++ {
+		doc := fmt.Sprintf("d%d", i)
+		if n := h.Host(doc).LogLen(); n != posts || seen[doc] != posts {
+			t.Errorf("%s: log %d items, OnItem saw %d; want %d", doc, n, seen[doc], posts)
+		}
 	}
 }

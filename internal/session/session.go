@@ -86,10 +86,10 @@ type Item struct {
 
 // Wire message types. Over TCP the codec writes their binary bodies
 // (binwire.go); over netsim they travel as in-memory values. Every message
-// carries an optional Doc — the document (session) key — so one endpoint
-// can serve many sessions (MultiHost) and a sharded deployment can place
-// each document in its own ordering domain. An empty Doc is the unnamed
-// session, which keeps single-session deployments unchanged.
+// carries a Doc — the document (session) key — so one Host can serve many
+// documents on one endpoint and a sharded deployment can place each document
+// in its own ordering domain. An empty Doc is the unnamed document, a key
+// like any other.
 
 // MsgJoin is a participant's join (or rejoin) request.
 type MsgJoin struct {
@@ -147,37 +147,29 @@ type MsgLeave struct {
 	From string
 }
 
-// DocKeyed is implemented by foreign wire payloads (CRDT ops and state
-// snapshots, engine traffic) that carry a session document key, so DocOf
-// can demultiplex them without this package importing their types.
+// DocKey implements DocKeyed for each session message.
+func (m MsgJoin) DocKey() string     { return m.Doc }
+func (m MsgJoinAck) DocKey() string  { return m.Doc }
+func (m MsgPost) DocKey() string     { return m.Doc }
+func (m MsgItems) DocKey() string    { return m.Doc }
+func (m MsgPoll) DocKey() string     { return m.Doc }
+func (m MsgMode) DocKey() string     { return m.Doc }
+func (m MsgPresence) DocKey() string { return m.Doc }
+func (m MsgLeave) DocKey() string    { return m.Doc }
+
+// DocKeyed is implemented by every wire payload that carries a session
+// document key: the session messages above and foreign ones (CRDT ops and
+// state snapshots, engine traffic), so DocOf can demultiplex them without
+// this package importing their types.
 type DocKeyed interface {
 	DocKey() string
 }
 
-// DocOf extracts the document key from any session wire message, or from
-// any foreign payload implementing DocKeyed (empty for the unnamed session
-// or unkeyed payloads). MultiHost demultiplexes with it.
+// DocOf extracts the document key from a DocKeyed payload ("" for the
+// unnamed document or an unkeyed payload). Host demultiplexes with it.
 func DocOf(payload any) string {
-	switch m := payload.(type) {
-	case *MsgJoin:
-		return m.Doc
-	case *MsgJoinAck:
-		return m.Doc
-	case *MsgPost:
-		return m.Doc
-	case *MsgItems:
-		return m.Doc
-	case *MsgPoll:
-		return m.Doc
-	case *MsgMode:
-		return m.Doc
-	case *MsgPresence:
-		return m.Doc
-	case *MsgLeave:
-		return m.Doc
-	case DocKeyed:
+	if m, ok := payload.(DocKeyed); ok {
 		return m.DocKey()
-	default:
-		return ""
 	}
+	return ""
 }

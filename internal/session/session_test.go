@@ -32,12 +32,15 @@ func newRig(t testing.TB, n int, mode Mode, link netsim.Link) *rig {
 		id := fmt.Sprintf("u%02d", i)
 		r.ids = append(r.ids, id)
 		node := r.sim.MustAddNode(id)
-		c := NewClient(fabric.FromSim(node), "host")
+		c := NewClientForDoc(fabric.FromSim(node), "host", "")
 		c.OnItem = func(it Item) { r.items[id] = append(r.items[id], it) }
 		r.clients[id] = c
 	}
 	return r
 }
+
+// doc is the unnamed document's state, open once anyone has joined.
+func (r *rig) doc() *docHost { return r.host.Host("") }
 
 func (r *rig) joinAll(t testing.TB) {
 	t.Helper()
@@ -70,8 +73,8 @@ func TestSynchronousPush(t *testing.T) {
 	if len(r.items["u00"]) != 0 {
 		t.Errorf("poster got echo: %+v", r.items["u00"])
 	}
-	if r.host.Stats().Pushes != 2 {
-		t.Errorf("pushes = %d", r.host.Stats().Pushes)
+	if r.doc().Stats().Pushes != 2 {
+		t.Errorf("pushes = %d", r.doc().Stats().Pushes)
 	}
 }
 
@@ -154,8 +157,8 @@ func TestAwayParticipantNotPushed(t *testing.T) {
 	r.joinAll(t)
 	r.clients["u01"].SetPresence(Away, r.sim.Now())
 	r.sim.Run()
-	if r.host.PresenceOf("u01") != Away {
-		t.Fatalf("presence = %v", r.host.PresenceOf("u01"))
+	if r.doc().PresenceOf("u01") != Away {
+		t.Fatalf("presence = %v", r.doc().PresenceOf("u01"))
 	}
 	r.clients["u00"].Post("c", "while-away", r.sim.Now())
 	r.sim.Run()
@@ -183,7 +186,7 @@ func TestModeTransitionFlushes(t *testing.T) {
 	var modeSeen Mode
 	r.clients["u02"].OnMode = func(m Mode) { modeSeen = m }
 	// The meeting starts: switch to synchronous. Backlogs flush.
-	r.host.SetMode(Synchronous)
+	r.doc().SetMode(Synchronous)
 	r.sim.Run()
 	if modeSeen != Synchronous {
 		t.Errorf("client mode notification = %v", modeSeen)
@@ -195,8 +198,8 @@ func TestModeTransitionFlushes(t *testing.T) {
 	if len(r.items["u00"]) != 1 || r.items["u00"][0].Body != "async-2" {
 		t.Errorf("u00 flush = %+v", r.items["u00"])
 	}
-	if r.host.Stats().ModeSwitches != 1 || r.host.Stats().FlushServes != 4 {
-		t.Errorf("stats = %+v", r.host.Stats())
+	if r.doc().Stats().ModeSwitches != 1 || r.doc().Stats().FlushServes != 4 {
+		t.Errorf("stats = %+v", r.doc().Stats())
 	}
 	// Live now: a new post pushes immediately.
 	r.clients["u00"].Post("c", "live", r.sim.Now())
@@ -233,8 +236,69 @@ func TestStrangersDropped(t *testing.T) {
 	stranger := r.sim.MustAddNode("stranger")
 	stranger.Send("host", &MsgPost{From: "stranger", Kind: "c", Body: "spam"}, 64)
 	r.sim.Run()
-	if r.host.LogLen() != 0 {
+	if r.doc().LogLen() != 0 {
 		t.Error("stranger post accepted")
+	}
+}
+
+// TestStrangerLeaveIsSilent: a leave from an id that never joined announces
+// nothing — there is no departure for the members to hear about.
+func TestStrangerLeaveIsSilent(t *testing.T) {
+	r := newRig(t, 2, Synchronous, netsim.LANLink)
+	var seen []string
+	r.clients["u00"].OnPresence = func(user string, p Presence) { seen = append(seen, user+":"+p.String()) }
+	r.joinAll(t)
+	seen = nil
+	r.sim.MustAddNode("stranger").Send("host", &MsgLeave{From: "stranger"}, 64)
+	r.sim.Run()
+	if len(seen) != 0 || len(r.doc().Members()) != 2 {
+		t.Fatalf("stranger's leave reached members as %v; members %v", seen, r.doc().Members())
+	}
+}
+
+// TestHostDropsForgedAuthor: the author of a message is its transport
+// sender, so a joined peer cannot post, poll, change presence or leave in
+// another member's name.
+func TestHostDropsForgedAuthor(t *testing.T) {
+	r := newRig(t, 3, Synchronous, netsim.LANLink)
+	r.joinAll(t)
+	for _, m := range []any{
+		&MsgPost{From: "u00", Kind: "chat", Body: "forged"},
+		&MsgPoll{From: "u00"},
+		&MsgPresence{From: "u01", State: Away},
+		&MsgLeave{From: "u01"},
+		&MsgJoin{From: "u01", State: Away},
+	} {
+		r.host.Receive("u02", m) // sent by member u02
+	}
+	r.sim.Run()
+	if n := r.doc().LogLen(); n != 0 {
+		t.Errorf("forged post accepted: log holds %d items", n)
+	}
+	if p := r.doc().PresenceOf("u01"); p != Active {
+		t.Errorf("forged presence or leave moved u01 to %v", p)
+	}
+	for _, id := range r.ids {
+		if len(r.items[id]) != 0 {
+			t.Errorf("%s received %+v", id, r.items[id])
+		}
+	}
+}
+
+// TestClientIgnoresNonHostFrames: a participant's listener accepts any
+// local peer, so a client takes session frames only from its host.
+func TestClientIgnoresNonHostFrames(t *testing.T) {
+	r := newRig(t, 1, Synchronous, netsim.LANLink)
+	c := r.clients["u00"]
+	c.Receive("mallory", &MsgJoinAck{Mode: Asynchronous})
+	if c.Joined() {
+		t.Fatal("a join ack from a peer admitted the client")
+	}
+	r.joinAll(t)
+	c.Receive("mallory", &MsgItems{Items: []Item{{Seq: 1, From: "u09", Body: "forged"}}})
+	c.Receive("mallory", &MsgMode{Mode: Asynchronous})
+	if len(r.items["u00"]) != 0 || c.LastSeq() != 0 || c.Mode() != Synchronous {
+		t.Fatalf("peer frames reached the client: items %+v, lastSeq %d, mode %v", r.items["u00"], c.LastSeq(), c.Mode())
 	}
 }
 
@@ -245,20 +309,20 @@ func TestReservedIDCannotJoin(t *testing.T) {
 	r := newRig(t, 1, Synchronous, netsim.LANLink)
 	r.joinAll(t)
 	node := r.sim.MustAddNode(HostAuthor)
-	impostor := NewClient(fabric.FromSim(node), "host")
+	impostor := NewClientForDoc(fabric.FromSim(node), "host", "")
 	if err := impostor.Join(r.sim.Now()); err != nil {
 		t.Fatal(err)
 	}
 	r.sim.Run()
-	if impostor.Joined() || len(r.host.Members()) != 1 {
-		t.Fatalf("%s joined (acked %v), members %v", HostAuthor, impostor.Joined(), r.host.Members())
+	if impostor.Joined() || len(r.doc().Members()) != 1 {
+		t.Fatalf("%s joined (acked %v), members %v", HostAuthor, impostor.Joined(), r.doc().Members())
 	}
 	node.Send("host", &MsgPost{From: HostAuthor, Kind: "chat", Body: "spoof"}, 64)
 	r.sim.Run()
-	r.host.PostLocal("eng/op", "commit")
+	r.doc().PostLocal("eng/op", "commit")
 	r.sim.Run()
-	if r.host.LogLen() != 1 || len(r.items["u00"]) != 1 || r.items["u00"][0].Body != "commit" {
-		t.Fatalf("log holds %d items, u00 got %+v; want only the host's commit", r.host.LogLen(), r.items["u00"])
+	if r.doc().LogLen() != 1 || len(r.items["u00"]) != 1 || r.items["u00"][0].Body != "commit" {
+		t.Fatalf("log holds %d items, u00 got %+v; want only the host's commit", r.doc().LogLen(), r.items["u00"])
 	}
 }
 

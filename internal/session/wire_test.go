@@ -27,7 +27,7 @@ func TestSessionOverHub(t *testing.T) {
 	var mu sync.Mutex
 	var items []Item
 	joined := make(chan struct{})
-	cli := NewClient(cliEP, "host")
+	cli := NewClientForDoc(cliEP, "host", "")
 	cli.OnJoined = func(Mode, []string) { close(joined) }
 	cli.OnItem = func(it Item) {
 		mu.Lock()
@@ -47,7 +47,7 @@ func TestSessionOverHub(t *testing.T) {
 	// A second participant posts; alice receives the JSON-decoded item.
 	bobEP := fabric.FromTransport(hub.MustAttach("bob"), NewWireCodec())
 	defer bobEP.Close()
-	bob := NewClient(bobEP, "host")
+	bob := NewClientForDoc(bobEP, "host", "")
 	bobJoined := make(chan struct{})
 	bob.OnJoined = func(Mode, []string) { close(bobJoined) }
 	if err := bob.Join(0); err != nil {

@@ -170,7 +170,7 @@ func (w *World) Session(host string, mode session.Mode, clientIDs ...string) (*s
 	h := session.NewHost(w.Endpoint(host), mode, w.Sim.Now)
 	cls := make(map[string]*session.Client, len(clientIDs))
 	for _, id := range clientIDs {
-		cls[id] = session.NewClient(w.Endpoint(id), host)
+		cls[id] = session.NewClientForDoc(w.Endpoint(id), host, "")
 	}
 	return h, cls
 }

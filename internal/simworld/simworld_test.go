@@ -119,8 +119,8 @@ func TestSessionRunsOverTheWorldsLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Sim.Run()
-	if !reflect.DeepEqual(seen, []string{"hello"}) || h.LogLen() != 1 {
-		t.Errorf("ben saw %v, host log %d; want [hello] and 1", seen, h.LogLen())
+	if !reflect.DeepEqual(seen, []string{"hello"}) || h.Host("").LogLen() != 1 {
+		t.Errorf("ben saw %v, host log %d; want [hello] and 1", seen, h.Host("").LogLen())
 	}
 }
 
