@@ -63,8 +63,38 @@ var (
 	ErrOversizedFrame = errors.New("fabric: binary frame body length exceeds limit")
 )
 
+// Frame storage is recycled: Encode takes its buffer from freeFrames when
+// one is there, and FromTransport's Send hands it back through recycleFrame
+// once the transport's Send has returned, which keeps nothing. The list is
+// bounded in slots and in the capacity it keeps per slot, so it holds at
+// most freeFrameSlots*freeFrameCap bytes. A slot serves one send in flight:
+// 16 lets a daemon with 16 participants send from every connection's reader
+// at once, and a send that finds the list empty just allocates. It is a
+// channel, not a sync.Pool, because putting a []byte into a Pool boxes it:
+// one allocation per send, the cost the list exists to remove.
+const (
+	freeFrameSlots = 16
+	freeFrameCap   = 4 << 10
+)
+
+var freeFrames = make(chan []byte, freeFrameSlots)
+
+// recycleFrame returns a frame's storage to the free list, unless the list
+// is full or the frame is past freeFrameCap. The caller must be done with it.
+func recycleFrame(frame []byte) {
+	if cap(frame) > freeFrameCap {
+		return
+	}
+	select {
+	case freeFrames <- frame[:0]:
+	default:
+	}
+}
+
 // Encode frames payload under its registered tag. Unregistered payload
-// types are an error: wire substrates can only carry known shapes.
+// types are an error: wire substrates can only carry known shapes. The
+// frame belongs to the caller; its storage may come from a frame an earlier
+// FromTransport Send recycled.
 //
 //cscw:hotpath
 func (c *Codec) Encode(payload any) ([]byte, error) {
@@ -72,7 +102,12 @@ func (c *Codec) Encode(payload any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	dst := make([]byte, 0, 64+len(tag))
+	var dst []byte
+	select {
+	case dst = <-freeFrames:
+	default:
+		dst = make([]byte, 0, 64+len(tag))
+	}
 	dst = append(dst, binMagic, binVersion, bodyBinary, byte(len(tag)))
 	dst = append(dst, tag...)
 	lenAt := len(dst)

@@ -9,7 +9,12 @@ import (
 // PayloadCodec turns typed payloads into wire frames and back. *Codec is the
 // one implementation; the interface is what FromTransport takes, so a
 // harness can wrap the codec (to count or time it) without copying it.
-// Decode returns (nil, nil) for frames tagged for other protocols.
+// Encode returns a frame the caller owns, and nothing else may hold it:
+// FromTransport recycles its storage into a later Encode once the
+// transport's Send has returned, so a wrapper must pass on the very frame the
+// inner Encode made (or a fresh one), never one it keeps. Decode returns
+// (nil, nil) for frames tagged for other protocols; data is the caller's and
+// no decoded value may alias it.
 type PayloadCodec interface {
 	Encode(payload any) ([]byte, error)
 	Decode(data []byte) (any, error)

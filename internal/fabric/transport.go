@@ -36,12 +36,18 @@ func (t *TransportEndpoint) ID() string { return t.ep.ID() }
 
 // Send frames payload via the codec and transmits it. The declared size
 // is advisory on byte transports — the encoded frame length is what travels.
+// The transport keeps nothing of the frame once its Send returns, so the
+// frame's storage goes back to the codec's free list for the next Encode.
+//
+//cscw:hotpath
 func (t *TransportEndpoint) Send(to string, payload any, size int) error {
 	data, err := t.codec.Encode(payload)
 	if err != nil {
 		return err
 	}
-	return t.ep.Send(to, data)
+	err = t.ep.Send(to, data)
+	recycleFrame(data)
+	return err
 }
 
 // SetHandler installs the delivery callback, flushing buffered deliveries.

@@ -89,15 +89,17 @@ type Member struct {
 	delivered uint64
 }
 
-// cb is one queued application callback. The overwhelmingly common entry —
-// a message delivery — is stored inline (del/isDel) rather than as a
-// closure, keeping the multicast hot path free of a per-delivery closure
-// allocation; everything else (view notifications, queued sends, RPC
-// completions) rides fn.
+// cb is one queued application callback. The two entries of the steady
+// multicast path are stored inline rather than as closures, so neither costs
+// an allocation: a message delivery (del/isDel) and a fan-out of send to
+// targets (queueSendToView). Everything else (view notifications, NACK
+// repairs, RPC completions) rides fn.
 type cb struct {
-	fn    func()
-	del   Delivery
-	isDel bool
+	fn      func()
+	del     Delivery
+	isDel   bool
+	send    *packet
+	targets []string
 }
 
 // pktChunkSize sizes the packet arena chunks handed out by newPacket.
@@ -223,15 +225,18 @@ func (m *Member) runCallbacks() {
 		for i := range batch {
 			// m.deliver is immutable after NewMember, so reading it
 			// without the lock is safe.
-			if batch[i].isDel {
-				m.deliver(batch[i].del)
-			} else {
-				batch[i].fn()
+			switch e := &batch[i]; {
+			case e.isDel:
+				m.deliver(e.del)
+			case e.send != nil:
+				_ = m.sendToAll(e.targets, e.send)
+			default:
+				e.fn()
 			}
 		}
 		m.mu.Lock()
 		if m.cbsSpare == nil {
-			clear(batch) // drop body/closure references before recycling
+			clear(batch) // drop body/closure/packet references before recycling
 			m.cbsSpare = batch[:0]
 		}
 	}
@@ -419,13 +424,7 @@ func (m *Member) sendToAll(targets []string, pkt *packet) error {
 // use this; a loss surfaces as stalled delivery, repaired by NACK/SyncPoint
 // or measured by the experiments.
 func (m *Member) queueSendToView(pkt *packet) {
-	targets := m.viewTargets()
-	//lint:ignore hot-alloc one fan-out closure per protocol exchange (order/token/batch), amortized across the batch; the allocs_test budget tracks it
-	m.cbs = append(m.cbs, cb{fn: func() {
-		for _, id := range targets {
-			_ = m.ep.Send(id, pkt, pkt.Size+64)
-		}
-	}})
+	m.cbs = append(m.cbs, cb{send: pkt, targets: m.viewTargets()})
 }
 
 // queueSend schedules one fire-and-forget send the same way.

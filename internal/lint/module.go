@@ -892,8 +892,11 @@ func (m *Module) summarize(mf *modFunc) bool {
 			mf.ops[chanFactKey(kind, class)] = chanFact{kind: kind, class: class, via: via}
 		}
 	}
-	setBlock := func(desc string) {
-		if mf.blockDesc == "" {
+	// Blocking reached only after the body has released a lock its caller
+	// holds (runCallbacks flushing a queued send inline) runs with that lock
+	// released, so, like an acquisition there, it is not the caller's.
+	setBlock := func(desc string, st *lockState) {
+		if mf.blockDesc == "" && st.borrowed == 0 {
 			mf.blockDesc = desc
 		}
 	}
@@ -941,9 +944,9 @@ func (m *Module) summarize(mf *modFunc) bool {
 			addOp(f.kind, substituteChanClass(p, mf, f.class, call), viaCall(callee, f.via))
 		}
 		if desc, _ := blockingCallDesc(p, call); desc != "" {
-			setBlock(desc)
+			setBlock(desc, st)
 		} else {
-			setBlock(callee.blockDesc)
+			setBlock(callee.blockDesc, st)
 		}
 	}
 	w.ev.onNode = func(n ast.Node, st *lockState) {
@@ -951,24 +954,24 @@ func (m *Module) summarize(mf *modFunc) bool {
 		case *ast.SendStmt:
 			addOp(chSend, chanClassOf(p, mf, n.Chan), "")
 			if !comm.contains(n.Pos()) {
-				setBlock("a channel send")
+				setBlock("a channel send", st)
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
 				addOp(chRecv, chanClassOf(p, mf, n.X), "")
 				if !comm.contains(n.Pos()) {
-					setBlock("a channel receive")
+					setBlock("a channel receive", st)
 				}
 			}
 		case *ast.SelectStmt:
 			if !selectHasDefault(n) {
-				setBlock("a select with no default")
+				setBlock("a select with no default", st)
 			}
 		case *ast.CallExpr:
 			if cls, isClose := closeArgClass(p, mf, n); isClose {
 				addOp(chClose, cls, "")
 			} else if desc, _ := blockingCallDesc(p, n); desc != "" {
-				setBlock(desc)
+				setBlock(desc, st)
 			}
 		case *ast.ReturnStmt:
 			if constructor && mf.retMake == 0 && len(n.Results) == 1 {

@@ -115,3 +115,17 @@ func (n *node) okSelectDefault() {
 	}
 	n.mu.Unlock()
 }
+
+// releaseThenSend is entered locked, releases the caller's lock and then
+// sends: the shape of the repo's runCallbacks flushing a queued send inline.
+func (n *node) releaseThenSend() {
+	n.mu.Unlock()
+	_ = n.c.Send("a", nil, 0)
+}
+
+// okCalleeSendsAfterRelease: the callee's Send runs after it released the
+// caller's lock, so the call made under the lock does not block under it.
+func (n *node) okCalleeSendsAfterRelease() {
+	n.mu.Lock()
+	n.releaseThenSend()
+}

@@ -44,9 +44,9 @@ func (nullEndpoint) Close() error                { return nil }
 
 // TestHostReceivePostAllocs pins Host.Receive of a post with four members
 // joined (three pushes) over an endpoint that does nothing: the in-module
-// twin of cscwload's session.post_allocs. Each push is a MsgItems, its item
-// slice and its queued send (9); the sorted member list and the callback
-// queue's growth make up the rest.
+// twin of cscwload's session.post_allocs. The three pushes share one
+// MsgItems and its item slice (2), each push is a queued send (3); the sorted
+// member list and the callback queue's growth make up the rest.
 func TestHostReceivePostAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -56,8 +56,8 @@ func TestHostReceivePostAllocs(t *testing.T) {
 		h.Receive(name, &MsgJoin{From: name, State: Active})
 	}
 	post := &MsgPost{From: "p0", Kind: "eng/op", Body: "|" + strings.Repeat("QUJD", 20)}
-	if n := testing.AllocsPerRun(200, func() { h.Receive("p0", post) }); n != 13 {
-		t.Errorf("Host.Receive of a four-member post allocates %v objects, want 13", n)
+	if n := testing.AllocsPerRun(200, func() { h.Receive("p0", post) }); n != 9 {
+		t.Errorf("Host.Receive of a four-member post allocates %v objects, want 9", n)
 	}
 	if got := h.Host("").LogLen(); got != 201 { // AllocsPerRun's warm-up, then 200 runs
 		t.Errorf("log holds %d items, want 201", got)

@@ -334,6 +334,8 @@ func (d *docHost) appendItem(from, kind, body string) {
 	if d.mode != Synchronous {
 		return
 	}
+	// One push serves every member: receivers only read it.
+	var push *MsgItems
 	for _, id := range d.members() {
 		p := d.parts[id]
 		if p.presence != Active || id == from {
@@ -348,7 +350,10 @@ func (d *docHost) appendItem(from, kind, body string) {
 		}
 		d.stats.Pushes++
 		p.acked = it.Seq
-		d.send(id, &MsgItems{Doc: d.key, Items: []Item{it}}, len(it.Body)+64)
+		if push == nil {
+			push = &MsgItems{Doc: d.key, Items: []Item{it}}
+		}
+		d.send(id, push, len(it.Body)+64)
 	}
 }
 

@@ -7,13 +7,22 @@ import (
 	"testing"
 )
 
+// frameBytes is the frame TCPEndpoint.Send writes for payload from from.
 func frameBytes(t testing.TB, from string, payload []byte) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if err := writeFrame(&b, from, payload); err != nil {
-		t.Fatal(err)
+	buf := make([]byte, 6+len(from)+len(payload))
+	putFrame(buf, from, payload)
+	return buf
+}
+
+// TestFrameBytes pins the frame layout byte for byte: a big-endian uint32
+// length of what follows it, a big-endian uint16 sender-id length, the id,
+// then the payload.
+func TestFrameBytes(t *testing.T) {
+	want := []byte{0, 0, 0, 9, 0, 5, 'a', 'l', 'i', 'c', 'e', 'h', 'i'}
+	if got := frameBytes(t, "alice", []byte("hi")); !bytes.Equal(got, want) {
+		t.Errorf("frame = %x, want %x", got, want)
 	}
-	return b.Bytes()
 }
 
 // cycle replays one byte sequence forever: a sender that repeats itself.
@@ -71,7 +80,7 @@ func TestFrameReaderKeepsAtMostCap(t *testing.T) {
 
 // FuzzFrameReader reads arbitrary byte streams through one reused reader.
 // It must never panic, and every frame it returns must be exactly the
-// bytes it consumed: the payload lies inside that frame, and writeFrame
+// bytes it consumed: the payload lies inside that frame, and putFrame
 // re-encodes (from, payload) to the same bytes.
 func FuzzFrameReader(f *testing.F) {
 	f.Add(frameBytes(f, "alice", []byte("hello")))

@@ -15,9 +15,9 @@ import (
 // prefixes.
 const maxFrame = 16 << 20
 
-// frameBufCap is the largest frame buffer a connection's reader keeps
-// between frames; a larger frame is read into a one-off buffer that is
-// dropped once its handler returns.
+// frameBufCap is the largest frame buffer a connection keeps between frames,
+// on either side: a larger frame is read, or built for writing, in a one-off
+// buffer that is dropped once the frame is done with.
 const frameBufCap = 64 << 10
 
 // AddressBook maps peer IDs to dialable TCP addresses. It is safe for
@@ -64,6 +64,8 @@ func (b *AddressBook) Lookup(id string) (string, bool) {
 // Each connection reads through one bufio.Reader into one frame buffer that
 // is reused for every frame (kept up to 64 KiB; a larger frame gets a one-off
 // buffer), so the data a Handler receives is valid only until it returns.
+// Sends to a peer build each frame in that connection's write buffer, bounded
+// the same way, and write it with one Write.
 type TCPEndpoint struct {
 	id       string
 	book     *AddressBook
@@ -81,8 +83,9 @@ type tcpConn struct {
 	c      net.Conn
 	dialed bool // this endpoint dialed c; fixed before tc is shared
 
-	mu   sync.Mutex // serializes writes; guards dead
+	mu   sync.Mutex // serializes writes; guards dead and wbuf
 	dead bool       // the reader saw the conn end
+	wbuf []byte     // the frame being written, kept between sends (see frameBuf)
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)
@@ -193,16 +196,7 @@ func (fr *frameReader) read(r io.Reader) (from string, payload []byte, err error
 	if total > maxFrame || total < 2 {
 		return "", nil, fmt.Errorf("transport: bad frame length %d", total)
 	}
-	buf := fr.buf
-	switch {
-	case int(total) <= cap(buf):
-		buf = buf[:total]
-	case total > frameBufCap:
-		buf = make([]byte, total) // one-off: not kept past this frame
-	default:
-		buf = make([]byte, total, min(max(int(total), 2*cap(buf)), frameBufCap))
-		fr.buf = buf
-	}
+	buf := frameBuf(&fr.buf, int(total))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", nil, err
 	}
@@ -216,18 +210,26 @@ func (fr *frameReader) read(r io.Reader) (from string, payload []byte, err error
 	return fr.from, buf[end:], nil
 }
 
-func writeFrame(w io.Writer, from string, payload []byte) error {
-	total := 2 + len(from) + len(payload)
-	if total > maxFrame {
-		return fmt.Errorf("transport: frame too large (%d bytes)", total)
+// frameBuf returns a buffer of length n for one frame: *kept resliced when it
+// is large enough, else a new one, which replaces *kept unless n is past
+// frameBufCap (then it is a one-off, dropped with the frame).
+func frameBuf(kept *[]byte, n int) []byte {
+	switch {
+	case n <= cap(*kept):
+		return (*kept)[:n]
+	case n > frameBufCap:
+		return make([]byte, n)
 	}
-	buf := make([]byte, 4+total)
-	binary.BigEndian.PutUint32(buf[:4], uint32(total))
-	binary.BigEndian.PutUint16(buf[4:6], uint16(len(from)))
-	copy(buf[6:], from)
-	copy(buf[6+len(from):], payload)
-	_, err := w.Write(buf)
-	return err
+	*kept = make([]byte, n, min(max(n, 2*cap(*kept)), frameBufCap))
+	return *kept
+}
+
+// putFrame writes the frame carrying payload from the sender from into buf,
+// which is exactly 6+len(from)+len(payload) bytes long.
+func putFrame(buf []byte, from string, payload []byte) {
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	binary.BigEndian.PutUint16(buf[4:], uint16(len(from)))
+	copy(buf[6+copy(buf[6:], from):], payload)
 }
 
 // evict drops a finished connection from the open set and, if it is the
@@ -247,44 +249,19 @@ func (e *TCPEndpoint) evict(peer string, tc *tcpConn) {
 // endpoint dialed to it, or the one it dialed in on, or else a fresh dial to
 // its address in the book. A nil return means the frame was written to a
 // connection the peer had not been seen to close; a peer that closed earlier
-// yields a fresh route or an error, never a silent success.
+// yields a fresh route or an error, never a silent success. A frame too large
+// to send is refused before any route is chosen, so it costs no connection.
+// The frame is built in the connection's write buffer and data is not kept.
+//
+//cscw:hotpath
 func (e *TCPEndpoint) Send(to string, data []byte) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
+	n := 6 + len(e.id) + len(data)
+	if n-4 > maxFrame {
+		return fmt.Errorf("transport: frame too large (%d bytes)", n-4)
 	}
-	tc, ok := e.conns[to]
-	e.mu.Unlock()
-	if !ok {
-		addr, found := e.book.Lookup(to)
-		if !found {
-			return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
-		}
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			return fmt.Errorf("dial %s (%s): %w", to, addr, err)
-		}
-		e.mu.Lock()
-		if e.closed {
-			// Close ran while we were dialing; it has already drained
-			// e.open, so keeping c now would leak the socket forever.
-			e.mu.Unlock()
-			c.Close()
-			return ErrClosed
-		}
-		if existing, race := e.conns[to]; race {
-			// A route appeared while we dialed (another Send's dial, or the
-			// peer dialing in); frames already sent may be on it, so use it.
-			e.mu.Unlock()
-			c.Close()
-			tc = existing
-		} else {
-			tc = &tcpConn{c: c, dialed: true}
-			e.conns[to] = tc
-			e.start(tc, to)
-			e.mu.Unlock()
-		}
+	tc, err := e.route(to)
+	if err != nil {
+		return err
 	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -294,11 +271,58 @@ func (e *TCPEndpoint) Send(to string, data []byte) error {
 		e.evict(to, tc)
 		return fmt.Errorf("send to %s: %w", to, net.ErrClosed)
 	}
-	if err := writeFrame(tc.c, e.id, data); err != nil {
+	buf := frameBuf(&tc.wbuf, n)
+	putFrame(buf, e.id, data)
+	//lint:ignore block-lock the socket write is this Send: the transport is where a hot path's frame meets the kernel, and callers price the Send they make
+	if _, err := tc.c.Write(buf); err != nil {
 		e.evict(to, tc)
 		return fmt.Errorf("send to %s: %w", to, err)
 	}
 	return nil
+}
+
+// route returns the connection to send to peer to on, dialing one when there
+// is none.
+func (e *TCPEndpoint) route(to string) (*tcpConn, error) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return nil, ErrClosed
+	}
+	tc, ok := e.conns[to]
+	e.mu.Unlock()
+	if ok {
+		return tc, nil
+	}
+	addr, found := e.book.Lookup(to)
+	if !found {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownPeer, to)
+	}
+	//lint:ignore block-lock one dial per peer, on its first Send or after its connection ended; never on a route that exists
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("dial %s (%s): %w", to, addr, err)
+	}
+	e.mu.Lock()
+	if e.closed {
+		// Close ran while we were dialing; it has already drained
+		// e.open, so keeping c now would leak the socket forever.
+		e.mu.Unlock()
+		c.Close()
+		return nil, ErrClosed
+	}
+	if existing, race := e.conns[to]; race {
+		// A route appeared while we dialed (another Send's dial, or the
+		// peer dialing in); frames already sent may be on it, so use it.
+		e.mu.Unlock()
+		c.Close()
+		return existing, nil
+	}
+	tc = &tcpConn{c: c, dialed: true}
+	e.conns[to] = tc
+	e.start(tc, to)
+	e.mu.Unlock()
+	return tc, nil
 }
 
 // Close shuts the listener and all connections, then waits for their

@@ -18,16 +18,20 @@ var (
 )
 
 // Handler consumes inbound messages. Handlers must not block for long; slow
-// consumers delay only their own queue. data is valid only until the
-// handler returns: the TCP endpoint reads every frame of a connection into
-// one reused buffer, so a handler that keeps bytes must copy them.
+// consumers delay only their own queue. data belongs to the endpoint and is
+// valid only until the handler returns: the TCP endpoint reads every frame of
+// a connection into one reused buffer, so a handler that keeps bytes must
+// copy them.
 type Handler func(from string, data []byte)
 
 // Endpoint is a bidirectional message port identified by a name.
 type Endpoint interface {
 	// ID returns the endpoint's stable identifier.
 	ID() string
-	// Send transmits data to the named peer.
+	// Send transmits data to the named peer. data stays the caller's: Send
+	// never keeps it, or any part of it, after it returns (TCP writes the
+	// frame before returning, the hub copies it), so the caller may reuse
+	// the buffer at once. A wrapper must keep the same promise.
 	Send(to string, data []byte) error
 	// SetHandler installs the inbound message handler. It must be called
 	// before the first message arrives.

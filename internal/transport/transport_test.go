@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -288,6 +289,87 @@ func TestTCPReplyNeedsNoAddress(t *testing.T) {
 	}
 	expect(t, gotA, "b:pong")
 	onePair(t, a, b)
+}
+
+// TestTCPOversizedSendKeepsConn: a frame past maxFrame is refused before
+// anything is written, so it must not cost the connection. b has no address
+// for a and answers on the socket a dialed, as the daemon answers a
+// participant: had the refusal closed that socket, b could not reach a again.
+func TestTCPOversizedSendKeepsConn(t *testing.T) {
+	bookA := NewAddressBook()
+	a, b := listen(t, "a", bookA), listen(t, "b", NewAddressBook())
+	bookA.Set("b", b.Addr())
+	gotA, gotB := collect(a), collect(b)
+	if err := a.Send("b", []byte("join")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, gotB, "a:join")
+	b.mu.Lock()
+	route := b.conns["a"]
+	b.mu.Unlock()
+	if err := b.Send("a", make([]byte, maxFrame)); err == nil {
+		t.Fatal("a frame past maxFrame was sent")
+	}
+	if err := b.Send("a", []byte("ack")); err != nil {
+		t.Fatalf("Send after an oversized frame: %v", err)
+	}
+	expect(t, gotA, "b:ack")
+	b.mu.Lock()
+	same := b.conns["a"] == route
+	b.mu.Unlock()
+	if !same {
+		t.Error("the oversized frame replaced b's route to a")
+	}
+	onePair(t, a, b)
+}
+
+// TestTCPWriteBufferKeepsAtMostCap: a frame past frameBufCap is built in a
+// one-off buffer, so the connection keeps at most frameBufCap bytes for
+// writing, and the frames around the big one still arrive intact.
+func TestTCPWriteBufferKeepsAtMostCap(t *testing.T) {
+	book := NewAddressBook()
+	a, b := listen(t, "a", book), listen(t, "b", book)
+	gotB := collect(b)
+	big := strings.Repeat("x", 100<<10)
+	for _, msg := range []string{"hi", big, "bye"} {
+		if err := a.Send("b", []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, gotB, "a:"+msg)
+		a.mu.Lock()
+		tc := a.conns["b"]
+		a.mu.Unlock()
+		tc.mu.Lock()
+		kept := cap(tc.wbuf)
+		tc.mu.Unlock()
+		if kept > frameBufCap {
+			t.Fatalf("the conn keeps a %d-byte write buffer, cap is %d", kept, frameBufCap)
+		}
+	}
+}
+
+// TestTCPSendAllocs pins the send path: once the connection's write buffer
+// has grown to the frame size, a Send over a live loopback route allocates
+// nothing, and neither does the peer's reader taking the frame in.
+func TestTCPSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	book := NewAddressBook()
+	a, b := listen(t, "a", book), listen(t, "b", book)
+	var got atomic.Int64
+	b.SetHandler(func(string, []byte) { got.Add(1) })
+	payload := []byte("a keystroke's frame")
+	send := func() {
+		if err := a.Send("b", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // dial and grow the write buffer
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Errorf("TCPEndpoint.Send allocates %v objects, want 0", n)
+	}
+	waitFor(t, func() bool { return got.Load() == 102 }, "every frame") // the warm-up, AllocsPerRun's own, then 100
 }
 
 // TestTCPSimultaneousDial: two cold endpoints stream to each other at once,
