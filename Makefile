@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all check build vet lint lint-golden test race bench bench-json bench-lint bench-e2e-test chaos chaos-scale experiments experiments-golden examples cover fuzz-smoke
+.PHONY: all check build vet lint lint-golden test race bench bench-json bench-lint bench-e2e-test chaos chaos-golden chaos-scale experiments experiments-golden examples cover fuzz-smoke
 
 all: check
 
@@ -67,6 +67,13 @@ chaos:
 	go test -race ./internal/chaos
 	go test -race ./internal/chaos -chaos.seed=11
 	go test -race ./internal/chaos -chaos.seed=23
+
+# Rewrite internal/chaos/testdata/traces.golden, a sha256 of every scenario's
+# trace at seeds 7/11/23 (TestChaosTraceGolden). Replay a changed line with
+# `cscwctl chaos -scenario S -seed N -v` on both sides and read the diff
+# first: a changed trace is a behaviour change.
+chaos-golden:
+	go test ./internal/chaos -run TestChaosTraceGolden -update
 
 # The scale scenarios (federation-crdt-wan, conference-floor-storm,
 # flash-crowd-join-leave) at full node counts: CHAOS_SCALE=1 disables the

@@ -71,9 +71,9 @@ func BenchmarkA1AwarenessAblation(b *testing.B) { benchExperiment(b, exps.RunA1A
 func BenchmarkA2HoardPolicies(b *testing.B) { benchExperiment(b, exps.RunA2HoardPolicies) }
 
 // BenchmarkFabricSendRecv prices the fabric seam itself: one message sent
-// and delivered over the simulator, with a bare endpoint and with the full
-// three-deep middleware chain (metrics, fault injector, trace tap). The
-// delta is the per-message cost of observability.
+// and delivered over the simulator, with a bare endpoint and with a
+// three-deep chain of trace taps. The delta is the per-message cost of a
+// middleware chain.
 func BenchmarkFabricSendRecv(b *testing.B) {
 	run := func(b *testing.B, mws func() []fabric.Middleware) {
 		sim := netsim.New(1, netsim.LocalLink)
@@ -99,13 +99,9 @@ func BenchmarkFabricSendRecv(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
 		run(b, func() []fabric.Middleware { return nil })
 	})
-	b.Run("mw3", func(b *testing.B) {
+	b.Run("tap3", func(b *testing.B) {
 		run(b, func() []fabric.Middleware {
-			return []fabric.Middleware{
-				fabric.NewMetrics().Middleware(),
-				fabric.NewFaults(1).Middleware(),
-				fabric.Tap(nil, nil),
-			}
+			return []fabric.Middleware{fabric.Tap(nil, nil), fabric.Tap(nil, nil), fabric.Tap(nil, nil)}
 		})
 	})
 	// Over the byte-oriented hub the codec is in the path (allocs/op is the

@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/netsim"
 )
 
 // seedFlag pins the matrix to one seed — the replay hook printed on every
@@ -117,6 +120,121 @@ func TestChaosAccountingDetectsUndrainedWork(t *testing.T) {
 	w.checkAccounting()
 	if len(w.violations) == 0 {
 		t.Fatal("undrained simulator passed the accounting check")
+	}
+}
+
+// TestChaosAccountingEquations balances a small world that uses every
+// ledger bucket — a fault drop, a held delivery, a send error and an inbox
+// overflow — and then checks that a count off by one trips the equation
+// that holds it, and only that one.
+func TestChaosAccountingEquations(t *testing.T) {
+	w := newWorld(1)
+	drop, held, sink, late, dead := w.node("drop"), w.node("held"), w.node("sink"), w.node("late"), w.node("dead")
+	drop.dropProb = 0.5
+	held.hold = 5 * time.Millisecond
+	sink.SetHandler(func(string, any, int) {})
+	held.SetHandler(func(string, any, int) {})
+	for i := 0; i < 20; i++ {
+		_ = drop.Send("sink", i, 8)
+		_ = sink.Send("held", i, 8)
+	}
+	// A crashed sender's send fails, and netsim counts it as sent and
+	// dropped.
+	w.Sim.Crash("dead")
+	if err := dead.Send("sink", 0, 8); err == nil {
+		t.Fatal("send from a crashed node succeeded")
+	}
+	// late has no handler until its inbox has overflowed.
+	for late.base.Dropped() == 0 {
+		for i := 0; i < 256; i++ {
+			_ = sink.Send("late", i, 8)
+		}
+		w.Sim.Run()
+	}
+	late.SetHandler(func(string, any, int) {})
+	w.Run()
+	if len(w.violations) != 0 {
+		t.Fatalf("balanced world reported %v", w.violations)
+	}
+	if drop.faultDrops == 0 || held.stalled == 0 || dead.sendErrs == 0 {
+		t.Fatalf("a bucket went unused: faultdrops=%d stalled=%d senderrs=%d",
+			drop.faultDrops, held.stalled, dead.sendErrs)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		count    *uint64
+		equation string
+	}{
+		{"faultDrops", &drop.faultDrops, "app sends"},
+		{"sent", &sink.sent, "app sends"},
+		{"recvd", &held.recvd, "netsim delivered"},
+	} {
+		*tc.count++
+		w.violations = nil
+		w.checkAccounting()
+		*tc.count--
+		if len(w.violations) != 1 || w.violations[0].Invariant != "drop-accounting" ||
+			!strings.HasPrefix(w.violations[0].Detail, tc.equation) {
+			t.Errorf("%s off by one: violations %v, want one drop-accounting %q", tc.name, w.violations, tc.equation)
+		}
+	}
+
+	// A send to an unknown node errors before netsim sees it, so no netsim
+	// bucket holds it: the ledger reports it as an unaccounted app send.
+	if err := sink.Send("nobody", 0, 8); err == nil {
+		t.Fatal("send to an unknown node succeeded")
+	}
+	w.violations = nil
+	w.checkAccounting()
+	if len(w.violations) != 1 || !strings.HasPrefix(w.violations[0].Detail, "app sends") {
+		t.Errorf("send to an unknown node: violations %v, want one \"app sends\"", w.violations)
+	}
+}
+
+// TestStallVirtualTimer: a held node's deliveries reach its handler exactly
+// hold after they arrive, in arrival order, and count as received only
+// when released.
+func TestStallVirtualTimer(t *testing.T) {
+	w := newWorld(1)
+	a, b := w.node("a"), w.node("b")
+	w.Sim.SetLink("a", "b", netsim.LocalLink)
+	const hold = 40 * time.Millisecond
+	b.hold = hold
+
+	type arrival struct {
+		n  int
+		at time.Duration
+	}
+	var got []arrival
+	b.SetHandler(func(_ string, payload any, _ int) {
+		got = append(got, arrival{payload.(int), w.Sim.Now()})
+	})
+	for i := 0; i < 3; i++ {
+		if err := a.Send("b", i, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Sim.At(hold/2, func() {
+		if b.stalled != 3 || b.recvd != 0 {
+			t.Errorf("mid-hold: stalled=%d recvd=%d, want 3 and 0", b.stalled, b.recvd)
+		}
+	})
+	w.Run()
+
+	if b.stalled != 3 || b.recvd != 3 || len(got) != 3 {
+		t.Fatalf("stalled=%d recvd=%d delivered=%d, want 3 each", b.stalled, b.recvd, len(got))
+	}
+	for i, g := range got {
+		if g.n != i {
+			t.Fatalf("delivery %d carried payload %d: order not preserved (%v)", i, g.n, got)
+		}
+		if want := netsim.LocalLink.Latency + hold; g.at != want {
+			t.Fatalf("delivery %d at %v, want exactly %v", i, g.at, want)
+		}
+	}
+	if len(w.violations) != 0 {
+		t.Fatalf("violations: %v", w.violations)
 	}
 }
 

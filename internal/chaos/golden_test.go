@@ -18,8 +18,11 @@ var update = flag.Bool("update", false, "rewrite testdata/traces.golden from thi
 // one build; this proves it repeats across builds, so a harness refactor
 // that reorders one send or one node shows up as a changed line. A changed
 // line is a behaviour change: replay it with `cscwctl chaos -scenario S
-// -seed N -v` on both sides and read the diff before passing -update.
+// -seed N -v` on both sides and read the diff before `make chaos-golden`.
 func TestChaosTraceGolden(t *testing.T) {
+	if d := scaleDiv(); d != defaultScaleDiv {
+		t.Skipf("traces.golden is recorded at the default CHAOS_SCALE divisor %d, not %d", defaultScaleDiv, d)
+	}
 	var got strings.Builder
 	for _, s := range Scenarios() {
 		for _, seed := range []int64{7, 11, 23} {
@@ -53,5 +56,5 @@ func TestChaosTraceGolden(t *testing.T) {
 			t.Errorf("not in golden: %s", l)
 		}
 	}
-	t.Errorf("traces differ from %s; if the change is intended: go test ./internal/chaos -run TestChaosTraceGolden -update", golden)
+	t.Errorf("traces differ from %s; if the change is intended: make chaos-golden", golden)
 }

@@ -478,7 +478,7 @@ func runStallCausalGroup(w *World) {
 	ids := []string{"c1", "c2", "c3"}
 	const rounds = 3
 	deliv := make(map[string][]string)
-	w.Stall("c3").Hold(10 * time.Millisecond)
+	w.node("c3").hold = 10 * time.Millisecond
 	var members map[string]*group.Member
 	members = w.Members(ids, group.Causal, group.BatchConfig{}, func(id string) func(group.Delivery) {
 		return func(d group.Delivery) {
@@ -524,7 +524,7 @@ func runStallCausalGroup(w *World) {
 			}
 		}
 	}
-	if n := w.Stall("c3").Stalled(); n == 0 {
+	if n := w.node("c3").stalled; n == 0 {
 		w.Violatef("causal-order", "stall injector never fired; scenario exercised nothing")
 	} else {
 		w.Logf("c3 handler stalled %d deliveries", n)
@@ -781,7 +781,7 @@ func runSessionModeChurn(w *World) {
 func runInducedDropBlindness(w *World) {
 	ids := []string{"b1", "b2"}
 	const msgs = 20
-	w.Faults("b1").DropProb(0.5)
+	w.node("b1").dropProb = 0.5
 	deliv := make(map[string][]string)
 	members := w.Members(ids, group.Unordered, group.BatchConfig{}, func(id string) func(group.Delivery) {
 		return func(d group.Delivery) {

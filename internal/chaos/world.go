@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"os"
 	"strconv"
 	"time"
@@ -27,39 +28,101 @@ func (t *trace) eventf(at time.Duration, format string, args ...any) {
 
 func (t *trace) bytes() []byte { return t.buf.Bytes() }
 
-// nodeChain is one simulated host's fabric stack: the substrate adapter
-// wrapped (inside out) by a handler-stall injector, a send-fault injector,
-// a delivery digest tap, and the world's shared metrics collector.
+// nodeChain is one simulated host's endpoint: the substrate adapter plus the
+// two faults a scenario may set and the node's half of the drop ledger. It
+// is the fabric.Endpoint the rest of the world sees. Every field is touched
+// only on the simulator's goroutine, so none needs a lock.
 type nodeChain struct {
-	id     string
-	base   *fabric.SimEndpoint
-	faults *fabric.Faults
-	stall  *fabric.Stall
-	digest uint64 // FNV-1a over (virtual time, from, payload type, size) of every delivery
-	recvd  uint64
+	w    *World
+	id   string
+	base *fabric.SimEndpoint
+
+	// dropProb loses each send with this probability before it reaches the
+	// substrate; the loss is silent to the sender, as on a real wire.
+	dropProb float64
+	rng      *rand.Rand // drop draws, built on the first one
+	// hold delays every delivery by this much virtual time before the
+	// handler runs: a slow or wedged application, not the network.
+	hold time.Duration
+
+	sent       uint64 // sends that returned nil, fault drops included
+	sendErrs   uint64
+	faultDrops uint64
+	stalled    uint64 // deliveries held
+	recvd      uint64 // deliveries handed to the handler
+	digest     uint64 // FNV-1a over (virtual time, from, payload type, size) of every delivery
+}
+
+func (nc *nodeChain) ID() string              { return nc.id }
+func (nc *nodeChain) Close() error            { return nc.base.Close() }
+func (nc *nodeChain) Unwrap() fabric.Endpoint { return nc.base }
+
+// Send counts every attempt: a fault drop counts as sent and returns nil.
+func (nc *nodeChain) Send(to string, payload any, size int) error {
+	if nc.dropProb > 0 && nc.drawDrop() {
+		nc.sent++
+		nc.faultDrops++
+		return nil
+	}
+	if err := nc.base.Send(to, payload, size); err != nil {
+		nc.sendErrs++
+		return err
+	}
+	nc.sent++
+	return nil
+}
+
+// drawDrop reports whether this send is lost. The randomness derives from
+// the world seed and the node name, so it is the same on every run.
+func (nc *nodeChain) drawDrop() bool {
+	if nc.rng == nil {
+		h := fnv.New64a()
+		h.Write([]byte(nc.id))
+		nc.rng = rand.New(rand.NewSource(nc.w.Seed ^ int64(h.Sum64())))
+	}
+	return nc.rng.Float64() < nc.dropProb
+}
+
+// SetHandler installs h behind the hold; the receive count and digest are
+// taken when a delivery is released to h, not when it arrives.
+func (nc *nodeChain) SetHandler(h fabric.Handler) {
+	if h == nil {
+		nc.base.SetHandler(nil)
+		return
+	}
+	release := func(from string, payload any, size int) {
+		nc.recvd++
+		dh := fnv.New64a()
+		fmt.Fprintf(dh, "%d|%s|%s|%T|%d", nc.digest, nc.w.Sim.Now(), from, payload, size)
+		nc.digest = dh.Sum64()
+		h(from, payload, size)
+	}
+	nc.base.SetHandler(func(from string, payload any, size int) {
+		if nc.hold <= 0 {
+			release(from, payload, size)
+			return
+		}
+		nc.stalled++
+		nc.w.After(nc.hold, func() { release(from, payload, size) })
+	})
 }
 
 // World is the environment one scenario runs in: the shared simulated
 // deployment (seeded simulator, endpoints, link shapes, protocol stacks —
-// see simworld) with a fault chain wrapped around every node, a shared
-// metrics collector whose drop probe spans every endpoint, the
-// deterministic trace, and the accumulated invariant violations.
+// see simworld) with a nodeChain around every node, the deterministic
+// trace, and the accumulated invariant violations.
 type World struct {
 	*simworld.World
-	Metrics *fabric.Metrics
 
 	trace      *trace
-	nodes      map[string]*nodeChain
 	order      []*nodeChain // node creation order: the deterministic iteration order
 	violations []Violation
 }
 
 func newWorld(seed int64) *World {
 	w := &World{
-		World:   simworld.New(seed, netsim.LANLink),
-		Metrics: fabric.NewMetrics(),
-		trace:   &trace{},
-		nodes:   make(map[string]*nodeChain),
+		World: simworld.New(seed, netsim.LANLink),
+		trace: &trace{},
 	}
 	w.Wrap = w.chain
 	return w
@@ -77,40 +140,17 @@ func (w *World) Violatef(invariant, format string, args ...any) {
 	w.trace.eventf(w.Sim.Now(), "VIOLATION [%s] %s", v.Invariant, v.Detail)
 }
 
-// chain is the world's per-node wrap hook: SimEndpoint wrapped by Stall,
-// Faults, the shared Metrics and the digest tap. The fault injector's
-// randomness derives deterministically from the world seed and the node
-// name.
+// chain is the world's per-node wrap hook: the node's endpoint is its
+// nodeChain.
 func (w *World) chain(id string, base *fabric.SimEndpoint) fabric.Endpoint {
-	nc := &nodeChain{id: id, base: base}
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	nc.faults = fabric.NewFaults(w.Seed ^ int64(h.Sum64())).SetTimer(w.After)
-	nc.stall = fabric.NewStall().SetTimer(w.After)
-	digestTap := fabric.Tap(nil, func(peer string, payload any, size int) {
-		nc.recvd++
-		dh := fnv.New64a()
-		fmt.Fprintf(dh, "%d|%s|%s|%T|%d", nc.digest, w.Sim.Now(), peer, payload, size)
-		nc.digest = dh.Sum64()
-	})
-	w.nodes[id] = nc
+	nc := &nodeChain{w: w, id: id, base: base}
 	w.order = append(w.order, nc)
-	return fabric.Wrap(base,
-		digestTap, w.Metrics.Middleware(), nc.faults.Middleware(), nc.stall.Middleware())
+	return nc
 }
 
-// Faults returns the named node's send-path fault injector (creating the
-// node if needed).
-func (w *World) Faults(id string) *fabric.Faults {
-	w.Endpoint(id)
-	return w.nodes[id].faults
-}
-
-// Stall returns the named node's handler-stall injector (creating the node
-// if needed).
-func (w *World) Stall(id string) *fabric.Stall {
-	w.Endpoint(id)
-	return w.nodes[id].stall
+// node returns the named node's chain, creating the node if needed.
+func (w *World) node(id string) *nodeChain {
+	return w.Endpoint(id).(*nodeChain)
 }
 
 // Members is the shared builder's Members with a setup failure recorded as
@@ -130,7 +170,24 @@ func (w *World) Run() {
 	w.checkAccounting()
 }
 
-// checkAccounting reconciles the fabric metrics with the netsim counters:
+// ledger is the application side of the drop accounting, summed over every
+// node.
+type ledger struct {
+	sent, sendErrs, faultDrops, recvd, inboxDrops uint64
+}
+
+func (w *World) ledger() (l ledger) {
+	for _, nc := range w.order {
+		l.sent += nc.sent
+		l.sendErrs += nc.sendErrs
+		l.faultDrops += nc.faultDrops
+		l.recvd += nc.recvd
+		l.inboxDrops += nc.base.Dropped()
+	}
+	return l
+}
+
+// checkAccounting reconciles the nodes' ledger with the netsim counters:
 // every application send must end up delivered to a handler or counted in
 // exactly one drop bucket (injected fault, link down/loss/crash, inbox
 // overflow, no handler). Anything else is silent loss — a violation.
@@ -139,21 +196,16 @@ func (w *World) checkAccounting() {
 		w.Violatef("drop-accounting", "simulator queue not drained: %d events pending", p)
 		return
 	}
-	var faultDrops uint64
-	for _, nc := range w.order {
-		d, _ := nc.faults.Injected()
-		faultDrops += d
-	}
-	snap := w.Metrics.Snapshot()
-	appSends := snap.Sent + snap.SendErrs
+	l := w.ledger()
+	appSends := l.sent + l.sendErrs
 	simSent, simDropped := w.Sim.Stats()
 	delivered := w.Sim.Delivered()
 	noHandler := w.Sim.DroppedNoHandler()
 
 	// (1) Every app send either died in a fault injector or reached netsim.
-	if appSends != faultDrops+uint64(simSent) {
+	if appSends != l.faultDrops+uint64(simSent) {
 		w.Violatef("drop-accounting",
-			"app sends %d != fault drops %d + netsim sends %d", appSends, faultDrops, simSent)
+			"app sends %d != fault drops %d + netsim sends %d", appSends, l.faultDrops, simSent)
 	}
 	// (2) Netsim conserves messages across its drop buckets.
 	if simSent != delivered+simDropped+noHandler {
@@ -162,12 +214,11 @@ func (w *World) checkAccounting() {
 			simSent, delivered, simDropped, noHandler)
 	}
 	// (3) Every netsim delivery reached an application handler or was
-	// counted by an inbox (overflow/decode) drop. The Dropped probe here
-	// spans every wrapped endpoint.
-	if uint64(delivered) != snap.Recv+snap.Dropped {
+	// counted by an inbox (overflow/decode) drop.
+	if uint64(delivered) != l.recvd+l.inboxDrops {
 		w.Violatef("drop-accounting",
 			"netsim delivered %d != handler deliveries %d + inbox drops %d",
-			delivered, snap.Recv, snap.Dropped)
+			delivered, l.recvd, l.inboxDrops)
 	}
 }
 
@@ -175,15 +226,14 @@ func (w *World) checkAccounting() {
 // delivery digests — to the trace.
 func (w *World) finish() {
 	at := w.Sim.Now()
-	snap := w.Metrics.Snapshot()
+	l := w.ledger()
 	sent, dropped := w.Sim.Stats()
 	w.trace.eventf(at, "summary: app sent=%d senderrs=%d recv=%d inboxdrops=%d | netsim sent=%d delivered=%d dropped=%d nohandler=%d",
-		snap.Sent, snap.SendErrs, snap.Recv, snap.Dropped,
+		l.sent, l.sendErrs, l.recvd, l.inboxDrops,
 		sent, w.Sim.Delivered(), dropped, w.Sim.DroppedNoHandler())
 	for _, nc := range w.order {
-		faultDrops, faultDelays := nc.faults.Injected()
-		w.trace.eventf(at, "node %s: recv=%d digest=%016x faultdrops=%d faultdelays=%d stalled=%d inboxdrops=%d",
-			nc.id, nc.recvd, nc.digest, faultDrops, faultDelays, nc.stall.Stalled(), nc.base.Dropped())
+		w.trace.eventf(at, "node %s: recv=%d digest=%016x faultdrops=%d stalled=%d inboxdrops=%d",
+			nc.id, nc.recvd, nc.digest, nc.faultDrops, nc.stalled, nc.base.Dropped())
 	}
 	if len(w.violations) == 0 {
 		w.trace.eventf(at, "all invariants held")
@@ -201,8 +251,10 @@ func scaleDiv() int {
 			return n
 		}
 	}
-	return 10
+	return defaultScaleDiv
 }
+
+const defaultScaleDiv = 10
 
 // scaled shrinks a full-scale count by the scale divisor, with a floor
 // that keeps the reduced scenario meaningful.

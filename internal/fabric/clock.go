@@ -3,10 +3,10 @@ package fabric
 import "time"
 
 // Clock supplies the current time as a monotonic offset from an arbitrary
-// epoch. Everything in the stack that needs "now" — metrics latency
-// accounting, session item stamping — takes one of
-// these instead of reading the wall clock, so the same code runs in
-// virtual time under netsim (Sim.Now) and in real time behind a daemon.
+// epoch. Everything in the stack that needs "now" — session item stamping,
+// for one — takes one of these instead of reading the wall clock, so the
+// same code runs in virtual time under netsim (Sim.Now) and in real time
+// behind a daemon.
 // That injection is what lets chaos traces stay byte-identical per seed:
 // cscwlint's det-time rule rejects direct time.Now reads in trace-critical
 // packages.

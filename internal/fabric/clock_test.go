@@ -1,114 +1,6 @@
 package fabric
 
-import (
-	"testing"
-	"time"
-
-	"repro/internal/netsim"
-)
-
-// TestMetricsInjectedClockExactLatencies pins the latency arithmetic: with
-// a scripted clock the averages are exact, not approximate — which is the
-// whole point of clock injection (the same code measures virtual time under
-// netsim and wall time behind a daemon, and seeded runs stay deterministic).
-func TestMetricsInjectedClockExactLatencies(t *testing.T) {
-	sim := netsim.New(1, netsim.LocalLink)
-	a := FromSim(sim.MustAddNode("a"))
-	b := FromSim(sim.MustAddNode("b"))
-
-	var now time.Duration
-	m := NewMetrics().SetClock(func() time.Duration { return now })
-
-	// Inside the metrics wrapper on the send side, each inner Send advances
-	// the scripted clock 3ms; each handler execution advances it 2ms.
-	advance := Tap(func(string, any, int) { now += 3 * time.Millisecond }, nil)
-	wa := Wrap(a, m.Middleware(), advance)
-	wb := Wrap(b, m.Middleware())
-	wb.SetHandler(func(string, any, int) { now += 2 * time.Millisecond })
-
-	for i := 0; i < 4; i++ {
-		if err := wa.Send("b", i, 10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run()
-
-	s := m.Snapshot()
-	if s.Sent != 4 || s.Recv != 4 {
-		t.Fatalf("sent/recv = %d/%d, want 4/4", s.Sent, s.Recv)
-	}
-	if s.AvgSendLatency != 3*time.Millisecond {
-		t.Fatalf("AvgSendLatency = %v, want exactly 3ms", s.AvgSendLatency)
-	}
-	if s.AvgHandlerLatency != 2*time.Millisecond {
-		t.Fatalf("AvgHandlerLatency = %v, want exactly 2ms", s.AvgHandlerLatency)
-	}
-}
-
-// TestMetricsSendErrorNotTimed: failed sends count as errors and do not
-// pollute the latency accumulators.
-func TestMetricsSendErrorNotTimed(t *testing.T) {
-	sim := netsim.New(1, netsim.LocalLink)
-	a := FromSim(sim.MustAddNode("a"))
-
-	var now time.Duration
-	m := NewMetrics().SetClock(func() time.Duration { return now })
-	wa := Wrap(a, m.Middleware())
-
-	if err := wa.Send("nobody", 1, 1); err == nil {
-		t.Fatal("send to unknown node should fail")
-	}
-	s := m.Snapshot()
-	if s.SendErrs != 1 || s.Sent != 0 {
-		t.Fatalf("snapshot = %+v, want 1 error and 0 sent", s)
-	}
-	if s.AvgSendLatency != 0 {
-		t.Fatalf("AvgSendLatency = %v, want 0 (no successful sends)", s.AvgSendLatency)
-	}
-}
-
-// TestStallVirtualTimer drives Stall's hold scheduler from the simulator:
-// deliveries land exactly hold after their arrival, in arrival order, with
-// no real time involved.
-func TestStallVirtualTimer(t *testing.T) {
-	sim := netsim.New(1, netsim.LocalLink)
-	a := FromSim(sim.MustAddNode("a"))
-	b := FromSim(sim.MustAddNode("b"))
-
-	const hold = 40 * time.Millisecond
-	st := NewStall().Hold(hold).SetTimer(sim.At)
-	wb := Wrap(b, st.Middleware())
-
-	type arrival struct {
-		n  int
-		at time.Duration
-	}
-	var got []arrival
-	wb.SetHandler(func(_ string, payload any, _ int) {
-		got = append(got, arrival{payload.(int), sim.Now()})
-	})
-	for i := 0; i < 3; i++ {
-		if err := a.Send("b", i, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run()
-
-	if st.Stalled() != 3 {
-		t.Fatalf("stalled = %d, want 3", st.Stalled())
-	}
-	if len(got) != 3 {
-		t.Fatalf("delivered %d, want 3", len(got))
-	}
-	for i, g := range got {
-		if g.n != i {
-			t.Fatalf("delivery %d carried payload %d: order not preserved (%v)", i, g.n, got)
-		}
-		if g.at < hold {
-			t.Fatalf("delivery %d at %v, want >= hold %v", i, g.at, hold)
-		}
-	}
-}
+import "testing"
 
 // TestWallClockMonotonic is the one test that touches the real clock: the
 // declared real-time boundary must be nondecreasing from zero.

@@ -3,8 +3,8 @@
 // (netsim), the in-memory hub and the TCP transport (transport) — is adapted
 // to one Endpoint interface with a uniform (from, payload, size) delivery
 // shape, so group, session, stream, mobile and core code runs unchanged over
-// any of them. Middlewares (metrics, fault injection, tracing) interpose on
-// the message path by wrapping an Endpoint; Wrap composes them into a chain.
+// any of them. Middlewares (the tracing Tap and Logging) interpose on the
+// message path by wrapping an Endpoint; Wrap composes them into a chain.
 //
 // The package owns the one wire codec: payload structs register under a
 // string tag once, with a hand-rolled binary body, and travel over

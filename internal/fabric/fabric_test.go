@@ -397,120 +397,22 @@ func TestWrapOrderOutermostFirst(t *testing.T) {
 	}
 }
 
-func TestMetricsMiddleware(t *testing.T) {
-	sim := netsim.New(1, netsim.LocalLink)
-	a := FromSim(sim.MustAddNode("a"))
-	bNode := sim.MustAddNode("b")
-	b := FromSim(bNode)
-	m := NewMetrics()
-	wb := Wrap(b, m.Middleware())
-	wa := Wrap(a, NewMetrics().Middleware())
-
-	var got int
-	wb.SetHandler(func(string, any, int) { got++ })
-	for i := 0; i < 4; i++ {
-		if err := wa.Send("b", i, 25); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run()
-	s := m.Snapshot()
-	if got != 4 || s.Recv != 4 || s.RecvBytes != 100 {
-		t.Fatalf("recv snapshot = %+v (handler saw %d)", s, got)
-	}
-	if s.Dropped != 0 {
-		t.Fatalf("dropped = %d", s.Dropped)
-	}
-}
-
-func TestMetricsExposesDroppedThroughChain(t *testing.T) {
+// TestDroppedOfWalksChain: the drop probe follows Unwrap through a stack of
+// middlewares down to the substrate adapter that counts inbox overflow.
+func TestDroppedOfWalksChain(t *testing.T) {
 	sim := netsim.New(1, netsim.LocalLink)
 	a := FromSim(sim.MustAddNode("a"))
 	b := FromSim(sim.MustAddNode("b"))
-	m := NewMetrics()
-	// No handler ever installed on b; overflow the inbox.
-	Wrap(b, Tap(nil, nil), m.Middleware())
+	// No handler is ever installed on b; overflow its inbox.
+	wb := Wrap(b, Tap(nil, nil), Tap(nil, nil))
 	for i := 0; i < pendingCap+3; i++ {
 		if err := a.Send("b", i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sim.Run()
-	if d := m.Snapshot().Dropped; d != 3 {
-		t.Fatalf("snapshot dropped = %d, want 3", d)
-	}
-}
-
-// TestMetricsAggregatesDropsAcrossEndpoints is the regression test for the
-// old single-probe limitation: one Metrics instance shared across several
-// wrapped endpoints used to report only the last endpoint's drops. The probe
-// must sum every wrapped substrate.
-func TestMetricsAggregatesDropsAcrossEndpoints(t *testing.T) {
-	sim := netsim.New(1, netsim.LocalLink)
-	src := FromSim(sim.MustAddNode("src"))
-	b := FromSim(sim.MustAddNode("b"))
-	c := FromSim(sim.MustAddNode("c"))
-	m := NewMetrics()
-	// Neither b nor c ever installs a handler; overflow both inboxes by
-	// different amounts so the aggregate is distinguishable from either.
-	Wrap(b, m.Middleware())
-	Wrap(c, m.Middleware())
-	for i := 0; i < pendingCap+2; i++ {
-		if err := src.Send("b", i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < pendingCap+7; i++ {
-		if err := src.Send("c", i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run()
-	if d := m.Snapshot().Dropped; d != 9 {
-		t.Fatalf("snapshot dropped = %d, want 9 (2 on b + 7 on c)", d)
-	}
-}
-
-func TestFaultsDropEveryN(t *testing.T) {
-	sim := netsim.New(1, netsim.LocalLink)
-	a := FromSim(sim.MustAddNode("a"))
-	b := FromSim(sim.MustAddNode("b"))
-	f := NewFaults(42).DropEveryN(3)
-	wa := Wrap(a, f.Middleware())
-	var got int
-	b.SetHandler(func(string, any, int) { got++ })
-	for i := 0; i < 9; i++ {
-		if err := wa.Send("b", i, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run()
-	if got != 6 {
-		t.Fatalf("delivered %d, want 6", got)
-	}
-	if d, _ := f.Injected(); d != 3 {
-		t.Fatalf("injected drops = %d, want 3", d)
-	}
-}
-
-func TestFaultsDelayOverSim(t *testing.T) {
-	sim := netsim.New(1, netsim.LocalLink)
-	a := FromSim(sim.MustAddNode("a"))
-	b := FromSim(sim.MustAddNode("b"))
-	f := NewFaults(1).Delay(50 * time.Millisecond).
-		SetTimer(func(d time.Duration, fn func()) { sim.At(d, fn) })
-	wa := Wrap(a, f.Middleware())
-	var at time.Duration
-	b.SetHandler(func(string, any, int) { at = sim.Now() })
-	if err := wa.Send("b", "late", 1); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	if at < 50*time.Millisecond {
-		t.Fatalf("delivered at %v, want >= 50ms", at)
-	}
-	if _, delayed := f.Injected(); delayed != 1 {
-		t.Fatalf("delayed = %d, want 1", delayed)
+	if d := DroppedOf(wb); d != 3 {
+		t.Fatalf("DroppedOf through two taps = %d, want 3", d)
 	}
 }
 

@@ -1,343 +1,5 @@
 package fabric
 
-import (
-	"math/rand"
-	"sync"
-	"time"
-)
-
-// --- metrics ------------------------------------------------------------
-
-// Metrics collects per-hop counters and latencies for one wrapped endpoint.
-// Create with NewMetrics, install with m.Middleware() inside Wrap, read
-// with Snapshot. Latencies are measured against an injectable Clock
-// (WallClock by default); swap it with SetClock before traffic flows to
-// measure in virtual time (e.g. a netsim Sim.Now adapter), which keeps
-// seeded runs deterministic.
-type Metrics struct {
-	mu         sync.Mutex
-	clock      Clock
-	bases      []Endpoint
-	sent       uint64
-	recv       uint64
-	sendErrs   uint64
-	sentBytes  uint64
-	recvBytes  uint64
-	sendLat    time.Duration
-	handlerLat time.Duration
-}
-
-// MetricsSnapshot is a point-in-time copy of the collected counters.
-type MetricsSnapshot struct {
-	Sent, Recv, SendErrs uint64
-	SentBytes, RecvBytes uint64
-	// Dropped is probed from the wrapped chains' substrate adapters:
-	// deliveries lost to no-handler overflow or decode failure, summed
-	// across every endpoint this collector wraps.
-	Dropped uint64
-	// AvgSendLatency is wall time spent inside the inner Send (for the
-	// simulator this is scheduling cost, not network latency).
-	AvgSendLatency time.Duration
-	// AvgHandlerLatency is wall time the application handler held a
-	// delivery.
-	AvgHandlerLatency time.Duration
-}
-
-// NewMetrics returns an empty collector timing against WallClock.
-func NewMetrics() *Metrics { return &Metrics{clock: WallClock()} }
-
-// SetClock replaces the latency clock (chainable). Install it before any
-// traffic flows through wrapped endpoints.
-func (m *Metrics) SetClock(c Clock) *Metrics {
-	m.mu.Lock()
-	m.clock = c
-	m.mu.Unlock()
-	return m
-}
-
-// now reads the configured clock.
-func (m *Metrics) now() time.Duration {
-	m.mu.Lock()
-	c := m.clock
-	m.mu.Unlock()
-	return c()
-}
-
-// Middleware returns the wrapping middleware. Wrapping several endpoints
-// with one Metrics instance aggregates their counts, and the drop probe
-// follows every wrapped chain (summed in Snapshot).
-func (m *Metrics) Middleware() Middleware {
-	return func(inner Endpoint) Endpoint {
-		m.mu.Lock()
-		m.bases = append(m.bases, inner)
-		m.mu.Unlock()
-		return &metricsEndpoint{inner: inner, m: m}
-	}
-}
-
-// Snapshot returns a copy of the counters, including the substrates'
-// dropped counts summed across all wrapped endpoints.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	m.mu.Lock()
-	s := MetricsSnapshot{
-		Sent: m.sent, Recv: m.recv, SendErrs: m.sendErrs,
-		SentBytes: m.sentBytes, RecvBytes: m.recvBytes,
-	}
-	if m.sent > 0 {
-		s.AvgSendLatency = m.sendLat / time.Duration(m.sent)
-	}
-	if m.recv > 0 {
-		s.AvgHandlerLatency = m.handlerLat / time.Duration(m.recv)
-	}
-	bases := append([]Endpoint(nil), m.bases...)
-	m.mu.Unlock()
-	for _, base := range bases {
-		s.Dropped += DroppedOf(base)
-	}
-	return s
-}
-
-type metricsEndpoint struct {
-	inner Endpoint
-	m     *Metrics
-}
-
-func (e *metricsEndpoint) ID() string       { return e.inner.ID() }
-func (e *metricsEndpoint) Unwrap() Endpoint { return e.inner }
-func (e *metricsEndpoint) Close() error     { return e.inner.Close() }
-
-func (e *metricsEndpoint) Send(to string, payload any, size int) error {
-	start := e.m.now()
-	err := e.inner.Send(to, payload, size)
-	lat := e.m.now() - start
-	e.m.mu.Lock()
-	if err != nil {
-		e.m.sendErrs++
-	} else {
-		e.m.sent++
-		e.m.sentBytes += uint64(size)
-		e.m.sendLat += lat
-	}
-	e.m.mu.Unlock()
-	return err
-}
-
-func (e *metricsEndpoint) SetHandler(h Handler) {
-	if h == nil {
-		e.inner.SetHandler(nil)
-		return
-	}
-	e.inner.SetHandler(func(from string, payload any, size int) {
-		start := e.m.now()
-		h(from, payload, size)
-		lat := e.m.now() - start
-		e.m.mu.Lock()
-		e.m.recv++
-		e.m.recvBytes += uint64(size)
-		e.m.handlerLat += lat
-		e.m.mu.Unlock()
-	})
-}
-
-// --- fault injection ----------------------------------------------------
-
-// Faults injects drops and delays on the send path, for exercising loss
-// recovery and latency tolerance over substrates that are otherwise
-// reliable. Configure with the chainable setters before traffic flows.
-type Faults struct {
-	mu         sync.Mutex
-	rng        *rand.Rand
-	dropEveryN uint64
-	dropProb   float64
-	delay      time.Duration
-	timer      func(d time.Duration, fn func())
-	n          uint64
-	dropped    uint64
-	delayed    uint64
-}
-
-// NewFaults returns an injector with deterministic randomness from seed and
-// no faults configured. The default delay timer is time.AfterFunc; swap it
-// with SetTimer (e.g. to a netsim Sim.At adapter) when delaying over the
-// simulator, where real-time goroutines would race virtual time.
-func NewFaults(seed int64) *Faults {
-	return &Faults{
-		rng:   rand.New(rand.NewSource(seed)),
-		timer: func(d time.Duration, fn func()) { time.AfterFunc(d, fn) },
-	}
-}
-
-// DropEveryN drops every nth send (deterministic); 0 disables.
-func (f *Faults) DropEveryN(n uint64) *Faults {
-	f.mu.Lock()
-	f.dropEveryN = n
-	f.mu.Unlock()
-	return f
-}
-
-// DropProb drops each send with probability p.
-func (f *Faults) DropProb(p float64) *Faults {
-	f.mu.Lock()
-	f.dropProb = p
-	f.mu.Unlock()
-	return f
-}
-
-// Delay defers each surviving send by d via the configured timer.
-func (f *Faults) Delay(d time.Duration) *Faults {
-	f.mu.Lock()
-	f.delay = d
-	f.mu.Unlock()
-	return f
-}
-
-// SetTimer replaces the delay scheduler.
-func (f *Faults) SetTimer(t func(d time.Duration, fn func())) *Faults {
-	f.mu.Lock()
-	f.timer = t
-	f.mu.Unlock()
-	return f
-}
-
-// Injected reports how many sends were dropped and delayed so far.
-func (f *Faults) Injected() (dropped, delayed uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped, f.delayed
-}
-
-// Middleware returns the wrapping middleware.
-func (f *Faults) Middleware() Middleware {
-	return func(inner Endpoint) Endpoint {
-		return &faultEndpoint{inner: inner, f: f}
-	}
-}
-
-type faultEndpoint struct {
-	inner Endpoint
-	f     *Faults
-}
-
-func (e *faultEndpoint) ID() string           { return e.inner.ID() }
-func (e *faultEndpoint) Unwrap() Endpoint     { return e.inner }
-func (e *faultEndpoint) Close() error         { return e.inner.Close() }
-func (e *faultEndpoint) SetHandler(h Handler) { e.inner.SetHandler(h) }
-
-func (e *faultEndpoint) Send(to string, payload any, size int) error {
-	f := e.f
-	f.mu.Lock()
-	f.n++
-	if f.dropEveryN > 0 && f.n%f.dropEveryN == 0 {
-		f.dropped++
-		f.mu.Unlock()
-		return nil // lost on the wire: not an error the sender sees
-	}
-	if f.dropProb > 0 && f.rng.Float64() < f.dropProb {
-		f.dropped++
-		f.mu.Unlock()
-		return nil
-	}
-	if f.delay > 0 {
-		f.delayed++
-		timer := f.timer
-		d := f.delay
-		f.mu.Unlock()
-		timer(d, func() { _ = e.inner.Send(to, payload, size) })
-		return nil
-	}
-	f.mu.Unlock()
-	return e.inner.Send(to, payload, size)
-}
-
-// --- handler stalls -----------------------------------------------------
-
-// Stall defers delivery to the installed handler by a configurable hold
-// time — a slow or wedged application handler, as opposed to Faults which
-// models the network. Deliveries keep their arrival order (each is held for
-// the same duration through a monotonic scheduler). Configure the timer to
-// a netsim Sim.At adapter over the simulator, where real-time goroutines
-// would race virtual time.
-type Stall struct {
-	mu      sync.Mutex
-	hold    time.Duration
-	timer   func(d time.Duration, fn func())
-	stalled uint64
-}
-
-// NewStall returns a stall injector with no hold configured and the
-// real-time timer; swap the timer with SetTimer over a simulator.
-func NewStall() *Stall {
-	return &Stall{timer: func(d time.Duration, fn func()) { time.AfterFunc(d, fn) }}
-}
-
-// Hold sets how long each delivery is held before the handler runs; 0
-// disables stalling.
-func (s *Stall) Hold(d time.Duration) *Stall {
-	s.mu.Lock()
-	s.hold = d
-	s.mu.Unlock()
-	return s
-}
-
-// SetTimer replaces the hold scheduler.
-func (s *Stall) SetTimer(t func(d time.Duration, fn func())) *Stall {
-	s.mu.Lock()
-	s.timer = t
-	s.mu.Unlock()
-	return s
-}
-
-// Stalled reports how many deliveries were held so far.
-func (s *Stall) Stalled() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stalled
-}
-
-// Middleware returns the wrapping middleware.
-func (s *Stall) Middleware() Middleware {
-	return func(inner Endpoint) Endpoint {
-		return &stallEndpoint{inner: inner, s: s}
-	}
-}
-
-type stallEndpoint struct {
-	inner Endpoint
-	s     *Stall
-}
-
-func (e *stallEndpoint) ID() string       { return e.inner.ID() }
-func (e *stallEndpoint) Unwrap() Endpoint { return e.inner }
-func (e *stallEndpoint) Close() error     { return e.inner.Close() }
-
-func (e *stallEndpoint) Send(to string, payload any, size int) error {
-	return e.inner.Send(to, payload, size)
-}
-
-func (e *stallEndpoint) SetHandler(h Handler) {
-	if h == nil {
-		e.inner.SetHandler(nil)
-		return
-	}
-	e.inner.SetHandler(func(from string, payload any, size int) {
-		s := e.s
-		s.mu.Lock()
-		hold := s.hold
-		timer := s.timer
-		if hold > 0 {
-			s.stalled++
-		}
-		s.mu.Unlock()
-		if hold <= 0 {
-			h(from, payload, size)
-			return
-		}
-		timer(hold, func() { h(from, payload, size) })
-	})
-}
-
-// --- tracing ------------------------------------------------------------
-
 // Tap interposes observation hooks on both directions without altering
 // traffic. onSend fires before the inner Send, onRecv before the inner
 // handler; either may be nil.

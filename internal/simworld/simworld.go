@@ -26,8 +26,8 @@ type World struct {
 	Seed int64
 	Sim  *netsim.Sim
 	// Wrap, when set, is called once per node as it is created and returns
-	// the endpoint the rest of the world sees: chaos chains its stall, fault,
-	// metrics and digest middlewares here. Set it before the first Endpoint.
+	// the endpoint the rest of the world sees: chaos puts its per-node fault
+	// and ledger wrapper here. Set it before the first Endpoint.
 	Wrap func(id string, base *fabric.SimEndpoint) fabric.Endpoint
 
 	eps map[string]fabric.Endpoint
@@ -39,7 +39,7 @@ func New(seed int64, link netsim.Link) *World {
 }
 
 // After schedules fn on the virtual clock; it makes the world a group.Timer
-// and is the timer shape the fabric fault and stall injectors take.
+// and is what chaos holds stalled deliveries with.
 func (w *World) After(d time.Duration, fn func()) { w.Sim.At(d, fn) }
 
 // Endpoint returns (creating on first use) the named node's endpoint.

@@ -216,6 +216,27 @@ func TestQuickTickAdvances(t *testing.T) {
 	}
 }
 
+func TestQuickExplicitZerosIgnored(t *testing.T) {
+	// Property: an explicit zero entry means the same as an absent one,
+	// against the clock without it and against any third clock. fromQuick
+	// never writes a zero, so the mask adds them, on one site outside its
+	// space too.
+	f := func(xa, xc [4]uint8, mask uint8) bool {
+		a, c := fromQuick(xa), fromQuick(xc)
+		z := a.Clone()
+		for i, site := range []string{"a", "b", "c", "d", "e"} {
+			if _, ok := z[site]; !ok && mask&(1<<i) != 0 {
+				z[site] = 0
+			}
+		}
+		return z.Compare(a) == Equal && a.Compare(z) == Equal &&
+			z.Compare(c) == a.Compare(c) && c.Compare(z) == c.Compare(a)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func BenchmarkCompare(b *testing.B) {
 	x := VC{"a": 1, "b": 2, "c": 3, "d": 4}
 	y := VC{"a": 1, "b": 3, "c": 2, "d": 4}
