@@ -105,8 +105,7 @@ func (m MsgOp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgOp) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgOp) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.Op = readOp(&r)
 	return r.Done(tagOp)
@@ -230,8 +229,7 @@ func (m MsgState) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgState) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgState) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	switch kind := r.Byte(); kind {
 	case stateSeq:

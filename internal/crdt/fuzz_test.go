@@ -3,6 +3,8 @@ package crdt
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/fabric"
 )
 
 // byteScript doles out fuzz bytes as small typed values; exhausted input
@@ -96,7 +98,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, asOp bool, data []byte) {
 		if asOp {
 			var m MsgOp
-			if err := m.ParseBinary(data); err != nil {
+			if err := m.ParseBinary(fabric.NewReader(string(data))); err != nil {
 				return
 			}
 			body, err := m.AppendBinary(nil)
@@ -104,7 +106,7 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("re-encode parsed op: %v", err)
 			}
 			var m2 MsgOp
-			if err := m2.ParseBinary(body); err != nil {
+			if err := m2.ParseBinary(fabric.NewReader(string(body))); err != nil {
 				t.Fatalf("re-parse encoded op: %v", err)
 			}
 			if !reflect.DeepEqual(m2, m) {
@@ -113,7 +115,7 @@ func FuzzWireDecode(f *testing.F) {
 			return
 		}
 		var m MsgState
-		if err := m.ParseBinary(data); err != nil {
+		if err := m.ParseBinary(fabric.NewReader(string(data))); err != nil {
 			return
 		}
 		body, err := m.AppendBinary(nil)
@@ -121,7 +123,7 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("re-encode parsed state: %v", err)
 		}
 		var m2 MsgState
-		if err := m2.ParseBinary(body); err != nil {
+		if err := m2.ParseBinary(fabric.NewReader(string(body))); err != nil {
 			t.Fatalf("re-parse encoded state: %v", err)
 		}
 		if !reflect.DeepEqual(m2, m) {

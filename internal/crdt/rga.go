@@ -2,6 +2,7 @@ package crdt
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/vclock"
 )
@@ -26,6 +27,7 @@ type Sequence struct {
 	vv      vclock.VC
 	nodes   []seqNode    // arena; nodes[0] is the head sentinel
 	index   map[ID]int32 // element ID -> arena index
+	sites   map[string]string
 	visible int
 	held    []Op
 }
@@ -45,6 +47,7 @@ func NewSequence(site string) *Sequence {
 		vv:    vclock.New(),
 		nodes: make([]seqNode, 1, 64),
 		index: make(map[ID]int32),
+		sites: make(map[string]string),
 	}
 	s.nodes[0].next = -1
 	return s
@@ -182,6 +185,7 @@ func (s *Sequence) insertNode(id, after ID, ch rune) {
 	if _, ok := s.index[id]; ok {
 		return
 	}
+	id.Site, after.Site = s.intern(id.Site), s.intern(after.Site)
 	at := int32(0)
 	if !after.IsZero() {
 		at = s.index[after]
@@ -195,6 +199,19 @@ func (s *Sequence) insertNode(id, after ID, ch rune) {
 	s.index[id] = n
 	s.visible++
 	s.clk.Observe(id.N)
+}
+
+// intern returns the replica's own copy of site. A decoded op's Site is a
+// substring of the string it was decoded from, and every element and index
+// key keeps its ID: stored as it came, one per element would keep that
+// whole string alive. The copy is made once per site.
+func (s *Sequence) intern(site string) string {
+	if own, ok := s.sites[site]; ok {
+		return own
+	}
+	own := strings.Clone(site)
+	s.sites[own] = own
+	return own
 }
 
 // SeqNode is one element of a serialized Sequence state.

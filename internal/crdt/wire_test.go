@@ -96,7 +96,7 @@ func TestMsgStateRejectsEmptyAndTrailing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ParseBinary(append(body, 0xff)); err == nil {
+	if err := m.ParseBinary(fabric.NewReader(string(append(body, 0xff)))); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crdt"
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
@@ -542,5 +543,38 @@ func TestHostCoreOnSimulator(t *testing.T) {
 	}
 	if got := host.Host("doc").LogLen(); got != 6 {
 		t.Errorf("log holds %d items, want 3 submissions and 3 commits", got)
+	}
+}
+
+// TestPushDecodeAllocs pins what a participant pays to receive one pushed
+// keystroke: the frame's one string copy, the MsgItems value and its item
+// slice, then the item body's one copy and the CRDT op parsed from it.
+func TestPushDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	wire := session.NewWireCodec()
+	engCodec := engine.NewWireCodec()
+	op := crdt.Op{Kind: crdt.OpSeqInsert, Site: "alice", Seq: 4, ID: crdt.ID{N: 4, Site: "alice"}, After: crdt.ID{N: 3, Site: "bob"}, Ch: 'x'}
+	body, err := engine.EncodeItemBody(engCodec, engine.Msg{Body: &crdt.MsgOp{Doc: "d", Op: op}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.Encode(&session.MsgItems{Doc: "d", Items: []session.Item{{Seq: 9, From: "alice", Kind: engine.ItemKind, Body: body}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		payload, err := wire.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := payload.(*session.MsgItems).Items[0]
+		if _, _, err := engine.DecodeItemBody(engCodec, it.Body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 5 {
+		t.Errorf("decoding a pushed crdt op allocates %v objects, want 5", n)
 	}
 }

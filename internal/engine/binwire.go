@@ -51,8 +51,7 @@ func (m MsgSubmit) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgSubmit) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgSubmit) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.Sub.Op = readOTOp(&r)
 	m.Sub.Base = int(r.Uvarint())
@@ -68,8 +67,7 @@ func (m MsgCommit) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgCommit) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgCommit) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.C = readCommitted(&r)
 	return r.Done(tagCommit)
@@ -82,8 +80,7 @@ func (m MsgPull) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgPull) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgPull) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.Base = int(r.Uvarint())
 	return r.Done(tagPull)
@@ -100,8 +97,7 @@ func (m MsgCommits) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgCommits) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgCommits) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	if n := r.Count("commits", 7); n > 0 { // a 4-byte op, Rev, Site, Seq
 		m.Cs = make([]ot.Committed, 0, n)

@@ -245,3 +245,27 @@ func TestOTWireRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestOTApplyCommitAllocs pins the cost of integrating a foreign commit at
+// an OT client: the new text and nothing else. A submission the client
+// keeps in flight must not cost a heap object on calls that send nothing.
+func TestOTApplyCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	d := newOTDoc("d", "c1", "srv")
+	m := &MsgCommit{Doc: "d", C: ot.Committed{Op: ot.Op{Kind: ot.Insert, Ch: 'x', Site: "c2"}, Site: "c2"}}
+	n := testing.AllocsPerRun(100, func() {
+		m.C.Rev = d.cl.Base() + 1
+		m.C.Seq++
+		if _, err := d.Apply("srv", m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 1 {
+		t.Errorf("Apply of a foreign commit allocates %v objects, want 1 (the new text)", n)
+	}
+	if got := len(d.Text()); got != 101 {
+		t.Fatalf("text has %d runes after 101 commits", got)
+	}
+}

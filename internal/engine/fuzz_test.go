@@ -43,7 +43,7 @@ func FuzzEngineWireDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		m := fresh[int(which)%len(fresh)]()
-		if err := m.ParseBinary(data); err != nil {
+		if err := m.ParseBinary(fabric.NewReader(string(data))); err != nil {
 			return
 		}
 		body, err := m.AppendBinary(nil)
@@ -51,7 +51,7 @@ func FuzzEngineWireDecode(f *testing.F) {
 			t.Fatalf("re-encode parsed %T: %v", m, err)
 		}
 		m2 := fresh[int(which)%len(fresh)]()
-		if err := m2.ParseBinary(body); err != nil {
+		if err := m2.ParseBinary(fabric.NewReader(string(body))); err != nil {
 			t.Fatalf("re-parse encoded %T: %v", m, err)
 		}
 		if !reflect.DeepEqual(m2, m) {

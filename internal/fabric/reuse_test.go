@@ -2,8 +2,9 @@ package fabric_test
 
 // The receive path copies a frame body once: the TCP transport reads every
 // frame of a connection into one reused buffer, so a decoded payload must
-// not alias the bytes it was decoded from, and Reader.String hands out
-// substrings of one copy of the body instead of one copy per field.
+// not alias the bytes it was decoded from. Decode converts the body to one
+// string, and Reader.String hands out substrings of it instead of one copy
+// per field.
 
 import (
 	"bytes"

@@ -39,8 +39,7 @@ func (p packet) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (p *packet) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (p *packet) ParseBinary(r fabric.Reader) error {
 	if err := readPacket(&r, p, false); err != nil {
 		return err
 	}

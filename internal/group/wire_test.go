@@ -91,11 +91,11 @@ func TestPacketWireRejects(t *testing.T) {
 	}
 	var p packet
 	for n := 0; n < len(body); n++ {
-		if err := p.ParseBinary(body[:n]); !errors.Is(err, fabric.ErrTruncatedFrame) {
+		if err := p.ParseBinary(fabric.NewReader(string(body[:n]))); !errors.Is(err, fabric.ErrTruncatedFrame) {
 			t.Fatalf("body prefix %d/%d: got %v, want ErrTruncatedFrame", n, len(body), err)
 		}
 	}
-	if err := p.ParseBinary(append(body, 0)); err == nil || errors.Is(err, fabric.ErrTruncatedFrame) {
+	if err := p.ParseBinary(fabric.NewReader(string(append(body, 0)))); err == nil || errors.Is(err, fabric.ErrTruncatedFrame) {
 		t.Fatalf("body plus a trailing byte: got %v, want a trailing-bytes error", err)
 	}
 	// Three batches nested, built by hand since the encoder refuses it: an
@@ -106,7 +106,7 @@ func TestPacketWireRejects(t *testing.T) {
 	head, _ := packet{Kind: kBatch}.AppendBinary(nil)
 	batchOfOne := append(head[:len(head)-2:len(head)-2], 1)
 	nested := append(append(batchOfOne, batchOfOne...), bytes.Repeat([]byte{0xff}, minPacketBytes)...)
-	if err := p.ParseBinary(nested); !errors.Is(err, errNestedBatch) {
+	if err := p.ParseBinary(fabric.NewReader(string(nested))); !errors.Is(err, errNestedBatch) {
 		t.Fatalf("nested batch: got %v, want errNestedBatch", err)
 	}
 }
@@ -154,7 +154,7 @@ func FuzzPacketDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p packet
-		if p.ParseBinary(data) != nil {
+		if p.ParseBinary(fabric.NewReader(string(data))) != nil {
 			return
 		}
 		body, err := p.AppendBinary(nil)
@@ -162,7 +162,7 @@ func FuzzPacketDecode(f *testing.F) {
 			t.Fatalf("re-encode of accepted %#v: %v", p, err)
 		}
 		var again packet
-		if err := again.ParseBinary(body); err != nil || !reflect.DeepEqual(p, again) {
+		if err := again.ParseBinary(fabric.NewReader(string(body))); err != nil || !reflect.DeepEqual(p, again) {
 			t.Fatalf("re-parse mismatch: %#v vs %#v (err %v)", p, again, err)
 		}
 	})

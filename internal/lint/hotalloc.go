@@ -17,8 +17,11 @@ import (
 // must not contain the heap-escaping constructs that show up as allocs/op
 // in internal/bench: boxing a concrete value into an interface parameter,
 // creating a closure (function literals and method values), allocating a
-// map, growing an append target that was never given capacity, or calling
-// into fmt. Error paths are exempt: blocks from which every path ends in
+// map, growing an append target that was never given capacity, copying
+// between string and []byte by conversion, or calling into fmt. A
+// conversion the compiler does without a copy is not flagged: a comparison
+// operand, the key of a map read, a switch tag, or the operand of a range.
+// Error paths are exempt: blocks from which every path ends in
 // an error return or a panic are cold, and an allocation that only happens
 // when the operation is already failing is not a throughput regression.
 //
@@ -29,7 +32,7 @@ import (
 func HotAlloc() *Analyzer {
 	return &Analyzer{
 		Name: "hot-alloc",
-		Doc:  "//cscw:hotpath functions and their static callees must not box, close over, build maps, grow bare appends, or call fmt outside error paths",
+		Doc:  "//cscw:hotpath functions and their static callees must not box, close over, build maps, grow bare appends, copy string/[]byte, or call fmt outside error paths",
 		Run:  runHotAlloc,
 	}
 }
@@ -135,6 +138,7 @@ func hotAllocFunc(m *Module, mf *modFunc, why string) []Diagnostic {
 	// Selector expressions serving as a call's Fun are method *calls*, not
 	// method values.
 	callFuns := make(map[ast.Expr]bool)
+	noCopy := noCopyOperands(p, mf.decl.Body)
 
 	for _, bl := range g.blocks {
 		if cold[bl] {
@@ -165,7 +169,7 @@ func hotAllocFunc(m *Module, mf *modFunc, why string) []Diagnostic {
 					}
 				case *ast.CallExpr:
 					callFuns[ast.Unparen(n.Fun)] = true
-					out = append(out, hotCallChecks(p, n, skipArgs, report)...)
+					out = append(out, hotCallChecks(p, n, skipArgs, noCopy, report)...)
 				}
 				return true
 			})
@@ -174,9 +178,9 @@ func hotAllocFunc(m *Module, mf *modFunc, why string) []Diagnostic {
 	return out
 }
 
-// hotCallChecks flags fmt calls, map makes, and interface boxing at one
-// call site.
-func hotCallChecks(p *Package, call *ast.CallExpr, skipArgs map[ast.Expr]bool, report func(ast.Node, string)) []Diagnostic {
+// hotCallChecks flags fmt calls, map makes, interface boxing and
+// string/[]byte copies at one call site.
+func hotCallChecks(p *Package, call *ast.CallExpr, skipArgs, noCopy map[ast.Expr]bool, report func(ast.Node, string)) []Diagnostic {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if obj := p.Info.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
 			report(call, fmt.Sprintf("call to fmt.%s (allocates via reflection)", sel.Sel.Name))
@@ -195,6 +199,10 @@ func hotCallChecks(p *Package, call *ast.CallExpr, skipArgs map[ast.Expr]bool, r
 		// non-pointer value.
 		if len(call.Args) == 1 && boxes(p, tv.Type, call.Args[0]) {
 			report(call, fmt.Sprintf("conversion boxes %s into %s",
+				typeShort(typeOf(p, call.Args[0])), typeShort(tv.Type)))
+		}
+		if len(call.Args) == 1 && !noCopy[call] && copiesBytes(tv.Type, typeOf(p, call.Args[0])) {
+			report(call, fmt.Sprintf("conversion copies %s into a new %s",
 				typeShort(typeOf(p, call.Args[0])), typeShort(tv.Type)))
 		}
 		return nil
@@ -261,6 +269,64 @@ func boxes(p *Package, pt types.Type, arg ast.Expr) bool {
 		return false
 	}
 	return true
+}
+
+// copiesBytes reports whether converting a value of type from to type to
+// copies it: string to []byte or []byte to string.
+func copiesBytes(to, from types.Type) bool {
+	if from == nil {
+		return false
+	}
+	isString := func(t types.Type) bool {
+		b, ok := t.Underlying().(*types.Basic)
+		return ok && b.Info()&types.IsString != 0
+	}
+	return isString(to) && isByteSlice(from) || isByteSlice(to) && isString(from)
+}
+
+// noCopyOperands collects the expressions in body (function literals
+// pruned) where the compiler converts between string and []byte without
+// copying: the operands of a comparison, the key of a map read, a switch
+// tag and the operand of a range. A map store keeps its key, so the key of
+// an assigned map element is not among them.
+func noCopyOperands(p *Package, body *ast.BlockStmt) map[ast.Expr]bool {
+	out := make(map[ast.Expr]bool)
+	mark := func(e ast.Expr) {
+		if e != nil {
+			out[ast.Unparen(e)] = true
+		}
+	}
+	stores := make(map[ast.Expr]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				stores[ast.Unparen(l)] = true
+			}
+		case *ast.IncDecStmt:
+			stores[ast.Unparen(n.X)] = true
+		case *ast.BinaryExpr:
+			switch n.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				mark(n.X)
+				mark(n.Y)
+			}
+		case *ast.IndexExpr:
+			if t := typeOf(p, n.X); t != nil && !stores[n] {
+				if _, isMap := t.Underlying().(*types.Map); isMap {
+					mark(n.Index)
+				}
+			}
+		case *ast.SwitchStmt:
+			mark(n.Tag)
+		case *ast.RangeStmt:
+			mark(n.X)
+		}
+		return true
+	})
+	return out
 }
 
 // hotAppendChecks flags loop appends whose target provably lacks capacity

@@ -1,7 +1,7 @@
 // Package hotalloc exercises the hot-alloc analyzer: functions annotated
 // //cscw:hotpath — and everything they statically reach — must not box,
-// close over, build maps, grow bare appends, or call fmt outside error
-// paths.
+// close over, build maps, grow bare appends, copy string/[]byte, or call
+// fmt outside error paths.
 package hotalloc
 
 import "fmt"
@@ -132,4 +132,26 @@ func hotMalformed(p point) {
 	// want(-1) "lint-directive.*need a rule name and a reason"
 	// want(1) "argument boxes point into any"
 	sink(p)
+}
+
+// hotConvert copies between string and []byte both ways, once as the key
+// a map store keeps; the conversions the compiler makes without a copy (the
+// key of a map read, a comparison operand, a switch tag, a range operand)
+// must pass.
+//
+//cscw:hotpath
+func hotConvert(b []byte, s string, m map[string]int) (string, []byte, int) {
+	n := m[string(b)]
+	m[string(b)] = n // want "conversion copies ..byte into a new string"
+	if string(b) == s {
+		n++
+	}
+	switch string(b) {
+	case "x":
+		n++
+	}
+	for _, c := range []byte(s) {
+		n += int(c)
+	}
+	return string(b), []byte(s), n // want "conversion copies ..byte into a new string" "conversion copies string into a new ..byte"
 }

@@ -4,18 +4,18 @@
 // order, threading dst through.
 package wirecompat
 
-// putU64 and getU64 stand in for the fabric append helpers and Reader. They
-// return only []byte so discarding a result is purely a wire-compat bug,
-// not an err-drop one.
+// putU64, Reader and getU64 stand in for the fabric append helpers and
+// Reader, which a ParseBinary takes by value. They return no error, so
+// discarding a result is purely a wire-compat bug, not an err-drop one.
 func putU64(dst []byte, v uint64) []byte {
 	return append(dst, byte(v))
 }
 
-func getU64(data []byte) (uint64, []byte) {
-	return uint64(data[0]), data[1:]
-}
+func getU64(r *Reader) uint64 { v := uint64(r.data[0]); r.data = r.data[1:]; return v }
 
-func skipPad(data []byte) []byte { return data[1:] }
+type Reader struct{ data []byte }
+
+func skipPad(r *Reader) []byte { r.data = r.data[1:]; return r.data }
 
 // Good is the clean pair: same fields, same order, bytes threaded through.
 type Good struct{ A, B uint64 }
@@ -26,9 +26,9 @@ func (g Good) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func (g *Good) ParseBinary(data []byte) error {
-	g.A, data = getU64(data)
-	g.B, data = getU64(data)
+func (g *Good) ParseBinary(r Reader) error {
+	g.A = getU64(&r)
+	g.B = getU64(&r)
 	return nil
 }
 
@@ -41,8 +41,8 @@ func (d Dropped) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func (d *Dropped) ParseBinary(data []byte) error { // want "Dropped.ParseBinary never reads field B"
-	d.A, data = getU64(data)
+func (d *Dropped) ParseBinary(r Reader) error { // want "Dropped.ParseBinary never reads field B"
+	d.A = getU64(&r)
 	return nil
 }
 
@@ -54,9 +54,9 @@ func (ph Phantom) AppendBinary(dst []byte) ([]byte, error) { // want "Phantom.Ap
 	return putU64(dst, ph.A), nil
 }
 
-func (ph *Phantom) ParseBinary(data []byte) error {
-	ph.A, data = getU64(data)
-	ph.B, data = getU64(data)
+func (ph *Phantom) ParseBinary(r Reader) error {
+	ph.A = getU64(&r)
+	ph.B = getU64(&r)
 	return nil
 }
 
@@ -69,9 +69,9 @@ func (s Swapped) AppendBinary(dst []byte) ([]byte, error) { // want "Swapped fie
 	return dst, nil
 }
 
-func (s *Swapped) ParseBinary(data []byte) error {
-	s.B, data = getU64(data)
-	s.A, data = getU64(data)
+func (s *Swapped) ParseBinary(r Reader) error {
+	s.B = getU64(&r)
+	s.A = getU64(&r)
 	return nil
 }
 
@@ -86,13 +86,13 @@ func (b Bare) AppendBinary(dst []byte) ([]byte, error) { // want "exported field
 	return putU64(dst, b.A), nil
 }
 
-func (b *Bare) ParseBinary(data []byte) error {
-	b.A, data = getU64(data)
+func (b *Bare) ParseBinary(r Reader) error {
+	b.A = getU64(&r)
 	return nil
 }
 
 // Leaky discards helper results on both sides: the appender drops encoded
-// bytes; the parse half is not checked (fabric.Reader owns the real cursor).
+// bytes; the parse half is not checked (the Reader owns the cursor).
 type Leaky struct{ A uint64 }
 
 func (l Leaky) AppendBinary(dst []byte) ([]byte, error) {
@@ -100,9 +100,9 @@ func (l Leaky) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func (l *Leaky) ParseBinary(data []byte) error {
-	l.A, data = getU64(data)
-	skipPad(data) // not flagged
+func (l *Leaky) ParseBinary(r Reader) error {
+	l.A = getU64(&r)
+	skipPad(&r) // not flagged
 	return nil
 }
 
@@ -116,8 +116,8 @@ func (dt Detached) AppendBinary(dst []byte) ([]byte, error) {
 	return buf, nil // want "returns a slice not derived from dst"
 }
 
-func (dt *Detached) ParseBinary(data []byte) error {
-	dt.A, data = getU64(data)
+func (dt *Detached) ParseBinary(r Reader) error {
+	dt.A = getU64(&r)
 	return nil
 }
 
@@ -129,9 +129,9 @@ func (sh Shared) AppendBinary(dst []byte) ([]byte, error) {
 	return putShared(dst, &sh), nil
 }
 
-func (sh *Shared) ParseBinary(data []byte) error {
-	sh.getA(data[:1])
-	getB(data[1:], sh)
+func (sh *Shared) ParseBinary(r Reader) error {
+	sh.getA(&r)
+	getB(&r, sh)
 	return nil
 }
 
@@ -140,9 +140,9 @@ func putShared(dst []byte, sh *Shared) []byte {
 	return putU64(dst, sh.B)
 }
 
-func (sh *Shared) getA(data []byte) { sh.A, _ = getU64(data) }
+func (sh *Shared) getA(r *Reader) { sh.A = getU64(r) }
 
-func getB(data []byte, sh *Shared) { sh.B, _ = getU64(data) }
+func getB(r *Reader, sh *Shared) { sh.B = getU64(r) }
 
 // SharedDropped's helper reads one field of the two its appender writes.
 type SharedDropped struct{ A, B uint64 }
@@ -152,12 +152,12 @@ func (sd SharedDropped) AppendBinary(dst []byte) ([]byte, error) {
 	return putU64(dst, sd.B), nil
 }
 
-func (sd *SharedDropped) ParseBinary(data []byte) error { // want "SharedDropped.ParseBinary never reads field B"
-	getDroppedA(data, sd)
+func (sd *SharedDropped) ParseBinary(r Reader) error { // want "SharedDropped.ParseBinary never reads field B"
+	getDroppedA(&r, sd)
 	return nil
 }
 
-func getDroppedA(data []byte, sd *SharedDropped) { sd.A, _ = getU64(data) }
+func getDroppedA(r *Reader, sd *SharedDropped) { sd.A = getU64(r) }
 
 // Pinned shows a justified suppression: Legacy is deliberately write-only
 // compatibility padding, and an ignore with a reason silences the finding.
@@ -173,8 +173,8 @@ func (pn Pinned) AppendBinary(dst []byte) ([]byte, error) {
 // the wire, new state ignores them.
 //
 //lint:ignore wire-compat fixture: Legacy is write-only compatibility padding
-func (pn *Pinned) ParseBinary(data []byte) error {
-	pn.A, data = getU64(data)
-	data = skipPad(data)
+func (pn *Pinned) ParseBinary(r Reader) error {
+	pn.A = getU64(&r)
+	skipPad(&r)
 	return nil
 }

@@ -13,22 +13,24 @@ import (
 // types: any named type with both halves of the fabric contract —
 //
 //	AppendBinary(dst []byte) ([]byte, error)
-//	ParseBinary(data []byte) error
+//	ParseBinary(r Reader) error
 //
 // (matched structurally, so fixtures and future packages need no fabric
-// import) — must touch the same receiver fields in the same order on both
-// sides. A struct field added for durability that AppendBinary encodes but
-// ParseBinary never reads back vanishes on the wire; one that ParseBinary
-// populates but AppendBinary never writes decodes to garbage the moment
-// replicas disagree about it; an exported field neither side touches is
-// silently absent from the format. On top of the field symmetry, a
-// derived-slice taint over the appender proves the bytes actually thread
-// through: AppendBinary must return a slice derived from dst, and a
-// discarded Append* result (an expression statement returning []byte)
-// means encoded bytes were dropped. The parse half has no such check: a
-// ParseBinary reads through a fabric.Reader, which owns the cursor. A half
-// that hands its receiver on to a module helper (a walk shared with nested
-// values of the type) is checked through the helper's mentions of it.
+// import: the parser's one parameter is any named type called Reader, taken
+// by value as fabric.BinaryParser takes it) — must touch the same receiver
+// fields in the same order on both sides. A struct field added for
+// durability that AppendBinary encodes but ParseBinary never reads back
+// vanishes on the wire; one that ParseBinary populates but AppendBinary
+// never writes decodes to garbage the moment replicas disagree about it; an
+// exported field neither side touches is silently absent from the format.
+// On top of the field symmetry, a derived-slice taint over the appender
+// proves the bytes actually thread through: AppendBinary must return a
+// slice derived from dst, and a discarded Append* result (an expression
+// statement returning []byte) means encoded bytes were dropped. The parse
+// half has no such check: a ParseBinary reads through a fabric.Reader,
+// which owns the cursor. A half that hands its receiver on to a module
+// helper (a walk shared with nested values of the type) is checked through
+// the helper's mentions of it.
 func WireCompat() *Analyzer {
 	return &Analyzer{
 		Name: "wire-compat",
@@ -37,7 +39,7 @@ func WireCompat() *Analyzer {
 	}
 }
 
-// wirePair is one type implementing both halves.
+// wirePair is one type implementing either half, or both.
 type wirePair struct {
 	typ *types.TypeName
 	app *modFunc
@@ -45,8 +47,20 @@ type wirePair struct {
 }
 
 func runWireCompat(m *Module) []Diagnostic {
+	var out []Diagnostic
+	for _, wp := range wirePairs(m) {
+		if wp.app == nil || wp.par == nil || !inModuleScope(wp.app.pkg.Path) {
+			continue
+		}
+		out = append(out, checkWirePair(m, wp)...)
+	}
+	return out
+}
+
+// wirePairs collects every named type with either half of the contract, in
+// package-path and name order; a type missing one half has a nil there.
+func wirePairs(m *Module) []*wirePair {
 	pairs := make(map[types.Object]*wirePair)
-	var order []types.Object
 	for _, mf := range m.byName {
 		if mf.decl.Recv == nil {
 			continue
@@ -65,7 +79,7 @@ func runWireCompat(m *Module) []Diagnostic {
 				half = 1
 			}
 		case "ParseBinary":
-			if sig.Params().Len() == 1 && isByteSlice(sig.Params().At(0).Type()) &&
+			if sig.Params().Len() == 1 && isReaderType(sig.Params().At(0).Type()) &&
 				sig.Results().Len() == 1 && isErrorType(sig.Results().At(0).Type()) {
 				half = 2
 			}
@@ -86,7 +100,6 @@ func runWireCompat(m *Module) []Diagnostic {
 		if wp == nil {
 			wp = &wirePair{typ: tn}
 			pairs[tn] = wp
-			order = append(order, tn)
 		}
 		if half == 1 {
 			wp.app = mf
@@ -94,19 +107,14 @@ func runWireCompat(m *Module) []Diagnostic {
 			wp.par = mf
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := pairs[order[i]], pairs[order[j]]
+	out := make([]*wirePair, 0, len(pairs))
+	for _, wp := range pairs {
+		out = append(out, wp)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
 		return a.typ.Pkg().Path()+"."+a.typ.Name() < b.typ.Pkg().Path()+"."+b.typ.Name()
 	})
-
-	var out []Diagnostic
-	for _, tn := range order {
-		wp := pairs[tn]
-		if wp.app == nil || wp.par == nil || !inModuleScope(wp.app.pkg.Path) {
-			continue
-		}
-		out = append(out, checkWirePair(m, wp)...)
-	}
 	return out
 }
 
@@ -247,6 +255,13 @@ func checkSliceThreading(mf *modFunc) []Diagnostic {
 }
 
 // --- helpers -------------------------------------------------------------
+
+// isReaderType reports whether t is a named type called Reader, the shape
+// of fabric.Reader that ParseBinary takes by value.
+func isReaderType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Reader"
+}
 
 // recvObject is the receiver variable's object, or nil for _ receivers.
 func recvObject(mf *modFunc) types.Object {

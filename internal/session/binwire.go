@@ -60,8 +60,7 @@ func (m MsgJoin) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgJoin) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgJoin) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.From = r.String()
 	m.Since = r.Uvarint()
@@ -81,8 +80,7 @@ func (m MsgJoinAck) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgJoinAck) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgJoinAck) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.Mode = Mode(r.Uvarint())
 	if n := r.Count("members", 1); n > 0 { // an empty name is one byte
@@ -104,8 +102,7 @@ func (m MsgPost) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgPost) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgPost) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.From = r.String()
 	m.Kind = r.String()
@@ -120,8 +117,7 @@ func (m MsgItems) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgItems) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgItems) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.Items = readItems(&r)
 	return r.Done(tagItems)
@@ -135,8 +131,7 @@ func (m MsgPoll) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgPoll) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgPoll) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.From = r.String()
 	m.Since = r.Uvarint()
@@ -150,8 +145,7 @@ func (m MsgMode) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgMode) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgMode) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.Mode = Mode(r.Uvarint())
 	return r.Done(tagMode)
@@ -165,8 +159,7 @@ func (m MsgPresence) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgPresence) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgPresence) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.From = r.String()
 	m.State = Presence(r.Uvarint())
@@ -180,8 +173,7 @@ func (m MsgLeave) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // ParseBinary implements fabric.BinaryParser.
-func (m *MsgLeave) ParseBinary(data []byte) error {
-	r := fabric.NewReader(data)
+func (m *MsgLeave) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.From = r.String()
 	return r.Done(tagLeave)
