@@ -137,11 +137,9 @@ func OTBench(clients int) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := cs[i%clients]
-			var op ot.Op
+			op := ot.Op{Kind: ot.Delete, Site: c.ID()}
 			if i%2 == 0 {
-				op = ot.Insertions(c.ID(), 0, "x")[0]
-			} else {
-				op = ot.Deletions(c.ID(), 0, 1)[0]
+				op = ot.Op{Kind: ot.Insert, Ch: 'x', Site: c.ID()}
 			}
 			sub, send, err := c.Generate(op)
 			if err != nil {

@@ -64,7 +64,8 @@ type otDoc struct {
 
 	cl       *ot.Client // client sites only
 	hold     map[int]ot.Committed
-	inflight *ot.Submission // unacknowledged submission, resent on Tick
+	inflight ot.Submission // unacknowledged submission, resent on Tick
+	unacked  bool          // inflight holds a submission
 }
 
 func newOTDoc(doc, site, server string) *otDoc {
@@ -125,8 +126,7 @@ func (d *otDoc) edit(op ot.Op) ([]Msg, error) {
 	if !send {
 		return nil, nil // buffered behind the in-flight submission
 	}
-	s := sub // a copy declared here escapes only when a submission is sent
-	d.inflight = &s
+	d.inflight, d.unacked = sub, true
 	return []Msg{{To: d.server, Body: &MsgSubmit{Doc: d.doc, Sub: sub}, Size: subSize(sub)}}, nil
 }
 
@@ -196,11 +196,10 @@ func (d *otDoc) applyCommits(cs ...ot.Committed) ([]Msg, error) {
 			return out, err
 		}
 		if cm.Site == d.site {
-			d.inflight = nil
+			d.unacked = false
 		}
 		if send {
-			n := next
-			d.inflight = &n
+			d.inflight, d.unacked = next, true
 			out = append(out, Msg{To: d.server, Body: &MsgSubmit{Doc: d.doc, Sub: next}, Size: subSize(next)})
 		}
 	}
@@ -214,8 +213,8 @@ func (d *otDoc) Tick() []Msg {
 		return nil
 	}
 	var out []Msg
-	if d.inflight != nil {
-		out = append(out, Msg{To: d.server, Body: &MsgSubmit{Doc: d.doc, Sub: *d.inflight}, Size: subSize(*d.inflight)})
+	if d.unacked {
+		out = append(out, Msg{To: d.server, Body: &MsgSubmit{Doc: d.doc, Sub: d.inflight}, Size: subSize(d.inflight)})
 	}
 	out = append(out, Msg{To: d.server, Body: &MsgPull{Doc: d.doc, Base: d.cl.Base()}, Size: 24})
 	return out

@@ -26,11 +26,12 @@ type Committed struct {
 var ErrBadRevision = errors.New("ot: bad base revision")
 
 // Server is the central integration point. It holds the authoritative
-// document and the committed history.
+// document, edited in place by each submission, and one commit log: log[i]
+// is the commit that made revision i+1, the transform context of later
+// submissions and the source of resync pulls.
 type Server struct {
-	doc     []rune
-	history []Op        // committed ops, index i == revision i+1
-	log     []Committed // the same commits with site/seq, for resync
+	doc []rune
+	log []Committed
 }
 
 // NewServer creates a server with the initial document.
@@ -42,24 +43,25 @@ func NewServer(initial string) *Server {
 func (s *Server) Text() string { return string(s.doc) }
 
 // Rev returns the current revision (number of committed operations).
-func (s *Server) Rev() int { return len(s.history) }
+func (s *Server) Rev() int { return len(s.log) }
 
 // Submit integrates an operation generated against revision base: it is
 // transformed against everything committed since, applied, and returned in
 // committed form for broadcast to all clients (including the sender, as its
 // acknowledgement).
 func (s *Server) Submit(op Op, base int, site string, seq uint64) (Committed, error) {
-	if base < 0 || base > len(s.history) {
-		return Committed{}, fmt.Errorf("%w: %d (rev %d)", ErrBadRevision, base, len(s.history))
+	if base < 0 || base > len(s.log) {
+		return Committed{}, fmt.Errorf("%w: %d (rev %d)", ErrBadRevision, base, len(s.log))
 	}
-	op = TransformAgainst(op, s.history[base:])
+	for _, h := range s.log[base:] {
+		op = Transform(op, h.Op)
+	}
 	doc, err := Apply(s.doc, op)
 	if err != nil {
 		return Committed{}, fmt.Errorf("server apply: %w", err)
 	}
 	s.doc = doc
-	s.history = append(s.history, op)
-	cm := Committed{Op: op, Rev: len(s.history), Site: site, Seq: seq}
+	cm := Committed{Op: op, Rev: len(s.log) + 1, Site: site, Seq: seq}
 	s.log = append(s.log, cm)
 	return cm, nil
 }
@@ -148,36 +150,41 @@ func (c *Client) Generate(op Op) (sub Submission, send bool, err error) {
 // Integrate consumes the next committed operation from the server (clients
 // must see commits in revision order). When the commit acknowledges this
 // client's in-flight operation and more are buffered, the next submission
-// is returned with send=true.
+// is returned with send=true. A commit that returns an error leaves the
+// client unchanged.
 func (c *Client) Integrate(cm Committed) (next Submission, send bool, err error) {
 	if cm.Rev != c.base+1 {
 		return Submission{}, false, fmt.Errorf("ot: out-of-order commit rev %d at base %d", cm.Rev, c.base)
 	}
-	c.base = cm.Rev
 	if cm.Site == c.id {
 		// Acknowledgement of our in-flight op.
 		if len(c.pending) == 0 || c.pending[0].seq != cm.Seq {
 			return Submission{}, false, fmt.Errorf("ot: unexpected ack seq %d", cm.Seq)
 		}
-		c.pending = c.pending[1:]
+		c.base = cm.Rev
+		c.pending = append(c.pending[:0], c.pending[1:]...) // keeps the backing array for Generate
 		if len(c.pending) > 0 {
 			p := c.pending[0]
 			return Submission{Op: p.op, Base: c.base, Site: c.id, Seq: p.seq}, true, nil
 		}
 		return Submission{}, false, nil
 	}
-	// Transform the incoming op over our pending ops, and our pending ops
-	// over the incoming op (the Jupiter bridge).
+	// Transform the incoming op over our pending ops and apply it; only
+	// then transform our pending ops over the incoming op (the Jupiter
+	// bridge), so a commit that does not apply changes nothing.
 	op := cm.Op
-	for i := range c.pending {
-		newOp := Transform(op, c.pending[i].op)
-		c.pending[i].op = Transform(c.pending[i].op, op)
-		op = newOp
+	for _, p := range c.pending {
+		op = Transform(op, p.op)
 	}
 	doc, err := Apply(c.doc, op)
 	if err != nil {
 		return Submission{}, false, fmt.Errorf("integrate %v: %w", op, err)
 	}
 	c.doc = doc
+	c.base = cm.Rev
+	op = cm.Op
+	for i := range c.pending {
+		op, c.pending[i].op = Transform(op, c.pending[i].op), Transform(c.pending[i].op, op)
+	}
 	return Submission{}, false, nil
 }

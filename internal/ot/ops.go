@@ -24,6 +24,7 @@ package ot
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Kind is the operation type.
@@ -79,26 +80,21 @@ func (o Op) String() string {
 // document.
 var ErrOutOfRange = errors.New("ot: operation position out of range")
 
-// Apply executes op on doc and returns the new document.
+// Apply executes op on doc in place and returns the result. Like append,
+// it may reuse doc's storage: callers keep the result and must not use doc
+// afterwards. On any error doc is returned unchanged.
 func Apply(doc []rune, op Op) ([]rune, error) {
 	switch op.Kind {
 	case Insert:
 		if op.Pos < 0 || op.Pos > len(doc) {
 			return doc, fmt.Errorf("%w: insert at %d, len %d", ErrOutOfRange, op.Pos, len(doc))
 		}
-		out := make([]rune, 0, len(doc)+1)
-		out = append(out, doc[:op.Pos]...)
-		out = append(out, op.Ch)
-		out = append(out, doc[op.Pos:]...)
-		return out, nil
+		return slices.Insert(doc, op.Pos, op.Ch), nil
 	case Delete:
 		if op.Pos < 0 || op.Pos >= len(doc) {
 			return doc, fmt.Errorf("%w: delete at %d, len %d", ErrOutOfRange, op.Pos, len(doc))
 		}
-		out := make([]rune, 0, len(doc)-1)
-		out = append(out, doc[:op.Pos]...)
-		out = append(out, doc[op.Pos+1:]...)
-		return out, nil
+		return slices.Delete(doc, op.Pos, op.Pos+1), nil
 	case Noop:
 		return doc, nil
 	default:
@@ -140,15 +136,6 @@ func Transform(a, b Op) Op {
 		}
 	}
 	return a
-}
-
-// TransformAgainst transforms op against each operation in history, in
-// order.
-func TransformAgainst(op Op, history []Op) Op {
-	for _, h := range history {
-		op = Transform(op, h)
-	}
-	return op
 }
 
 // Insertions converts a string edit into character insert ops starting at

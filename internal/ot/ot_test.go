@@ -2,6 +2,7 @@ package ot
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -82,7 +83,8 @@ func TestQuickTP1(t *testing.T) {
 		a := genOp(ka, pa, ca, len(doc), "site1")
 		b := genOp(kb, pb, cb, len(doc), "site2")
 
-		d1, err1 := Apply(doc, a)
+		// Apply edits in place, so each branch starts from its own copy.
+		d1, err1 := Apply(slices.Clone(doc), a)
 		if err1 != nil {
 			return false
 		}
@@ -90,7 +92,7 @@ func TestQuickTP1(t *testing.T) {
 		if err1 != nil {
 			return false
 		}
-		d2, err2 := Apply(doc, b)
+		d2, err2 := Apply(slices.Clone(doc), b)
 		if err2 != nil {
 			return false
 		}
@@ -121,6 +123,70 @@ func TestInsertionsDeletions(t *testing.T) {
 	dels := Deletions("s", 1, 2)
 	if len(dels) != 2 || dels[0].Pos != 1 || dels[1].Pos != 1 {
 		t.Errorf("Deletions = %v", dels)
+	}
+}
+
+// applyCopy is the reference Apply: it builds a new document and never
+// touches doc.
+func applyCopy(doc []rune, op Op) []rune {
+	out := make([]rune, 0, len(doc)+1)
+	switch op.Kind {
+	case Insert:
+		out = append(append(append(out, doc[:op.Pos]...), op.Ch), doc[op.Pos:]...)
+	case Delete:
+		out = append(append(out, doc[:op.Pos]...), doc[op.Pos+1:]...)
+	default:
+		out = append(out, doc...)
+	}
+	return out
+}
+
+// TestApplyInPlace runs random op sequences over random documents, some
+// with spare capacity so that inserts reuse the storage, and checks the
+// in-place Apply against the copying reference after every op. Every so
+// often it also applies an out-of-range op, which must fail and leave the
+// document, its length and its storage untouched.
+func TestApplyInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(12)
+		doc := make([]rune, n, n+rng.Intn(4))
+		for i := range doc {
+			doc[i] = rune('A' + rng.Intn(26))
+		}
+		want := slices.Clone(doc)
+		for step := 0; step < 40; step++ {
+			if rng.Intn(5) == 0 {
+				bad := Op{Kind: Delete, Pos: len(doc) + rng.Intn(3)}
+				switch rng.Intn(3) {
+				case 0:
+					bad = Op{Kind: Insert, Pos: len(doc) + 1 + rng.Intn(3), Ch: 'z'}
+				case 1:
+					bad.Pos = -1 - rng.Intn(3)
+				}
+				before := slices.Clone(doc[:cap(doc)])
+				got, err := Apply(doc, bad)
+				if err == nil {
+					t.Fatalf("trial %d: %v on %q did not fail", trial, bad, string(doc))
+				}
+				if len(got) != len(doc) || cap(got) != cap(doc) || !slices.Equal(doc[:cap(doc)], before) {
+					t.Fatalf("trial %d: failed %v changed the document", trial, bad)
+				}
+				continue
+			}
+			op := Op{Kind: Noop}
+			if rng.Intn(8) > 0 {
+				op = randomOp(rng, len(doc), "s")
+			}
+			want = applyCopy(want, op)
+			var err error
+			if doc, err = Apply(doc, op); err != nil {
+				t.Fatalf("trial %d: %v: %v", trial, op, err)
+			}
+			if !slices.Equal(doc, want) {
+				t.Fatalf("trial %d step %d: %v gave %q, want %q", trial, step, op, string(doc), string(want))
+			}
+		}
 	}
 }
 
@@ -384,6 +450,94 @@ func TestClientOutOfOrderCommit(t *testing.T) {
 	cm := Committed{Op: Op{Kind: Insert, Pos: 0, Ch: 'a', Site: "other"}, Rev: 5, Site: "other"}
 	if _, _, err := c.Integrate(cm); err == nil {
 		t.Error("out-of-order commit should fail")
+	}
+}
+
+// TestClientIntegrateAllOrNothing feeds a client two commits it must
+// refuse — an ack whose seq is not the one in flight, and foreign commits
+// whose op lies outside the document (the negative one would shift the
+// pending insert if the bridge ran before the apply) — and checks that none
+// moves the client: base, text and pending ops stay as they were, and the
+// correct next commit still integrates.
+func TestClientIntegrateAllOrNothing(t *testing.T) {
+	srv := NewServer("abc")
+	c := NewClient("c", srv)
+	sub, _, err := c.Generate(Op{Kind: Insert, Pos: 1, Ch: 'x'})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, send, err := c.Generate(Op{Kind: Delete, Pos: 3}); send || err != nil {
+		t.Fatalf("second op: send=%v err=%v", send, err)
+	}
+	state := func() (int, string, int, []pendingOp) {
+		return c.Base(), c.Text(), c.PendingCount(), slices.Clone(c.pending)
+	}
+	base, text, n, pending := state()
+	for _, bad := range []Committed{
+		{Op: sub.Op, Rev: 1, Site: "c", Seq: sub.Seq + 1},
+		{Op: Op{Kind: Delete, Pos: 9, Site: "d"}, Rev: 1, Site: "d", Seq: 1},
+		{Op: Op{Kind: Delete, Pos: -1, Site: "d"}, Rev: 1, Site: "d", Seq: 1},
+	} {
+		if _, _, err := c.Integrate(bad); err == nil {
+			t.Fatalf("Integrate(%+v) succeeded", bad)
+		}
+		b, tx, k, p := state()
+		if b != base || tx != text || k != n || !slices.Equal(p, pending) {
+			t.Fatalf("Integrate(%+v) moved the client: base %d→%d, text %q→%q, pending %v→%v",
+				bad, base, b, text, tx, pending, p)
+		}
+	}
+	// A foreign commit, then the ack, integrate as if nothing had failed.
+	if _, err := srv.Submit(Op{Kind: Insert, Pos: 0, Ch: 'y', Site: "d"}, 0, "d", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Submit(sub.Op, sub.Base, sub.Site, sub.Seq); err != nil {
+		t.Fatal(err)
+	}
+	for _, cm := range srv.CommittedSince(0) {
+		next, send, err := c.Integrate(cm)
+		if err != nil {
+			t.Fatalf("Integrate(%+v): %v", cm, err)
+		}
+		if send {
+			if _, err := srv.Submit(next.Op, next.Base, next.Site, next.Seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, _, err := c.Integrate(srv.CommittedSince(2)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if c.Text() != srv.Text() || c.Text() != "yaxb" || c.PendingCount() != 0 {
+		t.Fatalf("client %q (pending %d), server %q, want yaxb", c.Text(), c.PendingCount(), srv.Text())
+	}
+}
+
+// TestClientSteadyStateAllocs pins a keystroke cycle at a client — a local
+// op, its ack, and a foreign op — at zero allocations once warm: the
+// document is edited in place (it oscillates between "ab" and "xab") and
+// the pending queue keeps its backing array across acks.
+func TestClientSteadyStateAllocs(t *testing.T) {
+	c := NewClient("c", NewServer("ab"))
+	cycle := func() {
+		sub, send, err := c.Generate(Op{Kind: Insert, Pos: 0, Ch: 'x'})
+		if err != nil || !send {
+			t.Fatalf("generate: send=%v err=%v", send, err)
+		}
+		if _, _, err := c.Integrate(Committed{Op: sub.Op, Rev: c.Base() + 1, Site: "c", Seq: sub.Seq}); err != nil {
+			t.Fatal(err)
+		}
+		del := Op{Kind: Delete, Pos: 0, Site: "d"}
+		if _, _, err := c.Integrate(Committed{Op: del, Rev: c.Base() + 1, Site: "d", Seq: sub.Seq}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm-up: the document and the pending queue reach their size
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a Generate/ack/foreign cycle allocates %v objects, want 0", n)
+	}
+	if c.Text() != "ab" || c.PendingCount() != 0 {
+		t.Fatalf("text %q, pending %d", c.Text(), c.PendingCount())
 	}
 }
 
