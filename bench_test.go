@@ -104,14 +104,21 @@ func BenchmarkFabricSendRecv(b *testing.B) {
 			return []fabric.Middleware{fabric.Tap(nil, nil), fabric.Tap(nil, nil), fabric.Tap(nil, nil)}
 		})
 	})
-	// Over the byte-oriented hub the codec is in the path (allocs/op is the
-	// figure to watch).
-	b.Run("hub-binary", func(b *testing.B) {
+	// Over loopback TCP the codec and the socket are in the path (allocs/op
+	// is the figure to watch).
+	b.Run("tcp-binary", func(b *testing.B) {
 		codec := session.NewWireCodec()
 		fabric.RegisterBase(codec)
-		hub := transport.NewHub()
-		src := fabric.FromTransport(hub.MustAttach("a"), codec)
-		dst := fabric.FromTransport(hub.MustAttach("b"), codec)
+		book := transport.NewAddressBook()
+		var eps [2]*fabric.TransportEndpoint
+		for i, id := range []string{"a", "b"} {
+			tep, err := transport.ListenTCP(id, "127.0.0.1:0", book)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eps[i] = fabric.FromTransport(tep, codec)
+		}
+		src, dst := eps[0], eps[1]
 		var recv atomic.Uint64
 		dst.SetHandler(func(from string, payload any, size int) { recv.Add(1) })
 		payload := &session.MsgPost{Doc: "doc-7", From: "a", Kind: "edit", Body: "the quick brown fox"}

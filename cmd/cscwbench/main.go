@@ -103,7 +103,7 @@ func run(args []string) error {
 	add("codec_binary_roundtrip", bench.CodecRoundTripBench(reg, payload))
 	add("codec_group_packet_roundtrip", bench.GroupPacketRoundTripBench())
 	if !*quick {
-		add("fabric_hub_send_recv_binary", hubSendRecv(reg))
+		add("fabric_tcp_send_recv_binary", tcpSendRecv(reg))
 	}
 
 	// Topology-engine scale rows: the send+deliver hot path and the cut-set
@@ -199,14 +199,21 @@ func lintWall() func(b *testing.B) {
 	}
 }
 
-// hubSendRecv prices one message through the full byte-transport path: a
-// typed payload framed by the codec, carried over the in-memory hub,
+// tcpSendRecv prices one message through the full byte-transport path: a
+// typed payload framed by the codec, written to a loopback TCP connection,
 // decoded and delivered on the far side.
-func hubSendRecv(codec *fabric.Codec) func(b *testing.B) {
+func tcpSendRecv(codec *fabric.Codec) func(b *testing.B) {
 	return func(b *testing.B) {
-		hub := transport.NewHub()
-		src := fabric.FromTransport(hub.MustAttach("a"), codec)
-		dst := fabric.FromTransport(hub.MustAttach("b"), codec)
+		book := transport.NewAddressBook()
+		var eps [2]*fabric.TransportEndpoint
+		for i, id := range []string{"a", "b"} {
+			tep, err := transport.ListenTCP(id, "127.0.0.1:0", book)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eps[i] = fabric.FromTransport(tep, codec)
+		}
+		src, dst := eps[0], eps[1]
 		var recv atomic.Uint64
 		dst.SetHandler(func(from string, payload any, size int) { recv.Add(1) })
 		payload := &session.MsgPost{Doc: "doc-7", From: "a", Kind: "edit", Body: "the quick brown fox"}
@@ -217,7 +224,7 @@ func hubSendRecv(codec *fabric.Codec) func(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		// Hub delivery drains on a goroutine; wait for the last frame.
+		// The peer's reader delivers on its own goroutine; wait for the last frame.
 		for recv.Load() < uint64(b.N) {
 			time.Sleep(20 * time.Microsecond)
 		}

@@ -2,10 +2,10 @@ package repro
 
 // Cross-substrate parity: the same cooperative scenario — a totally
 // observable group multicast plus a session edit exchange — is run once
-// over the simulator (fabric.FromSim) and once over the in-memory byte
-// transport (fabric.FromTransport + the wire codec). The fabric seam promises
-// the layers above cannot tell the difference: delivery orders and final
-// document state must match exactly.
+// over the simulator (fabric.FromSim) and once over loopback TCP
+// (fabric.FromTransport + the wire codec), the substrate that ships. The
+// fabric seam promises the layers above cannot tell the difference: delivery
+// orders and final document state must match exactly.
 
 import (
 	"fmt"
@@ -32,7 +32,7 @@ type parityResult struct {
 // paritySubstrate abstracts the two fabrics under test.
 type paritySubstrate struct {
 	endpoint func(id string) fabric.Endpoint
-	// settle blocks until cond holds (netsim: drain virtual time; hub: poll
+	// settle blocks until cond holds (netsim: drain virtual time; TCP: poll
 	// real time with a deadline).
 	settle func(t *testing.T, what string, cond func() bool)
 }
@@ -165,21 +165,35 @@ func TestFabricSubstrateParity(t *testing.T) {
 		},
 	}
 
-	// Substrate 2: in-memory byte transport with the shared wire codec.
-	hub := transport.NewHub()
+	// Substrate 2: loopback TCP with the shared wire codec. The group
+	// members and the host listen; the session clients only dial, as
+	// cscwctl does, and are answered on the connections they open.
+	book := transport.NewAddressBook()
 	codec := fabric.NewCodec()
 	group.RegisterWire(codec)
 	session.RegisterWire(codec)
-	overMem := paritySubstrate{
+	overTCP := paritySubstrate{
 		endpoint: func(id string) fabric.Endpoint {
-			return fabric.FromTransport(hub.MustAttach(id), codec)
+			var tep *transport.TCPEndpoint
+			var err error
+			if id == "alice" || id == "bob" {
+				tep, err = transport.DialTCP(id, book)
+			} else {
+				tep, err = transport.ListenTCP(id, "127.0.0.1:0", book)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep := fabric.FromTransport(tep, codec)
+			t.Cleanup(func() { ep.Close() })
+			return ep
 		},
 		settle: func(t *testing.T, what string, cond func() bool) {
 			t.Helper()
 			deadline := time.Now().Add(5 * time.Second)
 			for !cond() {
 				if time.Now().After(deadline) {
-					t.Fatalf("hub: %s never settled", what)
+					t.Fatalf("tcp: %s never settled", what)
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -187,10 +201,10 @@ func TestFabricSubstrateParity(t *testing.T) {
 	}
 
 	got := runParityScenario(t, overSim)
-	want := runParityScenario(t, overMem)
+	want := runParityScenario(t, overTCP)
 
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("substrates diverged:\n netsim: %+v\n    mem: %+v", got, want)
+		t.Errorf("substrates diverged:\n netsim: %+v\n    tcp: %+v", got, want)
 	}
 	// And the scenario itself did what it claims.
 	wantOrder := []string{"g0:edit-1", "g0:edit-2", "g1:edit-3"}

@@ -125,6 +125,53 @@ func TestSequenceMergeState(t *testing.T) {
 	}
 }
 
+// TestSequenceMergeStateAllOrNothing: a state whose third element names an
+// unknown reference is rejected before any element integrates, so the
+// replica's text, length, vector and held ops are as they were, and the
+// uncorrupted state merges afterwards.
+func TestSequenceMergeStateAllOrNothing(t *testing.T) {
+	s, peer, h := NewSequence("s"), NewSequence("p"), NewSequence("h")
+	if _, err := s.Insert(0, 'a'); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Insert(0, '1'); err != nil {
+		t.Fatal(err)
+	}
+	gap, err := h.Insert(1, '2')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(gap); err != nil { // held: h's first op is missing
+		t.Fatal(err)
+	}
+	for i, ch := range "xyz" {
+		if _, err := peer.Insert(i, ch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text, n, vv, held := s.Text(), s.Len(), s.VV(), s.Held()
+
+	bad := peer.State()
+	bad.Nodes[2].After = ID{N: 99, Site: "ghost"}
+	if err := s.MergeState(bad); err == nil {
+		t.Fatal("a state with an unknown reference was accepted")
+	}
+	if s.Text() != text || s.Len() != n || !reflect.DeepEqual(s.VV(), vv) || s.Held() != held {
+		t.Fatalf("rejected merge changed the replica: text %q len %d vv %v held %d, want %q %d %v %d",
+			s.Text(), s.Len(), s.VV(), s.Held(), text, n, vv, held)
+	}
+
+	if err := s.MergeState(peer.State()); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.MergeState(s.State()); err != nil {
+		t.Fatal(err)
+	}
+	if s.Text() != peer.Text() || s.Len() != 4 || s.Held() != held {
+		t.Fatalf("after the valid merge: %q vs %q, len %d, held %d", s.Text(), peer.Text(), s.Len(), s.Held())
+	}
+}
+
 func TestSetAddWins(t *testing.T) {
 	a, b := NewSet("a"), NewSet("b")
 	add := a.Add("doc")

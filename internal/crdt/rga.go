@@ -246,16 +246,21 @@ func (s *Sequence) State() *SeqState {
 // merge, after which held ops the state subsumed drain as duplicates. The
 // join is idempotent, commutative and associative. A state whose element
 // references an insert reference absent from both the state prefix and
-// this replica is corrupt and rejected.
+// this replica is corrupt and rejected whole: the replica is left as it was.
 func (s *Sequence) MergeState(st *SeqState) error {
+	prefix := make(map[ID]bool) // the state's elements this replica lacks, so far
+	for _, n := range st.Nodes {
+		if _, ok := s.index[n.ID]; ok {
+			continue
+		}
+		if _, ok := s.index[n.After]; !ok && !n.After.IsZero() && !prefix[n.After] {
+			return fmt.Errorf("crdt: state element %v references unknown element %v", n.ID, n.After)
+		}
+		prefix[n.ID] = true
+	}
 	for _, n := range st.Nodes {
 		i, ok := s.index[n.ID]
 		if !ok {
-			if !n.After.IsZero() {
-				if _, ok := s.index[n.After]; !ok {
-					return fmt.Errorf("crdt: state element %v references unknown element %v", n.ID, n.After)
-				}
-			}
 			s.insertNode(n.ID, n.After, n.Ch)
 			i = s.index[n.ID]
 		}

@@ -53,23 +53,19 @@ type Config struct {
 	OnIntegrate   func(doc string, it session.Item, integrate func() []string)
 }
 
-// edge opens the TCP edge both sides share: codec → listener → fabric adapter.
-// Closing the returned endpoint closes the listener.
-func (cfg Config) edge(id, listen string, book *transport.AddressBook) (fabric.Endpoint, string, error) {
+// edge puts the fabric on a TCP endpoint both sides build the same way:
+// codec → seams → fabric adapter. Closing the result closes tep.
+func (cfg Config) edge(tep transport.Endpoint) fabric.Endpoint {
 	reg := session.NewWireCodec()
 	fabric.RegisterBase(reg)
 	var codec fabric.PayloadCodec = reg
 	if cfg.WrapCodec != nil {
 		codec = cfg.WrapCodec(codec)
 	}
-	tep, err := transport.ListenTCP(id, listen, book)
-	if err != nil {
-		return nil, "", err
-	}
 	if cfg.WrapTransport != nil {
-		return fabric.FromTransport(cfg.WrapTransport(tep), codec), tep.Addr(), nil
+		tep = cfg.WrapTransport(tep)
 	}
-	return fabric.FromTransport(tep, codec), tep.Addr(), nil
+	return fabric.Wrap(fabric.FromTransport(tep, codec), cfg.Middleware...)
 }
 
 // mode checks the daemon-side fields and resolves Mode.
@@ -162,18 +158,18 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep, addr, err := cfg.edge(hostID, cfg.Listen, transport.NewAddressBook())
+	tep, err := transport.ListenTCP(hostID, cfg.Listen, transport.NewAddressBook())
 	if err != nil {
 		return nil, err
 	}
-	ep = fabric.Wrap(ep, cfg.Middleware...)
+	ep := cfg.edge(tep)
 	// fabric.WallClock is the declared real-time boundary (cscwlint det-time).
 	host, err := NewHost(ep, fabric.WallClock(), cfg)
 	if err != nil {
 		_ = ep.Close() // cfg.mode passed above; its error is the one to report
 		return nil, err
 	}
-	return &Daemon{Host: host, Mode: mode, addr: addr, ep: ep}, nil
+	return &Daemon{Host: host, Mode: mode, addr: tep.Addr(), ep: ep}, nil
 }
 
 // Addr is the bound listen address (the port Listen ":0" resolved to).
@@ -185,9 +181,10 @@ func (d *Daemon) Serve(ctx context.Context) { <-ctx.Done() }
 // Close stops listening and drops every connection.
 func (d *Daemon) Close() error { return d.ep.Close() }
 
-// Participant is one cscwctl: a session client on its own TCP edge and, with
-// Engine set, a Pump holding its replica of Doc (nil for plain chat). Set the
-// Client's On* callbacks before Join and hand eng/op items to Deliver.
+// Participant is one cscwctl: a session client on a TCP edge that only dials
+// (it holds no listening socket) and, with Engine set, a Pump holding its
+// replica of Doc (nil for plain chat). Set the Client's On* callbacks before
+// Join and hand eng/op items to Deliver.
 type Participant struct {
 	Client *session.Client
 	*Pump
@@ -217,11 +214,11 @@ func Dial(cfg Config) (*Participant, error) {
 	}
 	book := transport.NewAddressBook()
 	book.Set(hostID, cfg.Host)
-	ep, _, err := cfg.edge(cfg.User, "127.0.0.1:0", book)
+	tep, err := transport.DialTCP(cfg.User, book)
 	if err != nil {
 		return nil, err
 	}
-	p.ep = fabric.Wrap(ep, cfg.Middleware...)
+	p.ep = cfg.edge(tep)
 	p.Client = session.NewClientForDoc(p.ep, hostID, cfg.Doc)
 	// The client runs OnJoined before the backlog's OnItem calls, so a join
 	// is over only when the handler that processed its ack returns.
@@ -251,5 +248,5 @@ func (p *Participant) Join(timeout time.Duration) error {
 	}
 }
 
-// Close releases the edge: listener, connections, readers.
+// Close releases the edge: the connection to the daemon and its reader.
 func (p *Participant) Close() error { return p.ep.Close() }

@@ -103,10 +103,17 @@ func TestBinaryRoundTripParity(t *testing.T) {
 // and counted in Dropped(), never delivered.
 func TestBinaryJSONInterop(t *testing.T) {
 	codec := fullRegistry()
-	hub := transport.NewHub()
-	raw := hub.MustAttach("json")
-	ep := fabric.FromTransport(hub.MustAttach("bin"), codec)
+	book := transport.NewAddressBook()
+	raw, err := transport.ListenTCP("json", "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer raw.Close()
+	bin, err := transport.ListenTCP("bin", "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := fabric.FromTransport(bin, codec)
 	defer ep.Close()
 	ep.SetHandler(func(from string, payload any, _ int) {
 		t.Errorf("endpoint delivered %T from %s", payload, from)

@@ -1,7 +1,7 @@
 // Package fabric is the single seam between the collaboration layers and
-// the messaging substrates. Every substrate — the discrete-event simulator
-// (netsim), the in-memory hub and the TCP transport (transport) — is adapted
-// to one Endpoint interface with a uniform (from, payload, size) delivery
+// the messaging substrates. Both substrates — the discrete-event simulator
+// (netsim) and the TCP transport (transport) — are adapted to one Endpoint
+// interface with a uniform (from, payload, size) delivery
 // shape, so group, session, stream, mobile and core code runs unchanged over
 // any of them. Middlewares (the tracing Tap and Logging) interpose on the
 // message path by wrapping an Endpoint; Wrap composes them into a chain.

@@ -234,11 +234,28 @@ func newTestCodec() *Codec {
 	return c
 }
 
+// loopback opens one TCP endpoint per id on an ephemeral loopback port, all
+// in one address book, each closed when the test ends.
+func loopback(t *testing.T, ids ...string) []*transport.TCPEndpoint {
+	t.Helper()
+	book := transport.NewAddressBook()
+	eps := make([]*transport.TCPEndpoint, len(ids))
+	for i, id := range ids {
+		ep, err := transport.ListenTCP(id, "127.0.0.1:0", book)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		eps[i] = ep
+	}
+	return eps
+}
+
 func TestFromTransportRoundTrip(t *testing.T) {
-	hub := transport.NewHub()
+	tcp := loopback(t, "a", "b")
 	c := newTestCodec()
-	a := FromTransport(hub.MustAttach("a"), c)
-	b := FromTransport(hub.MustAttach("b"), c)
+	a := FromTransport(tcp[0], c)
+	b := FromTransport(tcp[1], c)
 	defer a.Close()
 	defer b.Close()
 
@@ -262,17 +279,17 @@ func TestFromTransportRoundTrip(t *testing.T) {
 }
 
 func TestFromTransportBuffersBeforeHandler(t *testing.T) {
-	hub := transport.NewHub()
+	tcp := loopback(t, "a", "b")
 	c := newTestCodec()
-	a := FromTransport(hub.MustAttach("a"), c)
-	b := FromTransport(hub.MustAttach("b"), c)
+	a := FromTransport(tcp[0], c)
+	b := FromTransport(tcp[1], c)
 	defer a.Close()
 	defer b.Close()
 
 	if err := a.Send("b", &ping{N: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the frame has crossed the hub into b's inbox buffer.
+	// Wait until the frame has crossed the connection into b's inbox buffer.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		b.in.mu.Lock()
@@ -301,13 +318,13 @@ func TestFromTransportBuffersBeforeHandler(t *testing.T) {
 
 // TestFromTransportPayloadSnapshotAtSend: the codec encodes the payload when
 // Send is called, so mutating the object afterwards must not change what the
-// receiver decodes (the fabric-level analogue of the transport hub's
-// buffer-copy guarantee).
+// receiver decodes (the fabric-level analogue of transport.Endpoint.Send's
+// promise to keep nothing of the caller's buffer).
 func TestFromTransportPayloadSnapshotAtSend(t *testing.T) {
-	hub := transport.NewHub()
+	tcp := loopback(t, "a", "b")
 	c := newTestCodec()
-	a := FromTransport(hub.MustAttach("a"), c)
-	b := FromTransport(hub.MustAttach("b"), c)
+	a := FromTransport(tcp[0], c)
+	b := FromTransport(tcp[1], c)
 	defer a.Close()
 	defer b.Close()
 
@@ -334,9 +351,8 @@ func TestFromTransportPayloadSnapshotAtSend(t *testing.T) {
 }
 
 func TestFromTransportRejectsUnregisteredPayload(t *testing.T) {
-	hub := transport.NewHub()
 	c := newTestCodec()
-	a := FromTransport(hub.MustAttach("a"), c)
+	a := FromTransport(loopback(t, "a")[0], c)
 	defer a.Close()
 	if err := a.Send("b", struct{ X int }{1}, 0); err == nil {
 		t.Fatal("want encode error for unregistered payload type")
@@ -344,10 +360,10 @@ func TestFromTransportRejectsUnregisteredPayload(t *testing.T) {
 }
 
 func TestFromTransportCountsUndecodableFrames(t *testing.T) {
-	hub := transport.NewHub()
+	tcp := loopback(t, "raw", "b")
 	c := newTestCodec()
-	raw := hub.MustAttach("raw")
-	b := FromTransport(hub.MustAttach("b"), c)
+	raw := tcp[0]
+	b := FromTransport(tcp[1], c)
 	defer raw.Close()
 	defer b.Close()
 	b.SetHandler(func(string, any, int) {})

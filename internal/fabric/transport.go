@@ -4,9 +4,9 @@ import (
 	"repro/internal/transport"
 )
 
-// TransportEndpoint adapts a byte-oriented transport endpoint (in-memory
-// hub or TCP) to the fabric Endpoint interface, using a Codec to frame
-// typed payloads onto the wire and back.
+// TransportEndpoint adapts a byte-oriented transport endpoint (TCP) to the
+// fabric Endpoint interface, using a Codec to frame typed payloads onto the
+// wire and back.
 type TransportEndpoint struct {
 	ep    transport.Endpoint
 	codec PayloadCodec
@@ -16,7 +16,7 @@ type TransportEndpoint struct {
 // FromTransport wraps a transport endpoint with the given codec (a *Codec,
 // or a wrapper around one). The raw byte handler is claimed immediately:
 // frames arriving before SetHandler are decoded and buffered rather than
-// dropped by the transport's drain loop. Frames that fail to decode, or
+// dropped by the transport's reader. Frames that fail to decode, or
 // whose tag is not registered with the codec, are counted as dropped.
 func FromTransport(ep transport.Endpoint, codec PayloadCodec) *TransportEndpoint {
 	t := &TransportEndpoint{ep: ep, codec: codec}

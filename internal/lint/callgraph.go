@@ -141,7 +141,7 @@ func isChanType(t types.Type) bool {
 	return ok
 }
 
-// chanShort renders a channel class for diagnostics: "transport.MemEndpoint.done".
+// chanShort renders a channel class for diagnostics: "daemon.Participant.acked".
 func chanShort(class string) string {
 	s := classShort(class)
 	if at := strings.LastIndex(s, "@L"); at >= 0 {
@@ -353,9 +353,8 @@ func heldClasses(st *lockState) []string {
 }
 
 // indexStops records field and package-var classes with a close/Close/Stop/
-// Shutdown call anywhere in the module (case-insensitive first letter: the
-// transport's inbox queue is stopped by an unexported close method) for
-// shutdown-prop, and the struct fields with a Close/Stop/Shutdown call for
+// Shutdown call anywhere in the module (an unexported close method counts
+// too, as a stop but not a release) for shutdown-prop, and the struct fields with a Close/Stop/Shutdown call for
 // life-leak.
 func (m *Module) indexStops() {
 	for _, mf := range m.byName {

@@ -13,8 +13,8 @@ import (
 //   - layer-transport: internal/fabric adapts internal/transport and
 //     internal/daemon builds the TCP edge of the live deployment (listener,
 //     the daemon's address for participants, fabric.FromTransport);
-//     cmd/cscwbench attaches to the in-memory hub for its
-//     fabric_hub_send_recv rows. Commands get the edge from internal/daemon.
+//     cmd/cscwbench opens a loopback TCP pair for its fabric_tcp_send_recv
+//     row. Commands get the edge from internal/daemon.
 //   - layer-netsim: internal/netsim is the discrete-event world — virtual
 //     time, topology, QoS links. The fabric adapter and the declared
 //     simulation-world packages (bench, chaos, core, exps, mgmt, mobile,

@@ -211,7 +211,7 @@ func trackedCreation(m *Module, p *Package, call *ast.CallExpr) (kind string, re
 	}
 	cname := callee.obj.Name()
 	if !strings.HasPrefix(cname, "New") && !strings.HasPrefix(cname, "Listen") &&
-		!strings.HasPrefix(cname, "Dial") && !strings.Contains(cname, "Attach") {
+		!strings.HasPrefix(cname, "Dial") {
 		return "", 0
 	}
 	tv, ok := p.Info.Types[call]

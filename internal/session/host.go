@@ -260,8 +260,7 @@ func (d *docHost) onJoin(m MsgJoin) {
 	if p.presence == 0 {
 		p.presence = Active
 	}
-	backlog := withoutFrom(d.itemsAfter(m.Since), m.From)
-	p.acked = d.seq
+	backlog := d.catchUp(p, m.Since)
 	ack := &MsgJoinAck{Doc: d.key, Mode: d.mode, Backlog: backlog, Members: d.members()}
 	d.send(m.From, ack, len(backlog)*32+64)
 	// Tell the others someone arrived (presence awareness).
@@ -289,12 +288,7 @@ func (d *docHost) onPresence(m MsgPresence) {
 	// the participant's cursor past the interim items, losing them for good
 	// (clients poll from their highest seen sequence number).
 	if d.mode == Synchronous && m.State == Active && was != Active {
-		missed := withoutFrom(d.itemsAfter(p.acked), m.From)
-		if len(missed) > 0 {
-			d.stats.FlushServes += len(missed)
-			d.send(m.From, &MsgItems{Doc: d.key, Items: missed}, len(missed)*32+64)
-		}
-		p.acked = d.seq
+		d.flush(p)
 	}
 	d.fanout(&MsgPresence{Doc: d.key, From: m.From, State: m.State}, m.From)
 }
@@ -362,9 +356,8 @@ func (d *docHost) onPoll(m MsgPoll) {
 	if !ok {
 		return
 	}
-	items := withoutFrom(d.itemsAfter(m.Since), m.From)
+	items := d.catchUp(p, m.Since)
 	d.stats.PollServes += len(items)
-	p.acked = d.seq
 	d.send(m.From, &MsgItems{Doc: d.key, Items: items}, len(items)*32+64)
 }
 
@@ -382,47 +375,40 @@ func (d *docHost) SetMode(mode Mode) {
 	d.fanout(&MsgMode{Doc: d.key, Mode: mode}, "")
 	if mode == Synchronous {
 		for _, id := range d.members() {
-			p := d.parts[id]
-			if p.presence != Active {
-				continue
+			if p := d.parts[id]; p.presence == Active {
+				d.flush(p)
 			}
-			missed := withoutFrom(d.itemsAfter(p.acked), id)
-			if len(missed) == 0 {
-				p.acked = d.seq
-				continue
-			}
-			d.stats.FlushServes += len(missed)
-			p.acked = d.seq
-			d.send(id, &MsgItems{Doc: d.key, Items: missed}, len(missed)*32+64)
 		}
 	}
 	d.runCallbacks()
 }
 
-func (d *docHost) itemsAfter(since uint64) []Item {
+// catchUp is the one catch-up path, for a join, a poll and a flush: it
+// returns the items after since that p did not author (its own are never
+// delivered back to it) and moves p's cursor to the head of the log.
+func (d *docHost) catchUp(p *partState, since uint64) []Item {
+	p.acked = d.seq
 	if since >= d.seq {
 		return nil
 	}
 	// Sequence numbers are dense (1..seq), so index directly.
-	start := int(since)
-	if start > len(d.log) {
-		start = len(d.log)
-	}
-	out := make([]Item, len(d.log)-start)
-	copy(out, d.log[start:])
-	return out
-}
-
-// withoutFrom filters out items authored by from: a participant's own items
-// are never delivered back to it.
-func withoutFrom(items []Item, from string) []Item {
-	out := items[:0]
-	for _, it := range items {
-		if it.From != from {
+	tail := d.log[since:]
+	out := make([]Item, 0, len(tail))
+	for _, it := range tail {
+		if it.From != p.id {
 			out = append(out, it)
 		}
 	}
 	return out
+}
+
+// flush pushes p what it missed since its cursor, if anything: on a return
+// to Active, or when the session turns synchronous.
+func (d *docHost) flush(p *partState) {
+	if missed := d.catchUp(p, p.acked); len(missed) > 0 {
+		d.stats.FlushServes += len(missed)
+		d.send(p.id, &MsgItems{Doc: d.key, Items: missed}, len(missed)*32+64)
+	}
 }
 
 func (d *docHost) fanout(payload any, except string) {

@@ -15,8 +15,8 @@ const (
 )
 
 // RegisterWire registers the session wire messages with a fabric codec, so
-// Host and Client can run over fabric.FromTransport endpoints (in-memory
-// hub or TCP) as well as netsim.
+// Host and Client can run over fabric.FromTransport endpoints (TCP) as well
+// as netsim.
 func RegisterWire(c *fabric.Codec) {
 	c.Register(tagJoin, MsgJoin{})
 	c.Register(tagJoinAck, MsgJoinAck{})

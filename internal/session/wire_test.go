@@ -9,16 +9,26 @@ import (
 	"repro/internal/transport"
 )
 
-// TestSessionOverHub runs a real host and client over the in-memory
-// transport with JSON wire encoding — the same path cmd/sessiond uses over
-// TCP. Host and Client self-synchronize; the test only guards its own
-// slices.
-func TestSessionOverHub(t *testing.T) {
-	hub := transport.NewHub()
-	hostEP := fabric.FromTransport(hub.MustAttach("host"), NewWireCodec())
-	cliEP := fabric.FromTransport(hub.MustAttach("alice"), NewWireCodec())
-	defer hostEP.Close()
-	defer cliEP.Close()
+// tcpEndpoint opens a fabric endpoint with the wire codec on a loopback TCP
+// endpoint in book, closed when the test ends.
+func tcpEndpoint(t *testing.T, id string, book *transport.AddressBook) fabric.Endpoint {
+	t.Helper()
+	tep, err := transport.ListenTCP(id, "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := fabric.FromTransport(tep, NewWireCodec())
+	t.Cleanup(func() { ep.Close() })
+	return ep
+}
+
+// TestSessionOverTCP runs a real host and client over loopback TCP with the
+// binary wire codec — the path cmd/sessiond serves. Host and Client
+// self-synchronize; the test only guards its own slices.
+func TestSessionOverTCP(t *testing.T) {
+	book := transport.NewAddressBook()
+	hostEP := tcpEndpoint(t, "host", book)
+	cliEP := tcpEndpoint(t, "alice", book)
 
 	start := time.Now()
 	clock := func() time.Duration { return time.Since(start) }
@@ -44,10 +54,8 @@ func TestSessionOverHub(t *testing.T) {
 		t.Fatal("join timeout")
 	}
 
-	// A second participant posts; alice receives the JSON-decoded item.
-	bobEP := fabric.FromTransport(hub.MustAttach("bob"), NewWireCodec())
-	defer bobEP.Close()
-	bob := NewClientForDoc(bobEP, "host", "")
+	// A second participant posts; alice receives the decoded item.
+	bob := NewClientForDoc(tcpEndpoint(t, "bob", book), "host", "")
 	bobJoined := make(chan struct{})
 	bob.OnJoined = func(Mode, []string) { close(bobJoined) }
 	if err := bob.Join(0); err != nil {
@@ -95,9 +103,7 @@ func TestWireCodecUnknownAndGarbage(t *testing.T) {
 }
 
 func TestWireEndpointRejectsForeignPayload(t *testing.T) {
-	hub := transport.NewHub()
-	ep := fabric.FromTransport(hub.MustAttach("x"), NewWireCodec())
-	defer ep.Close()
+	ep := tcpEndpoint(t, "x", transport.NewAddressBook())
 	if err := ep.Send("x", 42, 0); err == nil {
 		t.Error("non-session payload should be rejected")
 	}

@@ -47,8 +47,8 @@ func (b *AddressBook) Lookup(id string) (string, bool) {
 	return addr, ok
 }
 
-// TCPEndpoint is an Endpoint backed by a TCP listener plus dial-on-demand
-// outbound connections. Wire format per frame:
+// TCPEndpoint is an Endpoint made of dial-on-demand outbound connections
+// plus, when it listens, the connections it accepts. Wire format per frame:
 //
 //	uint32 total length (big endian) | uint16 sender-ID length | sender ID | payload
 //
@@ -90,19 +90,28 @@ type tcpConn struct {
 
 var _ Endpoint = (*TCPEndpoint)(nil)
 
-// ListenTCP creates an endpoint listening on addr (use ":0" for an ephemeral
-// port) and registers the bound address in the book. The id rides in every
-// frame behind a 16-bit length, so it is at most 65 535 bytes.
-func ListenTCP(id, addr string, book *AddressBook) (*TCPEndpoint, error) {
+// DialTCP creates an endpoint that only dials: it reaches the peers in the
+// book, and a peer answers it on the connection it dialed, but it opens no
+// listener, so nothing can connect to it. The id rides in every frame behind
+// a 16-bit length, so it is at most 65 535 bytes.
+func DialTCP(id string, book *AddressBook) (*TCPEndpoint, error) {
 	if len(id) > math.MaxUint16 {
 		return nil, fmt.Errorf("transport: id of %d bytes does not fit a frame (at most %d)", len(id), math.MaxUint16)
 	}
-	l, err := net.Listen("tcp", addr)
+	return &TCPEndpoint{id: id, book: book, conns: make(map[string]*tcpConn), open: make(map[*tcpConn]bool)}, nil
+}
+
+// ListenTCP is DialTCP plus a listener on addr (use ":0" for an ephemeral
+// port), whose bound address it registers in the book.
+func ListenTCP(id, addr string, book *AddressBook) (*TCPEndpoint, error) {
+	ep, err := DialTCP(id, book)
 	if err != nil {
+		return nil, err
+	}
+	if ep.listener, err = net.Listen("tcp", addr); err != nil {
 		return nil, fmt.Errorf("listen %s: %w", addr, err)
 	}
-	ep := &TCPEndpoint{id: id, book: book, listener: l, conns: make(map[string]*tcpConn), open: make(map[*tcpConn]bool)}
-	book.Set(id, l.Addr().String())
+	book.Set(id, ep.Addr())
 	ep.wg.Add(1)
 	go ep.acceptLoop()
 	return ep, nil
@@ -111,8 +120,14 @@ func ListenTCP(id, addr string, book *AddressBook) (*TCPEndpoint, error) {
 // ID returns the endpoint identifier.
 func (e *TCPEndpoint) ID() string { return e.id }
 
-// Addr returns the bound listen address.
-func (e *TCPEndpoint) Addr() string { return e.listener.Addr().String() }
+// Addr returns the bound listen address, or "" for an endpoint that only
+// dials.
+func (e *TCPEndpoint) Addr() string {
+	if e.listener == nil {
+		return ""
+	}
+	return e.listener.Addr().String()
+}
 
 // SetHandler installs the inbound handler.
 func (e *TCPEndpoint) SetHandler(h Handler) {
@@ -326,8 +341,8 @@ func (e *TCPEndpoint) route(to string) (*tcpConn, error) {
 	return tc, nil
 }
 
-// Close shuts the listener and all connections, then waits for their
-// readers to exit.
+// Close shuts the listener, if any, and all connections, then waits for
+// their readers to exit.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -341,7 +356,10 @@ func (e *TCPEndpoint) Close() error {
 	}
 	e.conns = make(map[string]*tcpConn)
 	e.mu.Unlock()
-	err := e.listener.Close()
+	var err error
+	if e.listener != nil {
+		err = e.listener.Close()
+	}
 	for _, tc := range open {
 		tc.c.Close()
 	}

@@ -22,145 +22,6 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Fatalf("timeout waiting for %s", what)
 }
 
-func TestHubBasicDelivery(t *testing.T) {
-	h := NewHub()
-	a := h.MustAttach("a")
-	b := h.MustAttach("b")
-	defer a.Close()
-	defer b.Close()
-
-	var mu sync.Mutex
-	var got []string
-	b.SetHandler(func(from string, data []byte) {
-		mu.Lock()
-		defer mu.Unlock()
-		got = append(got, from+":"+string(data))
-	})
-	if err := a.Send("b", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 1
-	}, "delivery")
-	mu.Lock()
-	defer mu.Unlock()
-	if got[0] != "a:hello" {
-		t.Errorf("got %q", got[0])
-	}
-}
-
-func TestHubFIFOPerReceiver(t *testing.T) {
-	h := NewHub()
-	a := h.MustAttach("a")
-	b := h.MustAttach("b")
-	defer a.Close()
-	defer b.Close()
-
-	const n = 200
-	var mu sync.Mutex
-	var got []string
-	b.SetHandler(func(_ string, data []byte) {
-		mu.Lock()
-		defer mu.Unlock()
-		got = append(got, string(data))
-	})
-	for i := 0; i < n; i++ {
-		if err := a.Send("b", []byte(fmt.Sprintf("%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == n
-	}, "all messages")
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < n; i++ {
-		if got[i] != fmt.Sprintf("%d", i) {
-			t.Fatalf("FIFO violated at %d: %q", i, got[i])
-		}
-	}
-}
-
-func TestHubUnknownPeerAndDuplicate(t *testing.T) {
-	h := NewHub()
-	a := h.MustAttach("a")
-	defer a.Close()
-	if err := a.Send("ghost", []byte("x")); !errors.Is(err, ErrUnknownPeer) {
-		t.Errorf("Send to ghost = %v", err)
-	}
-	if _, err := h.Attach("a"); err == nil {
-		t.Error("duplicate attach should fail")
-	}
-}
-
-func TestHubSendAfterClose(t *testing.T) {
-	h := NewHub()
-	a := h.MustAttach("a")
-	h.MustAttach("b")
-	a.Close()
-	if err := a.Send("b", []byte("x")); !errors.Is(err, ErrClosed) {
-		t.Errorf("Send after close = %v", err)
-	}
-	if err := a.Close(); err != nil {
-		t.Errorf("double close: %v", err)
-	}
-}
-
-func TestHubSendToClosedPeer(t *testing.T) {
-	h := NewHub()
-	a := h.MustAttach("a")
-	b := h.MustAttach("b")
-	defer a.Close()
-	b.Close()
-	if err := a.Send("b", []byte("x")); err == nil {
-		t.Error("send to closed peer should fail")
-	}
-}
-
-func TestHubBufferCopied(t *testing.T) {
-	h := NewHub()
-	a := h.MustAttach("a")
-	b := h.MustAttach("b")
-	defer a.Close()
-	defer b.Close()
-	var mu sync.Mutex
-	var got string
-	b.SetHandler(func(_ string, data []byte) {
-		mu.Lock()
-		defer mu.Unlock()
-		got = string(data)
-	})
-	buf := []byte("orig")
-	a.Send("b", buf)
-	copy(buf, "XXXX") // mutate after send
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return got != ""
-	}, "delivery")
-	mu.Lock()
-	defer mu.Unlock()
-	if got != "orig" {
-		t.Errorf("got %q, want orig (buffer should be copied)", got)
-	}
-}
-
-func TestHubPeers(t *testing.T) {
-	h := NewHub()
-	a := h.MustAttach("a")
-	b := h.MustAttach("b")
-	defer a.Close()
-	defer b.Close()
-	peers := h.Peers()
-	if len(peers) != 2 {
-		t.Errorf("Peers = %v", peers)
-	}
-}
-
 func TestTCPRoundTrip(t *testing.T) {
 	book := NewAddressBook()
 	a, err := ListenTCP("a", "127.0.0.1:0", book)
@@ -289,6 +150,60 @@ func TestTCPReplyNeedsNoAddress(t *testing.T) {
 	}
 	expect(t, gotA, "b:pong")
 	onePair(t, a, b)
+}
+
+// TestDialTCPOnlyDials: a dial-only endpoint has no address and registers
+// none, yet it reaches a listener whose book lacks it and is answered on the
+// connection it dialed; when that peer restarts on the same address, the
+// next Send after the old connection ended redials it.
+func TestDialTCPOnlyDials(t *testing.T) {
+	hostBook := NewAddressBook()
+	host := listen(t, "host", hostBook)
+	book := NewAddressBook()
+	book.Set("host", host.Addr())
+	c, err := DialTCP("c", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if addr := c.Addr(); addr != "" {
+		t.Fatalf("dial-only Addr = %q, want \"\"", addr)
+	}
+	if _, ok := book.Lookup("c"); ok {
+		t.Error("a dial-only endpoint registered an address")
+	}
+	fromC, toC := collect(host), collect(c)
+	if err := c.Send("host", []byte("join")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, fromC, "c:join")
+	if err := host.Send("c", []byte("ack")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, toC, "host:ack")
+	onePair(t, c, host)
+
+	addr := host.Addr()
+	host.Close()
+	if host, err = ListenTCP("host", addr, hostBook); err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	t.Cleanup(func() { host.Close() })
+	fromC = collect(host)
+	waitFor(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.conns["host"] == nil
+	}, "c to see the host's close and evict its conn")
+	if err := c.Send("host", []byte("rejoin")); err != nil {
+		t.Fatalf("Send after the host restarted: %v", err)
+	}
+	expect(t, fromC, "c:rejoin")
+	if err := host.Send("c", []byte("ack")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, toC, "host:ack")
+	onePair(t, c, host)
 }
 
 // TestTCPOversizedSendKeepsConn: a frame past maxFrame is refused before
@@ -484,8 +399,12 @@ func TestTCPManyMessagesOrdered(t *testing.T) {
 		defer mu.Unlock()
 		got = append(got, string(data))
 	})
+	// One buffer for every frame: Send keeps nothing of data, so rewriting
+	// it for the next frame must not change one already sent.
+	var buf []byte
 	for i := 0; i < n; i++ {
-		if err := a.Send("b", []byte(fmt.Sprintf("m%04d", i))); err != nil {
+		buf = fmt.Appendf(buf[:0], "m%04d", i)
+		if err := a.Send("b", buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -530,6 +449,9 @@ func TestTCPSendAfterClose(t *testing.T) {
 	if err := a.Send("b", []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Errorf("Send after close = %v", err)
 	}
+	if err := a.Close(); err != nil {
+		t.Errorf("double close: %v", err)
+	}
 }
 
 func TestAddressBook(t *testing.T) {
@@ -544,38 +466,7 @@ func TestAddressBook(t *testing.T) {
 	}
 }
 
-func BenchmarkHubSend(b *testing.B) {
-	h := NewHub()
-	src := h.MustAttach("src")
-	dst := h.MustAttach("dst")
-	defer src.Close()
-	defer dst.Close()
-	done := make(chan struct{})
-	count := 0
-	dst.SetHandler(func(string, []byte) {
-		count++
-		if count == b.N {
-			close(done)
-		}
-	})
-	payload := []byte("0123456789abcdef")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := src.Send("dst", payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	<-done
-}
-
 func TestEndpointIdentity(t *testing.T) {
-	h := NewHub()
-	m := h.MustAttach("mem-id")
-	defer m.Close()
-	if m.ID() != "mem-id" {
-		t.Errorf("mem ID = %q", m.ID())
-	}
 	book := NewAddressBook()
 	tcp, err := ListenTCP("tcp-id", "127.0.0.1:0", book)
 	if err != nil {
