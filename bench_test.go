@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/exps"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
@@ -140,3 +141,8 @@ func BenchmarkFabricSendRecv(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkGroupSequencerTCP prices one TotalSequencer multicast delivered
+// at all four members over loopback TCP: the ordering layer on the real
+// substrate, the in-module row for the end-to-end group_seq_1x4 workload.
+func BenchmarkGroupSequencerTCP(b *testing.B) { bench.GroupSequencerTCPBench()(b) }

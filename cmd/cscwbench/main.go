@@ -104,6 +104,7 @@ func run(args []string) error {
 	add("codec_group_packet_roundtrip", bench.GroupPacketRoundTripBench())
 	if !*quick {
 		add("fabric_tcp_send_recv_binary", tcpSendRecv(reg))
+		add("group_seq_tcp_c4", bench.GroupSequencerTCPBench())
 	}
 
 	// Topology-engine scale rows: the send+deliver hot path and the cut-set

@@ -11,7 +11,9 @@
 // Go execution over the in-memory simulator, while latency percentiles are
 // *virtual-time* measurements — deterministic for a given seed, measuring
 // protocol behaviour (batching windows, ordering round-trips), not host
-// speed.
+// speed. One row leaves the simulator: GroupSequencerTCPBench runs the
+// ordering layer over loopback TCP, the in-module twin of the end-to-end
+// group_seq_1x4 workload.
 package bench
 
 import (

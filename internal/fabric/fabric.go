@@ -34,8 +34,11 @@ type Handler func(from string, payload any, size int)
 //
 // Struct payloads are pointers, on every substrate: senders pass &T{...},
 // in-process substrates hand that pointer through, and byte substrates
-// decode into a fresh *T. Receivers therefore switch on *T only; a T sent
-// by value reaches no case and is dropped as foreign traffic.
+// decode into a fresh *T, except for a send to the endpoint's own id, which
+// hands the sender's pointer through as well. A receiver must therefore
+// treat a payload as shared and never modify it. Receivers switch on *T
+// only; a T sent by value reaches no case and is dropped as foreign
+// traffic.
 type Endpoint interface {
 	// ID returns the endpoint's stable address on its substrate.
 	ID() string

@@ -401,12 +401,14 @@ func (m *Member) viewTargets() []string {
 }
 
 // sendToAll fans pkt out to targets. It must be called without m.mu held —
-// a Send can block over a real transport, and a member that sends while
-// locked can deadlock with a peer doing the same (cscwlint's block-lock rule
-// enforces this). Best-effort: every target is attempted even when some
-// sends fail (partial failure must not silence members listed after the
-// first unreachable one — self-delivery in particular is unrepairable).
-// The first error is reported after all attempts.
+// a Send can block over a real transport, a member that sends while locked
+// can deadlock with a peer doing the same (cscwlint's block-lock rule
+// enforces this), and over TCP a send to self runs Receive on this
+// goroutine. Best-effort: every target is attempted even when some sends
+// fail (partial failure must not silence members listed after the first
+// unreachable one; under netsim, whose self-link can drop, that includes
+// self-delivery, which nothing repairs). The first error is reported after
+// all attempts.
 func (m *Member) sendToAll(targets []string, pkt *packet) error {
 	var first error
 	for _, id := range targets {
@@ -444,7 +446,9 @@ func (m *Member) Receive(from string, payload any) {
 	m.mu.Lock()
 	switch pkt.Kind {
 	case kView:
-		m.installView(*pkt.NewView)
+		if pkt.NewView != nil { // a view packet without its view is malformed
+			m.installView(*pkt.NewView)
+		}
 	case kData:
 		m.receiveMsgs(pkt)
 	case kBatch:
@@ -671,8 +675,15 @@ func (m *Member) RequestRepair() {
 	}
 }
 
+// receiveNack serves a repair request from sentBuf. The walk is clamped to
+// the sequences sentBuf can hold, so a NACK costs at most retainWindow
+// lookups under m.mu whatever range it names.
 func (m *Member) receiveNack(pkt *packet) {
-	for seq := pkt.NackFrom; seq <= pkt.NackTo; seq++ {
+	lo, hi := pkt.NackFrom, min(pkt.NackTo, m.fifoSent)
+	if m.fifoSent > retainWindow {
+		lo = max(lo, m.fifoSent-retainWindow+1)
+	}
+	for seq := lo; seq <= hi; seq++ {
 		p, ok := m.sentBuf[seq]
 		if !ok {
 			continue // aged out of the retention window

@@ -14,7 +14,8 @@ import (
 //     internal/daemon builds the TCP edge of the live deployment (listener,
 //     the daemon's address for participants, fabric.FromTransport);
 //     cmd/cscwbench opens a loopback TCP pair for its fabric_tcp_send_recv
-//     row. Commands get the edge from internal/daemon.
+//     row, and internal/bench four loopback group members for its
+//     group_seq_tcp_c4 row. Commands get the edge from internal/daemon.
 //   - layer-netsim: internal/netsim is the discrete-event world — virtual
 //     time, topology, QoS links. The fabric adapter and the declared
 //     simulation-world packages (bench, chaos, core, exps, mgmt, mobile,
@@ -35,6 +36,7 @@ func Layering() *Analyzer {
 	transportImporters := map[string]bool{
 		modulePrefix + "/internal/fabric": true,
 		modulePrefix + "/internal/daemon": true,
+		modulePrefix + "/internal/bench":  true,
 		modulePrefix + "/cmd/cscwbench":   true,
 	}
 	netsimImporters := map[string]bool{
