@@ -37,6 +37,9 @@ type Result struct {
 	MsgsPerSec  float64 `json:"msgs_per_sec,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
+	// Frame bytes handed to transports per op, for the rows that leave
+	// the simulator (WireBytesUnit).
+	WireBytesPerOp float64 `json:"wire_bytes_per_op,omitempty"`
 	// Virtual-time latency percentiles (deterministic; see LatencyProfile).
 	P50VirtualNs int64  `json:"p50_virtual_ns,omitempty"`
 	P99VirtualNs int64  `json:"p99_virtual_ns,omitempty"`
@@ -70,11 +73,12 @@ func (r *Report) Add(name string, msgsPerOp int, fn func(b *testing.B)) Result {
 func FromBenchmark(name string, br testing.BenchmarkResult, msgsPerOp int) Result {
 	ns := float64(br.T.Nanoseconds()) / float64(br.N)
 	res := Result{
-		Name:        name,
-		Iters:       br.N,
-		NsPerOp:     ns,
-		AllocsPerOp: float64(br.AllocsPerOp()),
-		BytesPerOp:  float64(br.AllocedBytesPerOp()),
+		Name:           name,
+		Iters:          br.N,
+		NsPerOp:        ns,
+		AllocsPerOp:    float64(br.AllocsPerOp()),
+		BytesPerOp:     float64(br.AllocedBytesPerOp()),
+		WireBytesPerOp: br.Extra[WireBytesUnit],
 	}
 	if msgsPerOp > 0 && ns > 0 {
 		res.MsgsPerSec = float64(msgsPerOp) * 1e9 / ns

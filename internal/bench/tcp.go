@@ -15,7 +15,9 @@ import (
 // TotalSequencer members on loopback TCP endpoints, each behind its own
 // group codec, and one iteration is one multicast (senders in turn) that
 // every member, the sender included, has delivered before the next starts.
-// The members' sockets are all dialed before the timer starts.
+// The members' sockets are all dialed before the timer starts. It reports
+// wire-B/op, the frame bytes the members hand their transports per
+// multicast (a self-send reaches no transport, so it costs none).
 func GroupSequencerTCPBench() func(b *testing.B) {
 	return func(b *testing.B) {
 		const n = 4
@@ -28,7 +30,7 @@ func GroupSequencerTCPBench() func(b *testing.B) {
 				}
 			}
 		}()
-		var delivered atomic.Int64
+		var delivered, wire atomic.Int64
 		landed := make(chan struct{}, 1)
 		members := make([]*group.Member, n)
 		ids := make([]string, n)
@@ -42,7 +44,7 @@ func GroupSequencerTCPBench() func(b *testing.B) {
 			}
 			codec := fabric.NewCodec()
 			group.RegisterWire(codec)
-			eps[i] = fabric.FromTransport(tep, codec)
+			eps[i] = fabric.FromTransport(byteCounter{tep, &wire}, codec)
 			members[i], err = group.NewMember(group.Config{
 				Endpoint: eps[i],
 				Ordering: group.TotalSequencer,
@@ -70,15 +72,32 @@ func GroupSequencerTCPBench() func(b *testing.B) {
 			op(i)
 		}
 		b.ReportAllocs()
+		wire.Store(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			op(i)
 		}
 		b.StopTimer()
+		b.ReportMetric(float64(wire.Load())/float64(b.N), WireBytesUnit)
 		for _, ep := range eps {
 			if d := ep.Dropped(); d != 0 {
 				b.Fatalf("%d frames dropped", d)
 			}
 		}
 	}
+}
+
+// WireBytesUnit is the custom benchmark metric of the frame bytes handed to
+// transports per op; FromBenchmark copies it into Result.WireBytesPerOp.
+const WireBytesUnit = "wire-B/op"
+
+// byteCounter adds the length of every frame sent through it to n.
+type byteCounter struct {
+	transport.Endpoint
+	n *atomic.Int64
+}
+
+func (c byteCounter) Send(to string, data []byte) error {
+	c.n.Add(int64(len(data)))
+	return c.Endpoint.Send(to, data)
 }

@@ -13,8 +13,8 @@ import (
 // parsers (crdt's FuzzWireDecode covers the other engine's): they must
 // never panic, and anything they accept must re-encode to a body that
 // parses back to the same message and encodes to the same bytes again.
-// (The input itself need not come back: a varint has non-minimal spellings
-// the parser reads and the appender never writes.)
+// (The input itself need not come back: a varint wider than its field,
+// such as an op's rune, is truncated on read.)
 func FuzzEngineWireDecode(f *testing.F) {
 	op := ot.Op{Kind: ot.Delete, Pos: 3, Ch: 'q', Site: "c1"}
 	seeds := []fabric.BinaryAppender{

@@ -308,8 +308,11 @@ func (r *Reader) fail(err error) {
 }
 
 // uvarint reads a varint as binary.Uvarint does: at most MaxVarintLen64
-// bytes, the last of which may carry only the top bit. ok is false on a
-// truncated or overflowing varint, and then the cursor has not moved.
+// bytes, the last of which may carry only the top bit. Unlike
+// binary.Uvarint it refuses a non-minimal spelling (a last byte of zero
+// after the first), which no appender writes, so a body has one encoding.
+// ok is false on a truncated, overflowing or non-minimal varint, and then
+// the cursor has not moved.
 func (r *Reader) uvarint() (v uint64, ok bool) {
 	var shift uint
 	for i := r.off; i < len(r.body); i++ {
@@ -319,7 +322,7 @@ func (r *Reader) uvarint() (v uint64, ok bool) {
 		}
 		b := r.body[i]
 		if b < 0x80 {
-			if n == binary.MaxVarintLen64-1 && b > 1 {
+			if n == binary.MaxVarintLen64-1 && b > 1 || n > 0 && b == 0 {
 				return 0, false
 			}
 			r.off = i + 1

@@ -391,9 +391,10 @@ func FuzzConsumeString(f *testing.F) {
 }
 
 // FuzzReaderVarint: over arbitrary bytes, Reader.Uvarint and Reader.Varint
-// accept and reject exactly what encoding/binary does, and an accepted read
-// yields its value and consumes its byte count. A rejected read is a
-// truncation that leaves the zero value.
+// accept and reject exactly what encoding/binary does, except that they
+// also reject a non-minimal spelling (a last byte of zero after the first),
+// and an accepted read yields its value and consumes its byte count. A
+// rejected read is a truncation that leaves the zero value.
 func FuzzReaderVarint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80})
@@ -401,6 +402,9 @@ func FuzzReaderVarint(f *testing.F) {
 	f.Add(binary.AppendUvarint(nil, 1<<64-1))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02})       // overflows in the tenth byte
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}) // eleven bytes
+	// Non-minimal spellings, which binary reads and Reader refuses.
+	f.Add([]byte{0x80, 0x00})
+	f.Add([]byte{0xAC, 0x82, 0x00})
 	// remaining counts what a read left behind by reading it byte by byte.
 	remaining := func(r *fabric.Reader) int {
 		n := 0
@@ -418,6 +422,9 @@ func FuzzReaderVarint(f *testing.F) {
 		wantV, m := binary.Varint(data)
 		if n != m {
 			t.Fatalf("%x: binary.Uvarint read %d bytes, binary.Varint %d", data, n, m)
+		}
+		if n > 1 && data[n-1] == 0 {
+			n = 0 // non-minimal: binary reads it, Reader refuses it
 		}
 		if n <= 0 {
 			if gotU != 0 || gotV != 0 || !errors.Is(u.Err(), fabric.ErrTruncatedFrame) || !errors.Is(v.Err(), fabric.ErrTruncatedFrame) {

@@ -6,6 +6,7 @@ package group
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,6 +78,40 @@ func TestNackRangeClampedToRetention(t *testing.T) {
 	}
 }
 
+// TestForgedOrderDropped: an order announcement is the sequencer's alone.
+// m02 and then m01 multicast in a three-member view whose sequencer is
+// m00, and before the network runs m01 is handed two order announcements
+// that do not come from m00, for the two messages in one order or the
+// other; whichever order m00 picks, one of them contradicts it. Taken,
+// they make m01 deliver in another order than m00 and m02; dropped, every
+// member delivers both messages in the sequencer's order.
+func TestForgedOrderDropped(t *testing.T) {
+	x, y := msgID{Origin: "m01", N: 1}, msgID{Origin: "m02", N: 1}
+	for _, forger := range []struct{ from, claims string }{
+		{"m02", "m02"}, // a member announcing in its own name
+		{"m02", "m00"}, // a member announcing in the sequencer's name
+	} {
+		for _, forged := range [][]msgID{{x, y}, {y, x}} {
+			r := newRig(t, 3, TotalSequencer, netsim.LANLink)
+			r.members["m02"].Multicast("y", 8)
+			r.members["m01"].Multicast("x", 8)
+			for i, id := range forged {
+				r.members["m01"].Receive(forger.from, &packet{Kind: kOrder, From: forger.claims, ViewID: 1, GlobalSeq: uint64(i + 1), MsgID: id})
+			}
+			r.sim.Run()
+			want := r.bodies("m00")
+			if len(want) != 2 {
+				t.Fatalf("%v forged by %s as %s: the sequencer delivered %v, want both messages", forged, forger.from, forger.claims, want)
+			}
+			for _, id := range r.ids[1:] {
+				if got := r.bodies(id); !slices.Equal(got, want) {
+					t.Errorf("%v forged by %s as %s: %s delivered %v, the sequencer %v", forged, forger.from, forger.claims, id, got, want)
+				}
+			}
+		}
+	}
+}
+
 // FuzzMemberReceive: every packet the wire codec accepts is handed to a
 // live FIFO member and a live TotalSequencer member (each the sequencer of
 // a three-member view that has carried traffic), and the simulated network
@@ -84,7 +119,8 @@ func TestNackRangeClampedToRetention(t *testing.T) {
 func FuzzMemberReceive(f *testing.F) {
 	hostile := []*packet{
 		{Kind: kView, From: "m01"}, // a view packet without its view
-		{Kind: kNack, From: "m01", ViewID: 1, NackFrom: 1, NackTo: 1 << 40}, // a NACK past anything sent
+		{Kind: kNack, From: "m01", ViewID: 1, NackFrom: 1, NackTo: 1 << 40},                     // a NACK past anything sent
+		{Kind: kOrder, From: "m01", ViewID: 1, GlobalSeq: 1, MsgID: msgID{Origin: "m02", N: 1}}, // an order announcement not from the sequencer
 	}
 	for _, p := range samplePackets() {
 		hostile = append(hostile, p)

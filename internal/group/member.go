@@ -437,7 +437,9 @@ func (m *Member) queueSend(to string, pkt *packet, size int) {
 
 // Receive ingests a packet from the endpoint. NewMember wires the
 // endpoint's handler to call this with the delivered payload; tests may
-// also call it directly to hand-craft traffic.
+// also call it directly to hand-craft traffic. from is the transport's
+// sender: an order announcement counts only when it and the packet's From
+// are both the view's sequencer.
 func (m *Member) Receive(from string, payload any) {
 	pkt, ok := payload.(*packet)
 	if !ok {
@@ -454,7 +456,12 @@ func (m *Member) Receive(from string, payload any) {
 	case kBatch:
 		m.receiveMsgs(pkt.Msgs...)
 	case kOrder:
-		m.receiveOrder(pkt)
+		// The sequencer alone orders: an announcement any other member
+		// sends, or sends in its name, would make this member deliver in
+		// an order the rest of the view does not.
+		if seq := m.view.Sequencer(); from == seq && pkt.From == seq {
+			m.receiveOrder(pkt)
+		}
 	case kToken:
 		m.receiveToken(pkt)
 	case kTokenReq:

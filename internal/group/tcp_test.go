@@ -4,7 +4,9 @@ package group
 // endpoints, their frames counted at the transport.
 
 import (
+	"encoding/hex"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -120,5 +122,56 @@ func TestSequencerOverTCPSkipsSelfFrames(t *testing.T) {
 	slices.Sort(sorted)
 	if len(slices.Compact(sorted)) != total {
 		t.Errorf("delivered %v: a message twice", want)
+	}
+}
+
+// TestOldPacketFrameDroppedOverTCP: a frame from a tree that wrote every
+// field of the packet, under the tag "group/packet" (here the "order"
+// sample as that tree framed it), reaches a member's endpoint as one
+// counted drop and is delivered to nothing; a current frame sent after it
+// on the same conn is delivered.
+func TestOldPacketFrameDroppedOverTCP(t *testing.T) {
+	old, err := hex.DecodeString("c501010c67726f75702f7061636b65740000001502017303000000000161010b000000000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	book := transport.NewAddressBook()
+	tep, err := transport.ListenTCP("m0", "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := fabric.FromTransport(tep, wireCodec())
+	t.Cleanup(func() { ep.Close() })
+	got := make(chan any, 2)
+	ep.SetHandler(func(from string, payload any, size int) { got <- payload })
+	peer, err := transport.DialTCP("m1", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	current, err := wireCodec().Encode(samplePackets()["order"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range [][]byte{old, current} {
+		if err := peer.Send("m0", frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case p := <-got:
+		if want := samplePackets()["order"]; !reflect.DeepEqual(p, want) {
+			t.Fatalf("delivered %#v, want the current frame's %#v", p, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the current frame was not delivered within 5s")
+	}
+	if d := ep.Dropped(); d != 1 {
+		t.Errorf("Dropped() = %d, want 1", d)
+	}
+	select {
+	case p := <-got:
+		t.Errorf("a second delivery, %#v", p)
+	default:
 	}
 }

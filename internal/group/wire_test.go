@@ -3,7 +3,12 @@ package group
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -98,16 +103,119 @@ func TestPacketWireRejects(t *testing.T) {
 	if err := p.ParseBinary(fabric.NewReader(string(append(body, 0)))); err == nil || errors.Is(err, fabric.ErrTruncatedFrame) {
 		t.Fatalf("body plus a trailing byte: got %v, want a trailing-bytes error", err)
 	}
-	// Three batches nested, built by hand since the encoder refuses it: an
-	// empty batch's body less its two empty counts, then a count of one, for
-	// the outer and the inner batch, and a third-level body of bytes that
-	// cannot parse. The inner batch fails at its count, so the third level is
-	// never read: the error is errNestedBatch, not a truncation.
-	head, _ := packet{Kind: kBatch}.AppendBinary(nil)
-	batchOfOne := append(head[:len(head)-2:len(head)-2], 1)
+	// Three batches nested, built by hand since the encoder refuses it: a
+	// batch's kind, a mask with only the batched-packets bit and a count of
+	// one, for the outer and the inner batch, and a third-level body of
+	// bytes that cannot parse. The inner batch fails at its mask, so the
+	// third level is never read: the error is errNestedBatch, not a
+	// truncation.
+	batchOfOne := fabric.AppendUvarint(fabric.AppendUvarint(fabric.AppendUvarint(nil, uint64(kBatch)), hasMsgs), 1)
 	nested := append(append(batchOfOne, batchOfOne...), bytes.Repeat([]byte{0xff}, minPacketBytes)...)
 	if err := p.ParseBinary(fabric.NewReader(string(nested))); !errors.Is(err, errNestedBatch) {
 		t.Fatalf("nested batch: got %v, want errNestedBatch", err)
+	}
+}
+
+var updatePackets = flag.Bool("update", false, "rewrite testdata/packets.golden from this run")
+
+// TestPacketWireGolden pins the body of every samplePackets entry byte for
+// byte, one "name: hex" line each in name order, against
+// testdata/packets.golden. A diff there is a wire change: peers of the two
+// trees cannot read each other's group packets.
+func TestPacketWireGolden(t *testing.T) {
+	samples := samplePackets()
+	names := make([]string, 0, len(samples))
+	for name := range samples {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	for _, name := range names {
+		body, err := samples[name].AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fmt.Fprintf(&sb, "%s: %x\n", name, body)
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "packets.golden")
+	if *updatePackets {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("packet bodies differ from %s (rewrite with -update):\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestPacketWireSizes pins the body bytes of the two packets group_seq_1x4
+// moves per multicast, at its shapes: a 24-byte op body, and a message
+// number and a global sequence number of two varint bytes each. Written
+// field by field, every field present, they took 49 and 25 bytes.
+func TestPacketWireSizes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    *packet
+		want int
+	}{
+		{"data", &packet{Kind: kData, From: "m1", ViewID: 1, Body: "m1:1500:ssssssssssssssss", Size: 16, MsgID: msgID{Origin: "m1", N: 1500}}, 34},
+		{"order", &packet{Kind: kOrder, From: "m0", ViewID: 1, GlobalSeq: 6000, MsgID: msgID{Origin: "m1", N: 1500}}, 13},
+	} {
+		body, err := c.p.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) != c.want {
+			t.Errorf("%s: body is %d bytes (%x), want %d", c.name, len(body), body, c.want)
+		}
+	}
+}
+
+// TestPacketDecodeStrict: the parser accepts only the one encoding of a
+// packet. Each body but the one marked valid breaks one rule.
+func TestPacketDecodeStrict(t *testing.T) {
+	// body is Kind, the mask, then the given field bytes.
+	body := func(k kind, mask uint64, fields ...byte) []byte {
+		b := fabric.AppendUvarint(fabric.AppendUvarint(nil, uint64(k)), mask)
+		return append(b, fields...)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"unknown bit", body(kData, knownBits+1), "unknown presence bits"},
+		{"empty From", body(kData, hasFrom, 0), errNotCanonical.Error()},
+		{"zero ViewID", body(kData, hasViewID, 0), errNotCanonical.Error()},
+		{"zero Size", body(kData, hasSize, 0), errNotCanonical.Error()},
+		{"zero MsgID", body(kData, hasMsgID, 0, 0), errNotCanonical.Error()},
+		{"origin bit without MsgID", body(kData, hasFrom|originIsFrom, 1, 'a'), errNotCanonical.Error()},
+		{"origin written though it is From", body(kData, hasFrom|hasMsgID, 1, 'a', 1, 'a', 7), errNotCanonical.Error()},
+		{"IsError alone is valid", body(kRPCRep, isError), ""},
+		{"zero VC count", body(kData, hasVC, 0), errNotCanonical.Error()},
+		{"zero batch count", body(kBatch, hasMsgs, 0), errNotCanonical.Error()},
+		{"zero MsgIDs count", body(kOrder, hasMsgIDs, 0), errNotCanonical.Error()},
+		{"duplicate VC site", body(kData, hasVC, 2, 1, 'a', 1, 1, 'a', 2), `vector site "a" follows "a"`},
+		{"VC sites out of order", body(kData, hasVC, 2, 1, 'b', 1, 1, 'a', 2), `vector site "a" follows "b"`},
+		{"non-minimal varint", body(kData, hasViewID, 0x83, 0x00), "bad uvarint"},
+	} {
+		var p packet
+		err := p.ParseBinary(fabric.NewReader(string(c.body)))
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: %x rejected: %v", c.name, c.body, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %x gave %v, want %q", c.name, c.body, err, c.want)
+		}
 	}
 }
 
@@ -143,7 +251,8 @@ func TestPacketDecodeAllocs(t *testing.T) {
 }
 
 // FuzzPacketDecode: arbitrary bytes never panic the packet parser, and
-// whatever it accepts re-encodes to bytes that parse to an equal packet.
+// whatever it accepts re-encodes to the same bytes, which parse to an
+// equal packet: an accepted body is the one encoding of its packet.
 func FuzzPacketDecode(f *testing.F) {
 	for name, p := range samplePackets() {
 		body, err := p.AppendBinary(nil)
@@ -160,6 +269,9 @@ func FuzzPacketDecode(f *testing.F) {
 		body, err := p.AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("re-encode of accepted %#v: %v", p, err)
+		}
+		if !bytes.Equal(body, data) {
+			t.Fatalf("accepted %x re-encodes to %x", data, body)
 		}
 		var again packet
 		if err := again.ParseBinary(fabric.NewReader(string(body))); err != nil || !reflect.DeepEqual(p, again) {
