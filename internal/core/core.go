@@ -130,7 +130,6 @@ type Kernel struct {
 	objects map[string]*Object
 	offers  []Offer
 	eps     map[string]fabric.Endpoint // endpoints the kernel messages through
-	mws     []fabric.Middleware        // applied to endpoints at attach time
 	nextBnd int
 	nextInv uint64
 	pending map[uint64]*pendingInv
@@ -173,14 +172,8 @@ func NewKernel(sim *netsim.Sim, mgr *mgmt.Manager) *Kernel {
 	}
 }
 
-// Use appends middlewares applied to every endpoint the kernel attaches
-// from now on (metrics, fault injection, tracing). Call it before attaching
-// nodes.
-func (k *Kernel) Use(mw ...fabric.Middleware) { k.mws = append(k.mws, mw...) }
-
 // AttachNode claims a simulated node for kernel messaging (server or
-// client side), wrapping it in a fabric endpoint plus any configured
-// middleware.
+// client side), wrapping it in a fabric endpoint.
 func (k *Kernel) AttachNode(id string) error {
 	if _, ok := k.eps[id]; ok {
 		return nil
@@ -193,10 +186,9 @@ func (k *Kernel) AttachNode(id string) error {
 }
 
 // AttachEndpoint claims an arbitrary fabric endpoint for kernel messaging,
-// applying the kernel's middleware chain and installing its handler. This
-// is how a kernel runs over substrates other than the simulator.
+// installing its handler. This is how a kernel runs over substrates other
+// than the simulator; wrap ep first (fabric.Wrap) to interpose middleware.
 func (k *Kernel) AttachEndpoint(ep fabric.Endpoint) error {
-	ep = fabric.Wrap(ep, k.mws...)
 	k.eps[ep.ID()] = ep
 	ep.SetHandler(func(from string, payload any, size int) { k.receive(from, payload) })
 	return nil

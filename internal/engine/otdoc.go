@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ot"
 )
@@ -217,16 +216,6 @@ func (d *otDoc) Tick() []Msg {
 		out = append(out, Msg{To: d.server, Body: &MsgSubmit{Doc: d.doc, Sub: d.inflight}, Size: subSize(d.inflight)})
 	}
 	out = append(out, Msg{To: d.server, Body: &MsgPull{Doc: d.doc, Base: d.cl.Base()}, Size: 24})
-	return out
-}
-
-// HeldRevs reports the parked commit revisions (diagnostics).
-func (d *otDoc) HeldRevs() []int {
-	out := make([]int, 0, len(d.hold))
-	for rev := range d.hold {
-		out = append(out, rev)
-	}
-	sort.Ints(out)
 	return out
 }
 

@@ -11,6 +11,11 @@
 // byte-oriented substrates as binary frames (a frame the codec cannot read
 // is a counted drop), while in-process substrates pass the typed values
 // straight through.
+//
+// It also owns the one rule for acting on an Endpoint from under a lock:
+// a protocol owner (a group member, a session document or client) queues
+// its sends, deliveries and callbacks on an Outbox while holding its mutex,
+// and Outbox.Drain releases the mutex and performs them in order.
 package fabric
 
 import (

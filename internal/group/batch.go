@@ -59,7 +59,7 @@ func (m *Member) batchTimerFire() {
 	m.mu.Lock()
 	m.batchArmed = false
 	m.queueFlush()
-	m.runCallbacks()
+	m.out.Drain(&m.mu)
 }
 
 // Flush forces any accumulated batch onto the wire now. A no-op for
@@ -67,11 +67,11 @@ func (m *Member) batchTimerFire() {
 func (m *Member) Flush() {
 	m.mu.Lock()
 	m.queueFlush()
-	m.runCallbacks()
+	m.out.Drain(&m.mu)
 }
 
 // queueFlush flushes the accumulation buffer as a fire-and-forget fan-out
-// on the callback queue. Called with m.mu held. The flush is detached from
+// on the outbox. Called with m.mu held. The flush is detached from
 // the Multicast calls that filled the buffer, so a failed send surfaces as
 // loss (repaired by NACK for FIFO, visible as stalled delivery for the
 // total orders), not as an error.

@@ -68,11 +68,10 @@ func (o Ordering) String() string {
 
 // Errors returned by group operations.
 var (
-	ErrNotMember    = errors.New("group: not a member of current view")
-	ErrEmptyView    = errors.New("group: view has no members")
-	ErrRPCDeadline  = errors.New("group: rpc deadline exceeded")
-	ErrNoSuchCall   = errors.New("group: unknown rpc call")
-	ErrViewConflict = errors.New("group: conflicting view proposal in flight")
+	ErrNotMember   = errors.New("group: not a member of current view")
+	ErrEmptyView   = errors.New("group: view has no members")
+	ErrRPCDeadline = errors.New("group: rpc deadline exceeded")
+	ErrNoSuchCall  = errors.New("group: unknown rpc call")
 )
 
 // Timer schedules a callback after a delay. Over netsim this is Sim.At; in

@@ -12,9 +12,10 @@ import (
 
 // Member is one group endpoint. All state is guarded by an internal mutex,
 // so a member is safe to drive from the simulator goroutine and from real
-// transport delivery goroutines alike. Application callbacks (Deliver,
-// OnView, RPC handlers and completions) run outside the lock, so they may
-// freely call back into the member (e.g. Multicast from inside Deliver).
+// transport delivery goroutines alike. Receive-path sends and application
+// callbacks (Deliver, OnView, RPC handlers and completions) are queued on
+// the member's fabric.Outbox and run outside the lock, so they may freely
+// call back into the member (e.g. Multicast from inside Deliver).
 //
 // View installation assumes quiescence (no multicasts in flight), as in
 // primary-component virtual synchrony after flush; the experiment harnesses
@@ -24,19 +25,12 @@ type Member struct {
 	ep       fabric.Endpoint
 	timer    Timer
 	ordering Ordering
-	deliver  DeliverFunc
 	onView   ViewFunc
 
-	// mu guards everything below. cbs collects application callbacks
-	// queued while holding mu; runCallbacks flushes them with mu
-	// released (flushing marks a flush in progress so nested entries
-	// leave the queue for the outer loop). cbsSpare recycles the previous
-	// flush's backing array so a steady delivery stream does not allocate
-	// a fresh queue per Receive.
-	mu       sync.Mutex
-	cbs      []cb
-	cbsSpare []cb
-	flushing bool
+	// mu guards everything below, out included: effects are queued on out
+	// while holding mu, and out.Drain(&m.mu) performs them with mu released.
+	mu  sync.Mutex
+	out *fabric.Outbox
 
 	// pktChunk is the bump arena newPacket carves outgoing packets from.
 	pktChunk []packet
@@ -87,19 +81,6 @@ type Member struct {
 
 	// Metrics.
 	delivered uint64
-}
-
-// cb is one queued application callback. The two entries of the steady
-// multicast path are stored inline rather than as closures, so neither costs
-// an allocation: a message delivery (del/isDel) and a fan-out of send to
-// targets (queueSendToView). Everything else (view notifications, NACK
-// repairs, RPC completions) rides fn.
-type cb struct {
-	fn      func()
-	del     Delivery
-	isDel   bool
-	send    *packet
-	targets []string
 }
 
 // pktChunkSize sizes the packet arena chunks handed out by newPacket.
@@ -184,7 +165,6 @@ func NewMember(cfg Config) (*Member, error) {
 		ep:         cfg.Endpoint,
 		timer:      cfg.Timer,
 		ordering:   cfg.Ordering,
-		deliver:    cfg.Deliver,
 		onView:     cfg.OnView,
 		fifoNext:   make(map[string]uint64),
 		fifoHold:   make(map[string]map[uint64]*packet),
@@ -201,47 +181,18 @@ func NewMember(cfg Config) (*Member, error) {
 		batch:      cfg.Batch,
 		limit:      cfg.Batch.limit(cfg.Ordering),
 	}
+	// A delivered packet is never modified (receivers share it), so the
+	// Delivery is built when the outbox performs it. cfg.Deliver is
+	// immutable after NewMember, so calling it without the lock is safe.
+	deliver := cfg.Deliver
+	m.out = fabric.NewOutbox(cfg.Endpoint, func(payload any, seq uint64) {
+		pkt := payload.(*packet)
+		deliver(Delivery{From: pkt.From, Body: pkt.Body, Seq: seq, VC: pkt.VC, ViewID: pkt.ViewID})
+	})
 	cfg.Endpoint.SetHandler(func(from string, payload any, size int) {
 		m.Receive(from, payload)
 	})
 	return m, nil
-}
-
-// runCallbacks is called with m.mu held and returns with it released,
-// having run every queued application callback outside the lock. A nested
-// entry (a callback calling back into the member) leaves its additions for
-// the outer flush loop.
-func (m *Member) runCallbacks() {
-	if m.flushing {
-		m.mu.Unlock()
-		return
-	}
-	m.flushing = true
-	for len(m.cbs) > 0 {
-		batch := m.cbs
-		m.cbs = m.cbsSpare[:0]
-		m.cbsSpare = nil
-		m.mu.Unlock()
-		for i := range batch {
-			// m.deliver is immutable after NewMember, so reading it
-			// without the lock is safe.
-			switch e := &batch[i]; {
-			case e.isDel:
-				m.deliver(e.del)
-			case e.send != nil:
-				_ = m.sendToAll(e.targets, e.send)
-			default:
-				e.fn()
-			}
-		}
-		m.mu.Lock()
-		if m.cbsSpare == nil {
-			clear(batch) // drop body/closure/packet references before recycling
-			m.cbsSpare = batch[:0]
-		}
-	}
-	m.flushing = false
-	m.mu.Unlock()
 }
 
 // View returns the currently installed view.
@@ -273,7 +224,7 @@ func (m *Member) Ordering() Ordering { return m.ordering }
 func (m *Member) InstallView(v View) {
 	m.mu.Lock()
 	m.installView(v)
-	m.runCallbacks()
+	m.out.Drain(&m.mu)
 }
 
 func (m *Member) installView(v View) {
@@ -299,7 +250,7 @@ func (m *Member) installView(v View) {
 	m.hasToken = m.ordering == TotalToken && v.Sequencer() == m.id
 	if m.onView != nil {
 		onView := m.onView
-		m.cbs = append(m.cbs, cb{fn: func() { onView(v) }})
+		m.out.Call(func() { onView(v) })
 	}
 }
 
@@ -321,7 +272,7 @@ func (m *Member) ProposeView(v View) error {
 	}
 	sort.Strings(ids)
 	pkt := &packet{Kind: kView, From: m.id, NewView: &v}
-	m.runCallbacks() // releases m.mu: sends must not run under the lock
+	m.out.Drain(&m.mu) // releases m.mu: sends must not run under the lock
 	for _, id := range ids {
 		if err := m.ep.Send(id, pkt, 64); err != nil {
 			return fmt.Errorf("propose view to %s: %w", id, err)
@@ -359,7 +310,7 @@ func (m *Member) Multicast(body any, size int) error {
 		m.timer.After(m.batch.Window, m.batchTimerFire)
 	}
 	targets := m.viewTargets()
-	m.runCallbacks() // releases m.mu: the fan-out below must not run under it
+	m.out.Drain(&m.mu) // releases m.mu: the fan-out below must not run under it
 	if out == nil {
 		return nil
 	}
@@ -420,19 +371,13 @@ func (m *Member) sendToAll(targets []string, pkt *packet) error {
 }
 
 // queueSendToView schedules a fire-and-forget fan-out of pkt to the current
-// view on the callback queue: targets are snapshotted now, under the lock,
-// and the sends run once m.mu is released, in queue order (which preserves
-// their order relative to queued deliveries). Receive-path protocol sends
-// use this; a loss surfaces as stalled delivery, repaired by NACK/SyncPoint
-// or measured by the experiments.
+// view on the outbox: targets are snapshotted now, under the lock, and the
+// sends run once m.mu is released, in queue order (which preserves their
+// order relative to queued deliveries). Receive-path protocol sends use
+// this; a loss surfaces as stalled delivery, repaired by NACK/SyncPoint or
+// measured by the experiments.
 func (m *Member) queueSendToView(pkt *packet) {
-	m.cbs = append(m.cbs, cb{send: pkt, targets: m.viewTargets()})
-}
-
-// queueSend schedules one fire-and-forget send the same way.
-func (m *Member) queueSend(to string, pkt *packet, size int) {
-	//lint:ignore hot-alloc NACK repair traffic only, never the steady-state delivery path
-	m.cbs = append(m.cbs, cb{fn: func() { _ = m.ep.Send(to, pkt, size) }})
+	m.out.QueueAll(m.viewTargets(), pkt, pkt.Size+64)
 }
 
 // Receive ingests a packet from the endpoint. NewMember wires the
@@ -475,14 +420,12 @@ func (m *Member) Receive(from string, payload any) {
 	case kRPCRep:
 		m.receiveRPCReply(pkt)
 	}
-	m.runCallbacks()
+	m.out.Drain(&m.mu)
 }
 
 func (m *Member) emit(pkt *packet, seq uint64) {
 	m.delivered++
-	m.cbs = append(m.cbs, cb{isDel: true, del: Delivery{
-		From: pkt.From, Body: pkt.Body, Seq: seq, VC: pkt.VC, ViewID: pkt.ViewID,
-	}})
+	m.out.Deliver(pkt, seq)
 }
 
 // receiveMsgs files a run of data packets — one bare kData, or the contents
@@ -625,7 +568,7 @@ func (m *Member) maybeNack(sender string) {
 	m.nacked[sender] = target
 	nack := &packet{Kind: kNack, From: m.id, ViewID: m.view.ID, NackFrom: next, NackTo: target}
 	// A lost NACK is re-armed by the next out-of-order arrival.
-	m.queueSend(sender, nack, 64)
+	m.out.Queue(sender, nack, 64)
 }
 
 // SyncPoint advertises this member's FIFO send high-water mark to the view,
@@ -639,7 +582,7 @@ func (m *Member) SyncPoint() error {
 	}
 	pkt := &packet{Kind: kSync, From: m.id, ViewID: m.view.ID, SenderSeq: m.fifoSent}
 	targets := m.viewTargets()
-	m.runCallbacks() // releases m.mu: sends must not run under the lock
+	m.out.Drain(&m.mu) // releases m.mu: sends must not run under the lock
 	return m.sendToAll(targets, pkt)
 }
 
@@ -696,7 +639,7 @@ func (m *Member) receiveNack(pkt *packet) {
 			continue // aged out of the retention window
 		}
 		m.retransmissions++
-		m.queueSend(pkt.From, p, p.Size+64)
+		m.out.Queue(pkt.From, p, p.Size+64)
 	}
 }
 
@@ -873,18 +816,18 @@ func (m *Member) Call(op string, body any, opts CallOpts, done func([]Reply, err
 			m.mu.Lock()
 			c, ok := m.calls[id]
 			if !ok || c.done {
-				m.runCallbacks()
+				m.out.Drain(&m.mu)
 				return
 			}
 			c.done = true
 			delete(m.calls, id)
-			m.cbs = append(m.cbs, cb{fn: func() { c.callback(c.replies, ErrRPCDeadline) }})
-			m.runCallbacks()
+			m.out.Call(func() { c.callback(c.replies, ErrRPCDeadline) })
+			m.out.Drain(&m.mu)
 		})
 	}
 	req := &packet{Kind: kRPCReq, From: m.id, ViewID: m.view.ID, CallID: id, Op: op, Body: body, Size: opts.Size}
 	targets := m.viewTargets()
-	m.runCallbacks() // releases m.mu: the fan-out below must not run under it
+	m.out.Drain(&m.mu) // releases m.mu: the fan-out below must not run under it
 	return m.sendToAll(targets, req)
 }
 
@@ -892,7 +835,7 @@ func (m *Member) receiveRPCRequest(pkt *packet) {
 	h, ok := m.handlers[pkt.Op]
 	// Run the handler outside the lock: handlers may multicast or call
 	// back into the member.
-	m.cbs = append(m.cbs, cb{fn: func() {
+	m.out.Call(func() {
 		rep := &packet{Kind: kRPCRep, From: m.id, ViewID: pkt.ViewID, CallID: pkt.CallID}
 		if !ok {
 			rep.IsError = true
@@ -909,7 +852,7 @@ func (m *Member) receiveRPCRequest(pkt *packet) {
 		if err := m.ep.Send(pkt.From, rep, 64); err != nil {
 			_ = err // caller's deadline covers lost replies
 		}
-	}})
+	})
 }
 
 func (m *Member) receiveRPCReply(pkt *packet) {
@@ -927,6 +870,6 @@ func (m *Member) receiveRPCReply(pkt *packet) {
 		delete(m.calls, pkt.CallID)
 		// Deterministic reply order for callers that inspect replies.
 		sort.Slice(pc.replies, func(i, j int) bool { return pc.replies[i].From < pc.replies[j].From })
-		m.cbs = append(m.cbs, cb{fn: func() { pc.callback(pc.replies, nil) }})
+		m.out.Call(func() { pc.callback(pc.replies, nil) })
 	}
 }

@@ -83,7 +83,7 @@ func runTranscript(t *testing.T, ord Ordering) string {
 			Deliver: func(d Delivery) {
 				fmt.Fprintf(&rec, "%v deliver %s from=%s seq=%d body=%v\n", sim.Now(), id, d.From, d.Seq, d.Body)
 				// A send from inside a delivery re-enters the member while
-				// its callback queue is flushing.
+				// its outbox is draining.
 				if id == "m02" && d.Body == "m01-3" {
 					if err := members[id].Multicast("m02-echo", 24); err != nil {
 						t.Errorf("nested multicast: %v", err)

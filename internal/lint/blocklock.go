@@ -15,7 +15,7 @@ import (
 // mutex across it turns backpressure into a distributed deadlock (A sends
 // to B under A.mu, B's reply handler needs B.mu to send back, both block).
 // The repo-wide convention is prepare-under-lock / send-outside (see
-// group.Member.runCallbacks).
+// fabric.Outbox.Drain).
 //
 // This replaced the retired lock-send linear walk: the branch-aware
 // bodyWalker supplies the held-lock state (so an early unlock in one branch

@@ -21,8 +21,8 @@ import (
 // moment two goroutines take the two instances in opposite orders.
 //
 // Callee propagation only considers locks a callee acquires *before* it
-// releases any caller-held lock (the runCallbacks pattern — enter locked,
-// release, re-acquire in a loop — must not read as a self-cycle).
+// releases any caller-held lock (the fabric.Outbox.Drain pattern — enter
+// locked, release, re-acquire in a loop — must not read as a self-cycle).
 func LockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lock-order",

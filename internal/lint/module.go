@@ -328,10 +328,10 @@ type heldLock struct {
 
 // lockState is the abstract state at one program point: the stack of held
 // lock classes, a borrow counter (unlocks of locks the caller holds, as in
-// runCallbacks-style helpers that are entered locked and return unlocked),
-// and the releases deferred so far on this path. A deferred unlock keeps
-// its lock held until the body exits, and only on the paths that passed
-// the defer.
+// helpers like fabric.Outbox.Drain that are entered locked and return
+// unlocked), and the releases deferred so far on this path. A deferred
+// unlock keeps its lock held until the body exits, and only on the paths
+// that passed the defer.
 type lockState struct {
 	held     []heldLock
 	borrowed int
@@ -893,7 +893,7 @@ func (m *Module) summarize(mf *modFunc) bool {
 		}
 	}
 	// Blocking reached only after the body has released a lock its caller
-	// holds (runCallbacks flushing a queued send inline) runs with that lock
+	// holds (fabric.Outbox.Drain performing a queued send) runs with that lock
 	// released, so, like an acquisition there, it is not the caller's.
 	setBlock := func(desc string, st *lockState) {
 		if mf.blockDesc == "" && st.borrowed == 0 {
@@ -912,7 +912,7 @@ func (m *Module) summarize(mf *modFunc) bool {
 		}
 		// Only acquisitions made while the caller's locks could still be
 		// held (no borrowed release yet) propagate to callers: a helper
-		// that is entered locked, releases, and re-acquires (runCallbacks)
+		// that is entered locked, releases, and re-acquires (Outbox.Drain)
 		// must not read as acquiring under the caller.
 		if _, ok := acquired[class]; !ok && st.borrowed == 0 {
 			acquired[class] = "" // direct acquisition

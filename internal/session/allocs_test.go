@@ -9,9 +9,9 @@ import (
 	"repro/internal/netsim"
 )
 
-// TestClientReceivePushAllocs pins the push hot path: once the callback
-// queue's backing array has been recycled, handing a client a one-item
-// push allocates nothing — the item is queued inline, not in a closure.
+// TestClientReceivePushAllocs pins the push hot path: once the outbox's
+// backing array has been recycled, handing a client a one-item push
+// allocates nothing — the item is queued inline, not in a closure.
 func TestClientReceivePushAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -45,21 +45,34 @@ func (nullEndpoint) Close() error                { return nil }
 // TestHostReceivePostAllocs pins Host.Receive of a post with four members
 // joined (three pushes) over an endpoint that does nothing: the in-module
 // twin of cscwload's session.post_allocs. The three pushes share one
-// MsgItems and its item slice (2), each push is a queued send (3); the sorted
-// member list and the callback queue's growth make up the rest.
+// MsgItems and its item slice, and that is all: each push and the OnItem
+// call are queued inline on the outbox, whose array is recycled, and the
+// member list is sorted at join, not per post. The log's few doublings
+// over the run round away in the per-run average.
 func TestHostReceivePostAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	h := NewHost(nullEndpoint{}, Synchronous, func() time.Duration { return 0 })
-	for _, name := range []string{"p0", "p1", "p2", "p3"} {
-		h.Receive(name, &MsgJoin{From: name, State: Active})
-	}
-	post := &MsgPost{From: "p0", Kind: "eng/op", Body: "|" + strings.Repeat("QUJD", 20)}
-	if n := testing.AllocsPerRun(200, func() { h.Receive("p0", post) }); n != 9 {
-		t.Errorf("Host.Receive of a four-member post allocates %v objects, want 9", n)
-	}
-	if got := h.Host("").LogLen(); got != 201 { // AllocsPerRun's warm-up, then 200 runs
-		t.Errorf("log holds %d items, want 201", got)
+	for _, tc := range []struct {
+		name   string
+		onItem func(string, Item)
+	}{
+		{"no OnItem", nil},
+		{"OnItem", func(string, Item) {}}, // the daemon's shape
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHost(nullEndpoint{}, Synchronous, func() time.Duration { return 0 })
+			h.OnItem = tc.onItem
+			for _, name := range []string{"p0", "p1", "p2", "p3"} {
+				h.Receive(name, &MsgJoin{From: name, State: Active})
+			}
+			post := &MsgPost{From: "p0", Kind: "eng/op", Body: "|" + strings.Repeat("QUJD", 20)}
+			if n := testing.AllocsPerRun(200, func() { h.Receive("p0", post) }); n != 2 {
+				t.Errorf("Host.Receive of a four-member post allocates %v objects, want 2", n)
+			}
+			if got := h.Host("").LogLen(); got != 201 { // AllocsPerRun's warm-up, then 200 runs
+				t.Errorf("log holds %d items, want 201", got)
+			}
+		})
 	}
 }

@@ -16,14 +16,11 @@ type Client struct {
 	host string
 	doc  string // document key; "" is the unnamed document
 
-	// mu guards everything below. cbs queues the On* callbacks due while
-	// mu is held; runCallbacks runs them with it released, and cbsSpare
-	// recycles the previous flush's backing array, so a steady push stream
-	// does not allocate a fresh queue per Receive.
-	mu       sync.Mutex
-	cbs      []cb
-	cbsSpare []cb
-	flushing bool
+	// mu guards everything below, out included: the On* callbacks due are
+	// queued on out while mu is held, and out.Drain(&c.mu) runs them with
+	// it released.
+	mu  sync.Mutex
+	out *fabric.Outbox
 
 	joined  bool
 	mode    Mode
@@ -39,15 +36,6 @@ type Client struct {
 	OnJoined func(mode Mode, members []string)
 }
 
-// cb is one queued callback. An item — the push hot path — rides inline
-// (onItem/item) rather than as a closure; mode, presence and joined
-// notifications ride fn.
-type cb struct {
-	fn     func()
-	onItem func(Item)
-	item   Item
-}
-
 // NewClientForDoc creates a client bound to document doc ("" is the unnamed
 // document) on the named host, claiming the endpoint's handler. Outgoing
 // messages are stamped with doc; incoming messages stamped for other
@@ -55,40 +43,14 @@ type cb struct {
 // without cross-talk.
 func NewClientForDoc(ep fabric.Endpoint, host, doc string) *Client {
 	c := &Client{ep: ep, host: host, doc: doc, mode: Synchronous}
+	// An item — the push hot path — is queued as a pointer into the
+	// received message, which receivers only read; mode, presence and
+	// joined notifications are queued calls.
+	c.out = fabric.NewOutbox(ep, func(it any, _ uint64) { c.OnItem(*it.(*Item)) })
 	ep.SetHandler(func(from string, payload any, size int) {
 		c.Receive(from, payload)
 	})
 	return c
-}
-
-// runCallbacks is called with c.mu held and returns with it released; see
-// group.Member.runCallbacks for the pattern.
-func (c *Client) runCallbacks() {
-	if c.flushing {
-		c.mu.Unlock()
-		return
-	}
-	c.flushing = true
-	for len(c.cbs) > 0 {
-		batch := c.cbs
-		c.cbs = c.cbsSpare[:0]
-		c.cbsSpare = nil
-		c.mu.Unlock()
-		for i := range batch {
-			if batch[i].onItem != nil {
-				batch[i].onItem(batch[i].item)
-			} else {
-				batch[i].fn()
-			}
-		}
-		c.mu.Lock()
-		if c.cbsSpare == nil {
-			clear(batch) // drop item and closure references before recycling
-			c.cbsSpare = batch[:0]
-		}
-	}
-	c.flushing = false
-	c.mu.Unlock()
 }
 
 // ID returns the client's identifier.
@@ -187,21 +149,21 @@ func (c *Client) Receive(from string, payload any) {
 	case *MsgPresence:
 		c.onPresenceMsg(*m)
 	}
-	c.runCallbacks()
+	c.out.Drain(&c.mu)
 }
 
 func (c *Client) onMode(m MsgMode) {
 	c.mode = m.Mode
 	if c.OnMode != nil {
 		onMode := c.OnMode
-		c.cbs = append(c.cbs, cb{fn: func() { onMode(m.Mode) }})
+		c.out.Call(func() { onMode(m.Mode) })
 	}
 }
 
 func (c *Client) onPresenceMsg(m MsgPresence) {
 	if c.OnPresence != nil {
 		onPresence := c.OnPresence
-		c.cbs = append(c.cbs, cb{fn: func() { onPresence(m.From, m.State) }})
+		c.out.Call(func() { onPresence(m.From, m.State) })
 	}
 }
 
@@ -210,7 +172,7 @@ func (c *Client) onJoinAck(m MsgJoinAck) {
 	c.mode = m.Mode
 	if c.OnJoined != nil {
 		onJoined := c.OnJoined
-		c.cbs = append(c.cbs, cb{fn: func() { onJoined(m.Mode, m.Members) }})
+		c.out.Call(func() { onJoined(m.Mode, m.Members) })
 	}
 	c.deliver(m.Backlog)
 }
@@ -223,13 +185,13 @@ func (c *Client) onItems(m MsgItems) {
 //
 //cscw:hotpath
 func (c *Client) deliver(items []Item) {
-	for _, it := range items {
-		if it.Seq <= c.lastSeq {
+	for i := range items {
+		if items[i].Seq <= c.lastSeq {
 			continue // duplicate (e.g. rejoin replay racing a push)
 		}
-		c.lastSeq = it.Seq
+		c.lastSeq = items[i].Seq
 		if c.OnItem != nil {
-			c.cbs = append(c.cbs, cb{onItem: c.OnItem, item: it})
+			c.out.Deliver(&items[i], 0)
 		}
 	}
 }

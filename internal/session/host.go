@@ -1,6 +1,7 @@
 package session
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -84,7 +85,7 @@ func (h *Host) Receive(from string, payload any) {
 			h.mu.Unlock()
 			return
 		}
-		d = &docHost{host: h, key: key, mode: h.mode, parts: make(map[string]*partState)}
+		d = newDocHost(h, key)
 		h.docs[key] = d
 	}
 	h.mu.Unlock()
@@ -132,42 +133,36 @@ func NewMultiHost(ep fabric.Endpoint, mode Mode, clock func() time.Duration, own
 }
 
 // docHost is one document's session: its item log, members and presence.
-// It guards all of that with its own mutex and queues every callback and
-// send to run after the mutex is released.
+// It guards all of that with its own mutex and queues every send and OnItem
+// call on its outbox, to run after the mutex is released. Queued sends run
+// in order, preserving the per-peer FIFO the clients rely on; a failed one
+// (a partition, a disconnected mobile) surfaces as a missed push, which the
+// poll path recovers.
 type docHost struct {
 	host *Host
 	key  string
 
-	mu       sync.Mutex
-	cbs      []func()
-	flushing bool
+	mu  sync.Mutex
+	out *fabric.Outbox
 
 	mode  Mode
 	log   []Item
 	seq   uint64
 	parts map[string]*partState
+	// ids is the joined participants, sorted. A join replaces the slice
+	// rather than editing it, because every MsgJoinAck sent shares it.
+	ids   []string
 	stats HostStats
 }
 
-// runCallbacks is called with d.mu held and returns with it released; see
-// group.Member.runCallbacks for the pattern.
-func (d *docHost) runCallbacks() {
-	if d.flushing {
-		d.mu.Unlock()
-		return
-	}
-	d.flushing = true
-	for len(d.cbs) > 0 {
-		batch := d.cbs
-		d.cbs = nil
-		d.mu.Unlock()
-		for _, fn := range batch {
-			fn()
-		}
-		d.mu.Lock()
-	}
-	d.flushing = false
-	d.mu.Unlock()
+func newDocHost(h *Host, key string) *docHost {
+	d := &docHost{host: h, key: key, mode: h.mode, parts: make(map[string]*partState)}
+	// A logged item is never modified, so the outbox can hand OnItem a
+	// pointer into the log. OnItem is set before traffic flows.
+	d.out = fabric.NewOutbox(h.ep, func(it any, _ uint64) {
+		h.OnItem(key, *it.(*Item))
+	})
+	return d
 }
 
 // Mode returns the document's current session mode.
@@ -195,16 +190,7 @@ func (d *docHost) LogLen() int {
 func (d *docHost) Members() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.members()
-}
-
-func (d *docHost) members() []string {
-	out := make([]string, 0, len(d.parts))
-	for id := range d.parts {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(d.ids)
 }
 
 // PresenceOf returns a participant's presence (Offline if never joined).
@@ -244,7 +230,7 @@ func (d *docHost) receive(from string, payload any) {
 			d.onLeave(*m)
 		}
 	}
-	d.runCallbacks()
+	d.out.Drain(&d.mu)
 }
 
 func (d *docHost) onJoin(m MsgJoin) {
@@ -255,14 +241,16 @@ func (d *docHost) onJoin(m MsgJoin) {
 	if !ok {
 		p = &partState{id: m.From}
 		d.parts[m.From] = p
+		i, _ := slices.BinarySearch(d.ids, m.From)
+		d.ids = slices.Insert(slices.Clip(d.ids), i, m.From)
 	}
 	p.presence = m.State
 	if p.presence == 0 {
 		p.presence = Active
 	}
 	backlog := d.catchUp(p, m.Since)
-	ack := &MsgJoinAck{Doc: d.key, Mode: d.mode, Backlog: backlog, Members: d.members()}
-	d.send(m.From, ack, len(backlog)*32+64)
+	ack := &MsgJoinAck{Doc: d.key, Mode: d.mode, Backlog: backlog, Members: d.ids}
+	d.out.Queue(m.From, ack, len(backlog)*32+64)
 	// Tell the others someone arrived (presence awareness).
 	d.fanout(&MsgPresence{Doc: d.key, From: m.From, State: p.presence}, m.From)
 }
@@ -312,7 +300,7 @@ const HostAuthor = "!host"
 func (d *docHost) PostLocal(kind, body string) {
 	d.mu.Lock()
 	d.appendItem(HostAuthor, kind, body)
-	d.runCallbacks()
+	d.out.Drain(&d.mu)
 }
 
 // appendItem logs one item and pushes it per the session mode. Callers
@@ -322,15 +310,15 @@ func (d *docHost) appendItem(from, kind, body string) {
 	it := Item{Seq: d.seq, From: from, Kind: kind, Body: body, At: d.host.clock()}
 	d.log = append(d.log, it)
 	d.stats.Posts++
-	if onItem := d.host.OnItem; onItem != nil {
-		d.cbs = append(d.cbs, func() { onItem(d.key, it) })
+	if d.host.OnItem != nil {
+		d.out.Deliver(&d.log[len(d.log)-1], 0)
 	}
 	if d.mode != Synchronous {
 		return
 	}
 	// One push serves every member: receivers only read it.
 	var push *MsgItems
-	for _, id := range d.members() {
+	for _, id := range d.ids {
 		p := d.parts[id]
 		if p.presence != Active || id == from {
 			// The poster's own item counts as delivered to it — but only
@@ -347,7 +335,7 @@ func (d *docHost) appendItem(from, kind, body string) {
 		if push == nil {
 			push = &MsgItems{Doc: d.key, Items: []Item{it}}
 		}
-		d.send(id, push, len(it.Body)+64)
+		d.out.Queue(id, push, len(it.Body)+64)
 	}
 }
 
@@ -358,7 +346,7 @@ func (d *docHost) onPoll(m MsgPoll) {
 	}
 	items := d.catchUp(p, m.Since)
 	d.stats.PollServes += len(items)
-	d.send(m.From, &MsgItems{Doc: d.key, Items: items}, len(items)*32+64)
+	d.out.Queue(m.From, &MsgItems{Doc: d.key, Items: items}, len(items)*32+64)
 }
 
 // SetMode switches the document's session mode. An asynchronous-to-
@@ -374,13 +362,13 @@ func (d *docHost) SetMode(mode Mode) {
 	d.stats.ModeSwitches++
 	d.fanout(&MsgMode{Doc: d.key, Mode: mode}, "")
 	if mode == Synchronous {
-		for _, id := range d.members() {
+		for _, id := range d.ids {
 			if p := d.parts[id]; p.presence == Active {
 				d.flush(p)
 			}
 		}
 	}
-	d.runCallbacks()
+	d.out.Drain(&d.mu)
 }
 
 // catchUp is the one catch-up path, for a join, a poll and a flush: it
@@ -407,29 +395,16 @@ func (d *docHost) catchUp(p *partState, since uint64) []Item {
 func (d *docHost) flush(p *partState) {
 	if missed := d.catchUp(p, p.acked); len(missed) > 0 {
 		d.stats.FlushServes += len(missed)
-		d.send(p.id, &MsgItems{Doc: d.key, Items: missed}, len(missed)*32+64)
+		d.out.Queue(p.id, &MsgItems{Doc: d.key, Items: missed}, len(missed)*32+64)
 	}
 }
 
 func (d *docHost) fanout(payload any, except string) {
-	for _, id := range d.members() {
+	for _, id := range d.ids {
 		p := d.parts[id]
 		if id == except || p.presence == Offline {
 			continue
 		}
-		d.send(id, payload, 64)
+		d.out.Queue(id, payload, 64)
 	}
-}
-
-// send queues a delivery on the callback queue, so the actual endpoint
-// Send runs after d.mu is released (a Send can block over a real
-// transport; holding the lock across it invites distributed deadlock —
-// cscwlint's block-lock rule enforces the discipline). Queued sends flush
-// in order, preserving the per-peer FIFO the clients rely on.
-func (d *docHost) send(to string, payload any, size int) {
-	d.cbs = append(d.cbs, func() {
-		// Transient send failures (partitions, disconnected mobiles) surface
-		// as missed pushes; the poll path recovers them, so drop silently.
-		_ = d.host.ep.Send(to, payload, size)
-	})
 }

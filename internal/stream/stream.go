@@ -50,11 +50,8 @@ func (t Tier) Rate() int64 {
 	return int64(float64(t.Size) / t.Interval.Seconds())
 }
 
-// Errors returned by the stream layer.
-var (
-	ErrNoTiers   = errors.New("stream: no tiers configured")
-	ErrExhausted = errors.New("stream: no lower tier to adapt to")
-)
+// ErrNoTiers is returned for a stream configured without tiers.
+var ErrNoTiers = errors.New("stream: no tiers configured")
 
 // Source generates frames of the current tier at its interval and sends
 // them through its fabric endpoint to every sink (group delivery when

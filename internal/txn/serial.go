@@ -77,9 +77,6 @@ func NewManager(store *Store, blockTimeout time.Duration) *Manager {
 // Stats returns accumulated statistics.
 func (m *Manager) Stats() SerialStats { return m.stats }
 
-// LockStats exposes the underlying lock manager statistics.
-func (m *Manager) LockStats() locks.Stats { return m.lm.Stats() }
-
 // Txn is one serialisable transaction.
 type Txn struct {
 	mgr       *Manager

@@ -23,12 +23,10 @@ import (
 
 // Errors returned by the transaction layer.
 var (
-	ErrTxnDone     = errors.New("txn: transaction already committed or aborted")
-	ErrWouldBlock  = errors.New("txn: operation is waiting for a lock")
-	ErrDenied      = errors.New("txn: operation denied by group access rules")
-	ErrNotMember   = errors.New("txn: user is not a member of the group")
-	ErrTimeoutSet  = errors.New("txn: aborted by deadlock timeout")
-	ErrUnknownUser = errors.New("txn: unknown user")
+	ErrTxnDone    = errors.New("txn: transaction already committed or aborted")
+	ErrWouldBlock = errors.New("txn: operation is waiting for a lock")
+	ErrDenied     = errors.New("txn: operation denied by group access rules")
+	ErrNotMember  = errors.New("txn: user is not a member of the group")
 )
 
 // Store is a simple versioned key-value object store standing in for the
