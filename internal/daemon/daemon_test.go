@@ -35,7 +35,7 @@ func hostConfig(eng string) Config {
 	return Config{Listen: "127.0.0.1:0", Mode: "sync", Shards: 1, Engine: eng}
 }
 
-func startDaemon(t *testing.T, cfg Config) *Daemon {
+func startDaemon(t testing.TB, cfg Config) *Daemon {
 	t.Helper()
 	d, err := New(cfg)
 	if err != nil {
@@ -49,7 +49,7 @@ func startDaemon(t *testing.T, cfg Config) *Daemon {
 // saw instead of printing it.
 type peer struct {
 	*Participant
-	t *testing.T
+	t testing.TB
 
 	mu      sync.Mutex
 	items   []session.Item
@@ -59,7 +59,7 @@ type peer struct {
 
 // dial fills in the participant side of cfg (its Engine and seams are the
 // caller's) and wires the callbacks; it does not join.
-func dial(t *testing.T, d *Daemon, user, doc string, cfg Config) *peer {
+func dial(t testing.TB, d *Daemon, user, doc string, cfg Config) *peer {
 	t.Helper()
 	cfg.User, cfg.Host, cfg.Doc = user, d.Addr(), doc
 	p, err := Dial(cfg)

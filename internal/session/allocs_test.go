@@ -45,33 +45,44 @@ func (nullEndpoint) Close() error                { return nil }
 // TestHostReceivePostAllocs pins Host.Receive of a post with four members
 // joined (three pushes) over an endpoint that does nothing: the in-module
 // twin of cscwload's session.post_allocs. The three pushes share one
-// MsgItems and its item slice, and that is all: each push and the OnItem
-// call are queued inline on the outbox, whose array is recycled, and the
-// member list is sorted at join, not per post. The log's few doublings
-// over the run round away in the per-run average.
+// MsgItems, whose item slice is the log itself, and that is all: each push
+// and the OnItem call are queued inline on the outbox, whose array is
+// recycled, and the member list is sorted at join, not per post. The log's
+// few doublings over the run round away in the per-run average. Under the
+// daemon's OT shape an OnItem that PostLocals a commit adds one more: the
+// submitter's own push of the commit, while the other three get the
+// submission and the commit in the message they share.
 func TestHostReceivePostAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
+	var h *Host
 	for _, tc := range []struct {
 		name   string
 		onItem func(string, Item)
+		want   float64
+		items  int // logged per post
 	}{
-		{"no OnItem", nil},
-		{"OnItem", func(string, Item) {}}, // the daemon's shape
+		{"no OnItem", nil, 1, 1},
+		{"OnItem", func(string, Item) {}, 1, 1}, // the relay daemon's shape
+		{"OnItem posts a commit", func(doc string, it Item) { // the OT daemon's
+			if it.From != HostAuthor {
+				h.Host(doc).PostLocal("eng/op", "|commit")
+			}
+		}, 2, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := NewHost(nullEndpoint{}, Synchronous, func() time.Duration { return 0 })
+			h = NewHost(nullEndpoint{}, Synchronous, func() time.Duration { return 0 })
 			h.OnItem = tc.onItem
 			for _, name := range []string{"p0", "p1", "p2", "p3"} {
 				h.Receive(name, &MsgJoin{From: name, State: Active})
 			}
 			post := &MsgPost{From: "p0", Kind: "eng/op", Body: "|" + strings.Repeat("QUJD", 20)}
-			if n := testing.AllocsPerRun(200, func() { h.Receive("p0", post) }); n != 2 {
-				t.Errorf("Host.Receive of a four-member post allocates %v objects, want 2", n)
+			if n := testing.AllocsPerRun(200, func() { h.Receive("p0", post) }); n != tc.want {
+				t.Errorf("Host.Receive of a four-member post allocates %v objects, want %v", n, tc.want)
 			}
-			if got := h.Host("").LogLen(); got != 201 { // AllocsPerRun's warm-up, then 200 runs
-				t.Errorf("log holds %d items, want 201", got)
+			if got := h.Host("").LogLen(); got != 201*tc.items { // AllocsPerRun's warm-up, then 200 runs
+				t.Errorf("log holds %d items, want %d", got, 201*tc.items)
 			}
 		})
 	}

@@ -13,7 +13,7 @@ import (
 // HostStats aggregates host activity.
 type HostStats struct {
 	Posts        int
-	Pushes       int // items pushed synchronously
+	Pushes       int // items pushed synchronously: items, not frames
 	PollServes   int // items served to polls
 	FlushServes  int // items flushed by a mode transition
 	ModeSwitches int
@@ -22,7 +22,9 @@ type HostStats struct {
 type partState struct {
 	id       string
 	presence Presence
-	acked    uint64 // highest sequence number delivered (push or poll)
+	acked    uint64 // highest sequence number delivered or owed (push or poll)
+	owed     bool   // on docHost.owed: (from, acked] is due in its next push
+	from     uint64
 }
 
 // Host is the session coordinator for every document on one endpoint. It
@@ -77,11 +79,11 @@ func (h *Host) Receive(from string, payload any) {
 	h.mu.Lock()
 	d, ok := h.docs[key]
 	if !ok {
-		// Only a join opens a document: posts or polls for an unknown
-		// document are from participants who never joined, and would be
-		// dropped anyway — creating state for them would let strangers
-		// allocate documents.
-		if _, join := payload.(*MsgJoin); !join {
+		// Only a join the document would accept opens it: posts or polls
+		// for an unknown document are from participants who never joined,
+		// and would be dropped anyway — creating state for them would let
+		// strangers (or forgers) allocate documents.
+		if m, join := payload.(*MsgJoin); !join || m.From != from || strings.HasPrefix(from, "!") {
 			h.mu.Unlock()
 			return
 		}
@@ -134,10 +136,14 @@ func NewMultiHost(ep fabric.Endpoint, mode Mode, clock func() time.Duration, own
 
 // docHost is one document's session: its item log, members and presence.
 // It guards all of that with its own mutex and queues every send and OnItem
-// call on its outbox, to run after the mutex is released. Queued sends run
-// in order, preserving the per-peer FIFO the clients rely on; a failed one
-// (a partition, a disconnected mobile) surfaces as a missed push, which the
-// poll path recovers.
+// call on its outbox, to run after the mutex is released. A synchronous
+// push is not queued when its item is logged: the item extends each
+// recipient's owed range, and a seal queued behind the item's OnItem call
+// turns every owed range into one frame, so an item that OnItem posts (an
+// OT commit) rides with the item it answers. Every other frame seals what
+// is owed first. Queued sends run in order, preserving the per-peer FIFO
+// the clients rely on; a failed one (a partition, a disconnected mobile)
+// surfaces as a missed push, which the poll path recovers.
 type docHost struct {
 	host *Host
 	key  string
@@ -152,7 +158,11 @@ type docHost struct {
 	// ids is the joined participants, sorted. A join replaces the slice
 	// rather than editing it, because every MsgJoinAck sent shares it.
 	ids   []string
+	owed  []*partState // members due a push, in the order they became due
 	stats HostStats
+	// sealOwed seals what is owed from the outbox, d.mu released; it is
+	// built once, so queueing it costs no allocation.
+	sealOwed func()
 }
 
 func newDocHost(h *Host, key string) *docHost {
@@ -162,6 +172,11 @@ func newDocHost(h *Host, key string) *docHost {
 	d.out = fabric.NewOutbox(h.ep, func(it any, _ uint64) {
 		h.OnItem(key, *it.(*Item))
 	})
+	d.sealOwed = func() {
+		d.mu.Lock()
+		d.seal()
+		d.mu.Unlock()
+	}
 	return d
 }
 
@@ -303,12 +318,13 @@ func (d *docHost) PostLocal(kind, body string) {
 	d.out.Drain(&d.mu)
 }
 
-// appendItem logs one item and pushes it per the session mode. Callers
-// hold d.mu.
+// appendItem logs one item and, in a synchronous session, makes every
+// other Active member owed it. The first item owed queues sealOwed behind its
+// OnItem call, so an item posted from inside that call joins the push.
+// Callers hold d.mu.
 func (d *docHost) appendItem(from, kind, body string) {
 	d.seq++
-	it := Item{Seq: d.seq, From: from, Kind: kind, Body: body, At: d.host.clock()}
-	d.log = append(d.log, it)
+	d.log = append(d.log, Item{Seq: d.seq, From: from, Kind: kind, Body: body, At: d.host.clock()})
 	d.stats.Posts++
 	if d.host.OnItem != nil {
 		d.out.Deliver(&d.log[len(d.log)-1], 0)
@@ -316,27 +332,54 @@ func (d *docHost) appendItem(from, kind, body string) {
 	if d.mode != Synchronous {
 		return
 	}
-	// One push serves every member: receivers only read it.
-	var push *MsgItems
+	owing := len(d.owed) > 0
 	for _, id := range d.ids {
 		p := d.parts[id]
-		if p.presence != Active || id == from {
-			// The poster's own item counts as delivered to it — but only
-			// while Active, when everything before it was pushed too.
-			// Advancing an away poster's cursor would skip the interim
-			// items out of its return-to-active flush.
-			if id == from && p.presence == Active {
-				p.acked = it.Seq
-			}
+		if p.presence != Active {
 			continue
 		}
-		d.stats.Pushes++
-		p.acked = it.Seq
-		if push == nil {
-			push = &MsgItems{Doc: d.key, Items: []Item{it}}
+		// The poster's own item counts as delivered to it — but only while
+		// Active, when everything before it was pushed too. Advancing an
+		// away poster's cursor would skip the interim items out of its
+		// return-to-active flush.
+		if id != from {
+			d.stats.Pushes++
+			if !p.owed {
+				p.owed, p.from = true, p.acked
+				d.owed = append(d.owed, p)
+			}
 		}
-		d.out.Queue(id, push, len(it.Body)+64)
+		p.acked = d.seq
 	}
+	if !owing && len(d.owed) > 0 {
+		d.out.Call(d.sealOwed)
+	}
+}
+
+// seal queues one push per owed member: the items of its range that it did
+// not post. Members owed the same range, none of it their own, share one
+// message over the log itself, which receivers only read. Callers hold d.mu.
+func (d *docHost) seal() {
+	var shared *MsgItems // the last unfiltered push, of (from, to]
+	var from, to uint64
+	for _, p := range d.owed {
+		p.owed = false
+		owed := d.log[p.from:p.acked:p.acked]
+		push := shared
+		if slices.ContainsFunc(owed, p.wrote) {
+			push = &MsgItems{Doc: d.key, Items: d.unseen(p, p.from, p.acked)}
+		} else if shared == nil || p.from != from || p.acked != to {
+			shared, from, to = &MsgItems{Doc: d.key, Items: owed}, p.from, p.acked
+			push = shared
+		}
+		size := 64
+		for _, it := range push.Items {
+			size += len(it.Body)
+		}
+		d.out.Queue(p.id, push, size)
+	}
+	clear(d.owed)
+	d.owed = d.owed[:0]
 }
 
 func (d *docHost) onPoll(m MsgPoll) {
@@ -372,23 +415,26 @@ func (d *docHost) SetMode(mode Mode) {
 }
 
 // catchUp is the one catch-up path, for a join, a poll and a flush: it
-// returns the items after since that p did not author (its own are never
-// delivered back to it) and moves p's cursor to the head of the log.
+// seals what is owed, so no push falls behind the frame it returns for,
+// then returns the items after since that p did not author and moves p's
+// cursor to the head of the log.
 func (d *docHost) catchUp(p *partState, since uint64) []Item {
+	d.seal()
 	p.acked = d.seq
 	if since >= d.seq {
 		return nil
 	}
-	// Sequence numbers are dense (1..seq), so index directly.
-	tail := d.log[since:]
-	out := make([]Item, 0, len(tail))
-	for _, it := range tail {
-		if it.From != p.id {
-			out = append(out, it)
-		}
-	}
-	return out
+	return d.unseen(p, since, d.seq)
 }
+
+// unseen returns a copy of the items in (since, upto] that p did not author:
+// a member is never sent its own items. Sequence numbers are dense (1..seq),
+// so it indexes the log directly.
+func (d *docHost) unseen(p *partState, since, upto uint64) []Item {
+	return slices.DeleteFunc(slices.Clone(d.log[since:upto]), p.wrote)
+}
+
+func (p *partState) wrote(it Item) bool { return it.From == p.id }
 
 // flush pushes p what it missed since its cursor, if anything: on a return
 // to Active, or when the session turns synchronous.
@@ -400,6 +446,7 @@ func (d *docHost) flush(p *partState) {
 }
 
 func (d *docHost) fanout(payload any, except string) {
+	d.seal()
 	for _, id := range d.ids {
 		p := d.parts[id]
 		if id == except || p.presence == Offline {
