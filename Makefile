@@ -23,8 +23,10 @@ vet:
 # discipline); see DESIGN.md "Enforced invariants". A finding is accepted
 # only by a //lint:ignore at its site, and an unused one fails too. Exit
 # codes: 0 clean, 1 violation, 2 load error — shared with `cscwctl chaos`.
+# benchmark/ is a module of its own, so it is linted on its own.
 lint:
 	go run ./cmd/cscwlint .
+	go run ./cmd/cscwlint benchmark
 
 # Rewrite internal/lint/testdata/fixtures.golden (the exact rendering of every
 # fixture diagnostic, TestFixturesGolden) and summaries.golden (every fixture

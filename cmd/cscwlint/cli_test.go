@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -170,5 +171,68 @@ func TestPackageFilter(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "no loaded package matches") {
 		t.Errorf("stderr = %q, want unmatched-filter error", stderr)
+	}
+}
+
+// writeModule writes files (slash paths relative to the module root) into a
+// fresh directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for name, body := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+func TestRunFromSubdirectory(t *testing.T) {
+	rootCode, rootOut, _ := runCLI("testdata/broken")
+	subCode, subOut, _ := runCLI(filepath.Join("testdata", "broken", "internal", "clockbad"))
+	if subCode != rootCode || subOut != rootOut {
+		t.Errorf("from a subdirectory: exit %d, stdout %q; from the module root: exit %d, stdout %q",
+			subCode, subOut, rootCode, rootOut)
+	}
+}
+
+func TestOutsideModule(t *testing.T) {
+	code, _, stderr := runCLI(t.TempDir())
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2", code)
+	}
+	if !strings.Contains(stderr, "go.mod file not found") {
+		t.Errorf("stderr = %q, want the go command's no-module message", stderr)
+	}
+}
+
+func TestTypeErrorNamesPackage(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":       "module example.com/bad\n\ngo 1.22\n",
+		"ok/ok.go":     "package ok\n",
+		"wrong/bad.go": "package wrong\n\nfunc F() int { return \"x\" }\n",
+	})
+	code, _, stderr := runCLI(dir)
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2", code)
+	}
+	if !strings.Contains(stderr, "example.com/bad/wrong") {
+		t.Errorf("stderr = %q, want it to name example.com/bad/wrong", stderr)
+	}
+}
+
+func TestIgnoredFileNotLoaded(t *testing.T) {
+	// gen.go would not type-check as part of package p: loading it exits 2.
+	dir := writeModule(t, map[string]string{
+		"go.mod":   "module example.com/gen\n\ngo 1.22\n",
+		"p/p.go":   "package p\n\nfunc F() int { return 1 }\n",
+		"p/gen.go": "//go:build ignore\n\npackage main\n\nfunc main() {}\n",
+	})
+	if code, stdout, stderr := runCLI(dir); code != 0 {
+		t.Fatalf("exit = %d, stdout %q, stderr %q; want 0 with gen.go left out", code, stdout, stderr)
 	}
 }

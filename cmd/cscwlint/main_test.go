@@ -11,6 +11,10 @@ func TestRunCleanModule(t *testing.T) {
 	if code := run([]string{"."}); code != 0 {
 		t.Fatalf("run(.) = %d, want 0", code)
 	}
+	// The benchmark harness is a module of its own, which "." leaves out.
+	if code := run([]string{"../../benchmark"}); code != 0 {
+		t.Fatalf("run(../../benchmark) = %d, want 0", code)
+	}
 }
 
 func TestRunBrokenModule(t *testing.T) {

@@ -602,7 +602,6 @@ func (m *Member) receiveSync(pkt *packet) {
 // otherwise only recovers when more traffic arrives).
 func (m *Member) RequestRepair() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	senders := make(map[string]bool, len(m.fifoHold)+len(m.knownHi))
 	for s := range m.fifoHold {
 		senders[s] = true
@@ -623,6 +622,7 @@ func (m *Member) RequestRepair() {
 		m.nacked[sender] = 0
 		m.maybeNack(sender)
 	}
+	m.out.Drain(&m.mu) // releases m.mu and sends the NACKs now
 }
 
 // receiveNack serves a repair request from sentBuf. The walk is clamped to

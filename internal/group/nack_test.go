@@ -70,6 +70,30 @@ func TestNackRecoversSingleLoss(t *testing.T) {
 	}
 }
 
+// TestRequestRepairSendsNow loses the NACK for a gap and heals the link:
+// RequestRepair must send the NACK itself, not leave it queued until the
+// next packet this member receives, which never comes here.
+func TestRequestRepairSendsNow(t *testing.T) {
+	r := lossyRig(t, 0, 1)
+	healthy := netsim.Link{Latency: 5 * time.Millisecond}
+	lost := netsim.Link{Latency: 5 * time.Millisecond, Loss: 1.0}
+	r.members["m00"].Multicast("one", 10)
+	r.sim.Run()
+	r.sim.SetLink("m00", "m01", lost)
+	r.members["m00"].Multicast("two", 10)
+	r.sim.Run()
+	r.sim.SetLink("m00", "m01", healthy)
+	r.sim.SetLink("m01", "m00", lost) // m01's NACK for "two" is lost
+	r.members["m00"].Multicast("three", 10)
+	r.sim.Run()
+	r.sim.SetLink("m01", "m00", healthy)
+	r.members["m01"].RequestRepair()
+	r.sim.Run()
+	if got := fmt.Sprint(r.bodies("m01")); got != "[one two three]" {
+		t.Fatalf("m01 delivered %s after RequestRepair, want [one two three]", got)
+	}
+}
+
 func TestNackUnderRandomLossWithRepairTimer(t *testing.T) {
 	r := lossyRig(t, 0.25, 7)
 	const n = 60

@@ -1,6 +1,7 @@
 // Package lint is the project's static-analysis engine: a stdlib-only
-// driver (go/parser, go/types, go/importer — no x/tools) that loads every
-// package in the module and checks the source-level invariants the rest of
+// driver (go/parser and go/types over the go command's package list and
+// export data — no x/tools) that loads every package in the module and
+// checks the source-level invariants the rest of
 // the tooling relies on but cannot itself enforce:
 //
 //   - determinism: chaos traces are byte-identical per seed only if no

@@ -47,19 +47,21 @@ type fixture struct {
 	path string
 }
 
-// fixtureBase is the one loader whose FileSet, build context and stdlib
-// source importer every fixture shares, so the standard library is
-// type-checked once per test binary instead of once per fixture.
+// fixtureBase is the one loader whose FileSet, package listing and
+// export-data importer every fixture shares, so the go command is asked once
+// per test binary instead of once per fixture. A fixture may import only
+// what the module's packages import: nothing else has export data listed.
 var (
 	fixtureBase *Loader
 	fixturePkgs = make(map[string]*Package)
 	fixtureMemo = make(map[string][]Diagnostic)
 )
 
-// fixturePkg loads one fixture, memoized. Each fixture gets its own
-// `loaded` map: packages memoize by import path, and a fixture loaded under
-// a real package's path (lifeleak assumes the transport's) must not collide
-// with the real package pulled in by another fixture's imports.
+// fixturePkg loads one fixture, memoized: every .go file in its directory,
+// type-checked as its assumed path. Each fixture gets its own `loaded` map:
+// packages memoize by import path, and a fixture loaded under a real
+// package's path (lifeleak assumes the transport's) must not collide with
+// the real package pulled in by another fixture's imports.
 func fixturePkg(t *testing.T, fx fixture) *Package {
 	t.Helper()
 	if p, ok := fixturePkgs[fx.dir]; ok {
@@ -73,14 +75,16 @@ func fixturePkg(t *testing.T, fx fixture) *Package {
 		fixtureBase = l
 	}
 	l := &Loader{
-		ModuleRoot: fixtureBase.ModuleRoot,
-		ModulePath: fixtureBase.ModulePath,
-		Fset:       fixtureBase.Fset,
-		ctxt:       fixtureBase.ctxt,
-		std:        fixtureBase.std,
-		loaded:     make(map[string]*Package),
+		Fset:   fixtureBase.Fset,
+		listed: fixtureBase.listed,
+		std:    fixtureBase.std,
+		loaded: make(map[string]*Package),
 	}
-	p, err := l.LoadDir(filepath.Join("testdata", "src", fx.dir), fx.path)
+	files, err := filepath.Glob(filepath.Join("testdata", "src", fx.dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := l.check(fx.path, files)
 	if err != nil {
 		t.Fatalf("load %s as %s: %v", fx.dir, fx.path, err)
 	}

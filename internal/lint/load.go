@@ -1,129 +1,122 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Loader parses and type-checks the packages of one module, resolving
-// stdlib imports from source via go/importer (no compiled export data and
-// no x/tools needed). Only non-test files are loaded: tests legitimately
-// drive real time and real transports, so the invariants apply to the
-// packages themselves.
+// Loader parses and type-checks the packages of one module. The go command
+// says what the module is and which files make each of its packages; those
+// are type-checked from source, and everything they import from outside the
+// module is read from the compiler's export data. Only non-test files are
+// loaded: tests legitimately drive real time and real transports, so the
+// invariants apply to the packages themselves.
 type Loader struct {
 	ModuleRoot string
-	ModulePath string
 	Fset       *token.FileSet
 
-	ctxt   build.Context
-	std    types.Importer
-	loaded map[string]*Package // by import path
+	listed map[string]*listedPackage // the module's packages, by import path
+	std    types.Importer            // export data for every other package
+	loaded map[string]*Package       // by import path
 }
 
-// NewLoader locates the module containing dir (walking up to go.mod) and
-// prepares a loader for it.
+// listedPackage is the part of `go list -json` the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Module     *struct{ Main bool }
+	Error      *struct{ Err string }
+}
+
+// NewLoader asks the go command for the module containing dir and for every
+// package that module builds with.
 func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
+	// `go list -m all` names the main module first; outside a module it
+	// fails with the go command's own message.
+	out, err := goList(dir, "-m", "-json=Dir", "all")
 	if err != nil {
 		return nil, err
 	}
-	if st, err := os.Stat(abs); err != nil || !st.IsDir() {
-		return nil, fmt.Errorf("lint: %s is not a directory", abs)
+	var mod struct{ Dir string }
+	if err := json.NewDecoder(bytes.NewReader(out)).Decode(&mod); err != nil {
+		return nil, fmt.Errorf("lint: go list -m: %w", err)
 	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("lint: no go.mod at or above %s", abs)
-		}
-		root = parent
-	}
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
+	out, err = goList(mod.Dir, "-e", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,Module,Error", "./...")
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	ctxt := build.Default
-	// The source importer type-checks stdlib packages from GOROOT source;
-	// with cgo enabled it would trip over cgo files (e.g. in net), and this
-	// module uses none, so resolve the pure-Go file set.
-	ctxt.CgoEnabled = false
 	l := &Loader{
-		ModuleRoot: root,
-		ModulePath: modPath,
-		Fset:       fset,
-		ctxt:       ctxt,
+		ModuleRoot: mod.Dir,
+		Fset:       token.NewFileSet(),
+		listed:     make(map[string]*listedPackage),
 		loaded:     make(map[string]*Package),
 	}
-	l.std = importer.ForCompiler(fset, "source", nil)
+	deps := make(map[string]*listedPackage)
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err != nil {
+			return nil, fmt.Errorf("lint: go list: %w", err)
+		}
+		if p.Module != nil && p.Module.Main {
+			l.listed[p.ImportPath] = p
+		} else {
+			deps[p.ImportPath] = p
+		}
+	}
+	l.std = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		p, ok := deps[path]
+		if !ok {
+			return nil, fmt.Errorf("%s is not a dependency of the module", path)
+		}
+		if p.Error != nil {
+			return nil, errors.New(p.Error.Err)
+		}
+		return os.Open(p.Export)
+	})
 	return l, nil
 }
 
-// modulePath reads the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
+// goList runs `go list` in dir; a failure carries the go command's message.
+func goList(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return nil, fmt.Errorf("lint: %s", bytes.TrimSpace(exit.Stderr))
+	}
 	if err != nil {
-		return "", err
+		return nil, fmt.Errorf("lint: %w", err)
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("lint: no module line in %s", gomod)
+	return out, nil
 }
 
-// LoadModule loads every buildable package in the module, skipping
-// testdata, vendor and dot-directories.
+// LoadModule loads every package of the module in import-path order.
 func (l *Loader) LoadModule() ([]*Package, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != l.ModuleRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "vendor") {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, path)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	paths := make([]string, 0, len(l.listed))
+	for path := range l.listed {
+		paths = append(paths, path)
 	}
-	sort.Strings(dirs)
-	var pkgs []*Package
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(l.ModuleRoot, dir)
+	sort.Strings(paths)
+	pkgs := make([]*Package, 0, len(paths))
+	for _, path := range paths {
+		p, err := l.load(path)
 		if err != nil {
-			return nil, err
-		}
-		path := l.ModulePath
-		if rel != "." {
-			path = l.ModulePath + "/" + filepath.ToSlash(rel)
-		}
-		p, err := l.load(path, dir)
-		if err != nil {
-			if _, ok := err.(*build.NoGoError); ok {
-				continue // directory without buildable Go files
-			}
 			return nil, err
 		}
 		pkgs = append(pkgs, p)
@@ -131,24 +124,28 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir loads the single package in dir under an assumed import path
-// (fixture tests use this to exercise path-scoped rules).
-func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
-	return l.load(asPath, dir)
-}
-
-// load parses and type-checks one package directory, memoized by path.
-func (l *Loader) load(path, dir string) (*Package, error) {
+// load parses and type-checks one of the module's packages, memoized by
+// path.
+func (l *Loader) load(path string) (*Package, error) {
 	if p, ok := l.loaded[path]; ok {
 		return p, nil
 	}
-	bp, err := l.ctxt.ImportDir(dir, 0)
-	if err != nil {
-		return nil, err
+	lp := l.listed[path]
+	if lp.Error != nil {
+		return nil, fmt.Errorf("lint: %s: %s", path, strings.TrimSpace(lp.Error.Err))
 	}
+	files := make([]string, len(lp.GoFiles))
+	for i, name := range lp.GoFiles {
+		files[i] = filepath.Join(lp.Dir, name)
+	}
+	return l.check(path, files)
+}
+
+// check parses files and type-checks them as the package path.
+func (l *Loader) check(path string, filenames []string) (*Package, error) {
 	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+	for _, name := range filenames {
+		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -170,20 +167,15 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	return p, nil
 }
 
-// Import implements types.Importer: module-local packages are loaded from
-// the module tree, everything else comes from the stdlib source importer.
+// Import implements types.Importer: the module's own packages are loaded
+// from source, everything else from export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
+	if _, ok := l.listed[path]; !ok {
+		return l.std.Import(path)
 	}
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/")
-		dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(rel))
-		p, err := l.load(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		return p.Types, nil
+	p, err := l.load(path)
+	if err != nil {
+		return nil, err
 	}
-	return l.std.Import(path)
+	return p.Types, nil
 }

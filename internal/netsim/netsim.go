@@ -14,11 +14,11 @@
 // Topology scales past toy worlds: nodes carry dense integer handles
 // (NodeID) indexing slice state, links resolve through a three-tier
 // hierarchy (explicit pair override → region-pair link class → simulator
-// default, see topology.go), and partitions are epoch-tagged cut-set
-// predicates rather than per-pair state. A 10k-node two-region world is a
-// node slice plus a handful of link descriptors. String IDs remain the
-// public addressing scheme; the handles are an optimization layer that
-// hot callers (benchmarks, bulk workloads) may use directly via SendID.
+// default, see topology.go), and partitions are cut-set predicates rather
+// than per-pair state. A 10k-node two-region world is a node slice plus a
+// handful of link descriptors. String IDs remain the public addressing
+// scheme; the handles are an optimization layer that hot callers
+// (benchmarks, bulk workloads) may use directly via SendID.
 package netsim
 
 import (
@@ -182,10 +182,8 @@ type Sim struct {
 	// with traffic, not with the node count squared.
 	pairBusy map[pairKey]time.Duration
 
-	// cuts are the active partition predicates; epoch tags each topology
-	// mutation (see topology.go).
-	cuts  []cut
-	epoch uint64
+	// cuts are the active partition predicates (see topology.go).
+	cuts []cut
 
 	dropped int
 	sent    int

@@ -13,9 +13,7 @@
 // as a list of directional cut predicates (src-set × dst-set bitsets); a
 // send is blocked when any cut covers its (from, to) pair. Healing
 // subtracts product sets from the cuts, so partial heals keep the exact
-// per-pair semantics of the flat model without per-pair state. Every
-// topology mutation bumps an epoch counter, which tests and tools can use
-// to observe invalidation without diffing link state.
+// per-pair semantics of the flat model without per-pair state.
 package netsim
 
 import "time"
@@ -80,7 +78,6 @@ func (s *Sim) SetRegionLink(a, b RegionID, l Link) {
 	if int(a) < 0 || int(a) >= len(s.regions) || int(b) < 0 || int(b) >= len(s.regions) {
 		return
 	}
-	s.epoch++
 	if idx := s.regionLink[a][b]; idx >= 0 {
 		s.linkDefs[idx] = l
 		return
@@ -107,7 +104,6 @@ func (s *Sim) SetLink(from, to string, l Link) {
 	if !aok || !bok {
 		return
 	}
-	s.epoch++
 	key := pk(a, b)
 	if idx, ok := s.pairIdx[key]; ok {
 		s.linkDefs[idx] = l
@@ -155,11 +151,6 @@ func (s *Sim) LinkBetween(from, to string) Link {
 	}
 	return l
 }
-
-// Epoch returns the topology epoch: a counter bumped by every link or
-// partition mutation. Consumers caching resolved links can compare epochs
-// instead of diffing topology state.
-func (s *Sim) Epoch() uint64 { return s.epoch }
 
 // Cuts reports the number of active cut predicates (diagnostic).
 func (s *Sim) Cuts() int { return len(s.cuts) }
@@ -235,10 +226,8 @@ func (ns nodeSet) andNot(o nodeSet) nodeSet {
 }
 
 // cut is a directional partition predicate: traffic from any node in src to
-// any node in dst is severed. The epoch records which topology mutation
-// installed it.
+// any node in dst is severed.
 type cut struct {
-	epoch    uint64
 	src, dst nodeSet
 }
 
@@ -294,10 +283,7 @@ func (s *Sim) Partition(groupA, groupB []string) {
 	if a == nil || b == nil {
 		return
 	}
-	s.epoch++
-	s.cuts = append(s.cuts,
-		cut{epoch: s.epoch, src: a, dst: b},
-		cut{epoch: s.epoch, src: b, dst: a})
+	s.cuts = append(s.cuts, cut{src: a, dst: b}, cut{src: b, dst: a})
 }
 
 // Heal restores all links between the two groups by subtracting the
@@ -331,10 +317,7 @@ func (s *Sim) SetDown(a, b string, down bool) {
 	sa, sb := s.singleton(na), s.singleton(nb)
 	if down {
 		if !s.cutsBlock(na, nb) || !s.cutsBlock(nb, na) {
-			s.epoch++
-			s.cuts = append(s.cuts,
-				cut{epoch: s.epoch, src: sa, dst: sb},
-				cut{epoch: s.epoch, src: sb, dst: sa})
+			s.cuts = append(s.cuts, cut{src: sa, dst: sb}, cut{src: sb, dst: sa})
 		}
 		return
 	}
@@ -346,7 +329,7 @@ func (s *Sim) SetDown(a, b string, down bool) {
 
 // subtractCut removes the product set hs×hd from every active cut, using
 // the identity  (src×dst) ∖ (hs×hd) = (src∖hs)×dst  ∪  (src∩hs)×(dst∖hd).
-// Cuts that become empty disappear; the epoch advances.
+// Cuts that become empty disappear.
 func (s *Sim) subtractCut(hs, hd nodeSet) {
 	if hs == nil || hd == nil || len(s.cuts) == 0 {
 		return
@@ -359,16 +342,15 @@ func (s *Sim) subtractCut(hs, hd nodeSet) {
 			continue
 		}
 		if rest := c.src.andNot(hs); rest != nil {
-			next = append(next, cut{epoch: c.epoch, src: rest, dst: c.dst})
+			next = append(next, cut{src: rest, dst: c.dst})
 		}
 		if hit := c.src.and(hs); hit != nil {
 			if restDst := c.dst.andNot(hd); restDst != nil {
-				grown = append(grown, cut{epoch: c.epoch, src: hit, dst: restDst})
+				grown = append(grown, cut{src: hit, dst: restDst})
 			}
 		}
 	}
 	s.cuts = append(next, grown...)
-	s.epoch++
 }
 
 // clearOverrideDown clears the Down flag on tier-1 pair overrides whose
@@ -386,7 +368,6 @@ func (s *Sim) clearOverrideDown(src, dst nodeSet) {
 		from, to := key.split()
 		if src.has(from) && dst.has(to) {
 			s.linkDefs[idx].Down = false
-			s.epoch++
 		}
 	}
 }

@@ -105,7 +105,6 @@ type Group struct {
 	rules   []Rule
 	notify  func(GroupEvent)
 	stats   GroupStats
-	writers map[string]string // key -> last writer, for rules and audit
 }
 
 // NewGroup creates a transaction group over parent. The group store starts
@@ -123,7 +122,6 @@ func NewGroup(name string, parent *Store, rules []Rule, notify func(GroupEvent))
 		members: make(map[string]bool),
 		rules:   rules,
 		notify:  notify,
-		writers: make(map[string]string),
 	}
 }
 
@@ -158,9 +156,6 @@ func (g *Group) Members() []string {
 	sort.Strings(out)
 	return out
 }
-
-// LastWriter reports which member last wrote key within the group.
-func (g *Group) LastWriter(key string) string { return g.writers[key] }
 
 // SetRules replaces the cooperation policy — the paper's requirement that
 // policies be tailorable mid-collaboration.
@@ -211,7 +206,6 @@ func (g *Group) Write(user, key, value string, now time.Duration) error {
 	}
 	g.stats.Allowed++
 	g.local.Set(key, value)
-	g.writers[key] = user
 	if d == AllowNotify {
 		g.broadcast(req)
 	}

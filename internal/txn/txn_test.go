@@ -336,17 +336,6 @@ func TestGroupDefaultDeny(t *testing.T) {
 	}
 }
 
-func TestGroupLastWriter(t *testing.T) {
-	g := NewGroup("g", NewStore(), []Rule{RuleWriteNotify()}, nil)
-	g.Join("a")
-	g.Join("b")
-	g.Write("a", "k", "1", 0)
-	g.Write("b", "k", "2", 0)
-	if g.LastWriter("k") != "b" {
-		t.Errorf("LastWriter = %q", g.LastWriter("k"))
-	}
-}
-
 func TestStateStrings(t *testing.T) {
 	if TxnActive.String() != "active" || TxnBlocked.String() != "blocked" ||
 		TxnCommitted.String() != "committed" || TxnAborted.String() != "aborted" {
