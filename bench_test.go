@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/engine"
 	"repro/internal/exps"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
@@ -146,3 +147,12 @@ func BenchmarkFabricSendRecv(b *testing.B) {
 // at all four members over loopback TCP: the ordering layer on the real
 // substrate, the in-module row for the end-to-end group_seq_1x4 workload.
 func BenchmarkGroupSequencerTCP(b *testing.B) { bench.GroupSequencerTCPBench()(b) }
+
+// BenchmarkDaemonTCP prices one edit end to end over loopback TCP: a daemon
+// and four participants in this process, one edit in flight at a time, the
+// in-module rows for the end-to-end relay_1x4 (relay: the CRDT daemon only
+// relays) and ot_1x4 (ot: it relays and commits) workloads.
+func BenchmarkDaemonTCP(b *testing.B) {
+	b.Run("relay", bench.DaemonTCPBench(engine.CRDT))
+	b.Run("ot", bench.DaemonTCPBench(engine.OT))
+}

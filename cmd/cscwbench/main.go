@@ -106,6 +106,10 @@ func run(args []string) error {
 		add("fabric_tcp_send_recv_binary", tcpSendRecv(reg))
 		add("group_seq_tcp_c4", bench.GroupSequencerTCPBench())
 	}
+	// One edit through a live daemon and four participants over loopback
+	// TCP, the in-module rows for relay_1x4 and ot_1x4; quick runs keep them.
+	add("daemon_tcp_relay", bench.DaemonTCPBench(engine.CRDT))
+	add("daemon_tcp_ot", bench.DaemonTCPBench(engine.OT))
 
 	// Topology-engine scale rows: the send+deliver hot path and the cut-set
 	// partition at growing node counts, then the 10k-node acceptance drill

@@ -1,0 +1,5 @@
+//go:build race
+
+package bench
+
+const raceEnabled = true

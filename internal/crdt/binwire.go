@@ -108,7 +108,7 @@ func (m MsgOp) AppendBinary(dst []byte) ([]byte, error) {
 func (m *MsgOp) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
 	m.Op = readOp(&r)
-	return r.Done(tagOp)
+	return r.Done(TagOp)
 }
 
 func appendSeqState(dst []byte, st *SeqState) []byte {
@@ -243,5 +243,5 @@ func (m *MsgState) ParseBinary(r fabric.Reader) error {
 			return fmt.Errorf("crdt: unknown state kind %d", kind)
 		}
 	}
-	return r.Done(tagState)
+	return r.Done(TagState)
 }

@@ -2,10 +2,11 @@ package crdt
 
 import "repro/internal/fabric"
 
-// Wire type tags for byte-oriented transports.
+// Wire type tags for byte-oriented transports. They are exported for the
+// engine's item kind table, which names a payload by its tag.
 const (
-	tagOp    = "crdt/op"
-	tagState = "crdt/state"
+	TagOp    = "crdt/op"
+	TagState = "crdt/state"
 )
 
 // MsgOp carries one CRDT operation for a document. CRDT docs need no
@@ -37,8 +38,8 @@ func (m MsgState) DocKey() string { return m.Doc }
 // replicas can converse over any fabric substrate (and over the binary
 // frame codec — both messages carry hand-rolled binary bodies).
 func RegisterWire(c *fabric.Codec) {
-	c.Register(tagOp, MsgOp{})
-	c.Register(tagState, MsgState{})
+	c.Register(TagOp, MsgOp{})
+	c.Register(TagState, MsgState{})
 }
 
 // NewWireCodec returns a codec pre-loaded with the CRDT wire messages.

@@ -578,3 +578,39 @@ func TestPushDecodeAllocs(t *testing.T) {
 		t.Errorf("decoding a pushed crdt op allocates %v objects, want 5", n)
 	}
 }
+
+// TestPumpSkipsOthersItemsUndecoded: a participant's Pump reads an item's
+// address before its payload, so an OT submission addressed to the host,
+// which every participant receives, is skipped with nothing decoded and
+// nothing allocated.
+func TestPumpSkipsOthersItemsUndecoded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	author, err := engine.New(engine.OT, "doc", "p2", session.HostAuthor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := author.Insert(0, 'x')
+	if err != nil || len(msgs) != 1 || msgs[0].To != session.HostAuthor {
+		t.Fatalf("insert gave %+v, %v; want one submission to the host", msgs, err)
+	}
+	body, err := engine.EncodeItemBody(engine.NewWireCodec(), msgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.OT, "doc", "p1", session.HostAuthor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPump("p1", eng, func(string) error { t.Fatal("the pump posted"); return nil })
+	it := session.Item{Seq: 1, From: "p2", Kind: engine.ItemKind, Body: body}
+	n := testing.AllocsPerRun(100, func() {
+		if applied, _, err := p.Deliver(it); applied || err != nil {
+			t.Fatalf("Deliver = %v, %v; want the item skipped", applied, err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("skipping a submission to the host allocates %v objects, want 0", n)
+	}
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // Pump is one site's replica of one document riding the session log as
-// "eng/op" items (internal/engine item bodies): item in → decode → addressee
-// filter → Apply → encode → post. A participant runs one as its user, posting
+// "eng/op" items (internal/engine item bodies): item in → addressee filter →
+// decode → Apply → encode → post. A participant runs one as its user, posting
 // with Client.Post. With Engine crdt that is all: the daemon relays the items
 // and never inspects them. With Engine ot the daemon is the authoritative
 // integration site: it runs one per document as session.HostAuthor, posting
@@ -38,12 +38,14 @@ func (p *Pump) Deliver(it session.Item) (applied bool, posted []string, err erro
 	if it.Kind != engine.ItemKind || it.From == p.self {
 		return false, nil, nil
 	}
-	to, payload, err := engine.DecodeItemBody(p.codec, it.Body)
+	// The address comes first, so an item for another site (every OT
+	// submission, at a participant) is skipped before it is decoded.
+	if to := engine.ItemTo(it.Body); to != "" && to != p.self {
+		return false, nil, nil
+	}
+	_, payload, err := engine.DecodeItemBody(p.codec, it.Body)
 	if err != nil {
 		return false, nil, fmt.Errorf("bad eng/op from %s: %v", it.From, err)
-	}
-	if to != "" && to != p.self {
-		return false, nil, nil
 	}
 	posted, err = p.Edit(func(d engine.Doc) ([]engine.Msg, error) {
 		out, err := d.Apply(it.From, payload)

@@ -78,10 +78,15 @@ func FuzzItemBodyDecode(f *testing.F) {
 			f.Add(body)
 		}
 	}
-	f.Add("a|\x09crdt/op")                  // the tag length runs past the end
-	f.Add("a|")                             // nothing after the separator
-	f.Add("|\x06nope/x\x01d")               // a tag nothing registered
-	f.Add("|\x0eengine/ot-pull\x03d|x\x07") // '|' inside the payload
+	f.Add("a|\x00")           // a kind and no body
+	f.Add("a|")               // nothing after the separator
+	f.Add("|\x06\x01d")       // a kind past the table's end
+	f.Add("|\x04\x03d|x\x07") // '|' inside the payload
+	// The form before the kind table, a tag length and a tag where the kind
+	// byte goes: refused, never parsed.
+	f.Add("a|\x09crdt/op")
+	f.Add("|\x06nope/x\x01d")
+	f.Add("|\x0eengine/ot-pull\x03d|x\x07")
 	f.Fuzz(func(t *testing.T, body string) {
 		to, payload, err := DecodeItemBody(codec, body)
 		if err != nil {

@@ -2,51 +2,71 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
+	"repro/internal/crdt"
 	"repro/internal/fabric"
 )
 
 // Engine messages can ride a session log as ordinary items: the body is an
-// addressing prefix and the payload's tagged binary form (fabric.Codec's
-// AppendTagged), raw bytes in a Go string, so a plain session daemon relays
-// them untouched (the CRDT deployment) and an OT-integrating daemon picks out
-// the ones addressed to its server site. The session frame already
-// length-prefixes the body, so the payload carries no frame of its own.
+// addressing prefix, one kind byte and the payload's binary body, raw bytes
+// in a Go string, so a plain session daemon relays them untouched (the CRDT
+// deployment) and an OT-integrating daemon picks out the ones addressed to
+// its server site. The session frame already length-prefixes the body, so
+// the payload carries no frame and no tag of its own.
 
 // ItemKind is the session item kind carrying a convergence-engine message.
 const ItemKind = "eng/op"
 
-// itemBodyCap sizes EncodeItemBody's buffer past the address: room for a tag
-// and a per-keystroke op, so the common case never grows it.
+// itemKinds numbers the messages an item body can carry: the kind byte is
+// an index into it, naming the payload by its codec tag. It is wire format
+// (testdata/items.golden pins it) and travels end to end, through daemons
+// that never decode it, so it is append-only: a new kind goes at the end
+// and no entry moves. A body from before the table has a tag length
+// (7 or more) where the kind byte goes, which names no kind.
+var itemKinds = [...]string{crdt.TagOp, crdt.TagState, tagSubmit, tagCommit, tagPull, tagCommits}
+
+// itemBodyCap sizes EncodeItemBody's buffer past the address: room for the
+// kind byte and a per-keystroke op, so the common case never grows it.
 const itemBodyCap = 64
 
 // EncodeItemBody renders one engine message as a session item body:
-// "<to>|<tag length><tag><binary body>", with an empty <to> meaning every
-// replica.
+// "<to>|<kind><binary body>", with an empty <to> meaning every replica. A
+// payload with no item kind is an error, even one the codec registered.
 //
 //cscw:hotpath
 func EncodeItemBody(codec *fabric.Codec, m Msg) (string, error) {
 	if strings.IndexByte(m.To, '|') >= 0 {
 		return "", fmt.Errorf("engine: site %q cannot ride an item body ('|' is the address separator)", m.To)
 	}
-	dst := make([]byte, 0, len(m.To)+1+itemBodyCap)
-	dst = append(dst, m.To...)
-	dst = append(dst, '|')
-	dst, err := codec.AppendTagged(dst, m.Body)
+	tag, err := codec.TagOf(m.Body)
 	if err != nil {
 		return "", err
+	}
+	kind := slices.Index(itemKinds[:], tag)
+	if kind < 0 {
+		return "", fmt.Errorf("engine: %s has no item kind", tag)
+	}
+	dst := make([]byte, 0, len(m.To)+1+itemBodyCap)
+	dst = append(dst, m.To...)
+	dst = append(dst, '|', byte(kind))
+	// The codec registers only types that implement BinaryAppender.
+	dst, err = m.Body.(fabric.BinaryAppender).AppendBinary(dst)
+	if err != nil {
+		return "", fmt.Errorf("engine: encode %s item body: %w", tag, err)
 	}
 	//lint:ignore hot-alloc the item body is a string on the session log; this is its one copy
 	return string(dst), nil
 }
 
-// DecodeItemBody reverses EncodeItemBody: it cuts at the first '|' and
-// parses one copy of the rest, so a decoded payload's string fields are
-// substrings of that copy and not of the item body. Replicas apply the
-// payload when to is empty (broadcast) or names them, and skip it
-// otherwise. A payload whose tag no engine registered is an error.
+// DecodeItemBody reverses EncodeItemBody: it cuts at the first '|', reads
+// the kind byte and parses one copy of the rest, so a decoded payload's
+// string fields are substrings of that copy and not of the item body.
+// Replicas apply the payload when to is empty (broadcast) or names them,
+// and skip it otherwise. A missing or unknown kind is an error, and so is a
+// kind whose tag the codec did not register.
 //
 //cscw:hotpath
 func DecodeItemBody(codec *fabric.Codec, body string) (to string, payload any, err error) {
@@ -54,17 +74,24 @@ func DecodeItemBody(codec *fabric.Codec, body string) (to string, payload any, e
 	if i < 0 {
 		return "", nil, fmt.Errorf("engine: item body has no address separator")
 	}
-	// DecodeTagged copies nothing, so passing body[i+1:] itself would save
+	if i+1 == len(body) || int(body[i+1]) >= len(itemKinds) {
+		return "", nil, fmt.Errorf("engine: unknown item kind %q", body[i+1:min(i+2, len(body))])
+	}
+	// ParseBody copies nothing, so passing body[i+2:] itself would save
 	// this allocation on every pushed op. It is kept for now because the
 	// benchmark's smoke test (benchmark/load TestQuickSmoke) bounds
 	// relay_1x4's allocs_per_op at 20 or more; ROADMAP item 1 drops the
 	// copy once that bound is replaced.
-	payload, err = codec.DecodeTagged(strings.Clone(body[i+1:]))
+	payload, err = codec.ParseBody(itemKinds[body[i+1]], strings.Clone(body[i+2:]))
 	if err != nil {
 		return "", nil, fmt.Errorf("engine: item body payload: %w", err)
 	}
 	return body[:i], payload, nil
 }
+
+// ItemTo reads an item body's address without decoding it: the site it is
+// for, or "" for every replica (and for a body with no separator).
+func ItemTo(body string) string { return body[:max(strings.IndexByte(body, '|'), 0)] }
 
 // ShowItemBody renders an item body for a log line or a terminal. An eng/op
 // body is raw bytes after its address, so it shows as "<to>|<n bytes>" (just

@@ -126,38 +126,69 @@ func TestItemBodyRejectsSeparatorInSite(t *testing.T) {
 	}
 }
 
-// TestItemBodyUnknownTag: a payload under a tag no engine registered is an
-// error naming the tag, not a nil payload for Apply to trip over later.
+// TestItemBodyUnknownTag: the kind table is the one way in, both ways. A
+// kind byte past its end is an error naming the byte, not a nil payload for
+// Apply to trip over later, and a payload whose tag has no kind does not
+// encode, even under a codec that registered the tag.
 func TestItemBodyUnknownTag(t *testing.T) {
-	other := fabric.NewCodec()
-	fabric.RegisterBase(other)
-	body, err := EncodeItemBody(other, Msg{To: "bob", Body: &fabric.Hello{Addr: "x"}})
+	codec := NewWireCodec()
+	body := fmt.Sprintf("bob|%c\x01d\x07", len(itemKinds))
+	if to, payload, err := DecodeItemBody(codec, body); err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`kind "\x%02x"`, len(itemKinds))) {
+		t.Fatalf("unknown kind: got (%q, %#v, %v), want an error naming the kind", to, payload, err)
+	}
+	fabric.RegisterBase(codec)
+	if body, err := EncodeItemBody(codec, Msg{To: "bob", Body: &fabric.Hello{Addr: "x"}}); err == nil || !strings.Contains(err.Error(), "fabric/hello") {
+		t.Fatalf("payload with no kind: got (%q, %v), want an error naming its tag", body, err)
+	}
+}
+
+// TestItemBodyRefusesTaggedForm: a body in the form before the kind table,
+// "<to>|<tag length><tag><binary body>" (testdata/items-tagged.golden, the
+// earlier items.golden verbatim), is refused, never parsed as something
+// else: its tag length lies past the table's last kind.
+func TestItemBodyRefusesTaggedForm(t *testing.T) {
+	data, err := os.ReadFile("testdata/items-tagged.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	to, payload, err := DecodeItemBody(NewWireCodec(), body)
-	if err == nil || !strings.Contains(err.Error(), `"fabric/hello"`) {
-		t.Fatalf("unknown tag: got (%q, %#v, %v), want an error naming the tag", to, payload, err)
+	codec := NewWireCodec()
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != len(itemMsgs()) {
+		t.Fatalf("%d old bodies, want one per engine message (%d)", len(lines), len(itemMsgs()))
+	}
+	for _, line := range lines {
+		name, hexBody, _ := strings.Cut(line, "\t")
+		body, err := hex.DecodeString(hexBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if to, payload, err := DecodeItemBody(codec, string(body)); err == nil {
+			t.Errorf("%s: old body decoded to (%q, %#v), want an error", name, to, payload)
+		}
 	}
 }
 
 // TestShowItemBody pins how logs and cscwctl render items: an eng/op body by
-// its address and size, anything else verbatim.
+// its address and size, anything else verbatim. ItemTo reads the same
+// address.
 func TestShowItemBody(t *testing.T) {
-	for _, tc := range []struct{ kind, body, want string }{
-		{ItemKind, "!host|\x07crdt/op\x01\x02\x03", "!host|11 bytes"},
-		{ItemKind, "|", "|0 bytes"},
-		{ItemKind, "\x00\x01", "2 bytes"},
-		{"chat", "a|b", "a|b"},
+	for _, tc := range []struct{ kind, body, want, to string }{
+		{ItemKind, "!host|\x00\x01d\x03", "!host|4 bytes", "!host"},
+		{ItemKind, "|", "|0 bytes", ""},
+		{ItemKind, "\x00\x01", "2 bytes", ""},
+		{"chat", "a|b", "a|b", "a"},
 	} {
 		if got := ShowItemBody(tc.kind, tc.body); got != tc.want {
 			t.Errorf("ShowItemBody(%q, %q) = %q, want %q", tc.kind, tc.body, got, tc.want)
+		}
+		if got := ItemTo(tc.body); got != tc.to {
+			t.Errorf("ItemTo(%q) = %q, want %q", tc.body, got, tc.to)
 		}
 	}
 }
 
 // TestItemBodyAllocs pins the per-keystroke cost of a CRDT op. Encode: the
-// buffer and the string. Decode: the one copy of the tagged body and the
+// buffer and the string. Decode: the one copy of the binary body and the
 // payload value; every string field is a substring of that copy.
 func TestItemBodyAllocs(t *testing.T) {
 	if raceEnabled {

@@ -22,10 +22,11 @@ import (
 // Every registered type writes its own body (BinaryAppender) and parses it
 // back on a Reader (BinaryParser); Register refuses a type without both.
 //
-// A carrier that already delimits its bytes (an engine op inside a session
-// item) takes the tagged form instead, AppendTagged/DecodeTagged: the tag
-// length, the tag and the body, which runs to the end. No magic, version or
-// body length.
+// A carrier that already delimits its bytes and names their type its own
+// way (an engine op inside a session item, whose kind byte indexes the
+// engine's table) takes the body alone: TagOf names the payload, its
+// BinaryAppender writes the body, and ParseBody reads one back under a tag
+// the carrier knows. No magic, version, tag or body length.
 
 // BinaryCodec is Codec under the name the frozen benchmark harness uses.
 type BinaryCodec = Codec
@@ -101,7 +102,7 @@ func recycleFrame(frame []byte) {
 //
 //cscw:hotpath
 func (c *Codec) Encode(payload any) ([]byte, error) {
-	tag, err := c.tagOf(payload)
+	tag, err := c.TagOf(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -115,9 +116,10 @@ func (c *Codec) Encode(payload any) ([]byte, error) {
 	dst = append(dst, tag...)
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	dst, err = appendBody(dst, tag, payload)
+	// Register checked that the type implements BinaryAppender.
+	dst, err = payload.(BinaryAppender).AppendBinary(dst)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fabric: binary-encode %s body: %w", tag, err)
 	}
 	bodyLen := len(dst) - lenAt - 4
 	if bodyLen > MaxBinaryFrame {
@@ -181,48 +183,28 @@ func (c *Codec) Decode(data []byte) (any, error) {
 	return c.parse(t, string(body))
 }
 
-// AppendTagged appends payload's tagged form to dst: a one-byte tag length,
-// the tag, then the binary body, which runs to the end of the encoding, so
-// the carrier must delimit it. Unregistered payload types are an error.
+// ParseBody parses body, all of it, as the binary body of the type
+// registered under tag, and returns a pointer to a fresh value of it. A tag
+// nothing registered is an error: the caller named it, so it has no other
+// protocol to belong to. Nothing is copied: every string field is a
+// substring of body.
 //
 //cscw:hotpath
-func (c *Codec) AppendTagged(dst []byte, payload any) ([]byte, error) {
-	tag, err := c.tagOf(payload)
-	if err != nil {
-		return nil, err
-	}
-	dst = append(dst, byte(len(tag)))
-	dst = append(dst, tag...)
-	return appendBody(dst, tag, payload)
-}
-
-// DecodeTagged parses an AppendTagged encoding, all of data, into a pointer
-// to the registered type for its tag. Unlike Decode, an unknown tag is an
-// error: a tagged body has no other protocol to belong to. Nothing is
-// copied: every string field is a substring of data.
-//
-//cscw:hotpath
-func (c *Codec) DecodeTagged(data string) (any, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty tagged body", ErrTruncatedFrame)
-	}
-	tagLen := int(data[0])
-	if len(data) < 1+tagLen {
-		return nil, fmt.Errorf("%w: tagged body declares %d-byte tag, %d bytes remain", ErrTruncatedFrame, tagLen, len(data)-1)
-	}
-	tag := data[1 : 1+tagLen]
+func (c *Codec) ParseBody(tag, body string) (any, error) {
 	c.mu.RLock()
 	t, ok := c.byTag[tag]
 	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("fabric: no type registered for tag %q", tag)
 	}
-	return c.parse(t, data[1+tagLen:])
+	return c.parse(t, body)
 }
 
-// tagOf is the one type → tag lookup: the tag registered for payload's
-// (pointer-stripped) type.
-func (c *Codec) tagOf(payload any) (string, error) {
+// TagOf is the one type → tag lookup: the tag registered for payload's
+// (pointer-stripped) type. Unregistered payload types are an error.
+//
+//cscw:hotpath
+func (c *Codec) TagOf(payload any) (string, error) {
 	t := reflect.TypeOf(payload)
 	for t != nil && t.Kind() == reflect.Pointer {
 		t = t.Elem()
@@ -236,23 +218,13 @@ func (c *Codec) tagOf(payload any) (string, error) {
 	return tag, nil
 }
 
-// appendBody appends payload's binary body; Register checked that its type
-// implements BinaryAppender.
-func appendBody(dst []byte, tag string, payload any) ([]byte, error) {
-	dst, err := payload.(BinaryAppender).AppendBinary(dst)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: binary-encode %s body: %w", tag, err)
-	}
-	return dst, nil
-}
-
-// parse is the one parse step of Decode and DecodeTagged: a fresh value of
+// parse is the one parse step of Decode and ParseBody: a fresh value of
 // t, a registered type, with body parsed into it. Register checked that the
 // pointer type implements BinaryParser.
 func (c *Codec) parse(t reflect.Type, body string) (any, error) {
 	out := reflect.New(t).Interface()
 	if err := out.(BinaryParser).ParseBinary(NewReader(body)); err != nil {
-		tag, _ := c.tagOf(out)
+		tag, _ := c.TagOf(out)
 		return nil, fmt.Errorf("fabric: binary-decode %s body: %w", tag, err)
 	}
 	return out, nil
@@ -286,7 +258,7 @@ func AppendString(dst []byte, s string) []byte {
 // The body is a string, and every string field is a substring of it, so a
 // read copies nothing and any one string field keeps the whole body alive.
 // Codec.Decode makes that string from the transport's frame buffer (the one
-// copy a received frame costs); Codec.DecodeTagged reads the string its
+// copy a received frame costs); Codec.ParseBody reads the string its
 // carrier already holds.
 type Reader struct {
 	body string

@@ -155,12 +155,12 @@ func TestBinaryUnknownTag(t *testing.T) {
 	}
 }
 
-// TestTaggedForm: for every registered payload the tagged form is the frame
-// without its magic, version, body-encoding byte and length prefix, appends
-// after whatever dst held, and decodes back to the value. Every proper
-// prefix fails with ErrTruncatedFrame, and a tag nothing registered is an
-// error naming it.
-func TestTaggedForm(t *testing.T) {
+// TestParseBody: for every registered payload TagOf names the frame's tag,
+// and ParseBody reads the frame's body alone (no magic, version,
+// body-encoding byte, tag or length prefix) back to the value. Every proper
+// prefix of a body fails with ErrTruncatedFrame, a tag nothing registered is
+// an error naming it, and so is an unregistered payload type.
+func TestParseBody(t *testing.T) {
 	codec := fullRegistry()
 	for name, payload := range registeredPayloads() {
 		frame, err := codec.Encode(payload)
@@ -168,36 +168,30 @@ func TestTaggedForm(t *testing.T) {
 			t.Fatal(err)
 		}
 		tagLen := int(frame[3])
-		want := append(append([]byte("to|"), frame[3:4+tagLen]...), frame[8+tagLen:]...)
-		got, err := codec.AppendTagged([]byte("to|"), payload)
-		if err != nil || string(got) != string(want) {
-			t.Fatalf("%s: AppendTagged = %x, %v; want %x", name, got, err, want)
+		tag, body := string(frame[4:4+tagLen]), string(frame[8+tagLen:])
+		if got, err := codec.TagOf(payload); err != nil || got != tag {
+			t.Fatalf("%s: TagOf = %q, %v; want %q", name, got, err, tag)
 		}
-		tagged := got[3:]
-		back, err := codec.DecodeTagged(string(tagged))
+		back, err := codec.ParseBody(tag, body)
 		if err != nil {
-			t.Fatalf("%s: DecodeTagged: %v", name, err)
+			t.Fatalf("%s: ParseBody: %v", name, err)
 		}
 		if again, _ := codec.Encode(back); string(again) != string(frame) {
 			t.Errorf("%s: decoded to %#v", name, back)
 		}
-		for n := 0; n < len(tagged); n++ {
-			_, err := codec.DecodeTagged(string(tagged[:n]))
+		for n := 0; n < len(body); n++ {
+			_, err := codec.ParseBody(tag, body[:n])
 			if !errors.Is(err, fabric.ErrTruncatedFrame) {
-				t.Fatalf("%s: prefix %d/%d bytes: got %v", name, n, len(tagged), err)
+				t.Fatalf("%s: prefix %d/%d bytes: got %v", name, n, len(body), err)
 			}
 		}
 	}
 	bare := fabric.NewCodec()
-	tagged, err := fullRegistry().AppendTagged(nil, session.MsgLeave{From: "k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := bare.DecodeTagged(string(tagged)); err == nil || !strings.Contains(err.Error(), `"session/leave"`) {
+	if got, err := bare.ParseBody("session/leave", "\x01k"); err == nil || !strings.Contains(err.Error(), `"session/leave"`) {
 		t.Fatalf("unknown tag: got (%v, %v), want an error naming the tag", got, err)
 	}
-	if _, err := bare.AppendTagged(nil, fabric.Hello{}); err == nil {
-		t.Fatal("unregistered payload type encoded")
+	if _, err := bare.TagOf(fabric.Hello{}); err == nil {
+		t.Fatal("unregistered payload type has a tag")
 	}
 }
 

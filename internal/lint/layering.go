@@ -15,7 +15,8 @@ import (
 //     the daemon's address for participants, fabric.FromTransport);
 //     cmd/cscwbench opens a loopback TCP pair for its fabric_tcp_send_recv
 //     row, and internal/bench four loopback group members for its
-//     group_seq_tcp_c4 row. Commands get the edge from internal/daemon.
+//     group_seq_tcp_c4 row and a WrapTransport byte counter for its
+//     daemon_tcp rows. Commands get the edge from internal/daemon.
 //   - layer-netsim: internal/netsim is the discrete-event world — virtual
 //     time, topology, QoS links. The fabric adapter and the declared
 //     simulation-world packages (bench, chaos, core, exps, mgmt, mobile,
