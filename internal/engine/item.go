@@ -57,7 +57,7 @@ func EncodeItemBody(codec *fabric.Codec, m Msg) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("engine: encode %s item body: %w", tag, err)
 	}
-	//lint:ignore hot-alloc the item body is a string on the session log; this is its one copy
+	// The item body is a string on the session log; this is its one copy.
 	return string(dst), nil
 }
 

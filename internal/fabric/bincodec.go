@@ -179,7 +179,6 @@ func (c *Codec) Decode(data []byte) (any, error) {
 	}
 	// The one copy of a received frame: the transport reuses data once
 	// this returns, and every string field is a substring of this.
-	//lint:ignore hot-alloc the decoded fields outlive the transport's frame buffer
 	return c.parse(t, string(body))
 }
 

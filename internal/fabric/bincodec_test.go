@@ -23,6 +23,7 @@ import (
 	"repro/internal/ot"
 	"repro/internal/session"
 	"repro/internal/transport"
+	"repro/internal/wiretest"
 )
 
 // fullRegistry returns a codec with every wire type in the repo registered
@@ -77,25 +78,40 @@ func registeredPayloads() map[string]any {
 	}
 }
 
-// TestBinaryRoundTripParity: every registered payload type decodes to a
-// pointer to the value that was encoded.
+// TestBinaryRoundTripParity: every registered payload type decodes to the
+// value that was encoded, and between them the instances of a type set
+// every field it carries, so a field both halves of a codec leave out
+// cannot hide behind a zero. registeredPayloads leaves some fields zero
+// (their frames are pinned in testdata/frames.golden); the instances added
+// here set them.
 func TestBinaryRoundTripParity(t *testing.T) {
 	codec := fullRegistry()
-	for tag, payload := range registeredPayloads() {
-		frame, err := codec.Encode(payload)
+	payloads := registeredPayloads()
+	for name, p := range map[string]any{
+		"crdt/op insert":   crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: crdt.OpSeqInsert, Site: "a", Seq: 4, ID: crdt.ID{N: 4, Site: "a"}, After: crdt.ID{N: 3, Site: "b"}, Ch: 'x'}},
+		"session/join doc": session.MsgJoin{Doc: "d", From: "a", Since: 2, State: session.Away},
+		"session/join-ack doc": session.MsgJoinAck{Doc: "d", Mode: session.Asynchronous,
+			Backlog: []session.Item{{Seq: 1, From: "b", Kind: "chat", Body: "x"}}, Members: []string{"a", "b"}},
+		"session/post doc":     session.MsgPost{Doc: "d", From: "a", Kind: "edit", Body: "insert"},
+		"session/items doc":    session.MsgItems{Doc: "d", Items: []session.Item{{Seq: 2, From: "a"}}},
+		"session/poll doc":     session.MsgPoll{Doc: "d", From: "a", Since: 1},
+		"session/mode doc":     session.MsgMode{Doc: "d", Mode: session.Synchronous},
+		"session/presence doc": session.MsgPresence{Doc: "d", From: "a", State: session.Active},
+		"session/leave doc":    session.MsgLeave{Doc: "d", From: "a"},
+	} {
+		payloads[name] = p
+	}
+	wiretest.Check(t, payloads, func(v any) (any, error) {
+		frame, err := codec.Encode(v)
 		if err != nil {
-			t.Fatalf("%s: encode: %v", tag, err)
+			return nil, err
 		}
 		got, err := codec.Decode(frame)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", tag, err)
+		if err != nil || got == nil {
+			return got, err
 		}
-		want := reflect.New(reflect.TypeOf(payload))
-		want.Elem().Set(reflect.ValueOf(payload))
-		if !reflect.DeepEqual(got, want.Interface()) {
-			t.Errorf("%s: round trip gave %#v, want %#v", tag, got, want.Interface())
-		}
-	}
+		return reflect.ValueOf(got).Elem().Interface(), nil
+	})
 }
 
 // TestBinaryJSONInterop: a JSON envelope — what a peer from before the one

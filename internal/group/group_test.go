@@ -3,6 +3,7 @@ package group
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -269,6 +270,24 @@ func TestProposeView(t *testing.T) {
 	}
 	if r.members["m02"].View().Contains("m02") {
 		t.Error("m02 should know it left")
+	}
+}
+
+// TestProposeViewPastUnreachableMember: a target the proposer cannot reach
+// does not keep the view from the targets sorted after it, so the members
+// still in touch agree on it; the unreachable one is reported.
+func TestProposeViewPastUnreachableMember(t *testing.T) {
+	r := newRig(t, 3, FIFO, netsim.LANLink)
+	r.sim.Partition([]string{"m00"}, []string{"m01"})
+	err := r.members["m00"].ProposeView(NewView(2, []string{"m00", "m02"}))
+	if err == nil || !strings.Contains(err.Error(), "m01") {
+		t.Errorf("ProposeView = %v, want the failed send to m01", err)
+	}
+	r.sim.Run()
+	for _, id := range []string{"m00", "m02"} {
+		if got := r.members[id].View().ID; got != 2 {
+			t.Errorf("%s is on view %d, want 2", id, got)
+		}
 	}
 }
 

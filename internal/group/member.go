@@ -255,7 +255,8 @@ func (m *Member) installView(v View) {
 }
 
 // ProposeView multicasts a view to the union of old and new membership;
-// every receiver (including the proposer) installs it.
+// every receiver (including the proposer) installs it. A failed send does
+// not stop the others; the first failure is reported after all of them.
 func (m *Member) ProposeView(v View) error {
 	m.mu.Lock()
 	targets := map[string]bool{m.id: true}
@@ -273,12 +274,7 @@ func (m *Member) ProposeView(v View) error {
 	sort.Strings(ids)
 	pkt := &packet{Kind: kView, From: m.id, NewView: &v}
 	m.out.Drain(&m.mu) // releases m.mu: sends must not run under the lock
-	for _, id := range ids {
-		if err := m.ep.Send(id, pkt, 64); err != nil {
-			return fmt.Errorf("propose view to %s: %w", id, err)
-		}
-	}
-	return nil
+	return m.sendToAll(ids, pkt)
 }
 
 // Multicast sends body to every member of the current view (including the
@@ -306,7 +302,7 @@ func (m *Member) Multicast(body any, size int) error {
 		out = m.flush()
 	} else if m.batch.Window > 0 && !m.batchArmed {
 		m.batchArmed = true
-		//lint:ignore hot-alloc one timer closure per accumulation window, amortized over the whole batch
+		// One timer closure per accumulation window, amortized over the whole batch.
 		m.timer.After(m.batch.Window, m.batchTimerFire)
 	}
 	targets := m.viewTargets()
@@ -512,7 +508,7 @@ func (m *Member) receiveFIFO(pkt *packet) {
 	}
 	hold := m.fifoHold[pkt.From]
 	if hold == nil {
-		//lint:ignore hot-alloc one hold-back map per newly seen sender per view, not per message
+		// One hold-back map per newly seen sender per view, not per message.
 		hold = make(map[uint64]*packet)
 		m.fifoHold[pkt.From] = hold
 	}

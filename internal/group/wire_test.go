@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/vclock"
+	"repro/internal/wiretest"
 )
 
 // wireCodec is a codec carrying the group packet, as a TCP member has.
@@ -50,28 +51,31 @@ func samplePackets() map[string]*packet {
 }
 
 // TestPacketBinaryCodecParity: every kind of packet comes back from the
-// codec equal to what was encoded, and equal packets encode to equal bytes
-// (VC entries are sorted on the wire).
+// codec equal to what was encoded, the samples between them set every
+// field a packet has, and equal packets encode to equal bytes (VC entries
+// are sorted on the wire).
 func TestPacketBinaryCodecParity(t *testing.T) {
 	codec := wireCodec()
+	samples := make(map[string]any)
 	for name, p := range samplePackets() {
+		samples[name] = p
+	}
+	wiretest.Check(t, samples, func(p any) (any, error) {
 		frame, err := codec.Encode(p)
 		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
+			return nil, err
 		}
 		got, err := codec.Decode(frame)
 		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, p) {
-			t.Errorf("%s: round trip gave %#v, want %#v", name, got, p)
+			return nil, err
 		}
 		for i := 0; i < 10; i++ { // map order varies between encodes
 			if again, _ := codec.Encode(got); !bytes.Equal(again, frame) {
-				t.Fatalf("%s: re-encoded to %x, first encoding %x", name, again, frame)
+				return nil, fmt.Errorf("re-encoded to %x, first encoding %x", again, frame)
 			}
 		}
-	}
+		return got, nil
+	})
 }
 
 // TestPacketWireRejects: what the wire cannot carry fails at encode, and

@@ -291,3 +291,61 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 	}
 	return false
 }
+
+// hotpathDirective marks a per-message function: a test pins its allocations
+// and block-lock keeps its static call closure off hard-blocking operations.
+const hotpathDirective = "//cscw:hotpath"
+
+// isHotpathAnnotated reports whether the declaration's doc comment carries
+// the //cscw:hotpath directive.
+func isHotpathAnnotated(decl *ast.FuncDecl) bool {
+	if decl.Doc == nil {
+		return false
+	}
+	for _, c := range decl.Doc.List {
+		text := strings.TrimSpace(c.Text)
+		if text == hotpathDirective || strings.HasPrefix(text, hotpathDirective+" ") {
+			return true
+		}
+	}
+	return false
+}
+
+// hotFuncs computes the annotated roots and their static call closure.
+// The returned map gives each hot function its provenance for diagnostics.
+func hotFuncs(m *Module) map[*modFunc]string {
+	hot := make(map[*modFunc]string)
+	var queue []*modFunc
+	for _, mf := range m.byName {
+		if isHotpathAnnotated(mf.decl) {
+			hot[mf] = hotpathDirective
+			queue = append(queue, mf)
+		}
+	}
+	for len(queue) > 0 {
+		mf := queue[0]
+		queue = queue[1:]
+		root := mf.obj.Name()
+		if via := hot[mf]; via != hotpathDirective {
+			// Propagate the original annotated root, not the whole chain.
+			root = via[strings.LastIndex(via, " ")+1:]
+		}
+		ast.Inspect(mf.decl.Body, func(n ast.Node) bool {
+			if _, isLit := n.(*ast.FuncLit); isLit {
+				return false // a closure runs as its own unit
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			callee := m.calleeOf(mf.pkg, call)
+			if callee == nil || hot[callee] != "" || callee.decl.Body == nil {
+				return true
+			}
+			hot[callee] = "reached from " + hotpathDirective + " function " + root
+			queue = append(queue, callee)
+			return true
+		})
+	}
+	return hot
+}

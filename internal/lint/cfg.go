@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // This file is the linter's one model of Go control flow: a lightweight
@@ -13,10 +12,8 @@ import (
 //
 //   - the held-lock walk (module.go) runs the blocks once in source order,
 //     merging predecessor states at joins — back edges carry nothing;
-//   - reaching definitions (dataflow.go) and chan-proto's may-closed set
-//     iterate to a fixpoint, carrying facts around loop back-edges;
-//   - the cold-path computation below is a backward fixpoint over
-//     successors.
+//   - chan-proto's may-closed set iterates to a fixpoint, carrying facts
+//     around loop back-edges.
 //
 // Module.cfgOf memoizes one graph per body, so the consumers share it.
 //
@@ -41,8 +38,6 @@ type cfgBlock struct {
 	// not be a block node, its extent would cover its own clause blocks.
 	branch ast.Stmt
 
-	// panics marks a block terminated by panic() (always a cold exit).
-	panics bool
 	// ret is the terminating return statement, if any.
 	ret *ast.ReturnStmt
 }
@@ -89,8 +84,8 @@ func buildCFG(body *ast.BlockStmt) *cfg {
 }
 
 // cfgOf returns the CFG of a function or closure body, built on first use:
-// the lock walk visits every body several times per run and the dataflow
-// analyzers want the same graph.
+// the lock walk visits every body several times per run and chan-proto
+// wants the same graph.
 func (m *Module) cfgOf(body *ast.BlockStmt) *cfg {
 	g := m.cfgs[body]
 	if g == nil {
@@ -143,8 +138,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		b.add(s)
-		if isPanicCall(s.X) && b.cur != nil {
-			b.cur.panics = true
+		if isPanicCall(s.X) {
 			b.cur = nil
 		}
 	case *ast.AssignStmt, *ast.IncDecStmt, *ast.DeclStmt, *ast.SendStmt,
@@ -406,174 +400,4 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return true
 	})
-}
-
-// --- cold-path analysis --------------------------------------------------
-
-// coldBlocks computes the blocks from which *every* path ends in an error
-// return or a panic: the cold paths of a function. Hot-path allocation
-// checks skip them — an allocation that only happens when the operation is
-// already failing is not a throughput regression. A return is an error
-// exit when its final result is a direct call of error type (fmt.Errorf,
-// errors.New, a wrapping helper) or when the return sits inside an
-// `err != nil`-style guard; the classification then propagates backward:
-// a block is cold when all of its successors are cold.
-func (g *cfg) coldBlocks(p *Package, body *ast.BlockStmt) map[*cfgBlock]bool {
-	guarded := errGuardedReturns(p, body)
-	guards := errGuardIntervals(p, body)
-	inGuard := func(bl *cfgBlock) bool {
-		if len(bl.nodes) == 0 {
-			return false
-		}
-		for _, n := range bl.nodes {
-			covered := false
-			for _, iv := range guards {
-				if iv.pos <= n.Pos() && n.End() <= iv.end {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				return false
-			}
-		}
-		return true
-	}
-	cold := make(map[*cfgBlock]bool, len(g.blocks))
-	terminal := make(map[*cfgBlock]bool, len(g.blocks))
-	for _, bl := range g.blocks {
-		switch {
-		case bl.panics:
-			cold[bl], terminal[bl] = true, true
-		case inGuard(bl):
-			// Every node sits inside an `if err != nil` body: error
-			// bookkeeping (wrapping, counters), even when flow rejoins the
-			// success path afterwards.
-			cold[bl], terminal[bl] = true, true
-		case bl.ret != nil:
-			cold[bl], terminal[bl] = errReturn(p, bl.ret, guarded), true
-		case len(bl.succs) == 0:
-			// Fallthrough function end (or a dead-end block): the success
-			// path of a void function.
-			cold[bl], terminal[bl] = false, true
-		default:
-			cold[bl] = true // optimistic start for the greatest fixpoint
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, bl := range g.blocks {
-			if terminal[bl] || !cold[bl] {
-				continue
-			}
-			for _, s := range bl.succs {
-				if !cold[s] {
-					cold[bl] = false
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return cold
-}
-
-// errReturn classifies one return statement as an error exit: the return
-// sits inside an `err != nil` guard, or its final result constructs an
-// error on the spot (a fmt or errors package call — fmt.Errorf,
-// errors.New, errors.Join). A plain tail call returning error is NOT an
-// error exit: `return m.send(...)` is the success path.
-func errReturn(p *Package, ret *ast.ReturnStmt, guarded map[*ast.ReturnStmt]bool) bool {
-	if guarded[ret] {
-		return true
-	}
-	if len(ret.Results) == 0 {
-		return false
-	}
-	last := ast.Unparen(ret.Results[len(ret.Results)-1])
-	call, ok := last.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	tv, ok := p.Info.Types[call]
-	if !ok || tv.Type == nil || !isErrorType(tv.Type) {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	obj := p.Info.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Path() == "fmt" || obj.Pkg().Path() == "errors"
-}
-
-// errGuardedReturns marks returns lexically inside an if whose condition
-// tests an error value against nil (`if err != nil { … return … }`): the
-// canonical Go error path.
-func errGuardedReturns(p *Package, body *ast.BlockStmt) map[*ast.ReturnStmt]bool {
-	out := make(map[*ast.ReturnStmt]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok || !condTestsErrNotNil(p, ifs.Cond) {
-			return true
-		}
-		ast.Inspect(ifs.Body, func(x ast.Node) bool {
-			if r, rok := x.(*ast.ReturnStmt); rok {
-				out[r] = true
-			}
-			return true
-		})
-		return true
-	})
-	return out
-}
-
-// errGuardIntervals returns the source extent of every `if err != nil`
-// body (and its else-less then-block cousins): statements inside are error
-// handling even when flow falls back into the success path.
-func errGuardIntervals(p *Package, body *ast.BlockStmt) []nodeInterval {
-	var out []nodeInterval
-	ast.Inspect(body, func(n ast.Node) bool {
-		if ifs, ok := n.(*ast.IfStmt); ok && condTestsErrNotNil(p, ifs.Cond) {
-			out = append(out, nodeInterval{pos: ifs.Body.Pos(), end: ifs.Body.End()})
-		}
-		return true
-	})
-	return out
-}
-
-// condTestsErrNotNil reports whether cond contains `X != nil` with X of
-// type error.
-func condTestsErrNotNil(p *Package, cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		bin, ok := n.(*ast.BinaryExpr)
-		if !ok || bin.Op != token.NEQ {
-			return true
-		}
-		x, y := ast.Unparen(bin.X), ast.Unparen(bin.Y)
-		if isNilIdent(y) && exprIsError(p, x) || isNilIdent(x) && exprIsError(p, y) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-func exprIsError(p *Package, e ast.Expr) bool {
-	tv, ok := p.Info.Types[e]
-	return ok && tv.Type != nil && isErrorType(tv.Type)
-}
-
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
 }

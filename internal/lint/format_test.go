@@ -15,7 +15,7 @@ import (
 func fakeDiag(msg string) Diagnostic {
 	return Diagnostic{
 		Pos:     token.Position{Filename: "/mod/internal/x/x.go", Line: 7, Column: 3},
-		Rule:    "hot-alloc",
+		Rule:    "block-lock",
 		Message: msg,
 	}
 }
@@ -44,7 +44,7 @@ func TestWriteGitHubMultiline(t *testing.T) {
 	if strings.Count(out, "\n") != 1 {
 		t.Fatalf("annotation must be one line, got %q", out)
 	}
-	want := "::error file=internal/x/x.go,line=7,col=3::[hot-alloc] first line%0Asecond line with 50%25\n"
+	want := "::error file=internal/x/x.go,line=7,col=3::[block-lock] first line%0Asecond line with 50%25\n"
 	if out != want {
 		t.Errorf("got  %q\nwant %q", out, want)
 	}
@@ -69,15 +69,19 @@ func TestWriteSARIFEscapesNothing(t *testing.T) {
 	}
 }
 
-func TestSARIFCoversDataflowRules(t *testing.T) {
-	// The named CI lint job uploads SARIF; the dataflow-stage analyzers
-	// must ship rule metadata there or code scanning drops their results.
+func TestSARIFCoversEveryRule(t *testing.T) {
+	// The named CI lint job uploads SARIF; every analyzer must ship rule
+	// metadata there or code scanning drops its results.
 	var buf bytes.Buffer
 	if err := WriteSARIF(&buf, "/mod", nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, rule := range []string{"hot-alloc", "wire-compat", "lint-directive"} {
+	rules := []string{"lint-directive"}
+	for _, a := range Analyzers() {
+		rules = append(rules, strings.Split(a.Name, ",")...)
+	}
+	for _, rule := range rules {
 		if !strings.Contains(out, `"id": "`+rule+`"`) {
 			t.Errorf("SARIF driver rules missing %q", rule)
 		}

@@ -84,8 +84,6 @@ func Analyzers() []*Analyzer {
 		LockOrder(),
 		LifeLeak(),
 		GuardInfer(),
-		HotAlloc(),
-		WireCompat(),
 		BlockLock(),
 		ChanProto(),
 		ShutdownProp(),

@@ -30,8 +30,6 @@ var fixtures = []fixture{
 	{"lifeleak", "repro/internal/transport"},
 	{"guard", "repro/internal/fixture/guard"},
 	{"lockedge", "repro/internal/fixture/lockedge"},
-	{"hotalloc", "repro/internal/fixture/hotalloc"},
-	{"wirecompat", "repro/internal/fixture/wirecompat"},
 	{"blocklock", "repro/internal/fixture/blocklock"},
 	{"chanproto", "repro/internal/fixture/chanproto"},
 	{"shutdownprop", "repro/internal/transport"}, // buffered.go reads a net.Conn, which layer-net reserves for the transport
@@ -224,37 +222,6 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
-	}
-}
-
-// TestWireCompatMatchesModule guards wire-compat against signature drift:
-// the matcher must find a ParseBinary half for every AppendBinary in the
-// module. A change to fabric.BinaryParser that the structural match does
-// not follow would otherwise switch the rule off for every real type
-// without a single finding.
-func TestWireCompatMatchesModule(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const wantPairs = 16 // session 8, engine 4, crdt 2, group 1, fabric.Hello
-	pairs := 0
-	for _, wp := range wirePairs(NewModule(pkgs)) {
-		if wp.app == nil || !inModuleScope(wp.app.pkg.Path) {
-			continue
-		}
-		if wp.par == nil {
-			t.Errorf("%s.%s: AppendBinary has no ParseBinary the matcher accepts", wp.typ.Pkg().Path(), wp.typ.Name())
-			continue
-		}
-		pairs++
-	}
-	if pairs != wantPairs {
-		t.Errorf("wire-compat matched %d AppendBinary/ParseBinary pairs, want %d", pairs, wantPairs)
 	}
 }
 

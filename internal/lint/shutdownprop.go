@@ -243,3 +243,10 @@ func isCtxCheck(p *Package, call *ast.CallExpr) bool {
 	return ok && named.Obj().Pkg() != nil &&
 		named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
 }
+
+func typeOf(p *Package, e ast.Expr) types.Type {
+	if tv, ok := p.Info.Types[e]; ok && tv.Type != nil {
+		return tv.Type
+	}
+	return types.Typ[types.Invalid]
+}

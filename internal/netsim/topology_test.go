@@ -249,27 +249,46 @@ func TestPartitionAllocBudget(t *testing.T) {
 	t.Logf("Partition+Heal 2x5k: %.1f allocs/op", allocs)
 }
 
+// TestSendSteadyStateAllocBudget: a steady-state send+deliver cycle
+// allocates nothing through every entry point, Node.Send and Sim.SendID as
+// well as Sim.Send, and a send while an unrelated cut is active (cutsBlock
+// testing the cut's node sets) allocates nothing either: events are pooled
+// and delivery dispatch is typed. The cut case runs last and keeps its cut.
 func TestSendSteadyStateAllocBudget(t *testing.T) {
 	s := New(1, Link{Latency: time.Millisecond, Bandwidth: 1_250_000})
-	s.MustAddNode("a")
-	n := s.MustAddNode("b")
-	n.SetHandler(func(m Msg) {})
-	// Warm the event pool and the pairBusy entry.
-	for i := 0; i < 64; i++ {
-		_ = s.Send("a", "b", nil, 64)
-	}
-	s.Run()
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := s.Send("a", "b", nil, 64); err != nil {
-			t.Fatal(err)
+	a := s.MustAddNode("a")
+	s.MustAddNode("b").SetHandler(func(m Msg) {})
+	s.MustAddNode("c")
+	s.MustAddNode("d")
+	ha, _ := s.Handle("a")
+	hb, _ := s.Handle("b")
+	for _, c := range []struct {
+		name string
+		send func() error
+		cut  bool
+	}{
+		{"Sim.Send", func() error { return s.Send("a", "b", nil, 64) }, false},
+		{"Node.Send", func() error { return a.Send("b", nil, 64) }, false},
+		{"Sim.SendID", func() error { return s.SendID(ha, hb, nil, 64) }, false},
+		{"Sim.Send past an unrelated cut", func() error { return s.Send("a", "b", nil, 64) }, true},
+	} {
+		if c.cut {
+			s.Partition([]string{"c"}, []string{"d"})
+		}
+		// Warm the event pool and the pairBusy entry.
+		for i := 0; i < 64; i++ {
+			_ = c.send()
 		}
 		s.Run()
-	})
-	// Pooled events + typed delivery dispatch: a steady-state send+deliver
-	// cycle must not allocate (the old path allocated an event, a closure,
-	// and a boxed Msg per send).
-	if allocs > 0.5 {
-		t.Fatalf("steady-state send+deliver allocated %.2f objects/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := c.send(); err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state send+deliver allocated %.2f objects/op, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -108,27 +108,3 @@ func TestWireEndpointRejectsForeignPayload(t *testing.T) {
 		t.Error("non-session payload should be rejected")
 	}
 }
-
-func TestWireCodecRoundTripsEveryMessage(t *testing.T) {
-	c := NewWireCodec()
-	msgs := []any{
-		&MsgJoin{From: "a", Since: 2, State: Away},
-		&MsgJoinAck{Mode: Asynchronous, Backlog: []Item{{Seq: 1, From: "b", Kind: "chat", Body: "x"}}, Members: []string{"a", "b"}},
-		&MsgPost{From: "a", Kind: "edit", Body: "insert"},
-		&MsgItems{Items: []Item{{Seq: 2, From: "a"}}},
-		&MsgPoll{From: "a", Since: 1},
-		&MsgMode{Mode: Synchronous},
-		&MsgPresence{From: "a", State: Active},
-		&MsgLeave{From: "a"},
-	}
-	for _, m := range msgs {
-		data, err := c.Encode(m)
-		if err != nil {
-			t.Fatalf("encode %T: %v", m, err)
-		}
-		got, err := c.Decode(data)
-		if err != nil || got == nil {
-			t.Fatalf("decode %T: %v, %v", m, got, err)
-		}
-	}
-}

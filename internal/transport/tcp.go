@@ -220,7 +220,6 @@ func (fr *frameReader) read(r io.Reader) (from string, payload []byte, err error
 		return "", nil, errors.New("transport: bad frame id length")
 	}
 	if id := buf[2:end]; string(id) != fr.from {
-		//lint:ignore hot-alloc once per change of sender on the conn, not per frame
 		fr.from = string(id)
 	}
 	return fr.from, buf[end:], nil

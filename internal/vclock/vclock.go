@@ -55,7 +55,7 @@ func New() VC {
 
 // Clone returns an independent copy of the clock.
 func (v VC) Clone() VC {
-	out := make(VC, len(v)) //lint:ignore hot-alloc one causal stamp per Causal multicast; the batched FIFO/total hot path never takes that branch of multicast(), which hot-alloc's static call closure cannot see
+	out := make(VC, len(v))
 	for k, n := range v {
 		out[k] = n
 	}

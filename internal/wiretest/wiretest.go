@@ -1,0 +1,104 @@
+// Package wiretest checks that a hand-rolled wire codec carries every field
+// of its types: a field both halves leave out round-trips while it is zero.
+package wiretest
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// Check round-trips each named value through rt, which encodes it and
+// returns the decoded result in the value's own type. It fails t for a value
+// that comes back different, and for an exported field, reached through
+// exported fields, that no value of the same top-level type sets.
+func Check(t testing.TB, values map[string]any, rt func(any) (any, error)) {
+	t.Helper()
+	names := make([]string, 0, len(values))
+	for name := range values {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var types []reflect.Type // in the order first seen
+	set := make(map[reflect.Type]map[field]bool)
+	for _, name := range names {
+		v := values[name]
+		got, err := rt(v)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Errorf("%s: round trip gave %#v, want %#v", name, got, v)
+		}
+		typ := reflect.TypeOf(v)
+		if set[typ] == nil {
+			types = append(types, typ)
+			set[typ] = make(map[field]bool)
+		}
+		mark(reflect.ValueOf(v), set[typ])
+	}
+	for _, typ := range types {
+		for _, f := range fields(typ, make(map[reflect.Type]bool), nil) {
+			if !set[typ][f] {
+				t.Errorf("%s: field %s.%s is zero in every value: a round trip cannot show it survives the wire",
+					typ, f.in, f.in.Field(f.i).Name)
+			}
+		}
+	}
+}
+
+// field is one struct field, by its struct type and index.
+type field struct {
+	in reflect.Type
+	i  int
+}
+
+// fields appends to out every exported field reachable from t through
+// exported fields, pointers, slices, arrays and map values, depth first.
+func fields(t reflect.Type, seen map[reflect.Type]bool, out []field) []field {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
+		return fields(t.Elem(), seen, out)
+	case reflect.Struct:
+		if seen[t] {
+			return out
+		}
+		seen[t] = true
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				out = fields(f.Type, seen, append(out, field{t, i}))
+			}
+		}
+	}
+	return out
+}
+
+// mark records in set every exported field that v, or a value inside it,
+// holds non-zero.
+func mark(v reflect.Value, set map[field]bool) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			mark(v.Elem(), set)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			mark(v.Index(i), set)
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			mark(it.Value(), set)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				continue
+			}
+			if !v.Field(i).IsZero() {
+				set[field{v.Type(), i}] = true
+			}
+			mark(v.Field(i), set)
+		}
+	}
+}
