@@ -22,11 +22,11 @@
 //	2  usage, load or type-check error
 //
 // The rules — determinism (det-time, det-rand, det-maporder), layering
-// (layer-net, layer-transport, layer-netsim), lock hygiene (block-lock,
-// lock-order), channel protocol (chan-proto), shutdown propagation
-// (shutdown-prop), lifecycle (life-leak), guarded-field inference (guard-infer)
-// and error discipline (err-drop) — are documented in DESIGN.md ("Enforced
-// invariants"), together with the //lint:ignore suppression policy.
+// (layer-net, layer-transport, layer-netsim), lock hygiene (block-lock),
+// channel protocol (chan-proto), guarded-field inference (guard-infer) and
+// error discipline (err-drop) — are documented in DESIGN.md ("Enforced
+// invariants"), together with the //lint:ignore suppression policy and the
+// mutant ledger that keeps each interprocedural rule.
 package main
 
 import (

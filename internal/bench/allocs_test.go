@@ -28,10 +28,10 @@ func TestMulticastAllocs(t *testing.T) {
 		{group.FIFO, false, 0.95},
 		{group.TotalSequencer, true, 0.99},
 		{group.TotalSequencer, false, 0.98},
-		{group.TotalToken, true, 1.01},
-		{group.TotalToken, false, 1.90},
-		{group.Causal, true, 5.95},
-		{group.Causal, false, 5.95},
+		{group.TotalToken, true, 1.00},
+		{group.TotalToken, false, 1.04},
+		{group.Causal, true, 4.95},
+		{group.Causal, false, 4.95},
 		{group.Unordered, true, 0.95},
 		{group.Unordered, false, 0.95},
 	} {

@@ -108,7 +108,9 @@ func (m *Member) wireRun(run []*packet) *packet {
 	if m.ordering == TotalToken {
 		if !m.hasToken {
 			m.outbox = append(m.outbox, run...)
-			return &packet{Kind: kTokenReq, From: m.id, ViewID: m.view.ID}
+			req := m.newPacket()
+			*req = packet{Kind: kTokenReq, From: m.id, ViewID: m.view.ID}
+			return req
 		}
 		for _, p := range run {
 			p.GlobalSeq = m.seqNext

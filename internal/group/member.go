@@ -2,6 +2,7 @@ package group
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -330,7 +331,10 @@ func (m *Member) stamp(pkt *packet) {
 		}
 	case Causal:
 		m.causalSent++
-		stamp := m.vc.Clone()
+		// Sized for the member's own entry too: m.vc may not hold it yet,
+		// and writing it into a full-sized clone would grow the map.
+		stamp := make(vclock.VC, len(m.vc)+1)
+		maps.Copy(stamp, m.vc)
 		stamp[m.id] = m.causalSent
 		pkt.VC = stamp
 	case TotalSequencer, TotalToken:

@@ -17,8 +17,7 @@ import (
 // $param:i placeholders substituted at call sites; this file names channel
 // classes and, once the summaries have converged, builds the module's
 // per-class index of make/send/recv/close sites with the lock context each
-// site runs under, plus the spawn and stop indexes. chan-proto, block-lock
-// and shutdown-prop are views over these indexes.
+// site runs under. chan-proto and block-lock are views over that index.
 
 // chanOpKind classifies one channel operation in a summary.
 type chanOpKind int
@@ -84,12 +83,6 @@ type chanInfo struct {
 	sends      []chanSite
 	recvs      []chanSite
 	closes     []chanSite
-}
-
-// spawnSite is one `go` statement, for shutdown-prop.
-type spawnSite struct {
-	mf *modFunc
-	g  *ast.GoStmt
 }
 
 // channel returns class's index entry, creating it on first use.
@@ -284,9 +277,9 @@ func (m *Module) collectMakes() {
 }
 
 // collectSites walks every function (with its converged entry lock context)
-// and records each channel operation site under its class, plus every `go`
-// statement. Callee facts are expanded at the call site so a send hidden
-// two helpers deep still registers against the caller's lock context.
+// and records each channel operation site under its class. Callee facts are
+// expanded at the call site so a send hidden two helpers deep still
+// registers against the caller's lock context.
 func (m *Module) collectSites() {
 	for _, mf := range m.byName {
 		mf := mf
@@ -327,8 +320,6 @@ func (m *Module) collectSites() {
 					if cls, isClose := closeArgClass(p, mf, n); isClose {
 						add(chClose, cls, n, st, "", false)
 					}
-				case *ast.GoStmt:
-					m.spawns = append(m.spawns, spawnSite{mf: mf, g: n})
 				}
 			},
 			onCall: func(call *ast.CallExpr, callee *modFunc, st *lockState) {
@@ -352,46 +343,26 @@ func heldClasses(st *lockState) []string {
 	return out
 }
 
-// indexStops records field and package-var classes with a close/Close/Stop/
-// Shutdown call anywhere in the module (an unexported close method counts
-// too, as a stop but not a release) for shutdown-prop, and the struct fields with a Close/Stop/Shutdown call for
-// life-leak.
-func (m *Module) indexStops() {
-	for _, mf := range m.byName {
-		p := mf.pkg
-		ast.Inspect(mf.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			switch sel.Sel.Name {
-			case "Close", "close", "Stop", "Shutdown":
-			default:
-				return true
-			}
-			switch x := ast.Unparen(sel.X).(type) {
-			case *ast.SelectorExpr:
-				cls := fieldClass(p, x)
-				if cls == "" {
-					break
-				}
-				m.stoppedFields[cls] = true
-				if sel.Sel.Name != "close" {
-					m.releasedFields[cls] = true
-				}
-			case *ast.Ident:
-				if v, ok := p.Info.Uses[x].(*types.Var); ok && v.Pkg() != nil &&
-					v.Parent() == v.Pkg().Scope() {
-					m.stoppedFields[v.Pkg().Path()+"."+v.Name()] = true
-				}
-			}
-			return true
-		})
+// compositeFieldClass names the field a composite-literal element
+// initializes: "pkgpath.Type.field".
+func compositeFieldClass(p *Package, lit *ast.CompositeLit, key ast.Expr) string {
+	tv, ok := p.Info.Types[lit]
+	if !ok || tv.Type == nil || key == nil {
+		return ""
 	}
+	t := tv.Type
+	if ptr, pok := t.Underlying().(*types.Pointer); pok {
+		t = ptr.Elem()
+	}
+	named, nok := t.(*types.Named)
+	if !nok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	id, iok := key.(*ast.Ident)
+	if !iok {
+		return ""
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + id.Name
 }
 
 // --- select-communication ranges -----------------------------------------

@@ -262,3 +262,11 @@ func isSelfSyncing(t types.Type) bool {
 	path := named.Obj().Pkg().Path()
 	return path == "sync" || path == "sync/atomic"
 }
+
+// shortFile is a path's last element, for positions quoted inside messages.
+func shortFile(path string) string {
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		return path[i+1:]
+	}
+	return path
+}

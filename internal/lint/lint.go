@@ -13,14 +13,19 @@
 //     (layer-netsim, layer-transport, layer-net);
 //   - lock hygiene: endpoints block (TCP writes, channel handoffs), so no
 //     blocking operation may be reachable — through any call chain — while
-//     a sync.Mutex/RWMutex is held (block-lock, which retired the older
-//     linear-walk lock-send rule);
-//   - concurrency protocol: channel lifecycle misuse (close by a
-//     non-sender, double close, send-after-close, locked unbuffered
-//     handoffs) and goroutines spawned with no reachable stop signal
-//     (chan-proto, shutdown-prop);
+//     a sync.Mutex/RWMutex is held (block-lock), and a field written under
+//     its struct's mutex is never touched without it (guard-infer);
+//   - channel protocol: close by a non-sender, double close,
+//     send-after-close, locked unbuffered handoffs, and a captured channel
+//     closed inside a callback that can run twice (chan-proto);
 //   - error discipline: Send, codec and registration errors must be
 //     handled or explicitly discarded, never silently dropped (err-drop).
+//
+// An interprocedural rule stays only while testdata/mutants holds a bug
+// this repository shipped that the rule flags (mutants_test.go puts each
+// one back into the product source and requires exactly that finding).
+// Goroutine lifecycles are not linted: internal/transport's tests measure
+// them.
 //
 // Diagnostics print as "file:line:col: [rule] message". A finding can be
 // suppressed with a directive on the same line or the line above:
@@ -81,12 +86,9 @@ func Analyzers() []*Analyzer {
 		DetMapOrder(),
 		Layering(),
 		ErrDrop(),
-		LockOrder(),
-		LifeLeak(),
 		GuardInfer(),
 		BlockLock(),
 		ChanProto(),
-		ShutdownProp(),
 	}
 }
 

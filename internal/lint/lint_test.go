@@ -26,13 +26,10 @@ var fixtures = []fixture{
 	{"layer_ok", "repro/internal/fabric"},
 	{"ignore", "repro/internal/fixture/ignore"},
 	{"scope", "repro/examples/fixturescope"},
-	{"lockorder", "repro/internal/fixture/lockorder"},
-	{"lifeleak", "repro/internal/transport"},
 	{"guard", "repro/internal/fixture/guard"},
 	{"lockedge", "repro/internal/fixture/lockedge"},
 	{"blocklock", "repro/internal/fixture/blocklock"},
 	{"chanproto", "repro/internal/fixture/chanproto"},
-	{"shutdownprop", "repro/internal/transport"}, // buffered.go reads a net.Conn, which layer-net reserves for the transport
 	{"chansubst", "repro/internal/fixture/chansubst"},
 }
 
@@ -58,24 +55,18 @@ var (
 // fixturePkg loads one fixture, memoized: every .go file in its directory,
 // type-checked as its assumed path. Each fixture gets its own `loaded` map:
 // packages memoize by import path, and a fixture loaded under a real
-// package's path (lifeleak assumes the transport's) must not collide with
+// package's path (layer_ok assumes fabric's) must not collide with
 // the real package pulled in by another fixture's imports.
 func fixturePkg(t *testing.T, fx fixture) *Package {
 	t.Helper()
 	if p, ok := fixturePkgs[fx.dir]; ok {
 		return p
 	}
-	if fixtureBase == nil {
-		l, err := NewLoader(".")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fixtureBase = l
-	}
+	base := fixtureLoader(t)
 	l := &Loader{
-		Fset:   fixtureBase.Fset,
-		listed: fixtureBase.listed,
-		std:    fixtureBase.std,
+		Fset:   base.Fset,
+		listed: base.listed,
+		std:    base.std,
 		loaded: make(map[string]*Package),
 	}
 	files, err := filepath.Glob(filepath.Join("testdata", "src", fx.dir, "*.go"))
@@ -88,6 +79,19 @@ func fixturePkg(t *testing.T, fx fixture) *Package {
 	}
 	fixturePkgs[fx.dir] = p
 	return p
+}
+
+// fixtureLoader returns fixtureBase, listing the module on first use.
+func fixtureLoader(t *testing.T) *Loader {
+	t.Helper()
+	if fixtureBase == nil {
+		l, err := NewLoader(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtureBase = l
+	}
+	return fixtureBase
 }
 
 // fixtureDiags runs the full suite over one fixture, memoized so
@@ -126,8 +130,8 @@ func TestFixturesGolden(t *testing.T) {
 }
 
 // TestSummariesGolden pins the call-graph summary of every fixture
-// function: the lock facts (delta, leaves, acquires and pairs with their
-// via chains, entry context) and the channel facts (ops with via,
+// function: the lock facts (delta, leaves, entry context) and the channel
+// facts (ops with via,
 // blockDesc, retMake). A fixpoint that stops early or diverges moves a
 // line here before it moves a diagnostic. `make lint-golden` rewrites it.
 func TestSummariesGolden(t *testing.T) {
@@ -145,28 +149,22 @@ func TestSummariesGolden(t *testing.T) {
 // renderSummary prints one function's summary on one line, facts sorted.
 func renderSummary(mf *modFunc) string {
 	pos := mf.pkg.position(mf.decl)
-	var leaves, entry, acquires, pairs, ops []string
+	var leaves, entry, ops []string
 	for _, c := range mf.leaves {
 		leaves = append(leaves, classShort(c))
 	}
 	for c := range mf.entry {
 		entry = append(entry, classShort(c))
 	}
-	for c, via := range mf.acquires {
-		acquires = append(acquires, classShort(c)+viaSuffix(via))
-	}
-	for _, pf := range mf.pairs {
-		pairs = append(pairs, classShort(pf.from)+"→"+classShort(pf.to)+viaSuffix(pf.via))
-	}
 	for _, f := range mf.ops {
 		ops = append(ops, f.kind.String()+" "+classShort(f.class)+viaSuffix(f.via))
 	}
-	for _, s := range [][]string{entry, acquires, pairs, ops} {
+	for _, s := range [][]string{entry, ops} {
 		sort.Strings(s)
 	}
-	return fmt.Sprintf("%s:%d %s delta=%d leaves=%v entry=%v acquires=%v pairs=%v ops=%v block=%q ret=%d",
+	return fmt.Sprintf("%s:%d %s delta=%d leaves=%v entry=%v ops=%v block=%q ret=%d",
 		filepath.ToSlash(pos.Filename), pos.Line, mf.obj.Name(), mf.delta, leaves, entry,
-		acquires, pairs, ops, mf.blockDesc, mf.retMake)
+		ops, mf.blockDesc, mf.retMake)
 }
 
 func viaSuffix(via string) string {

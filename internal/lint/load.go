@@ -151,6 +151,11 @@ func (l *Loader) check(path string, filenames []string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
+	return l.checkFiles(path, files)
+}
+
+// checkFiles type-checks parsed files as the package path.
+func (l *Loader) checkFiles(path string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),

@@ -18,11 +18,11 @@ import (
 // file knows is what one shallow node does to the state.
 //
 // Every declared function gets one summary (modFunc): its lock facts
-// (delta, leaves, acquires, pairs) and its channel facts (ops, blockDesc,
-// retMake) come from one walk of its body per round, and one fixpoint
-// driver (fixpoint) runs that step upward and the entry-context step
-// downward until nothing changes. callgraph.go names channels and builds
-// the module's channel indexes from the converged summaries.
+// (delta, leaves) and its channel facts (ops, blockDesc, retMake) come from
+// one walk of its body per round, and one fixpoint driver (fixpoint) runs
+// that step upward and the entry-context step downward until nothing
+// changes. callgraph.go names channels and builds the module's channel
+// index from the converged summaries.
 //
 // Lock classes are canonical strings:
 //
@@ -33,10 +33,7 @@ import (
 //
 // Class-based (instance-insensitive) reasoning trades some precision for
 // tractability: locking a.mu "covers" b.field for a distinct instance b of
-// the same type, and two instances of one class acquired nested look like a
-// self-cycle. The first is a deliberate false-negative bias; the second is
-// reported, because nested same-class acquisition is a real self-deadlock
-// with Go's non-reentrant sync.Mutex unless instances are globally ordered.
+// the same type, a deliberate false-negative bias.
 
 // Module is the whole-module view handed to every Analyzer.
 type Module struct {
@@ -45,21 +42,12 @@ type Module struct {
 	funcs  map[types.Object]*modFunc
 	byName []*modFunc // deterministic iteration order
 
-	// releasedFields records struct fields ("pkgpath.Type.field") on which
-	// some function in the module calls Close/Stop/Shutdown. life-leak uses
-	// it as the per-type must-release summary.
-	releasedFields map[string]bool
-
 	// cfgs memoizes one CFG per function or closure body (cfgOf).
 	cfgs map[*ast.BlockStmt]*cfg
 
-	// The channel indexes (callgraph.go), built from the summaries: every
-	// make/send/recv/close site per channel class, every go statement, and
-	// the field and package-var classes some function close/Close/Stop/
-	// Shutdowns — evidence that a resource a loop blocks on is stoppable.
-	chans         map[string]*chanInfo
-	spawns        []spawnSite
-	stoppedFields map[string]bool
+	// chans is the channel index (callgraph.go), built from the summaries:
+	// every make/send/recv/close site per channel class.
+	chans map[string]*chanInfo
 }
 
 // modFunc is one declared function with its interprocedural summaries.
@@ -71,14 +59,8 @@ type modFunc struct {
 	// The summary, computed by summarize (closure bodies excluded: they run
 	// later, off the caller's lock path; each closure is its own unit in
 	// reporting passes).
-	delta    int               // net lock delta (negative: releases caller's locks)
-	leaves   []string          // classes left held on return when delta > 0
-	acquires map[string]string // lock class -> via-description (transitive)
-	// pairs are witnessed ordered acquisitions (to taken while from held),
-	// with $param:i ends substituted at call sites during propagation — the
-	// mechanism that concretizes lock order through helpers taking mutexes
-	// by pointer (lockBoth(&a.mu, &b.mu) reversed elsewhere is a cycle).
-	pairs map[string]pairFact
+	delta  int      // net lock delta (negative: releases caller's locks)
+	leaves []string // classes left held on return when delta > 0
 	// ops is the set of channel operations reachable from the body, keyed
 	// by kind|class (chanFactKey); class may be a $param:i placeholder.
 	ops map[string]chanFact
@@ -105,15 +87,13 @@ type modFunc struct {
 }
 
 // NewModule indexes the packages, computes every function's summary and
-// entry context, and builds the channel indexes the analyzers share.
+// entry context, and builds the channel index the analyzers share.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
-		Pkgs:           pkgs,
-		funcs:          make(map[types.Object]*modFunc),
-		releasedFields: make(map[string]bool),
-		cfgs:           make(map[*ast.BlockStmt]*cfg),
-		chans:          make(map[string]*chanInfo),
-		stoppedFields:  make(map[string]bool),
+		Pkgs:  pkgs,
+		funcs: make(map[types.Object]*modFunc),
+		cfgs:  make(map[*ast.BlockStmt]*cfg),
+		chans: make(map[string]*chanInfo),
 	}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
@@ -143,7 +123,6 @@ func NewModule(pkgs []*Package) *Module {
 	m.markCycles()
 	m.fixpoint(m.summarize, nil)
 	m.entryFixpoint()
-	m.indexStops()
 	m.collectMakes()
 	m.collectSites()
 	return m
@@ -152,9 +131,8 @@ func NewModule(pkgs []*Package) *Module {
 // inModuleScope limits interprocedural reporting to the packages whose
 // concurrency discipline the repo owns: everything under internal/ plus the
 // command mains. Unlike block-lock's mutex half, internal/transport is in
-// scope — its
-// mutex nesting and goroutine lifecycles are exactly what lock-order and
-// life-leak exist to prove.
+// scope: its guarded fields and channel protocols are checked like any
+// other package's.
 func inModuleScope(path string) bool {
 	return strings.HasPrefix(path, modulePrefix+"/internal/") ||
 		strings.HasPrefix(path, modulePrefix+"/cmd/")
@@ -323,7 +301,6 @@ func mutexClassOf(p *Package, f *modFunc, call *ast.CallExpr) (kind int, read bo
 type heldLock struct {
 	class string
 	read  bool
-	pos   token.Position
 }
 
 // lockState is the abstract state at one program point: the stack of held
@@ -387,8 +364,8 @@ func (st *lockState) exit() *lockState {
 
 // merge folds one more incoming path into a join. acc is nil before the
 // first path. The held set is the intersection (a lock is held after the
-// join only if every live path holds it), in acc's order and with acc's
-// positions — diagnostics name the innermost — and borrowed is the max.
+// join only if every live path holds it), in acc's order — diagnostics name
+// the innermost — and borrowed is the max.
 // A deferred release survives the join only if every path deferred it,
 // like the lock it releases.
 func merge(acc, st *lockState) *lockState {
@@ -413,8 +390,6 @@ func merge(acc, st *lockState) *lockState {
 
 // walkEvents receives the walker's observations. Any callback may be nil.
 type walkEvents struct {
-	// onLock fires before class is pushed, with the state at that point.
-	onLock func(call *ast.CallExpr, class string, read bool, st *lockState)
 	// onCall fires for calls resolved to module functions, with the state.
 	onCall func(call *ast.CallExpr, callee *modFunc, st *lockState)
 	// onNode fires for every non-lock-op node visited, with the state.
@@ -483,13 +458,10 @@ func (w *bodyWalker) walkBody(body *ast.BlockStmt, entry *lockState) *lockState 
 			// predecessor is this block) and nowhere else.
 			w.exprSkipping(ifs.Cond, st, try)
 			_, read, class := mutexClassOf(w.p, w.f, try)
-			if w.ev.onLock != nil {
-				w.ev.onLock(try, class, read, st)
-			}
 			if tryHeld == nil {
 				tryHeld = make(map[*cfgBlock]heldLock)
 			}
-			tryHeld[bl.succs[0]] = heldLock{class: class, read: read, pos: w.p.position(try)}
+			tryHeld[bl.succs[0]] = heldLock{class: class, read: read}
 		}
 		if sel, ok := bl.branch.(*ast.SelectStmt); ok && w.ev.onNode != nil {
 			w.ev.onNode(sel, st)
@@ -656,10 +628,7 @@ func (w *bodyWalker) call(call *ast.CallExpr, st *lockState) {
 	kind, read, class := mutexClassOf(w.p, w.f, call)
 	switch kind {
 	case 1, 2: // TryLock outside an if-condition: assume acquired
-		if w.ev.onLock != nil {
-			w.ev.onLock(call, class, read, st)
-		}
-		st.push(heldLock{class: class, read: read, pos: w.p.position(call)})
+		st.push(heldLock{class: class, read: read})
 		return
 	case -1:
 		st.release(class)
@@ -685,7 +654,7 @@ func (w *bodyWalker) call(call *ast.CallExpr, st *lockState) {
 		}
 	}
 	for _, leaf := range callee.leaves {
-		st.push(heldLock{class: w.substitute(leaf, call), pos: w.p.position(call)})
+		st.push(heldLock{class: w.substitute(leaf, call)})
 	}
 }
 
@@ -826,9 +795,8 @@ func (m *Module) markCycles() {
 //   - Upward (summarize). delta and leaves depend only on the function's own
 //     lock operations and on callees outside its call cycle (a call into
 //     the cycle is lock-neutral, as a loop back-edge is), so they are fixed
-//     once the rounds have climbed the acyclic call graph; from then on
-//     every lock state is fixed and acquires and pairs only grow. ops only
-//     grow, and blockDesc and retMake are set at most once. Every set is
+//     once the rounds have climbed the acyclic call graph. ops only grow,
+//     and blockDesc and retMake are set at most once. Every set is
 //     drawn from the module's finite lock and channel classes.
 //   - Downward (entryFixpoint). Entry contexts start empty and only grow: a
 //     caller walked with more locks held holds more at each call site, and
@@ -845,15 +813,6 @@ func (m *Module) fixpoint(step func(*modFunc) bool, settle func() bool) {
 		}
 	}
 }
-
-// pairFact is one witnessed ordered acquisition for the lock graph.
-type pairFact struct {
-	from, to string
-	pos      token.Position
-	via      string
-}
-
-func pairKey(from, to string) string { return from + "|" + to }
 
 // viaCall extends a callee fact's call chain with the callee itself.
 func viaCall(callee *modFunc, via string) string {
@@ -874,16 +833,6 @@ func (m *Module) summarize(mf *modFunc) bool {
 	res := mf.decl.Type.Results
 	constructor := res != nil && len(res.List) == 1 && len(res.List[0].Names) <= 1
 	opsBefore, blockBefore, retBefore := len(mf.ops), mf.blockDesc, mf.retMake
-	acquired := make(map[string]string)
-	pairs := make(map[string]pairFact)
-	addPair := func(pf pairFact) {
-		if pf.from == "" || pf.to == "" {
-			return
-		}
-		if _, ok := pairs[pairKey(pf.from, pf.to)]; !ok {
-			pairs[pairKey(pf.from, pf.to)] = pf
-		}
-	}
 	addOp := func(kind chanOpKind, class, via string) {
 		if class == "" {
 			return
@@ -894,52 +843,14 @@ func (m *Module) summarize(mf *modFunc) bool {
 	}
 	// Blocking reached only after the body has released a lock its caller
 	// holds (fabric.Outbox.Drain performing a queued send) runs with that lock
-	// released, so, like an acquisition there, it is not the caller's.
+	// released, so it is not the caller's.
 	setBlock := func(desc string, st *lockState) {
 		if mf.blockDesc == "" && st.borrowed == 0 {
 			mf.blockDesc = desc
 		}
 	}
 	w := &bodyWalker{m: m, p: p, f: mf}
-	w.ev.onLock = func(call *ast.CallExpr, class string, read bool, st *lockState) {
-		if class == "" {
-			return
-		}
-		// Both ends of a pair are genuinely held together here, so a pair
-		// is a fact regardless of borrow state.
-		for _, h := range st.held {
-			addPair(pairFact{from: h.class, to: class, pos: p.position(call)})
-		}
-		// Only acquisitions made while the caller's locks could still be
-		// held (no borrowed release yet) propagate to callers: a helper
-		// that is entered locked, releases, and re-acquires (Outbox.Drain)
-		// must not read as acquiring under the caller.
-		if _, ok := acquired[class]; !ok && st.borrowed == 0 {
-			acquired[class] = "" // direct acquisition
-		}
-	}
 	w.ev.onCall = func(call *ast.CallExpr, callee *modFunc, st *lockState) {
-		// Anything the callee acquires while we hold a lock is a pair. This
-		// witness goes before the ones relayed through the callee's own
-		// pairs, so a recursive function's self-pair names the call once.
-		for c, sub := range callee.acquires {
-			rc := w.substitute(c, call)
-			if rc == "" {
-				continue
-			}
-			for _, h := range st.held {
-				addPair(pairFact{from: h.class, to: rc, pos: p.position(call), via: viaCall(callee, sub)})
-			}
-			if _, ok := acquired[rc]; !ok && st.borrowed == 0 {
-				acquired[rc] = viaCall(callee, sub)
-			}
-		}
-		// A callee's witnessed pairs concretize at this call site:
-		// $param:i ends become the argument's class.
-		for _, pf := range callee.pairs {
-			from, to := w.substitute(pf.from, call), w.substitute(pf.to, call)
-			addPair(pairFact{from: from, to: to, pos: p.position(call), via: viaCall(callee, pf.via)})
-		}
 		for _, f := range callee.ops {
 			addOp(f.kind, substituteChanClass(p, mf, f.class, call), viaCall(callee, f.via))
 		}
@@ -987,10 +898,8 @@ func (m *Module) summarize(mf *modFunc) bool {
 		}
 	}
 	changed := exit.delta() != mf.delta || !slices.Equal(leaves, mf.leaves) ||
-		!sameKeys(acquired, mf.acquires) || !sameKeys(pairs, mf.pairs) ||
 		len(mf.ops) != opsBefore || mf.blockDesc != blockBefore || mf.retMake != retBefore
 	mf.delta, mf.leaves = exit.delta(), leaves
-	mf.acquires, mf.pairs = acquired, pairs
 	return changed
 }
 
@@ -1049,7 +958,7 @@ func (m *Module) entryState(mf *modFunc) *lockState {
 	}
 	sort.Strings(classes)
 	for _, c := range classes {
-		st.push(heldLock{class: c, pos: mf.pkg.position(mf.decl)})
+		st.push(heldLock{class: c})
 	}
 	return st
 }

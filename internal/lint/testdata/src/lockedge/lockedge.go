@@ -82,7 +82,7 @@ type pair struct {
 	second sync.Mutex
 }
 
-// Consistent first→second order through the helper: a DAG, no report.
+// A lock-balanced helper taking both mutexes by pointer: nothing held after.
 func (p *pair) use() {
 	lockBoth(&p.first, &p.second)
 }
@@ -96,10 +96,10 @@ type revpair struct {
 	right sync.Mutex
 }
 
-// The same helper called with the arguments swapped concretizes into a
-// cycle: left→right here, right→left below.
+// The same helper with its arguments swapped is as lock-neutral at each
+// call site, whichever order it takes them in.
 func (r *revpair) forward() {
-	lockBoth(&r.left, &r.right) // want "lock-order.*lockedge.revpair.left → lockedge.revpair.right → lockedge.revpair.left.*via lockBoth"
+	lockBoth(&r.left, &r.right)
 }
 
 func (r *revpair) backward() {
@@ -121,8 +121,8 @@ func (h *hub) post(fn func()) {
 }
 
 // run is called with h.mu held and returns with it released; the release
-// and re-acquire in the loop must not read as a self-cycle, and the field
-// accesses must inherit the entry lock.
+// and re-acquire in the loop must sum to one release (delta -1), and the
+// field accesses must inherit the entry lock.
 func (h *hub) run() {
 	if h.busy {
 		h.mu.Unlock()

@@ -1,8 +1,8 @@
 // Package recursion holds self-recursive locking functions whose lock
 // summaries must not depend on how many times a fixpoint goes round:
 // callgraph_test.go pins them, and summaries.golden renders them. It is not a
-// TestFixtures package (grow's self-cycle is a real lock-order finding, and
-// the fixture is about summaries, not diagnostics).
+// TestFixtures package: the fixture is about summaries, not diagnostics, and
+// the suite has no rule for a function that keeps a lock it took.
 package recursion
 
 import "sync"

@@ -3,6 +3,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -498,43 +500,129 @@ func TestTCPDialFailure(t *testing.T) {
 	}
 }
 
+// TestTCPSendRacingCloseLeaksNothing puts a Send in the window where route
+// has passed its closed check and dropped e.mu to look the peer up and dial.
+// A Close in that window drains the routes and open conns before the dial
+// finishes; a Send that then kept its fresh socket would leak it and its
+// reader, which nothing closes any more. Holding the book's lock parks the
+// Send at its lookup, so the window is opened on purpose, not by chance.
 func TestTCPSendRacingCloseLeaksNothing(t *testing.T) {
-	// Send drops e.mu while dialing, so Close can slip into that window and
-	// drain e.conns first. A Send that then cached its fresh socket would
-	// leak it forever (nothing ever closes entries added after the drain).
-	// The window is a few microseconds wide, so race Send against Close
-	// repeatedly and check the invariant after every round: a closed
-	// endpoint holds no cached connections.
 	book := NewAddressBook()
-	b, err := ListenTCP("b", "127.0.0.1:0", book)
+	listen(t, "b", book)
+	a, err := DialTCP("a", book)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	for i := 0; i < 50; i++ {
-		a, err := ListenTCP(fmt.Sprintf("a%d", i), "127.0.0.1:0", book)
+	defer a.Close()
+
+	book.mu.Lock()
+	var unlock sync.Once
+	defer unlock.Do(book.mu.Unlock)
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send("b", []byte("x")) }()
+	waitFor(t, func() bool { return parked("(*AddressBook).Lookup") }, "Send to park at its address lookup")
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	unlock.Do(book.mu.Unlock)
+
+	select {
+	case err := <-sent:
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("Send across Close = %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send did not return within 5s of the book being released")
+	}
+	a.mu.Lock()
+	routes, open := len(a.conns), len(a.open)
+	a.mu.Unlock()
+	if routes != 0 || open != 0 {
+		t.Errorf("closed endpoint holds %d route(s) and %d open conn(s), want none", routes, open)
+	}
+}
+
+// TestTCPCloseJoinsReaders: Close returns only once every connection's
+// reader has exited, so no handler runs on a closed endpoint. A reader's
+// handler blocks on its first frame; Close must park waiting for it, and
+// return within 5 s of the handler returning, which needs the reader to
+// hear its connection close. Close runs on its own goroutine under the
+// test's deadlines, so a reader that never exits fails the test instead of
+// hanging it. The endpoint under test only dials, so its WaitGroup counts
+// that one reader and nothing else.
+func TestTCPCloseJoinsReaders(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	book := NewAddressBook()
+	book.Set("a", ln.Addr().String())
+	b, err := DialTCP("b", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var free sync.Once
+	defer free.Do(func() { close(release) })
+	b.SetHandler(func(string, []byte) {
+		close(entered)
+		<-release
+	})
+	if err := b.Send("a", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	frame := make([]byte, 6+len("a")+len("x"))
+	putFrame(frame, "a", []byte("x"))
+	if _, err := c.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler did not run within 5s")
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	waitFor(t, func() bool {
+		select {
+		case err := <-closed:
+			t.Fatalf("Close returned (%v) while a reader's handler was still running", err)
+		default:
+		}
+		return parked("(*TCPEndpoint).Close", "(*WaitGroup).Wait", "runtime_Semacquire")
+	}, "Close to wait for the reader")
+	free.Do(func() { close(release) })
+	select {
+	case err := <-closed:
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("Close = %v", err)
 		}
-		start := make(chan struct{})
-		sent := make(chan error, 1)
-		go func() {
-			<-start
-			sent <- a.Send("b", []byte("x"))
-		}()
-		close(start)
-		a.Close()
-		if err := <-sent; err != nil && !errors.Is(err, ErrClosed) {
-			// Losing the race to Close is fine; any other failure is not.
-			t.Fatalf("round %d: Send = %v", i, err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return within 5s of the handler returning: the reader did not stop when its connection closed")
+	}
+}
+
+// parked reports whether some goroutine's stack shows every one of frames.
+func parked(frames ...string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		all := true
+		for _, f := range frames {
+			all = all && strings.Contains(g, f)
 		}
-		a.mu.Lock()
-		cached := len(a.conns)
-		a.mu.Unlock()
-		if cached != 0 {
-			t.Fatalf("round %d: %d connection(s) cached on a closed endpoint", i, cached)
+		if all {
+			return true
 		}
 	}
+	return false
 }
 
 // TestTCPSendAfterPeerRestart restarts b under a's cached connection, many
