@@ -64,11 +64,13 @@ bench-e2e-test:
 	cd benchmark && go vet ./... && go test ./...
 
 # Short-mode chaos matrix under the race detector, over a fixed seed set.
-# Any violation prints the seed and a one-command replay.
+# Any violation prints the seed and a one-command replay. Then the group
+# soak: 10^5 multicasts per ordering, every map bounded, the live heap flat.
 chaos:
 	go test -race ./internal/chaos
 	go test -race ./internal/chaos -chaos.seed=11
 	go test -race ./internal/chaos -chaos.seed=23
+	go test -count=1 -run TestOrderingSoak ./internal/group
 
 # Rewrite internal/chaos/testdata/traces.golden, a sha256 of every scenario's
 # trace at seeds 7/11/23 (TestChaosTraceGolden). Replay a changed line with

@@ -338,8 +338,9 @@ func runReorderTotalOrder(w *World) {
 
 // runReorderLossBatchedOrder drives the batched ordering hot path through
 // an adversarial network. Four members multicast in bursts sized to the
-// batch limit, so every burst travels as exactly one kBatch packet and the
-// sequencer announces each batch with a single contiguous kOrder run. The
+// batch limit, so every burst travels to the sequencer as exactly one
+// kBatch packet, and the sequencer forwards each batch with a single
+// contiguous kOrder run (and orders its own bursts the same way). The
 // links reorder aggressively the whole time; mid-run, every link INTO bo3
 // turns lossy, then heals. Loss toward one receiver cannot disturb the
 // others — they must still deliver the complete gapless global sequence —

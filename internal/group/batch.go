@@ -14,13 +14,17 @@ import "time"
 // unpack either form into the same per-message delivery code, so members
 // with different limits interoperate within one view.
 //
-// The pipelining half lives on the ordering side: a sequencer assigns a
-// received run one contiguous stretch of the global sequence and announces
-// it with a single kOrder packet (one MsgID for a run of one, MsgIDs plus
-// the starting GlobalSeq otherwise), and a token holder stamps a contiguous
-// stretch onto a run before it is sent. At high fan-in this collapses the
-// per-message sequencer round trip — the paper's §5 scalability bottleneck
-// — into one exchange per window.
+// The pipelining half lives on the ordering side. Under the sequencer
+// protocol a member's run goes to the sequencer alone, which assigns it one
+// contiguous stretch of the global sequence and forwards it in a single
+// body-carrying kOrder to every other member (the message flattened into
+// the order for a run of one, the run as Msgs from the starting GlobalSeq
+// otherwise), and tells the run's origin its stretch in a single body-less
+// kOrder (one MsgID, or MsgIDs). The sequencer's own run is stamped at its
+// flush and leaves as the body-carrying kOrder alone. A token holder stamps
+// a contiguous stretch onto a run before it is sent. At high fan-in this
+// collapses the per-message sequencer round trip — the paper's §5
+// scalability bottleneck — into one exchange per window.
 
 // BatchConfig configures sender-side batching. The zero value sends every
 // Multicast as its own wire packet.
@@ -70,25 +74,25 @@ func (m *Member) Flush() {
 	m.out.Drain(&m.mu)
 }
 
-// queueFlush flushes the accumulation buffer as a fire-and-forget fan-out
-// on the outbox. Called with m.mu held. The flush is detached from
-// the Multicast calls that filled the buffer, so a failed send surfaces as
-// loss (repaired by NACK for FIFO, visible as stalled delivery for the
-// total orders), not as an error.
+// queueFlush flushes the accumulation buffer as a fire-and-forget send
+// on the outbox. Called with m.mu held. The flush is detached from the
+// Multicast calls that filled the buffer, so a failed send surfaces as loss
+// (repaired by NACK for FIFO, visible as stalled delivery for the total
+// orders), not as an error.
 func (m *Member) queueFlush() {
-	if pkt := m.flush(); pkt != nil {
-		m.queueSendToView(pkt)
+	if pkt, targets := m.flush(); pkt != nil {
+		m.out.QueueAll(targets, pkt, pkt.Size+64)
 	}
 }
 
-// flush empties the accumulation buffer and returns the packet to fan out
-// to the view for it, or nil when the buffer was empty. Called with m.mu
-// held.
+// flush empties the accumulation buffer and returns the packet to send for
+// it and the members to send it to, or a nil packet when the buffer was
+// empty. Called with m.mu held.
 //
 //cscw:hotpath
-func (m *Member) flush() *packet {
+func (m *Member) flush() (*packet, []string) {
 	if len(m.batchBuf) == 0 {
-		return nil
+		return nil, nil
 	}
 	run := m.batchBuf
 	m.batchBuf = m.batchBuf[:0] // wireRun keeps no reference to run
@@ -96,29 +100,42 @@ func (m *Member) flush() *packet {
 }
 
 // wireRun turns a run of stamped data packets into what goes on the wire
-// for it now. A token-protocol member without the token parks the run in
-// the outbox and the packet returned is the token request — the run goes
-// out, contiguously stamped, when the token arrives (drainOutbox). A
-// holder stamps the run's stretch of the global sequence here. A run of
-// one is returned as the bare kData packet, a longer one wrapped in a
-// kBatch. Called with m.mu held; run is not retained.
+// for it now, and names its targets. A token-protocol member without the
+// token parks the run in the outbox and the packet returned is the token
+// request — the run goes out, contiguously stamped, when the token arrives
+// (drainOutbox). A holder stamps the run's stretch of the global sequence
+// here. Under the sequencer protocol a member's run goes to the sequencer
+// alone, and the sequencer's own run is ordered here and goes to everyone
+// else as its body-carrying announcement (order). Otherwise the run goes to
+// the whole view: a run of one as the bare kData packet, a longer one
+// wrapped in a kBatch. Called with m.mu held; run is not retained.
 //
 //cscw:hotpath
-func (m *Member) wireRun(run []*packet) *packet {
-	if m.ordering == TotalToken {
+func (m *Member) wireRun(run []*packet) (*packet, []string) {
+	targets := m.viewTargets()
+	switch m.ordering {
+	case TotalToken:
 		if !m.hasToken {
 			m.outbox = append(m.outbox, run...)
 			req := m.newPacket()
 			*req = packet{Kind: kTokenReq, From: m.id, ViewID: m.view.ID}
-			return req
+			return req, targets
 		}
 		for _, p := range run {
 			p.GlobalSeq = m.seqNext
 			m.seqNext++
 		}
+	case TotalSequencer:
+		// The sequencer is Members[0] (View.Sequencer).
+		if m.view.Sequencer() == m.id {
+			fwd := m.order(run)
+			m.drainTotal()
+			return fwd, targets[1:]
+		}
+		targets = targets[:1]
 	}
 	if len(run) == 1 {
-		return run[0]
+		return run[0], targets
 	}
 	msgs := make([]*packet, len(run))
 	total := 0
@@ -128,5 +145,5 @@ func (m *Member) wireRun(run []*packet) *packet {
 	}
 	pkt := m.newPacket()
 	*pkt = packet{Kind: kBatch, From: m.id, ViewID: m.view.ID, Msgs: msgs, Size: total}
-	return pkt
+	return pkt, targets
 }

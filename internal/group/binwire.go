@@ -28,11 +28,13 @@ import (
 // included), the origin bit without a MsgID or with an origin that is not
 // From, and VC sites out of order, so equal packets are equal bytes.
 //
-// The tag names this layout. A frame from a tree that wrote every field
-// (tag "group/packet") carries a tag no codec here registers, so it is a
-// counted drop, never a misparse.
+// The tag names this layout and the protocol it carries. A frame from a
+// tree that wrote every field (tag "group/packet"), or from one whose
+// sequencer protocol broadcast data and sent body-less orders to all (tag
+// "group/pkt/v2", the same body layout), carries a tag no codec here
+// registers, so it is a counted drop, never a misparse.
 
-const tagPacket = "group/pkt/v2"
+const tagPacket = "group/pkt/v3"
 
 // minPacketBytes is the shortest packet body: Kind and the mask, one byte
 // each, with every bit clear.

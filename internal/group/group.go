@@ -11,7 +11,10 @@
 //
 // Total order is provided by two interchangeable protocols — a fixed
 // sequencer and a circulating token — which experiment E7 ablates against
-// each other.
+// each other. Under the fixed sequencer a member sends its message to the
+// sequencer alone, which orders it and forwards it with its position to
+// everyone else (Amoeba's "PB" method): n frames a multicast, n-1 from the
+// sequencer itself, and a receiver delivers two hops after the send.
 //
 // There is one send path and one receive path. Every Multicast is stamped
 // and appended to the member's send buffer, which flushes as a run: of one
@@ -124,7 +127,7 @@ func NewView(id uint64, members []string) View {
 
 // Delivery is a multicast message handed to the application.
 type Delivery struct {
-	From   string
+	From   string // the member that multicast the message
 	Body   any
 	Seq    uint64    // global sequence number (total orderings only)
 	VC     vclock.VC // causal timestamp (Causal ordering only)
@@ -137,7 +140,11 @@ type DeliverFunc func(d Delivery)
 // ViewFunc observes installed view changes.
 type ViewFunc func(v View)
 
-// packet kinds on the wire.
+// packet kinds on the wire. Under the sequencer protocol a kData (or a
+// kBatch) travels from its origin to the sequencer only, and a kOrder from
+// the sequencer carries what it ordered: the messages themselves to every
+// member but their origin, and just their ids to the origin, which kept
+// them.
 type kind int
 
 const (
@@ -156,12 +163,14 @@ const (
 // packet is the wire unit exchanged between members. Over netsim it
 // travels as an in-memory value; over byte transports RegisterWire gives it
 // a frame tag and binwire.go its binary body. The field names and kData=1,
-// kOrder=2 are read by reflection in benchmark/load/shim.go.
+// kOrder=2 are read by reflection in benchmark/load/shim.go, which times a
+// sequencer-protocol multicast's origin-to-sequencer leg by its kData and
+// the sequencer-to-member leg by its kOrder, each named by MsgID.
 type packet struct {
 	Kind   kind
 	From   string
 	ViewID uint64
-	// data
+	// data; a kOrder carrying one message has its Body, Size and MsgID
 	Body      any
 	Size      int
 	SenderSeq uint64    // per-sender sequence for FIFO
@@ -180,9 +189,9 @@ type packet struct {
 	NackTo   uint64
 	// runs: a kBatch packet carries the data packets of a flushed run of
 	// two or more (a run of one travels as the bare kData); a kOrder packet
-	// with MsgIDs assigns the contiguous sequence run starting at GlobalSeq
-	// to those messages in order (one announcement per batch — the
-	// sequencer pipelining).
+	// with Msgs, or with MsgIDs for their origin, assigns the contiguous
+	// sequence run starting at GlobalSeq to those messages in order (one
+	// announcement per batch — the sequencer pipelining).
 	Msgs   []*packet
 	MsgIDs []msgID
 }
@@ -190,4 +199,14 @@ type packet struct {
 type msgID struct {
 	Origin string
 	N      uint64
+}
+
+// origin is the member that multicast p: its MsgID's origin under the total
+// orders, where a sequencer's announcement may carry another member's
+// message, and its sender otherwise.
+func (p *packet) origin() string {
+	if p.MsgID.Origin != "" {
+		return p.MsgID.Origin
+	}
+	return p.From
 }

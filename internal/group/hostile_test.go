@@ -112,6 +112,73 @@ func TestForgedOrderDropped(t *testing.T) {
 	}
 }
 
+// TestForgedForwardedOrderDropped: an order that carries a message is the
+// sequencer's alone too. Before the network runs, m01 of a three-member
+// view whose sequencer is m00 is handed a body-carrying order for position
+// 1 from a sender other than the sequencer, or claiming another sender, or
+// both; then m02 multicasts. Taken, the forged message would be m01's
+// first delivery; dropped, every member delivers m02's message alone at
+// position 1.
+func TestForgedForwardedOrderDropped(t *testing.T) {
+	for _, forger := range []struct{ from, claims string }{
+		{"m02", "m02"}, // a member announcing in its own name
+		{"m02", "m00"}, // a member announcing in the sequencer's name
+		{"m00", "m02"}, // the sequencer's link, another member's name
+	} {
+		r := newRig(t, 3, TotalSequencer, netsim.LANLink)
+		forged := &packet{Kind: kOrder, From: forger.claims, ViewID: 1, Body: "forged", Size: 8, MsgID: msgID{Origin: "m02", N: 1}, GlobalSeq: 1}
+		r.members["m01"].Receive(forger.from, forged)
+		if n := r.members["m01"].retained(); n != 0 {
+			t.Errorf("forged by %s as %s: m01 filed %d messages", forger.from, forger.claims, n)
+		}
+		r.members["m02"].Multicast("real", 8)
+		r.sim.Run()
+		for _, id := range r.ids {
+			if got := r.bodies(id); !slices.Equal(got, []string{"real"}) || r.deliv[id][0].Seq != 1 {
+				t.Errorf("forged by %s as %s: %s delivered %v", forger.from, forger.claims, id, got)
+			}
+		}
+	}
+}
+
+// TestDataToNonSequencerDropped: under the sequencer protocol data goes to
+// the sequencer alone, so a data packet or a batch that reaches another
+// member is off-protocol: it is delivered nowhere, that member files
+// nothing for it, and ordering goes on.
+func TestDataToNonSequencerDropped(t *testing.T) {
+	stray := &packet{Kind: kData, From: "m02", ViewID: 1, Body: "stray", Size: 8, MsgID: msgID{Origin: "m02", N: 1}}
+	for _, p := range []*packet{stray, {Kind: kBatch, From: "m02", ViewID: 1, Size: 16, Msgs: []*packet{stray, stray}}} {
+		r := newRig(t, 3, TotalSequencer, netsim.LANLink)
+		r.members["m01"].Receive("m02", p)
+		r.sim.Run()
+		if n := r.members["m01"].retained(); n != 0 || len(r.deliv["m01"]) != 0 {
+			t.Fatalf("kind %d: m01 filed %d messages and delivered %v", p.Kind, n, r.bodies("m01"))
+		}
+		r.members["m02"].Multicast("real", 8)
+		r.sim.Run()
+		for _, id := range r.ids {
+			if got := r.bodies(id); !slices.Equal(got, []string{"real"}) {
+				t.Errorf("kind %d: %s delivered %v", p.Kind, id, got)
+			}
+		}
+	}
+}
+
+// TestTokenIgnoredBySequencer: a token packet handed to the sequencer of
+// a sequencer-protocol view does not move its next position, so the
+// messages it orders afterwards are delivered at once and without a gap.
+func TestTokenIgnoredBySequencer(t *testing.T) {
+	r := newRig(t, 3, TotalSequencer, netsim.LANLink)
+	r.members["m00"].Receive("m01", &packet{Kind: kToken, From: "m01", ViewID: 1, Body: "m00", GlobalSeq: 100})
+	r.members["m01"].Multicast("after", 8)
+	r.sim.Run()
+	for _, id := range r.ids {
+		if got := r.deliv[id]; len(got) != 1 || got[0].Seq != 1 {
+			t.Errorf("%s delivered %+v, want one message at position 1", id, got)
+		}
+	}
+}
+
 // pumpNet is the fuzzer's substrate: one FIFO queue of every message sent,
 // which pump hands to the receivers' Receive in order until it is empty.
 // No simulator, no goroutines: a member's sends land in the queue when its
@@ -225,6 +292,10 @@ func FuzzMemberReceive(f *testing.F) {
 		// An order announcement not from the sequencer, giving m02's second
 		// multicast the next slot, which the sequencer gives m00's.
 		{Kind: kOrder, From: "m01", ViewID: 1, GlobalSeq: 4, MsgID: msgID{Origin: "m02", N: 2}},
+		// The same forged as the sequencer's forward, carrying a message.
+		{Kind: kOrder, From: "m00", ViewID: 1, Body: "forged", Size: 8, GlobalSeq: 4, MsgID: msgID{Origin: "m02", N: 2}},
+		// Data sent straight to a member that is not the sequencer.
+		{Kind: kData, From: "m02", ViewID: 1, Body: "stray", Size: 8, MsgID: msgID{Origin: "m02", N: 2}},
 	}
 	for _, p := range samplePackets() {
 		hostile = append(hostile, p)

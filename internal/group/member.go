@@ -60,14 +60,18 @@ type Member struct {
 	// Total-order state (shared by sequencer and token protocols).
 	msgCounter uint64
 	nextGlobal uint64
-	pendingMsg map[msgID]*packet // data waiting for an order assignment
-	orderOf    map[uint64]msgID  // global seq -> message identity
-	seqOf      map[msgID]uint64  // message identity -> global seq
-	seqNext    uint64            // next seq this sequencer/token will assign
-	hasToken   bool
-	tokenWait  []string        // pending token requesters, in request order
-	waitKnown  map[string]bool // dedup for tokenWait
-	outbox     []*packet       // token protocol: sends queued awaiting token
+	held       map[uint64]*packet // ordered messages by global seq, awaiting nextGlobal
+	seqNext    uint64             // next seq this sequencer/token will assign
+	// Sequencer protocol: a member's own messages awaiting their order, by
+	// MsgID.N, and the lowest N that may still be among them; and, at the
+	// sequencer, what it has ordered of each origin's messages.
+	own       map[uint64]*packet
+	ownLow    uint64
+	sequenced map[string]*seqMark
+	hasToken  bool
+	tokenWait []string        // pending token requesters, in request order
+	waitKnown map[string]bool // dedup for tokenWait
+	outbox    []*packet       // token protocol: sends queued awaiting token
 
 	// The send buffer every Multicast goes through (see batch.go).
 	batch      BatchConfig
@@ -162,25 +166,25 @@ func NewMember(cfg Config) (*Member, error) {
 		return nil, fmt.Errorf("group: a batch window requires a timer")
 	}
 	m := &Member{
-		id:         cfg.Endpoint.ID(),
-		ep:         cfg.Endpoint,
-		timer:      cfg.Timer,
-		ordering:   cfg.Ordering,
-		onView:     cfg.OnView,
-		fifoNext:   make(map[string]uint64),
-		fifoHold:   make(map[string]map[uint64]*packet),
-		sentBuf:    make(map[uint64]*packet),
-		nacked:     make(map[string]uint64),
-		knownHi:    make(map[string]uint64),
-		vc:         vclock.New(),
-		pendingMsg: make(map[msgID]*packet),
-		orderOf:    make(map[uint64]msgID),
-		seqOf:      make(map[msgID]uint64),
-		waitKnown:  make(map[string]bool),
-		handlers:   make(map[string]HandlerFunc),
-		calls:      make(map[uint64]*pendingCall),
-		batch:      cfg.Batch,
-		limit:      cfg.Batch.limit(cfg.Ordering),
+		id:        cfg.Endpoint.ID(),
+		ep:        cfg.Endpoint,
+		timer:     cfg.Timer,
+		ordering:  cfg.Ordering,
+		onView:    cfg.OnView,
+		fifoNext:  make(map[string]uint64),
+		fifoHold:  make(map[string]map[uint64]*packet),
+		sentBuf:   make(map[uint64]*packet),
+		nacked:    make(map[string]uint64),
+		knownHi:   make(map[string]uint64),
+		vc:        vclock.New(),
+		held:      make(map[uint64]*packet),
+		own:       make(map[uint64]*packet),
+		sequenced: make(map[string]*seqMark),
+		waitKnown: make(map[string]bool),
+		handlers:  make(map[string]HandlerFunc),
+		calls:     make(map[uint64]*pendingCall),
+		batch:     cfg.Batch,
+		limit:     cfg.Batch.limit(cfg.Ordering),
 	}
 	// A delivered packet is never modified (receivers share it), so the
 	// Delivery is built when the outbox performs it. cfg.Deliver is
@@ -188,7 +192,7 @@ func NewMember(cfg Config) (*Member, error) {
 	deliver := cfg.Deliver
 	m.out = fabric.NewOutbox(cfg.Endpoint, func(payload any, seq uint64) {
 		pkt := payload.(*packet)
-		deliver(Delivery{From: pkt.From, Body: pkt.Body, Seq: seq, VC: pkt.VC, ViewID: pkt.ViewID})
+		deliver(Delivery{From: pkt.origin(), Body: pkt.Body, Seq: seq, VC: pkt.VC, ViewID: pkt.ViewID})
 	})
 	cfg.Endpoint.SetHandler(func(from string, payload any, size int) {
 		m.Receive(from, payload)
@@ -241,9 +245,10 @@ func (m *Member) installView(v View) {
 	m.causalHold = nil
 	m.nextGlobal = 1
 	m.seqNext = 1
-	m.pendingMsg = make(map[msgID]*packet)
-	m.orderOf = make(map[uint64]msgID)
-	m.seqOf = make(map[msgID]uint64)
+	m.held = make(map[uint64]*packet)
+	m.own = make(map[uint64]*packet)
+	m.ownLow = m.msgCounter + 1
+	m.sequenced = make(map[string]*seqMark)
 	m.outbox = nil
 	m.batchBuf = nil // view change assumes quiescence; unsent buffered messages drop with it
 	m.tokenWait = nil
@@ -278,13 +283,13 @@ func (m *Member) ProposeView(v View) error {
 	return m.sendToAll(ids, pkt)
 }
 
-// Multicast sends body to every member of the current view (including the
-// caller) with the configured ordering guarantee. size is the payload size
-// hint for bandwidth accounting. The stamped message joins the send buffer
-// (see batch.go), which flushes when it reaches its limit — at once unless
-// batching is configured — when the window elapses, or when Flush is
-// called. A flush this call triggers is fanned out before it returns and
-// its first send error is reported; a message left in the buffer goes out
+// Multicast delivers body to every member of the current view (including
+// the caller) with the configured ordering guarantee. size is the payload
+// size hint for bandwidth accounting. The stamped message joins the send
+// buffer (see batch.go), which flushes when it reaches its limit — at once
+// unless batching is configured — when the window elapses, or when Flush is
+// called. A flush this call triggers is sent before it returns and its
+// first send error is reported; a message left in the buffer goes out
 // later, fire-and-forget.
 //
 //cscw:hotpath
@@ -299,15 +304,15 @@ func (m *Member) Multicast(body any, size int) error {
 	m.stamp(pkt)
 	m.batchBuf = append(m.batchBuf, pkt)
 	var out *packet
+	var targets []string
 	if len(m.batchBuf) >= m.limit {
-		out = m.flush()
+		out, targets = m.flush()
 	} else if m.batch.Window > 0 && !m.batchArmed {
 		m.batchArmed = true
 		// One timer closure per accumulation window, amortized over the whole batch.
 		m.timer.After(m.batch.Window, m.batchTimerFire)
 	}
-	targets := m.viewTargets()
-	m.out.Drain(&m.mu) // releases m.mu: the fan-out below must not run under it
+	m.out.Drain(&m.mu) // releases m.mu: the sends below must not run under it
 	if out == nil {
 		return nil
 	}
@@ -317,8 +322,10 @@ func (m *Member) Multicast(body any, size int) error {
 // stamp gives an outgoing data packet its identity under the configured
 // ordering: the per-sender sequence (FIFO), the vector timestamp (Causal)
 // or the message ID the total orders pair with a global sequence number.
-// The token protocol's global sequence is stamped at flush, when the run
-// is known to hold the token (wireRun). Called with m.mu held.
+// A sequencer-protocol member other than the sequencer keeps the packet
+// until the sequencer's order for it comes back. The global sequence of a
+// token holder's or the sequencer's own run is stamped at flush (wireRun).
+// Called with m.mu held.
 func (m *Member) stamp(pkt *packet) {
 	switch m.ordering {
 	case FIFO:
@@ -340,6 +347,9 @@ func (m *Member) stamp(pkt *packet) {
 	case TotalSequencer, TotalToken:
 		m.msgCounter++
 		pkt.MsgID = msgID{Origin: m.id, N: m.msgCounter}
+		if m.ordering == TotalSequencer && m.view.Sequencer() != m.id {
+			m.own[m.msgCounter] = pkt
+		}
 	}
 }
 
@@ -384,7 +394,8 @@ func (m *Member) queueSendToView(pkt *packet) {
 // endpoint's handler to call this with the delivered payload; tests may
 // also call it directly to hand-craft traffic. from is the transport's
 // sender: an order announcement counts only when it and the packet's From
-// are both the view's sequencer.
+// are both the view's sequencer, and the sequencer orders a message only
+// from its origin.
 func (m *Member) Receive(from string, payload any) {
 	pkt, ok := payload.(*packet)
 	if !ok {
@@ -397,9 +408,9 @@ func (m *Member) Receive(from string, payload any) {
 			m.installView(*pkt.NewView)
 		}
 	case kData:
-		m.receiveMsgs(pkt)
+		m.receiveMsgs(from, pkt)
 	case kBatch:
-		m.receiveMsgs(pkt.Msgs...)
+		m.receiveMsgs(from, pkt.Msgs...)
 	case kOrder:
 		// The sequencer alone orders: an announcement any other member
 		// sends, or sends in its name, would make this member deliver in
@@ -408,9 +419,15 @@ func (m *Member) Receive(from string, payload any) {
 			m.receiveOrder(pkt)
 		}
 	case kToken:
-		m.receiveToken(pkt)
+		// The token protocol's packets mean nothing to the others; taken,
+		// a token would reset a sequencer's next position.
+		if m.ordering == TotalToken {
+			m.receiveToken(pkt)
+		}
 	case kTokenReq:
-		m.receiveTokenReq(pkt)
+		if m.ordering == TotalToken {
+			m.receiveTokenReq(pkt)
+		}
 	case kNack:
 		m.receiveNack(pkt)
 	case kSync:
@@ -429,13 +446,13 @@ func (m *Member) emit(pkt *packet, seq uint64) {
 }
 
 // receiveMsgs files a run of data packets — one bare kData, or the contents
-// of a kBatch — under the configured ordering. For the sequencer protocol
-// the sequencer assigns the whole run one contiguous stretch of the global
-// sequence; everyone else just files the messages and waits for the
-// announcement. Token runs arrive pre-stamped by the holder.
+// of a kBatch — under the configured ordering. Under the sequencer protocol
+// data travels to the sequencer alone, which orders and forwards the run;
+// anywhere else it is off-protocol and dropped. Token runs arrive
+// pre-stamped by the holder.
 //
 //cscw:hotpath
-func (m *Member) receiveMsgs(msgs ...*packet) {
+func (m *Member) receiveMsgs(from string, msgs ...*packet) {
 	switch m.ordering {
 	case Unordered:
 		for _, p := range msgs {
@@ -451,51 +468,147 @@ func (m *Member) receiveMsgs(msgs ...*packet) {
 		}
 	case TotalSequencer:
 		if m.view.Sequencer() == m.id {
-			m.sequenceRun(msgs)
+			m.sequenceRun(from, msgs)
 		}
-		for _, p := range msgs {
-			m.pendingMsg[p.MsgID] = p
-		}
-		m.drainTotal()
 	case TotalToken:
 		for _, p := range msgs {
-			m.pendingMsg[p.MsgID] = p
-			m.orderOf[p.GlobalSeq] = p.MsgID
+			m.hold(p.GlobalSeq, p)
 		}
 		m.drainTotal()
 	}
 }
 
-// sequenceRun is the sequencer's half of the total order: it assigns the
-// not-yet-sequenced messages of a received run the next contiguous stretch
-// of the global sequence and announces the stretch with one kOrder packet —
-// the single-MsgID form for a bare packet, MsgIDs from GlobalSeq upward for
-// a batch. Ordering announcements ride reliable sim links; a loss means a
-// partition, surfaced by stalled delivery which the experiments measure.
-func (m *Member) sequenceRun(msgs []*packet) {
-	start := m.seqNext
-	for _, p := range msgs {
-		if _, done := m.seqOf[p.MsgID]; !done { // else a duplicate replay
-			m.seqOf[p.MsgID] = m.seqNext
-			m.seqNext++
-		}
+// reorderWindow is how far a sequencer-protocol message may fall behind
+// later ones from its origin: the sequencer gives up on a message once it
+// has ordered one reorderWindow numbers above it, and the origin forgets it
+// then too, so a message overtaken that far counts as lost.
+const reorderWindow = 512
+
+// seqMark is what the sequencer has ordered of one origin's messages: every
+// number up to hw, and the numbers above hw in above — a reordering link
+// lets a later message overtake an earlier one, so a bare high-water mark
+// would drop the earlier one as a replay.
+type seqMark struct {
+	hw    uint64
+	above map[uint64]struct{}
+}
+
+// first records n and reports whether it is new. Holes more than
+// reorderWindow below n are given up, so above never holds more than
+// reorderWindow numbers.
+func (s *seqMark) first(n uint64) bool {
+	if n <= s.hw {
+		return false
 	}
-	if m.seqNext == start {
-		return
+	if _, dup := s.above[n]; dup {
+		return false
 	}
-	order := m.newPacket()
-	*order = packet{Kind: kOrder, From: m.id, ViewID: m.view.ID, GlobalSeq: start}
-	if len(msgs) == 1 {
-		order.MsgID = msgs[0].MsgID
-	} else {
-		order.MsgIDs = make([]msgID, m.seqNext-start)
-		for _, p := range msgs {
-			if seq := m.seqOf[p.MsgID]; seq >= start {
-				order.MsgIDs[seq-start] = p.MsgID
+	if n-s.hw > reorderWindow {
+		floor := n - reorderWindow
+		for k := range s.above {
+			if k <= floor {
+				delete(s.above, k)
 			}
 		}
+		s.hw = floor
 	}
-	m.queueSendToView(order)
+	if n == s.hw+1 {
+		s.hw = n
+	} else {
+		if s.above == nil {
+			s.above = make(map[uint64]struct{})
+		}
+		s.above[n] = struct{}{}
+	}
+	for {
+		if _, ok := s.above[s.hw+1]; !ok {
+			return true
+		}
+		delete(s.above, s.hw+1)
+		s.hw++
+	}
+}
+
+// sequenceRun is the sequencer's half of the total order for a run that
+// member from sent it. The run's messages from that origin not already
+// ordered take the next contiguous stretch of the global sequence (order);
+// the origin, which kept its messages, is told their positions by the
+// body-less kOrder (one MsgID for a single message, MsgIDs from GlobalSeq
+// upward for more), and every other member gets the messages themselves in
+// the body-carrying one. A message whose origin is not its sender, not in
+// the view or the sequencer itself is off-protocol and dropped.
+// Announcements ride reliable sim links; a loss means a partition, surfaced
+// by stalled delivery which the experiments measure.
+func (m *Member) sequenceRun(from string, msgs []*packet) {
+	if from == m.id || !m.view.Contains(from) {
+		return
+	}
+	mark := m.sequenced[from]
+	if mark == nil {
+		mark = &seqMark{}
+		m.sequenced[from] = mark
+	}
+	// run is the messages to order: msgs itself, unless one of them is not.
+	run, copied := msgs, false
+	for i, p := range msgs {
+		fresh := p.MsgID.Origin == from && mark.first(p.MsgID.N)
+		if !fresh && !copied {
+			run, copied = append([]*packet(nil), msgs[:i]...), true
+		} else if fresh && copied {
+			run = append(run, p)
+		}
+	}
+	if len(run) == 0 {
+		return
+	}
+	ack := m.newPacket()
+	*ack = packet{Kind: kOrder, From: m.id, ViewID: m.view.ID, GlobalSeq: m.seqNext}
+	if len(run) == 1 {
+		ack.MsgID = run[0].MsgID
+	} else {
+		ack.MsgIDs = make([]msgID, len(run))
+		for i, p := range run {
+			ack.MsgIDs[i] = p.MsgID
+		}
+	}
+	fwd := m.order(run)
+	for _, id := range m.view.Members {
+		switch id {
+		case m.id:
+		case from:
+			m.out.Queue(id, ack, ack.Size+64)
+		default:
+			m.out.Queue(id, fwd, fwd.Size+64)
+		}
+	}
+	m.drainTotal() // queued behind the sends: the others need not wait for this member's application
+}
+
+// order gives a run of messages the next contiguous stretch of the global
+// sequence, files them for delivery here (the caller drains them), and
+// returns the body-carrying kOrder that announces them to the members that
+// do not hold them: a single message flattened into the announcement, a
+// longer run as its Msgs from GlobalSeq upward. run is not retained.
+// Called with m.mu held, at the sequencer only.
+//
+//cscw:hotpath
+func (m *Member) order(run []*packet) *packet {
+	fwd := m.newPacket()
+	if len(run) == 1 {
+		p := run[0]
+		*fwd = packet{Kind: kOrder, From: m.id, ViewID: m.view.ID, Body: p.Body, Size: p.Size, MsgID: p.MsgID, GlobalSeq: m.seqNext}
+	} else {
+		*fwd = packet{Kind: kOrder, From: m.id, ViewID: m.view.ID, GlobalSeq: m.seqNext, Msgs: make([]*packet, len(run))}
+		for i, p := range run {
+			fwd.Msgs[i] = p
+			fwd.Size += p.Size
+		}
+	}
+	for _, p := range run {
+		m.hold(m.seqNext, p)
+		m.seqNext++
+	}
+	return fwd
 }
 
 // retainWindow bounds the FIFO repair buffer per sender.
@@ -676,30 +789,58 @@ func (m *Member) drainCausal() {
 	m.causalHold = live
 }
 
+// receiveOrder files the messages a sequencer's announcement places: its
+// own, named by MsgID or MsgIDs, from m.own, and anyone else's from the
+// announcement itself (flattened into it, or its Msgs).
 func (m *Member) receiveOrder(pkt *packet) {
-	if len(pkt.MsgIDs) > 0 {
-		// Batched announcement: a contiguous run starting at GlobalSeq.
-		for i, id := range pkt.MsgIDs {
-			m.orderOf[pkt.GlobalSeq+uint64(i)] = id
+	switch {
+	case len(pkt.Msgs) > 0:
+		for i, p := range pkt.Msgs {
+			m.hold(pkt.GlobalSeq+uint64(i), p)
 		}
-	} else {
-		m.orderOf[pkt.GlobalSeq] = pkt.MsgID
+	case len(pkt.MsgIDs) > 0:
+		for i, id := range pkt.MsgIDs {
+			m.holdOwn(pkt.GlobalSeq+uint64(i), id)
+		}
+	case pkt.MsgID.Origin == m.id:
+		m.holdOwn(pkt.GlobalSeq, pkt.MsgID)
+	default:
+		m.hold(pkt.GlobalSeq, pkt)
 	}
 	m.drainTotal()
 }
 
+// hold files message p at global position seq until every position below
+// it has been delivered. A position already delivered or already filed
+// keeps what it has: the packet is a replay.
+func (m *Member) hold(seq uint64, p *packet) {
+	if _, dup := m.held[seq]; seq >= m.nextGlobal && !dup {
+		m.held[seq] = p
+	}
+}
+
+// holdOwn files this member's own message id at seq, and forgets the own
+// messages reorderWindow or more numbers below it, which the sequencer has
+// given up on.
+func (m *Member) holdOwn(seq uint64, id msgID) {
+	p, ok := m.own[id.N]
+	if id.Origin != m.id || !ok {
+		return
+	}
+	delete(m.own, id.N)
+	for ; m.ownLow+reorderWindow <= id.N; m.ownLow++ {
+		delete(m.own, m.ownLow)
+	}
+	m.hold(seq, p)
+}
+
 func (m *Member) drainTotal() {
 	for {
-		id, ok := m.orderOf[m.nextGlobal]
+		p, ok := m.held[m.nextGlobal]
 		if !ok {
 			return
 		}
-		p, ok := m.pendingMsg[id]
-		if !ok {
-			return
-		}
-		delete(m.orderOf, m.nextGlobal)
-		delete(m.pendingMsg, id)
+		delete(m.held, m.nextGlobal)
 		seq := m.nextGlobal
 		m.nextGlobal++
 		m.emit(p, seq)
@@ -749,7 +890,8 @@ func (m *Member) drainOutbox() {
 	m.outbox = nil
 	for len(backlog) > 0 {
 		n := min(m.limit, len(backlog))
-		m.queueSendToView(m.wireRun(backlog[:n]))
+		pkt, targets := m.wireRun(backlog[:n])
+		m.out.QueueAll(targets, pkt, pkt.Size+64)
 		backlog = backlog[n:]
 	}
 }

@@ -33,11 +33,13 @@ func (c *frameCounter) Send(to string, data []byte) error {
 }
 
 // TestSequencerOverTCPSkipsSelfFrames: four TotalSequencer members on
-// loopback TCP multicast concurrently. Each multicast puts exactly six
-// frames on the sockets — its data to the three others and the sequencer's
-// order announcement to the three others — and none addressed to self,
-// yet every member, the sender included, delivers every message in the
-// same total order.
+// loopback TCP multicast concurrently. A multicast from a member other than
+// the sequencer puts exactly four frames on the sockets — its data to the
+// sequencer, the message forwarded in the sequencer's order to the two
+// others, and the body-less order back to the sender — and one from the
+// sequencer three, its order to the three others; none is addressed to
+// self, yet every member, the sender included, delivers every message in
+// the same total order.
 func TestSequencerOverTCPSkipsSelfFrames(t *testing.T) {
 	const perMember = 5
 	ids := []string{"m0", "m1", "m2", "m3"}
@@ -107,8 +109,8 @@ func TestSequencerOverTCPSkipsSelfFrames(t *testing.T) {
 		frames += c.frames.Load()
 		toSelf += c.toSelf.Load()
 	}
-	if frames != int64(6*total) || toSelf != 0 {
-		t.Errorf("%d multicasts put %d frames on the sockets, %d of them to self; want %d and 0", total, frames, toSelf, 6*total)
+	if want := int64(len(ids)*(total-perMember) + (len(ids)-1)*perMember); frames != want || toSelf != 0 {
+		t.Errorf("%d multicasts put %d frames on the sockets, %d of them to self; want %d and 0", total, frames, toSelf, want)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -125,15 +127,23 @@ func TestSequencerOverTCPSkipsSelfFrames(t *testing.T) {
 	}
 }
 
-// TestOldPacketFrameDroppedOverTCP: a frame from a tree that wrote every
-// field of the packet, under the tag "group/packet" (here the "order"
-// sample as that tree framed it), reaches a member's endpoint as one
-// counted drop and is delivered to nothing; a current frame sent after it
-// on the same conn is delivered.
+// TestOldPacketFrameDroppedOverTCP: frames from older trees — one that
+// wrote every field of the packet, under the tag "group/packet", and one
+// whose sequencer broadcast data and sent every member a body-less order,
+// under "group/pkt/v2" (each the "order" sample as that tree framed it) —
+// reach a member's endpoint as one counted drop each and are delivered to
+// nothing; a current frame sent after them on the same conn is delivered.
 func TestOldPacketFrameDroppedOverTCP(t *testing.T) {
-	old, err := hex.DecodeString("c501010c67726f75702f7061636b65740000001502017303000000000161010b000000000000000000")
-	if err != nil {
-		t.Fatal(err)
+	var old [][]byte
+	for _, h := range []string{
+		"c501010c67726f75702f7061636b65740000001502017303000000000161010b000000000000000000",
+		"c501010c67726f75702f706b742f76320000000902530173030161010b",
+	} {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, frame)
 	}
 	book := transport.NewAddressBook()
 	tep, err := transport.ListenTCP("m0", "127.0.0.1:0", book)
@@ -153,7 +163,7 @@ func TestOldPacketFrameDroppedOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frame := range [][]byte{old, current} {
+	for _, frame := range append(old, current) {
 		if err := peer.Send("m0", frame); err != nil {
 			t.Fatal(err)
 		}
@@ -166,8 +176,8 @@ func TestOldPacketFrameDroppedOverTCP(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the current frame was not delivered within 5s")
 	}
-	if d := ep.Dropped(); d != 1 {
-		t.Errorf("Dropped() = %d, want 1", d)
+	if d := ep.Dropped(); d != uint64(len(old)) {
+		t.Errorf("Dropped() = %d, want %d", d, len(old))
 	}
 	select {
 	case p := <-got:

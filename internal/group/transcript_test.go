@@ -28,6 +28,9 @@ func TestUnbatchedWireTranscript(t *testing.T) {
 		ord := ord
 		t.Run(ord.String(), func(t *testing.T) {
 			got := runTranscript(t, ord)
+			if ord != FIFO {
+				checkTotalTranscript(t, got, scriptMulticasts)
+			}
 			path := filepath.Join("testdata", "transcript_"+ord.String()+".golden")
 			if *updateTranscripts {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -54,6 +57,40 @@ func TestUnbatchedWireTranscript(t *testing.T) {
 			}
 			t.Fatalf("transcript stops after %d lines, %s has %d", len(gl), path, len(wl))
 		})
+	}
+}
+
+// scriptMulticasts is how many messages runTranscript's script multicasts.
+const scriptMulticasts = 16
+
+// checkTotalTranscript fails t unless every member of a total-order
+// transcript delivered the same list of (seq, from, body), gapless from 1,
+// with each of the script's multicasts in it once.
+func checkTotalTranscript(t *testing.T, transcript string, multicasts int) {
+	t.Helper()
+	lists := make(map[string][]string)
+	for _, line := range strings.Split(transcript, "\n") {
+		var at, id, slot string
+		if n, _ := fmt.Sscanf(line, "%s deliver %s %s", &at, &id, &slot); n == 3 {
+			lists[id] = append(lists[id], line[strings.Index(line, slot):])
+		}
+	}
+	want := lists["m00"]
+	seen := make(map[string]bool)
+	for i, d := range want {
+		body := d[strings.Index(d, "body="):]
+		if !strings.HasPrefix(d[strings.Index(d, "seq="):], fmt.Sprintf("seq=%d ", i+1)) || seen[body] {
+			t.Fatalf("m00 delivery %d is %q: a gap, or a message twice", i+1, d)
+		}
+		seen[body] = true
+	}
+	if len(lists) != 4 || len(want) != multicasts {
+		t.Fatalf("%d members delivered, m00 %d messages; want 4 and %d", len(lists), len(want), multicasts)
+	}
+	for id, l := range lists {
+		if strings.Join(l, ";") != strings.Join(want, ";") {
+			t.Errorf("%s delivered %v, m00 %v", id, l, want)
+		}
 	}
 }
 

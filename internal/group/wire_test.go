@@ -25,28 +25,35 @@ func wireCodec() *fabric.Codec {
 }
 
 // samplePackets is one packet of every kind, shaped the way members build
-// them, plus the batched order announcement, an RPC reply both ways and
-// the zero packet.
+// them, plus the sequencer's order announcements in all four forms (to the
+// origin and forwarding the message, for one message and for a run), an
+// RPC reply both ways and the zero packet.
 func samplePackets() map[string]*packet {
 	inner := []*packet{
 		{Kind: kData, From: "a", ViewID: 3, Body: "one", Size: 8, MsgID: msgID{Origin: "a", N: 1}, GlobalSeq: 4},
 		{Kind: kData, From: "a", ViewID: 3, Body: "two", Size: 8, MsgID: msgID{Origin: "a", N: 2}, GlobalSeq: 5},
 	}
+	forwarded := []*packet{
+		{Kind: kData, From: "a", ViewID: 3, Body: "one", Size: 8, MsgID: msgID{Origin: "a", N: 1}},
+		{Kind: kData, From: "a", ViewID: 3, Body: "two", Size: 8, MsgID: msgID{Origin: "a", N: 2}},
+	}
 	return map[string]*packet{
 		"data": {Kind: kData, From: "a", ViewID: 3, Body: "hi", Size: 16, SenderSeq: 7,
 			VC: vclock.VC{"a": 4, "b": 2}, MsgID: msgID{Origin: "a", N: 7}},
-		"order":         {Kind: kOrder, From: "s", ViewID: 3, GlobalSeq: 11, MsgID: msgID{Origin: "a", N: 1}},
-		"order batched": {Kind: kOrder, From: "s", ViewID: 3, GlobalSeq: 11, MsgIDs: []msgID{{Origin: "a", N: 1}, {Origin: "b", N: 2}}},
-		"view":          {Kind: kView, From: "a", NewView: &View{ID: 4, Members: []string{"a", "b", "c"}}},
-		"rpc request":   {Kind: kRPCReq, From: "a", ViewID: 3, CallID: 9, Op: "sum", Body: "1,2", Size: 8},
-		"rpc reply":     {Kind: kRPCRep, From: "b", ViewID: 3, CallID: 9, Body: "3"},
-		"rpc error":     {Kind: kRPCRep, From: "b", ViewID: 3, CallID: 9, IsError: true, ErrText: "group: unknown rpc call: sum"},
-		"token":         {Kind: kToken, From: "a", ViewID: 3, Body: "b", GlobalSeq: 12},
-		"token request": {Kind: kTokenReq, From: "c", ViewID: 3},
-		"nack":          {Kind: kNack, From: "b", ViewID: 3, NackFrom: 2, NackTo: 5},
-		"sync":          {Kind: kSync, From: "b", ViewID: 3, SenderSeq: 9},
-		"batch":         {Kind: kBatch, From: "a", ViewID: 3, Size: 16, Msgs: inner},
-		"zero":          {},
+		"order":                   {Kind: kOrder, From: "s", ViewID: 3, GlobalSeq: 11, MsgID: msgID{Origin: "a", N: 1}},
+		"order batched":           {Kind: kOrder, From: "s", ViewID: 3, GlobalSeq: 11, MsgIDs: []msgID{{Origin: "a", N: 1}, {Origin: "b", N: 2}}},
+		"order forwarded":         {Kind: kOrder, From: "s", ViewID: 3, Body: "hi", Size: 16, MsgID: msgID{Origin: "a", N: 7}, GlobalSeq: 11},
+		"order forwarded batched": {Kind: kOrder, From: "s", ViewID: 3, Size: 16, GlobalSeq: 11, Msgs: forwarded},
+		"view":                    {Kind: kView, From: "a", NewView: &View{ID: 4, Members: []string{"a", "b", "c"}}},
+		"rpc request":             {Kind: kRPCReq, From: "a", ViewID: 3, CallID: 9, Op: "sum", Body: "1,2", Size: 8},
+		"rpc reply":               {Kind: kRPCRep, From: "b", ViewID: 3, CallID: 9, Body: "3"},
+		"rpc error":               {Kind: kRPCRep, From: "b", ViewID: 3, CallID: 9, IsError: true, ErrText: "group: unknown rpc call: sum"},
+		"token":                   {Kind: kToken, From: "a", ViewID: 3, Body: "b", GlobalSeq: 12},
+		"token request":           {Kind: kTokenReq, From: "c", ViewID: 3},
+		"nack":                    {Kind: kNack, From: "b", ViewID: 3, NackFrom: 2, NackTo: 5},
+		"sync":                    {Kind: kSync, From: "b", ViewID: 3, SenderSeq: 9},
+		"batch":                   {Kind: kBatch, From: "a", ViewID: 3, Size: 16, Msgs: inner},
+		"zero":                    {},
 	}
 }
 
@@ -158,10 +165,12 @@ func TestPacketWireGolden(t *testing.T) {
 	}
 }
 
-// TestPacketWireSizes pins the body bytes of the two packets group_seq_1x4
-// moves per multicast, at its shapes: a 24-byte op body, and a message
-// number and a global sequence number of two varint bytes each. Written
-// field by field, every field present, they took 49 and 25 bytes.
+// TestPacketWireSizes pins the body bytes of the three packets
+// group_seq_1x4 moves per multicast, at its shapes: a 24-byte op body, and a
+// message number and a global sequence number of two varint bytes each —
+// the data to the sequencer, the order back to the origin, and the order
+// that forwards the message to the others. Written field by field, every
+// field present, the first two took 49 and 25 bytes.
 func TestPacketWireSizes(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -170,6 +179,7 @@ func TestPacketWireSizes(t *testing.T) {
 	}{
 		{"data", &packet{Kind: kData, From: "m1", ViewID: 1, Body: "m1:1500:ssssssssssssssss", Size: 16, MsgID: msgID{Origin: "m1", N: 1500}}, 34},
 		{"order", &packet{Kind: kOrder, From: "m0", ViewID: 1, GlobalSeq: 6000, MsgID: msgID{Origin: "m1", N: 1500}}, 13},
+		{"order forwarded", &packet{Kind: kOrder, From: "m0", ViewID: 1, Body: "m1:1500:ssssssssssssssss", Size: 16, MsgID: msgID{Origin: "m1", N: 1500}, GlobalSeq: 6000}, 39},
 	} {
 		body, err := c.p.AppendBinary(nil)
 		if err != nil {
@@ -223,9 +233,10 @@ func TestPacketDecodeStrict(t *testing.T) {
 	}
 }
 
-// TestPacketDecodeAllocs pins the decode cost of the two frames
-// group_seq_1x4 moves per multicast and member: the packet and one copy of
-// the body's strings, plus for a data packet the string boxed into Body.
+// TestPacketDecodeAllocs pins the decode cost of the three frames
+// group_seq_1x4 moves per multicast: the packet and one copy of the body's
+// strings, plus for a packet carrying the message the string boxed into
+// Body.
 func TestPacketDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -238,6 +249,7 @@ func TestPacketDecodeAllocs(t *testing.T) {
 	}{
 		{"data", &packet{Kind: kData, From: "m1", ViewID: 1, Body: "m1:17:ssssssssssss", Size: 16, MsgID: msgID{Origin: "m1", N: 17}}, 3},
 		{"order", &packet{Kind: kOrder, From: "m0", ViewID: 1, GlobalSeq: 65, MsgID: msgID{Origin: "m1", N: 17}}, 2},
+		{"order forwarded", &packet{Kind: kOrder, From: "m0", ViewID: 1, Body: "m1:17:ssssssssssss", Size: 16, MsgID: msgID{Origin: "m1", N: 17}, GlobalSeq: 65}, 3},
 	} {
 		frame, err := codec.Encode(c.p)
 		if err != nil {

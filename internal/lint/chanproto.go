@@ -26,8 +26,8 @@ import (
 //     CFG path.
 //   - unbuffered send while holding a lock that every known receiver of
 //     that channel also needs (the locked-rendezvous deadlock).
-//   - unconditional close of a captured channel inside an escaping
-//     callback closure: a closure stored into a field or passed to a
+//   - unconditional close of a captured channel (or a captured value's
+//     channel field) inside an escaping callback closure: a closure stored into a field or passed to a
 //     registration function may be invoked again (a rejoin ack re-fires
 //     OnJoined), and the second invocation panics. sync.Once.Do is the
 //     sanctioned guard. Immediately invoked literals (go/defer/call) run
@@ -109,8 +109,8 @@ func chanCallbackClose(mf *modFunc) []Diagnostic {
 				p.Info.Uses[id] != types.Universe.Lookup("close") {
 				return true
 			}
-			arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-			if !ok {
+			arg := rootIdent(call.Args[0])
+			if arg == nil {
 				return true
 			}
 			v, ok := p.Info.Uses[arg].(*types.Var)
@@ -127,7 +127,7 @@ func chanCallbackClose(mf *modFunc) []Diagnostic {
 			out = append(out, Diagnostic{
 				Pos:  p.position(call),
 				Rule: "chan-proto",
-				Message: "close of captured " + arg.Name + " inside a callback closure: callbacks " +
+				Message: "close of captured " + types.ExprString(call.Args[0]) + " inside a callback closure: callbacks " +
 					"can fire more than once (e.g. a rejoin ack) and a second close panics; " +
 					"wrap the close in sync.Once.Do",
 			})
@@ -136,6 +136,23 @@ func chanCallbackClose(mf *modFunc) []Diagnostic {
 		return true
 	})
 	return out
+}
+
+// rootIdent is the variable a closed channel expression reaches the channel
+// through: x for x, and for a field x.f or x.f.g, x as well (closing a
+// captured value's field is closing a captured channel). nil for any other
+// shape.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 func isSyncOnce(t types.Type) bool {

@@ -28,6 +28,7 @@ var hotpathPins = map[string]string{
 	"repro/internal/group.Member.flush":            "repro/internal/bench.TestMulticastAllocs",
 	"repro/internal/group.Member.wireRun":          "repro/internal/bench.TestMulticastAllocs",
 	"repro/internal/group.Member.receiveMsgs":      "repro/internal/bench.TestMulticastAllocs",
+	"repro/internal/group.Member.order":            "repro/internal/bench.TestMulticastAllocs",
 	"repro/internal/netsim.Node.Send":              "repro/internal/netsim.TestSendSteadyStateAllocBudget",
 	"repro/internal/netsim.Sim.Send":               "repro/internal/netsim.TestSendSteadyStateAllocBudget",
 	"repro/internal/netsim.Sim.SendID":             "repro/internal/netsim.TestSendSteadyStateAllocBudget",

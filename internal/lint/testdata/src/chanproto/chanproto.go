@@ -151,6 +151,19 @@ func badCallbackClose(r *reg) chan struct{} {
 	return joined
 }
 
+type pending struct {
+	acked chan struct{}
+}
+
+// badCallbackCloseField: the same close, of a captured value's field.
+func badCallbackCloseField(r *reg) *pending {
+	p := &pending{acked: make(chan struct{})}
+	r.onJoin = func() {
+		close(p.acked) // want "chan-proto.*close of captured p.acked inside a callback closure"
+	}
+	return p
+}
+
 // okOnceCallback is the sanctioned guard for exactly that shape.
 func okOnceCallback(r *reg) chan struct{} {
 	joined := make(chan struct{})
