@@ -10,10 +10,9 @@
 //
 // A positional argument that is not a directory is a package-path filter
 // (substring of an import path, e.g. "internal/group"); reporting is
-// restricted to matching packages while the whole module is still loaded,
-// since the interprocedural analyzers need every call summary. A finding
-// is suppressed only by a //lint:ignore directive at its site, and a
-// directive that suppresses nothing is itself a finding.
+// restricted to matching packages while the whole module is still loaded.
+// A finding is suppressed only by a //lint:ignore directive at its site,
+// and a directive that suppresses nothing is itself a finding.
 //
 // Exit codes, shared with `cscwctl chaos`:
 //
@@ -22,11 +21,13 @@
 //	2  usage, load or type-check error
 //
 // The rules — determinism (det-time, det-rand, det-maporder), layering
-// (layer-net, layer-transport, layer-netsim), lock hygiene (block-lock),
-// channel protocol (chan-proto), guarded-field inference (guard-infer) and
-// error discipline (err-drop) — are documented in DESIGN.md ("Enforced
-// invariants"), together with the //lint:ignore suppression policy and the
-// mutant ledger that keeps each interprocedural rule.
+// (layer-net, layer-transport, layer-netsim) and error discipline
+// (err-drop) — are documented in DESIGN.md ("Enforced invariants"),
+// together with the //lint:ignore suppression policy. Each rule checks one
+// package at a time; what needs the whole program (no send under a lock,
+// locked accessors, a callback that fires twice) is measured by tests,
+// which the module's bug ledger (testdata/bugs, `make bugs`) holds to the
+// bugs they catch.
 package main
 
 import (

@@ -69,6 +69,44 @@ func TestOutboxPerformsInQueueOrder(t *testing.T) {
 	}
 }
 
+// TestOutboxPerformsUnlocked: Drain performs every kind of effect with the
+// owner's mutex released, and a drain a callback runs from inside its owner
+// does too. Group members and session owners send only through their
+// outboxes, so this is what keeps their sends out from under their locks.
+func TestOutboxPerformsUnlocked(t *testing.T) {
+	var mu sync.Mutex
+	performed, locked := 0, 0
+	check := func() {
+		performed++
+		if mu.TryLock() {
+			mu.Unlock()
+		} else {
+			locked++
+		}
+	}
+	o := fabric.NewOutbox(&sendRecorder{onSend: func(string, any) { check() }}, func(any, uint64) { check() })
+	mu.Lock()
+	o.Queue("a", "p1", 8)
+	o.QueueAll([]string{"a", "b"}, "p2", 8)
+	o.Deliver("d1", 1)
+	o.Call(check)
+	o.Call(func() {
+		check()
+		// Re-enter the owner, as a Multicast from inside a delivery does.
+		if mu.TryLock() {
+			o.Queue("c", "p3", 8)
+			o.Drain(&mu)
+		}
+	})
+	o.Drain(&mu)
+	if performed != 7 || locked != 0 {
+		t.Fatalf("%d of %d effects performed with the owner's mutex held, want 7 performed and none held", locked, performed)
+	}
+	if !mu.TryLock() {
+		t.Fatal("Drain returned with the lock held")
+	}
+}
+
 // TestOutboxConcurrentDrainsSerialise: two goroutines that each queue under
 // the owner's lock and drain never perform at the same time, and every
 // effect is performed once, in the order it was queued.

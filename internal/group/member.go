@@ -363,8 +363,8 @@ func (m *Member) viewTargets() []string {
 
 // sendToAll fans pkt out to targets. It must be called without m.mu held —
 // a Send can block over a real transport, a member that sends while locked
-// can deadlock with a peer doing the same (cscwlint's block-lock rule
-// enforces this), and over TCP a send to self runs Receive on this
+// can deadlock with a peer doing the same (TestNoSendUnderMemberLock fails
+// on any send under m.mu), and over TCP a send to self runs Receive on this
 // goroutine. Best-effort: every target is attempted even when some sends
 // fail (partial failure must not silence members listed after the first
 // unreachable one; under netsim, whose self-link can drop, that includes

@@ -16,8 +16,8 @@ type RunConfig struct {
 	// Dir is any directory inside the module to check (default ".").
 	Dir string
 	// Filter restricts reporting to packages whose import path contains the
-	// substring (the whole module is still loaded — interprocedural facts
-	// need every package). An unmatched filter is an error, not silence.
+	// substring (the whole module is still loaded and type-checked). An
+	// unmatched filter is an error, not silence.
 	Filter string
 }
 

@@ -15,7 +15,7 @@ func DetTime() *Analyzer {
 	return &Analyzer{
 		Name: "det-time",
 		Doc:  "no time.Now/Since/Until in trace-critical packages; inject a clock",
-		Run: eachPackage(func(p *Package) []Diagnostic {
+		Run: func(p *Package) []Diagnostic {
 			if !inDeterminismScope(p.Path) {
 				return nil
 			}
@@ -33,7 +33,7 @@ func DetTime() *Analyzer {
 				})
 			})
 			return out
-		}),
+		},
 	}
 }
 
@@ -53,7 +53,7 @@ func DetRand() *Analyzer {
 	return &Analyzer{
 		Name: "det-rand",
 		Doc:  "no global math/rand draws in trace-critical packages; inject a seeded *rand.Rand",
-		Run: eachPackage(func(p *Package) []Diagnostic {
+		Run: func(p *Package) []Diagnostic {
 			if !inDeterminismScope(p.Path) {
 				return nil
 			}
@@ -71,7 +71,7 @@ func DetRand() *Analyzer {
 				})
 			})
 			return out
-		}),
+		},
 	}
 }
 
@@ -85,7 +85,7 @@ func DetMapOrder() *Analyzer {
 	return &Analyzer{
 		Name: "det-maporder",
 		Doc:  "no order-sensitive effects inside range-over-map; iterate sorted keys",
-		Run: eachPackage(func(p *Package) []Diagnostic {
+		Run: func(p *Package) []Diagnostic {
 			if !inDeterminismScope(p.Path) {
 				return nil
 			}
@@ -113,7 +113,7 @@ func DetMapOrder() *Analyzer {
 				}
 			}
 			return out
-		}),
+		},
 	}
 }
 

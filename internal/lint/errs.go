@@ -24,7 +24,7 @@ func ErrDrop() *Analyzer {
 	return &Analyzer{
 		Name: "err-drop",
 		Doc:  "no silently discarded errors from Send/codec/registration calls",
-		Run: eachPackage(func(p *Package) []Diagnostic {
+		Run: func(p *Package) []Diagnostic {
 			if !strings.HasPrefix(p.Path, modulePrefix+"/") && p.Path != modulePrefix {
 				return nil
 			}
@@ -53,7 +53,7 @@ func ErrDrop() *Analyzer {
 				})
 			}
 			return out
-		}),
+		},
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func fakeDiag(msg string) Diagnostic {
 	return Diagnostic{
 		Pos:     token.Position{Filename: "/mod/internal/x/x.go", Line: 7, Column: 3},
-		Rule:    "block-lock",
+		Rule:    "det-time",
 		Message: msg,
 	}
 }
@@ -44,7 +44,7 @@ func TestWriteGitHubMultiline(t *testing.T) {
 	if strings.Count(out, "\n") != 1 {
 		t.Fatalf("annotation must be one line, got %q", out)
 	}
-	want := "::error file=internal/x/x.go,line=7,col=3::[block-lock] first line%0Asecond line with 50%25\n"
+	want := "::error file=internal/x/x.go,line=7,col=3::[det-time] first line%0Asecond line with 50%25\n"
 	if out != want {
 		t.Errorf("got  %q\nwant %q", out, want)
 	}

@@ -44,10 +44,7 @@ var hotpathPins = map[string]string{
 // entry in hotpathPins, when an entry names a function that is gone or lost
 // its annotation, and when the test an entry names does not exist.
 func TestHotpathFunctionsArePinned(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := loadModule(t)
 	annotated := make(map[string]bool)
 	tests := make(map[string]bool) // "<package>.<test>" for every top-level func in a test file
 	for path, lp := range l.listed {
@@ -107,4 +104,18 @@ func recvName(fd *ast.FuncDecl) string {
 		return id.Name + "."
 	}
 	return ""
+}
+
+// isHotpathAnnotated reports whether the declaration's doc comment carries
+// the //cscw:hotpath directive.
+func isHotpathAnnotated(decl *ast.FuncDecl) bool {
+	if decl.Doc == nil {
+		return false
+	}
+	for _, c := range decl.Doc.List {
+		if text := strings.TrimSpace(c.Text); text == "//cscw:hotpath" || strings.HasPrefix(text, "//cscw:hotpath ") {
+			return true
+		}
+	}
+	return false
 }

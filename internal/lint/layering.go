@@ -54,7 +54,7 @@ func Layering() *Analyzer {
 	return &Analyzer{
 		Name: "layer-net,layer-transport,layer-netsim",
 		Doc:  "imports respect the fabric seam: substrates stay behind fabric.Endpoint",
-		Run: eachPackage(func(p *Package) []Diagnostic {
+		Run: func(p *Package) []Diagnostic {
 			if !strings.HasPrefix(p.Path, modulePrefix+"/") && p.Path != modulePrefix {
 				return nil
 			}
@@ -90,7 +90,7 @@ func Layering() *Analyzer {
 				}
 			}
 			return out
-		}),
+		},
 	}
 }
 

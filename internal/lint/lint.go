@@ -1,8 +1,8 @@
 // Package lint is the project's static-analysis engine: a stdlib-only
 // driver (go/parser and go/types over the go command's package list and
 // export data — no x/tools) that loads every package in the module and
-// checks the source-level invariants the rest of
-// the tooling relies on but cannot itself enforce:
+// checks the source-level invariants the rest of the tooling relies on but
+// cannot itself enforce:
 //
 //   - determinism: chaos traces are byte-identical per seed only if no
 //     trace-critical package reads the wall clock, draws from the global
@@ -11,21 +11,21 @@
 //   - layering: the fabric seam (PR 1) holds only if no collaboration
 //     package tunnels around fabric.Endpoint to the substrates
 //     (layer-netsim, layer-transport, layer-net);
-//   - lock hygiene: endpoints block (TCP writes, channel handoffs), so no
-//     blocking operation may be reachable — through any call chain — while
-//     a sync.Mutex/RWMutex is held (block-lock), and a field written under
-//     its struct's mutex is never touched without it (guard-infer);
-//   - channel protocol: close by a non-sender, double close,
-//     send-after-close, locked unbuffered handoffs, and a captured channel
-//     closed inside a callback that can run twice (chan-proto);
 //   - error discipline: Send, codec and registration errors must be
 //     handled or explicitly discarded, never silently dropped (err-drop).
 //
-// An interprocedural rule stays only while testdata/mutants holds a bug
-// this repository shipped that the rule flags (mutants_test.go puts each
-// one back into the product source and requires exactly that finding).
-// Goroutine lifecycles are not linted: internal/transport's tests measure
-// them.
+// Every rule reads one package at a time, its syntax and types. Properties
+// that need the whole program are measured by tests instead: no send under
+// a lock by the lock probes in internal/group, internal/session and
+// internal/fabric (TestNoSendUnderMemberLock, TestNoSendUnderSessionLocks,
+// TestOutboxPerformsUnlocked), locked accessors by the -race accessor tests
+// (TestAccessorsDuringTraffic, TestAccessorsDuringTCPTraffic), a callback
+// that fires twice by internal/daemon's TestDialedParticipantJoinsTwice,
+// and goroutine lifecycles by internal/transport's tests. The module's bug
+// ledger (testdata/bugs, `make bugs`) holds each of them to a bug this
+// repository shipped. testdata/mutants does the same for det-maporder
+// (mutants_test.go puts the bug back into the product source and requires
+// exactly that finding).
 //
 // Diagnostics print as "file:line:col: [rule] message". A finding can be
 // suppressed with a directive on the same line or the line above:
@@ -71,11 +71,11 @@ type Package struct {
 }
 
 // Analyzer is one named rule family. Name may list several rules,
-// comma-separated, when one pass reports them all.
+// comma-separated, when one pass reports them all. Run checks one package.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(m *Module) []Diagnostic
+	Run  func(p *Package) []Diagnostic
 }
 
 // Analyzers returns the full suite, in reporting order.
@@ -86,20 +86,6 @@ func Analyzers() []*Analyzer {
 		DetMapOrder(),
 		Layering(),
 		ErrDrop(),
-		GuardInfer(),
-		BlockLock(),
-		ChanProto(),
-	}
-}
-
-// eachPackage runs a syntactic rule over one package at a time.
-func eachPackage(run func(p *Package) []Diagnostic) func(*Module) []Diagnostic {
-	return func(m *Module) []Diagnostic {
-		var out []Diagnostic
-		for _, p := range m.Pkgs {
-			out = append(out, run(p)...)
-		}
-		return out
 	}
 }
 
@@ -114,10 +100,9 @@ func Rules() map[string]bool {
 	return m
 }
 
-// Check runs every analyzer over the packages, through one Module view,
-// and returns the surviving (non-suppressed) diagnostics sorted by
-// position, plus any malformed or unused suppression directives as
-// lint-directive diagnostics.
+// Check runs every analyzer over each package and returns the surviving
+// (non-suppressed) diagnostics sorted by position, plus any malformed or
+// unused suppression directives as lint-directive diagnostics.
 func Check(pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
 	rules := Rules()
@@ -125,11 +110,12 @@ func Check(pkgs []*Package) []Diagnostic {
 	for _, p := range pkgs {
 		out = append(out, ignores.collect(p, rules)...)
 	}
-	m := NewModule(pkgs)
 	for _, a := range Analyzers() {
-		for _, d := range a.Run(m) {
-			if !ignores.covers(d) {
-				out = append(out, d)
+		for _, p := range pkgs {
+			for _, d := range a.Run(p) {
+				if !ignores.covers(d) {
+					out = append(out, d)
+				}
 			}
 		}
 	}
@@ -162,17 +148,6 @@ const modulePrefix = "repro"
 // (they inject clocks, e.g. fabric.WallClock, at the edge). Examples are
 // demo mains and stay out of scope.
 func inDeterminismScope(path string) bool {
-	if strings.HasPrefix(path, modulePrefix+"/internal/") {
-		return !strings.HasPrefix(path, modulePrefix+"/internal/transport")
-	}
-	return strings.HasPrefix(path, modulePrefix+"/cmd/")
-}
-
-// inLockScope reports whether block-lock's mutex half applies. The
-// transport owns real
-// sockets and serializes frame writes under per-connection mutexes by
-// design, so it is the one exempt internal package.
-func inLockScope(path string) bool {
 	if strings.HasPrefix(path, modulePrefix+"/internal/") {
 		return !strings.HasPrefix(path, modulePrefix+"/internal/transport")
 	}

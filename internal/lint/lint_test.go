@@ -3,12 +3,13 @@ package lint
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,78 +21,82 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run
 // ones (idioms the rules must accept).
 var fixtures = []fixture{
 	{"det", "repro/internal/fixture/det"},
-	{"locks", "repro/internal/fixture/locks"},
 	{"errs", "repro/internal/fixture/errs"},
 	{"layer", "repro/internal/collab"},
 	{"layer_ok", "repro/internal/fabric"},
 	{"ignore", "repro/internal/fixture/ignore"},
 	{"scope", "repro/examples/fixturescope"},
-	{"guard", "repro/internal/fixture/guard"},
-	{"lockedge", "repro/internal/fixture/lockedge"},
-	{"blocklock", "repro/internal/fixture/blocklock"},
-	{"chanproto", "repro/internal/fixture/chanproto"},
-	{"chansubst", "repro/internal/fixture/chansubst"},
 }
-
-// recursionFixture holds summary-only cases: summaries.golden renders it,
-// TestFixtures does not run it.
-var recursionFixture = fixture{"recursion", "repro/internal/fixture/recursion"}
 
 type fixture struct {
 	dir  string
 	path string
 }
 
-// fixtureBase is the one loader whose FileSet, package listing and
-// export-data importer every fixture shares, so the go command is asked once
-// per test binary instead of once per fixture. A fixture may import only
-// what the module's packages import: nothing else has export data listed.
+// The module is listed, loaded and type-checked once per test binary, and
+// every test but TestLintWallTime (whose subject is that load) shares it:
+// TestRepoIsClean checks it, TestHotpathFunctionsArePinned reads its
+// listing, TestMutants re-checks one mutated package against it, and every
+// fixture is type-checked through its listing and export-data importer. A
+// fixture may import only what the module's packages import: nothing else
+// has export data listed.
 var (
-	fixtureBase *Loader
+	moduleOnce sync.Once
+	moduleBase *Loader
+	modulePkgs []*Package
+	moduleErr  error
+
 	fixturePkgs = make(map[string]*Package)
 	fixtureMemo = make(map[string][]Diagnostic)
 )
 
+// loadModule returns the shared loader and the module's packages.
+func loadModule(t *testing.T) (*Loader, []*Package) {
+	t.Helper()
+	moduleOnce.Do(func() {
+		if moduleBase, moduleErr = NewLoader("."); moduleErr == nil {
+			modulePkgs, moduleErr = moduleBase.LoadModule()
+		}
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleBase, modulePkgs
+}
+
+// child is a loader that shares base's FileSet, listing and importer, and
+// starts from a copy of its type-checked packages, so what it checks is
+// memoized in the copy and never replaces the shared module's packages.
+func (base *Loader) child() *Loader {
+	return &Loader{
+		ModuleRoot: base.ModuleRoot,
+		Fset:       base.Fset,
+		listed:     base.listed,
+		std:        base.std,
+		loaded:     maps.Clone(base.loaded),
+	}
+}
+
 // fixturePkg loads one fixture, memoized: every .go file in its directory,
-// type-checked as its assumed path. Each fixture gets its own `loaded` map:
-// packages memoize by import path, and a fixture loaded under a real
-// package's path (layer_ok assumes fabric's) must not collide with
-// the real package pulled in by another fixture's imports.
+// type-checked as its assumed path. Each fixture gets its own child loader:
+// a fixture loaded under a real package's path (layer_ok assumes fabric's)
+// must not replace the real package that other imports resolve to.
 func fixturePkg(t *testing.T, fx fixture) *Package {
 	t.Helper()
 	if p, ok := fixturePkgs[fx.dir]; ok {
 		return p
 	}
-	base := fixtureLoader(t)
-	l := &Loader{
-		Fset:   base.Fset,
-		listed: base.listed,
-		std:    base.std,
-		loaded: make(map[string]*Package),
-	}
+	base, _ := loadModule(t)
 	files, err := filepath.Glob(filepath.Join("testdata", "src", fx.dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := l.check(fx.path, files)
+	p, err := base.child().check(fx.path, files)
 	if err != nil {
 		t.Fatalf("load %s as %s: %v", fx.dir, fx.path, err)
 	}
 	fixturePkgs[fx.dir] = p
 	return p
-}
-
-// fixtureLoader returns fixtureBase, listing the module on first use.
-func fixtureLoader(t *testing.T) *Loader {
-	t.Helper()
-	if fixtureBase == nil {
-		l, err := NewLoader(".")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fixtureBase = l
-	}
-	return fixtureBase
 }
 
 // fixtureDiags runs the full suite over one fixture, memoized so
@@ -114,10 +119,10 @@ func TestFixtures(t *testing.T) {
 }
 
 // TestFixturesGolden pins every fixture diagnostic message-for-message.
-// TestFixtures matches // want regexps, which a drifting `via` chain or
-// held-lock name slips through; this compares the full rendering
-// (file:line:col: [rule] message) against testdata/fixtures.golden.
-// `make lint-golden` (-update) rewrites the file.
+// TestFixtures matches // want regexps, which a drifting message slips
+// through; this compares the full rendering (file:line:col: [rule]
+// message) against testdata/fixtures.golden. `make lint-golden` (-update)
+// rewrites the file.
 func TestFixturesGolden(t *testing.T) {
 	var got strings.Builder
 	for _, fx := range fixtures {
@@ -127,51 +132,6 @@ func TestFixturesGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "fixtures.golden", got.String())
-}
-
-// TestSummariesGolden pins the call-graph summary of every fixture
-// function: the lock facts (delta, leaves, entry context) and the channel
-// facts (ops with via,
-// blockDesc, retMake). A fixpoint that stops early or diverges moves a
-// line here before it moves a diagnostic. `make lint-golden` rewrites it.
-func TestSummariesGolden(t *testing.T) {
-	var lines []string
-	for _, fx := range append(fixtures[:len(fixtures):len(fixtures)], recursionFixture) {
-		m := NewModule([]*Package{fixturePkg(t, fx)})
-		for _, mf := range m.byName {
-			lines = append(lines, renderSummary(mf))
-		}
-	}
-	sort.Strings(lines)
-	checkGolden(t, "summaries.golden", strings.Join(lines, "\n")+"\n")
-}
-
-// renderSummary prints one function's summary on one line, facts sorted.
-func renderSummary(mf *modFunc) string {
-	pos := mf.pkg.position(mf.decl)
-	var leaves, entry, ops []string
-	for _, c := range mf.leaves {
-		leaves = append(leaves, classShort(c))
-	}
-	for c := range mf.entry {
-		entry = append(entry, classShort(c))
-	}
-	for _, f := range mf.ops {
-		ops = append(ops, f.kind.String()+" "+classShort(f.class)+viaSuffix(f.via))
-	}
-	for _, s := range [][]string{entry, ops} {
-		sort.Strings(s)
-	}
-	return fmt.Sprintf("%s:%d %s delta=%d leaves=%v entry=%v ops=%v block=%q ret=%d",
-		filepath.ToSlash(pos.Filename), pos.Line, mf.obj.Name(), mf.delta, leaves, entry,
-		ops, mf.blockDesc, mf.retMake)
-}
-
-func viaSuffix(via string) string {
-	if via == "" {
-		return ""
-	}
-	return " (via " + via + ")"
 }
 
 // checkGolden compares got with testdata/<name>, or rewrites it under
@@ -212,13 +172,10 @@ func checkGolden(t *testing.T, name, got string) {
 
 // TestRepoIsClean is the gate the Makefile relies on: the repository itself
 // must lint clean. A regression here usually means a satellite fix was
-// reverted (a reintroduced time.Now, a send crept back under a lock).
+// reverted (a reintroduced time.Now, an unsorted map walk).
 func TestRepoIsClean(t *testing.T) {
-	diags, err := CheckModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
+	_, pkgs := loadModule(t)
+	for _, d := range Check(pkgs) {
 		t.Errorf("%s", d)
 	}
 }

@@ -9,16 +9,17 @@ import (
 	"testing"
 )
 
-// The mutant ledger (testdata/mutants) is why each interprocedural rule is
-// kept: every entry puts a bug this repository shipped, and then fixed, back
-// into today's product source, and names the rule that must flag it. A rule
-// with no entry has no bug to catch and goes; an entry whose text no longer
-// occurs exactly once is stale and fails, so the ledger moves with the code.
+// The mutant ledger (testdata/mutants) is the lint rules' share of the
+// module's bug ledger (testdata/bugs at the module root, whose entries name a
+// test instead of a rule): every entry puts a bug this repository shipped,
+// and then fixed, back into today's product source, and names the rule that
+// must flag it. An entry whose text no longer occurs exactly once is stale
+// and fails, so the ledger moves with the code.
 //
 // An entry file is a header of "key: value" lines followed by two sections:
 //
-//	rule: block-lock
-//	file: internal/group/member.go
+//	rule: det-maporder
+//	file: internal/locks/manager.go
 //	want: <substring of the one finding's message>
 //	shipped: <the commit that fixed the bug, and what it was>
 //	-- old --
@@ -71,9 +72,10 @@ func readMutant(t *testing.T, path string) mutant {
 	return mu
 }
 
-// TestMutants runs the whole suite once per ledger entry, over the module
-// with that entry's file mutated in memory, and requires exactly one
-// finding: the entry's rule, in the entry's file.
+// TestMutants runs the whole suite once per ledger entry, over the entry's
+// package with its file mutated in memory, and requires exactly one finding:
+// the entry's rule, in the entry's file. Every rule checks one package at a
+// time, so the mutated package is the only one whose findings can change.
 func TestMutants(t *testing.T) {
 	if raceEnabled {
 		// The suite is single-goroutine: the race detector adds 3x the time
@@ -95,7 +97,7 @@ func TestMutants(t *testing.T) {
 				t.Fatalf("%s (%s): want exactly one finding, got %d: %v", mu.file, mu.shipped, len(diags), diags)
 			}
 			d := diags[0]
-			if d.Rule != mu.rule || d.Pos.Filename != filepath.Join(fixtureBase.ModuleRoot, filepath.FromSlash(mu.file)) ||
+			if d.Rule != mu.rule || d.Pos.Filename != filepath.Join(moduleBase.ModuleRoot, filepath.FromSlash(mu.file)) ||
 				!strings.Contains(d.Message, mu.want) {
 				t.Errorf("want [%s] %q in %s (%s), got %s", mu.rule, mu.want, mu.file, mu.shipped, d)
 			}
@@ -103,11 +105,11 @@ func TestMutants(t *testing.T) {
 	}
 }
 
-// checkMutant loads the module through the listing the fixtures share, with
-// mu's file parsed from its mutated source, and runs the suite.
+// checkMutant type-checks mu's package, with mu's file parsed from its
+// mutated source, against the shared module load, and runs the suite on it.
 func checkMutant(t *testing.T, mu mutant) []Diagnostic {
 	t.Helper()
-	base := fixtureLoader(t)
+	base, _ := loadModule(t)
 	abs := filepath.Join(base.ModuleRoot, filepath.FromSlash(mu.file))
 	src, err := os.ReadFile(abs)
 	if err != nil {
@@ -118,15 +120,8 @@ func checkMutant(t *testing.T, mu mutant) []Diagnostic {
 	}
 	mutated := strings.Replace(string(src), mu.old, mu.new, 1)
 
-	l := &Loader{
-		ModuleRoot: base.ModuleRoot,
-		Fset:       base.Fset,
-		listed:     base.listed,
-		std:        base.std,
-		loaded:     make(map[string]*Package),
-	}
 	var lp *listedPackage
-	for _, p := range l.listed {
+	for _, p := range base.listed {
 		if p.Dir == filepath.Dir(abs) {
 			lp = p
 		}
@@ -134,8 +129,6 @@ func checkMutant(t *testing.T, mu mutant) []Diagnostic {
 	if lp == nil {
 		t.Fatalf("no package of the module holds %s", mu.file)
 	}
-	// Type-check the mutated package first, so every package importing it
-	// finds this version memoized instead of loading the file from disk.
 	var files []*ast.File
 	found := false
 	for _, name := range lp.GoFiles {
@@ -144,7 +137,7 @@ func checkMutant(t *testing.T, mu mutant) []Diagnostic {
 		if filename == abs {
 			text, found = mutated, true
 		}
-		f, err := parser.ParseFile(l.Fset, filename, text, parser.ParseComments)
+		f, err := parser.ParseFile(base.Fset, filename, text, parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,12 +146,9 @@ func checkMutant(t *testing.T, mu mutant) []Diagnostic {
 	if !found {
 		t.Fatalf("%s is not one of %s's files", mu.file, lp.ImportPath)
 	}
-	if _, err := l.checkFiles(lp.ImportPath, files); err != nil {
+	p, err := base.child().checkFiles(lp.ImportPath, files)
+	if err != nil {
 		t.Fatalf("the mutant does not build: %v", err)
 	}
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Check(pkgs)
+	return Check([]*Package{p})
 }

@@ -1,26 +1,15 @@
 // Package scope is loaded as an examples/ package: demo mains are outside
-// the determinism and lock scopes, so none of this draws a diagnostic.
+// the determinism scope, so none of this draws a diagnostic.
 package scope
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 )
-
-type conn struct{}
-
-func (conn) Send(to string, body any, size int) error { return nil }
 
 func Jitter() time.Duration {
 	if rand.Intn(2) == 0 {
 		return 0
 	}
 	return time.Since(time.Now())
-}
-
-func SendLocked(mu *sync.Mutex, c conn) {
-	mu.Lock()
-	_ = c.Send("a", nil, 0)
-	mu.Unlock()
 }

@@ -67,7 +67,7 @@ func NewHost(ep fabric.Endpoint, mode Mode, clock func() time.Duration) *Host {
 // Receive ingests a wire message from the transport sender from. NewHost
 // wires the endpoint's handler here; tests may call it directly. The
 // document's own receive runs outside h.mu: it can queue endpoint sends, and
-// those must never happen under a lock (the block-lock discipline).
+// those must never happen under a lock (TestNoSendUnderSessionLocks).
 func (h *Host) Receive(from string, payload any) {
 	key := DocOf(payload)
 	if h.Owns != nil && !h.Owns(key) {

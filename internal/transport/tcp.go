@@ -288,7 +288,9 @@ func (e *TCPEndpoint) Send(to string, data []byte) error {
 	}
 	buf := frameBuf(&tc.wbuf, n)
 	putFrame(buf, e.id, data)
-	//lint:ignore block-lock the socket write is this Send: the transport is where a hot path's frame meets the kernel, and callers price the Send they make
+	// The socket write is this Send, under the connection's write lock: the
+	// transport is where a hot path's frame meets the kernel, and callers
+	// price the Send they make.
 	if _, err := tc.c.Write(buf); err != nil {
 		e.evict(to, tc)
 		return fmt.Errorf("send to %s: %w", to, err)
@@ -313,7 +315,8 @@ func (e *TCPEndpoint) route(to string) (*tcpConn, error) {
 	if !found {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
-	//lint:ignore block-lock one dial per peer, on its first Send or after its connection ended; never on a route that exists
+	// One dial per peer, on its first Send or after its connection ended;
+	// never on a route that exists, and never under e.mu.
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dial %s (%s): %w", to, addr, err)
