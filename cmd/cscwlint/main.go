@@ -9,8 +9,9 @@
 //	cscwlint [-rules] [-format=text|sarif|github] [dir] [pkgfilter]
 //
 // A positional argument that is not a directory is a package-path filter
-// (substring of an import path, e.g. "internal/group"); reporting is
-// restricted to matching packages while the whole module is still loaded.
+// (substring of an import path, e.g. "internal/group"): only the matching
+// packages are type-checked and reported on, with their imports read from
+// export data, and a filter that matches nothing is a usage error.
 // A finding is suppressed only by a //lint:ignore directive at its site,
 // and a directive that suppresses nothing is itself a finding.
 //

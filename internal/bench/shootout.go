@@ -182,7 +182,7 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 		done = true
 		convergedAt = sim.Now()
 	}
-	reps.Applied = func(id string) {
+	reps.Applied = func(id string, _ any) {
 		lens[id] = utf8.RuneCountInString(docs[id].Text())
 		progress()
 	}

@@ -17,7 +17,7 @@ import (
 // every member, the sender included, has delivered before the next starts.
 // The members' sockets are all dialed before the timer starts. It reports
 // wire-B/op, the frame bytes the members hand their transports per
-// multicast (a self-send reaches no transport, so it costs none).
+// multicast (the sequencer protocol sends nothing to self).
 func GroupSequencerTCPBench() func(b *testing.B) {
 	return func(b *testing.B) {
 		const n = 4

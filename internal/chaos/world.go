@@ -189,8 +189,9 @@ func (w *World) ledger() (l ledger) {
 
 // checkAccounting reconciles the nodes' ledger with the netsim counters:
 // every application send must end up delivered to a handler or counted in
-// exactly one drop bucket (injected fault, link down/loss/crash, inbox
-// overflow, no handler). Anything else is silent loss — a violation.
+// exactly one drop bucket (injected fault, link down/loss/crash, a fabric
+// adapter's drop, no node handler). Anything else is silent loss — a
+// violation.
 func (w *World) checkAccounting() {
 	if p := w.Sim.Pending(); p != 0 {
 		w.Violatef("drop-accounting", "simulator queue not drained: %d events pending", p)
@@ -214,7 +215,7 @@ func (w *World) checkAccounting() {
 			simSent, delivered, simDropped, noHandler)
 	}
 	// (3) Every netsim delivery reached an application handler or was
-	// counted by an inbox (overflow/decode) drop.
+	// was counted by its fabric adapter as arriving before the handler.
 	if uint64(delivered) != l.recvd+l.inboxDrops {
 		w.Violatef("drop-accounting",
 			"netsim delivered %d != handler deliveries %d + inbox drops %d",

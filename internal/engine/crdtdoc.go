@@ -19,11 +19,8 @@ func newCRDTDoc(doc, site string) *crdtDoc {
 	return &crdtDoc{doc: doc, seq: crdt.NewSequence(site)}
 }
 
-func (d *crdtDoc) Site() string   { return d.seq.Site() }
-func (d *crdtDoc) Engine() string { return CRDT }
-func (d *crdtDoc) DocKey() string { return d.doc }
-func (d *crdtDoc) Text() string   { return d.seq.Text() }
-func (d *crdtDoc) Pending() int   { return d.seq.Held() }
+func (d *crdtDoc) Text() string { return d.seq.Text() }
+func (d *crdtDoc) Pending() int { return d.seq.Held() }
 
 func (d *crdtDoc) Insert(pos int, ch rune) ([]Msg, error) {
 	op, err := d.seq.Insert(pos, ch)

@@ -34,9 +34,6 @@ type Msg struct {
 // Pending reports protocol state still in flight: unacknowledged or
 // held-back operations; converged idle replicas report zero.
 type Doc interface {
-	Site() string
-	Engine() string
-	DocKey() string
 	Text() string
 	Insert(pos int, ch rune) ([]Msg, error)
 	Delete(pos int) ([]Msg, error)

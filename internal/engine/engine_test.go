@@ -27,11 +27,10 @@ type env struct {
 	body     any
 }
 
-func newBus(seed int64, lossPct int, docs ...Doc) *bus {
-	b := &bus{docs: map[string]Doc{}, r: rand.New(rand.NewSource(seed)), lossPct: lossPct}
-	for _, d := range docs {
-		b.docs[d.Site()] = d
-		b.sites = append(b.sites, d.Site())
+func newBus(t *testing.T, seed int64, lossPct int, kind string, sites ...string) *bus {
+	b := &bus{docs: map[string]Doc{}, sites: sites, r: rand.New(rand.NewSource(seed)), lossPct: lossPct}
+	for i, d := range buildDocs(t, kind, sites...) {
+		b.docs[sites[i]] = d
 	}
 	return b
 }
@@ -109,7 +108,7 @@ func buildDocs(t *testing.T, kind string, sites ...string) []Doc {
 func TestEnginesConvergeOnCleanLinks(t *testing.T) {
 	for _, kind := range []string{OT, CRDT} {
 		r := rand.New(rand.NewSource(7))
-		b := newBus(7, 0, buildDocs(t, kind, "srv", "c1", "c2", "c3")...)
+		b := newBus(t, 7, 0, kind, "srv", "c1", "c2", "c3")
 		for i := 0; i < 200; i++ {
 			b.edit(t, r, b.sites[r.Intn(len(b.sites))])
 			b.drain(t)
@@ -129,7 +128,7 @@ func TestEnginesConvergeOnCleanLinks(t *testing.T) {
 func TestEnginesRecoverFromLossViaTick(t *testing.T) {
 	for _, kind := range []string{OT, CRDT} {
 		r := rand.New(rand.NewSource(11))
-		b := newBus(11, 40, buildDocs(t, kind, "srv", "c1", "c2")...)
+		b := newBus(t, 11, 40, kind, "srv", "c1", "c2")
 		for i := 0; i < 60; i++ {
 			b.edit(t, r, b.sites[r.Intn(len(b.sites))])
 			b.drain(t) // 40% of deliveries vanish
@@ -187,8 +186,12 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Engine() != CRDT || d.Site() != "a" || d.DocKey() != "d7" {
-		t.Fatalf("doc identity wrong: %s %s %s", d.Engine(), d.Site(), d.DocKey())
+	msgs, err := d.Insert(0, 'x')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op, ok := msgs[0].Body.(*crdt.MsgOp); !ok || op.Doc != "d7" || op.Op.Site != "a" {
+		t.Fatalf("crdt doc d7 at site a sent %#v", msgs[0].Body)
 	}
 }
 

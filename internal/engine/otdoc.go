@@ -79,10 +79,6 @@ func newOTDoc(doc, site, server string) *otDoc {
 	return d
 }
 
-func (d *otDoc) Site() string   { return d.site }
-func (d *otDoc) Engine() string { return OT }
-func (d *otDoc) DocKey() string { return d.doc }
-
 func (d *otDoc) Text() string {
 	if d.srv != nil {
 		return d.srv.Text()

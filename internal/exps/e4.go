@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/floor"
 	"repro/internal/locks"
 	"repro/internal/netsim"
-	"repro/internal/ot"
+	"repro/internal/simworld"
 	"repro/internal/workload"
 )
 
@@ -150,59 +151,40 @@ func runLockMechanism(seed int64, d locks.Discipline) []string {
 	return []string{d.String(), fmtDur(mean), fmt.Sprintf("%d", st.Queues), signal, meanNotify, anomalies}
 }
 
-func runOTMechanism(seed int64) []string {
-	sim := netsim.New(seed, netsim.WANLink) // 40ms star
-	users := []string{"u1", "u2", "u3", "u4", "u5", "u6"}
-	edits := workload.GenerateEdits(sim.Rand(), e4Profile(users))
+// e4Start is the text every OT replica starts from, typed in by the server
+// site before the users begin.
+const e4Start = "the quick brown fox jumps over the lazy dog"
 
-	srv := ot.NewServer("the quick brown fox jumps over the lazy dog")
-	srvNode := sim.MustAddNode("server")
-	clients := make(map[string]*ot.Client, len(users))
-	nodes := make(map[string]*netsim.Node, len(users))
+// runOTMechanism runs the workload through the shipped OT engine: one
+// engine.Doc per site on simworld's replica pump, the server as integration
+// site. A commit's notification time is its generation at the author to its
+// arrival at each other user.
+func runOTMechanism(seed int64) []string {
+	w := simworld.New(seed, netsim.WANLink) // 40ms star
+	users := []string{"u1", "u2", "u3", "u4", "u5", "u6"}
+	edits := workload.GenerateEdits(w.Sim.Rand(), e4Profile(users))
+	reps, err := w.Replicas(engine.OT, append([]string{"server"}, users...)...)
+	if err != nil {
+		return []string{"operation transform", "error", "-", "-", "-", err.Error()}
+	}
+	for i, ch := range []rune(e4Start) {
+		reps.Insert("server", i, ch)
+	}
+	w.Sim.Run() // every user starts from the whole text
+
 	type opKey struct {
 		site string
 		seq  uint64
 	}
 	genTime := make(map[opKey]time.Duration)
+	seqs := make(map[string]uint64) // a client's k-th edit is its submission seq k
 	var notifyLats []time.Duration
-
-	srvNode.SetHandler(func(m netsim.Msg) {
-		sub, ok := m.Payload.(ot.Submission)
-		if !ok {
-			return
+	reps.Applied = func(site string, payload any) {
+		if m, ok := payload.(*engine.MsgCommit); ok && m.C.Site != site {
+			if at, ok := genTime[opKey{m.C.Site, m.C.Seq}]; ok {
+				notifyLats = append(notifyLats, w.Sim.Now()-at)
+			}
 		}
-		cm, err := srv.Submit(sub.Op, sub.Base, sub.Site, sub.Seq)
-		if err != nil {
-			return
-		}
-		for _, u := range users {
-			_ = srvNode.Send(u, cm, 64)
-		}
-	})
-	for _, u := range users {
-		u := u
-		c := ot.NewClient(u, srv)
-		clients[u] = c
-		n := sim.MustAddNode(u)
-		nodes[u] = n
-		n.SetHandler(func(m netsim.Msg) {
-			cm, ok := m.Payload.(ot.Committed)
-			if !ok {
-				return
-			}
-			if cm.Site != u {
-				if at, ok := genTime[opKey{cm.Site, cm.Seq}]; ok {
-					notifyLats = append(notifyLats, sim.Now()-at)
-				}
-			}
-			next, send, err := c.Integrate(cm)
-			if err != nil {
-				return
-			}
-			if send {
-				_ = n.Send("server", next, 64)
-			}
-		})
 	}
 
 	var ops int
@@ -212,35 +194,28 @@ func runOTMechanism(seed int64) []string {
 			return
 		}
 		wop := list[i]
-		c := clients[name]
-		docLen := len([]rune(c.Text()))
-		var op ot.Op
+		docLen := len([]rune(reps.Docs[name].Text()))
 		switch {
-		case wop.Kind == workload.OpDelete && docLen > 0:
-			op = ot.Op{Kind: ot.Delete, Pos: wop.Pos % docLen}
 		case wop.Kind == workload.OpRead:
 			// Reads are free in OT; skip to the next op.
-			sim.At(wop.Think, func() { run(name, list, i+1) })
-			return
+		case wop.Kind == workload.OpDelete && docLen > 0:
+			reps.Delete(name, wop.Pos%docLen) // applies locally NOW: response 0
 		default:
-			op = ot.Op{Kind: ot.Insert, Pos: wop.Pos % (docLen + 1), Ch: 'x'}
+			reps.Insert(name, wop.Pos%(docLen+1), 'x')
 		}
-		sub, send, err := c.Generate(op) // applies locally NOW: response 0
-		if err == nil {
+		if wop.Kind != workload.OpRead && reps.Err() == nil {
 			ops++
-			genTime[opKey{name, sub.Seq}] = sim.Now()
-			if send {
-				_ = nodes[name].Send("server", sub, 64)
-			}
+			seqs[name]++
+			genTime[opKey{name, seqs[name]}] = w.Sim.Now()
 		}
-		sim.At(wop.Think, func() { run(name, list, i+1) })
+		w.Sim.At(wop.Think, func() { run(name, list, i+1) })
 	}
 	for _, name := range users {
 		name := name
 		list := edits[name]
-		sim.At(time.Duration(sim.Rand().Int63n(int64(4*time.Second))), func() { run(name, list, 0) })
+		w.Sim.At(time.Duration(w.Sim.Rand().Int63n(int64(4*time.Second))), func() { run(name, list, 0) })
 	}
-	sim.Run()
+	w.Sim.Run()
 
 	var meanNotify string
 	if len(notifyLats) > 0 {
@@ -252,8 +227,15 @@ func runOTMechanism(seed int64) []string {
 	} else {
 		meanNotify = "-"
 	}
+	outcome := "all converge"
+	switch {
+	case reps.Err() != nil:
+		outcome = reps.Err().Error()
+	case !reps.Converged():
+		outcome = "NOT converged"
+	}
 	return []string{"operation transform", fmtDur(0), "0", "remote op integrated", meanNotify,
-		fmt.Sprintf("%d ops, all converge", ops)}
+		fmt.Sprintf("%d ops, %s", ops, outcome)}
 }
 
 func runFloorMechanism(seed int64) []string {

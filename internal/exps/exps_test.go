@@ -142,6 +142,17 @@ func TestE4MechanismShapes(t *testing.T) {
 	}
 }
 
+// TestE4OTConverges: the OT row runs the shipped engine, and its verdict is
+// measured. At seeds 7 and 42 the WAN jitter reorders commits enough that a
+// client which drops an out-of-order commit never catches up.
+func TestE4OTConverges(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		if got := runOTMechanism(seed)[5]; !strings.HasSuffix(got, " ops, all converge") {
+			t.Errorf("seed %d: OT row says %q, want all converge", seed, got)
+		}
+	}
+}
+
 func TestE5RoleCompression(t *testing.T) {
 	tb := RunE5Access(1)
 	// Row 1: group policy change.

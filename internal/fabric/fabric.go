@@ -32,18 +32,17 @@ var ErrClosed = errors.New("fabric: endpoint closed")
 // sender-declared size).
 type Handler func(from string, payload any, size int)
 
-// Endpoint is the uniform messaging surface. Implementations must tolerate
-// SetHandler being called before, after, or between deliveries; messages
-// arriving while no handler is installed are buffered (bounded) rather than
-// silently dropped, and overflow is counted — see Dropped probing below.
+// Endpoint is the uniform messaging surface. A message that arrives while no
+// handler is installed is not delivered: it is counted as dropped, like a
+// frame that cannot be decoded (see DroppedOf), so an owner installs its
+// handler before it lets peers reach it.
 //
 // Struct payloads are pointers, on every substrate: senders pass &T{...},
 // in-process substrates hand that pointer through, and byte substrates
-// decode into a fresh *T, except for a send to the endpoint's own id, which
-// hands the sender's pointer through as well. A receiver must therefore
-// treat a payload as shared and never modify it. Receivers switch on *T
-// only; a T sent by value reaches no case and is dropped as foreign
-// traffic.
+// decode into a fresh *T, a send to the endpoint's own id included. A
+// receiver must treat a payload as shared and never modify it. Receivers
+// switch on *T only; a T sent by value reaches no case and is dropped as
+// foreign traffic.
 type Endpoint interface {
 	// ID returns the endpoint's stable address on its substrate.
 	ID() string
@@ -51,8 +50,6 @@ type Endpoint interface {
 	// size in bytes for bandwidth/metrics accounting.
 	Send(to string, payload any, size int) error
 	// SetHandler installs (or, with nil, removes) the delivery callback.
-	// Installing a handler flushes any buffered deliveries in arrival
-	// order before new ones are dispatched.
 	SetHandler(h Handler)
 	// Close releases the endpoint; subsequent Sends return ErrClosed.
 	Close() error
@@ -79,7 +76,7 @@ func Wrap(ep Endpoint, mws ...Middleware) Endpoint {
 type Unwrapper interface{ Unwrap() Endpoint }
 
 // DropCounter is implemented by adapters that count messages lost for want
-// of a handler (buffer overflow) or because they could not be decoded.
+// of a handler or because they could not be decoded.
 type DropCounter interface{ Dropped() uint64 }
 
 // DroppedOf walks a middleware chain down to the first endpoint exposing a
@@ -98,45 +95,27 @@ func DroppedOf(ep Endpoint) uint64 {
 	return 0
 }
 
-// pendingCap bounds the no-handler buffer; beyond it arrivals are counted
-// as dropped instead of held. Large enough for any setup-order race, small
-// enough to not mask a forgotten handler forever.
-const pendingCap = 1024
-
-type delivery struct {
-	from    string
-	payload any
-	size    int
-}
-
-// inbox is the shared buffer-or-count delivery stage used by the substrate
-// adapters: it holds messages that arrive before a handler is installed and
-// flushes them, in order, when one is.
+// inbox is the delivery stage shared by the substrate adapters: the
+// installed handler, and a count of what arrived without one or could not be
+// decoded.
 type inbox struct {
-	mu       sync.Mutex
-	handler  Handler
-	pending  []delivery
-	flushing bool
-	dropped  uint64
+	mu      sync.Mutex
+	handler Handler
+	dropped uint64
 }
 
+// deliver hands one message to the handler, or counts it dropped when none
+// is installed.
 func (b *inbox) deliver(from string, payload any, size int) {
 	b.mu.Lock()
-	// While a flush is running, new arrivals join the queue so the flush
-	// loop preserves arrival order.
-	if b.handler == nil || b.flushing {
-		if len(b.pending) >= pendingCap {
-			b.dropped++
-			b.mu.Unlock()
-			return
-		}
-		b.pending = append(b.pending, delivery{from, payload, size})
-		b.mu.Unlock()
-		return
-	}
 	h := b.handler
+	if h == nil {
+		b.dropped++
+	}
 	b.mu.Unlock()
-	h(from, payload, size)
+	if h != nil {
+		h(from, payload, size)
+	}
 }
 
 func (b *inbox) countDrop() {
@@ -148,22 +127,6 @@ func (b *inbox) countDrop() {
 func (b *inbox) set(h Handler) {
 	b.mu.Lock()
 	b.handler = h
-	if h == nil || b.flushing {
-		b.mu.Unlock()
-		return
-	}
-	b.flushing = true
-	for len(b.pending) > 0 && b.handler != nil {
-		batch := b.pending
-		b.pending = nil
-		cur := b.handler
-		b.mu.Unlock()
-		for _, d := range batch {
-			cur(d.from, d.payload, d.size)
-		}
-		b.mu.Lock()
-	}
-	b.flushing = false
 	b.mu.Unlock()
 }
 

@@ -151,7 +151,10 @@ func TestFromSimRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromSimBuffersBeforeHandler(t *testing.T) {
+// TestFromSimCountsPreHandlerDrops: a delivery that lands before SetHandler
+// is counted as the adapter's drop, not the simulator's (the simulator saw a
+// handler, the adapter's own).
+func TestFromSimCountsPreHandlerDrops(t *testing.T) {
 	sim := netsim.New(1, netsim.LocalLink)
 	a := FromSim(sim.MustAddNode("a"))
 	b := FromSim(sim.MustAddNode("b"))
@@ -160,44 +163,38 @@ func TestFromSimBuffersBeforeHandler(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sim.Run() // deliveries land with no handler installed: buffered
-	var got []any
-	b.SetHandler(func(from string, payload any, size int) { got = append(got, payload) })
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("buffered flush = %v, want [0 1 2]", got)
+	sim.Run()
+	if d := b.Dropped(); d != 3 {
+		t.Fatalf("dropped = %d, want 3", d)
 	}
-	if d := b.Dropped(); d != 0 {
-		t.Fatalf("dropped = %d, want 0", d)
-	}
-	if sim.DroppedNoHandler() != 0 {
-		t.Fatalf("sim counted no-handler drops despite adapter: %d", sim.DroppedNoHandler())
+	if n := sim.DroppedNoHandler(); n != 0 {
+		t.Fatalf("sim counted %d no-handler drops despite the adapter", n)
 	}
 }
 
-func TestFromSimOverflowCountsDropped(t *testing.T) {
+// TestFromSimHoldsNothingBeforeHandler: installing a handler delivers none of
+// what arrived before it; only later deliveries reach it.
+func TestFromSimHoldsNothingBeforeHandler(t *testing.T) {
 	sim := netsim.New(1, netsim.LocalLink)
 	a := FromSim(sim.MustAddNode("a"))
 	b := FromSim(sim.MustAddNode("b"))
-	for i := 0; i < pendingCap+5; i++ {
-		if err := a.Send("b", i, 0); err != nil {
+	for i := 0; i < 3; i++ {
+		if err := a.Send("b", i, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sim.Run()
-	if d := b.Dropped(); d != 5 {
-		t.Fatalf("dropped = %d, want 5", d)
+	var got []any
+	b.SetHandler(func(from string, payload any, size int) { got = append(got, payload) })
+	if len(got) != 0 {
+		t.Fatalf("SetHandler delivered %v held from before it", got)
 	}
-	// The buffer keeps the oldest pendingCap arrivals (overflow sheds the
-	// newest), and installing the handler must flush them in arrival order.
-	var got []int
-	b.SetHandler(func(_ string, payload any, _ int) { got = append(got, payload.(int)) })
-	if len(got) != pendingCap {
-		t.Fatalf("flushed %d, want %d", len(got), pendingCap)
+	if err := a.Send("b", 3, 1); err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("flush order broken at index %d: got %d", i, v)
-		}
+	sim.Run()
+	if len(got) != 1 || got[0] != 3 {
+		t.Fatalf("delivered %v, want [3]", got)
 	}
 }
 
@@ -278,7 +275,9 @@ func TestFromTransportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromTransportBuffersBeforeHandler(t *testing.T) {
+// TestFromTransportCountsPreHandlerDrops: a frame decoded before SetHandler
+// is a counted drop, not a held delivery; the next frame reaches the handler.
+func TestFromTransportCountsPreHandlerDrops(t *testing.T) {
 	tcp := loopback(t, "a", "b")
 	c := newTestCodec()
 	a := FromTransport(tcp[0], c)
@@ -289,30 +288,29 @@ func TestFromTransportBuffersBeforeHandler(t *testing.T) {
 	if err := a.Send("b", &ping{N: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the frame has crossed the connection into b's inbox buffer.
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		b.in.mu.Lock()
-		n := len(b.in.pending)
-		b.in.mu.Unlock()
-		if n == 1 {
-			break
-		}
+	for b.Dropped() != 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	got := make(chan ping, 1)
+	if d := b.Dropped(); d != 1 {
+		t.Fatalf("dropped = %d before the handler, want 1", d)
+	}
+	got := make(chan ping, 2)
 	b.SetHandler(func(from string, payload any, size int) {
 		if p, ok := payload.(*ping); ok {
 			got <- *p
 		}
 	})
+	if err := a.Send("b", &ping{N: 2}, 0); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case p := <-got:
-		if p.N != 1 {
-			t.Fatalf("got %+v", p)
+		if p.N != 2 {
+			t.Fatalf("got %+v, want the frame sent after SetHandler", p)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("buffered frame never flushed")
+		t.Fatal("frame sent after SetHandler never arrived")
 	}
 }
 
@@ -413,14 +411,14 @@ func TestWrapOrderOutermostFirst(t *testing.T) {
 }
 
 // TestDroppedOfWalksChain: the drop probe follows Unwrap through a stack of
-// middlewares down to the substrate adapter that counts inbox overflow.
+// middlewares down to the substrate adapter that counts the drops.
 func TestDroppedOfWalksChain(t *testing.T) {
 	sim := netsim.New(1, netsim.LocalLink)
 	a := FromSim(sim.MustAddNode("a"))
 	b := FromSim(sim.MustAddNode("b"))
-	// No handler is ever installed on b; overflow its inbox.
+	// No handler is ever installed on b, so every delivery is a drop.
 	wb := Wrap(b, Tap(nil, nil), Tap(nil, nil))
-	for i := 0; i < pendingCap+3; i++ {
+	for i := 0; i < 3; i++ {
 		if err := a.Send("b", i, 0); err != nil {
 			t.Fatal(err)
 		}

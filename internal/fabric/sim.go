@@ -18,8 +18,8 @@ type SimEndpoint struct {
 }
 
 // FromSim wraps a simulator node. The node's raw handler is claimed
-// immediately, so deliveries arriving before SetHandler are buffered (up to
-// the inbox cap) instead of vanishing in the simulator.
+// immediately, so a delivery arriving before SetHandler is counted as
+// dropped here instead of vanishing in the simulator.
 func FromSim(node *netsim.Node) *SimEndpoint {
 	ep := &SimEndpoint{node: node}
 	node.SetHandler(func(m netsim.Msg) { ep.in.deliver(m.From, m.Payload, m.Size) })
@@ -40,7 +40,7 @@ func (e *SimEndpoint) Send(to string, payload any, size int) error {
 	return e.node.Send(to, payload, size)
 }
 
-// SetHandler installs the delivery callback, flushing buffered deliveries.
+// SetHandler installs the delivery callback.
 func (e *SimEndpoint) SetHandler(h Handler) { e.in.set(h) }
 
 // Close detaches from the node; later Sends return ErrClosed.
@@ -57,6 +57,5 @@ func (e *SimEndpoint) Close() error {
 	return nil
 }
 
-// Dropped counts deliveries lost to inbox overflow while no handler was
-// installed.
+// Dropped counts deliveries that arrived while no handler was installed.
 func (e *SimEndpoint) Dropped() uint64 { return e.in.droppedCount() }

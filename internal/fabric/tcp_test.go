@@ -142,101 +142,59 @@ func TestTransportConcurrentSendsDecodeIntact(t *testing.T) {
 	}
 }
 
-// countingTransport counts the frames a fabric adapter hands its transport.
-type countingTransport struct {
-	transport.Endpoint
-	sends atomic.Int64
-}
-
-func (c *countingTransport) Send(to string, data []byte) error {
-	c.sends.Add(1)
-	return c.Endpoint.Send(to, data)
-}
-
-// TestTransportSelfSendSkipsSocket: a FromTransport send to its own id, from
-// a listening endpoint and from a dial-only one, reaches its own handler
-// with the sender's pointer and the frame length, and makes no transport
-// Send. A self-send before SetHandler is held and delivered first, a
-// payload the codec refuses errs exactly as it would to a peer, and after
-// Close a self-send is refused with the transport's closed error.
-func TestTransportSelfSendSkipsSocket(t *testing.T) {
+// TestTransportSelfSend: a FromTransport send to its own id is an ordinary
+// transport send. From a listening endpoint it dials its own listener and
+// arrives on a reader goroutine, from "a", sized as the frame, as a freshly
+// decoded payload rather than the sender's pointer. A dial-only endpoint
+// has no address to reach itself at, so its self-send fails with
+// transport.ErrUnknownPeer and delivers nothing.
+func TestTransportSelfSend(t *testing.T) {
 	codec := session.NewWireCodec()
 	post := &session.MsgPost{Doc: "doc", From: "a", Kind: "chat", Body: "to myself"}
 	frame, err := codec.Encode(post)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"ListenTCP", "DialTCP"} {
-		t.Run(kind, func(t *testing.T) {
-			book := transport.NewAddressBook()
-			peer := listenTCP(t, book, "b")[0]
-			var peerGot atomic.Int64
-			peer.SetHandler(func(string, []byte) { peerGot.Add(1) })
-			var tep *transport.TCPEndpoint
-			if kind == "ListenTCP" {
-				tep = listenTCP(t, book, "a")[0]
-			} else if tep, err = transport.DialTCP("a", book); err != nil {
-				t.Fatal(err)
-			}
-			ct := &countingTransport{Endpoint: tep}
-			fa := fabric.FromTransport(ct, codec)
-			defer fa.Close()
-
-			early := &session.MsgPost{Doc: "doc", From: "a", Kind: "chat", Body: "before the handler"}
-			if err := fa.Send("a", early, 0); err != nil {
-				t.Fatalf("self-send before SetHandler: %v", err)
-			}
-			type arrival struct {
-				from    string
-				payload any
-				size    int
-			}
-			var got []arrival // delivered on the sending goroutine: no lock needed
-			fa.SetHandler(func(from string, payload any, size int) {
-				got = append(got, arrival{from, payload, size})
-			})
-			if err := fa.Send("a", post, 0); err != nil {
-				t.Fatalf("self-send: %v", err)
-			}
-			if len(got) != 2 || got[0].payload != early || got[1].payload != post {
-				t.Fatalf("self-sends delivered %+v, want the early post then the post, by pointer", got)
-			}
-			if a := got[1]; a.from != "a" || a.size != len(frame) {
-				t.Errorf("self-send delivered from %q size %d, want from \"a\" size %d (the frame length)", a.from, a.size, len(frame))
-			}
-			if n := ct.sends.Load(); n != 0 {
-				t.Errorf("self-sends made %d transport sends, want 0", n)
-			}
-
-			// The same unregistered payload fails the same way to self and to a peer.
-			bad := struct{ X int }{1}
-			errSelf, errPeer := fa.Send("a", bad, 0), fa.Send("b", bad, 0)
-			if errSelf == nil || errPeer == nil || errSelf.Error() != errPeer.Error() {
-				t.Errorf("unregistered payload: self-send error %v, peer send error %v; want the same error", errSelf, errPeer)
-			}
-			if n := ct.sends.Load(); n != 0 {
-				t.Errorf("refused payloads made %d transport sends, want 0", n)
-			}
-			if err := fa.Send("b", post, 0); err != nil {
-				t.Fatalf("send to peer: %v", err)
-			}
-			if n := ct.sends.Load(); n != 1 {
-				t.Errorf("one peer send made %d transport sends, want 1", n)
-			}
-			waitUntil(t, func() bool { return peerGot.Load() == 1 }, "the peer's frame")
-
-			if err := fa.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := fa.Send("a", post, 0); !errors.Is(err, transport.ErrClosed) {
-				t.Errorf("self-send after Close = %v, want %v", err, transport.ErrClosed)
-			}
-			if len(got) != 2 || ct.sends.Load() != 1 {
-				t.Errorf("self-send after Close: %d deliveries and %d transport sends, want 2 and 1", len(got), ct.sends.Load())
-			}
-			if err := fa.Send("b", post, 0); !errors.Is(err, transport.ErrClosed) {
-				t.Errorf("peer send after Close = %v, want %v (the self-send's error)", err, transport.ErrClosed)
-			}
-		})
+	type arrival struct {
+		from    string
+		payload any
+		size    int
 	}
+	// selfSend sends post from a to itself and returns what arrived within
+	// wait and the Send error.
+	selfSend := func(t *testing.T, tep *transport.TCPEndpoint, wait time.Duration) (*arrival, error) {
+		got := make(chan arrival, 1)
+		fa := fabric.FromTransport(tep, codec)
+		t.Cleanup(func() { fa.Close() })
+		fa.SetHandler(func(from string, payload any, size int) { got <- arrival{from, payload, size} })
+		err := fa.Send("a", post, 0)
+		select {
+		case a := <-got:
+			return &a, err
+		case <-time.After(wait):
+			return nil, err
+		}
+	}
+	t.Run("ListenTCP", func(t *testing.T) {
+		a, err := selfSend(t, listenTCP(t, transport.NewAddressBook(), "a")[0], 5*time.Second)
+		if err != nil || a == nil {
+			t.Fatalf("self-send: error %v, arrival %v", err, a)
+		}
+		if p, ok := a.payload.(*session.MsgPost); !ok || p == post || *p != *post {
+			t.Fatalf("self-send delivered %#v, want a decoded copy of %#v", a.payload, post)
+		}
+		if a.from != "a" || a.size != len(frame) {
+			t.Errorf("self-send delivered from %q size %d, want from \"a\" size %d (the frame length)", a.from, a.size, len(frame))
+		}
+	})
+	t.Run("DialTCP", func(t *testing.T) {
+		tep, err := transport.DialTCP("a", transport.NewAddressBook())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := selfSend(t, tep, 20*time.Millisecond)
+		if !errors.Is(err, transport.ErrUnknownPeer) || a != nil {
+			t.Fatalf("dial-only self-send: error %v, arrival %v; want %v and none", err, a, transport.ErrUnknownPeer)
+		}
+	})
 }

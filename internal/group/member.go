@@ -362,10 +362,10 @@ func (m *Member) viewTargets() []string {
 }
 
 // sendToAll fans pkt out to targets. It must be called without m.mu held —
-// a Send can block over a real transport, a member that sends while locked
-// can deadlock with a peer doing the same (TestNoSendUnderMemberLock fails
-// on any send under m.mu), and over TCP a send to self runs Receive on this
-// goroutine. Best-effort: every target is attempted even when some sends
+// a Send can block over a real transport, and a member that sends while
+// locked can deadlock with a peer doing the same, or with its own reader
+// handing it a self-send (TestNoSendUnderMemberLock fails on any send under
+// m.mu). Best-effort: every target is attempted even when some sends
 // fail (partial failure must not silence members listed after the first
 // unreachable one; under netsim, whose self-link can drop, that includes
 // self-delivery, which nothing repairs). The first error is reported after

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/netsim"
 )
@@ -75,22 +74,18 @@ func TestSequencerReplayRetainsNothing(t *testing.T) {
 	}
 }
 
-// roundGap spaces TestOrderingSoak's rounds so that the token, whose
-// circuit of four LAN members takes a few milliseconds, keeps up: a backlog
-// that grew from round to round would be measured as growth.
-const roundGap = 10 * time.Millisecond
-
 // soakBytesPerOp bounds how much the retained heap may grow per multicast
 // over TestOrderingSoak: a map entry kept per message costs tens of bytes,
 // and the members measured here retain a few hundred bytes in all.
 const soakBytesPerOp = 1
 
 // TestOrderingSoak runs 10^5 multicasts through four members of each
-// ordering on the simulator, in rounds of one multicast per member, and
-// checks after every 1000 rounds that the members agree, that every map
-// and queue a member keeps holds at most one entry per member (FIFO's
-// repair buffer at most retainWindow), and at the end that the live heap
-// grew by at most soakBytesPerOp per multicast.
+// ordering on the in-test FIFO pump (pumpNet), in rounds of one multicast
+// per member, each round pumped until nothing is in flight, and checks
+// after every 1000 rounds that the members agree, that every map and queue
+// a member keeps holds at most one entry per member (FIFO's repair buffer
+// at most retainWindow), and at the end that the live heap grew by at most
+// soakBytesPerOp per multicast.
 func TestOrderingSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^5 multicasts per ordering")
@@ -103,13 +98,13 @@ func TestOrderingSoak(t *testing.T) {
 	const members, total, check, warm = 4, 100_000, 4_000, 20_000
 	for _, ord := range []Ordering{Unordered, FIFO, Causal, TotalSequencer, TotalToken} {
 		t.Run(ord.String(), func(t *testing.T) {
-			r := newRig(t, members, ord, netsim.LANLink)
+			r := &pumpNet{ids: []string{"m00", "m01", "m02", "m03"}, members: make(map[string]*Member, members)}
 			// Deliveries are folded into one hash per member, so the
 			// test itself retains nothing per message.
 			hash := make(map[string]uint64, members)
 			count := make(map[string]int, members)
 			for _, id := range r.ids {
-				m, err := NewMember(Config{Endpoint: r.members[id].ep, Timer: r.members[id].timer, Ordering: ord,
+				m, err := NewMember(Config{Endpoint: &pumpEndpoint{net: r, id: id}, Ordering: ord,
 					Deliver: func(d Delivery) {
 						// The per-member hash is of the delivery order only
 						// under the total orders; the others fold the bodies.
@@ -131,15 +126,13 @@ func TestOrderingSoak(t *testing.T) {
 			}
 			var base runtime.MemStats
 			for sent := 0; sent < total; {
-				for round := range check / members {
+				for range check / members {
 					for _, id := range r.ids {
 						sent++
-						body := sent
-						m := r.members[id]
-						r.sim.At(time.Duration(round)*roundGap, func() { _ = m.Multicast(body, 8) })
+						_ = r.members[id].Multicast(sent, 8)
 					}
+					r.pump()
 				}
-				r.sim.Run()
 				for _, id := range r.ids {
 					if count[id] != sent || hash[id] != hash["m00"] {
 						t.Fatalf("after %d multicasts %s delivered %d (hash %x, m00's %x)", sent, id, count[id], hash[id], hash["m00"])

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // This file is the command-line front-end behind cmd/cscwlint: flags,
@@ -15,14 +14,15 @@ import (
 type RunConfig struct {
 	// Dir is any directory inside the module to check (default ".").
 	Dir string
-	// Filter restricts reporting to packages whose import path contains the
-	// substring (the whole module is still loaded and type-checked). An
-	// unmatched filter is an error, not silence.
+	// Filter restricts the run to packages whose import path contains the
+	// substring: only those are type-checked from source, with everything
+	// they import read from export data. An unmatched filter is an error,
+	// not silence.
 	Filter string
 }
 
-// RunModule loads the module around cfg.Dir, runs the full suite, and
-// applies the package filter. It returns the findings that survived
+// RunModule loads the module around cfg.Dir (or the packages cfg.Filter
+// matches) and runs the full suite. It returns the findings that survived
 // //lint:ignore (exit-1 material) and the module root, for relativizing
 // paths in output.
 func RunModule(cfg RunConfig) (live []Diagnostic, root string, err error) {
@@ -34,17 +34,16 @@ func RunModule(cfg RunConfig) (live []Diagnostic, root string, err error) {
 	if err != nil {
 		return nil, "", err
 	}
-	pkgs, err := l.LoadModule()
+	var pkgs []*Package
+	if cfg.Filter == "" {
+		pkgs, err = l.LoadModule()
+	} else {
+		pkgs, err = l.loadMatching(cfg.Filter)
+	}
 	if err != nil {
 		return nil, "", err
 	}
-	live = Check(pkgs)
-	if cfg.Filter != "" {
-		if live, err = filterDiags(pkgs, live, cfg.Filter); err != nil {
-			return nil, "", err
-		}
-	}
-	return live, l.ModuleRoot, nil
+	return Check(pkgs), l.ModuleRoot, nil
 }
 
 // CheckModule loads every package under the module rooted at or above dir
@@ -53,32 +52,6 @@ func RunModule(cfg RunConfig) (live []Diagnostic, root string, err error) {
 func CheckModule(dir string) ([]Diagnostic, error) {
 	live, _, err := RunModule(RunConfig{Dir: dir})
 	return live, err
-}
-
-// filterDiags keeps diagnostics from packages whose import path contains
-// filter; a filter matching no loaded package is an error, not silence.
-func filterDiags(pkgs []*Package, diags []Diagnostic, filter string) ([]Diagnostic, error) {
-	files := make(map[string]bool)
-	matched := false
-	for _, p := range pkgs {
-		if !strings.Contains(p.Path, filter) {
-			continue
-		}
-		matched = true
-		for _, f := range p.Files {
-			files[p.Fset.Position(f.Pos()).Filename] = true
-		}
-	}
-	if !matched {
-		return nil, fmt.Errorf("lint: no loaded package matches %q", filter)
-	}
-	out := make([]Diagnostic, 0, len(diags))
-	for _, d := range diags {
-		if files[d.Pos.Filename] {
-			out = append(out, d)
-		}
-	}
-	return out, nil
 }
 
 // CLIMain is the front-end: parses flags, runs the suite and writes results.

@@ -30,7 +30,6 @@ var hotpathPins = map[string]string{
 	"repro/internal/group.Member.receiveMsgs":      "repro/internal/bench.TestMulticastAllocs",
 	"repro/internal/group.Member.order":            "repro/internal/bench.TestMulticastAllocs",
 	"repro/internal/netsim.Node.Send":              "repro/internal/netsim.TestSendSteadyStateAllocBudget",
-	"repro/internal/netsim.Sim.Send":               "repro/internal/netsim.TestSendSteadyStateAllocBudget",
 	"repro/internal/netsim.Sim.SendID":             "repro/internal/netsim.TestSendSteadyStateAllocBudget",
 	"repro/internal/netsim.Sim.send":               "repro/internal/netsim.TestSendSteadyStateAllocBudget",
 	"repro/internal/netsim.Sim.deliver":            "repro/internal/netsim.TestSendSteadyStateAllocBudget",

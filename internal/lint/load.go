@@ -29,8 +29,11 @@ type Loader struct {
 	Fset       *token.FileSet
 
 	listed map[string]*listedPackage // the module's packages, by import path
-	std    types.Importer            // export data for every other package
+	std    types.Importer            // export data for every package
 	loaded map[string]*Package       // by import path
+	// exportOnly makes every import, the module's own packages included,
+	// come from export data (loadMatching).
+	exportOnly bool
 }
 
 // listedPackage is the part of `go list -json` the loader reads.
@@ -72,10 +75,9 @@ func NewLoader(dir string) (*Loader, error) {
 		if err := dec.Decode(p); err != nil {
 			return nil, fmt.Errorf("lint: go list: %w", err)
 		}
+		deps[p.ImportPath] = p
 		if p.Module != nil && p.Module.Main {
 			l.listed[p.ImportPath] = p
-		} else {
-			deps[p.ImportPath] = p
 		}
 	}
 	l.std = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -108,11 +110,36 @@ func goList(dir string, args ...string) ([]byte, error) {
 
 // LoadModule loads every package of the module in import-path order.
 func (l *Loader) LoadModule() ([]*Package, error) {
-	paths := make([]string, 0, len(l.listed))
+	return l.loadAll(l.paths(""))
+}
+
+// loadMatching loads, in import-path order, the module's packages whose
+// import path contains filter, each from source with every import read from
+// export data. A filter that matches none is an error, found before anything
+// is type-checked.
+func (l *Loader) loadMatching(filter string) ([]*Package, error) {
+	paths := l.paths(filter)
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("lint: no loaded package matches %q", filter)
+	}
+	l.exportOnly = true
+	return l.loadAll(paths)
+}
+
+// paths returns the sorted import paths of the module's packages that
+// contain filter.
+func (l *Loader) paths(filter string) []string {
+	var paths []string
 	for path := range l.listed {
-		paths = append(paths, path)
+		if strings.Contains(path, filter) {
+			paths = append(paths, path)
+		}
 	}
 	sort.Strings(paths)
+	return paths
+}
+
+func (l *Loader) loadAll(paths []string) ([]*Package, error) {
 	pkgs := make([]*Package, 0, len(paths))
 	for _, path := range paths {
 		p, err := l.load(path)
@@ -173,9 +200,9 @@ func (l *Loader) checkFiles(path string, files []*ast.File) (*Package, error) {
 }
 
 // Import implements types.Importer: the module's own packages are loaded
-// from source, everything else from export data.
+// from source (unless exportOnly), everything else from export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if _, ok := l.listed[path]; !ok {
+	if _, ok := l.listed[path]; !ok || l.exportOnly {
 		return l.std.Import(path)
 	}
 	p, err := l.load(path)

@@ -61,7 +61,7 @@ func TestSetLinkUpdatesExisting(t *testing.T) {
 	b.SetHandler(func(Msg) { at = s.Now() })
 	s.SetLink("a", "b", Link{Latency: 5 * time.Millisecond})
 	s.SetLink("a", "b", Link{Latency: 50 * time.Millisecond}) // replace
-	s.Send("a", "b", "x", 0)
+	s.Node("a").Send("b", "x", 0)
 	s.Run()
 	if at != 50*time.Millisecond {
 		t.Errorf("delivered at %v, link update ignored", at)

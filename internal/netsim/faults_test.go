@@ -7,7 +7,7 @@ import (
 )
 
 // TestFaultTopologyEdges drives the fault-topology surface (Partition, Heal,
-// SetDown, SetLink, Crash, Restart) through its edge cases in one table.
+// SetLink, Crash, Restart) through its edge cases in one table.
 // Every case starts with nodes a, b, c (handlers installed) and mute (no
 // handler), runs setup, issues the listed sends, drains the simulator and
 // checks per-node delivery counts plus the sent/dropped/noHandler ledger.
@@ -57,10 +57,10 @@ func TestFaultTopologyEdges(t *testing.T) {
 		},
 		{
 			// SetLink replaces the whole Link struct, Down flag included, but
-			// only for its own direction — SetDown raised both.
-			name: "SetLink overrides SetDown one direction only",
+			// only for its own direction — the partition cut both.
+			name: "SetLink overrides a partition one direction only",
 			setup: func(s *Sim) {
-				s.SetDown("a", "b", true)
+				s.Partition([]string{"a"}, []string{"b"})
 				s.SetLink("a", "b", Link{Latency: time.Millisecond})
 			},
 			sends: []send{
@@ -136,7 +136,7 @@ func TestFaultTopologyEdges(t *testing.T) {
 			s.MustAddNode("mute")
 			tc.setup(s)
 			for _, sd := range tc.sends {
-				err := s.Send(sd.from, sd.to, "x", 0)
+				err := s.Node(sd.from).Send(sd.to, "x", 0)
 				if !errors.Is(err, sd.wantErr) {
 					t.Errorf("Send %s->%s = %v, want %v", sd.from, sd.to, err, sd.wantErr)
 				}
@@ -186,7 +186,7 @@ func TestDroppedNoHandlerUnderPartition(t *testing.T) {
 	s.MustAddNode("a")
 	s.MustAddNode("mute") // never installs a handler
 
-	if err := s.Send("a", "mute", "one", 0); err != nil {
+	if err := s.Node("a").Send("mute", "one", 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
@@ -195,7 +195,7 @@ func TestDroppedNoHandlerUnderPartition(t *testing.T) {
 	}
 
 	s.Partition([]string{"a"}, []string{"mute"})
-	if err := s.Send("a", "mute", "two", 0); !errors.Is(err, ErrNoRoute) {
+	if err := s.Node("a").Send("mute", "two", 0); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("send across partition = %v", err)
 	}
 	s.Run()
@@ -207,7 +207,7 @@ func TestDroppedNoHandlerUnderPartition(t *testing.T) {
 	}
 
 	s.Heal([]string{"a"}, []string{"mute"})
-	if err := s.Send("a", "mute", "three", 0); err != nil {
+	if err := s.Node("a").Send("mute", "three", 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
@@ -219,25 +219,26 @@ func TestDroppedNoHandlerUnderPartition(t *testing.T) {
 	}
 }
 
-// TestSetDownPreservesLinkParams: SetDown toggles the Down flag in place, so
-// a tuned link keeps its latency across a down/up cycle — unlike SetLink,
-// which replaces the struct wholesale.
-func TestSetDownPreservesLinkParams(t *testing.T) {
+// TestHealPreservesLinkParams: a partition cuts a pair without touching its
+// link, so a tuned link keeps its latency across a partition and heal —
+// unlike SetLink, which replaces the struct wholesale. Heal also clears the
+// Down flag of a pair override between the groups, and only that flag.
+func TestHealPreservesLinkParams(t *testing.T) {
 	s := New(1, LANLink)
 	s.MustAddNode("a")
 	b := s.MustAddNode("b")
-	s.SetLink("a", "b", Link{Latency: 5 * time.Millisecond})
-	s.SetDown("a", "b", true)
-	s.SetDown("a", "b", false)
+	s.SetLink("a", "b", Link{Latency: 5 * time.Millisecond, Down: true})
+	s.Partition([]string{"a"}, []string{"b"})
+	s.Heal([]string{"a"}, []string{"b"})
 
 	var at time.Duration
 	b.SetHandler(func(Msg) { at = s.Now() })
-	if err := s.Send("a", "b", "x", 0); err != nil {
+	if err := s.Node("a").Send("b", "x", 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
 	if at != 5*time.Millisecond {
-		t.Errorf("delivery at %v, want 5ms (tuned latency lost across down/up)", at)
+		t.Errorf("delivery at %v, want 5ms (tuned latency lost across partition/heal)", at)
 	}
 }
 
@@ -251,7 +252,7 @@ func TestCrashDropsInFlight(t *testing.T) {
 	var got []string
 	b.SetHandler(func(m Msg) { got = append(got, m.Payload.(string)) })
 
-	if err := s.Send("a", "b", "doomed", 0); err != nil {
+	if err := s.Node("a").Send("b", "doomed", 0); err != nil {
 		t.Fatal(err)
 	}
 	s.At(time.Millisecond, func() { s.Crash("b") })
@@ -263,7 +264,7 @@ func TestCrashDropsInFlight(t *testing.T) {
 		if s.Crashed("b") {
 			t.Error("Crashed(b) = true after Restart")
 		}
-		if err := s.Send("a", "b", "fresh", 0); err != nil {
+		if err := s.Node("a").Send("b", "fresh", 0); err != nil {
 			t.Errorf("send after restart: %v", err)
 		}
 	})
@@ -290,11 +291,11 @@ func TestReorderLetsLaterSendOvertake(t *testing.T) {
 	// Reorder 1.0 always fires (Float64 is in [0,1)), so the hold is
 	// deterministic regardless of seed.
 	s.SetLink("a", "b", Link{Latency: time.Millisecond, Reorder: 1.0, ReorderDelay: 10 * time.Millisecond})
-	if err := s.Send("a", "b", "held", 0); err != nil {
+	if err := s.Node("a").Send("b", "held", 0); err != nil {
 		t.Fatal(err)
 	}
 	s.SetLink("a", "b", Link{Latency: time.Millisecond})
-	if err := s.Send("a", "b", "swift", 0); err != nil {
+	if err := s.Node("a").Send("b", "swift", 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()

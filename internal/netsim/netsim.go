@@ -17,8 +17,8 @@
 // default, see topology.go), and partitions are cut-set predicates rather
 // than per-pair state. A 10k-node two-region world is a node slice plus a
 // handful of link descriptors. String IDs remain the public addressing
-// scheme; the handles are an optimization layer that hot callers
-// (benchmarks, bulk workloads) may use directly via SendID.
+// scheme (Node.Send); the handles are an optimization layer that hot
+// callers (benchmarks, bulk workloads) may use directly via SendID.
 package netsim
 
 import (
@@ -139,7 +139,9 @@ func (n *Node) Region() RegionID { return n.region }
 func (n *Node) SetHandler(h Handler) { n.handler = h }
 
 // Send transmits payload of the given size to node to. It never blocks; the
-// message is delivered (or dropped) during simulation execution.
+// message is delivered (or dropped) during simulation execution, after the
+// link's loss, latency, jitter and bandwidth. Messages between the same pair
+// are delivered FIFO (the bandwidth serialization point enforces this).
 //
 //cscw:hotpath
 func (n *Node) Send(to string, payload any, size int) error {
@@ -276,12 +278,6 @@ func (s *Sim) Node(id string) *Node {
 	return s.nodes[nid]
 }
 
-// Handle resolves a node name to its dense handle.
-func (s *Sim) Handle(id string) (NodeID, bool) {
-	nid, ok := s.byName[id]
-	return nid, ok
-}
-
 // NodeCount reports the number of registered nodes.
 func (s *Sim) NodeCount() int { return len(s.nodes) }
 
@@ -350,68 +346,24 @@ func (s *Sim) At(delay time.Duration, fn func()) {
 	s.schedule(s.now+delay, e)
 }
 
-// Ticker is the handle returned by Every. Stop cancels the periodic
-// callback at its next firing; StopAfter schedules the cancellation at a
-// virtual-time deadline, so a ticker whose callback never returns false
-// still lets Run terminate.
-type Ticker struct {
-	s       *Sim
-	stopped bool
-}
-
-// Stop cancels the ticker. The already-scheduled next tick becomes a no-op
-// when it fires; no further ticks are scheduled.
-func (t *Ticker) Stop() { t.stopped = true }
-
-// StopAfter arranges for the ticker to stop d from now (virtual time). Ticks
-// strictly before the deadline still run; the tick landing exactly at the
-// deadline is cancelled (the stop event is scheduled first, so it wins the
-// same-timestamp tie).
-func (t *Ticker) StopAfter(d time.Duration) {
-	t.s.At(d, func() { t.stopped = true })
-}
-
 // Every schedules fn to run every interval, starting one interval from now,
-// until fn returns false or the returned Ticker is stopped. A callback that
-// never returns false keeps the event queue non-empty forever — callers
-// driving Run to completion must bound such tickers with Stop or StopAfter.
-func (s *Sim) Every(interval time.Duration, fn func() bool) *Ticker {
-	t := &Ticker{s: s}
+// until fn returns false. A callback that never returns false keeps the
+// event queue non-empty forever, so a caller driving Run to completion gives
+// its callback a condition (a deadline, a count, a done flag) to stop on.
+func (s *Sim) Every(interval time.Duration, fn func() bool) {
 	var tick func()
 	tick = func() {
-		if t.stopped {
-			return
-		}
 		if fn() {
 			s.At(interval, tick)
-		} else {
-			t.stopped = true
 		}
 	}
 	s.At(interval, tick)
-	return t
 }
 
-// Send schedules delivery of payload from one node to another, applying the
-// link's loss, latency, jitter and bandwidth. Messages between the same pair
-// are delivered FIFO (the bandwidth serialization point enforces this).
-//
-//cscw:hotpath
-func (s *Sim) Send(from, to string, payload any, size int) error {
-	src, ok := s.byName[from]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, from)
-	}
-	dst, ok := s.byName[to]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
-	}
-	return s.send(s.nodes[src], s.nodes[dst], payload, size)
-}
-
-// SendID is Send addressed by dense node handles, skipping the name lookups.
-// Bulk workloads (benchmarks, scenario generators) resolve names once via
-// Handle and then drive the simulator through this entry point.
+// SendID is Node.Send addressed by dense node handles, skipping the name
+// lookup. Bulk workloads (benchmarks, scenario generators) resolve names
+// once via Node.Handle and then drive the simulator through this entry
+// point.
 //
 //cscw:hotpath
 func (s *Sim) SendID(from, to NodeID, payload any, size int) error {

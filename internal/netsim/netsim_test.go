@@ -19,11 +19,14 @@ func TestAddNodeDuplicate(t *testing.T) {
 func TestSendUnknownNode(t *testing.T) {
 	s := New(1, LANLink)
 	s.MustAddNode("a")
-	if err := s.Send("a", "ghost", "x", 0); !errors.Is(err, ErrUnknownNode) {
+	if err := s.Node("a").Send("ghost", "x", 0); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("Send to unknown = %v, want ErrUnknownNode", err)
 	}
-	if err := s.Send("ghost", "a", "x", 0); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("Send from unknown = %v, want ErrUnknownNode", err)
+	if err := s.SendID(0, 7, "x", 0); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("SendID to unknown = %v, want ErrUnknownNode", err)
+	}
+	if err := s.SendID(7, 0, "x", 0); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("SendID from unknown = %v, want ErrUnknownNode", err)
 	}
 }
 
@@ -37,7 +40,7 @@ func TestDeliveryLatency(t *testing.T) {
 		deliveredAt = s.Now()
 		got = m
 	})
-	if err := s.Send("a", "b", "hello", 100); err != nil {
+	if err := s.Node("a").Send("b", "hello", 100); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
@@ -59,7 +62,7 @@ func TestFIFOPerLink(t *testing.T) {
 	var order []int
 	b.SetHandler(func(m Msg) { order = append(order, m.Payload.(int)) })
 	for i := 0; i < 5; i++ {
-		if err := s.Send("a", "b", i, 500); err != nil {
+		if err := s.Node("a").Send("b", i, 500); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,8 +84,8 @@ func TestBandwidthSerialization(t *testing.T) {
 	b := s.MustAddNode("b")
 	var times []time.Duration
 	b.SetHandler(func(m Msg) { times = append(times, s.Now()) })
-	s.Send("a", "b", 1, 500)
-	s.Send("a", "b", 2, 500)
+	s.Node("a").Send("b", 1, 500)
+	s.Node("a").Send("b", 2, 500)
 	s.Run()
 	if len(times) != 2 {
 		t.Fatalf("delivered %d", len(times))
@@ -99,7 +102,7 @@ func TestLoss(t *testing.T) {
 	delivered := 0
 	b.SetHandler(func(Msg) { delivered++ })
 	for i := 0; i < 10; i++ {
-		if err := s.Send("a", "b", i, 0); err != nil {
+		if err := s.Node("a").Send("b", i, 0); err != nil {
 			t.Fatalf("lossy send should not error: %v", err)
 		}
 	}
@@ -119,12 +122,12 @@ func TestLinkDown(t *testing.T) {
 	b := s.MustAddNode("b")
 	delivered := 0
 	b.SetHandler(func(Msg) { delivered++ })
-	s.SetDown("a", "b", true)
-	if err := s.Send("a", "b", "x", 0); !errors.Is(err, ErrNoRoute) {
+	s.Partition([]string{"a"}, []string{"b"})
+	if err := s.Node("a").Send("b", "x", 0); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("Send over down link = %v, want ErrNoRoute", err)
 	}
-	s.SetDown("a", "b", false)
-	if err := s.Send("a", "b", "x", 0); err != nil {
+	s.Heal([]string{"a"}, []string{"b"})
+	if err := s.Node("a").Send("b", "x", 0); err != nil {
 		t.Errorf("Send after restore: %v", err)
 	}
 	s.Run()
@@ -139,14 +142,14 @@ func TestPartitionHeal(t *testing.T) {
 		s.MustAddNode(id)
 	}
 	s.Partition([]string{"a"}, []string{"b", "c"})
-	if err := s.Send("a", "b", "x", 0); !errors.Is(err, ErrNoRoute) {
+	if err := s.Node("a").Send("b", "x", 0); !errors.Is(err, ErrNoRoute) {
 		t.Error("a->b should be severed")
 	}
-	if err := s.Send("b", "c", "x", 0); err != nil {
+	if err := s.Node("b").Send("c", "x", 0); err != nil {
 		t.Errorf("b->c inside partition should work: %v", err)
 	}
 	s.Heal([]string{"a"}, []string{"b", "c"})
-	if err := s.Send("a", "b", "x", 0); err != nil {
+	if err := s.Node("a").Send("b", "x", 0); err != nil {
 		t.Errorf("after heal: %v", err)
 	}
 }
@@ -199,7 +202,7 @@ func TestDeterminism(t *testing.T) {
 		var times []time.Duration
 		b.SetHandler(func(Msg) { times = append(times, s.Now()) })
 		for i := 0; i < 50; i++ {
-			s.Send("a", "b", i, 10)
+			s.Node("a").Send("b", i, 10)
 		}
 		s.Run()
 		return times
@@ -229,7 +232,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Send("a", "b", i, 64)
+		s.Node("a").Send("b", i, 64)
 		if i%1024 == 0 {
 			s.Run()
 		}

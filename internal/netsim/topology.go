@@ -9,7 +9,7 @@
 //	tier 3: the simulator default     (New's defaultLink)
 //
 // A 10k-node two-region world is two region rows and ~4 link descriptors.
-// Downness from Partition/SetDown lives outside the descriptors entirely,
+// Downness from Partition lives outside the descriptors entirely,
 // as a list of directional cut predicates (src-set × dst-set bitsets); a
 // send is blocked when any cut covers its (from, to) pair. Healing
 // subtracts product sets from the cuts, so partial heals keep the exact
@@ -94,7 +94,7 @@ func (s *Sim) SetRegionBiLink(a, b RegionID, l Link) {
 
 // SetLink installs a tier-1 unidirectional link override between two
 // registered nodes. It replaces the pair's effective link wholesale —
-// including any downness a Partition or SetDown had imposed on that
+// including any downness a Partition had imposed on that
 // direction, matching the flat model where SetLink replaced the pair's
 // whole state. Unknown node names are ignored (links connect registered
 // nodes; use LinkBetween for the would-be default).
@@ -289,7 +289,7 @@ func (s *Sim) Partition(groupA, groupB []string) {
 // Heal restores all links between the two groups by subtracting the
 // product sets A×B and B×A from every active cut. A heal of pairs that
 // were never severed is a no-op; a partial heal (subset groups) leaves the
-// remaining pairs severed, exactly as per-pair SetDown(false) calls would.
+// remaining pairs severed, exactly as per-pair heals would.
 // Heal also clears the Down flag on tier-1 pair overrides between the
 // groups, mirroring the flat model where healing rewrote per-pair state.
 func (s *Sim) Heal(groupA, groupB []string) {
@@ -302,29 +302,6 @@ func (s *Sim) Heal(groupA, groupB []string) {
 	s.subtractCut(b, a)
 	s.clearOverrideDown(a, b)
 	s.clearOverrideDown(b, a)
-}
-
-// SetDown raises or clears the Down flag on both directions between a and b.
-// Raising installs single-pair cuts; clearing subtracts them (and clears
-// Down on any pair overrides), leaving tuned link parameters untouched.
-// Unknown node names are ignored.
-func (s *Sim) SetDown(a, b string, down bool) {
-	na, aok := s.byName[a]
-	nb, bok := s.byName[b]
-	if !aok || !bok {
-		return
-	}
-	sa, sb := s.singleton(na), s.singleton(nb)
-	if down {
-		if !s.cutsBlock(na, nb) || !s.cutsBlock(nb, na) {
-			s.cuts = append(s.cuts, cut{src: sa, dst: sb}, cut{src: sb, dst: sa})
-		}
-		return
-	}
-	s.subtractCut(sa, sb)
-	s.subtractCut(sb, sa)
-	s.clearOverrideDown(sa, sb)
-	s.clearOverrideDown(sb, sa)
 }
 
 // subtractCut removes the product set hs×hd from every active cut, using

@@ -10,51 +10,61 @@ import (
 // throughput (the simulator itself never reads wall time).
 func wallClock() time.Duration { return time.Duration(time.Now().UnixNano()) }
 
-// --- Every / Ticker regression (satellite: a never-false callback used to
-// make Run() non-terminating; Stop/StopAfter bound it) ---
+// --- Every stops when its callback says so (a never-false callback would
+// make Run() non-terminating, so every program's ticker checks a deadline) ---
 
-func TestEveryTickerStopAfter(t *testing.T) {
+func TestEveryStopsAtDeadline(t *testing.T) {
 	s := New(1, LocalLink)
 	ticks := 0
-	tk := s.Every(10*time.Millisecond, func() bool {
+	s.Every(10*time.Millisecond, func() bool {
 		ticks++
-		return true // never volunteers to stop
+		return s.Now() < 50*time.Millisecond
 	})
-	tk.StopAfter(55 * time.Millisecond)
 	end := s.Run() // must terminate
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5 (at 10..50ms)", ticks)
 	}
-	if end != 60*time.Millisecond {
-		// The final (cancelled) tick event at 60ms still advances the clock.
-		t.Fatalf("end = %v, want 60ms", end)
+	if end != 50*time.Millisecond || s.Pending() != 0 {
+		t.Fatalf("end = %v with %d pending, want 50ms and none", end, s.Pending())
 	}
 }
 
-func TestEveryTickerStopAfterDeadlineTie(t *testing.T) {
-	// A tick landing exactly at the StopAfter deadline is cancelled: the
-	// stop event was scheduled earlier, so it wins the same-timestamp tie.
+// TestEveryDeadlineTieStopsTick: a deadline event scheduled before the
+// ticker runs first at their shared time, so the tick at the deadline sees it.
+func TestEveryDeadlineTieStopsTick(t *testing.T) {
 	s := New(1, LocalLink)
-	ticks := 0
-	tk := s.Every(10*time.Millisecond, func() bool { ticks++; return true })
-	tk.StopAfter(30 * time.Millisecond)
-	s.Run()
-	if ticks != 2 {
-		t.Fatalf("ticks = %d, want 2 (10ms, 20ms; 30ms tied with stop and cancelled)", ticks)
+	stop, ticks := false, 0
+	s.At(30*time.Millisecond, func() { stop = true })
+	s.Every(10*time.Millisecond, func() bool {
+		if stop {
+			return false
+		}
+		ticks++
+		return true
+	})
+	end := s.Run()
+	if ticks != 2 || end != 30*time.Millisecond {
+		t.Fatalf("ticks = %d, end = %v; want 2 (10ms, 20ms) and 30ms", ticks, end)
 	}
 }
 
-func TestEveryTickerStopImmediate(t *testing.T) {
+// TestEveryStopsOnFlagBetweenTicks: a stop set by another event between
+// ticks takes effect at the next tick, which schedules nothing more.
+func TestEveryStopsOnFlagBetweenTicks(t *testing.T) {
 	s := New(1, LocalLink)
-	ticks := 0
-	tk := s.Every(5*time.Millisecond, func() bool { ticks++; return true })
-	s.At(12*time.Millisecond, func() { tk.Stop() })
-	s.Run()
-	if ticks != 2 {
-		t.Fatalf("ticks = %d, want 2 (5ms, 10ms)", ticks)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after Run", s.Pending())
+	stop, ticks := false, 0
+	s.Every(5*time.Millisecond, func() bool {
+		if stop {
+			return false
+		}
+		ticks++
+		return true
+	})
+	s.At(12*time.Millisecond, func() { stop = true })
+	end := s.Run()
+	if ticks != 2 || end != 15*time.Millisecond || s.Pending() != 0 {
+		t.Fatalf("ticks = %d, end = %v, pending = %d; want 2 (5ms, 10ms), 15ms, 0",
+			ticks, end, s.Pending())
 	}
 }
 
@@ -78,9 +88,9 @@ func TestRunUntilDeadlineTie(t *testing.T) {
 	}
 }
 
-// --- bandwidth FIFO serialization across SetDown/heal cycles (satellite) ---
+// --- bandwidth FIFO serialization across partition/heal cycles (satellite) ---
 
-func TestBusyUntilSurvivesSetDownHeal(t *testing.T) {
+func TestBusyUntilSurvivesPartitionHeal(t *testing.T) {
 	s := New(1, Link{Latency: 0, Bandwidth: 1000}) // 1000 B/s, zero latency
 	s.MustAddNode("a")
 	s.MustAddNode("b")
@@ -88,25 +98,25 @@ func TestBusyUntilSurvivesSetDownHeal(t *testing.T) {
 	s.Node("b").SetHandler(func(m Msg) { arrivals = append(arrivals, s.Now()) })
 
 	// First 500B message occupies the wire until 500ms.
-	if err := s.Send("a", "b", nil, 500); err != nil {
+	if err := s.Node("a").Send("b", nil, 500); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.BusyUntil("a", "b"); got != 500*time.Millisecond {
 		t.Fatalf("busyUntil = %v, want 500ms", got)
 	}
 
-	// A down/heal cycle must not reset the serialization point.
-	s.SetDown("a", "b", true)
-	if err := s.Send("a", "b", nil, 500); err == nil {
+	// A partition/heal cycle must not reset the serialization point.
+	s.Partition([]string{"a"}, []string{"b"})
+	if err := s.Node("a").Send("b", nil, 500); err == nil {
 		t.Fatal("send over downed link succeeded")
 	}
-	s.SetDown("a", "b", false)
+	s.Heal([]string{"a"}, []string{"b"})
 	if got := s.BusyUntil("a", "b"); got != 500*time.Millisecond {
 		t.Fatalf("busyUntil after down/heal = %v, want 500ms", got)
 	}
 
 	// Second message queues behind the first: arrives at 1s, not 500ms.
-	if err := s.Send("a", "b", nil, 500); err != nil {
+	if err := s.Node("a").Send("b", nil, 500); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
@@ -161,7 +171,7 @@ func TestRegionLinkDelivery(t *testing.T) {
 	s.MustAddNodeAt(west, "w1")
 	var at time.Duration
 	s.Node("w1").SetHandler(func(m Msg) { at = s.Now() })
-	if err := s.Send("e1", "w1", "hi", 0); err != nil {
+	if err := s.Node("e1").Send("w1", "hi", 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
@@ -195,10 +205,10 @@ func TestPartitionDoesNotAffectLaterNodes(t *testing.T) {
 	s.MustAddNode("c") // registered after the cut was built
 	got := 0
 	s.MustAddNode("d").SetHandler(func(m Msg) { got++ })
-	if err := s.Send("c", "d", nil, 0); err != nil {
+	if err := s.Node("c").Send("d", nil, 0); err != nil {
 		t.Fatalf("send between post-partition nodes: %v", err)
 	}
-	if err := s.Send("a", "b", nil, 0); err == nil {
+	if err := s.Node("a").Send("b", nil, 0); err == nil {
 		t.Fatal("partitioned pair delivered")
 	}
 	s.Run()
@@ -212,7 +222,7 @@ func TestPartitionUnknownNamesSkipped(t *testing.T) {
 	s.MustAddNode("a")
 	s.MustAddNode("b")
 	s.Partition([]string{"a", "ghost"}, []string{"b"})
-	if err := s.Send("a", "b", nil, 0); err == nil {
+	if err := s.Node("a").Send("b", nil, 0); err == nil {
 		t.Fatal("a->b should be severed")
 	}
 	// A partition naming only unknown nodes is a no-op, not a panic.
@@ -250,27 +260,25 @@ func TestPartitionAllocBudget(t *testing.T) {
 }
 
 // TestSendSteadyStateAllocBudget: a steady-state send+deliver cycle
-// allocates nothing through every entry point, Node.Send and Sim.SendID as
-// well as Sim.Send, and a send while an unrelated cut is active (cutsBlock
-// testing the cut's node sets) allocates nothing either: events are pooled
-// and delivery dispatch is typed. The cut case runs last and keeps its cut.
+// allocates nothing through either entry point, Node.Send and Sim.SendID,
+// and a send while an unrelated cut is active (cutsBlock testing the cut's
+// node sets) allocates nothing either: events are pooled and delivery
+// dispatch is typed. The cut case runs last and keeps its cut.
 func TestSendSteadyStateAllocBudget(t *testing.T) {
 	s := New(1, Link{Latency: time.Millisecond, Bandwidth: 1_250_000})
 	a := s.MustAddNode("a")
 	s.MustAddNode("b").SetHandler(func(m Msg) {})
 	s.MustAddNode("c")
 	s.MustAddNode("d")
-	ha, _ := s.Handle("a")
-	hb, _ := s.Handle("b")
+	ha, hb := a.Handle(), s.Node("b").Handle()
 	for _, c := range []struct {
 		name string
 		send func() error
 		cut  bool
 	}{
-		{"Sim.Send", func() error { return s.Send("a", "b", nil, 64) }, false},
 		{"Node.Send", func() error { return a.Send("b", nil, 64) }, false},
 		{"Sim.SendID", func() error { return s.SendID(ha, hb, nil, 64) }, false},
-		{"Sim.Send past an unrelated cut", func() error { return s.Send("a", "b", nil, 64) }, true},
+		{"Node.Send past an unrelated cut", func() error { return a.Send("b", nil, 64) }, true},
 	} {
 		if c.cut {
 			s.Partition([]string{"c"}, []string{"d"})

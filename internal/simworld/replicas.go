@@ -20,9 +20,9 @@ import (
 type Replicas struct {
 	IDs  []string
 	Docs map[string]engine.Doc
-	// Applied, when set, runs after a site has applied one delivery and
-	// forwarded what that produced.
-	Applied func(site string)
+	// Applied, when set, runs after a site has applied one delivery (the
+	// decoded payload) and forwarded what that produced.
+	Applied func(site string, payload any)
 
 	w     *World
 	codec *fabric.Codec
@@ -148,6 +148,6 @@ func (r *Replicas) receive(site, from string, payload any) {
 	}
 	r.send(site, out)
 	if r.Applied != nil {
-		r.Applied(site)
+		r.Applied(site, body)
 	}
 }

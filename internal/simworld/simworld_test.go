@@ -161,7 +161,7 @@ func TestReplicasBroadcastAndTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	applied := make(map[string]int)
-	reps.Applied = func(site string) { applied[site]++ }
+	reps.Applied = func(site string, _ any) { applied[site]++ }
 	reps.Insert("r2", 0, 'q')
 	if reps.Converged() {
 		t.Error("Converged before the edit was delivered")
