@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"log"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,14 +48,12 @@ func DaemonTCPBench(eng string) func(b *testing.B) {
 // grows with the number of ops. An op is done when every replica has
 // applied it, counted from Pump.Deliver: 3 applications per op under CRDT
 // (the other replicas apply the op) and 4 under OT (every replica applies
-// the commit). The daemon's per-item log line is discarded while the rig
-// runs.
+// the commit).
 type daemonRig struct {
 	d     *daemon.Daemon
 	peers []*daemon.Participant
 	perOp int64
 	ops   int
-	logTo io.Writer // the log output the rig replaced
 
 	applied      atomic.Int64
 	landed       chan struct{} // one token per finished op, or per failure
@@ -67,17 +63,16 @@ type daemonRig struct {
 }
 
 // rigWarmOps is how many ops startDaemonRig runs before it returns: enough
-// that every connection has carried frames both ways and that the log's
-// sequence numbers are past 255, below which the daemon's per-item log line
-// boxes them without allocating.
+// that every connection has carried frames both ways and that the session
+// log and the OT commit log hold more than chunklog.Size entries, past the
+// first chunk, which grows by doubling where later ones are allocated whole.
 const rigWarmOps = 300
 
 func startDaemonRig(eng string) (r *daemonRig, err error) {
-	r = &daemonRig{perOp: 3, landed: make(chan struct{}, 1), logTo: log.Writer()}
+	r = &daemonRig{perOp: 3, landed: make(chan struct{}, 1)}
 	if eng == engine.OT {
 		r.perOp = 4
 	}
-	log.SetOutput(io.Discard)
 	defer func() {
 		if err != nil {
 			r.close()
@@ -149,5 +144,4 @@ func (r *daemonRig) close() {
 	if r.d != nil {
 		_ = r.d.Close() // teardown
 	}
-	log.SetOutput(r.logTo)
 }

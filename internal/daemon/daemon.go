@@ -83,8 +83,8 @@ func (cfg Config) mode() (session.Mode, error) {
 }
 
 // NewHost is the daemon above its TCP edge, on any endpoint and clock: a
-// session.Host that logs every item and, with Engine ot, integrates eng/op
-// submissions. It reads Mode, Shards, Shard, Engine and OnIntegrate.
+// session.Host that, with Engine ot, integrates eng/op submissions. It reads
+// Mode, Shards, Shard, Engine and OnIntegrate.
 func NewHost(ep fabric.Endpoint, clock fabric.Clock, cfg Config) (*session.Host, error) {
 	mode, err := cfg.mode()
 	if err != nil {
@@ -115,11 +115,6 @@ func NewHost(ep fabric.Endpoint, clock fabric.Clock, cfg Config) (*session.Host,
 	}
 	// OnItem runs outside the host lock, so PostLocal from inside it is safe.
 	host.OnItem = func(doc string, it session.Item) {
-		name := doc
-		if name == "" {
-			name = "(unnamed)"
-		}
-		log.Printf("item %s#%d from %s (%s): %s", name, it.Seq, it.From, it.Kind, engine.ShowItemBody(it.Kind, it.Body))
 		switch {
 		case cfg.Engine != engine.OT || it.Kind != engine.ItemKind || it.From == session.HostAuthor:
 		case cfg.OnIntegrate != nil:

@@ -2,8 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"io"
-	"log"
 	"math/rand"
 	"os"
 	"reflect"
@@ -22,12 +20,6 @@ import (
 	"repro/internal/simworld"
 	"repro/internal/transport"
 )
-
-// The daemon logs a line per item.
-func TestMain(m *testing.M) {
-	log.SetOutput(io.Discard)
-	os.Exit(m.Run())
-}
 
 const wait = 5 * time.Second
 
@@ -543,6 +535,42 @@ func TestHostCoreOnSimulator(t *testing.T) {
 	}
 	if got := host.Host("doc").LogLen(); got != 6 {
 		t.Errorf("log holds %d items, want 3 submissions and 3 commits", got)
+	}
+}
+
+// nullEndpoint swallows sends: what is left is the host's own work.
+type nullEndpoint struct{}
+
+func (nullEndpoint) ID() string                  { return hostID }
+func (nullEndpoint) Send(string, any, int) error { return nil }
+func (nullEndpoint) SetHandler(fabric.Handler)   {}
+func (nullEndpoint) Close() error                { return nil }
+
+// TestNewHostPostAllocs: the relay daemon's host core adds nothing to a post.
+// With Engine crdt, Host.Receive of a four-member post allocates what
+// session's TestHostReceivePostAllocs pins for a host with an OnItem (1, the
+// push the three others share). The count is taken past sequence number 255,
+// where boxing a sequence number for a log line would allocate.
+func TestNewHostPostAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	host, err := NewHost(nullEndpoint{}, func() time.Duration { return 0 }, Config{Mode: "sync", Shards: 1, Engine: engine.CRDT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"p0", "p1", "p2", "p3"} {
+		host.Receive(name, &session.MsgJoin{Doc: "doc", From: name, State: session.Active})
+	}
+	post := &session.MsgPost{Doc: "doc", From: "p0", Kind: engine.ItemKind, Body: "|" + strings.Repeat("QUJD", 20)}
+	for range 300 {
+		host.Receive("p0", post)
+	}
+	if n := testing.AllocsPerRun(200, func() { host.Receive("p0", post) }); n != 1 {
+		t.Errorf("Host.Receive of a four-member post allocates %v objects under NewHost, want 1", n)
+	}
+	if got := host.Host("doc").LogLen(); got != 501 { // 300, AllocsPerRun's warm-up, then 200 runs
+		t.Errorf("log holds %d items, want 501", got)
 	}
 }
 

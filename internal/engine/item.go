@@ -93,7 +93,7 @@ func DecodeItemBody(codec *fabric.Codec, body string) (to string, payload any, e
 // for, or "" for every replica (and for a body with no separator).
 func ItemTo(body string) string { return body[:max(strings.IndexByte(body, '|'), 0)] }
 
-// ShowItemBody renders an item body for a log line or a terminal. An eng/op
+// ShowItemBody renders an item body for a terminal (cscwctl). An eng/op
 // body is raw bytes after its address, so it shows as "<to>|<n bytes>" (just
 // "<n bytes>" without a separator); any other kind's body shows as it is.
 func ShowItemBody(kind, body string) string {

@@ -3,6 +3,8 @@ package ot
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/chunklog"
 )
 
 // The Server/Client pair integrates operations through a central commit
@@ -26,12 +28,13 @@ type Committed struct {
 var ErrBadRevision = errors.New("ot: bad base revision")
 
 // Server is the central integration point. It holds the authoritative
-// document, edited in place by each submission, and one commit log: log[i]
+// document, edited in place by each submission, and one commit log: entry i
 // is the commit that made revision i+1, the transform context of later
-// submissions and the source of resync pulls.
+// submissions and the source of resync pulls. The log is kept in fixed
+// chunks, so a commit never copies the ones before it.
 type Server struct {
 	doc []rune
-	log []Committed
+	log chunklog.Log[Committed]
 }
 
 // NewServer creates a server with the initial document.
@@ -43,26 +46,27 @@ func NewServer(initial string) *Server {
 func (s *Server) Text() string { return string(s.doc) }
 
 // Rev returns the current revision (number of committed operations).
-func (s *Server) Rev() int { return len(s.log) }
+func (s *Server) Rev() int { return s.log.Len() }
 
 // Submit integrates an operation generated against revision base: it is
 // transformed against everything committed since, applied, and returned in
 // committed form for broadcast to all clients (including the sender, as its
 // acknowledgement).
 func (s *Server) Submit(op Op, base int, site string, seq uint64) (Committed, error) {
-	if base < 0 || base > len(s.log) {
-		return Committed{}, fmt.Errorf("%w: %d (rev %d)", ErrBadRevision, base, len(s.log))
+	rev := s.log.Len()
+	if base < 0 || base > rev {
+		return Committed{}, fmt.Errorf("%w: %d (rev %d)", ErrBadRevision, base, rev)
 	}
-	for _, h := range s.log[base:] {
-		op = Transform(op, h.Op)
+	for i := base; i < rev; i++ {
+		op = Transform(op, s.log.At(i).Op)
 	}
 	doc, err := Apply(s.doc, op)
 	if err != nil {
 		return Committed{}, fmt.Errorf("server apply: %w", err)
 	}
 	s.doc = doc
-	cm := Committed{Op: op, Rev: len(s.log) + 1, Site: site, Seq: seq}
-	s.log = append(s.log, cm)
+	cm := Committed{Op: op, Rev: rev + 1, Site: site, Seq: seq}
+	s.log.Append(cm)
 	return cm, nil
 }
 
@@ -74,12 +78,10 @@ func (s *Server) CommittedSince(base int) []Committed {
 	if base < 0 {
 		base = 0
 	}
-	if base >= len(s.log) {
+	if base >= s.log.Len() {
 		return nil
 	}
-	out := make([]Committed, len(s.log)-base)
-	copy(out, s.log[base:])
-	return out
+	return s.log.Copy(base, s.log.Len())
 }
 
 // Client is an editing site in the centrally-ordered model. It keeps at

@@ -1,12 +1,14 @@
 package session
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/netsim"
+	"repro/internal/ot"
 )
 
 // TestClientReceivePushAllocs pins the push hot path: once the outbox's
@@ -48,10 +50,10 @@ func (nullEndpoint) Close() error                { return nil }
 // MsgItems, whose item slice is the log itself, and that is all: each push
 // and the OnItem call are queued inline on the outbox, whose array is
 // recycled, and the member list is sorted at join, not per post. The log's
-// few doublings over the run round away in the per-run average. Under the
-// daemon's OT shape an OnItem that PostLocals a commit adds one more: the
-// submitter's own push of the commit, while the other three get the
-// submission and the commit in the message they share.
+// first chunk doubling, and then a new chunk every 256 items, round away in
+// the per-run average. Under the daemon's OT shape an OnItem that PostLocals
+// a commit adds one more: the submitter's own push of the commit, while the
+// other three get the submission and the commit in the message they share.
 func TestHostReceivePostAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -86,4 +88,64 @@ func TestHostReceivePostAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLogBytesFlat: a log that lives as long as its session costs the same
+// per entry however long it has grown. Host.Receive of a four-member post
+// and ot.Server.Submit of an edit each allocate no more bytes per call over
+// 100 000 calls than over 1 000. A log grown by append copies its history at
+// every growth, by a quarter at a time past a few hundred entries, so its
+// bytes per call rise with its length: about 194 B per post at 1 000 posts
+// and 393 B at 100 000.
+func TestLogBytesFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	for _, tc := range []struct {
+		name  string
+		start func(t *testing.T) func() // a fresh log and one call that appends to it
+	}{
+		{"Host.Receive", func(*testing.T) func() {
+			h := NewHost(nullEndpoint{}, Synchronous, func() time.Duration { return 0 })
+			h.OnItem = func(string, Item) {}
+			for _, name := range []string{"p0", "p1", "p2", "p3"} {
+				h.Receive(name, &MsgJoin{From: name, State: Active})
+			}
+			post := &MsgPost{From: "p0", Kind: "eng/op", Body: "|" + strings.Repeat("QUJD", 20)}
+			return func() { h.Receive("p0", post) }
+		}},
+		{"ot.Server.Submit", func(t *testing.T) func() {
+			s := ot.NewServer("")
+			var seq uint64
+			return func() { // an insert, then its delete: the document stays small
+				op := ot.Op{Kind: ot.Insert, Ch: 'x'}
+				if seq%2 == 1 {
+					op = ot.Op{Kind: ot.Delete}
+				}
+				seq++
+				if _, err := s.Submit(op, s.Rev(), "p0", seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			small, large := bytesPerCall(tc.start(t), 1000), bytesPerCall(tc.start(t), 100_000)
+			t.Logf("%.0f B per call over 1 000 calls, %.0f B over 100 000", small, large)
+			if large > small {
+				t.Errorf("%.0f B per call over 100 000 calls, more than the %.0f B over 1 000", large, small)
+			}
+		})
+	}
+}
+
+// bytesPerCall runs call n times and returns the bytes allocated per call.
+func bytesPerCall(call func(), n int) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chunklog"
 	"repro/internal/fabric"
 )
 
@@ -151,8 +152,10 @@ type docHost struct {
 	mu  sync.Mutex
 	out *fabric.Outbox
 
-	mode  Mode
-	log   []Item
+	mode Mode
+	// log holds items 1..seq at indexes 0..seq-1, in fixed chunks, so that
+	// logging an item never copies the ones before it.
+	log   chunklog.Log[Item]
 	seq   uint64
 	parts map[string]*partState
 	// ids is the joined participants, sorted. A join replaces the slice
@@ -198,7 +201,7 @@ func (d *docHost) Stats() HostStats {
 func (d *docHost) LogLen() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.log)
+	return int(d.seq)
 }
 
 // Members returns joined participants (any presence), sorted.
@@ -324,10 +327,10 @@ func (d *docHost) PostLocal(kind, body string) {
 // Callers hold d.mu.
 func (d *docHost) appendItem(from, kind, body string) {
 	d.seq++
-	d.log = append(d.log, Item{Seq: d.seq, From: from, Kind: kind, Body: body, At: d.host.clock()})
+	it := d.log.Append(Item{Seq: d.seq, From: from, Kind: kind, Body: body, At: d.host.clock()})
 	d.stats.Posts++
 	if d.host.OnItem != nil {
-		d.out.Deliver(&d.log[len(d.log)-1], 0)
+		d.out.Deliver(it, 0)
 	}
 	if d.mode != Synchronous {
 		return
@@ -358,13 +361,15 @@ func (d *docHost) appendItem(from, kind, body string) {
 
 // seal queues one push per owed member: the items of its range that it did
 // not post. Members owed the same range, none of it their own, share one
-// message over the log itself, which receivers only read. Callers hold d.mu.
+// message over the log itself, which receivers only read: a range within
+// one of the log's chunks is that chunk's storage, and one that crosses
+// chunks is a copy. Callers hold d.mu.
 func (d *docHost) seal() {
 	var shared *MsgItems // the last unfiltered push, of (from, to]
 	var from, to uint64
 	for _, p := range d.owed {
 		p.owed = false
-		owed := d.log[p.from:p.acked:p.acked]
+		owed := d.log.Slice(int(p.from), int(p.acked))
 		push := shared
 		if slices.ContainsFunc(owed, p.wrote) {
 			push = &MsgItems{Doc: d.key, Items: d.unseen(p, p.from, p.acked)}
@@ -431,7 +436,13 @@ func (d *docHost) catchUp(p *partState, since uint64) []Item {
 // a member is never sent its own items. Sequence numbers are dense (1..seq),
 // so it indexes the log directly.
 func (d *docHost) unseen(p *partState, since, upto uint64) []Item {
-	return slices.DeleteFunc(slices.Clone(d.log[since:upto]), p.wrote)
+	out := make([]Item, 0, upto-since)
+	for i := int(since); i < int(upto); i++ {
+		if it := d.log.At(i); !p.wrote(it) {
+			out = append(out, it)
+		}
+	}
+	return out
 }
 
 func (p *partState) wrote(it Item) bool { return it.From == p.id }
