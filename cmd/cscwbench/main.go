@@ -25,6 +25,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,6 +40,7 @@ import (
 )
 
 func main() {
+	testing.Init() // a failing row's benchmark reads the test flags
 	if err := run(os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
@@ -59,11 +61,29 @@ func run(args []string) error {
 	}
 
 	rep := bench.NewReport(*date, *seed)
-	add := func(name string, fn func(*testing.B)) {
+	var failed []string
+	measure := func(name string, msgsPerOp int, fn func(*testing.B)) (bench.Result, bool) {
 		fmt.Fprintf(os.Stderr, "bench %s...\n", name)
-		res := rep.Add(name, 1, fn)
-		fmt.Fprintf(os.Stderr, "  %d iters, %.0f ns/op, %.0f msgs/sec, %.0f allocs/op\n",
-			res.Iters, res.NsPerOp, res.MsgsPerSec, res.AllocsPerOp)
+		res, err := rep.Add(name, msgsPerOp, fn)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "  %v\n", err)
+			failed = append(failed, name)
+		}
+		return res, err == nil
+	}
+	add := func(name string, fn func(*testing.B)) {
+		if res, ok := measure(name, 1, fn); ok {
+			fmt.Fprintf(os.Stderr, "  %d iters, %.0f ns/op, %.0f msgs/sec, %.0f allocs/op\n",
+				res.Iters, res.NsPerOp, res.MsgsPerSec, res.AllocsPerOp)
+		}
+	}
+	// finish writes the report, unless a row failed: then the run fails
+	// and names the rows.
+	finish := func() error {
+		if len(failed) > 0 {
+			return fmt.Errorf("cscwbench: failed rows: %s", strings.Join(failed, ", "))
+		}
+		return writeReport(rep, *out)
 	}
 
 	// Lint-suite timing row (run from the module root, like `make lint`):
@@ -71,7 +91,7 @@ func run(args []string) error {
 	// dated BENCH_<date>-lint.json.
 	if *lintOnly {
 		add("lint_wall_ms", lintWall())
-		return writeReport(rep, *out)
+		return finish()
 	}
 
 	seq := bench.MulticastOptions{Members: 8, Ordering: group.TotalSequencer, Seed: *seed}
@@ -119,10 +139,10 @@ func run(args []string) error {
 	if !*quick {
 		add("netsim_scale_10k", bench.NetsimScaleBench(10_000, *seed))
 		add("netsim_partition_10k", bench.NetsimPartitionBench(10_000, *seed))
-		fmt.Fprintln(os.Stderr, "bench netsim_drain_10k_1m...")
-		drain := rep.Add("netsim_drain_10k_1m", 1_000_000, bench.NetsimDrainBench(10_000, 1_000_000, *seed))
-		fmt.Fprintf(os.Stderr, "  %d iters, %.0f ns/op, %.0f events/sec\n",
-			drain.Iters, drain.NsPerOp, drain.MsgsPerSec)
+		if drain, ok := measure("netsim_drain_10k_1m", 1_000_000, bench.NetsimDrainBench(10_000, 1_000_000, *seed)); ok {
+			fmt.Fprintf(os.Stderr, "  %d iters, %.0f ns/op, %.0f events/sec\n",
+				drain.Iters, drain.NsPerOp, drain.MsgsPerSec)
+		}
 	}
 
 	// Virtual-time latency profiles for the ordering hot path: batching
@@ -170,7 +190,7 @@ func run(args []string) error {
 		add("lint_wall_ms", lintWall())
 	}
 
-	return writeReport(rep, *out)
+	return finish()
 }
 
 func writeReport(rep *bench.Report, out string) error {

@@ -63,10 +63,17 @@ func NewReport(date string, seed int64) *Report {
 // Add measures fn with testing.Benchmark and records it. msgsPerOp scales
 // the throughput figure: a multicast op that fans out to 8 members still
 // counts as one message through the ordering path, so most callers pass 1.
-func (r *Report) Add(name string, msgsPerOp int, fn func(b *testing.B)) Result {
-	res := FromBenchmark(name, testing.Benchmark(fn), msgsPerOp)
+// A benchmark that fails before it times an iteration is recorded as
+// nothing, and the error names its row. Outside a test binary,
+// testing.Init must have run: a failing benchmark reads the test flags.
+func (r *Report) Add(name string, msgsPerOp int, fn func(b *testing.B)) (Result, error) {
+	br := testing.Benchmark(fn)
+	if br.N == 0 {
+		return Result{}, fmt.Errorf("bench: row %s failed before timing an iteration", name)
+	}
+	res := FromBenchmark(name, br, msgsPerOp)
 	r.Results = append(r.Results, res)
-	return res
+	return res, nil
 }
 
 // FromBenchmark converts a testing.BenchmarkResult.

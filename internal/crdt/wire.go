@@ -11,16 +11,12 @@ const (
 
 // MsgOp carries one CRDT operation for a document. CRDT docs need no
 // sequencer, so these ride the fabric as plain multicast (group broadcast
-// bodies, or session items); Doc names the document so shared endpoints
-// can demultiplex.
+// bodies, or session items, which the session has already placed in their
+// document); Doc names the document for the engine.
 type MsgOp struct {
 	Doc string
 	Op  Op
 }
-
-// DocKey implements session.DocKeyed, letting the session layer demux CRDT
-// traffic by document without importing this package.
-func (m MsgOp) DocKey() string { return m.Doc }
 
 // MsgState carries a full replica snapshot for anti-entropy (gossip after
 // loss or partition). Exactly one of Seq/Set/Ctr is set.
@@ -30,9 +26,6 @@ type MsgState struct {
 	Set *SetState
 	Ctr *CtrState
 }
-
-// DocKey implements session.DocKeyed.
-func (m MsgState) DocKey() string { return m.Doc }
 
 // RegisterWire registers the CRDT wire messages with a fabric codec, so
 // replicas can converse over any fabric substrate (and over the binary

@@ -100,9 +100,3 @@ func TestMsgStateRejectsEmptyAndTrailing(t *testing.T) {
 		t.Fatal("trailing byte accepted")
 	}
 }
-
-func TestDocKey(t *testing.T) {
-	if (MsgOp{Doc: "d7"}).DocKey() != "d7" || (MsgState{Doc: "d8"}).DocKey() != "d8" {
-		t.Fatal("DocKey does not surface the doc field")
-	}
-}

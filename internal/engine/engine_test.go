@@ -241,10 +241,10 @@ func TestOTWireRoundTrip(t *testing.T) {
 			t.Errorf("round trip changed %T:\n got %+v\nwant %+v", msg, out, msg)
 		}
 	}
-	// Every engine payload carries the doc key for session demux.
+	// Every engine payload names its document.
 	for _, msg := range msgs {
-		if dk, ok := msg.(interface{ DocKey() string }); !ok || dk.DocKey() != "d" {
-			t.Errorf("%T does not carry its doc key", msg)
+		if doc := reflect.ValueOf(msg).Elem().FieldByName("Doc"); doc.String() != "d" {
+			t.Errorf("%T does not name its document", msg)
 		}
 	}
 }

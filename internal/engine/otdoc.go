@@ -8,8 +8,9 @@ import (
 
 // OT engine wire messages. Submissions flow client → server, commits flow
 // server → everyone; pull/commits is the loss-recovery path (a client that
-// detects a gap asks for everything since its base revision). All four
-// carry the document key and implement session.DocKeyed.
+// detects a gap asks for everything since its base revision). They reach a
+// daemon only inside eng/op item bodies of the document's session, so each
+// names its document for the engine alone.
 
 // MsgSubmit carries one client submission to the integration server.
 type MsgSubmit struct {
@@ -17,17 +18,11 @@ type MsgSubmit struct {
 	Sub ot.Submission
 }
 
-// DocKey implements session.DocKeyed.
-func (m MsgSubmit) DocKey() string { return m.Doc }
-
 // MsgCommit broadcasts one committed operation.
 type MsgCommit struct {
 	Doc string
 	C   ot.Committed
 }
-
-// DocKey implements session.DocKeyed.
-func (m MsgCommit) DocKey() string { return m.Doc }
 
 // MsgPull asks the server for the commits after Base.
 type MsgPull struct {
@@ -35,17 +30,11 @@ type MsgPull struct {
 	Base int
 }
 
-// DocKey implements session.DocKeyed.
-func (m MsgPull) DocKey() string { return m.Doc }
-
 // MsgCommits answers a pull with commits in revision order.
 type MsgCommits struct {
 	Doc string
 	Cs  []ot.Committed
 }
-
-// DocKey implements session.DocKeyed.
-func (m MsgCommits) DocKey() string { return m.Doc }
 
 // otDoc adapts the ot Server/Client pair to the Doc interface. The replica
 // whose site equals the configured server runs the authoritative server

@@ -148,7 +148,7 @@ func runGroupRPC(seed int64, bounded bool) (label, detail string) {
 	// m07 is unreachable.
 	sim.Partition([]string{"m07"}, ids[:7])
 
-	opts := group.CallOpts{Mode: group.WaitAll}
+	var opts group.CallOpts
 	if bounded {
 		opts.Deadline = 500 * time.Millisecond
 	}

@@ -29,31 +29,22 @@ import "time"
 // BatchConfig configures sender-side batching. The zero value sends every
 // Multicast as its own wire packet.
 type BatchConfig struct {
-	// Window is how long the first buffered message may wait for
-	// companions before the batch is flushed. A non-zero window requires
-	// a Timer in the member config.
+	// Window is how long the first buffered message of a partial batch may
+	// wait for companions before the batch is flushed. A non-zero window
+	// requires a Timer in the member config.
 	Window time.Duration
-	// MaxMsgs flushes the batch early once this many messages accumulate.
-	// 0 with a non-zero Window means DefaultBatchMsgs.
+	// MaxMsgs turns batching on when above one: the batch is flushed once
+	// this many messages accumulate.
 	MaxMsgs int
 }
-
-// DefaultBatchMsgs bounds a batch when only a window is configured.
-const DefaultBatchMsgs = 64
 
 // limit is the longest run one wire packet may carry under ordering o: 1
 // unless batching is configured and the ordering has a per-message cost to
 // amortise. Unordered and Causal multicasts gain nothing from coalescing
 // (there is no ordering round trip), so they always run at 1.
 func (b BatchConfig) limit(o Ordering) int {
-	switch o {
-	case FIFO, TotalSequencer, TotalToken:
-		if b.MaxMsgs > 1 {
-			return b.MaxMsgs
-		}
-		if b.Window > 0 {
-			return DefaultBatchMsgs
-		}
+	if o == FIFO || o == TotalSequencer || o == TotalToken {
+		return max(b.MaxMsgs, 1)
 	}
 	return 1
 }

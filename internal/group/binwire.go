@@ -28,6 +28,9 @@ import (
 // included), the origin bit without a MsgID or with an origin that is not
 // From, and VC sites out of order, so equal packets are equal bytes.
 //
+// Bit 9 carried a view change's view, which no member sends now: it stays
+// reserved, so a body that sets it is refused like any unknown bit.
+//
 // The tag names this layout and the protocol it carries. A frame from a
 // tree that wrote every field (tag "group/packet"), or from one whose
 // sequencer protocol broadcast data and sent body-less orders to all (tag
@@ -51,7 +54,7 @@ const (
 	hasGlobalSeq
 	hasSenderSeq
 	hasVC
-	hasNewView
+	retiredView // reserved: a view change's view
 	hasCallID
 	hasOp
 	isError
@@ -61,7 +64,7 @@ const (
 	hasMsgs
 	hasMsgIDs
 
-	knownBits = hasMsgIDs<<1 - 1
+	knownBits = (hasMsgIDs<<1 - 1) &^ retiredView
 )
 
 var (
@@ -101,7 +104,6 @@ func presence(p *packet) uint64 {
 		bit(p.GlobalSeq != 0, hasGlobalSeq) |
 		bit(p.SenderSeq != 0, hasSenderSeq) |
 		bit(len(p.VC) > 0, hasVC) |
-		bit(p.NewView != nil, hasNewView) |
 		bit(p.CallID != 0, hasCallID) |
 		bit(p.Op != "", hasOp) |
 		bit(p.IsError, isError) |
@@ -152,13 +154,6 @@ func appendPacket(dst []byte, p *packet, nested bool) ([]byte, error) {
 	}
 	if mask&hasVC != 0 {
 		dst = appendVC(dst, p.VC)
-	}
-	if mask&hasNewView != 0 {
-		dst = fabric.AppendUvarint(dst, p.NewView.ID)
-		dst = fabric.AppendUvarint(dst, uint64(len(p.NewView.Members)))
-		for _, id := range p.NewView.Members {
-			dst = fabric.AppendString(dst, id)
-		}
 	}
 	if mask&hasCallID != 0 {
 		dst = fabric.AppendUvarint(dst, p.CallID)
@@ -239,16 +234,6 @@ func readPacket(r *fabric.Reader, p *packet, nested bool) error {
 			return err
 		}
 		p.VC = vc
-	}
-	if mask&hasNewView != 0 {
-		v := &View{ID: r.Uvarint()}
-		if n := r.Count("view members", 1); n > 0 { // an empty id is one byte
-			v.Members = make([]string, 0, n)
-			for i := 0; i < n && r.Err() == nil; i++ {
-				v.Members = append(v.Members, r.String())
-			}
-		}
-		p.NewView = v
 	}
 	if mask&hasCallID != 0 {
 		p.CallID = r.Uvarint()

@@ -1,7 +1,7 @@
 // Package group implements process-group communication for CSCW sessions:
-// membership views, multicast with selectable ordering guarantees (FIFO,
-// causal, total) and group RPC ("group invocation" in the paper's ODP
-// terminology, §4.2.2.iv).
+// an installed membership view, multicast with selectable ordering
+// guarantees (FIFO, causal, total) and group RPC ("group invocation" in the
+// paper's ODP terminology, §4.2.2.iv).
 //
 // The implementation is handler-driven and transport-agnostic: a Member
 // sends and receives through a fabric.Endpoint, so the same protocol code
@@ -22,12 +22,15 @@
 // configured (batch.go). A run of one is the bare data packet, so batching
 // is a matter of how long the runs are, not of which code handles them, and
 // members with different limits share a view.
+//
+// A packet counts only from the member it names: its From must be the
+// transport sender and in the installed view (Member.Receive).
 package group
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/vclock"
@@ -72,7 +75,6 @@ func (o Ordering) String() string {
 // Errors returned by group operations.
 var (
 	ErrNotMember   = errors.New("group: not a member of current view")
-	ErrEmptyView   = errors.New("group: view has no members")
 	ErrRPCDeadline = errors.New("group: rpc deadline exceeded")
 	ErrNoSuchCall  = errors.New("group: unknown rpc call")
 )
@@ -89,10 +91,11 @@ type TimerFunc func(d time.Duration, fn func())
 // After implements Timer.
 func (f TimerFunc) After(d time.Duration, fn func()) { f(d, fn) }
 
-// View is a membership epoch: a numbered, sorted member list. Members must
-// not be mutated after the view is installed — members hand the slice out
-// as a zero-copy fan-out snapshot. NewView copies its input, so views built
-// through it are always safe.
+// View is a membership epoch: a numbered, sorted member list (Contains
+// searches it, and the sequencer is its least member). Members must not be
+// mutated after the view is installed — members hand the slice out as a
+// zero-copy fan-out snapshot. NewView copies and sorts its input, so views
+// built through it are always safe.
 type View struct {
 	ID      uint64
 	Members []string
@@ -100,12 +103,8 @@ type View struct {
 
 // Contains reports whether id is in the view.
 func (v View) Contains(id string) bool {
-	for _, m := range v.Members {
-		if m == id {
-			return true
-		}
-	}
-	return false
+	_, found := slices.BinarySearch(v.Members, id)
+	return found
 }
 
 // Sequencer returns the member responsible for total-order sequencing in
@@ -120,8 +119,8 @@ func (v View) Sequencer() string {
 
 // NewView builds a view with the members sorted canonically.
 func NewView(id uint64, members []string) View {
-	ms := append([]string(nil), members...)
-	sort.Strings(ms)
+	ms := slices.Clone(members)
+	slices.Sort(ms)
 	return View{ID: id, Members: ms}
 }
 
@@ -137,9 +136,6 @@ type Delivery struct {
 // DeliverFunc consumes delivered messages in their final order.
 type DeliverFunc func(d Delivery)
 
-// ViewFunc observes installed view changes.
-type ViewFunc func(v View)
-
 // packet kinds on the wire. Under the sequencer protocol a kData (or a
 // kBatch) travels from its origin to the sequencer only, and a kOrder from
 // the sequencer carries what it ordered: the messages themselves to every
@@ -150,7 +146,7 @@ type kind int
 const (
 	kData kind = iota + 1
 	kOrder
-	kView
+	_ // 3 announced a view change, which no member sends now; Receive drops it
 	kRPCReq
 	kRPCRep
 	kToken
@@ -177,8 +173,6 @@ type packet struct {
 	VC        vclock.VC // causal timestamp
 	MsgID     msgID     // identity for total-order pairing
 	GlobalSeq uint64    // total-order position (kOrder, or piggybacked)
-	// view change
-	NewView *View
 	// rpc
 	CallID  uint64
 	Op      string
@@ -201,11 +195,11 @@ type msgID struct {
 	N      uint64
 }
 
-// origin is the member that multicast p: its MsgID's origin under the total
-// orders, where a sequencer's announcement may carry another member's
-// message, and its sender otherwise.
+// origin is the member that multicast p: the MsgID's origin of an order
+// announcement, which may carry another member's message, and the sender of
+// any other packet, whatever MsgID it claims.
 func (p *packet) origin() string {
-	if p.MsgID.Origin != "" {
+	if p.Kind == kOrder {
 		return p.MsgID.Origin
 	}
 	return p.From

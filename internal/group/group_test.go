@@ -246,47 +246,20 @@ func TestTotalTokenSequentialSenders(t *testing.T) {
 	}
 }
 
-func TestProposeView(t *testing.T) {
-	r := newRig(t, 3, FIFO, netsim.LANLink)
-	var installed []uint64
-	r.members["m02"] = r.members["m02"] // keep map form
-	newV := NewView(2, []string{"m00", "m01"})
-	for _, id := range r.ids {
-		id := id
-		m := r.members[id]
-		mOnView := func(v View) { installed = append(installed, v.ID); _ = id }
-		// re-register view callback via InstallView path
-		m.onView = mOnView
-	}
-	if err := r.members["m00"].ProposeView(newV); err != nil {
-		t.Fatal(err)
-	}
-	r.sim.Run()
-	if len(installed) != 3 {
-		t.Fatalf("installed on %d members, want 3", len(installed))
-	}
-	if r.members["m00"].View().ID != 2 {
-		t.Errorf("m00 view = %d", r.members["m00"].View().ID)
-	}
-	if r.members["m02"].View().Contains("m02") {
-		t.Error("m02 should know it left")
-	}
-}
-
-// TestProposeViewPastUnreachableMember: a target the proposer cannot reach
-// does not keep the view from the targets sorted after it, so the members
-// still in touch agree on it; the unreachable one is reported.
-func TestProposeViewPastUnreachableMember(t *testing.T) {
+// TestMulticastPastUnreachableMember: a target the sender cannot reach does
+// not keep a multicast from the targets sorted after it; the unreachable one
+// is reported.
+func TestMulticastPastUnreachableMember(t *testing.T) {
 	r := newRig(t, 3, FIFO, netsim.LANLink)
 	r.sim.Partition([]string{"m00"}, []string{"m01"})
-	err := r.members["m00"].ProposeView(NewView(2, []string{"m00", "m02"}))
+	err := r.members["m00"].Multicast("past m01", 8)
 	if err == nil || !strings.Contains(err.Error(), "m01") {
-		t.Errorf("ProposeView = %v, want the failed send to m01", err)
+		t.Errorf("Multicast = %v, want the failed send to m01", err)
 	}
 	r.sim.Run()
 	for _, id := range []string{"m00", "m02"} {
-		if got := r.members[id].View().ID; got != 2 {
-			t.Errorf("%s is on view %d, want 2", id, got)
+		if got := r.bodies(id); len(got) != 1 || got[0] != "past m01" {
+			t.Errorf("%s delivered %v, want the multicast", id, got)
 		}
 	}
 }
@@ -301,7 +274,7 @@ func TestGroupRPCWaitAll(t *testing.T) {
 	}
 	var got []Reply
 	var gotErr error
-	err := r.members["m00"].Call("ping", "hi", CallOpts{Mode: WaitAll}, func(rs []Reply, err error) {
+	err := r.members["m00"].Call("ping", "hi", CallOpts{}, func(rs []Reply, err error) {
 		got, gotErr = rs, err
 	})
 	if err != nil {
@@ -319,24 +292,6 @@ func TestGroupRPCWaitAll(t *testing.T) {
 	}
 }
 
-func TestGroupRPCQuorumAndFirst(t *testing.T) {
-	r := newRig(t, 5, FIFO, netsim.Link{Latency: 10 * time.Millisecond, Jitter: 20 * time.Millisecond})
-	for _, id := range r.ids {
-		id := id
-		r.members[id].Handle("echo", func(from string, body any) (any, error) { return id, nil })
-	}
-	var quorum, first []Reply
-	r.members["m00"].Call("echo", nil, CallOpts{Mode: WaitQuorum}, func(rs []Reply, err error) { quorum = rs })
-	r.members["m01"].Call("echo", nil, CallOpts{Mode: WaitFirst}, func(rs []Reply, err error) { first = rs })
-	r.sim.Run()
-	if len(quorum) != 3 {
-		t.Errorf("quorum replies = %d, want 3 of 5", len(quorum))
-	}
-	if len(first) != 1 {
-		t.Errorf("first replies = %d, want 1", len(first))
-	}
-}
-
 func TestGroupRPCDeadline(t *testing.T) {
 	r := newRig(t, 3, FIFO, netsim.LANLink)
 	// m02 is unreachable: partition it before the call.
@@ -348,7 +303,7 @@ func TestGroupRPCDeadline(t *testing.T) {
 	var got []Reply
 	var gotErr error
 	called := 0
-	r.members["m00"].Call("echo", nil, CallOpts{Mode: WaitAll, Deadline: 100 * time.Millisecond}, func(rs []Reply, err error) {
+	r.members["m00"].Call("echo", nil, CallOpts{Deadline: 100 * time.Millisecond}, func(rs []Reply, err error) {
 		got, gotErr = rs, err
 		called++
 	})
@@ -367,7 +322,7 @@ func TestGroupRPCDeadline(t *testing.T) {
 func TestGroupRPCUnknownOp(t *testing.T) {
 	r := newRig(t, 2, FIFO, netsim.LANLink)
 	var got []Reply
-	r.members["m00"].Call("nosuch", nil, CallOpts{Mode: WaitAll}, func(rs []Reply, err error) { got = rs })
+	r.members["m00"].Call("nosuch", nil, CallOpts{}, func(rs []Reply, err error) { got = rs })
 	r.sim.Run()
 	if len(got) != 2 {
 		t.Fatalf("replies = %d", len(got))

@@ -33,14 +33,15 @@ func within(t testing.TB, d time.Duration, what string, fn func()) {
 	}
 }
 
-// TestReceiveViewPacketWithoutView: a kView packet whose view is absent
-// decodes cleanly, and the member drops it instead of dereferencing it.
+// TestReceiveViewPacketWithoutView: kind 3 announced a view change, and a
+// packet can no longer carry the view; one from a member of the view is
+// dropped, and ordering goes on under the installed view.
 func TestReceiveViewPacketWithoutView(t *testing.T) {
 	r := newRig(t, 3, TotalSequencer, netsim.LANLink)
 	m := r.members["m00"]
 	before := m.View()
 	within(t, 5*time.Second, "Receive of a view packet without a view", func() {
-		m.Receive("m01", &packet{Kind: kView, From: "m01"})
+		m.Receive("m01", &packet{Kind: 3, From: "m01", ViewID: 2})
 	})
 	if got := m.View(); got.ID != before.ID || len(got.Members) != len(before.Members) {
 		t.Fatalf("view changed to %+v, want %+v", got, before)
@@ -51,6 +52,80 @@ func TestReceiveViewPacketWithoutView(t *testing.T) {
 		if got := r.bodies(id); len(got) != 1 || got[0] != "still ordering" {
 			t.Errorf("%s delivered %v after the dropped view packet", id, got)
 		}
+	}
+}
+
+// TestForgedAuthorDropped: a member speaks only for itself. Before m00
+// multicasts, m02 hands m01 a message at m00's first sequence number in
+// m00's name: as the packet's From, as its MsgID's origin, or in a batch.
+// Taken, it is delivered as m00's and m00's real message is dropped as a
+// replay; dropped, every member delivers m00's real message and nothing
+// else in m00's name.
+func TestForgedAuthorDropped(t *testing.T) {
+	forged := func(seq uint64) *packet {
+		return &packet{Kind: kData, From: "m00", ViewID: 1, Body: "forged", Size: 8, SenderSeq: seq}
+	}
+	for _, c := range []struct {
+		name string
+		p    *packet
+	}{
+		{"From", forged(1)},
+		{"MsgID origin", &packet{Kind: kData, From: "m02", ViewID: 1, Body: "forged", Size: 8, SenderSeq: 1, MsgID: msgID{Origin: "m00", N: 1}}},
+		{"batch", &packet{Kind: kBatch, From: "m02", ViewID: 1, Size: 16, Msgs: []*packet{forged(1), forged(2)}}},
+	} {
+		r := newRig(t, 3, FIFO, netsim.LANLink)
+		r.members["m01"].Receive("m02", c.p)
+		r.members["m00"].Multicast("real", 8)
+		r.sim.Run()
+		for _, id := range r.ids {
+			var as00 []string
+			for _, d := range r.deliv[id] {
+				if d.From == "m00" {
+					as00 = append(as00, fmt.Sprint(d.Body))
+				}
+			}
+			if !slices.Equal(as00, []string{"real"}) {
+				t.Errorf("forged in m00's %s: %s delivered %v as m00's", c.name, id, as00)
+			}
+		}
+	}
+}
+
+// TestOutsideSenderDropped: an endpoint outside the view reaches every
+// member on the simulator and sends each a packet in its own name or in
+// m00's: data, a repair request for m00's message and an RPC request. No
+// member delivers, repairs, answers or runs a handler for any of them.
+func TestOutsideSenderDropped(t *testing.T) {
+	r := newRig(t, 3, FIFO, netsim.LANLink)
+	handled := 0
+	for _, id := range r.ids {
+		r.members[id].Handle("echo", func(string, any) (any, error) { handled++; return "ok", nil })
+	}
+	r.members["m00"].Multicast("real", 8)
+	r.sim.Run()
+	x9 := fabric.FromSim(r.sim.MustAddNode("x9"))
+	heard := 0
+	x9.SetHandler(func(string, any, int) { heard++ })
+	for _, to := range r.ids {
+		for _, p := range []*packet{
+			{Kind: kData, From: "x9", ViewID: 1, Body: "outsider", Size: 8, SenderSeq: 1},
+			{Kind: kData, From: "m00", ViewID: 1, Body: "forged", Size: 8, SenderSeq: 2},
+			{Kind: kNack, From: "x9", ViewID: 1, NackFrom: 1, NackTo: 1},
+			{Kind: kRPCReq, From: "x9", ViewID: 1, CallID: 1, Op: "echo"},
+		} {
+			if err := x9.Send(to, p, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r.sim.Run()
+	for _, id := range r.ids {
+		if got := r.bodies(id); !slices.Equal(got, []string{"real"}) {
+			t.Errorf("%s delivered %v", id, got)
+		}
+	}
+	if heard != 0 || handled != 0 {
+		t.Errorf("the outsider was sent %d packets, and %d handlers ran for it", heard, handled)
 	}
 }
 
@@ -187,6 +262,7 @@ type pumpNet struct {
 	ids     []string
 	members map[string]*Member
 	deliv   map[string][]Delivery
+	sent    map[string][]string // what each member multicast, in order
 	queue   []pumpMsg
 }
 
@@ -212,7 +288,7 @@ func (e *pumpEndpoint) Close() error              { return nil }
 // newPumpNet builds a three-member view m00..m02 under ord on a pumpNet and
 // runs one multicast from each member through it.
 func newPumpNet(t testing.TB, ord Ordering) *pumpNet {
-	n := &pumpNet{ids: []string{"m00", "m01", "m02"}, members: make(map[string]*Member), deliv: make(map[string][]Delivery)}
+	n := &pumpNet{ids: []string{"m00", "m01", "m02"}, members: make(map[string]*Member), deliv: make(map[string][]Delivery), sent: make(map[string][]string)}
 	for _, id := range n.ids {
 		m, err := NewMember(Config{
 			Endpoint: &pumpEndpoint{net: n, id: id},
@@ -235,7 +311,9 @@ func newPumpNet(t testing.TB, ord Ordering) *pumpNet {
 // multicastAll has every member multicast once, then pumps.
 func (n *pumpNet) multicastAll(what string) {
 	for _, id := range n.ids {
-		_ = n.members[id].Multicast(what+" from "+id, 8)
+		body := what + " from " + id
+		n.sent[id] = append(n.sent[id], body)
+		_ = n.members[id].Multicast(body, 8)
 	}
 	n.pump()
 }
@@ -250,44 +328,57 @@ func (n *pumpNet) pump() {
 	}
 }
 
-// checkAgreement fails t unless the members still in view v delivered the
-// same total order: every list a prefix of the longest.
-func (n *pumpNet) checkAgreement(t *testing.T, v View, what string) {
+// checkAgreement fails t unless every member delivered the same total
+// order: on a lossless pump, with every message sent, a member that
+// delivered less was reset or misled.
+func (n *pumpNet) checkAgreement(t *testing.T, what string) {
 	t.Helper()
 	type slot struct {
 		from string
 		seq  uint64
 	}
-	var longest []slot
 	lists := make(map[string][]slot)
 	for _, id := range n.ids {
-		if got := n.members[id].View(); got.ID != v.ID || !slices.Equal(got.Members, v.Members) {
-			continue // a hostile view installed here; its order is its own
-		}
 		for _, d := range n.deliv[id] {
 			lists[id] = append(lists[id], slot{d.From, d.Seq})
 		}
-		if len(lists[id]) > len(longest) {
-			longest = lists[id]
+	}
+	for _, id := range n.ids[1:] {
+		if !slices.Equal(lists[id], lists[n.ids[0]]) {
+			t.Fatalf("after %s: %s delivered %v, %s %v", what, id, lists[id], n.ids[0], lists[n.ids[0]])
 		}
 	}
-	for id, l := range lists {
-		if !slices.Equal(l, longest[:len(l)]) {
-			t.Fatalf("after %s: %s delivered %v, another member %v", what, id, l, longest)
+}
+
+// checkAuthors fails t unless each member's deliveries from every origin
+// but sender are a prefix of what that origin multicast: sender may say
+// what it likes in its own name, but nothing in another's, and no one
+// outside the view is heard at all.
+func (n *pumpNet) checkAuthors(t *testing.T, sender, what string) {
+	t.Helper()
+	for _, id := range n.ids {
+		from := make(map[string][]string)
+		for _, d := range n.deliv[id] {
+			from[d.From] = append(from[d.From], fmt.Sprint(d.Body))
+		}
+		for origin, got := range from {
+			if sent := n.sent[origin]; origin != sender && (len(got) > len(sent) || !slices.Equal(got, sent[:len(got)])) {
+				t.Fatalf("after %s: %s delivered %q as %q's, which multicast %q", what, id, got, origin, sent)
+			}
 		}
 	}
 }
 
 // FuzzMemberReceive: every packet the wire codec accepts is handed to a
 // live FIFO member and a live TotalSequencer member of a three-member view
-// that has carried traffic: first to m01, after which every member
-// multicasts once more, then to the sequencer m00. No member may panic or
-// hang, and after m01's turn the total order's members whose view the
-// packet left alone must still agree on one order (a forged announcement
-// would split it).
+// that has carried traffic: first to m01 from m02, after which every member
+// multicasts once more, then to the sequencer m00 from m01. No member may
+// panic or hang. After m01's turn every member must have delivered only
+// what its authors multicast, m02 aside, and the total order's members
+// must agree on one order (a forged announcement would split it, and a
+// reset would stall one member).
 func FuzzMemberReceive(f *testing.F) {
 	hostile := []*packet{
-		{Kind: kView, From: "m01"}, // a view packet without its view
 		{Kind: kNack, From: "m01", ViewID: 1, NackFrom: 1, NackTo: 1 << 40}, // a NACK past anything sent
 		// An order announcement not from the sequencer, giving m02's second
 		// multicast the next slot, which the sequencer gives m00's.
@@ -296,6 +387,10 @@ func FuzzMemberReceive(f *testing.F) {
 		{Kind: kOrder, From: "m00", ViewID: 1, Body: "forged", Size: 8, GlobalSeq: 4, MsgID: msgID{Origin: "m02", N: 2}},
 		// Data sent straight to a member that is not the sequencer.
 		{Kind: kData, From: "m02", ViewID: 1, Body: "stray", Size: 8, MsgID: msgID{Origin: "m02", N: 2}},
+		// m00's next FIFO message, forged by m02 in m00's name.
+		{Kind: kData, From: "m00", ViewID: 1, Body: "forged", Size: 8, SenderSeq: 2},
+		// The same in m02's own name, with m00 as the MsgID's origin.
+		{Kind: kData, From: "m02", ViewID: 1, Body: "forged", Size: 8, SenderSeq: 2, MsgID: msgID{Origin: "m00", N: 2}},
 	}
 	for _, p := range samplePackets() {
 		hostile = append(hostile, p)
@@ -307,13 +402,13 @@ func FuzzMemberReceive(f *testing.F) {
 		}
 		f.Add(body)
 	}
+	f.Add(retiredViewBody()) // a view change from outside the view: it reset m01
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if (&packet{}).ParseBinary(fabric.NewReader(string(data))) != nil {
 			return
 		}
 		for _, ord := range []Ordering{FIFO, TotalSequencer} {
 			n := newPumpNet(t, ord)
-			view := n.members["m01"].View()
 			// A fresh decode per receiver: a received packet may be kept.
 			var p1, p0 packet
 			if p1.ParseBinary(fabric.NewReader(string(data))) != nil || p0.ParseBinary(fabric.NewReader(string(data))) != nil {
@@ -325,8 +420,9 @@ func FuzzMemberReceive(f *testing.F) {
 				n.pump()
 				n.multicastAll("after")
 			})
+			n.checkAuthors(t, "m02", what)
 			if ord == TotalSequencer {
-				n.checkAgreement(t, view, what)
+				n.checkAgreement(t, what)
 			}
 			within(t, 5*time.Second, what, func() {
 				n.members["m00"].Receive("m01", &p0)

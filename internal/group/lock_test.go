@@ -52,7 +52,6 @@ func TestNoSendUnderMemberLock(t *testing.T) {
 				m[id], err = NewMember(Config{
 					Endpoint: probe, Timer: timer, Ordering: ord,
 					Deliver: func(Delivery) {},
-					OnView:  func(View) {},
 					Batch:   BatchConfig{Window: time.Millisecond, MaxMsgs: 2},
 				})
 				if err != nil {
@@ -98,7 +97,6 @@ func TestNoSendUnderMemberLock(t *testing.T) {
 				{"Call", func() {
 					_ = m["m01"].Call("echo", "ping", CallOpts{Deadline: time.Second}, func([]Reply, error) {})
 				}},
-				{"ProposeView", func() { _ = m["m00"].ProposeView(NewView(2, ids)) }},
 				{"InstallView", each(func(x *Member) { x.InstallView(NewView(3, ids)) })},
 				{"Multicast after the view change", each(func(x *Member) { _ = x.Multicast("again", 8) })},
 			}

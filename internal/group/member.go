@@ -14,19 +14,18 @@ import (
 // Member is one group endpoint. All state is guarded by an internal mutex,
 // so a member is safe to drive from the simulator goroutine and from real
 // transport delivery goroutines alike. Receive-path sends and application
-// callbacks (Deliver, OnView, RPC handlers and completions) are queued on
+// callbacks (Deliver, RPC handlers and completions) are queued on
 // the member's fabric.Outbox and run outside the lock, so they may freely
 // call back into the member (e.g. Multicast from inside Deliver).
 //
-// View installation assumes quiescence (no multicasts in flight), as in
-// primary-component virtual synchrony after flush; the experiment harnesses
-// install views between traffic phases.
+// A program installs the view on every member before traffic starts, and a
+// later InstallView assumes quiescence (no multicasts in flight), as in
+// primary-component virtual synchrony after flush.
 type Member struct {
 	id       string
 	ep       fabric.Endpoint
 	timer    Timer
 	ordering Ordering
-	onView   ViewFunc
 
 	// mu guards everything below, out included: effects are queued on out
 	// while holding mu, and out.Drain(&m.mu) performs them with mu released.
@@ -116,21 +115,8 @@ type Reply struct {
 	Err  error
 }
 
-// CallMode selects how many replies a group RPC waits for.
-type CallMode int
-
-const (
-	// WaitAll waits for a reply from every view member.
-	WaitAll CallMode = iota + 1
-	// WaitQuorum waits for a majority of view members.
-	WaitQuorum
-	// WaitFirst returns as soon as any member replies.
-	WaitFirst
-)
-
 type pendingCall struct {
-	mode     CallMode
-	need     int
+	need     int // the view's size: a call waits for every member
 	replies  []Reply
 	done     bool
 	callback func([]Reply, error)
@@ -142,7 +128,6 @@ type Config struct {
 	Timer    Timer
 	Ordering Ordering
 	Deliver  DeliverFunc
-	OnView   ViewFunc
 	// Batch raises the send buffer's flush limit above one message for
 	// FIFO and the two total orders (see batch.go); the zero value keeps
 	// one packet per Multicast. A non-zero Window requires Timer.
@@ -165,26 +150,17 @@ func NewMember(cfg Config) (*Member, error) {
 	if cfg.Batch.Window > 0 && cfg.Timer == nil {
 		return nil, fmt.Errorf("group: a batch window requires a timer")
 	}
+	// The ordering state is InstallView's to make: until a view names this
+	// member, Receive drops every packet and Multicast fails.
 	m := &Member{
-		id:        cfg.Endpoint.ID(),
-		ep:        cfg.Endpoint,
-		timer:     cfg.Timer,
-		ordering:  cfg.Ordering,
-		onView:    cfg.OnView,
-		fifoNext:  make(map[string]uint64),
-		fifoHold:  make(map[string]map[uint64]*packet),
-		sentBuf:   make(map[uint64]*packet),
-		nacked:    make(map[string]uint64),
-		knownHi:   make(map[string]uint64),
-		vc:        vclock.New(),
-		held:      make(map[uint64]*packet),
-		own:       make(map[uint64]*packet),
-		sequenced: make(map[string]*seqMark),
-		waitKnown: make(map[string]bool),
-		handlers:  make(map[string]HandlerFunc),
-		calls:     make(map[uint64]*pendingCall),
-		batch:     cfg.Batch,
-		limit:     cfg.Batch.limit(cfg.Ordering),
+		id:       cfg.Endpoint.ID(),
+		ep:       cfg.Endpoint,
+		timer:    cfg.Timer,
+		ordering: cfg.Ordering,
+		handlers: make(map[string]HandlerFunc),
+		calls:    make(map[uint64]*pendingCall),
+		batch:    cfg.Batch,
+		limit:    cfg.Batch.limit(cfg.Ordering),
 	}
 	// A delivered packet is never modified (receivers share it), so the
 	// Delivery is built when the outbox performs it. cfg.Deliver is
@@ -228,11 +204,7 @@ func (m *Member) Ordering() Ordering { return m.ordering }
 // InstallView installs a membership view locally, resetting ordering state.
 func (m *Member) InstallView(v View) {
 	m.mu.Lock()
-	m.installView(v)
-	m.out.Drain(&m.mu)
-}
-
-func (m *Member) installView(v View) {
+	defer m.mu.Unlock()
 	m.view = v
 	m.fifoSent = 0
 	m.fifoNext = make(map[string]uint64)
@@ -254,33 +226,6 @@ func (m *Member) installView(v View) {
 	m.tokenWait = nil
 	m.waitKnown = make(map[string]bool)
 	m.hasToken = m.ordering == TotalToken && v.Sequencer() == m.id
-	if m.onView != nil {
-		onView := m.onView
-		m.out.Call(func() { onView(v) })
-	}
-}
-
-// ProposeView multicasts a view to the union of old and new membership;
-// every receiver (including the proposer) installs it. A failed send does
-// not stop the others; the first failure is reported after all of them.
-func (m *Member) ProposeView(v View) error {
-	m.mu.Lock()
-	targets := map[string]bool{m.id: true}
-	for _, id := range m.view.Members {
-		targets[id] = true
-	}
-	for _, id := range v.Members {
-		targets[id] = true
-	}
-	// Deterministic send order keeps seeded simulations replayable.
-	ids := make([]string, 0, len(targets))
-	for id := range targets {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	pkt := &packet{Kind: kView, From: m.id, NewView: &v}
-	m.out.Drain(&m.mu) // releases m.mu: sends must not run under the lock
-	return m.sendToAll(ids, pkt)
 }
 
 // Multicast delivers body to every member of the current view (including
@@ -393,29 +338,30 @@ func (m *Member) queueSendToView(pkt *packet) {
 // Receive ingests a packet from the endpoint. NewMember wires the
 // endpoint's handler to call this with the delivered payload; tests may
 // also call it directly to hand-craft traffic. from is the transport's
-// sender: an order announcement counts only when it and the packet's From
-// are both the view's sequencer, and the sequencer orders a message only
-// from its origin.
+// sender, and a packet counts only if it names that sender as its From and
+// the sender is in the installed view; a batch counts only if every message
+// in it names that sender too, so no one speaks for another member or from
+// outside the view. Beyond that, only the sequencer may announce an order,
+// and only the token protocol's members take its packets.
 func (m *Member) Receive(from string, payload any) {
 	pkt, ok := payload.(*packet)
 	if !ok {
 		return // foreign traffic on a shared endpoint; not ours
 	}
 	m.mu.Lock()
+	if pkt.From != from || !m.view.Contains(from) || pkt.Kind == kBatch && !sentBy(from, pkt.Msgs) {
+		m.mu.Unlock()
+		return
+	}
 	switch pkt.Kind {
-	case kView:
-		if pkt.NewView != nil { // a view packet without its view is malformed
-			m.installView(*pkt.NewView)
-		}
 	case kData:
 		m.receiveMsgs(from, pkt)
 	case kBatch:
 		m.receiveMsgs(from, pkt.Msgs...)
 	case kOrder:
-		// The sequencer alone orders: an announcement any other member
-		// sends, or sends in its name, would make this member deliver in
-		// an order the rest of the view does not.
-		if seq := m.view.Sequencer(); from == seq && pkt.From == seq {
+		// An announcement from any other member would make this member
+		// deliver in an order the rest of the view does not.
+		if from == m.view.Sequencer() {
 			m.receiveOrder(pkt)
 		}
 	case kToken:
@@ -438,6 +384,16 @@ func (m *Member) Receive(from string, payload any) {
 		m.receiveRPCReply(pkt)
 	}
 	m.out.Drain(&m.mu)
+}
+
+// sentBy reports whether every packet of a batch names from as its sender.
+func sentBy(from string, msgs []*packet) bool {
+	for _, p := range msgs {
+		if p.From != from {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *Member) emit(pkt *packet, seq uint64) {
@@ -535,12 +491,13 @@ func (s *seqMark) first(n uint64) bool {
 // the origin, which kept its messages, is told their positions by the
 // body-less kOrder (one MsgID for a single message, MsgIDs from GlobalSeq
 // upward for more), and every other member gets the messages themselves in
-// the body-carrying one. A message whose origin is not its sender, not in
-// the view or the sequencer itself is off-protocol and dropped.
-// Announcements ride reliable sim links; a loss means a partition, surfaced
-// by stalled delivery which the experiments measure.
+// the body-carrying one. Receive has checked that from is in the view and
+// sent each message; one whose MsgID names another origin, or a run from
+// the sequencer itself, is off-protocol and dropped. Announcements ride
+// reliable sim links; a loss means a partition, surfaced by stalled
+// delivery which the experiments measure.
 func (m *Member) sequenceRun(from string, msgs []*packet) {
-	if from == m.id || !m.view.Contains(from) {
+	if from == m.id {
 		return
 	}
 	mark := m.sequenced[from]
@@ -915,38 +872,21 @@ func (m *Member) Handle(op string, h HandlerFunc) {
 
 // CallOpts configures a group RPC.
 type CallOpts struct {
-	Mode     CallMode
 	Deadline time.Duration // 0 means no deadline (requires every reply to arrive)
-	Size     int
 }
 
 // Call invokes op with body on every member of the view (group invocation).
-// done is called exactly once: with the collected replies when the mode's
-// quota is met, or with the partial replies and ErrRPCDeadline if the
-// deadline passes first.
+// done is called exactly once: with every member's reply, or with the
+// replies so far and ErrRPCDeadline if the deadline passes first.
 func (m *Member) Call(op string, body any, opts CallOpts, done func([]Reply, error)) error {
 	m.mu.Lock()
 	if !m.view.Contains(m.id) {
 		m.mu.Unlock()
 		return ErrNotMember
 	}
-	if len(m.view.Members) == 0 {
-		m.mu.Unlock()
-		return ErrEmptyView
-	}
-	if opts.Mode == 0 {
-		opts.Mode = WaitAll
-	}
 	m.callCounter++
 	id := m.callCounter
-	need := len(m.view.Members)
-	switch opts.Mode {
-	case WaitQuorum:
-		need = len(m.view.Members)/2 + 1
-	case WaitFirst:
-		need = 1
-	}
-	pc := &pendingCall{mode: opts.Mode, need: need, callback: done}
+	pc := &pendingCall{need: len(m.view.Members), callback: done}
 	m.calls[id] = pc
 	if opts.Deadline > 0 {
 		if m.timer == nil {
@@ -967,7 +907,7 @@ func (m *Member) Call(op string, body any, opts CallOpts, done func([]Reply, err
 			m.out.Drain(&m.mu)
 		})
 	}
-	req := &packet{Kind: kRPCReq, From: m.id, ViewID: m.view.ID, CallID: id, Op: op, Body: body, Size: opts.Size}
+	req := &packet{Kind: kRPCReq, From: m.id, ViewID: m.view.ID, CallID: id, Op: op, Body: body}
 	targets := m.viewTargets()
 	m.out.Drain(&m.mu) // releases m.mu: the fan-out below must not run under it
 	return m.sendToAll(targets, req)

@@ -80,9 +80,10 @@ func TestTotalSequencerPartitionStallsThenRecovers(t *testing.T) {
 	}
 }
 
-// TestRPCQuorumWithErrors: error replies still count toward the quorum (a
-// fast NACK is information too).
-func TestRPCQuorumWithErrors(t *testing.T) {
+// TestRPCErrorRepliesCount: an error reply is a reply (a fast refusal is
+// information too), so a call completes with every member's answer, error
+// or not.
+func TestRPCErrorRepliesCount(t *testing.T) {
 	r := newRig(t, 5, FIFO, netsim.LANLink)
 	for i, id := range r.ids {
 		id := id
@@ -95,10 +96,17 @@ func TestRPCQuorumWithErrors(t *testing.T) {
 		})
 	}
 	var got []Reply
-	r.members["m01"].Call("op", nil, CallOpts{Mode: WaitQuorum}, func(rs []Reply, err error) { got = rs })
+	var gotErr error
+	r.members["m01"].Call("op", nil, CallOpts{}, func(rs []Reply, err error) { got, gotErr = rs, err })
 	r.sim.Run()
-	if len(got) != 3 {
-		t.Fatalf("quorum = %d replies", len(got))
+	failed := 0
+	for _, rep := range got {
+		if rep.Err != nil {
+			failed++
+		}
+	}
+	if gotErr != nil || len(got) != 5 || failed != 3 {
+		t.Fatalf("call ended with %v after %d replies, %d of them errors; want all 5, 3 errors", gotErr, len(got), failed)
 	}
 }
 

@@ -185,3 +185,106 @@ func TestOldPacketFrameDroppedOverTCP(t *testing.T) {
 	default:
 	}
 }
+
+// heardFrom counts, after the member's handler returns, the packets its
+// endpoint delivers from one sender.
+type heardFrom struct {
+	fabric.Endpoint
+	sender string
+	n      *atomic.Int64
+}
+
+func (h heardFrom) SetHandler(fn fabric.Handler) {
+	h.Endpoint.SetHandler(func(from string, payload any, size int) {
+		fn(from, payload, size)
+		if from == h.sender {
+			h.n.Add(1)
+		}
+	})
+}
+
+// TestOutsiderOverTCPDropped: a third loopback endpoint, x9, outside the
+// view of two FIFO members, sends m1 data in m0's name (bare and in a
+// batch) and in its own. Once m1 has handled all three, m0 multicasts; every
+// member delivers m0's message and nothing else.
+func TestOutsiderOverTCPDropped(t *testing.T) {
+	ids := []string{"m0", "m1"}
+	book := transport.NewAddressBook()
+	var mu sync.Mutex
+	deliv := make(map[string][]string)
+	var heard atomic.Int64
+	members := make([]*Member, len(ids))
+	for i, id := range ids {
+		tep, err := transport.ListenTCP(id, "127.0.0.1:0", book)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := fabric.FromTransport(tep, wireCodec())
+		t.Cleanup(func() { ep.Close() })
+		members[i], err = NewMember(Config{
+			Endpoint: heardFrom{ep, "x9", &heard},
+			Ordering: FIFO,
+			Deliver: func(d Delivery) {
+				mu.Lock()
+				deliv[id] = append(deliv[id], d.From+": "+d.Body.(string))
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	view := NewView(1, ids)
+	for _, m := range members {
+		m.InstallView(view)
+	}
+	dialer, err := transport.DialTCP("x9", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x9 := fabric.FromTransport(dialer, wireCodec())
+	t.Cleanup(func() { x9.Close() })
+	forged := func(seq uint64) *packet {
+		return &packet{Kind: kData, From: "m0", ViewID: 1, Body: "forged", Size: 8, SenderSeq: seq}
+	}
+	sends := []*packet{
+		forged(1),
+		{Kind: kBatch, From: "x9", ViewID: 1, Size: 16, Msgs: []*packet{forged(1), forged(2)}},
+		{Kind: kData, From: "x9", ViewID: 1, Body: "outsider", Size: 8, SenderSeq: 1},
+	}
+	for _, p := range sends {
+		if err := x9.Send("m1", p, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); heard.Load() < int64(len(sends)); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("m1 handled %d of x9's %d packets in 5s", heard.Load(), len(sends))
+		}
+	}
+	if err := members[0].Multicast("real", 8); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"m0: real"}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		done := len(deliv["m0"]) == 1 && len(deliv["m1"]) >= 1
+		mu.Unlock()
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("deliveries after 5s: %v", deliv)
+		}
+	}
+	time.Sleep(10 * time.Millisecond) // room for a delivery that should not come
+	mu.Lock()
+	defer mu.Unlock()
+	for _, id := range ids {
+		if !slices.Equal(deliv[id], want) {
+			t.Errorf("%s delivered %q, want %q", id, deliv[id], want)
+		}
+	}
+}

@@ -44,7 +44,6 @@ func samplePackets() map[string]*packet {
 		"order batched":           {Kind: kOrder, From: "s", ViewID: 3, GlobalSeq: 11, MsgIDs: []msgID{{Origin: "a", N: 1}, {Origin: "b", N: 2}}},
 		"order forwarded":         {Kind: kOrder, From: "s", ViewID: 3, Body: "hi", Size: 16, MsgID: msgID{Origin: "a", N: 7}, GlobalSeq: 11},
 		"order forwarded batched": {Kind: kOrder, From: "s", ViewID: 3, Size: 16, GlobalSeq: 11, Msgs: forwarded},
-		"view":                    {Kind: kView, From: "a", NewView: &View{ID: 4, Members: []string{"a", "b", "c"}}},
 		"rpc request":             {Kind: kRPCReq, From: "a", ViewID: 3, CallID: 9, Op: "sum", Body: "1,2", Size: 8},
 		"rpc reply":               {Kind: kRPCRep, From: "b", ViewID: 3, CallID: 9, Body: "3"},
 		"rpc error":               {Kind: kRPCRep, From: "b", ViewID: 3, CallID: 9, IsError: true, ErrText: "group: unknown rpc call: sum"},
@@ -55,6 +54,18 @@ func samplePackets() map[string]*packet {
 		"batch":                   {Kind: kBatch, From: "a", ViewID: 3, Size: 16, Msgs: inner},
 		"zero":                    {},
 	}
+}
+
+// retiredViewBody is a view change as a tree that still sent one encoded
+// it: kind 3, the retired view bit and From "x9", then view 2 of m00, m01
+// and m02. The parser refuses the bit.
+func retiredViewBody() []byte {
+	b := fabric.AppendUvarint(fabric.AppendUvarint(nil, 3), hasFrom|retiredView)
+	b = fabric.AppendUvarint(fabric.AppendUvarint(fabric.AppendString(b, "x9"), 2), 3)
+	for _, id := range []string{"m00", "m01", "m02"} {
+		b = fabric.AppendString(b, id)
+	}
+	return b
 }
 
 // TestPacketBinaryCodecParity: every kind of packet comes back from the
@@ -204,7 +215,8 @@ func TestPacketDecodeStrict(t *testing.T) {
 		body []byte
 		want string
 	}{
-		{"unknown bit", body(kData, knownBits+1), "unknown presence bits"},
+		{"unknown bit", body(kData, hasMsgIDs<<1), "unknown presence bits"},
+		{"retired view bit", retiredViewBody(), "unknown presence bits 0x200"},
 		{"empty From", body(kData, hasFrom, 0), errNotCanonical.Error()},
 		{"zero ViewID", body(kData, hasViewID, 0), errNotCanonical.Error()},
 		{"zero Size", body(kData, hasSize, 0), errNotCanonical.Error()},
@@ -277,6 +289,7 @@ func FuzzPacketDecode(f *testing.F) {
 		}
 		f.Add(body)
 	}
+	f.Add(retiredViewBody())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p packet
 		if p.ParseBinary(fabric.NewReader(string(data))) != nil {

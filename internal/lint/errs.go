@@ -16,7 +16,7 @@ func ErrDrop() *Analyzer {
 	// Function/method names in the messaging, codec and registration
 	// families whose errors are never safe to drop invisibly.
 	watched := map[string]bool{
-		"Send": true, "Multicast": true, "ProposeView": true,
+		"Send": true, "Multicast": true,
 		"SyncPoint": true, "Call": true,
 		"Marshal": true, "Unmarshal": true, "Encode": true, "Decode": true,
 		"Register": true, "Handle": true, "Subscribe": true,

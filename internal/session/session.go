@@ -157,10 +157,9 @@ func (m MsgMode) DocKey() string     { return m.Doc }
 func (m MsgPresence) DocKey() string { return m.Doc }
 func (m MsgLeave) DocKey() string    { return m.Doc }
 
-// DocKeyed is implemented by every wire payload that carries a session
-// document key: the session messages above and foreign ones (CRDT ops and
-// state snapshots, engine traffic), so DocOf can demultiplex them without
-// this package importing their types.
+// DocKeyed is implemented by the session messages above, the only payloads
+// a Host demultiplexes: engine and CRDT messages reach a session inside
+// item bodies, whose document the carrying message names.
 type DocKeyed interface {
 	DocKey() string
 }
