@@ -1,10 +1,10 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all check build vet lint lint-golden test race bugs bench bench-json bench-lint bench-e2e-test chaos chaos-golden chaos-scale experiments experiments-golden examples cover fuzz-smoke
+.PHONY: all check build vet lint lint-golden test race bugs reach bench bench-json bench-lint bench-e2e-test chaos chaos-golden chaos-scale experiments experiments-golden examples cover fuzz-smoke
 
 all: check
 
-check: build vet lint test race bugs
+check: build vet lint test race bugs reach
 
 build:
 	go build ./...
@@ -50,6 +50,15 @@ race:
 # `bugs` build tag, so `go test ./...` does not run it.
 bugs:
 	go test -tags bugs -count=1 -run Ledger .
+
+# The reachability gate (reach_test.go): builds every main package of this
+# module and of benchmark/ with inlining off into a temporary directory,
+# reads their symbols with `go tool nm`, and fails on any function declared
+# outside a _test.go file that no binary contains, unless
+# testdata/unreached.txt lists it with a reason; a listed function that a
+# binary does contain fails as stale. Behind the `reach` build tag.
+reach:
+	go test -tags reach -count=1 -run Reach .
 
 # Benchmarks. PKG narrows the sweep: `make bench PKG=./internal/bench`.
 bench:

@@ -61,13 +61,24 @@ func run(args []string) error {
 	}
 
 	rep := bench.NewReport(*date, *seed)
+	// testing.Benchmark discards what b.Fatal writes, so a row defined here
+	// fails through stop, which keeps the error for measure to report.
+	var failure error
+	stop := func(b *testing.B, err error) {
+		failure = err
+		b.FailNow()
+	}
 	var failed []string
 	measure := func(name string, msgsPerOp int, fn func(*testing.B)) (bench.Result, bool) {
 		fmt.Fprintf(os.Stderr, "bench %s...\n", name)
+		failure = nil
 		res, err := rep.Add(name, msgsPerOp, fn)
 		if err != nil {
+			if failure != nil {
+				err = fmt.Errorf("%w: %w", err, failure)
+			}
 			fmt.Fprintf(os.Stderr, "  %v\n", err)
-			failed = append(failed, name)
+			failed = append(failed, err.Error())
 		}
 		return res, err == nil
 	}
@@ -78,10 +89,10 @@ func run(args []string) error {
 		}
 	}
 	// finish writes the report, unless a row failed: then the run fails
-	// and names the rows.
+	// and says, for each row, what it stopped on.
 	finish := func() error {
 		if len(failed) > 0 {
-			return fmt.Errorf("cscwbench: failed rows: %s", strings.Join(failed, ", "))
+			return fmt.Errorf("cscwbench: failed rows:\n%s", strings.Join(failed, "\n"))
 		}
 		return writeReport(rep, *out)
 	}
@@ -90,7 +101,7 @@ func run(args []string) error {
 	// the full-suite wall cost. `make bench-lint` writes it alone into the
 	// dated BENCH_<date>-lint.json.
 	if *lintOnly {
-		add("lint_wall_ms", lintWall())
+		add("lint_wall_ms", lintWall(stop))
 		return finish()
 	}
 
@@ -123,7 +134,7 @@ func run(args []string) error {
 	add("codec_binary_roundtrip", bench.CodecRoundTripBench(reg, payload))
 	add("codec_group_packet_roundtrip", bench.GroupPacketRoundTripBench())
 	if !*quick {
-		add("fabric_tcp_send_recv_binary", tcpSendRecv(reg))
+		add("fabric_tcp_send_recv_binary", tcpSendRecv(reg, stop))
 		add("group_seq_tcp_c4", bench.GroupSequencerTCPBench())
 	}
 	// One edit through a live daemon and four participants over loopback
@@ -187,7 +198,7 @@ func run(args []string) error {
 	}
 
 	if !*quick {
-		add("lint_wall_ms", lintWall())
+		add("lint_wall_ms", lintWall(stop))
 	}
 
 	return finish()
@@ -213,12 +224,13 @@ func writeReport(rep *bench.Report, out string) error {
 }
 
 // lintWall prices one full `make lint` equivalent — load, type-check, every
-// analyzer stage — over the module containing the working directory.
-func lintWall() func(b *testing.B) {
+// analyzer stage — over the module containing the working directory. A
+// failure goes to stop.
+func lintWall(stop func(*testing.B, error)) func(b *testing.B) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := lint.CheckModule("."); err != nil {
-				b.Fatal(err)
+				stop(b, err)
 			}
 		}
 	}
@@ -226,15 +238,15 @@ func lintWall() func(b *testing.B) {
 
 // tcpSendRecv prices one message through the full byte-transport path: a
 // typed payload framed by the codec, written to a loopback TCP connection,
-// decoded and delivered on the far side.
-func tcpSendRecv(codec *fabric.Codec) func(b *testing.B) {
+// decoded and delivered on the far side. A failure goes to stop.
+func tcpSendRecv(codec *fabric.Codec, stop func(*testing.B, error)) func(b *testing.B) {
 	return func(b *testing.B) {
 		book := transport.NewAddressBook()
 		var eps [2]*fabric.TransportEndpoint
 		for i, id := range []string{"a", "b"} {
 			tep, err := transport.ListenTCP(id, "127.0.0.1:0", book)
 			if err != nil {
-				b.Fatal(err)
+				stop(b, err)
 			}
 			eps[i] = fabric.FromTransport(tep, codec)
 		}
@@ -246,7 +258,7 @@ func tcpSendRecv(codec *fabric.Codec) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := src.Send("b", payload, 64); err != nil {
-				b.Fatal(err)
+				stop(b, err)
 			}
 		}
 		// The peer's reader delivers on its own goroutine; wait for the last frame.
@@ -257,7 +269,7 @@ func tcpSendRecv(codec *fabric.Codec) func(b *testing.B) {
 		_ = src.Close()
 		_ = dst.Close()
 		if d := src.Dropped() + dst.Dropped(); d != 0 {
-			b.Fatalf("%d frames dropped", d)
+			stop(b, fmt.Errorf("%d frames dropped", d))
 		}
 	}
 }

@@ -19,7 +19,6 @@ package access
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -87,54 +86,12 @@ func (m *Matrix) Grant(subject, object string, r Right) {
 	m.Writes++
 }
 
-// Revoke removes rights for subject on object.
-func (m *Matrix) Revoke(subject, object string, r Right) {
-	if row, ok := m.rows[subject]; ok {
-		row[object] &^= r
-		if row[object] == 0 {
-			delete(row, object)
-		}
-		m.Writes++
-	}
-}
-
 // Check reports whether subject holds all rights r on object. The matrix is
 // identity-exact: no hierarchy, no wildcards — precisely the baseline's
 // limitation.
 func (m *Matrix) Check(subject, object string, r Right) bool {
 	m.Checks++
 	return m.rows[subject][object].Has(r)
-}
-
-// ACL returns the object's column: subject -> rights, the ACL view.
-func (m *Matrix) ACL(object string) map[string]Right {
-	out := make(map[string]Right)
-	for subj, row := range m.rows {
-		if rt, ok := row[object]; ok {
-			out[subj] = rt
-		}
-	}
-	return out
-}
-
-// Capabilities returns the subject's row: object -> rights, the capability
-// view.
-func (m *Matrix) Capabilities(subject string) map[string]Right {
-	out := make(map[string]Right, len(m.rows[subject]))
-	for obj, rt := range m.rows[subject] {
-		out[obj] = rt
-	}
-	return out
-}
-
-// Subjects lists all subjects with any entry, sorted.
-func (m *Matrix) Subjects() []string {
-	out := make([]string, 0, len(m.rows))
-	for s := range m.rows {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Entry is one fine-grained policy clause in a role: a path pattern plus

@@ -2,7 +2,6 @@ package access
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -22,7 +21,7 @@ func TestRightString(t *testing.T) {
 	}
 }
 
-func TestMatrixGrantCheckRevoke(t *testing.T) {
+func TestMatrixGrantCheck(t *testing.T) {
 	m := NewMatrix()
 	if m.Check("alice", "doc", Read) {
 		t.Error("empty matrix should deny")
@@ -34,13 +33,6 @@ func TestMatrixGrantCheckRevoke(t *testing.T) {
 	if m.Check("alice", "doc", Lock) {
 		t.Error("ungranted right allowed")
 	}
-	m.Revoke("alice", "doc", Write)
-	if m.Check("alice", "doc", Write) {
-		t.Error("revoked right still allowed")
-	}
-	if !m.Check("alice", "doc", Read) {
-		t.Error("revoke removed too much")
-	}
 }
 
 func TestMatrixNoHierarchy(t *testing.T) {
@@ -48,25 +40,6 @@ func TestMatrixNoHierarchy(t *testing.T) {
 	m.Grant("alice", "doc", Read)
 	if m.Check("alice", "doc/s1", Read) {
 		t.Error("matrix baseline must be identity-exact (no hierarchy)")
-	}
-}
-
-func TestMatrixViews(t *testing.T) {
-	m := NewMatrix()
-	m.Grant("alice", "doc", Read)
-	m.Grant("bob", "doc", Write)
-	m.Grant("alice", "memo", Read)
-	acl := m.ACL("doc")
-	if len(acl) != 2 || acl["alice"] != Read || acl["bob"] != Write {
-		t.Errorf("ACL = %v", acl)
-	}
-	caps := m.Capabilities("alice")
-	if len(caps) != 2 || caps["memo"] != Read {
-		t.Errorf("Capabilities = %v", caps)
-	}
-	subj := m.Subjects()
-	if len(subj) != 2 || subj[0] != "alice" {
-		t.Errorf("Subjects = %v", subj)
 	}
 }
 
@@ -94,6 +67,9 @@ func TestEntryMatching(t *testing.T) {
 	_, specTree := Entry{Pattern: "doc/s1/*"}.Matches("doc/s1")
 	if specExact <= specTree {
 		t.Errorf("exact spec %d should beat subtree spec %d", specExact, specTree)
+	}
+	if got := (Entry{Pattern: "doc/*", Rights: Write, Negate: true}).String(); got != "deny  -w--- on doc/*" {
+		t.Errorf("String = %q", got)
 	}
 }
 
@@ -155,14 +131,6 @@ func TestDynamicRoleChange(t *testing.T) {
 	s.Assign("bob", "author", 10)
 	if !s.Check("bob", "doc/s1/p1", Write) {
 		t.Error("role change should take effect immediately")
-	}
-	s.Drop("bob", "author", 20)
-	if s.Check("bob", "doc/s1/p1", Write) {
-		t.Error("dropped role should lose rights")
-	}
-	roles := s.RolesOf("bob")
-	if len(roles) != 1 || roles[0] != "reviewer" {
-		t.Errorf("RolesOf = %v", roles)
 	}
 }
 
@@ -273,17 +241,6 @@ func TestNegotiationNoApprovers(t *testing.T) {
 	}
 	if _, err := s.Vote(99, "x", true, 0); !errors.Is(err, ErrUnknownNeg) {
 		t.Errorf("unknown negotiation = %v", err)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	s := newRoleSystem()
-	s.Assign("alice", "author", 0)
-	desc := s.Describe()
-	for _, want := range []string{"role author:", "allow", "deny ", "doc/s1/*", "held by: alice"} {
-		if !strings.Contains(desc, want) {
-			t.Errorf("Describe missing %q in:\n%s", want, desc)
-		}
 	}
 }
 

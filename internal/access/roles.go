@@ -3,7 +3,6 @@ package access
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -87,22 +86,6 @@ func (s *System) Assign(user, roleName string, at time.Duration) error {
 	return nil
 }
 
-// Drop removes user from roleName.
-func (s *System) Drop(user, roleName string, at time.Duration) {
-	delete(s.users[user], roleName)
-	s.event(RoleEvent{Kind: "drop", User: user, Role: roleName, At: at})
-}
-
-// RolesOf lists user's roles, sorted.
-func (s *System) RolesOf(user string) []string {
-	out := make([]string, 0, len(s.users[user]))
-	for r := range s.users[user] {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Check decides whether user holds right r on object. Across all the user's
 // roles the most specific matching entry wins; at equal specificity an
 // explicit deny beats an allow; no match means deny.
@@ -135,34 +118,6 @@ func (s *System) Check(user, object string, r Right) bool {
 	return bestAllow
 }
 
-// Describe renders the whole policy in the human-readable form the paper
-// asks for ("access rights are both visible and easy to understand").
-func (s *System) Describe() string {
-	var b strings.Builder
-	roleNames := make([]string, 0, len(s.roles))
-	for n := range s.roles {
-		roleNames = append(roleNames, n)
-	}
-	sort.Strings(roleNames)
-	for _, n := range roleNames {
-		fmt.Fprintf(&b, "role %s:\n", n)
-		for _, e := range s.roles[n].entries {
-			fmt.Fprintf(&b, "  %s\n", e)
-		}
-		var holders []string
-		for u, set := range s.users {
-			if set[n] {
-				holders = append(holders, u)
-			}
-		}
-		sort.Strings(holders)
-		if len(holders) > 0 {
-			fmt.Fprintf(&b, "  held by: %s\n", strings.Join(holders, ", "))
-		}
-	}
-	return b.String()
-}
-
 // Negotiation is a pending rights-change proposal: the paper anticipates
 // that access changes "will be made as a result of negotiation between
 // parties involved". Approvers are the users holding Grant on the object.
@@ -179,9 +134,6 @@ type Negotiation struct {
 
 // Granted reports whether the negotiation concluded in a grant.
 func (n *Negotiation) Granted() bool { return n.granted }
-
-// Closed reports whether the negotiation has concluded.
-func (n *Negotiation) Closed() bool { return n.closed }
 
 // Request opens a negotiation for user to gain rights on object. The
 // approver set is every user that currently holds Grant on the object; an

@@ -20,7 +20,6 @@
 package awareness
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -78,9 +77,6 @@ func (l Level) String() string {
 	}
 }
 
-// ErrUnknownEntity reports an operation on an entity not in the space.
-var ErrUnknownEntity = errors.New("awareness: unknown entity")
-
 // Config tunes the awareness computation; the zero value enables both
 // metrics with a 5-minute temporal half-life (ablation experiment F2a
 // toggles the booleans).
@@ -123,28 +119,6 @@ func NewSpace(cfg Config) *Space {
 func (s *Space) Place(e Entity) {
 	cp := e
 	s.entities[e.ID] = &cp
-}
-
-// Move relocates an entity.
-func (s *Space) Move(id string, pos Vec) error {
-	e, ok := s.entities[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownEntity, id)
-	}
-	e.Pos = pos
-	return nil
-}
-
-// Remove deletes an entity.
-func (s *Space) Remove(id string) { delete(s.entities, id) }
-
-// Entity returns a copy of the entity.
-func (s *Space) Entity(id string) (Entity, bool) {
-	e, ok := s.entities[id]
-	if !ok {
-		return Entity{}, false
-	}
-	return *e, true
 }
 
 // IDs returns all entity IDs, sorted.
@@ -295,9 +269,6 @@ type Engine struct {
 func NewEngine(space *Space) *Engine {
 	return &Engine{space: space, sinks: make(map[string]func(Delivery))}
 }
-
-// Space returns the underlying space.
-func (e *Engine) Space() *Space { return e.space }
 
 // Stats returns accumulated statistics.
 func (e *Engine) Stats() Stats { return e.stats }

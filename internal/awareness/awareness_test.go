@@ -46,7 +46,7 @@ func TestSpatialWeight(t *testing.T) {
 		t.Errorf("far weight = %v", w)
 	}
 	// Same position: full weight.
-	s.Move("b", Vec{0, 0})
+	s.entities["b"].Pos = Vec{0, 0}
 	if w := s.SpatialWeight("a", "b"); !approx(w, 1) {
 		t.Errorf("coincident weight = %v", w)
 	}
@@ -147,17 +147,6 @@ func TestEngineActorNotNotified(t *testing.T) {
 	}
 }
 
-func TestMoveUnknown(t *testing.T) {
-	s := stdSpace()
-	if err := s.Move("ghost", Vec{}); err == nil {
-		t.Error("moving unknown entity should fail")
-	}
-	s.Remove("a")
-	if _, ok := s.Entity("a"); ok {
-		t.Error("removed entity still present")
-	}
-}
-
 func TestSectionPos(t *testing.T) {
 	if p := SectionPos(3); p.X != 3 || p.Y != 0 {
 		t.Errorf("SectionPos = %+v", p)
@@ -237,12 +226,7 @@ func TestRecordInteractionBoostsWeight(t *testing.T) {
 	}
 }
 
-func TestEngineSpaceAccessorAndDefaultHalfLife(t *testing.T) {
-	s := NewSpace(Config{})
-	e := NewEngine(s)
-	if e.Space() != s {
-		t.Error("Space accessor")
-	}
+func TestDefaultHalfLife(t *testing.T) {
 	if got := (Config{}).halfLife(); got != 5*time.Minute {
 		t.Errorf("default half-life = %v", got)
 	}

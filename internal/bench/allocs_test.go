@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/group"
+	"repro/internal/netsim"
 )
 
 // TestMulticastAllocs pins the allocation count of one multicast through
@@ -39,10 +40,39 @@ func TestMulticastAllocs(t *testing.T) {
 		if c.batched {
 			o.Batch = group.BatchConfig{MaxMsgs: 64}
 		}
-		got := MulticastAllocsPerOp(o, 4096)
+		got := multicastAllocsPerOp(o, 4096)
 		t.Logf("%v batched=%v: %.4f allocs/op", c.ordering, c.batched, got)
 		if math.Abs(got-c.want) > 0.05 {
 			t.Errorf("%v batched=%v: multicast allocates %.4f/op, want %.2f±0.05", c.ordering, c.batched, got, c.want)
 		}
 	}
+}
+
+// multicastAllocsPerOp measures heap allocations per multicast through the
+// full ordering path — send, sequence assignment, delivery to every member —
+// using the same rig and workload shape as MulticastBench, so the number is
+// directly comparable to the allocs/op column in the benchmark reports. It
+// lives here rather than in package group because the rig needs netsim,
+// which the protocol layer must not import.
+func multicastAllocsPerOp(o MulticastOptions, ops int) float64 {
+	sim, members := multicastRig(o, netsim.LocalLink, func(group.Delivery) {})
+	n := len(members)
+	total := testing.AllocsPerRun(3, func() {
+		for i := 0; i < ops; i++ {
+			if err := members[i%n].Multicast(i, 16); err != nil {
+				panic(err)
+			}
+			if i%1024 == 1023 {
+				for _, m := range members {
+					m.Flush()
+				}
+				sim.Run()
+			}
+		}
+		for _, m := range members {
+			m.Flush()
+		}
+		sim.Run()
+	})
+	return total / float64(ops)
 }

@@ -60,18 +60,6 @@ func Scenarios() []Scenario {
 	return out
 }
 
-// Matrix returns the scenarios that make up the CI matrix: every registered
-// scenario except the deliberately broken ones.
-func Matrix() []Scenario {
-	var out []Scenario
-	for _, s := range Scenarios() {
-		if !s.Broken {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Lookup finds a scenario by name.
 func Lookup(name string) (Scenario, bool) {
 	s, ok := registry[name]

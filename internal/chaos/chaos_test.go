@@ -30,7 +30,7 @@ func matrixSeed() int64 {
 // TestChaosScenarios is the CI matrix: every non-broken scenario once,
 // under the fixed seed (or -chaos.seed for a replay).
 func TestChaosScenarios(t *testing.T) {
-	for _, s := range Matrix() {
+	for _, s := range matrix() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			r, err := Run(s.Name, matrixSeed())
@@ -102,7 +102,7 @@ func TestChaosViolationReporting(t *testing.T) {
 	if !strings.Contains(string(r.Trace), "VIOLATION [no-loss]") {
 		t.Errorf("trace does not record the violation:\n%s", r.Trace)
 	}
-	for _, s := range Matrix() {
+	for _, s := range matrix() {
 		if s.Broken {
 			t.Errorf("broken scenario %q leaked into the CI matrix", s.Name)
 		}
@@ -246,7 +246,7 @@ func TestChaosSoak(t *testing.T) {
 	if n <= 0 {
 		t.Skip("set CHAOS_SOAK=<seed count> to run the soak sweep")
 	}
-	for _, s := range Matrix() {
+	for _, s := range matrix() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= int64(n); seed++ {
@@ -260,4 +260,16 @@ func TestChaosSoak(t *testing.T) {
 			}
 		})
 	}
+}
+
+// matrix returns the scenarios that make up the CI matrix: every registered
+// scenario except the deliberately broken ones.
+func matrix() []Scenario {
+	var out []Scenario
+	for _, s := range Scenarios() {
+		if !s.Broken {
+			out = append(out, s)
+		}
+	}
+	return out
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/qos"
-	"repro/internal/stream"
 )
 
 // OpBinding is an explicit operational binding between a client node and an
@@ -46,12 +44,6 @@ func (k *Kernel) Bind(clientNode string, offer Offer, required qos.Params) (*OpB
 	return b, nil
 }
 
-// ID returns the binding identifier.
-func (b *OpBinding) ID() string { return b.id }
-
-// Offer returns the bound offer.
-func (b *OpBinding) Offer() Offer { return b.offer }
-
 // Invoke calls op(arg) through the binding. done receives the result when
 // the reply arrives; the invocation travels the simulated network both
 // ways, so placement and links determine the observed latency.
@@ -89,84 +81,4 @@ func (b *OpBinding) Unbind() {
 	}
 	b.bound = false
 	b.kernel.emit(Event{Kind: EvUnbound, Binding: b.id, Client: b.client, Object: b.offer.Object, At: b.kernel.sim.Now()})
-}
-
-// GroupBinding is a one-to-many operational binding: group invocation per
-// §4.2.2.iv ("if a group of cameras are to be started simultaneously").
-type GroupBinding struct {
-	members []*OpBinding
-}
-
-// BindGroup establishes bindings to every offer.
-func (k *Kernel) BindGroup(clientNode string, offers []Offer, required qos.Params) (*GroupBinding, error) {
-	if len(offers) == 0 {
-		return nil, ErrNoOffers
-	}
-	g := &GroupBinding{}
-	for _, off := range offers {
-		b, err := k.Bind(clientNode, off, required)
-		if err != nil {
-			for _, m := range g.members {
-				m.Unbind()
-			}
-			return nil, err
-		}
-		g.members = append(g.members, b)
-	}
-	return g, nil
-}
-
-// GroupReply is one member's response to a group invocation.
-type GroupReply struct {
-	Object string
-	Result string
-	Err    error
-}
-
-// InvokeAll invokes op(arg) on every member; done fires once with all
-// replies when the last arrives.
-func (g *GroupBinding) InvokeAll(op, arg string, done func([]GroupReply)) error {
-	replies := make([]GroupReply, 0, len(g.members))
-	need := len(g.members)
-	for _, m := range g.members {
-		obj := m.offer.Object
-		err := m.Invoke(op, arg, func(res string, err error) {
-			replies = append(replies, GroupReply{Object: obj, Result: res, Err: err})
-			if len(replies) == need {
-				done(replies)
-			}
-		})
-		if err != nil {
-			// A member whose send fails outright still counts as replied,
-			// with the error, so done always fires.
-			replies = append(replies, GroupReply{Object: obj, Err: err})
-			if len(replies) == need {
-				done(replies)
-			}
-		}
-	}
-	return nil
-}
-
-// Unbind tears down every member binding.
-func (g *GroupBinding) Unbind() {
-	for _, m := range g.members {
-		m.Unbind()
-	}
-}
-
-// Size returns the number of member bindings.
-func (g *GroupBinding) Size() int { return len(g.members) }
-
-// BindStream establishes a QoS-managed stream binding from the node hosting
-// a source object to sink nodes — the kernel face of package stream's
-// Establish, so applications acquire streams the same way they acquire
-// operational bindings.
-func (k *Kernel) BindStream(srcObj string, sinkNodes []string, media string,
-	tiers []stream.Tier, required qos.Params, bufDepth, window time.Duration) (*stream.Binding, error) {
-	node, err := k.NodeOf(srcObj)
-	if err != nil {
-		return nil, err
-	}
-	return stream.Establish(k.sim, node, sinkNodes, media, tiers, required, bufDepth, window)
 }

@@ -4,9 +4,9 @@
 // Computational viewpoint: objects offer named operational interfaces whose
 // signatures carry QoS annotations; a trader matches importers to exported
 // offers with compatibility checking (qos.Params.Satisfies) at import and
-// bind time; bindings are explicit, first-class objects — operational
-// (request/reply), stream (continuous media, via package stream) and group
-// (one-to-many invocation, §4.2.2.iv).
+// bind time; bindings are explicit, first-class operational
+// (request/reply) objects. Continuous-media streams are bound by package
+// stream.
 //
 // Engineering viewpoint: objects live in clusters inside capsules on nodes
 // (package mgmt decides and revises placement); invocations travel the
@@ -62,16 +62,6 @@ type Object struct {
 	ID      string
 	Cluster string
 	ifaces  map[string]*Interface
-}
-
-// Interfaces lists the object's interface names, sorted.
-func (o *Object) Interfaces() []string {
-	out := make([]string, 0, len(o.ifaces))
-	for n := range o.ifaces {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Offer is a trader entry: an exported interface and where it lives.
@@ -205,7 +195,7 @@ func (k *Kernel) emit(e Event) {
 // group-aware placement.
 func (k *Kernel) CreateObject(id string, expected map[string]int) (*Object, error) {
 	cluster := "cluster:" + id
-	node, err := k.mgr.Place(cluster, []string{id}, expected)
+	node, err := k.mgr.Place(cluster, expected)
 	if err != nil {
 		return nil, fmt.Errorf("place %s: %w", id, err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/mgmt"
 	"repro/internal/netsim"
 	"repro/internal/qos"
-	"repro/internal/stream"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -227,62 +226,6 @@ func TestMigrationMovesService(t *testing.T) {
 	}
 }
 
-func TestGroupBindingInvokeAll(t *testing.T) {
-	w := newWorld(t, mgmt.FirstFit)
-	for _, id := range []string{"cam1", "cam2", "cam3"} {
-		w.k.CreateObject(id, nil)
-		w.k.AddInterface(id, Interface{
-			Name: "ctl", Type: "camera", QoS: qos.Params{Latency: time.Second, Jitter: time.Second},
-			Ops: map[string]Operation{
-				"start": func(caller, arg string) (string, error) { return "rolling", nil },
-			},
-		})
-		w.k.Export(id, "ctl")
-	}
-	offers, err := w.k.Import("camera", qos.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := w.k.BindGroup("client-lon", offers, qos.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 3 {
-		t.Fatalf("size = %d", g.Size())
-	}
-	var replies []GroupReply
-	g.InvokeAll("start", "", func(rs []GroupReply) { replies = rs })
-	w.sim.Run()
-	if len(replies) != 3 {
-		t.Fatalf("replies = %+v", replies)
-	}
-	for _, r := range replies {
-		if r.Err != nil || r.Result != "rolling" {
-			t.Errorf("reply = %+v", r)
-		}
-	}
-	g.Unbind()
-}
-
-func TestBindStream(t *testing.T) {
-	w := newWorld(t, mgmt.FirstFit)
-	w.k.CreateObject("vidsrc", map[string]int{"lon": 1})
-	tiers := []stream.Tier{{
-		Name: "std", Interval: ms(40), Size: 500,
-		Contract: qos.Params{Throughput: 10_000, Latency: ms(100), Jitter: ms(50), Loss: 0.1},
-	}}
-	b, err := w.k.BindStream("vidsrc", []string{"client-lon"}, "video", tiers, qos.Params{}, ms(40), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start()
-	w.sim.At(time.Second, b.Stop)
-	w.sim.RunUntil(2 * time.Second)
-	if b.Sinks()[0].Stats().Played < 20 {
-		t.Errorf("played %d frames", b.Sinks()[0].Stats().Played)
-	}
-}
-
 func TestCreateObjectUnknowns(t *testing.T) {
 	w := newWorld(t, mgmt.FirstFit)
 	if err := w.k.AddInterface("ghost", Interface{Name: "x"}); !errors.Is(err, ErrUnknownObject) {
@@ -334,32 +277,29 @@ func BenchmarkInvokeRoundTrip(b *testing.B) {
 	sim.Run()
 }
 
-func TestObjectInterfacesAndBindingAccessors(t *testing.T) {
+func TestUnbindTwice(t *testing.T) {
 	w := newWorld(t, mgmt.FirstFit)
-	obj, err := w.k.CreateObject("svc", nil)
-	if err != nil {
+	if _, err := w.k.CreateObject("svc", nil); err != nil {
 		t.Fatal(err)
 	}
 	w.k.AddInterface("svc", echoIface(qos.Params{Latency: time.Second, Jitter: time.Second}))
-	w.k.AddInterface("svc", Interface{Name: "aux", Type: "aux"})
-	ifaces := obj.Interfaces()
-	if len(ifaces) != 2 || ifaces[0] != "aux" || ifaces[1] != "main" {
-		t.Errorf("Interfaces = %v", ifaces)
-	}
 	w.k.Export("svc", "main")
 	offers, _ := w.k.Import("echo", qos.Params{})
 	b, err := w.k.Bind("client-lon", offers[0], qos.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.ID() == "" {
-		t.Error("binding ID empty")
-	}
-	if b.Offer().Object != "svc" {
-		t.Errorf("Offer = %+v", b.Offer())
+	unbound := 0
+	w.k.OnEvent = func(e Event) {
+		if e.Kind == EvUnbound {
+			unbound++
+		}
 	}
 	b.Unbind()
 	b.Unbind() // idempotent
+	if unbound != 1 {
+		t.Errorf("two Unbinds emitted %d unbound events, want 1", unbound)
+	}
 }
 
 func TestBindUnknownClientNode(t *testing.T) {
@@ -370,43 +310,5 @@ func TestBindUnknownClientNode(t *testing.T) {
 	offers, _ := w.k.Import("echo", qos.Params{})
 	if _, err := w.k.Bind("no-such-node", offers[0], qos.Params{}); err == nil {
 		t.Error("bind from unknown node should fail")
-	}
-}
-
-func TestBindGroupEmptyAndRollback(t *testing.T) {
-	w := newWorld(t, mgmt.FirstFit)
-	if _, err := w.k.BindGroup("client-lon", nil, qos.Params{}); !errors.Is(err, ErrNoOffers) {
-		t.Errorf("empty BindGroup = %v", err)
-	}
-	// One good offer plus one that fails compatibility: all-or-nothing.
-	w.k.CreateObject("svc", nil)
-	w.k.AddInterface("svc", echoIface(qos.Params{Latency: time.Second, Jitter: time.Second}))
-	w.k.Export("svc", "main")
-	good, _ := w.k.Import("echo", qos.Params{})
-	bad := Offer{Object: "ghost", Interface: "x", Type: "echo", QoS: qos.Params{}}
-	var events []Event
-	w.k.OnEvent = func(e Event) { events = append(events, e) }
-	if _, err := w.k.BindGroup("client-lon", append(good, bad), qos.Params{Latency: time.Minute}); err == nil {
-		t.Fatal("group bind with incompatible member should fail")
-	}
-	// The good member that bound first must have been unbound again.
-	var bound, unbound int
-	for _, e := range events {
-		switch e.Kind {
-		case EvBound:
-			bound++
-		case EvUnbound:
-			unbound++
-		}
-	}
-	if bound != unbound {
-		t.Errorf("bound %d != unbound %d after rollback", bound, unbound)
-	}
-}
-
-func TestBindStreamUnknownObject(t *testing.T) {
-	w := newWorld(t, mgmt.FirstFit)
-	if _, err := w.k.BindStream("ghost", []string{"client-lon"}, "a", nil, qos.Params{}, time.Millisecond, time.Second); !errors.Is(err, ErrUnknownObject) {
-		t.Errorf("BindStream = %v", err)
 	}
 }

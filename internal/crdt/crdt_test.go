@@ -149,16 +149,16 @@ func TestSequenceMergeStateAllOrNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	text, n, vv, held := s.Text(), s.Len(), s.VV(), s.Held()
+	text, n, vv, held := s.Text(), s.Len(), s.vv.Clone(), s.Held()
 
 	bad := peer.State()
 	bad.Nodes[2].After = ID{N: 99, Site: "ghost"}
 	if err := s.MergeState(bad); err == nil {
 		t.Fatal("a state with an unknown reference was accepted")
 	}
-	if s.Text() != text || s.Len() != n || !reflect.DeepEqual(s.VV(), vv) || s.Held() != held {
+	if s.Text() != text || s.Len() != n || !reflect.DeepEqual(s.vv.Clone(), vv) || s.Held() != held {
 		t.Fatalf("rejected merge changed the replica: text %q len %d vv %v held %d, want %q %d %v %d",
-			s.Text(), s.Len(), s.VV(), s.Held(), text, n, vv, held)
+			s.Text(), s.Len(), s.vv.Clone(), s.Held(), text, n, vv, held)
 	}
 
 	if err := s.MergeState(peer.State()); err != nil {

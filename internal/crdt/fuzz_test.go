@@ -48,7 +48,7 @@ func FuzzOpWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 'a', 3, 0, 0, 0, 7, 'x', 'y', 255, 128, 9})
 	f.Add([]byte{4, 1, 'b', 0, 0, 0, 1, 'e', 'l', 'e', 'm', 2, 9, 'a', 8, 'b'})
-	codec := NewWireCodec()
+	codec := wireCodec()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &byteScript{data: data}
 		msg := &MsgOp{

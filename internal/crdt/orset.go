@@ -33,14 +33,8 @@ func NewSet(site string) *Set {
 	}
 }
 
-// Site returns the replica's site identifier.
-func (s *Set) Site() string { return s.site }
-
 // Held returns the number of remote ops waiting on FIFO order.
 func (s *Set) Held() int { return len(s.held) }
-
-// VV returns a copy of the applied-operation vector.
-func (s *Set) VV() vclock.VC { return s.vv.Clone() }
 
 // Contains reports whether elem is in the set.
 func (s *Set) Contains(elem string) bool { return len(s.dots[elem]) > 0 }

@@ -29,14 +29,8 @@ func NewCounter(site string) *Counter {
 	}
 }
 
-// Site returns the replica's site identifier.
-func (c *Counter) Site() string { return c.site }
-
 // Held returns the number of remote ops waiting on FIFO order.
 func (c *Counter) Held() int { return len(c.held) }
-
-// VV returns a copy of the applied-operation vector.
-func (c *Counter) VV() vclock.VC { return c.vv.Clone() }
 
 // Value returns the counter value: total increments minus total decrements.
 func (c *Counter) Value() int64 {

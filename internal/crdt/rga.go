@@ -53,18 +53,12 @@ func NewSequence(site string) *Sequence {
 	return s
 }
 
-// Site returns the replica's site identifier.
-func (s *Sequence) Site() string { return s.site }
-
 // Len returns the number of visible (non-tombstoned) elements.
 func (s *Sequence) Len() int { return s.visible }
 
 // Held returns the number of remote ops waiting on FIFO order or missing
 // dependencies.
 func (s *Sequence) Held() int { return len(s.held) }
-
-// VV returns a copy of the applied-operation vector (ops applied per site).
-func (s *Sequence) VV() vclock.VC { return s.vv.Clone() }
 
 // Text renders the visible elements in document order.
 func (s *Sequence) Text() string {

@@ -34,10 +34,3 @@ func RegisterWire(c *fabric.Codec) {
 	c.Register(TagOp, MsgOp{})
 	c.Register(TagState, MsgState{})
 }
-
-// NewWireCodec returns a codec pre-loaded with the CRDT wire messages.
-func NewWireCodec() *fabric.Codec {
-	c := fabric.NewCodec()
-	RegisterWire(c)
-	return c
-}

@@ -7,6 +7,13 @@ import (
 	"repro/internal/fabric"
 )
 
+// wireCodec is a codec that knows the CRDT wire messages.
+func wireCodec() *fabric.Codec {
+	c := fabric.NewCodec()
+	RegisterWire(c)
+	return c
+}
+
 func roundTrip(t *testing.T, codec *fabric.Codec, msg any) any {
 	t.Helper()
 	data, err := codec.Encode(msg)
@@ -42,7 +49,7 @@ func sampleStates(t *testing.T) (*SeqState, *SetState, *CtrState) {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	codec := NewWireCodec()
+	codec := wireCodec()
 	seqSt, setSt, ctrSt := sampleStates(t)
 	msgs := []any{
 		&MsgOp{Doc: "d1", Op: Op{Kind: OpSeqInsert, Site: "a", Seq: 3, ID: ID{N: 7, Site: "a"}, After: ID{N: 2, Site: "b"}, Ch: 'é'}},
@@ -63,7 +70,7 @@ func TestWireBinaryDeterministicBytes(t *testing.T) {
 	// Equal states must encode to identical bytes regardless of the map
 	// insertion history — chaos invariants and the fuzzers compare
 	// encodings directly.
-	codec := NewWireCodec()
+	codec := wireCodec()
 	a, b := NewSet("s1"), NewSet("s2")
 	opX := a.Add("x")
 	opY := a.Add("y")

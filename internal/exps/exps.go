@@ -111,6 +111,3 @@ func fmtDur(d time.Duration) string {
 
 // fmtPct renders a ratio as a percentage.
 func fmtPct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
-
-// fmtF renders a float briefly.
-func fmtF(x float64) string { return fmt.Sprintf("%.2f", x) }

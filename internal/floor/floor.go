@@ -14,8 +14,7 @@
 //   - RoundRobin: on release the floor rotates to the next requester in
 //     member order.
 //   - Negotiate: requests while the floor is busy notify the holder, who
-//     may yield or decline; the requester may also preempt after a patience
-//     window (the informal Colab style).
+//     may yield (the informal Colab style).
 package floor
 
 import (
@@ -35,7 +34,7 @@ const (
 	Chair
 	// RoundRobin rotates among requesters in member order.
 	RoundRobin
-	// Negotiate notifies the holder and allows patience-based preemption.
+	// Negotiate notifies the holder of every request.
 	Negotiate
 )
 
@@ -65,10 +64,6 @@ const (
 	EvGranted
 	// EvReleased reports a voluntary release.
 	EvReleased
-	// EvDenied reports a denied or declined request.
-	EvDenied
-	// EvPreempted reports the holder losing the floor to a preemption.
-	EvPreempted
 )
 
 // String returns the event name.
@@ -80,10 +75,6 @@ func (e EventType) String() string {
 		return "granted"
 	case EvReleased:
 		return "released"
-	case EvDenied:
-		return "denied"
-	case EvPreempted:
-		return "preempted"
 	default:
 		return fmt.Sprintf("EventType(%d)", int(e))
 	}
@@ -93,7 +84,7 @@ func (e EventType) String() string {
 type Event struct {
 	Type EventType
 	User string // the subject of the event
-	By   string // the causing party (requester, chair, preemptor)
+	By   string // the causing party (the requester)
 	At   time.Duration
 }
 
@@ -104,16 +95,13 @@ var (
 	ErrNotChair       = errors.New("floor: caller is not the chair")
 	ErrAlreadyHolder  = errors.New("floor: caller already holds the floor")
 	ErrNoRequest      = errors.New("floor: user has no pending request")
-	ErrTooImpatient   = errors.New("floor: preemption before patience window")
 )
 
 // Stats aggregates controller activity.
 type Stats struct {
-	Requests    int
-	Grants      int
-	Preemptions int
-	Denials     int
-	TotalWait   time.Duration
+	Requests  int
+	Grants    int
+	TotalWait time.Duration
 }
 
 // MeanWait is the mean time between request and grant.
@@ -136,7 +124,6 @@ type Controller struct {
 	members  []string
 	isMember map[string]bool
 	chair    string
-	patience time.Duration // Negotiate: how long a requester must wait before preempting
 	emit     func(Event)
 
 	holder  string
@@ -149,8 +136,6 @@ type Controller struct {
 type Options struct {
 	// Chair designates the chair (required for the Chair policy).
 	Chair string
-	// Patience is the Negotiate policy's minimum wait before preemption.
-	Patience time.Duration
 	// Emit receives events; nil discards.
 	Emit func(Event)
 }
@@ -174,7 +159,6 @@ func NewController(policy Policy, members []string, opts Options) (*Controller, 
 		members:  ms,
 		isMember: im,
 		chair:    opts.Chair,
-		patience: opts.Patience,
 		emit:     opts.Emit,
 	}, nil
 }
@@ -290,59 +274,6 @@ func (c *Controller) Grant(chair, user string, now time.Duration) error {
 			c.grant(user, r.since, now)
 			return nil
 		}
-	}
-	return fmt.Errorf("%w: %s", ErrNoRequest, user)
-}
-
-// Deny removes a queued request (chair policy: chair declines; negotiate
-// policy: holder declines).
-func (c *Controller) Deny(by, user string, now time.Duration) error {
-	switch c.policy {
-	case Chair:
-		if by != c.chair {
-			return fmt.Errorf("%w: %s", ErrNotChair, by)
-		}
-	case Negotiate:
-		if by != c.holder {
-			return fmt.Errorf("%w: %s", ErrNotHolder, by)
-		}
-	default:
-		return errors.New("floor: deny not supported by policy")
-	}
-	for qi, r := range c.queue {
-		if r.user == user {
-			c.queue = append(c.queue[:qi], c.queue[qi+1:]...)
-			c.stats.Denials++
-			c.event(EvDenied, user, by, now)
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %s", ErrNoRequest, user)
-}
-
-// Preempt lets a queued requester take the floor from the holder after the
-// patience window (Negotiate policy only) — the informal "I'll just grab
-// the pen" move.
-func (c *Controller) Preempt(user string, now time.Duration) error {
-	if c.policy != Negotiate {
-		return errors.New("floor: preempt only under negotiate policy")
-	}
-	for qi, r := range c.queue {
-		if r.user != user {
-			continue
-		}
-		if now-r.since < c.patience {
-			return fmt.Errorf("%w: waited %v of %v", ErrTooImpatient, now-r.since, c.patience)
-		}
-		old := c.holder
-		c.queue = append(c.queue[:qi], c.queue[qi+1:]...)
-		if old != "" {
-			c.stats.Preemptions++
-			c.event(EvPreempted, old, user, now)
-		}
-		c.holder = ""
-		c.grant(user, r.since, now)
-		return nil
 	}
 	return fmt.Errorf("%w: %s", ErrNoRequest, user)
 }

@@ -80,7 +80,7 @@ func TestRequestValidation(t *testing.T) {
 }
 
 func TestChairPolicy(t *testing.T) {
-	c, events := newCtl(t, Chair, Options{Chair: "alice"})
+	c, _ := newCtl(t, Chair, Options{Chair: "alice"})
 	// Even with the floor free, requests wait for the chair.
 	got, err := c.Request("bob", sec(0))
 	if err != nil || got {
@@ -97,23 +97,6 @@ func TestChairPolicy(t *testing.T) {
 	}
 	if c.Holder() != "bob" {
 		t.Fatalf("holder = %q", c.Holder())
-	}
-	// Chair can deny a queued request.
-	c.Request("carol", sec(2))
-	if err := c.Deny("alice", "carol", sec(3)); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().Denials != 1 {
-		t.Errorf("denials = %d", c.Stats().Denials)
-	}
-	var sawDenied bool
-	for _, e := range *events {
-		if e.Type == EvDenied && e.User == "carol" && e.By == "alice" {
-			sawDenied = true
-		}
-	}
-	if !sawDenied {
-		t.Error("no denied event")
 	}
 	// Granting someone who never asked fails (once the floor is free).
 	if err := c.Release("bob", sec(4)); err != nil {
@@ -155,7 +138,7 @@ func TestRoundRobinRotation(t *testing.T) {
 }
 
 func TestNegotiateHolderNotifiedAndYields(t *testing.T) {
-	c, events := newCtl(t, Negotiate, Options{Patience: 10 * time.Second})
+	c, events := newCtl(t, Negotiate, Options{})
 	c.Request("alice", sec(0))
 	c.Request("bob", sec(1))
 	// Alice was told bob wants the floor.
@@ -168,42 +151,12 @@ func TestNegotiateHolderNotifiedAndYields(t *testing.T) {
 	if !holderNotified {
 		t.Fatal("holder not notified of pending request")
 	}
-	// Holder declines bob.
-	if err := c.Deny("alice", "bob", sec(2)); err != nil {
+	// Alice yields, and the floor goes to bob.
+	if err := c.Release("alice", sec(2)); err != nil {
 		t.Fatal(err)
 	}
-	if c.QueueLength() != 0 {
-		t.Errorf("queue = %d", c.QueueLength())
-	}
-}
-
-func TestNegotiatePreemption(t *testing.T) {
-	c, events := newCtl(t, Negotiate, Options{Patience: 10 * time.Second})
-	c.Request("alice", sec(0))
-	c.Request("bob", sec(1))
-	if err := c.Preempt("bob", sec(5)); !errors.Is(err, ErrTooImpatient) {
-		t.Fatalf("early preempt = %v", err)
-	}
-	if err := c.Preempt("bob", sec(12)); err != nil {
-		t.Fatal(err)
-	}
-	if c.Holder() != "bob" {
-		t.Fatalf("holder = %q", c.Holder())
-	}
-	if c.Stats().Preemptions != 1 {
-		t.Errorf("preemptions = %d", c.Stats().Preemptions)
-	}
-	var preempted bool
-	for _, e := range *events {
-		if e.Type == EvPreempted && e.User == "alice" && e.By == "bob" {
-			preempted = true
-		}
-	}
-	if !preempted {
-		t.Error("no preempted event for alice")
-	}
-	if err := c.Preempt("carol", sec(13)); !errors.Is(err, ErrNoRequest) {
-		t.Errorf("preempt without request = %v", err)
+	if c.Holder() != "bob" || c.QueueLength() != 0 {
+		t.Errorf("holder = %q, queue = %d", c.Holder(), c.QueueLength())
 	}
 }
 
@@ -212,12 +165,6 @@ func TestPolicyGating(t *testing.T) {
 	if err := c.Grant("alice", "bob", 0); err == nil {
 		t.Error("grant under free floor should fail")
 	}
-	if err := c.Preempt("bob", 0); err == nil {
-		t.Error("preempt under free floor should fail")
-	}
-	if err := c.Deny("alice", "bob", 0); err == nil {
-		t.Error("deny under free floor should fail")
-	}
 }
 
 func TestEnumStrings(t *testing.T) {
@@ -225,7 +172,7 @@ func TestEnumStrings(t *testing.T) {
 		RoundRobin.String() != "round-robin" || Negotiate.String() != "negotiate" {
 		t.Error("policy names")
 	}
-	if EvRequested.String() != "requested" || EvPreempted.String() != "preempted" {
+	if EvRequested.String() != "requested" {
 		t.Error("event names")
 	}
 }
@@ -251,7 +198,7 @@ func TestStatsMeanWaitAndUnknownStrings(t *testing.T) {
 	if Policy(99).String() == "" || EventType(99).String() == "" {
 		t.Error("unknown enum strings should render")
 	}
-	if EvGranted.String() != "granted" || EvReleased.String() != "released" || EvDenied.String() != "denied" {
+	if EvGranted.String() != "granted" || EvReleased.String() != "released" {
 		t.Error("event names")
 	}
 }

@@ -39,11 +39,11 @@ func within(t testing.TB, d time.Duration, what string, fn func()) {
 func TestReceiveViewPacketWithoutView(t *testing.T) {
 	r := newRig(t, 3, TotalSequencer, netsim.LANLink)
 	m := r.members["m00"]
-	before := m.View()
+	before := m.view
 	within(t, 5*time.Second, "Receive of a view packet without a view", func() {
 		m.Receive("m01", &packet{Kind: 3, From: "m01", ViewID: 2})
 	})
-	if got := m.View(); got.ID != before.ID || len(got.Members) != len(before.Members) {
+	if got := m.view; got.ID != before.ID || len(got.Members) != len(before.Members) {
 		t.Fatalf("view changed to %+v, want %+v", got, before)
 	}
 	m.Multicast("still ordering", 8)

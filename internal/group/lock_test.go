@@ -127,7 +127,7 @@ func TestAccessorsDuringTraffic(t *testing.T) {
 	var reads []func()
 	for _, id := range r.ids {
 		x := r.members[id]
-		reads = append(reads, func() { _ = x.RetransmissionCount() }, func() { _ = x.View() }, func() { _ = x.Delivered() })
+		reads = append(reads, func() { _ = x.RetransmissionCount() }, func() { _ = x.Delivered() })
 	}
 	stop := poll(reads...)
 	for i := 1; i <= n; i++ {

@@ -176,13 +176,6 @@ func NewMember(cfg Config) (*Member, error) {
 	return m, nil
 }
 
-// View returns the currently installed view.
-func (m *Member) View() View {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.view
-}
-
 // Delivered returns the count of messages delivered to the application.
 func (m *Member) Delivered() uint64 {
 	m.mu.Lock()
@@ -197,9 +190,6 @@ func (m *Member) RetransmissionCount() int {
 	defer m.mu.Unlock()
 	return m.retransmissions
 }
-
-// Ordering returns the configured delivery ordering.
-func (m *Member) Ordering() Ordering { return m.ordering }
 
 // InstallView installs a membership view locally, resetting ordering state.
 func (m *Member) InstallView(v View) {

@@ -54,8 +54,6 @@ const (
 	Annotates LinkType = iota + 1
 	// RepliesTo threads a comment under another annotation.
 	RepliesTo
-	// References is a free cross-reference.
-	References
 )
 
 // String returns the link type name.
@@ -65,8 +63,6 @@ func (t LinkType) String() string {
 		return "annotates"
 	case RepliesTo:
 		return "replies-to"
-	case References:
-		return "references"
 	default:
 		return fmt.Sprintf("LinkType(%d)", int(t))
 	}
@@ -166,12 +162,6 @@ func (d *Document) Node(id string) (Node, bool) {
 	return *n, true
 }
 
-// BaseOrder returns the base node IDs in document order.
-func (d *Document) BaseOrder() []string { return append([]string(nil), d.order...) }
-
-// Links returns a copy of all links.
-func (d *Document) Links() []Link { return append([]Link(nil), d.links...) }
-
 // AddBase appends a base node to the document body.
 func (d *Document) AddBase(author, content string, now time.Duration) (string, error) {
 	if !d.allowed(author, "edit", nil) {
@@ -206,18 +196,6 @@ func (d *Document) Annotate(author, target string, kind NodeKind, content string
 	}
 	d.links = append(d.links, Link{From: id, To: target, Type: lt})
 	return id, nil
-}
-
-// Reference adds a free cross-reference link between two nodes.
-func (d *Document) Reference(from, to string) error {
-	if _, ok := d.nodes[from]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, from)
-	}
-	if _, ok := d.nodes[to]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, to)
-	}
-	d.links = append(d.links, Link{From: from, To: to, Type: References})
-	return nil
 }
 
 // Edit replaces a node's content. baseVersion must equal the node's current
@@ -325,18 +303,6 @@ func (d *Document) Thread(target string) []ThreadEntry {
 type ThreadEntry struct {
 	ID    string
 	Depth int
-}
-
-// OpenSuggestions lists unresolved suggestions, sorted by ID.
-func (d *Document) OpenSuggestions() []string {
-	var out []string
-	for id, n := range d.nodes {
-		if n.Kind == Suggestion && !n.Resolved {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Text renders the base document in order.

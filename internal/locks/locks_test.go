@@ -2,6 +2,7 @@ package locks
 
 import (
 	"errors"
+	"sort"
 	"testing"
 	"time"
 )
@@ -19,6 +20,16 @@ func (r *recorder) ofType(t EventType) []Event {
 			out = append(out, e)
 		}
 	}
+	return out
+}
+
+// holdersOf lists the holders at exactly path p, sorted.
+func holdersOf(m *Manager, p Path) []string {
+	var out []string
+	for who := range m.locate(p).holders {
+		out = append(out, who)
+	}
+	sort.Strings(out)
 	return out
 }
 
@@ -77,11 +88,11 @@ func TestSharedCompatible(t *testing.T) {
 		t.Fatal("exclusive over shared should queue")
 	}
 	m.Release(sec1, "alice", 0)
-	if got := m.HoldersOf(sec1); len(got) != 1 || got[0] != "bob" {
+	if got := holdersOf(m, sec1); len(got) != 1 || got[0] != "bob" {
 		t.Fatalf("holders = %v", got)
 	}
 	m.Release(sec1, "bob", 0)
-	if got := m.HoldersOf(sec1); len(got) != 1 || got[0] != "carol" {
+	if got := holdersOf(m, sec1); len(got) != 1 || got[0] != "carol" {
 		t.Fatalf("carol should be granted now, holders = %v", got)
 	}
 }
@@ -141,9 +152,6 @@ func TestReleaseNotHolder(t *testing.T) {
 	if err := m.Release(sec1, "ghost", 0); !errors.Is(err, ErrNotHolder) {
 		t.Errorf("Release = %v", err)
 	}
-	if err := m.Touch(sec1, "ghost", 0); !errors.Is(err, ErrNotHolder) {
-		t.Errorf("Touch = %v", err)
-	}
 }
 
 func TestBadRequest(t *testing.T) {
@@ -171,15 +179,15 @@ func TestTickleIdleHolderDispossessed(t *testing.T) {
 	if len(revoked) != 1 || revoked[0].Who != "alice" || revoked[0].Other != "bob" {
 		t.Fatalf("revocations = %+v", revoked)
 	}
-	if got := m.HoldersOf(sec1); len(got) != 1 || got[0] != "bob" {
+	if got := holdersOf(m, sec1); len(got) != 1 || got[0] != "bob" {
 		t.Fatalf("holders = %v", got)
 	}
 }
 
 func TestTickleActiveHolderKeepsLock(t *testing.T) {
 	m, r := newMgr(Tickle, 10*time.Second)
-	mustAcquire(t, m, sec1, "alice", Exclusive, 0)
-	m.Touch(sec1, "alice", 25*time.Second)
+	// Alice took the lock 5s ago, within the 10s idle window.
+	mustAcquire(t, m, sec1, "alice", Exclusive, 25*time.Second)
 	res := mustAcquire(t, m, sec1, "bob", Exclusive, 30*time.Second)
 	if !res.Queued {
 		t.Fatalf("tickle of active holder = %+v, want queued", res)
@@ -190,7 +198,7 @@ func TestTickleActiveHolderKeepsLock(t *testing.T) {
 	}
 	// Alice finishes; Bob gets the lock from the queue.
 	m.Release(sec1, "alice", 40*time.Second)
-	if got := m.HoldersOf(sec1); len(got) != 1 || got[0] != "bob" {
+	if got := holdersOf(m, sec1); len(got) != 1 || got[0] != "bob" {
 		t.Fatalf("holders = %v", got)
 	}
 }
@@ -206,7 +214,7 @@ func TestSoftAlwaysGrantsWithWarnings(t *testing.T) {
 	if len(warns) != 2 {
 		t.Fatalf("warnings = %+v, want one to each party", warns)
 	}
-	if got := m.HoldersOf(sec1); len(got) != 2 {
+	if got := holdersOf(m, sec1); len(got) != 2 {
 		t.Fatalf("holders = %v, soft locks coexist", got)
 	}
 	if m.Stats().Warnings != 1 {
@@ -273,8 +281,8 @@ func TestQueueFIFO(t *testing.T) {
 			t.Fatalf("grant order = %v", order)
 		}
 	}
-	if m.QueueLength() != 0 {
-		t.Errorf("queue length = %d", m.QueueLength())
+	if len(m.waiters) != 0 {
+		t.Errorf("queue length = %d", len(m.waiters))
 	}
 }
 
@@ -284,7 +292,7 @@ func TestDrainGrantsMultipleShared(t *testing.T) {
 	mustAcquire(t, m, sec1, "r1", Shared, 0)
 	mustAcquire(t, m, sec1, "r2", Shared, 0)
 	m.Release(sec1, "w", 1)
-	if got := m.HoldersOf(sec1); len(got) != 2 {
+	if got := holdersOf(m, sec1); len(got) != 2 {
 		t.Fatalf("both readers should be granted, holders = %v", got)
 	}
 }

@@ -38,9 +38,9 @@ func (s Stats) MeanWait() time.Duration {
 }
 
 type holding struct {
-	who       string
-	mode      Mode
-	lastTouch time.Duration
+	who     string
+	mode    Mode
+	granted time.Duration // a holder counts as idle from its grant on
 }
 
 type node struct {
@@ -101,9 +101,6 @@ func NewManager(d Discipline, opts Options) *Manager {
 		root:       &node{children: make(map[string]*node), holders: make(map[string]*holding), watchers: make(map[string]bool)},
 	}
 }
-
-// Discipline returns the manager's lock discipline.
-func (m *Manager) Discipline() Discipline { return m.discipline }
 
 // Stats returns a copy of the accumulated statistics.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -221,7 +218,7 @@ func (m *Manager) Acquire(p Path, who string, mode Mode, now time.Duration) (Res
 	case Tickle:
 		allIdle := true
 		for _, c := range conflicts {
-			if now-c.holding.lastTouch < m.opts.TickleIdle {
+			if now-c.holding.granted < m.opts.TickleIdle {
 				allIdle = false
 			}
 		}
@@ -260,7 +257,7 @@ func pathOf(n *node) Path {
 }
 
 func (m *Manager) grant(n *node, p Path, who string, mode Mode, now time.Duration, fromQueue bool, since time.Duration) {
-	n.holders[who] = &holding{who: who, mode: mode, lastTouch: now}
+	n.holders[who] = &holding{who: who, mode: mode, granted: now}
 	n.bump(mode, +1)
 	if fromQueue {
 		m.stats.QueueGrants++
@@ -340,28 +337,3 @@ func (m *Manager) CancelWaiters(who string) int {
 	m.waiters = remaining
 	return removed
 }
-
-// Touch records activity by a holder, resetting its tickle-idle timer.
-func (m *Manager) Touch(p Path, who string, now time.Duration) error {
-	n := m.locate(p)
-	h, ok := n.holders[who]
-	if !ok {
-		return fmt.Errorf("%w: %s at %s", ErrNotHolder, who, p)
-	}
-	h.lastTouch = now
-	return nil
-}
-
-// HoldersOf lists the current holders at exactly path p, sorted.
-func (m *Manager) HoldersOf(p Path) []string {
-	n := m.locate(p)
-	out := make([]string, 0, len(n.holders))
-	for who := range n.holders {
-		out = append(out, who)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// QueueLength reports the number of parked waiters.
-func (m *Manager) QueueLength() int { return len(m.waiters) }

@@ -111,12 +111,12 @@ func TestRandomizedMutualExclusionInvariant(t *testing.T) {
 		_ = u // grants happened via emit; holdings updated there
 	}
 	checkInvariant(-1)
-	if m.QueueLength() != 0 && len(holdings) == 0 {
+	if len(m.waiters) != 0 && len(holdings) == 0 {
 		// Queue can only be non-empty if grants chained into new conflicts
 		// among the queued themselves, which drainQueue resolves greedily —
 		// with all locks released, nothing may remain.
 		// (holdings map was refilled by emit for queued grants.)
-		remaining := m.QueueLength()
+		remaining := len(m.waiters)
 		granted := 0
 		for range holdings {
 			granted++
@@ -142,11 +142,11 @@ func TestQueuedWaiterCancelKeepsInvariant(t *testing.T) {
 		t.Fatalf("cancelled %d", n)
 	}
 	m.Release(Path{"d"}, "a", 1)
-	if got := m.HoldersOf(Path{"d"}); len(got) != 1 || got[0] != "b" {
+	if got := holdersOf(m, Path{"d"}); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("holders = %v", got)
 	}
 	m.Release(Path{"d"}, "b", 2)
-	if got := m.HoldersOf(Path{"d"}); len(got) != 1 || got[0] != "d" {
+	if got := holdersOf(m, Path{"d"}); len(got) != 1 || got[0] != "d" {
 		t.Fatalf("holders = %v (c was cancelled)", got)
 	}
 }

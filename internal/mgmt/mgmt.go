@@ -69,27 +69,7 @@ type Capsule struct {
 type Cluster struct {
 	ID      string
 	Capsule string
-	objects map[string]bool
 	usage   map[string]int // accessing site -> access count
-}
-
-// Objects lists the cluster's objects, sorted.
-func (c *Cluster) Objects() []string {
-	out := make([]string, 0, len(c.objects))
-	for o := range c.objects {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Usage returns a copy of the usage pattern.
-func (c *Cluster) Usage() map[string]int {
-	out := make(map[string]int, len(c.usage))
-	for k, v := range c.usage {
-		out[k] = v
-	}
-	return out
 }
 
 // Migration records one cluster move.
@@ -101,13 +81,6 @@ type Migration struct {
 	Gain time.Duration
 }
 
-// Stats aggregates manager activity.
-type Stats struct {
-	Placements int
-	Migrations int
-	Rebalances int
-}
-
 // Manager is the management system over a simulated network.
 type Manager struct {
 	sim      *netsim.Sim
@@ -117,7 +90,6 @@ type Manager struct {
 	capsules map[string]*Capsule
 	clusters map[string]*Cluster
 	nextCap  int
-	stats    Stats
 	// OnMigrate observes migrations.
 	OnMigrate func(m Migration)
 }
@@ -134,12 +106,6 @@ func NewManager(sim *netsim.Sim, policy Policy, seed int64) *Manager {
 	}
 }
 
-// Policy returns the manager's placement policy.
-func (m *Manager) Policy() Policy { return m.policy }
-
-// Stats returns accumulated statistics.
-func (m *Manager) Stats() Stats { return m.stats }
-
 // AddNode registers a managed node (must exist in the simulation).
 func (m *Manager) AddNode(id string) error {
 	if m.sim.Node(id) == nil {
@@ -149,9 +115,6 @@ func (m *Manager) AddNode(id string) error {
 	sort.Strings(m.nodes)
 	return nil
 }
-
-// Nodes lists managed nodes.
-func (m *Manager) Nodes() []string { return append([]string(nil), m.nodes...) }
 
 // capsuleOn finds or creates a capsule on node.
 func (m *Manager) capsuleOn(node string) *Capsule {
@@ -219,7 +182,7 @@ func (m *Manager) bestNode(group map[string]int) string {
 
 // Place creates and places a cluster. expected is the anticipated accessor
 // group (site -> expected access weight); the naive policies ignore it.
-func (m *Manager) Place(clusterID string, objects []string, expected map[string]int) (string, error) {
+func (m *Manager) Place(clusterID string, expected map[string]int) (string, error) {
 	if len(m.nodes) == 0 {
 		return "", ErrNoNodes
 	}
@@ -237,15 +200,11 @@ func (m *Manager) Place(clusterID string, objects []string, expected map[string]
 		node = m.nodes[0]
 	}
 	cap := m.capsuleOn(node)
-	cl := &Cluster{ID: clusterID, Capsule: cap.ID, objects: make(map[string]bool), usage: make(map[string]int)}
-	for _, o := range objects {
-		cl.objects[o] = true
-	}
+	cl := &Cluster{ID: clusterID, Capsule: cap.ID, usage: make(map[string]int)}
 	for s, n := range expected {
 		cl.usage[s] = n
 	}
 	m.clusters[clusterID] = cl
-	m.stats.Placements++
 	return node, nil
 }
 
@@ -267,32 +226,11 @@ func (m *Manager) ResetUsage(clusterID string) {
 	}
 }
 
-// AutoRebalance schedules Rebalance every interval on the simulator,
-// resetting each cluster's usage window afterwards so placement follows the
-// *current* pattern of use. It runs until stop is called (the returned
-// function). This is the management policy loop the paper asks for:
-// mechanisms (usage monitoring) informing policies (group-aware placement).
-func (m *Manager) AutoRebalance(sim *netsim.Sim, interval time.Duration, minGain time.Duration) (stop func()) {
-	running := true
-	sim.Every(interval, func() bool {
-		if !running {
-			return false
-		}
-		m.Rebalance(minGain)
-		for id := range m.clusters {
-			m.ResetUsage(id)
-		}
-		return true
-	})
-	return func() { running = false }
-}
-
 // Rebalance re-evaluates every cluster against its observed usage and
 // migrates those whose worst-member RTT would improve by at least
 // minGain. Only the GroupAware policy migrates; the baselines stay put
 // (that is their pathology).
 func (m *Manager) Rebalance(minGain time.Duration) []Migration {
-	m.stats.Rebalances++
 	if m.policy != GroupAware {
 		return nil
 	}
@@ -316,7 +254,6 @@ func (m *Manager) Rebalance(minGain time.Duration) []Migration {
 		}
 		cl.Capsule = m.capsuleOn(cand).ID
 		mig := Migration{Cluster: id, From: cur, To: cand, At: m.sim.Now(), Gain: curWorst - candWorst}
-		m.stats.Migrations++
 		if m.OnMigrate != nil {
 			m.OnMigrate(mig)
 		}

@@ -35,7 +35,7 @@ func mgr(t *testing.T, sim *netsim.Sim, p Policy) *Manager {
 func TestPlaceValidation(t *testing.T) {
 	sim := topo()
 	m := NewManager(sim, FirstFit, 1)
-	if _, err := m.Place("c", nil, nil); !errors.Is(err, ErrNoNodes) {
+	if _, err := m.Place("c", nil); !errors.Is(err, ErrNoNodes) {
 		t.Errorf("Place with no nodes = %v", err)
 	}
 	if err := m.AddNode("ghost"); !errors.Is(err, ErrUnknownNode) {
@@ -53,7 +53,7 @@ func TestFirstFitIgnoresGroup(t *testing.T) {
 	sim := topo()
 	m := mgr(t, sim, FirstFit)
 	// A group entirely in Sydney still lands on the first node (lon1).
-	node, err := m.Place("doc", []string{"o1"}, map[string]int{"syd": 100})
+	node, err := m.Place("doc", map[string]int{"syd": 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestGroupAwarePlacement(t *testing.T) {
 	// Mostly-Sydney group: Sydney hosting gives worst RTT 300ms for London
 	// members; London hosting gives 300ms for Sydney. Equal worst — but a
 	// pure Sydney group must land in Sydney.
-	node, err := m.Place("doc", []string{"o1"}, map[string]int{"syd": 100})
+	node, err := m.Place("doc", map[string]int{"syd": 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestGroupAwarePlacement(t *testing.T) {
 		t.Errorf("group-aware placed pure-Sydney group on %s", node)
 	}
 	// A pure London group lands in London.
-	node, _ = m.Place("doc2", nil, map[string]int{"lon1": 10, "lon2": 10})
+	node, _ = m.Place("doc2", map[string]int{"lon1": 10, "lon2": 10})
 	if node != "lon1" && node != "lon2" {
 		t.Errorf("group-aware placed London group on %s", node)
 	}
@@ -107,7 +107,7 @@ func TestUsageShiftTriggersMigration(t *testing.T) {
 	m := mgr(t, sim, GroupAware)
 	var migs []Migration
 	m.OnMigrate = func(mg Migration) { migs = append(migs, mg) }
-	node, _ := m.Place("doc", nil, map[string]int{"lon1": 10, "lon2": 10})
+	node, _ := m.Place("doc", map[string]int{"lon1": 10, "lon2": 10})
 	if node == "syd" {
 		t.Fatalf("initial placement = %s", node)
 	}
@@ -124,15 +124,12 @@ func TestUsageShiftTriggersMigration(t *testing.T) {
 	if now, _ := m.NodeOf("doc"); now != "syd" {
 		t.Errorf("cluster now on %s", now)
 	}
-	if m.Stats().Migrations != 1 {
-		t.Errorf("stats = %+v", m.Stats())
-	}
 }
 
 func TestRebalanceRespectsMinGain(t *testing.T) {
 	sim := topo()
 	m := mgr(t, sim, GroupAware)
-	m.Place("doc", nil, map[string]int{"lon1": 10})
+	m.Place("doc", map[string]int{"lon1": 10})
 	// Shift to lon2: gain is only 2ms RTT; a 50ms threshold suppresses it.
 	m.ResetUsage("doc")
 	m.RecordAccess("doc", "lon2", 100)
@@ -144,7 +141,7 @@ func TestRebalanceRespectsMinGain(t *testing.T) {
 func TestNaivePoliciesNeverMigrate(t *testing.T) {
 	sim := topo()
 	m := mgr(t, sim, FirstFit)
-	m.Place("doc", nil, nil)
+	m.Place("doc", nil)
 	m.RecordAccess("doc", "syd", 1000)
 	if out := m.Rebalance(0); out != nil {
 		t.Errorf("first-fit migrated: %+v", out)
@@ -157,28 +154,15 @@ func TestRandomPlacementIsSeeded(t *testing.T) {
 	m2 := mgr(t, sim, Random)
 	for i := 0; i < 5; i++ {
 		id := string(rune('a' + i))
-		n1, _ := m1.Place(id, nil, nil)
-		n2, _ := m2.Place(id, nil, nil)
+		n1, _ := m1.Place(id, nil)
+		n2, _ := m2.Place(id, nil)
 		if n1 != n2 {
 			t.Fatal("same seed should give same random placements")
 		}
 	}
 }
 
-func TestClusterAccessors(t *testing.T) {
-	sim := topo()
-	m := mgr(t, sim, FirstFit)
-	m.Place("doc", []string{"b", "a"}, map[string]int{"lon1": 1})
-	cl := m.clusters["doc"]
-	objs := cl.Objects()
-	if len(objs) != 2 || objs[0] != "a" {
-		t.Errorf("Objects = %v", objs)
-	}
-	u := cl.Usage()
-	u["lon1"] = 999
-	if cl.usage["lon1"] == 999 {
-		t.Error("Usage should return a copy")
-	}
+func TestPolicyNames(t *testing.T) {
 	if FirstFit.String() != "first-fit" || Random.String() != "random" || GroupAware.String() != "group-aware" {
 		t.Error("policy names")
 	}
@@ -193,32 +177,6 @@ func BenchmarkGroupAwarePlace(b *testing.B) {
 	group := map[string]int{"lon1": 5, "lon2": 3, "syd": 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Place(string(rune(i)), nil, group)
-	}
-}
-
-func TestAutoRebalanceFollowsUsage(t *testing.T) {
-	sim := topo()
-	m := mgr(t, sim, GroupAware)
-	var migs []Migration
-	m.OnMigrate = func(mg Migration) { migs = append(migs, mg) }
-	m.Place("doc", nil, map[string]int{"lon1": 10})
-	stop := m.AutoRebalance(sim, time.Minute, 10*time.Millisecond)
-	// The first window still carries the initial London usage; after its
-	// reset, a second window of pure Sydney traffic drives the migration.
-	sim.At(90*time.Second, func() { m.RecordAccess("doc", "syd", 500) })
-	sim.RunUntil(2*time.Minute + time.Second)
-	if len(migs) != 1 || migs[0].To != "syd" {
-		t.Fatalf("migrations = %+v", migs)
-	}
-	// With usage windows reset and no new accesses, no further churn.
-	sim.RunUntil(5 * time.Minute)
-	if len(migs) != 1 {
-		t.Errorf("spurious migrations: %+v", migs)
-	}
-	stop()
-	sim.Run()
-	if sim.Pending() != 0 {
-		t.Errorf("pending events after stop = %d", sim.Pending())
+		m.Place(string(rune(i)), group)
 	}
 }

@@ -18,7 +18,6 @@ package mobile
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/netsim"
@@ -113,9 +112,6 @@ func NewClient(id string, server *txn.Store, res Resolution) *Client {
 	}
 }
 
-// Level returns the current connection level.
-func (c *Client) Level() netsim.ConnLevel { return c.level }
-
 // SetCacheLimit bounds the cache to n entries with least-recently-used
 // eviction (dirty entries are never evicted). Zero removes the bound. This
 // models the small disks of 1993 portables; the hoard-policy ablation uses
@@ -171,16 +167,6 @@ func (c *Client) Hoard(keys ...string) {
 	if c.level != netsim.Disconnected {
 		c.fetch(keys)
 	}
-}
-
-// HoardSet returns the hoard set, sorted.
-func (c *Client) HoardSet() []string {
-	out := make([]string, 0, len(c.hoard))
-	for k := range c.hoard {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (c *Client) fetch(keys []string) {

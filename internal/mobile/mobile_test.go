@@ -95,16 +95,6 @@ func TestDisconnectedMissAndHit(t *testing.T) {
 	}
 }
 
-func TestHoardSet(t *testing.T) {
-	srv := newServer()
-	c := NewClient("e", srv, ServerWins)
-	c.Hoard("job/2", "job/1")
-	hs := c.HoardSet()
-	if len(hs) != 2 || hs[0] != "job/1" {
-		t.Errorf("HoardSet = %v", hs)
-	}
-}
-
 func TestDisconnectedWriteLogsAndReintegrates(t *testing.T) {
 	srv := newServer()
 	c := NewClient("eng1", srv, ServerWins)

@@ -132,9 +132,6 @@ func (n *Node) ID() string { return n.id }
 // Handle returns the node's dense integer handle for use with SendID.
 func (n *Node) Handle() NodeID { return n.nid }
 
-// Region returns the region the node was placed in.
-func (n *Node) Region() RegionID { return n.region }
-
 // SetHandler installs the message handler. It may be changed between events.
 func (n *Node) SetHandler(h Handler) { n.handler = h }
 
@@ -277,9 +274,6 @@ func (s *Sim) Node(id string) *Node {
 	}
 	return s.nodes[nid]
 }
-
-// NodeCount reports the number of registered nodes.
-func (s *Sim) NodeCount() int { return len(s.nodes) }
 
 // Crash marks a node dead: messages already in flight toward it and future
 // sends to it are dropped (counted in Stats' dropped), and sends from it

@@ -16,8 +16,6 @@
 // per-pair semantics of the flat model without per-pair state.
 package netsim
 
-import "time"
-
 // NodeID is a dense integer handle for a registered node. Handles index
 // internal slices directly; they are stable for the life of the simulator.
 type NodeID int32
@@ -61,14 +59,6 @@ func (s *Sim) Region(name string) RegionID {
 	}
 	s.regionLink = append(s.regionLink, row)
 	return r
-}
-
-// RegionName returns the name a region was created with, or "".
-func (s *Sim) RegionName(r RegionID) string {
-	if int(r) < 0 || int(r) >= len(s.regions) {
-		return ""
-	}
-	return s.regions[r]
 }
 
 // SetRegionLink installs the tier-2 link class for messages from region a
@@ -165,15 +155,6 @@ func (ns nodeSet) add(id NodeID) { ns[uint32(id)>>6] |= 1 << (uint32(id) & 63) }
 func (ns nodeSet) has(id NodeID) bool {
 	w := uint32(id) >> 6
 	return int(w) < len(ns) && ns[w]&(1<<(uint32(id)&63)) != 0
-}
-
-func (ns nodeSet) empty() bool {
-	for _, w := range ns {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func (ns nodeSet) intersects(o nodeSet) bool {
@@ -347,16 +328,4 @@ func (s *Sim) clearOverrideDown(src, dst nodeSet) {
 			s.linkDefs[idx].Down = false
 		}
 	}
-}
-
-// BusyUntil reports the bandwidth serialization point for a directed pair —
-// the virtual time at which the pair's "wire" frees up. Diagnostic; zero
-// when the pair has never transmitted bytes.
-func (s *Sim) BusyUntil(from, to string) time.Duration {
-	a, aok := s.byName[from]
-	b, bok := s.byName[to]
-	if !aok || !bok {
-		return 0
-	}
-	return s.pairBusy[pk(a, b)]
 }

@@ -101,7 +101,8 @@ func TestBusyUntilSurvivesPartitionHeal(t *testing.T) {
 	if err := s.Node("a").Send("b", nil, 500); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.BusyUntil("a", "b"); got != 500*time.Millisecond {
+	ab := pk(s.byName["a"], s.byName["b"])
+	if got := s.pairBusy[ab]; got != 500*time.Millisecond {
 		t.Fatalf("busyUntil = %v, want 500ms", got)
 	}
 
@@ -111,7 +112,7 @@ func TestBusyUntilSurvivesPartitionHeal(t *testing.T) {
 		t.Fatal("send over downed link succeeded")
 	}
 	s.Heal([]string{"a"}, []string{"b"})
-	if got := s.BusyUntil("a", "b"); got != 500*time.Millisecond {
+	if got := s.pairBusy[ab]; got != 500*time.Millisecond {
 		t.Fatalf("busyUntil after down/heal = %v, want 500ms", got)
 	}
 
@@ -154,8 +155,8 @@ func TestLinkResolutionTiers(t *testing.T) {
 			t.Errorf("LinkBetween(%s,%s).Latency = %v, want %v", c.from, c.to, got, c.want)
 		}
 	}
-	if got := s.RegionName(west); got != "west" {
-		t.Errorf("RegionName = %q", got)
+	if got := s.Region("west"); got != west {
+		t.Errorf("Region(west) created a duplicate: %d vs %d", got, west)
 	}
 	if got := s.Region("east"); got != east {
 		t.Errorf("Region(east) created a duplicate: %d vs %d", got, east)

@@ -5,20 +5,15 @@
 // consistency being restored by transforming remote operations before
 // execution.
 //
-// Two integration algorithms are provided:
-//
-//   - Site: the distributed dOPT algorithm of the GROVE paper, operating
-//     over causally-ordered multicast with priority tie-breaking. Faithful
-//     to the original, including its known limitation (the "dOPT puzzle":
-//     with three or more sites certain concurrency patterns transform the
-//     same operation pair in different orders at different sites). Kept for
-//     fidelity and benchmarked pairwise.
-//   - Server/Client: a centrally-ordered integration (the Jupiter model)
-//     whose convergence needs only the TP1 transformation property, proved
-//     here by property-based tests. The session layer uses this variant.
+// The transformations are GROVE's; they are integrated by a central server
+// (Server/Client, the Jupiter model), whose convergence needs only the TP1
+// transformation property, proved here by property-based tests. GROVE's own
+// distributed integration, dOPT, needs TP2 as well and does not converge
+// for every pattern of three or more sites (the "dOPT puzzle"); no program
+// here runs it.
 //
 // Operations are character-granularity (insert one rune, delete one rune),
-// exactly as in GROVE; string edits decompose into character operations.
+// exactly as in GROVE.
 package ot
 
 import (
@@ -136,24 +131,4 @@ func Transform(a, b Op) Op {
 		}
 	}
 	return a
-}
-
-// Insertions converts a string edit into character insert ops starting at
-// pos.
-func Insertions(site string, pos int, text string) []Op {
-	out := make([]Op, 0, len(text))
-	for i, r := range []rune(text) {
-		out = append(out, Op{Kind: Insert, Pos: pos + i, Ch: r, Site: site})
-	}
-	return out
-}
-
-// Deletions converts a range delete into character delete ops (all at the
-// same position, since each delete shifts the remainder left).
-func Deletions(site string, pos, n int) []Op {
-	out := make([]Op, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, Op{Kind: Delete, Pos: pos, Site: site})
-	}
-	return out
 }

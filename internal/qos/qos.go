@@ -123,9 +123,6 @@ func NewMonitor(contract Params, window time.Duration) *Monitor {
 	return &Monitor{contract: contract, window: window, lastArr: -1}
 }
 
-// Contract returns the monitored contract.
-func (m *Monitor) Contract() Params { return m.contract }
-
 // SetContract replaces the contract (after a re-negotiation).
 func (m *Monitor) SetContract(p Params) { m.contract = p }
 

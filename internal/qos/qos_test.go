@@ -205,9 +205,9 @@ func TestQuickSatisfiesTransitive(t *testing.T) {
 }
 
 func TestParamsString(t *testing.T) {
-	s := Params{Throughput: 5, Latency: ms(1)}.String()
-	if s == "" {
-		t.Error("empty String")
+	p := Params{Throughput: 8000, Latency: ms(50), Jitter: ms(10), Loss: 0.01, MaxDisconnect: 30 * time.Second}
+	if got, want := p.String(), "tput>=8000B/s lat<=50ms jit<=10ms loss<=0.010 disc<=30s"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 

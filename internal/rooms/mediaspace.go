@@ -44,9 +44,6 @@ func (m *MediaSpace) Subscribe(user string, sink func(Porthole)) {
 	m.subs[user] = sink
 }
 
-// Unsubscribe removes a sink.
-func (m *MediaSpace) Unsubscribe(user string) { delete(m.subs, user) }
-
 // Snapshot captures and distributes one round of portholes, returning what
 // was published. Call it on a timer (sim.Every over netsim, time.Ticker in
 // live deployments).

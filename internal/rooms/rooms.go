@@ -146,12 +146,6 @@ func (h *House) AddRoom(name string, kind RoomKind, owner string, pos awareness.
 	return r
 }
 
-// Room returns a room by name.
-func (h *House) Room(name string) (*Room, bool) {
-	r, ok := h.rooms[name]
-	return r, ok
-}
-
 // WhereIs returns the room a user currently occupies ("" if nowhere).
 func (h *House) WhereIs(user string) string { return h.where[user] }
 
@@ -216,20 +210,6 @@ func (h *House) Enter(user, room string, now time.Duration) error {
 	h.where[user] = room
 	h.emit(Event{Kind: "enter", User: user, Room: room, At: now})
 	h.reproject(r)
-	return nil
-}
-
-// Leave removes a user from their current room.
-func (h *House) Leave(user string, now time.Duration) error {
-	room := h.where[user]
-	if room == "" {
-		return fmt.Errorf("%w: %s", ErrNotPresent, user)
-	}
-	h.leaveRoom(user, room, now)
-	delete(h.where, user)
-	if h.space != nil {
-		h.space.Remove(user)
-	}
 	return nil
 }
 

@@ -120,9 +120,6 @@ func Establish(sim *netsim.Sim, srcID string, sinkIDs []string, media string,
 	return b, nil
 }
 
-// Source returns the binding's source.
-func (b *Binding) Source() *Source { return b.src }
-
 // Sinks returns the binding's sinks.
 func (b *Binding) Sinks() []*Sink { return b.sinks }
 

@@ -4,8 +4,9 @@
 // tier), group (multicast) delivery, and the paper's two styles of
 // real-time synchronisation (§4.2.2.iii):
 //
-//   - event-driven synchronisation: fire an action when a given stream
-//     position plays (captions, slide changes);
+//   - event-driven synchronisation: a sink's OnPlay callback sees every
+//     playout slot, so an action can fire when a given stream position
+//     plays (captions, slide changes);
 //   - continuous synchronisation: slave a stream's playout clock to a
 //     master's so they consume data in fixed ratios (lip sync).
 //
@@ -42,14 +43,6 @@ type Tier struct {
 	Contract qos.Params    // what this tier promises end-to-end
 }
 
-// Rate returns the tier's data rate in bytes/second.
-func (t Tier) Rate() int64 {
-	if t.Interval <= 0 {
-		return 0
-	}
-	return int64(float64(t.Size) / t.Interval.Seconds())
-}
-
 // ErrNoTiers is returned for a stream configured without tiers.
 var ErrNoTiers = errors.New("stream: no tiers configured")
 
@@ -67,7 +60,6 @@ type Source struct {
 	seq   uint64
 	run   bool
 	epoch int // invalidates scheduled ticks after Stop/SetTier
-	sent  int
 }
 
 // NewSource creates a stream source on the given fabric endpoint; the
@@ -89,9 +81,6 @@ func (s *Source) Tier() int { return s.cur }
 
 // CurrentTier returns the current tier value.
 func (s *Source) CurrentTier() Tier { return s.tiers[s.cur] }
-
-// Sent returns the number of frames emitted.
-func (s *Source) Sent() int { return s.sent }
 
 // Start begins frame generation.
 func (s *Source) Start() {
@@ -129,7 +118,6 @@ func (s *Source) tick(epoch int) {
 	}
 	t := s.tiers[s.cur]
 	s.seq++
-	s.sent++
 	f := &Frame{Stream: s.id, Seq: s.seq, Gen: s.sim.Now(), Size: t.Size, Media: s.media}
 	for _, dst := range s.sinks {
 		// Loss and partitions surface at the sinks as QoS violations.
@@ -174,8 +162,6 @@ type Sink struct {
 	// group, when set, ties this sink's playout offset to its sync group's
 	// shared media-to-wall mapping (continuous synchronisation).
 	group *SyncGroup
-	// cues are event-driven sync callbacks by sequence number.
-	cues map[uint64]func()
 
 	lastGen time.Duration // Gen of the most recently played frame
 }
@@ -185,7 +171,7 @@ type Sink struct {
 func NewSink(sim *netsim.Sim, id string, interval, depth time.Duration) *Sink {
 	return &Sink{
 		sim: sim, id: id, interval: interval, depth: depth,
-		buf: make(map[uint64]*Frame), cues: make(map[uint64]func()),
+		buf: make(map[uint64]*Frame),
 	}
 }
 
@@ -202,9 +188,6 @@ func (k *Sink) Stats() SinkStats { return k.stats }
 // LastGen returns the generation timestamp of the last played frame (the
 // sink's stream position, used for skew measurement).
 func (k *Sink) LastGen() time.Duration { return k.lastGen }
-
-// CueAt registers fn to run when frame seq plays (event-driven sync).
-func (k *Sink) CueAt(seq uint64, fn func()) { k.cues[seq] = fn }
 
 // SetInterval retunes the sink to a new frame period (after adaptation).
 func (k *Sink) SetInterval(d time.Duration) { k.interval = d }
@@ -326,10 +309,6 @@ func (k *Sink) playSlot(epoch int) {
 	}
 	if k.OnPlay != nil {
 		k.OnPlay(f, k.sim.Now())
-	}
-	if fn, ok := k.cues[seq]; ok && f != nil {
-		delete(k.cues, seq)
-		fn()
 	}
 	if len(k.buf) == 0 {
 		// Buffer drained: go idle; the next arrival resumes playout.

@@ -20,16 +20,6 @@ func audioTiers() []Tier {
 	}
 }
 
-func TestTierRate(t *testing.T) {
-	tr := Tier{Interval: ms(20), Size: 160}
-	if got := tr.Rate(); got != 8000 {
-		t.Errorf("Rate = %d, want 8000", got)
-	}
-	if (Tier{}).Rate() != 0 {
-		t.Error("zero tier rate")
-	}
-}
-
 func TestSourceSinkDelivery(t *testing.T) {
 	sim := netsim.New(1, netsim.Link{Latency: ms(5)})
 	sim.MustAddNode("src")
@@ -84,28 +74,6 @@ func TestJitterBufferAbsorbsJitter(t *testing.T) {
 	}
 	if deep.Late >= shallow.Late {
 		t.Errorf("deep buffer should reduce lateness: deep=%d shallow=%d", deep.Late, shallow.Late)
-	}
-}
-
-func TestEventDrivenSyncCue(t *testing.T) {
-	sim := netsim.New(1, netsim.Link{Latency: ms(5)})
-	sim.MustAddNode("src")
-	dst := sim.MustAddNode("dst")
-	src, _ := NewSource(sim, fabric.FromSim(sim.Node("src")), "a", "audio", []string{"dst"}, audioTiers())
-	sink := NewSink(sim, "dst", ms(20), ms(30))
-	fabric.FromSim(dst).SetHandler(sink.Handle)
-	var cueAt time.Duration
-	sink.CueAt(10, func() { cueAt = sim.Now() })
-	src.Start()
-	sim.At(500*ms(1), src.Stop)
-	sim.Run()
-	if cueAt == 0 {
-		t.Fatal("cue never fired")
-	}
-	// Frame 10 generated at 9*20ms=180ms (first frame at t=0 is seq 1);
-	// playout adds latency + depth.
-	if cueAt < ms(180) || cueAt > ms(300) {
-		t.Errorf("cue at %v", cueAt)
 	}
 }
 
@@ -234,10 +202,6 @@ func TestGroupStreamBinding(t *testing.T) {
 		if s.Stats().Played < 40 {
 			t.Errorf("sink %d played %d", i, s.Stats().Played)
 		}
-	}
-	// Group delivery: the source sent each frame once per sink.
-	if b.Source().Sent() < 45 {
-		t.Errorf("source sent %d", b.Source().Sent())
 	}
 }
 

@@ -125,27 +125,11 @@ func NewGroup(name string, parent *Store, rules []Rule, notify func(GroupEvent))
 	}
 }
 
-// Name returns the group name.
-func (g *Group) Name() string { return g.name }
-
-// Subgroup creates a nested transaction group over this group's store —
-// Skarra & Zdonik's groups compose hierarchically, so a chapter team can
-// cooperate under its own rules inside the book team's group. The
-// subgroup's Commit merges into this group's (uncommitted) store, which
-// this group's Commit later merges upward.
-func (g *Group) Subgroup(name string, rules []Rule, notify func(GroupEvent)) *Group {
-	sub := NewGroup(name, g.local, rules, notify)
-	return sub
-}
-
 // Stats returns accumulated statistics.
 func (g *Group) Stats() GroupStats { return g.stats }
 
 // Join adds a member.
 func (g *Group) Join(user string) { g.members[user] = true }
-
-// Leave removes a member.
-func (g *Group) Leave(user string) { delete(g.members, user) }
 
 // Members lists members, sorted.
 func (g *Group) Members() []string {
@@ -156,10 +140,6 @@ func (g *Group) Members() []string {
 	sort.Strings(out)
 	return out
 }
-
-// SetRules replaces the cooperation policy — the paper's requirement that
-// policies be tailorable mid-collaboration.
-func (g *Group) SetRules(rules []Rule) { g.rules = rules }
 
 func (g *Group) judge(req AccessRequest) Decision {
 	for _, r := range g.rules {
@@ -261,23 +241,6 @@ func RuleReadAll(notifyPeers bool) Rule {
 	}
 }
 
-// RuleOwnSection permits writes only to keys the sectionOf function maps to
-// the writing user — the co-authoring policy ("your own section").
-func RuleOwnSection(sectionOf func(key string) string) Rule {
-	return Rule{
-		Name: "own-section",
-		Judge: func(req AccessRequest, _ *Group) Decision {
-			if req.Kind != AccessWrite {
-				return Abstain
-			}
-			if sectionOf(req.Key) == req.User {
-				return AllowNotify
-			}
-			return Abstain
-		},
-	}
-}
-
 // RuleWriteNotify permits every write but notifies the other members — the
 // brainstorming policy (full information flow, no walls).
 func RuleWriteNotify() Rule {
@@ -288,19 +251,6 @@ func RuleWriteNotify() Rule {
 				return Abstain
 			}
 			return AllowNotify
-		},
-	}
-}
-
-// RuleDenyWrites denies all writes — a review-phase policy.
-func RuleDenyWrites() Rule {
-	return Rule{
-		Name: "deny-writes",
-		Judge: func(req AccessRequest, _ *Group) Decision {
-			if req.Kind == AccessWrite {
-				return Deny
-			}
-			return Abstain
 		},
 	}
 }

@@ -94,9 +94,7 @@ type Txn struct {
 }
 
 type pendingOp struct {
-	key   string
-	write bool
-	value string
+	key, value string
 }
 
 // Begin starts a transaction on behalf of user.
@@ -115,38 +113,23 @@ func (m *Manager) Begin(user string, now time.Duration) *Txn {
 	return t
 }
 
-// ID returns the transaction's lock-principal identifier.
-func (t *Txn) ID() string { return t.id }
-
 // User returns the owning user.
 func (t *Txn) User() string { return t.user }
 
-// State returns the lifecycle state.
-func (t *Txn) State() TxnState { return t.state }
-
-// acquire takes a lock for the transaction, upgrading shared->exclusive as
-// needed. It returns ErrWouldBlock when the request was queued.
-func (t *Txn) acquire(key string, mode locks.Mode, now time.Duration) error {
+// acquire takes key's exclusive lock for the transaction. It returns
+// ErrWouldBlock when the request was queued.
+func (t *Txn) acquire(key string, now time.Duration) error {
 	path := locks.Path(keyPath(key))
 	ps := path.String()
-	if have, ok := t.held[ps]; ok {
-		if have == locks.Exclusive || mode == locks.Shared {
-			return nil // already sufficient
-		}
-		// Upgrade: release shared then request exclusive. (A dedicated
-		// upgrade path would avoid the window; the simulator's single
-		// thread means nothing sneaks in between.)
-		if err := t.mgr.lm.Release(path, t.id, now); err != nil {
-			return fmt.Errorf("upgrade release: %w", err)
-		}
-		delete(t.held, ps)
+	if _, ok := t.held[ps]; ok {
+		return nil // already held
 	}
-	res, err := t.mgr.lm.Acquire(path, t.id, mode, now)
+	res, err := t.mgr.lm.Acquire(path, t.id, locks.Exclusive, now)
 	if err != nil {
 		return err
 	}
 	if res.Granted {
-		t.held[ps] = mode
+		t.held[ps] = locks.Exclusive
 		return nil
 	}
 	t.state = TxnBlocked
@@ -155,34 +138,19 @@ func (t *Txn) acquire(key string, mode locks.Mode, now time.Duration) error {
 	return ErrWouldBlock
 }
 
-// Read returns the value of key under a shared lock. When the lock is not
+// Write sets key to value under an exclusive lock. When the lock is not
 // immediately available the transaction parks and ErrWouldBlock is
-// returned; the read completes on grant and OnUnblock fires.
-func (t *Txn) Read(key string, now time.Duration) (string, error) {
-	if t.state == TxnCommitted || t.state == TxnAborted {
-		return "", ErrTxnDone
-	}
-	if err := t.acquire(key, locks.Shared, now); err != nil {
-		if err == ErrWouldBlock {
-			t.pending = &pendingOp{key: key}
-		}
-		return "", err
-	}
-	v, _ := t.mgr.store.Get(key)
-	return v, nil
-}
-
-// Write sets key to value under an exclusive lock, with the same blocking
-// contract as Read. The store is updated immediately (undo restores it on
-// abort), which matches the strict-2PL walls model: nobody else can see the
-// write because nobody else can take the lock.
+// returned; the write completes on grant and OnUnblock fires. The store is
+// updated immediately (undo restores it on abort), which matches the
+// strict-2PL walls model: nobody else can see the write because nobody else
+// can take the lock.
 func (t *Txn) Write(key, value string, now time.Duration) error {
 	if t.state == TxnCommitted || t.state == TxnAborted {
 		return ErrTxnDone
 	}
-	if err := t.acquire(key, locks.Exclusive, now); err != nil {
+	if err := t.acquire(key, now); err != nil {
 		if err == ErrWouldBlock {
-			t.pending = &pendingOp{key: key, write: true, value: value}
+			t.pending = &pendingOp{key: key, value: value}
 		}
 		return err
 	}
@@ -240,9 +208,7 @@ func (m *Manager) onLockEvent(e locks.Event) {
 	t.state = TxnActive
 	t.held[e.Path.String()] = e.Mode
 	m.stats.TotalBlockTime += e.At - t.blockedAt
-	if op.write {
-		t.undo = append(t.undo, m.store.apply(op.key, op.value))
-	}
+	t.undo = append(t.undo, m.store.apply(op.key, op.value))
 	if t.OnUnblock != nil {
 		t.OnUnblock(e.At)
 	}

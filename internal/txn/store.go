@@ -65,9 +65,6 @@ func (s *Store) Delete(key string) {
 	s.versions[key]++
 }
 
-// Len returns the number of live keys.
-func (s *Store) Len() int { return len(s.vals) }
-
 // Keys returns the live keys, sorted.
 func (s *Store) Keys() []string {
 	out := make([]string, 0, len(s.vals))

@@ -2,7 +2,7 @@
 // distributed CSCW sessions: Lamport scalar clocks and vector clocks.
 //
 // Vector clocks are the causality substrate for the causal-order multicast
-// in package group and for the dOPT state vectors in package ot. The
+// in package group and the version vectors of package crdt. The
 // implementation follows the classic Fidge/Mattern formulation: each site
 // keeps one counter per known site, increments its own counter on local
 // events, and merges component-wise maxima on message receipt.
@@ -13,36 +13,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Ordering describes the causal relationship between two vector clocks.
-type Ordering int
-
-const (
-	// Before means the left clock happened-before the right clock.
-	Before Ordering = iota + 1
-	// After means the right clock happened-before the left clock.
-	After
-	// Equal means the clocks are identical.
-	Equal
-	// Concurrent means neither clock happened-before the other.
-	Concurrent
-)
-
-// String returns a human-readable name for the ordering.
-func (o Ordering) String() string {
-	switch o {
-	case Before:
-		return "before"
-	case After:
-		return "after"
-	case Equal:
-		return "equal"
-	case Concurrent:
-		return "concurrent"
-	default:
-		return fmt.Sprintf("Ordering(%d)", int(o))
-	}
-}
 
 // VC is a vector clock mapping site identifiers to event counters.
 // The zero value is not usable; construct with New.
@@ -81,44 +51,6 @@ func (v VC) Merge(other VC) VC {
 		}
 	}
 	return v
-}
-
-// Compare reports the causal ordering of v relative to other.
-func (v VC) Compare(other VC) Ordering {
-	less, greater := false, false
-	for k, n := range v {
-		o := other[k]
-		if n < o {
-			less = true
-		} else if n > o {
-			greater = true
-		}
-	}
-	for k, o := range other {
-		if _, ok := v[k]; !ok && o > 0 {
-			less = true
-		}
-	}
-	switch {
-	case less && greater:
-		return Concurrent
-	case less:
-		return Before
-	case greater:
-		return After
-	default:
-		return Equal
-	}
-}
-
-// HappensBefore reports whether v causally precedes other.
-func (v VC) HappensBefore(other VC) bool {
-	return v.Compare(other) == Before
-}
-
-// ConcurrentWith reports whether v and other are causally concurrent.
-func (v VC) ConcurrentWith(other VC) bool {
-	return v.Compare(other) == Concurrent
 }
 
 // Deliverable reports whether a message stamped msg from sender can be
@@ -161,7 +93,7 @@ func (v VC) String() string {
 
 // Lamport is a scalar logical clock (Lamport 1978). The zero value is ready
 // to use. Lamport clocks provide a total order consistent with causality and
-// are used for tie-breaking in the OT layer and for total-order sequencing.
+// stamp the RGA's elements in package crdt.
 type Lamport struct {
 	time uint64
 }
@@ -179,10 +111,5 @@ func (l *Lamport) Observe(remote uint64) uint64 {
 		l.time = remote
 	}
 	l.time++
-	return l.time
-}
-
-// Now returns the current time without advancing the clock.
-func (l *Lamport) Now() uint64 {
 	return l.time
 }

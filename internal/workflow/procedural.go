@@ -27,8 +27,7 @@ type ProceduralEngine struct {
 }
 
 type procItem struct {
-	step    int
-	history []HistoryEntry
+	step int
 }
 
 // NewProceduralEngine creates an engine for the procedure with the given
@@ -51,19 +50,6 @@ func (e *ProceduralEngine) Start(id string) error {
 	}
 	e.items[id] = &procItem{}
 	return nil
-}
-
-// CurrentStep returns the name of the step an item is waiting on, or ""
-// when the item is complete.
-func (e *ProceduralEngine) CurrentStep(id string) (string, error) {
-	it, ok := e.items[id]
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrUnknownItem, id)
-	}
-	if it.step >= len(e.proc.Steps) {
-		return "", nil
-	}
-	return e.proc.Steps[it.step].Name, nil
 }
 
 // Done reports whether the item finished all steps.
@@ -95,14 +81,7 @@ func (e *ProceduralEngine) Complete(id, user, stepName string, now time.Duration
 			ErrWrongParty, user, e.roleOf[user], cur.Name, cur.Role)
 	}
 	it.step++
-	it.history = append(it.history, HistoryEntry{User: user, At: now})
 	return nil
-}
-
-// CompletionKnown: procedural engines always know (step pointer).
-func (e *ProceduralEngine) CompletionKnown(id string) bool {
-	_, ok := e.items[id]
-	return ok
 }
 
 // --- Informal model ---
@@ -169,14 +148,6 @@ func (e *InformalEngine) Act(id, user, verb, text string, now time.Duration) err
 		it.markedDone = true
 	case "reopen":
 		it.markedDone = false
-	}
-	return nil
-}
-
-// Notes returns the item's history.
-func (e *InformalEngine) Notes(id string) []Note {
-	if it, ok := e.items[id]; ok {
-		return append([]Note(nil), it.notes...)
 	}
 	return nil
 }

@@ -94,16 +94,11 @@ func (s CfAState) String() string {
 	}
 }
 
-// Closed reports whether the state is terminal.
-func (s CfAState) Closed() bool {
-	return s == StateCompleted || s == StateDeclined || s == StateCancelled
-}
-
 // Act is a speech act.
 type Act int
 
 const (
-	// ActRequest opens a conversation (implicit in Open; kept for history).
+	// ActRequest opens a conversation (implicit in Open).
 	ActRequest Act = iota + 1
 	// ActPromise commits the performer.
 	ActPromise
@@ -137,18 +132,10 @@ func (a Act) String() string {
 	return fmt.Sprintf("Act(%d)", int(a))
 }
 
-// HistoryEntry records one accepted act.
-type HistoryEntry struct {
-	User string
-	Act  Act
-	At   time.Duration
-}
-
 type conversation struct {
 	customer  string
 	performer string
 	state     CfAState
-	history   []HistoryEntry
 }
 
 // SpeechActEngine runs conversation-for-action work items.
@@ -173,7 +160,6 @@ func (e *SpeechActEngine) Open(id, customer, performer string, now time.Duration
 	e.stats.Attempts++
 	e.convs[id] = &conversation{
 		customer: customer, performer: performer, state: StateProposed,
-		history: []HistoryEntry{{User: customer, Act: ActRequest, At: now}},
 	}
 	return nil
 }
@@ -185,14 +171,6 @@ func (e *SpeechActEngine) StateOf(id string) (CfAState, error) {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownItem, id)
 	}
 	return c.state, nil
-}
-
-// History returns the accepted acts of a conversation.
-func (e *SpeechActEngine) History(id string) []HistoryEntry {
-	if c, ok := e.convs[id]; ok {
-		return append([]HistoryEntry(nil), c.history...)
-	}
-	return nil
 }
 
 // Submit attempts a speech act by user on conversation id. Anything outside
@@ -243,13 +221,5 @@ func (e *SpeechActEngine) Submit(id, user string, act Act, now time.Duration) er
 		return reject(ErrBadAct)
 	}
 	c.state = next
-	c.history = append(c.history, HistoryEntry{User: user, Act: act, At: now})
 	return nil
-}
-
-// CompletionKnown reports whether the engine can definitively say the item
-// is complete or not complete: for speech acts it always can.
-func (e *SpeechActEngine) CompletionKnown(id string) bool {
-	_, ok := e.convs[id]
-	return ok
 }

@@ -60,20 +60,6 @@ type EditProfile struct {
 	OpsPerUser int
 }
 
-// DefaultEditProfile is a moderately contended co-authoring session.
-func DefaultEditProfile(users []string) EditProfile {
-	return EditProfile{
-		Users:      users,
-		DocLen:     8000,
-		Sections:   8,
-		Locality:   0.7,
-		ReadRatio:  0.3,
-		DeleteRate: 0.25,
-		MeanThink:  2 * time.Second,
-		OpsPerUser: 50,
-	}
-}
-
 // GenerateEdits produces a per-user slice of editing operations. Positions
 // follow the locality model: with probability Locality the op lands in the
 // user's home section, otherwise uniformly anywhere.
@@ -144,27 +130,6 @@ func randText(rng *rand.Rand, n int) string {
 	}
 	return string(b)
 }
-
-// Zipf draws object indices with a Zipfian popularity skew, modelling the
-// "hot section" contention typical of shared documents.
-type Zipf struct {
-	z *rand.Zipf
-}
-
-// NewZipf creates a Zipf sampler over [0, n) with skew s (> 1; larger is more
-// skewed).
-func NewZipf(rng *rand.Rand, s float64, n int) *Zipf {
-	if s <= 1 {
-		s = 1.07
-	}
-	if n < 1 {
-		n = 1
-	}
-	return &Zipf{z: rand.NewZipf(rng, s, 1, uint64(n-1))}
-}
-
-// Next returns the next object index.
-func (z *Zipf) Next() int { return int(z.z.Uint64()) }
 
 // Poisson samples event counts for a Poisson process (Knuth's method; fine
 // for the small lambdas used in flight arrival modelling).

@@ -6,9 +6,23 @@ import (
 	"time"
 )
 
+// editProfile is a moderately contended co-authoring session.
+func editProfile(users []string) EditProfile {
+	return EditProfile{
+		Users:      users,
+		DocLen:     8000,
+		Sections:   8,
+		Locality:   0.7,
+		ReadRatio:  0.3,
+		DeleteRate: 0.25,
+		MeanThink:  2 * time.Second,
+		OpsPerUser: 50,
+	}
+}
+
 func TestGenerateEditsShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	p := DefaultEditProfile([]string{"alice", "bob", "carol"})
+	p := editProfile([]string{"alice", "bob", "carol"})
 	ops := GenerateEdits(rng, p)
 	if len(ops) != 3 {
 		t.Fatalf("users = %d", len(ops))
@@ -36,7 +50,7 @@ func TestGenerateEditsShape(t *testing.T) {
 
 func TestGenerateEditsLocality(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	p := DefaultEditProfile([]string{"u0", "u1"})
+	p := editProfile([]string{"u0", "u1"})
 	p.Locality = 1.0
 	p.Sections = 2
 	p.OpsPerUser = 100
@@ -54,7 +68,7 @@ func TestGenerateEditsLocality(t *testing.T) {
 }
 
 func TestGenerateEditsDeterministic(t *testing.T) {
-	p := DefaultEditProfile([]string{"a", "b"})
+	p := editProfile([]string{"a", "b"})
 	g1 := GenerateEdits(rand.New(rand.NewSource(9)), p)
 	g2 := GenerateEdits(rand.New(rand.NewSource(9)), p)
 	for user := range g1 {
@@ -63,18 +77,6 @@ func TestGenerateEditsDeterministic(t *testing.T) {
 				t.Fatalf("nondeterministic at %s[%d]", user, i)
 			}
 		}
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	z := NewZipf(rng, 1.5, 100)
-	counts := make([]int, 100)
-	for i := 0; i < 10000; i++ {
-		counts[z.Next()]++
-	}
-	if counts[0] <= counts[50]*2 {
-		t.Errorf("Zipf not skewed: head=%d mid=%d", counts[0], counts[50])
 	}
 }
 
