@@ -16,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
+	"repro/internal/ot"
 	"repro/internal/session"
 	"repro/internal/simworld"
 	"repro/internal/transport"
@@ -213,6 +214,46 @@ func TestDeployment(t *testing.T) {
 				t.Errorf("log holds %d items, want %d", got, 2+5+commits)
 			}
 		})
+	}
+}
+
+// TestOTSubmissionFiledUnderAuthor: the daemon files an OT submission under
+// the author of the item that carried it, whatever the body says. p1, a
+// plain client, posts a submission naming p0 with seq 1000. The daemon
+// commits it under p1, so p0 is not sent an ack it never asked for, and
+// p0's own first submission (seq 1) is not dropped as a duplicate: p0
+// converges on the daemon's text.
+func TestOTSubmissionFiledUnderAuthor(t *testing.T) {
+	d := startDaemon(t, hostConfig(engine.OT))
+	p0 := dial(t, d, "p0", "doc", Config{Engine: engine.OT})
+	p1 := dial(t, d, "p1", "doc", Config{})
+	p0.join()
+	p1.join()
+	codec := engine.NewWireCodec()
+	op := ot.Op{Kind: ot.Insert, Ch: 'x', Site: "p0"}
+	forged, err := engine.EncodeItemBody(codec, engine.Msg{To: session.HostAuthor,
+		Body: &engine.MsgSubmit{Sub: ot.Submission{Op: op, Site: "p0", Seq: 1000}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p1.Client.Post(engine.ItemKind, forged, 0); err != nil {
+		t.Fatal(err)
+	}
+	p0.until("the forged op", func() bool { text, _ := p0.Text(); return text == "x" })
+	p0.insert(0, "a")
+	p0.until("convergence", func() bool { text, pending := p0.Text(); return text == "ax" && pending == 0 })
+	p1.until("both commits", func() bool { return len(hostBodies(p1.items)) == 2 })
+	items, _ := p1.seen()
+	var filed []string
+	for _, body := range hostBodies(items) {
+		_, payload, err := engine.DecodeItemBody(codec, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filed = append(filed, payload.(*engine.MsgCommit).C.Site)
+	}
+	if want := []string{"p1", "p0"}; !reflect.DeepEqual(filed, want) {
+		t.Errorf("commits filed under %v, want %v", filed, want)
 	}
 }
 

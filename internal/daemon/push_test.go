@@ -122,7 +122,7 @@ func TestWireBytesPerEdit(t *testing.T) {
 		pushes, bytes int64
 	}{
 		{engine.CRDT, 3, 248},
-		{engine.OT, 4, 426},
+		{engine.OT, 4, 358},
 	} {
 		t.Run(c.eng, func(t *testing.T) {
 			wire, pushes := &frameCounter{}, &pushCounter{}

@@ -27,7 +27,7 @@ func (d *crdtDoc) Insert(pos int, ch rune) ([]Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []Msg{{Body: &crdt.MsgOp{Doc: d.doc, Op: op}, Size: opSize(op)}}, nil
+	return []Msg{{Body: &crdt.MsgOp{Doc: d.doc, Op: op}}}, nil
 }
 
 func (d *crdtDoc) Delete(pos int) ([]Msg, error) {
@@ -35,7 +35,7 @@ func (d *crdtDoc) Delete(pos int) ([]Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []Msg{{Body: &crdt.MsgOp{Doc: d.doc, Op: op}, Size: opSize(op)}}, nil
+	return []Msg{{Body: &crdt.MsgOp{Doc: d.doc, Op: op}}}, nil
 }
 
 func (d *crdtDoc) Apply(_ string, payload any) ([]Msg, error) {
@@ -56,8 +56,5 @@ func (d *crdtDoc) Apply(_ string, payload any) ([]Msg, error) {
 // history (tombstones included) — the shootout reports that honestly as
 // bytes on wire.
 func (d *crdtDoc) Tick() []Msg {
-	st := d.seq.State()
-	return []Msg{{Body: &crdt.MsgState{Doc: d.doc, Seq: st}, Size: 16 + len(st.Nodes)*12}}
+	return []Msg{{Body: &crdt.MsgState{Doc: d.doc, Seq: d.seq.State()}}}
 }
-
-func opSize(op crdt.Op) int { return 24 + len(op.Site)*2 }

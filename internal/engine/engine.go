@@ -16,12 +16,10 @@ import "fmt"
 
 // Msg is one outbound protocol message. Body is a payload registered by
 // RegisterWire; To names the receiving site, with "" meaning broadcast to
-// every other replica. Size is a transport size hint (exact wire bytes
-// come from encoding Body with a codec).
+// every other replica.
 type Msg struct {
 	To   string
 	Body any
-	Size int
 }
 
 // Doc is one site's replica of a convergence-engine document.
@@ -57,7 +55,7 @@ func New(engine, doc, site, server string) (Doc, error) {
 		if server == "" {
 			return nil, fmt.Errorf("engine: ot engine needs a server site")
 		}
-		return newOTDoc(doc, site, server), nil
+		return newOTDoc(site, server), nil
 	case CRDT:
 		return newCRDTDoc(doc, site), nil
 	default:

@@ -204,8 +204,8 @@ func TestApplyRejectsByValuePayloads(t *testing.T) {
 	}{
 		{CRDT, crdt.MsgOp{Doc: "d"}},
 		{CRDT, crdt.MsgState{Doc: "d"}},
-		{OT, MsgCommit{Doc: "d"}},
-		{OT, MsgPull{Doc: "d"}},
+		{OT, MsgCommit{}},
+		{OT, MsgPull{}},
 	} {
 		d, err := New(tc.engine, "d", "a", "a")
 		if err != nil {
@@ -218,15 +218,21 @@ func TestApplyRejectsByValuePayloads(t *testing.T) {
 	}
 }
 
+// TestOTWireRoundTrip: every OT message survives the codec. A submission
+// names no site, as a commit names its op's site only once, so the fixtures
+// follow the one-site rule: a submitted op has no Site, a committed op the
+// commit's.
 func TestOTWireRoundTrip(t *testing.T) {
 	codec := NewWireCodec()
-	op := ot.Op{Kind: ot.Insert, Pos: 4, Ch: 'ß', Site: "c1"}
+	op := ot.Op{Kind: ot.Insert, Pos: 4, Ch: 'ß'}
+	c1, c2 := op, op
+	c1.Site, c2.Site = "c1", "c2"
 	msgs := []any{
-		&MsgSubmit{Doc: "d", Sub: ot.Submission{Op: op, Base: 9, Site: "c1", Seq: 3}},
-		&MsgCommit{Doc: "d", C: ot.Committed{Op: op, Rev: 10, Site: "c1", Seq: 3}},
-		&MsgPull{Doc: "d", Base: 7},
-		&MsgCommits{Doc: "d", Cs: []ot.Committed{{Op: op, Rev: 1, Site: "c1", Seq: 1}, {Op: op, Rev: 2, Site: "c2", Seq: 1}}},
-		&MsgCommits{Doc: "d"},
+		&MsgSubmit{Sub: ot.Submission{Op: op, Base: 9, Seq: 3}},
+		&MsgCommit{C: ot.Committed{Op: c1, Rev: 10, Site: "c1", Seq: 3}},
+		&MsgPull{Base: 7},
+		&MsgCommits{Cs: []ot.Committed{{Op: c1, Rev: 1, Site: "c1", Seq: 1}, {Op: c2, Rev: 2, Site: "c2", Seq: 1}}},
+		&MsgCommits{},
 	}
 	for _, msg := range msgs {
 		data, err := codec.Encode(msg)
@@ -241,11 +247,13 @@ func TestOTWireRoundTrip(t *testing.T) {
 			t.Errorf("round trip changed %T:\n got %+v\nwant %+v", msg, out, msg)
 		}
 	}
-	// Every engine payload names its document.
-	for _, msg := range msgs {
-		if doc := reflect.ValueOf(msg).Elem().FieldByName("Doc"); doc.String() != "d" {
-			t.Errorf("%T does not name its document", msg)
-		}
+	// A site written into a submission does not travel.
+	data, err := codec.Encode(&MsgSubmit{Sub: ot.Submission{Op: c1, Base: 9, Site: "c1", Seq: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := codec.Decode(data); err != nil || !reflect.DeepEqual(out, msgs[0]) {
+		t.Errorf("submission naming c1 decoded to %+v, %v; want %+v", out, err, msgs[0])
 	}
 }
 
@@ -257,8 +265,8 @@ func TestOTApplyCommitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	d := newOTDoc("d", "c1", "srv")
-	m := &MsgCommit{Doc: "d", C: ot.Committed{Op: ot.Op{Kind: ot.Insert, Ch: 'x', Site: "c2"}, Site: "c2"}}
+	d := newOTDoc("c1", "srv")
+	m := &MsgCommit{C: ot.Committed{Op: ot.Op{Kind: ot.Insert, Ch: 'x', Site: "c2"}, Site: "c2"}}
 	n := testing.AllocsPerRun(100, func() {
 		m.C.Rev = d.cl.Base() + 1
 		m.C.Seq++

@@ -16,12 +16,12 @@ import (
 // (The input itself need not come back: a varint wider than its field,
 // such as an op's rune, is truncated on read.)
 func FuzzEngineWireDecode(f *testing.F) {
-	op := ot.Op{Kind: ot.Delete, Pos: 3, Ch: 'q', Site: "c1"}
+	op := ot.Op{Kind: ot.Delete, Pos: 3, Ch: 'q'}
 	seeds := []fabric.BinaryAppender{
-		MsgSubmit{Doc: "d", Sub: ot.Submission{Op: op, Base: 2, Site: "c1", Seq: 5}},
-		MsgCommit{Doc: "d", C: ot.Committed{Op: op, Rev: 3, Site: "c1", Seq: 5}},
-		MsgPull{Doc: "d", Base: 8},
-		MsgCommits{Doc: "d", Cs: []ot.Committed{{Op: op, Rev: 1, Site: "c1", Seq: 1}, {Op: op, Rev: 2, Site: "c2", Seq: 1}}},
+		MsgSubmit{Sub: ot.Submission{Op: op, Base: 2, Seq: 5}},
+		MsgCommit{C: ot.Committed{Op: op, Rev: 3, Site: "c1", Seq: 5}},
+		MsgPull{Base: 8},
+		MsgCommits{Cs: []ot.Committed{{Op: op, Rev: 1, Site: "c1", Seq: 1}, {Op: op, Rev: 2, Site: "c2", Seq: 1}}},
 	}
 	for which, seed := range seeds {
 		body, err := seed.AppendBinary(nil)
@@ -78,12 +78,13 @@ func FuzzItemBodyDecode(f *testing.F) {
 			f.Add(body)
 		}
 	}
-	f.Add("a|\x00")           // a kind and no body
-	f.Add("a|")               // nothing after the separator
-	f.Add("|\x06\x01d")       // a kind past the table's end
-	f.Add("|\x04\x03d|x\x07") // '|' inside the payload
+	f.Add("a|\x00")                        // a kind and no body
+	f.Add("a|")                            // nothing after the separator
+	f.Add("|\x0a\x07")                     // a kind past the table's end
+	f.Add("|\x02\x01d\x07")                // a retired kind
+	f.Add("|\x07\x01\x00x\x01\x03a|b\x01") // '|' inside the payload
 	// The form before the kind table, a tag length and a tag where the kind
-	// byte goes: refused, never parsed.
+	// byte goes: refused, as no kind or as a body the tag's bytes do not fit.
 	f.Add("a|\x09crdt/op")
 	f.Add("|\x06nope/x\x01d")
 	f.Add("|\x0eengine/ot-pull\x03d|x\x07")

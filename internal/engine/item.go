@@ -24,9 +24,14 @@ const ItemKind = "eng/op"
 // an index into it, naming the payload by its codec tag. It is wire format
 // (testdata/items.golden pins it) and travels end to end, through daemons
 // that never decode it, so it is append-only: a new kind goes at the end
-// and no entry moves. A body from before the table has a tag length
-// (7 or more) where the kind byte goes, which names no kind.
-var itemKinds = [...]string{crdt.TagOp, crdt.TagState, tagSubmit, tagCommit, tagPull, tagCommits}
+// and no entry moves. A message whose body layout changes takes a new kind
+// and leaves a retired entry ("", no kind) where it was, so an old peer's
+// body is refused rather than misread: kinds 2-5 are the OT bodies that
+// named their document and repeated their site. A body from before the
+// table has a tag length where the kind byte goes: 7 ("crdt/op") reads as
+// an OT commit whose fields the tag's bytes do not fit, and every other
+// length names no kind (TestItemBodyRefusesTaggedForm holds both).
+var itemKinds = [...]string{crdt.TagOp, crdt.TagState, "", "", "", "", tagSubmit, tagCommit, tagPull, tagCommits}
 
 // itemBodyCap sizes EncodeItemBody's buffer past the address: room for the
 // kind byte and a per-keystroke op, so the common case never grows it.
@@ -74,7 +79,7 @@ func DecodeItemBody(codec *fabric.Codec, body string) (to string, payload any, e
 	if i < 0 {
 		return "", nil, fmt.Errorf("engine: item body has no address separator")
 	}
-	if i+1 == len(body) || int(body[i+1]) >= len(itemKinds) {
+	if i+1 == len(body) || int(body[i+1]) >= len(itemKinds) || itemKinds[body[i+1]] == "" {
 		return "", nil, fmt.Errorf("engine: unknown item kind %q", body[i+1:min(i+2, len(body))])
 	}
 	// ParseBody copies nothing, so passing body[i+2:] itself would save

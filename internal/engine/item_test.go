@@ -25,7 +25,11 @@ func itemMsgs() []struct {
 	name string
 	msg  Msg
 } {
-	op := ot.Op{Kind: ot.Insert, Pos: 4, Ch: 'ß', Site: "c1"}
+	// A submitted op travels without a site and a committed op under its
+	// commit's, so each decodes to what was encoded.
+	op := ot.Op{Kind: ot.Insert, Pos: 4, Ch: 'ß'}
+	c1, c2 := op, op
+	c1.Site, c2.Site = "c1", "c2"
 	seq := crdt.NewSequence("a")
 	seq.Insert(0, 'h')
 	seq.Insert(1, 'é')
@@ -34,10 +38,10 @@ func itemMsgs() []struct {
 		name string
 		msg  Msg
 	}{
-		{"ot-submit", Msg{To: "!host", Body: &MsgSubmit{Doc: "d", Sub: ot.Submission{Op: op, Base: 9, Site: "c1", Seq: 3}}}},
-		{"ot-commit", Msg{Body: &MsgCommit{Doc: "d", C: ot.Committed{Op: op, Rev: 10, Site: "c1", Seq: 3}}}},
-		{"ot-pull", Msg{To: "!host", Body: &MsgPull{Doc: "d", Base: 7}}},
-		{"ot-commits", Msg{To: "c2", Body: &MsgCommits{Doc: "d", Cs: []ot.Committed{{Op: op, Rev: 1, Site: "c1", Seq: 1}, {Op: op, Rev: 2, Site: "c2", Seq: 1}}}}},
+		{"ot-submit", Msg{To: "!host", Body: &MsgSubmit{Sub: ot.Submission{Op: op, Base: 9, Seq: 3}}}},
+		{"ot-commit", Msg{Body: &MsgCommit{C: ot.Committed{Op: c1, Rev: 10, Site: "c1", Seq: 3}}}},
+		{"ot-pull", Msg{To: "!host", Body: &MsgPull{Base: 7}}},
+		{"ot-commits", Msg{To: "c2", Body: &MsgCommits{Cs: []ot.Committed{{Op: c1, Rev: 1, Site: "c1", Seq: 1}, {Op: c2, Rev: 2, Site: "c2", Seq: 1}}}}},
 		{"crdt-op", Msg{Body: &crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: crdt.OpSeqInsert, Site: "alice", Seq: 4, ID: crdt.ID{N: 4, Site: "alice"}, After: crdt.ID{N: 3, Site: "bob"}, Ch: 'x'}}}},
 		{"crdt-state", Msg{Body: &crdt.MsgState{Doc: "d", Seq: seq.State()}}},
 	}
@@ -118,7 +122,7 @@ func TestItemBodyApplies(t *testing.T) {
 
 func TestItemBodyRejectsSeparatorInSite(t *testing.T) {
 	codec := NewWireCodec()
-	if _, err := EncodeItemBody(codec, Msg{To: "a|b", Body: &MsgPull{Doc: "d"}}); err == nil {
+	if _, err := EncodeItemBody(codec, Msg{To: "a|b", Body: &MsgPull{}}); err == nil {
 		t.Fatal("site containing '|' must not encode")
 	}
 	if _, _, err := DecodeItemBody(codec, "no-separator"); err == nil || !strings.Contains(err.Error(), "separator") {
@@ -127,14 +131,16 @@ func TestItemBodyRejectsSeparatorInSite(t *testing.T) {
 }
 
 // TestItemBodyUnknownTag: the kind table is the one way in, both ways. A
-// kind byte past its end is an error naming the byte, not a nil payload for
-// Apply to trip over later, and a payload whose tag has no kind does not
-// encode, even under a codec that registered the tag.
+// kind byte past its end or at a retired entry is an error naming the byte,
+// not a nil payload for Apply to trip over later, and a payload whose tag
+// has no kind does not encode, even under a codec that registered the tag.
 func TestItemBodyUnknownTag(t *testing.T) {
 	codec := NewWireCodec()
-	body := fmt.Sprintf("bob|%c\x01d\x07", len(itemKinds))
-	if to, payload, err := DecodeItemBody(codec, body); err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`kind "\x%02x"`, len(itemKinds))) {
-		t.Fatalf("unknown kind: got (%q, %#v, %v), want an error naming the kind", to, payload, err)
+	for _, kind := range []byte{2, 5, byte(len(itemKinds))} {
+		body := fmt.Sprintf("bob|%c\x07", kind)
+		if to, payload, err := DecodeItemBody(codec, body); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("kind %q", string(kind))) {
+			t.Fatalf("unknown kind %d: got (%q, %#v, %v), want an error naming the kind", kind, to, payload, err)
+		}
 	}
 	fabric.RegisterBase(codec)
 	if body, err := EncodeItemBody(codec, Msg{To: "bob", Body: &fabric.Hello{Addr: "x"}}); err == nil || !strings.Contains(err.Error(), "fabric/hello") {
@@ -142,28 +148,38 @@ func TestItemBodyUnknownTag(t *testing.T) {
 	}
 }
 
-// TestItemBodyRefusesTaggedForm: a body in the form before the kind table,
-// "<to>|<tag length><tag><binary body>" (testdata/items-tagged.golden, the
-// earlier items.golden verbatim), is refused, never parsed as something
-// else: its tag length lies past the table's last kind.
+// TestItemBodyRefusesTaggedForm: a body in an earlier form is refused, never
+// parsed as something else. testdata/items-tagged.golden holds the form
+// before the kind table, "<to>|<tag length><tag><binary body>": a tag length
+// names no kind, or (7, "crdt/op") an OT commit the tag's bytes do not fit.
+// testdata/items-sited.golden holds the OT bodies that named their document
+// and repeated their site, under kinds the table has since retired.
 func TestItemBodyRefusesTaggedForm(t *testing.T) {
-	data, err := os.ReadFile("testdata/items-tagged.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
 	codec := NewWireCodec()
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != len(itemMsgs()) {
-		t.Fatalf("%d old bodies, want one per engine message (%d)", len(lines), len(itemMsgs()))
-	}
-	for _, line := range lines {
-		name, hexBody, _ := strings.Cut(line, "\t")
-		body, err := hex.DecodeString(hexBody)
+	for _, c := range []struct {
+		path, want string
+		n          int
+	}{
+		{"testdata/items-tagged.golden", "", len(itemMsgs())},
+		{"testdata/items-sited.golden", "unknown item kind", 4},
+	} {
+		data, err := os.ReadFile(c.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if to, payload, err := DecodeItemBody(codec, string(body)); err == nil {
-			t.Errorf("%s: old body decoded to (%q, %#v), want an error", name, to, payload)
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if len(lines) != c.n {
+			t.Fatalf("%s: %d old bodies, want %d", c.path, len(lines), c.n)
+		}
+		for _, line := range lines {
+			name, hexBody, _ := strings.Cut(line, "\t")
+			body, err := hex.DecodeString(hexBody)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if to, payload, err := DecodeItemBody(codec, string(body)); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s %s: old body decoded to (%q, %#v, %v), want an error containing %q", c.path, name, to, payload, err, c.want)
+			}
 		}
 	}
 }

@@ -9,31 +9,30 @@ import (
 // OT engine wire messages. Submissions flow client → server, commits flow
 // server → everyone; pull/commits is the loss-recovery path (a client that
 // detects a gap asks for everything since its base revision). They reach a
-// daemon only inside eng/op item bodies of the document's session, so each
-// names its document for the engine alone.
+// daemon only inside eng/op item bodies of the document's session, so no
+// body names its document (the session does) or the site that sent it (the
+// item's author does); a commit names the site that submitted its op.
 
-// MsgSubmit carries one client submission to the integration server.
+// MsgSubmit carries one client submission to the integration server. The
+// submitter is whoever delivers it: Sub.Site and Sub.Op.Site do not travel,
+// and the server files the submission under the sender Apply is given.
 type MsgSubmit struct {
-	Doc string
 	Sub ot.Submission
 }
 
 // MsgCommit broadcasts one committed operation.
 type MsgCommit struct {
-	Doc string
-	C   ot.Committed
+	C ot.Committed
 }
 
 // MsgPull asks the server for the commits after Base.
 type MsgPull struct {
-	Doc  string
 	Base int
 }
 
 // MsgCommits answers a pull with commits in revision order.
 type MsgCommits struct {
-	Doc string
-	Cs  []ot.Committed
+	Cs []ot.Committed
 }
 
 // otDoc adapts the ot Server/Client pair to the Doc interface. The replica
@@ -42,7 +41,6 @@ type MsgCommits struct {
 // with one submission in flight, a hold-back map for commits that arrive
 // out of revision order, and pull-based resync on Tick.
 type otDoc struct {
-	doc    string
 	site   string
 	server string
 
@@ -56,8 +54,8 @@ type otDoc struct {
 	unacked  bool          // inflight holds a submission
 }
 
-func newOTDoc(doc, site, server string) *otDoc {
-	d := &otDoc{doc: doc, site: site, server: server}
+func newOTDoc(site, server string) *otDoc {
+	d := &otDoc{site: site, server: server}
 	if site == server {
 		d.srv = ot.NewServer("")
 		d.lastSeq = make(map[string]uint64)
@@ -94,14 +92,13 @@ func (d *otDoc) edit(op ot.Op) ([]Msg, error) {
 	if d.srv != nil {
 		// The server site edits at the authoritative revision: no pending
 		// list, the commit broadcasts immediately.
-		op.Site = d.site
 		d.srvSeq++
 		cm, err := d.srv.Submit(op, d.srv.Rev(), d.site, d.srvSeq)
 		if err != nil {
 			return nil, err
 		}
 		d.lastSeq[d.site] = d.srvSeq
-		return []Msg{{Body: &MsgCommit{Doc: d.doc, C: cm}, Size: commitSize(cm)}}, nil
+		return []Msg{{Body: &MsgCommit{C: cm}}}, nil
 	}
 	sub, send, err := d.cl.Generate(op)
 	if err != nil {
@@ -111,13 +108,13 @@ func (d *otDoc) edit(op ot.Op) ([]Msg, error) {
 		return nil, nil // buffered behind the in-flight submission
 	}
 	d.inflight, d.unacked = sub, true
-	return []Msg{{To: d.server, Body: &MsgSubmit{Doc: d.doc, Sub: sub}, Size: subSize(sub)}}, nil
+	return []Msg{{To: d.server, Body: &MsgSubmit{Sub: sub}}}, nil
 }
 
 func (d *otDoc) Apply(from string, payload any) ([]Msg, error) {
 	switch m := payload.(type) {
 	case *MsgSubmit:
-		return d.applySubmit(m.Sub)
+		return d.applySubmit(from, m.Sub)
 	case *MsgCommit:
 		return d.applyCommits(m.C)
 	case *MsgPull:
@@ -129,19 +126,22 @@ func (d *otDoc) Apply(from string, payload any) ([]Msg, error) {
 	}
 }
 
-func (d *otDoc) applySubmit(sub ot.Submission) ([]Msg, error) {
+// applySubmit integrates a submission under from, the site that delivered
+// it: the body names no site, so no participant can submit in another's
+// name.
+func (d *otDoc) applySubmit(from string, sub ot.Submission) ([]Msg, error) {
 	if d.srv == nil {
 		return nil, fmt.Errorf("engine: submission sent to non-server site %s", d.site)
 	}
-	if sub.Seq <= d.lastSeq[sub.Site] {
+	if sub.Seq <= d.lastSeq[from] {
 		return nil, nil // duplicate of a committed submission; pull recovers the commit
 	}
-	cm, err := d.srv.Submit(sub.Op, sub.Base, sub.Site, sub.Seq)
+	cm, err := d.srv.Submit(sub.Op, sub.Base, from, sub.Seq)
 	if err != nil {
 		return nil, err
 	}
-	d.lastSeq[sub.Site] = sub.Seq
-	return []Msg{{Body: &MsgCommit{Doc: d.doc, C: cm}, Size: commitSize(cm)}}, nil
+	d.lastSeq[from] = sub.Seq
+	return []Msg{{Body: &MsgCommit{C: cm}}}, nil
 }
 
 func (d *otDoc) applyPull(from string, base int) ([]Msg, error) {
@@ -152,7 +152,7 @@ func (d *otDoc) applyPull(from string, base int) ([]Msg, error) {
 	if len(cs) == 0 {
 		return nil, nil
 	}
-	return []Msg{{To: from, Body: &MsgCommits{Doc: d.doc, Cs: cs}, Size: 16 + len(cs)*24}}, nil
+	return []Msg{{To: from, Body: &MsgCommits{Cs: cs}}}, nil
 }
 
 // applyCommits ingests commits at a client: in-order commits integrate,
@@ -184,7 +184,7 @@ func (d *otDoc) applyCommits(cs ...ot.Committed) ([]Msg, error) {
 		}
 		if send {
 			d.inflight, d.unacked = next, true
-			out = append(out, Msg{To: d.server, Body: &MsgSubmit{Doc: d.doc, Sub: next}, Size: subSize(next)})
+			out = append(out, Msg{To: d.server, Body: &MsgSubmit{Sub: next}})
 		}
 	}
 }
@@ -198,11 +198,7 @@ func (d *otDoc) Tick() []Msg {
 	}
 	var out []Msg
 	if d.unacked {
-		out = append(out, Msg{To: d.server, Body: &MsgSubmit{Doc: d.doc, Sub: d.inflight}, Size: subSize(d.inflight)})
+		out = append(out, Msg{To: d.server, Body: &MsgSubmit{Sub: d.inflight}})
 	}
-	out = append(out, Msg{To: d.server, Body: &MsgPull{Doc: d.doc, Base: d.cl.Base()}, Size: 24})
-	return out
+	return append(out, Msg{To: d.server, Body: &MsgPull{Base: d.cl.Base()}})
 }
-
-func subSize(sub ot.Submission) int  { return 24 + len(sub.Site) }
-func commitSize(cm ot.Committed) int { return 24 + len(cm.Site) }

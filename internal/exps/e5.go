@@ -126,9 +126,5 @@ func RunE5Access(seed int64) Table {
 		"1000 role-entry scans",
 		"both O(policy size); see bench_test.go for ns/op",
 	})
-	// This note names access.System.Describe, which E5 never called and
-	// which is deleted; experiments.golden keeps the line until its next
-	// change (ROADMAP item 12).
-	t.Notes = append(t.Notes, "policy remains printable: access.System.Describe() renders every role, entry and holder")
 	return t
 }

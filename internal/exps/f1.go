@@ -2,6 +2,7 @@ package exps
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -84,7 +85,10 @@ func runQuadrant(seed int64, mode session.Mode, link netsim.Link, pollGap time.D
 	clients["bob"].Join(0)
 	sim.Run()
 
-	rng := sim.Rand()
+	// The post schedule has a stream of its own, so every quadrant posts at
+	// the same times: the simulator's stream has already been drawn from
+	// by WAN jitter, which would give the WAN quadrants other times.
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < posts; i++ {
 		i := i
 		at := time.Duration(rng.Int63n(int64(horizon)))

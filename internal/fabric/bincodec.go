@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+
+	"repro/internal/transport"
 )
 
 // The wire frame Codec encodes every payload in: a length-prefixed binary
@@ -70,23 +72,24 @@ var (
 // Frame storage is recycled: Encode takes its buffer from freeFrames when
 // one is there, and FromTransport's Send hands it back through recycleFrame
 // once the transport's Send has returned, which keeps nothing. The list is
-// bounded in slots and in the capacity it keeps per slot, so it holds at
-// most freeFrameSlots*freeFrameCap bytes. A slot serves one send in flight:
-// 16 lets a daemon with 16 participants send from every connection's reader
-// at once, and a send that finds the list empty just allocates. It is a
-// channel, not a sync.Pool, because putting a []byte into a Pool boxes it:
-// one allocation per send, the cost the list exists to remove.
-const (
-	freeFrameSlots = 16
-	freeFrameCap   = 4 << 10
-)
+// bounded in slots and in the capacity it keeps per slot, the transport's
+// own bound for frame buffers kept between frames (transport.FrameBufCap),
+// so a join ack or poll answer the transport writes from a kept buffer is
+// encoded into kept storage too, and the list holds at most 16 × 64 KiB =
+// 1 MiB. A slot serves one send in flight: 16 lets a daemon with 16
+// participants send from every connection's reader at once, and a send
+// that finds the list empty just allocates. It is a channel, not a
+// sync.Pool, because putting a []byte into a Pool boxes it: one allocation
+// per send, the cost the list exists to remove.
+const freeFrameSlots = 16
 
 var freeFrames = make(chan []byte, freeFrameSlots)
 
 // recycleFrame returns a frame's storage to the free list, unless the list
-// is full or the frame is past freeFrameCap. The caller must be done with it.
+// is full or the frame is past transport.FrameBufCap. The caller must be
+// done with it.
 func recycleFrame(frame []byte) {
-	if cap(frame) > freeFrameCap {
+	if cap(frame) > transport.FrameBufCap {
 		return
 	}
 	select {

@@ -55,16 +55,20 @@ func registeredPayloads() map[string]any {
 	ctr := crdt.NewCounter("c")
 	ctr.Add(41)
 	ctr.Add(-4)
-	op := ot.Op{Kind: ot.Insert, Pos: 4, Ch: 'ß', Site: "c1"}
+	// A submitted op has no site (its sender is its site) and a committed op
+	// its commit's, so each decodes to what was encoded.
+	op := ot.Op{Kind: ot.Insert, Pos: 4, Ch: 'ß'}
+	c1, c2 := op, op
+	c1.Site, c2.Site = "c1", "c2"
 	return map[string]any{
 		"crdt/op":           crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: crdt.OpSetRemove, Site: "b", Seq: 9, Elem: "doc", Dots: []crdt.ID{{N: 1, Site: "a"}, {N: 4, Site: "b"}}, Delta: -77}},
 		"crdt/state seq":    crdt.MsgState{Doc: "d", Seq: seq.State()},
 		"crdt/state set":    crdt.MsgState{Doc: "d", Set: set.State()},
 		"crdt/state ctr":    crdt.MsgState{Doc: "d", Ctr: ctr.State()},
-		"engine/ot-submit":  engine.MsgSubmit{Doc: "d", Sub: ot.Submission{Op: op, Base: 9, Site: "c1", Seq: 3}},
-		"engine/ot-commit":  engine.MsgCommit{Doc: "d", C: ot.Committed{Op: op, Rev: 10, Site: "c1", Seq: 3}},
-		"engine/ot-pull":    engine.MsgPull{Doc: "d", Base: 7},
-		"engine/ot-commits": engine.MsgCommits{Doc: "d", Cs: []ot.Committed{{Op: op, Rev: 1, Site: "c1", Seq: 1}, {Op: op, Rev: 2, Site: "c2", Seq: 1}}},
+		"engine/ot-submit":  engine.MsgSubmit{Sub: ot.Submission{Op: op, Base: 9, Seq: 3}},
+		"engine/ot-commit":  engine.MsgCommit{C: ot.Committed{Op: c1, Rev: 10, Site: "c1", Seq: 3}},
+		"engine/ot-pull":    engine.MsgPull{Base: 7},
+		"engine/ot-commits": engine.MsgCommits{Cs: []ot.Committed{{Op: c1, Rev: 1, Site: "c1", Seq: 1}, {Op: c2, Rev: 2, Site: "c2", Seq: 1}}},
 
 		"fabric/hello":     fabric.Hello{Addr: "127.0.0.1:9999"},
 		"session/join":     session.MsgJoin{From: "carol", Since: 41, State: session.Away},
@@ -83,7 +87,8 @@ func registeredPayloads() map[string]any {
 // every field it carries, so a field both halves of a codec leave out
 // cannot hide behind a zero. registeredPayloads leaves some fields zero
 // (their frames are pinned in testdata/frames.golden); the instances added
-// here set them.
+// here set them. An OT submission's site is the one field no body carries:
+// the server files a submission under its sender.
 func TestBinaryRoundTripParity(t *testing.T) {
 	codec := fullRegistry()
 	payloads := registeredPayloads()
@@ -111,7 +116,7 @@ func TestBinaryRoundTripParity(t *testing.T) {
 			return got, err
 		}
 		return reflect.ValueOf(got).Elem().Interface(), nil
-	})
+	}, map[string][]string{"engine.MsgSubmit": {"ot.Submission.Site", "ot.Op.Site"}})
 }
 
 // TestBinaryJSONInterop: a JSON envelope — what a peer from before the one
@@ -277,7 +282,7 @@ func TestCountBoundUsesElementSize(t *testing.T) {
 		{"vector entries", &crdt.MsgState{}, []byte{0, 1, 0}, 2, 3},
 		{"elements", &crdt.MsgState{}, []byte{0, 2}, 2, 3},
 		{"site counts", &crdt.MsgState{}, []byte{0, 3}, 2, 3},
-		{"commits", &engine.MsgCommits{}, []byte{0}, 2, 13},
+		{"commits", &engine.MsgCommits{}, nil, 2, 11},
 	}
 	for _, tc := range cases {
 		body := append(append([]byte{}, tc.head...), byte(tc.n))

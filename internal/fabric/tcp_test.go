@@ -68,6 +68,49 @@ func TestTransportSendAllocs(t *testing.T) {
 	waitUntil(t, func() bool { return got.Load() == 102 }, "every frame") // the warm-up, AllocsPerRun's own, then 100
 }
 
+// TestTransportLargeFrameSendAllocs: a frame past 4 KiB but within
+// transport.FrameBufCap, here a join ack carrying a 200-item backlog, is
+// recycled like a small one. Once the free list holds storage that size and
+// the connection's write buffer has grown to it, sending the frame again
+// allocates nothing. Under -race only the delivery is checked.
+func TestTransportLargeFrameSendAllocs(t *testing.T) {
+	eps := listenTCP(t, transport.NewAddressBook(), "a", "b")
+	var got atomic.Int64
+	var size atomic.Int64
+	eps[1].SetHandler(func(_ string, data []byte) {
+		size.Store(int64(len(data)))
+		got.Add(1)
+	})
+	fa := fabric.FromTransport(eps[0], session.NewWireCodec())
+	backlog := make([]session.Item, 200)
+	for i := range backlog {
+		backlog[i] = session.Item{Seq: uint64(i + 1), From: "alice", Kind: "eng/op", Body: "|" + strings.Repeat("QUJD", 12), At: time.Second}
+	}
+	ack := &session.MsgJoinAck{Doc: "doc", Mode: session.Synchronous, Backlog: backlog, Members: []string{"alice", "bob"}}
+	send := func() {
+		if err := fa.Send("b", ack, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every slot of the free list may hold small storage an earlier send
+	// left there; a send takes the oldest, so 17 sends leave only large ones.
+	const warm = 17
+	for range warm {
+		send()
+	}
+	sent := int64(warm)
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, send); n != 0 {
+			t.Errorf("FromTransport Send of a %d-byte join ack over TCP allocates %v objects, want 0", size.Load(), n)
+		}
+		sent += 101 // AllocsPerRun's own run, then 100
+	}
+	waitUntil(t, func() bool { return got.Load() == sent }, "every frame")
+	if n := size.Load(); n <= 4<<10 || n > transport.FrameBufCap {
+		t.Fatalf("the join ack is a %d-byte frame, want one past 4 KiB and within %d", n, transport.FrameBufCap)
+	}
+}
+
 // TestTransportConcurrentSendsDecodeIntact: goroutines sharing one
 // FromTransport send posts of mixed sizes, some past what the free list
 // keeps, to two peers at once. Every frame must decode to exactly the post
@@ -94,7 +137,7 @@ func TestTransportConcurrentSendsDecodeIntact(t *testing.T) {
 		peers = append(peers, p)
 	}
 	const senders, perSender = 4, 150
-	sizes := []int{8, 200, 1500, 3900, 6000}
+	sizes := []int{8, 200, 1500, 3900, 6000, transport.FrameBufCap + 1000}
 	want := make(map[string]session.MsgPost, senders*perSender)
 	var wg sync.WaitGroup
 	for g := range senders {

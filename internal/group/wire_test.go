@@ -93,7 +93,7 @@ func TestPacketBinaryCodecParity(t *testing.T) {
 			}
 		}
 		return got, nil
-	})
+	}, nil)
 }
 
 // TestPacketWireRejects: what the wire cannot carry fails at encode, and

@@ -48,11 +48,13 @@ func (s *Server) Text() string { return string(s.doc) }
 // Rev returns the current revision (number of committed operations).
 func (s *Server) Rev() int { return s.log.Len() }
 
-// Submit integrates an operation generated against revision base: it is
-// transformed against everything committed since, applied, and returned in
-// committed form for broadcast to all clients (including the sender, as its
-// acknowledgement).
+// Submit integrates an operation generated against revision base by site:
+// it is transformed against everything committed since, applied, and
+// returned in committed form for broadcast to all clients (including the
+// sender, as its acknowledgement). The op is site's whatever its Site says,
+// so a commit's Op.Site is always its Site and the wire carries it once.
 func (s *Server) Submit(op Op, base int, site string, seq uint64) (Committed, error) {
+	op.Site = site
 	rev := s.log.Len()
 	if base < 0 || base > rev {
 		return Committed{}, fmt.Errorf("%w: %d (rev %d)", ErrBadRevision, base, rev)

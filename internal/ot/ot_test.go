@@ -342,6 +342,27 @@ func TestServerBadRevision(t *testing.T) {
 	}
 }
 
+// TestServerFilesOpUnderSite: a commit's op is its submitter's, whatever
+// Site the submitted op named, and stays so through the transforms against
+// earlier commits. The engine's wire carries a commit's site once and
+// relies on this; the tie-break between equal insert positions reads it.
+func TestServerFilesOpUnderSite(t *testing.T) {
+	srv := NewServer("")
+	if _, err := srv.Submit(Op{Kind: Insert, Pos: 0, Ch: 'a'}, 0, "b", 1); err != nil {
+		t.Fatal(err)
+	}
+	cm, err := srv.Submit(Op{Kind: Insert, Pos: 0, Ch: 'x', Site: "z"}, 0, "a", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.Site != "a" || cm.Op.Site != "a" {
+		t.Fatalf("commit %+v: want site a and op site a", cm)
+	}
+	if srv.Text() != "xa" { // a sorts before b, so its insert goes first
+		t.Fatalf("server text %q, want xa", srv.Text())
+	}
+}
+
 func TestClientOutOfOrderCommit(t *testing.T) {
 	srv := NewServer("")
 	c := NewClient("c", srv)

@@ -58,8 +58,8 @@ func TestFrameReadAllocs(t *testing.T) {
 	}
 }
 
-// TestFrameReaderKeepsAtMostCap: a frame past frameBufCap is read into a
-// one-off buffer, so the connection keeps at most frameBufCap bytes, and
+// TestFrameReaderKeepsAtMostCap: a frame past FrameBufCap is read into a
+// one-off buffer, so the connection keeps at most FrameBufCap bytes, and
 // the small frame after it still reads correctly.
 func TestFrameReaderKeepsAtMostCap(t *testing.T) {
 	big := bytes.Repeat([]byte{'x'}, 100<<10)
@@ -72,8 +72,8 @@ func TestFrameReaderKeepsAtMostCap(t *testing.T) {
 		if err != nil || !bytes.Equal(payload, want) {
 			t.Fatalf("read %d bytes (err %v), want %d", len(payload), err, len(want))
 		}
-		if cap(fr.buf) > frameBufCap {
-			t.Fatalf("reader keeps a %d-byte buffer, cap is %d", cap(fr.buf), frameBufCap)
+		if cap(fr.buf) > FrameBufCap {
+			t.Fatalf("reader keeps a %d-byte buffer, cap is %d", cap(fr.buf), FrameBufCap)
 		}
 	}
 }
@@ -104,7 +104,7 @@ func FuzzFrameReader(f *testing.F) {
 			if again := frameBytes(t, from, payload); !bytes.Equal(again, frame) {
 				t.Fatalf("frame %x re-encodes as %x", frame, again)
 			}
-			if cap(fr.buf) > frameBufCap {
+			if cap(fr.buf) > FrameBufCap {
 				t.Fatalf("reader keeps a %d-byte buffer", cap(fr.buf))
 			}
 		}

@@ -15,10 +15,12 @@ import (
 // prefixes.
 const maxFrame = 16 << 20
 
-// frameBufCap is the largest frame buffer a connection keeps between frames,
+// FrameBufCap is the largest frame buffer a connection keeps between frames,
 // on either side: a larger frame is read, or built for writing, in a one-off
-// buffer that is dropped once the frame is done with.
-const frameBufCap = 64 << 10
+// buffer that is dropped once the frame is done with. fabric's free list of
+// encoded frames keeps frames up to the same bound, so a frame the
+// transport keeps a buffer for is one the codec keeps its storage for.
+const FrameBufCap = 64 << 10
 
 // AddressBook maps peer IDs to dialable TCP addresses. It is safe for
 // concurrent use.
@@ -227,15 +229,15 @@ func (fr *frameReader) read(r io.Reader) (from string, payload []byte, err error
 
 // frameBuf returns a buffer of length n for one frame: *kept resliced when it
 // is large enough, else a new one, which replaces *kept unless n is past
-// frameBufCap (then it is a one-off, dropped with the frame).
+// FrameBufCap (then it is a one-off, dropped with the frame).
 func frameBuf(kept *[]byte, n int) []byte {
 	switch {
 	case n <= cap(*kept):
 		return (*kept)[:n]
-	case n > frameBufCap:
+	case n > FrameBufCap:
 		return make([]byte, n)
 	}
-	*kept = make([]byte, n, min(max(n, 2*cap(*kept)), frameBufCap))
+	*kept = make([]byte, n, min(max(n, 2*cap(*kept)), FrameBufCap))
 	return *kept
 }
 

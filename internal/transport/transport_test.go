@@ -240,8 +240,8 @@ func TestTCPOversizedSendKeepsConn(t *testing.T) {
 	onePair(t, a, b)
 }
 
-// TestTCPWriteBufferKeepsAtMostCap: a frame past frameBufCap is built in a
-// one-off buffer, so the connection keeps at most frameBufCap bytes for
+// TestTCPWriteBufferKeepsAtMostCap: a frame past FrameBufCap is built in a
+// one-off buffer, so the connection keeps at most FrameBufCap bytes for
 // writing, and the frames around the big one still arrive intact.
 func TestTCPWriteBufferKeepsAtMostCap(t *testing.T) {
 	book := NewAddressBook()
@@ -259,8 +259,8 @@ func TestTCPWriteBufferKeepsAtMostCap(t *testing.T) {
 		tc.mu.Lock()
 		kept := cap(tc.wbuf)
 		tc.mu.Unlock()
-		if kept > frameBufCap {
-			t.Fatalf("the conn keeps a %d-byte write buffer, cap is %d", kept, frameBufCap)
+		if kept > FrameBufCap {
+			t.Fatalf("the conn keeps a %d-byte write buffer, cap is %d", kept, FrameBufCap)
 		}
 	}
 }

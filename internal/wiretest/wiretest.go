@@ -12,7 +12,13 @@ import (
 // returns the decoded result in the value's own type. It fails t for a value
 // that comes back different, and for an exported field, reached through
 // exported fields, that no value of the same top-level type sets.
-func Check(t testing.TB, values map[string]any, rt func(any) (any, error)) {
+//
+// unsent names, under a top-level type, the fields its wire form leaves to
+// the carrier, such as a sender the transport already names, each as
+// reflect prints its struct and name ("engine.MsgSubmit":
+// {"ot.Submission.Site"}). Those are the other way round: every value must
+// leave them zero, and a name that is no field of the type fails too.
+func Check(t testing.TB, values map[string]any, rt func(any) (any, error), unsent map[string][]string) {
 	t.Helper()
 	names := make([]string, 0, len(values))
 	for name := range values {
@@ -39,10 +45,23 @@ func Check(t testing.TB, values map[string]any, rt func(any) (any, error)) {
 		mark(reflect.ValueOf(v), set[typ])
 	}
 	for _, typ := range types {
+		left := make(map[string]bool)
+		for _, name := range unsent[typ.String()] {
+			left[name] = true
+		}
 		for _, f := range fields(typ, make(map[reflect.Type]bool), nil) {
-			if !set[typ][f] {
-				t.Errorf("%s: field %s.%s is zero in every value: a round trip cannot show it survives the wire",
-					typ, f.in, f.in.Field(f.i).Name)
+			name := f.in.String() + "." + f.in.Field(f.i).Name
+			switch {
+			case left[name] && set[typ][f]:
+				t.Errorf("%s: field %s is left to the carrier, but a value sets it", typ, name)
+			case !left[name] && !set[typ][f]:
+				t.Errorf("%s: field %s is zero in every value: a round trip cannot show it survives the wire", typ, name)
+			}
+			delete(left, name)
+		}
+		for _, name := range unsent[typ.String()] {
+			if left[name] {
+				t.Errorf("%s: unsent names %s, which is no field of it", typ, name)
 			}
 		}
 	}
