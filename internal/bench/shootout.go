@@ -7,37 +7,44 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"repro/internal/daemon"
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
+	"repro/internal/session"
 	"repro/internal/simworld"
+	"repro/internal/workload"
 )
 
-// OT-vs-CRDT shootout: both convergence engines driven through the same
-// binding (engine.Doc), the same binary wire codec and the same workloads,
-// so the report compares the algorithms rather than the harnesses. Two
-// measurements per engine:
+// OT-vs-CRDT shootout: both convergence engines run in the composition
+// that ships (simworld.World.Daemon: daemon.NewHost and one participant per
+// site, every engine message an item of the session log), on the same
+// workloads, so the report compares the algorithms in the deployment a user
+// runs. Two measurements per engine:
 //
 //   - ShootoutBench: real-time throughput of the full edit pipeline on a
-//     clean in-memory link — generate, encode, decode, integrate at every
-//     replica — comparable to the other msgs/sec rows in the report.
-//   - ShootoutConverge: a deterministic virtual-time run over a lossy
-//     (optionally partitioned) netsim network, reporting messages offered
-//     to the wire, exact encoded bytes, per-edit convergence latency
-//     percentiles and the tail from last edit to full convergence.
+//     clean zero-latency link — generate, post, log, push, decode and
+//     integrate at every participant (and, for OT, at the daemon) —
+//     comparable to the other msgs/sec rows in the report.
+//   - ShootoutConverge: a deterministic virtual-time run over lossy
+//     (optionally partitioned) host links, reporting messages offered to
+//     the wire, their exact encoded bytes under the daemon's wire codec,
+//     per-edit convergence latency percentiles and the tail from last edit
+//     to full convergence.
 
 // ShootoutOptions configures a convergence run.
 type ShootoutOptions struct {
 	Engine string      // engine.OT or engine.CRDT
-	Sites  int         // replica count; site 0 hosts the OT server
+	Sites  int         // participant count; the daemon is one more node
 	Edits  int         // scripted inserts (insert-only keeps progress monotone)
-	Link   netsim.Link // applied between every pair of sites
+	Link   netsim.Link // applied between the daemon and every site
 	// Tick is the recovery cadence: OT clients resend+pull, CRDT replicas
 	// gossip state. Chosen well above the edit gap so steady-state traffic
 	// is op-shaped, with ticks as the repair channel.
 	Tick time.Duration
-	// PartitionFor, when non-zero, splits the sites into two halves a
-	// quarter of the way into the edit phase and heals after this long.
+	// PartitionFor, when non-zero, splits the sites into two halves, the
+	// daemon with the first, a quarter of the way into the edit phase and
+	// heals after this long.
 	PartitionFor time.Duration
 	Seed         int64
 }
@@ -45,8 +52,8 @@ type ShootoutOptions struct {
 // ShootoutResult is one convergence run's outcome.
 type ShootoutResult struct {
 	Converged bool
-	Msgs      int // messages offered to the wire (losses included)
-	Bytes     int // encoded payload bytes offered to the wire
+	Msgs      int // frames offered to the wire after the joins (losses included)
+	Bytes     int // their encoded bytes under the daemon's wire codec
 	// Latency is the per-edit convergence profile in virtual time: sample m
 	// is the delay from edit m's issue until every replica has integrated at
 	// least m inserts.
@@ -58,9 +65,9 @@ type ShootoutResult struct {
 
 const editGap = 2 * time.Millisecond
 
-// ShootoutLossyOptions is the report's canonical lossy run: four replicas
-// on a 2ms link where a fifth of the traffic vanishes and a sixth arrives
-// late enough to be overtaken.
+// ShootoutLossyOptions is the report's canonical lossy run: four
+// participants on 2ms host links where a fifth of the traffic vanishes and
+// a sixth arrives late enough to be overtaken.
 func ShootoutLossyOptions(kind string, seed int64, edits int) ShootoutOptions {
 	return ShootoutOptions{
 		Engine: kind,
@@ -76,8 +83,8 @@ func ShootoutLossyOptions(kind string, seed int64, edits int) ShootoutOptions {
 }
 
 // ShootoutPartitionOptions is the report's canonical partition run: the
-// lossless variant of the lossy link, split into two halves (the OT server
-// in the first) mid-run and healed 120ms later.
+// lossless variant of the lossy link, split into two halves (the daemon in
+// the first) mid-run and healed 120ms later.
 func ShootoutPartitionOptions(kind string, seed int64, edits int) ShootoutOptions {
 	o := ShootoutLossyOptions(kind, seed, edits)
 	o.Link.Loss, o.Link.Reorder = 0, 0
@@ -110,27 +117,9 @@ func ShootoutRow(name string, o ShootoutOptions) (Result, error) {
 	}, nil
 }
 
-// shootoutSites names the sites; s00 is the first and hosts the OT server.
-func shootoutSites(sites int) []string {
-	ids := make([]string, sites)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("s%02d", i)
-	}
-	return ids
-}
-
-// shootoutDocs builds one engine.Doc per site for the in-memory pipeline.
-func shootoutDocs(kind string, sites int) ([]string, map[string]engine.Doc, error) {
-	ids := shootoutSites(sites)
-	docs := make(map[string]engine.Doc, sites)
-	for _, id := range ids {
-		d, err := engine.New(kind, "doc", id, ids[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		docs[id] = d
-	}
-	return ids, docs, nil
+// shootoutConfig is the daemon both halves of the shootout deploy.
+func shootoutConfig(kind string) daemon.Config {
+	return daemon.Config{Mode: "sync", Shards: 1, Engine: kind, Doc: "doc"}
 }
 
 // ShootoutConverge runs the scripted insert workload for one engine over a
@@ -140,21 +129,35 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 		return ShootoutResult{}, fmt.Errorf("shootout: need >=2 sites, >=1 edit and a tick cadence")
 	}
 	res := ShootoutResult{}
-	w := simworld.New(o.Seed, o.Link)
-	// Every frame offered to the wire counts, lost or not.
+	// The participants join over the link without its loss, which a lost
+	// join is not retried through; the lossy links are laid afterwards.
+	clean := o.Link
+	clean.Loss, clean.Reorder = 0, 0
+	w := simworld.New(o.Seed, clean)
+	// Every frame offered to the wire counts, lost or not, at the length the
+	// daemon's codec gives it on TCP (on the simulator a payload travels as
+	// a value with a size estimate).
+	codec := session.NewWireCodec()
+	fabric.RegisterBase(codec)
+	var tapErr error
 	w.Wrap = func(_ string, base *fabric.SimEndpoint) fabric.Endpoint {
-		return fabric.Wrap(base, fabric.Tap(func(_ string, _ any, size int) {
+		return fabric.Wrap(base, fabric.Tap(func(_ string, payload any, _ int) {
+			frame, err := codec.Encode(payload)
+			if err != nil && tapErr == nil {
+				tapErr = err
+			}
 			res.Msgs++
-			res.Bytes += size
+			res.Bytes += len(frame)
 		}, nil))
 	}
 	sim := w.Sim
-	ids := shootoutSites(o.Sites)
-	reps, err := w.Replicas(o.Engine, ids...)
+	ids := workload.Users("s", o.Sites)
+	d, err := w.Daemon(shootoutConfig(o.Engine), ids...)
 	if err != nil {
 		return ShootoutResult{}, err
 	}
-	docs := reps.Docs
+	res.Msgs, res.Bytes = 0, 0 // the joins are set-up, not editing
+	w.Star(daemon.HostID, o.Link, o.Link, ids...)
 	lens := make(map[string]int, o.Sites)
 	issued := make([]time.Duration, o.Edits)
 	lat := make([]time.Duration, 0, o.Edits)
@@ -176,14 +179,18 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 			lat = append(lat, sim.Now()-issued[confirmed])
 			confirmed++
 		}
-		if done || editsDone < o.Edits || !reps.Converged() {
+		if done || editsDone < o.Edits || !d.Converged() {
 			return
 		}
 		done = true
 		convergedAt = sim.Now()
 	}
-	reps.Applied = func(id string, _ any) {
-		lens[id] = utf8.RuneCountInString(docs[id].Text())
+	textLen := func(id string) int {
+		text, _ := d.Parts[id].Text()
+		return utf8.RuneCountInString(text)
+	}
+	d.Applied = func(id string, _ session.Item) {
+		lens[id] = textLen(id)
 		progress()
 	}
 
@@ -196,18 +203,19 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 			if lens[site] > 0 {
 				pos = r.Intn(lens[site] + 1)
 			}
-			reps.Insert(site, pos, rune('a'+r.Intn(26)))
+			ch := rune('a' + r.Intn(26))
+			d.Edit(site, func(doc engine.Doc) ([]engine.Msg, error) { return doc.Insert(pos, ch) })
 			issued[i] = sim.Now()
 			lastEditAt = sim.Now()
 			editsDone++
-			lens[site] = utf8.RuneCountInString(docs[site].Text())
+			lens[site] = textLen(site)
 			progress()
 		})
 	}
 
 	if o.PartitionFor > 0 {
 		half := o.Sites / 2
-		a, b := ids[:half], ids[half:]
+		a, b := append([]string{daemon.HostID}, ids[:half]...), ids[half:]
 		cut := time.Duration(o.Edits/4) * editGap
 		sim.At(cut, func() { sim.Partition(a, b) })
 		sim.At(cut+o.PartitionFor, func() { sim.Heal(a, b) })
@@ -215,18 +223,21 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 
 	// Recovery cadence, with a virtual-time deadline so a non-converging
 	// run terminates and reports honestly.
-	deadline := time.Duration(o.Edits)*editGap + o.PartitionFor + 60*time.Second
+	deadline := sim.Now() + time.Duration(o.Edits)*editGap + o.PartitionFor + 60*time.Second
 	sim.Every(o.Tick, func() bool {
-		if done || reps.Err() != nil || sim.Now() > deadline {
+		if done || d.Err() != nil || sim.Now() > deadline {
 			return false
 		}
-		reps.Tick()
+		d.Tick()
 		return true
 	})
 
 	sim.Run()
-	if err := reps.Err(); err != nil {
+	if err := d.Err(); err != nil {
 		return res, err
+	}
+	if tapErr != nil {
+		return res, tapErr
 	}
 	res.Converged = done
 	res.Latency = percentiles(lat)
@@ -237,74 +248,30 @@ func ShootoutConverge(o ShootoutOptions) (ShootoutResult, error) {
 }
 
 // ShootoutPipeline returns a step function driving one engine's full edit
-// pipeline on a clean in-memory link: step i performs one edit — generated,
-// binary-encoded, decoded and integrated at every replica, acks and
-// released submissions included. The document oscillates around one rune
-// (insert at 0 on even steps, delete at 0 on odd) so the cost stays on the
-// protocol machinery, not text copying.
+// pipeline through the shipped composition on a clean zero-latency link:
+// step i performs one edit and runs the world until every participant has
+// it, acks and released submissions included. The document oscillates
+// around one rune (insert at 0 on even steps, delete at 0 on odd) so the
+// cost stays on the protocol machinery, not text copying.
 func ShootoutPipeline(kind string, sites int) (func(i int) error, error) {
-	ids, docs, err := shootoutDocs(kind, sites)
+	w := simworld.New(1, netsim.Link{})
+	ids := workload.Users("s", sites)
+	d, err := w.Daemon(shootoutConfig(kind), ids...)
 	if err != nil {
 		return nil, err
 	}
-	codec := engine.NewWireCodec()
-	type env struct {
-		from, to string
-		data     []byte
-	}
-	var queue []env
-	push := func(from string, msgs []engine.Msg) error {
-		for _, m := range msgs {
-			data, err := codec.Encode(m.Body)
-			if err != nil {
-				return err
-			}
-			if m.To != "" {
-				queue = append(queue, env{from, m.To, data})
-				continue
-			}
-			for _, id := range ids {
-				if id != from {
-					queue = append(queue, env{from, id, data})
-				}
-			}
-		}
-		return nil
-	}
 	depth := 0 // text length at the editing site (identical across sites after each step)
 	return func(i int) error {
-		d := docs[ids[i%sites]]
-		var msgs []engine.Msg
-		var err error
-		if depth == 0 {
-			msgs, err = d.Insert(0, 'x')
-			depth++
-		} else {
-			msgs, err = d.Delete(0)
+		d.Edit(ids[i%sites], func(doc engine.Doc) ([]engine.Msg, error) {
+			if depth == 0 {
+				depth++
+				return doc.Insert(0, 'x')
+			}
 			depth--
-		}
-		if err != nil {
-			return err
-		}
-		if err := push(ids[i%sites], msgs); err != nil {
-			return err
-		}
-		for len(queue) > 0 {
-			e := queue[0]
-			queue = queue[1:]
-			body, err := codec.Decode(e.data)
-			if err != nil {
-				return err
-			}
-			out, err := docs[e.to].Apply(e.from, body)
-			if err != nil {
-				return err
-			}
-			if err := push(e.to, out); err != nil {
-				return err
-			}
-		}
-		return nil
+			return doc.Delete(0)
+		})
+		w.Sim.Run()
+		return d.Err()
 	}, nil
 }
 

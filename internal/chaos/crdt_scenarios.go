@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/crdt"
+	"repro/internal/daemon"
 	"repro/internal/engine"
 	"repro/internal/group"
 	"repro/internal/netsim"
@@ -13,9 +14,9 @@ import (
 func init() {
 	register(Scenario{
 		Name:      "partition-crdt-converge",
-		Desc:      "four CRDT document replicas editing through a mid-run partition, healed, then converged by state gossip",
+		Desc:      "four CRDT participants of the shipped daemon editing through a mid-run partition, healed, then converged by state gossip",
 		Invariant: "after heal and gossip every replica holds the identical document with nothing pending, and every drop is accounted",
-		Challenge: "partial failure without a server: symmetric replicas must reconcile a partition by merge alone (paper §5.2)",
+		Challenge: "partial failure behind a relay that never integrates: symmetric replicas must reconcile a partition by merge alone (paper §5.2)",
 		Run:       runPartitionCRDTConverge,
 	})
 	register(Scenario{
@@ -31,11 +32,13 @@ func init() {
 
 func runPartitionCRDTConverge(w *World) {
 	ids := []string{"r1", "r2", "r3", "r4"}
-	reps, err := w.Replicas(engine.CRDT, ids...)
+	// The shipped deployment under CRDT: the daemon only relays the items.
+	d, err := w.Daemon(daemon.Config{Mode: "sync", Shards: 1, Engine: engine.CRDT}, ids...)
 	if err != nil {
 		w.Violatef("setup", "%v", err)
 		return
 	}
+	text := func(id string) string { t, _ := d.Parts[id].Text(); return t }
 
 	// Edits on every replica, continuing straight through the partition:
 	// both halves diverge and must merge afterwards.
@@ -45,52 +48,56 @@ func runPartitionCRDTConverge(w *World) {
 		i := i
 		site := ids[i%len(ids)]
 		w.Sim.At(ms(1+2*i), func() {
-			n := len([]rune(reps.Docs[site].Text()))
+			n := len([]rune(text(site)))
 			if n == 0 || r.Intn(100) < 70 {
-				reps.Insert(site, r.Intn(n+1), rune('a'+r.Intn(26)))
+				pos, ch := r.Intn(n+1), rune('a'+r.Intn(26))
+				d.Edit(site, func(doc engine.Doc) ([]engine.Msg, error) { return doc.Insert(pos, ch) })
 			} else {
-				reps.Delete(site, r.Intn(n))
+				pos := r.Intn(n)
+				d.Edit(site, func(doc engine.Doc) ([]engine.Msg, error) { return doc.Delete(pos) })
 			}
 		})
 	}
 
+	near, far := []string{daemon.HostID, "r1", "r2"}, []string{"r3", "r4"}
 	w.Sim.At(ms(20), func() {
-		w.Logf("PARTITION {r1,r2} | {r3,r4}")
-		w.Sim.Partition([]string{"r1", "r2"}, []string{"r3", "r4"})
+		w.Logf("PARTITION {host,r1,r2} | {r3,r4}")
+		w.Sim.Partition(near, far)
 	})
 	w.Sim.At(ms(120), func() {
 		w.Logf("HEAL")
-		w.Sim.Heal([]string{"r1", "r2"}, []string{"r3", "r4"})
+		w.Sim.Heal(near, far)
 	})
 
-	// Anti-entropy: every replica gossips its full state on a cadence until
-	// the group converges (or the deadline passes and the check below fails).
+	// Anti-entropy: every replica gossips its full state through the relay
+	// on a cadence until the group converges (or the deadline passes and the
+	// check below fails).
 	done := false
 	w.Sim.Every(ms(15), func() bool {
 		if w.Sim.Now() > ms(600) {
 			return false
 		}
-		if w.Sim.Now() > ms(2*edits) && reps.Converged() {
+		if w.Sim.Now() > ms(2*edits) && d.Converged() {
 			done = true
 			w.Logf("converged at %v", w.Sim.Now())
 			return false
 		}
-		reps.Tick()
+		d.Tick()
 		return true
 	})
 
 	w.Run()
-	if err := reps.Err(); err != nil {
+	if err := d.Err(); err != nil {
 		w.Violatef("crdt-convergence", "%v", err)
 	}
-	if !done && !reps.Converged() {
+	if !done && !d.Converged() {
 		for _, id := range ids {
-			w.Violatef("crdt-convergence", "%s ends with %q (%d pending)",
-				id, reps.Docs[id].Text(), reps.Docs[id].Pending())
+			t, pending := d.Parts[id].Text()
+			w.Violatef("crdt-convergence", "%s ends with %q (%d pending)", id, t, pending)
 		}
 		return
 	}
-	final := reps.Docs[ids[0]].Text()
+	final := text(ids[0])
 	if final == "" {
 		w.Violatef("crdt-convergence", "replicas converged on an empty document; the edits never happened")
 	}

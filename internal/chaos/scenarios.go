@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/engine"
 	"repro/internal/group"
 	"repro/internal/netsim"
@@ -33,8 +34,8 @@ func init() {
 	})
 	register(Scenario{
 		Name:      "loss-resync-ot",
-		Desc:      "three OT replicas editing through a central server over lossy, jittery links with periodic resync",
-		Invariant: "all replica documents converge to the server document with nothing pending",
+		Desc:      "three OT participants editing through the shipped daemon over lossy, jittery links with periodic resync",
+		Invariant: "all participant documents converge at the full length with nothing pending",
 		Challenge: "real-time cooperation without locking: optimistic concurrency must converge despite loss (paper §5.4)",
 		Run:       runLossResyncOT,
 	})
@@ -239,54 +240,57 @@ func fmtItem(it session.Item) string {
 // --- scenario: loss-resync-ot -------------------------------------------
 
 func runLossResyncOT(w *World) {
-	const server = "doc-server"
 	sites := []string{"ot-a", "ot-b", "ot-c"}
 	const opsPerSite = 8
 	lossy := netsim.Link{Latency: time.Millisecond, Jitter: 2 * time.Millisecond, Loss: 0.2, Bandwidth: 1_250_000}
-	w.Star(server, lossy, lossy, sites...)
-	// The shipped OT binding, server site first: submissions, commit fan-out,
-	// the hold-back map and the resend + pull recovery round are engine.Doc's.
-	reps, err := w.Replicas(engine.OT, append([]string{server}, sites...)...)
+	// The shipped deployment: daemon.NewHost as the integration site and one
+	// participant per site. Submissions, commit fan-out, the hold-back map and
+	// the resend + pull recovery round are engine.Doc's, riding the session
+	// log. The joins go through before the loss is laid.
+	d, err := w.Daemon(daemon.Config{Mode: "sync", Shards: 1, Engine: engine.OT}, sites...)
 	if err != nil {
 		w.Violatef("setup", "%v", err)
 		return
 	}
+	w.Star(daemon.HostID, lossy, lossy, sites...)
 	for i := 0; i < opsPerSite; i++ {
 		for j, s := range sites {
 			s := s
 			ch := rune('a' + j)
-			w.Sim.At(ms(2+3*i)+time.Duration(j)*500*time.Microsecond, func() { reps.Insert(s, 0, ch) })
+			w.Sim.At(ms(2+3*i)+time.Duration(j)*500*time.Microsecond, func() {
+				d.Edit(s, func(doc engine.Doc) ([]engine.Msg, error) { return doc.Insert(0, ch) })
+			})
 		}
 	}
 	// Resync loop: every client resends its unacknowledged submission and
-	// pulls missed commits until all of them have caught up with the server.
+	// pulls missed commits until all of them agree.
 	w.Sim.Every(25*time.Millisecond, func() bool {
 		if w.Sim.Now() > 600*time.Millisecond {
 			w.Logf("resync loop gave up")
 			return false
 		}
-		if reps.Converged() {
+		if d.Converged() {
 			return false
 		}
-		reps.Tick()
+		d.Tick()
 		return true
 	})
 	w.Run()
-	if err := reps.Err(); err != nil {
+	if err := d.Err(); err != nil {
 		w.Violatef("ot-convergence", "%v", err)
 	}
-	final := reps.Docs[server].Text()
-	w.Logf("server document: %q", final)
+	final, _ := d.Parts[sites[0]].Text()
+	w.Logf("document: %q", final)
 	if got, want := len([]rune(final)), len(sites)*opsPerSite; got != want {
-		w.Violatef("ot-convergence", "server document has %d runes, want %d", got, want)
+		w.Violatef("ot-convergence", "%s document has %d runes, want %d", sites[0], got, want)
 	}
 	for _, s := range sites {
-		d := reps.Docs[s]
-		if d.Text() != final {
-			w.Violatef("ot-convergence", "%s document %q != server %q", s, d.Text(), final)
+		text, pending := d.Parts[s].Text()
+		if text != final {
+			w.Violatef("ot-convergence", "%s document %q != %s's %q", s, text, sites[0], final)
 		}
-		if n := d.Pending(); n != 0 {
-			w.Violatef("ot-convergence", "%s still has %d operations pending or held back", s, n)
+		if pending != 0 {
+			w.Violatef("ot-convergence", "%s still has %d operations pending or held back", s, pending)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 // Package daemon is the one place the live deployment is assembled: New
 // builds what cmd/sessiond runs, Dial what cmd/cscwctl runs, and both
-// commands are flag parsing over them. Placement and engine arrive as Config
+// commands are flag parsing over them. NewHost and Attach are the same two
+// halves on any endpoint, which is how internal/simworld runs the shipped
+// composition on the simulator. Placement and engine arrive as Config
 // policy; the seam fields let a harness interpose on the shipped wiring
 // instead of copying it. Pump is how an engine rides the session log.
 //
@@ -25,7 +27,9 @@ import (
 	"repro/internal/transport"
 )
 
-const hostID = "host" // the transport id every daemon listens under
+// HostID is the transport id every daemon listens under, and so the host a
+// participant's session client talks to.
+const HostID = "host"
 
 // Config is a deployment's policy. The plain fields are the commands' flags,
 // one each, with no defaults of their own: the flag sets supply those.
@@ -153,7 +157,7 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	tep, err := transport.ListenTCP(hostID, cfg.Listen, transport.NewAddressBook())
+	tep, err := transport.ListenTCP(HostID, cfg.Listen, transport.NewAddressBook())
 	if err != nil {
 		return nil, err
 	}
@@ -176,10 +180,10 @@ func (d *Daemon) Serve(ctx context.Context) { <-ctx.Done() }
 // Close stops listening and drops every connection.
 func (d *Daemon) Close() error { return d.ep.Close() }
 
-// Participant is one cscwctl: a session client on a TCP edge that only dials
-// (it holds no listening socket) and, with Engine set, a Pump holding its
-// replica of Doc (nil for plain chat). Set the Client's On* callbacks before
-// Join and hand eng/op items to Deliver.
+// Participant is one cscwctl: a session client on an edge to the daemon and,
+// with Engine set, a Pump holding its replica of Doc (nil for plain chat).
+// Set the Client's On* callbacks before Join and hand eng/op items to
+// Deliver.
 type Participant struct {
 	Client *session.Client
 	*Pump
@@ -189,14 +193,34 @@ type Participant struct {
 	acked chan struct{} // one token per processed MsgJoinAck
 }
 
-// Dial builds a participant's half of the deployment from User, Host, Doc,
-// Engine and the seams; nothing is sent before Join. User may be neither the
-// daemon's transport id nor in session.HostAuthor's '!' namespace.
+// Dial builds a participant's half of the deployment on a TCP edge that only
+// dials (it holds no listening socket): Attach on that edge, with Host the
+// daemon's address. Nothing is sent before Join.
 func Dial(cfg Config) (*Participant, error) {
-	if cfg.User == hostID || strings.HasPrefix(cfg.User, "!") {
+	book := transport.NewAddressBook()
+	book.Set(HostID, cfg.Host)
+	tep, err := transport.DialTCP(cfg.User, book)
+	if err != nil {
+		return nil, err
+	}
+	ep := cfg.edge(tep)
+	p, err := Attach(ep, cfg)
+	if err != nil {
+		_ = ep.Close() // nothing was sent on it; the Attach error is the one to report
+		return nil, err
+	}
+	return p, nil
+}
+
+// Attach builds a participant on ep, whatever its substrate, from User, Doc
+// and Engine; it claims ep's handler and sends nothing. The daemon is ep's
+// peer HostID. User may be neither HostID nor in session.HostAuthor's '!'
+// namespace.
+func Attach(ep fabric.Endpoint, cfg Config) (*Participant, error) {
+	if cfg.User == HostID || strings.HasPrefix(cfg.User, "!") {
 		return nil, fmt.Errorf("user %q is reserved", cfg.User)
 	}
-	p := &Participant{host: cfg.Host, acked: make(chan struct{}, 1)}
+	p := &Participant{ep: ep, host: cfg.Host, acked: make(chan struct{}, 1)}
 	if cfg.Engine != "" {
 		// The OT server is the daemon (a sessiond running -engine ot).
 		eng, err := engine.New(cfg.Engine, cfg.Doc, cfg.User, session.HostAuthor)
@@ -207,17 +231,10 @@ func Dial(cfg Config) (*Participant, error) {
 			return p.Client.Post(engine.ItemKind, body, 0)
 		})
 	}
-	book := transport.NewAddressBook()
-	book.Set(hostID, cfg.Host)
-	tep, err := transport.DialTCP(cfg.User, book)
-	if err != nil {
-		return nil, err
-	}
-	p.ep = cfg.edge(tep)
-	p.Client = session.NewClientForDoc(p.ep, hostID, cfg.Doc)
+	p.Client = session.NewClientForDoc(ep, HostID, cfg.Doc)
 	// The client runs OnJoined before the backlog's OnItem calls, so a join
 	// is over only when the handler that processed its ack returns.
-	p.ep.SetHandler(func(from string, payload any, size int) {
+	ep.SetHandler(func(from string, payload any, size int) {
 		p.Client.Receive(from, payload)
 		if _, ok := payload.(*session.MsgJoinAck); ok {
 			select {

@@ -15,10 +15,8 @@ import (
 	"repro/internal/crdt"
 	"repro/internal/engine"
 	"repro/internal/fabric"
-	"repro/internal/netsim"
 	"repro/internal/ot"
 	"repro/internal/session"
-	"repro/internal/simworld"
 	"repro/internal/transport"
 )
 
@@ -402,7 +400,7 @@ func TestConfigErrors(t *testing.T) {
 	}
 	for _, c := range []struct{ user, engine, want string }{
 		{"u", "paxos", `engine: unknown engine "paxos" (want "ot" or "crdt")`},
-		{hostID, "", `user "host" is reserved`},
+		{HostID, "", `user "host" is reserved`},
 		{session.HostAuthor, "", `user "!host" is reserved`},
 		{"!x", "", `user "!x" is reserved`},
 	} {
@@ -536,53 +534,10 @@ func TestSeamParity(t *testing.T) {
 	}
 }
 
-// TestHostCoreOnSimulator runs NewHost, the daemon minus its TCP edge, in
-// virtual time: same MultiHost, same integration site, another substrate.
-func TestHostCoreOnSimulator(t *testing.T) {
-	w := simworld.New(1, netsim.Link{Latency: time.Millisecond})
-	host, err := NewHost(w.Endpoint(hostID), w.Sim.Now, Config{Mode: "sync", Shards: 1, Engine: engine.OT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site := func(user string) *Pump {
-		eng, err := engine.New(engine.OT, "doc", user, session.HostAuthor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cli := session.NewClientForDoc(w.Endpoint(user), hostID, "doc")
-		p := newPump(user, eng, func(body string) error { return cli.Post(engine.ItemKind, body, 0) })
-		cli.OnItem = func(it session.Item) {
-			if _, _, err := p.Deliver(it); err != nil {
-				t.Errorf("%s: %v", user, err)
-			}
-		}
-		if err := cli.Join(0); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	a, b := site("a"), site("b")
-	w.Sim.Run()
-	for i, p := range []*Pump{a, b, a} {
-		if _, err := p.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Insert(0, rune('x'+i)) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Sim.Run()
-	at, ap := a.Text()
-	bt, bp := b.Text()
-	if len(at) != 3 || at != bt || ap != 0 || bp != 0 {
-		t.Errorf("a has %q (%d pending), b has %q (%d pending)", at, ap, bt, bp)
-	}
-	if got := host.Host("doc").LogLen(); got != 6 {
-		t.Errorf("log holds %d items, want 3 submissions and 3 commits", got)
-	}
-}
-
 // nullEndpoint swallows sends: what is left is the host's own work.
 type nullEndpoint struct{}
 
-func (nullEndpoint) ID() string                  { return hostID }
+func (nullEndpoint) ID() string                  { return HostID }
 func (nullEndpoint) Send(string, any, int) error { return nil }
 func (nullEndpoint) SetHandler(fabric.Handler)   {}
 func (nullEndpoint) Close() error                { return nil }

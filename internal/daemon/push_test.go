@@ -129,7 +129,7 @@ func TestWireBytesPerEdit(t *testing.T) {
 			cfg := hostConfig(c.eng)
 			cfg.WrapTransport = wire.wrap
 			cfg.Middleware = []fabric.Middleware{pushes.tap()}
-			tep, err := transport.ListenTCP(hostID, cfg.Listen, transport.NewAddressBook())
+			tep, err := transport.ListenTCP(HostID, cfg.Listen, transport.NewAddressBook())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -111,15 +111,24 @@ func (d *otDoc) edit(op ot.Op) ([]Msg, error) {
 	return []Msg{{To: d.server, Body: &MsgSubmit{Sub: sub}}}, nil
 }
 
+// Apply takes commits from the server site alone: a commit from anyone else
+// is dropped, for the server, which never saw it, would refuse every
+// submission based on it.
 func (d *otDoc) Apply(from string, payload any) ([]Msg, error) {
 	switch m := payload.(type) {
 	case *MsgSubmit:
 		return d.applySubmit(from, m.Sub)
 	case *MsgCommit:
+		if from != d.server {
+			return nil, nil
+		}
 		return d.applyCommits(m.C)
 	case *MsgPull:
 		return d.applyPull(from, m.Base)
 	case *MsgCommits:
+		if from != d.server {
+			return nil, nil
+		}
 		return d.applyCommits(m.Cs...)
 	default:
 		return nil, fmt.Errorf("engine: ot doc cannot apply %T", payload)

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/engine"
 	"repro/internal/floor"
 	"repro/internal/locks"
 	"repro/internal/netsim"
+	"repro/internal/session"
 	"repro/internal/simworld"
 	"repro/internal/workload"
 )
@@ -151,24 +153,24 @@ func runLockMechanism(seed int64, d locks.Discipline) []string {
 	return []string{d.String(), fmtDur(mean), fmt.Sprintf("%d", st.Queues), signal, meanNotify, anomalies}
 }
 
-// e4Start is the text every OT replica starts from, typed in by the server
-// site before the users begin.
+// e4Start is the text every OT replica starts from, typed in by the first
+// user before the others begin.
 const e4Start = "the quick brown fox jumps over the lazy dog"
 
-// runOTMechanism runs the workload through the shipped OT engine: one
-// engine.Doc per site on simworld's replica pump, the server as integration
-// site. A commit's notification time is its generation at the author to its
-// arrival at each other user.
+// runOTMechanism runs the workload through the shipped deployment on the
+// simulator: daemon.NewHost as the integration site at the centre of the
+// star and one participant per user. A commit's notification time is its
+// generation at the author to its arrival at each other user.
 func runOTMechanism(seed int64) []string {
-	w := simworld.New(seed, netsim.WANLink) // 40ms star
+	w := simworld.New(seed, netsim.WANLink) // 40ms star around the daemon
 	users := []string{"u1", "u2", "u3", "u4", "u5", "u6"}
 	edits := workload.GenerateEdits(w.Sim.Rand(), e4Profile(users))
-	reps, err := w.Replicas(engine.OT, append([]string{"server"}, users...)...)
+	d, err := w.Daemon(daemon.Config{Mode: "sync", Shards: 1, Engine: engine.OT}, users...)
 	if err != nil {
 		return []string{"operation transform", "error", "-", "-", "-", err.Error()}
 	}
 	for i, ch := range []rune(e4Start) {
-		reps.Insert("server", i, ch)
+		d.Edit(users[0], func(doc engine.Doc) ([]engine.Msg, error) { return doc.Insert(i, ch) })
 	}
 	w.Sim.Run() // every user starts from the whole text
 
@@ -177,10 +179,14 @@ func runOTMechanism(seed int64) []string {
 		seq  uint64
 	}
 	genTime := make(map[opKey]time.Duration)
-	seqs := make(map[string]uint64) // a client's k-th edit is its submission seq k
+	// A client's k-th edit is its submission seq k; the first user's edits
+	// follow the starting text's.
+	seqs := map[string]uint64{users[0]: uint64(len([]rune(e4Start)))}
 	var notifyLats []time.Duration
-	reps.Applied = func(site string, payload any) {
-		if m, ok := payload.(*engine.MsgCommit); ok && m.C.Site != site {
+	codec := engine.NewWireCodec()
+	d.Applied = func(user string, it session.Item) {
+		_, payload, err := engine.DecodeItemBody(codec, it.Body)
+		if m, ok := payload.(*engine.MsgCommit); ok && err == nil && m.C.Site != user {
 			if at, ok := genTime[opKey{m.C.Site, m.C.Seq}]; ok {
 				notifyLats = append(notifyLats, w.Sim.Now()-at)
 			}
@@ -188,25 +194,28 @@ func runOTMechanism(seed int64) []string {
 	}
 
 	var ops int
+	running := len(users)
 	var run func(name string, list []workload.EditOp, i int)
 	run = func(name string, list []workload.EditOp, i int) {
 		if i >= len(list) {
+			running--
 			return
 		}
 		wop := list[i]
-		docLen := len([]rune(reps.Docs[name].Text()))
-		switch {
-		case wop.Kind == workload.OpRead:
-			// Reads are free in OT; skip to the next op.
-		case wop.Kind == workload.OpDelete && docLen > 0:
-			reps.Delete(name, wop.Pos%docLen) // applies locally NOW: response 0
-		default:
-			reps.Insert(name, wop.Pos%(docLen+1), 'x')
-		}
-		if wop.Kind != workload.OpRead && reps.Err() == nil {
-			ops++
-			seqs[name]++
-			genTime[opKey{name, seqs[name]}] = w.Sim.Now()
+		if wop.Kind != workload.OpRead { // reads are free in OT
+			// The edit applies locally NOW: response 0.
+			d.Edit(name, func(doc engine.Doc) ([]engine.Msg, error) {
+				n := len([]rune(doc.Text()))
+				if wop.Kind == workload.OpDelete && n > 0 {
+					return doc.Delete(wop.Pos % n)
+				}
+				return doc.Insert(wop.Pos%(n+1), 'x')
+			})
+			if d.Err() == nil {
+				ops++
+				seqs[name]++
+				genTime[opKey{name, seqs[name]}] = w.Sim.Now()
+			}
 		}
 		w.Sim.At(wop.Think, func() { run(name, list, i+1) })
 	}
@@ -215,6 +224,19 @@ func runOTMechanism(seed int64) []string {
 		list := edits[name]
 		w.Sim.At(time.Duration(w.Sim.Rand().Int63n(int64(4*time.Second))), func() { run(name, list, 0) })
 	}
+	// Recovery (cscwctl's /tick): each participant resends and pulls once a
+	// second while anyone edits or they differ, for at most a minute after.
+	settle := 60
+	w.Sim.Every(time.Second, func() bool {
+		if running == 0 {
+			settle--
+		}
+		if d.Err() != nil || settle == 0 || running == 0 && d.Converged() {
+			return false
+		}
+		d.Tick()
+		return true
+	})
 	w.Sim.Run()
 
 	var meanNotify string
@@ -229,9 +251,9 @@ func runOTMechanism(seed int64) []string {
 	}
 	outcome := "all converge"
 	switch {
-	case reps.Err() != nil:
-		outcome = reps.Err().Error()
-	case !reps.Converged():
+	case d.Err() != nil:
+		outcome = d.Err().Error()
+	case !d.Converged():
 		outcome = "NOT converged"
 	}
 	return []string{"operation transform", fmtDur(0), "0", "remote op integrated", meanNotify,

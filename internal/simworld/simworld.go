@@ -1,7 +1,7 @@
 // Package simworld builds simulated deployments: a seeded netsim world whose
 // nodes are fabric endpoints, the named link shapes laid over them, and the
-// protocol stacks (group members, a session, convergence-engine replicas)
-// that run on those endpoints. It is the one builder under the three
+// protocol stacks (group members, a session, the shipped daemon with its
+// engine participants) that run on those endpoints. It is the one builder under the three
 // harnesses — internal/exps, internal/bench and internal/chaos — so a table
 // row, a benchmark row and a fault scenario stand on the same wiring and
 // differ only in the script they run and, for chaos, in what Wrap interposes

@@ -6,11 +6,14 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/group"
 	"repro/internal/netsim"
+	"repro/internal/ot"
 	"repro/internal/session"
 )
 
@@ -23,8 +26,8 @@ type tapped struct {
 	delivered []string
 }
 
-func newTapped(seed int64) *tapped {
-	t := &tapped{World: New(seed, netsim.LANLink)}
+func newTapped(seed int64, link netsim.Link) *tapped {
+	t := &tapped{World: New(seed, link)}
 	t.Wrap = func(id string, base *fabric.SimEndpoint) fabric.Endpoint {
 		t.wrapped = append(t.wrapped, id)
 		return fabric.Wrap(base, fabric.Tap(
@@ -36,7 +39,7 @@ func newTapped(seed int64) *tapped {
 }
 
 func TestEndpointsCreatedOnceInCallOrder(t *testing.T) {
-	w := newTapped(1)
+	w := newTapped(1, netsim.LANLink)
 	w.Star("hub", netsim.LANLink, netsim.LANLink, "x", "y")
 	w.FullMesh(netsim.LANLink, "y", "z", "x")
 	w.Named("n0", "n1")
@@ -57,7 +60,7 @@ func TestEndpointsCreatedOnceInCallOrder(t *testing.T) {
 // The wrap hook is on the path of every send and every delivery of every
 // node: what the taps count is what the simulator counts.
 func TestWrapHookSeesAllTraffic(t *testing.T) {
-	w := newTapped(3)
+	w := newTapped(3, netsim.LANLink)
 	ids := w.Named("g0", "g1", "g2")
 	got := make(map[string]int)
 	members, err := w.Members(ids, group.TotalSequencer, group.BatchConfig{}, func(id string) func(group.Delivery) {
@@ -126,108 +129,205 @@ func TestSessionRunsOverTheWorldsLinks(t *testing.T) {
 	}
 }
 
-// An OT submission is addressed: it reaches the server and nobody else. The
-// server's Apply returns the commit, which the pump must forward to every
-// client — the submitter's acknowledgement included.
-func TestReplicasRouteAddressedAndForwardApplied(t *testing.T) {
-	w := newTapped(5)
-	reps, err := w.Replicas(engine.OT, "srv", "a", "b")
+func daemonConfig(kind string) daemon.Config {
+	return daemon.Config{Mode: "sync", Shards: 1, Engine: kind, Doc: "doc"}
+}
+
+func insert(pos int, ch rune) func(engine.Doc) ([]engine.Msg, error) {
+	return func(d engine.Doc) ([]engine.Msg, error) { return d.Insert(pos, ch) }
+}
+
+// TestHostCoreOnSimulator runs NewHost, the daemon minus its TCP edge, in
+// virtual time with Attach'ed participants: same host, same integration
+// site, another substrate.
+func TestHostCoreOnSimulator(t *testing.T) {
+	w := New(1, netsim.Link{Latency: time.Millisecond})
+	d, err := w.Daemon(daemonConfig(engine.OT), "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps.Insert("a", 0, 'x')
+	for i, user := range []string{"a", "b", "a"} {
+		d.Edit(user, insert(0, rune('x'+i)))
+	}
 	w.Sim.Run()
-	if err := reps.Err(); err != nil {
+	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"a>srv", "srv>a", "srv>b"}; !reflect.DeepEqual(w.sends, want) {
-		t.Errorf("sends %v, want %v", w.sends, want)
+	at, ap := d.Parts["a"].Text()
+	bt, bp := d.Parts["b"].Text()
+	if len(at) != 3 || at != bt || ap != 0 || bp != 0 || !d.Converged() {
+		t.Errorf("a has %q (%d pending), b has %q (%d pending)", at, ap, bt, bp)
 	}
-	if len(w.delivered) != 3 {
-		t.Errorf("deliveries %v, want the submit and two commits", w.delivered)
-	}
-	for _, id := range reps.IDs {
-		if got := reps.Docs[id].Text(); got != "x" {
-			t.Errorf("%s holds %q, want %q", id, got, "x")
-		}
-	}
-	if !reps.Converged() {
-		t.Error("replicas with identical text and nothing pending are not Converged")
+	if got := d.Host.Host("doc").LogLen(); got != 6 {
+		t.Errorf("log holds %d items, want 3 submissions and 3 commits", got)
 	}
 }
 
-func TestReplicasBroadcastAndTick(t *testing.T) {
-	w := newTapped(5)
-	reps, err := w.Replicas(engine.CRDT, "r1", "r2", "r3")
+// An OT submission is addressed to the daemon: the host relays it to every
+// other member, whose pump skips it, and posts the commit, which every
+// participant applies — the submitter's acknowledgement included.
+func TestDaemonRoutesAddressedItems(t *testing.T) {
+	w := newTapped(5, netsim.LANLink)
+	d, err := w.Daemon(daemonConfig(engine.OT), "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := make(map[string][]string)
+	d.Applied = func(user string, it session.Item) { applied[user] = append(applied[user], it.From) }
+	w.sends = nil
+	d.Edit("a", insert(0, 'x'))
+	w.Sim.Run()
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// b is owed the submission and the commit, a only the commit.
+	if want := []string{"a>host", "host>b", "host>a"}; !reflect.DeepEqual(w.sends, want) {
+		t.Errorf("sends %v, want %v", w.sends, want)
+	}
+	want := map[string][]string{"a": {session.HostAuthor}, "b": {session.HostAuthor}}
+	if !reflect.DeepEqual(applied, want) {
+		t.Errorf("Applied ran for %v, want each participant's commit from the host only", applied)
+	}
+	for _, user := range d.Users {
+		if got, _ := d.Parts[user].Text(); got != "x" {
+			t.Errorf("%s holds %q, want %q", user, got, "x")
+		}
+	}
+	if !d.Converged() {
+		t.Error("participants with identical text and nothing pending are not Converged")
+	}
+}
+
+// A CRDT op is broadcast: the host relays it and every other participant
+// applies it. A Tick round is every participant's state, relayed to the
+// others. The link is FIFO, as TCP is: LANLink's jitter lets a push overtake
+// the one before it, and the client then drops the earlier one as already
+// seen (ROADMAP item 21), which would leave a count here short by one.
+func TestDaemonBroadcastAndTick(t *testing.T) {
+	w := newTapped(5, netsim.Link{Latency: time.Millisecond})
+	d, err := w.Daemon(daemonConfig(engine.CRDT), "r1", "r2", "r3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	applied := make(map[string]int)
-	reps.Applied = func(site string, _ any) { applied[site]++ }
-	reps.Insert("r2", 0, 'q')
-	if reps.Converged() {
+	d.Applied = func(user string, _ session.Item) { applied[user]++ }
+	d.Edit("r2", insert(0, 'q'))
+	if d.Converged() {
 		t.Error("Converged before the edit was delivered")
 	}
+	w.sends = nil
 	w.Sim.Run()
-	if want := []string{"r2>r1", "r2>r3"}; !reflect.DeepEqual(w.sends, want) {
-		t.Errorf("broadcast sends %v, want %v", w.sends, want)
+	if want := []string{"host>r1", "host>r3"}; !reflect.DeepEqual(w.sends, want) {
+		t.Errorf("relayed pushes %v, want %v", w.sends, want)
 	}
 	if !reflect.DeepEqual(applied, map[string]int{"r1": 1, "r3": 1}) {
 		t.Errorf("Applied ran %v, want once at r1 and r3", applied)
 	}
-	w.sends = nil
-	reps.Tick()
+	clear(applied)
+	d.Tick()
 	w.Sim.Run()
-	if len(w.sends) != 6 {
-		t.Errorf("a tick round sent %v, want every site's state to both others", w.sends)
+	if !reflect.DeepEqual(applied, map[string]int{"r1": 2, "r2": 2, "r3": 2}) {
+		t.Errorf("a tick round applied %v, want the two other states at each participant", applied)
 	}
-	if err := reps.Err(); err != nil || !reps.Converged() {
-		t.Errorf("after the round: err %v, converged %v", err, reps.Converged())
+	if err := d.Err(); err != nil || !d.Converged() {
+		t.Errorf("after the round: err %v, converged %v", err, d.Converged())
 	}
 }
 
+// Each participant's replica keeps the first failure, which stops the pumps:
+// an item it cannot decode, or an edit its engine refuses. A post the network
+// refuses is not a failure but loss.
 func TestReplicasReportFailures(t *testing.T) {
-	cases := []struct {
-		name    string
-		payload any
-		want    string
-	}{
-		{"undecodable frame", []byte{0xde, 0xad, 0xbe, 0xef}, "r1 decoding from stranger"},
-		{"not a frame", "plain string", "want an encoded frame"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			w := New(1, netsim.LANLink)
-			reps, err := w.Replicas(engine.CRDT, "r1", "r2")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Endpoint("stranger").Send("r1", tc.payload, 4); err != nil {
-				t.Fatal(err)
-			}
-			w.Sim.Run()
-			if err := reps.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Err() = %v, want an error containing %q", err, tc.want)
-			}
-			// A failed pump moves nothing further.
-			reps.Insert("r1", 0, 'x')
-			w.Sim.Run()
-			if got := reps.Docs["r2"].Text(); got != "" {
-				t.Errorf("r2 holds %q after the pump failed, want nothing", got)
-			}
-		})
-	}
+	t.Run("refused post", func(t *testing.T) {
+		w := New(1, netsim.LANLink)
+		d, err := w.Daemon(daemonConfig(engine.CRDT), "r1", "r2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Sim.SetLink("r1", daemon.HostID, netsim.Link{Down: true})
+		d.Edit("r1", insert(0, 'l'))
+		w.Sim.Run()
+		if err := d.Err(); err != nil {
+			t.Fatalf("a refused post failed the pump: %v", err)
+		}
+	})
+	t.Run("undecodable frame", func(t *testing.T) {
+		w := New(1, netsim.LANLink)
+		d, err := w.Daemon(daemonConfig(engine.CRDT), "r1", "r2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Parts["r1"].Client.Post(engine.ItemKind, "|\xde\xad", 0); err != nil {
+			t.Fatal(err)
+		}
+		w.Sim.Run()
+		if err := d.Err(); err == nil || !strings.Contains(err.Error(), "r2: bad eng/op from r1") {
+			t.Fatalf("Err() = %v, want r2's decode failure", err)
+		}
+		// A failed pump moves nothing further.
+		d.Edit("r1", insert(0, 'x'))
+		w.Sim.Run()
+		if got, _ := d.Parts["r2"].Text(); got != "" {
+			t.Errorf("r2 holds %q after the pump failed, want nothing", got)
+		}
+	})
+	t.Run("out-of-range delete", func(t *testing.T) {
+		w := New(1, netsim.LANLink)
+		d, err := w.Daemon(daemonConfig(engine.CRDT), "r1", "r2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Edit("r1", func(doc engine.Doc) ([]engine.Msg, error) { return doc.Delete(3) })
+		if err := d.Err(); err == nil || !strings.HasPrefix(err.Error(), "r1: ") {
+			t.Errorf("Err() after an out-of-range delete = %v", err)
+		}
+	})
+}
+
+// Only the daemon commits: p1, an OT participant, posts a broadcast commit
+// of its own making. p0 must drop it, for the daemon never saw that op and
+// would refuse every submission based on it, and so p0 still converges.
+func TestOTCommitOnlyFromServer(t *testing.T) {
 	w := New(1, netsim.LANLink)
-	reps, err := w.Replicas(engine.CRDT, "r1", "r2")
+	d, err := w.Daemon(daemonConfig(engine.OT), "p0", "p1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps.Delete("r1", 3)
-	if err := reps.Err(); err == nil || !strings.Contains(err.Error(), "r1 delete at 3") {
-		t.Errorf("Err() after an out-of-range delete = %v", err)
+	forged, err := engine.EncodeItemBody(engine.NewWireCodec(), engine.Msg{Body: &engine.MsgCommit{
+		C: ot.Committed{Op: ot.Op{Kind: ot.Insert, Ch: 'z', Site: "p1"}, Rev: 1, Site: "p1", Seq: 1}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := w.Replicas("paxos", "p1", "p2"); err == nil {
-		t.Error("unknown engine accepted")
+	if err := d.Parts["p1"].Client.Post(engine.ItemKind, forged, 0); err != nil {
+		t.Fatal(err)
+	}
+	w.Sim.Run()
+	d.Edit("p0", insert(0, 'a'))
+	w.Sim.Run()
+	d.Tick()
+	w.Sim.Run()
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range d.Users {
+		if text, pending := d.Parts[user].Text(); text != "a" || pending != 0 {
+			t.Errorf("%s holds %q (%d pending), want %q and nothing pending", user, text, pending, "a")
+		}
+	}
+}
+
+// A deployment the daemon or a participant refuses is a setup error: an
+// unknown engine, a reserved user name.
+func TestDaemonRefusesBadConfig(t *testing.T) {
+	for _, c := range []struct {
+		kind, user, want string
+	}{
+		{"paxos", "p1", `unknown engine "paxos"`},
+		{engine.CRDT, "!p1", `participant !p1: user "!p1" is reserved`},
+	} {
+		if _, err := New(1, netsim.LANLink).Daemon(daemonConfig(c.kind), c.user); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Daemon(%s, %s) = %v, want an error containing %q", c.kind, c.user, err, c.want)
+		}
 	}
 }
 
