@@ -108,7 +108,7 @@ chaos-scale:
 # Short coverage-guided fuzz pass over every Fuzz* target (the checked-in
 # seed corpora always run in plain `make test`; this explores beyond them).
 # `go test -fuzz` takes exactly one target per invocation, hence the loop.
-FUZZ_PKGS := ./internal/crdt ./internal/engine ./internal/fabric ./internal/group ./internal/transport
+FUZZ_PKGS := ./internal/crdt ./internal/engine ./internal/fabric ./internal/group ./internal/session ./internal/transport
 FUZZ_TIME := 10s
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \

@@ -25,6 +25,7 @@ type Pump struct {
 
 	mu  sync.Mutex
 	eng engine.Doc
+	buf []byte // Edit encodes each body here before posting its string
 }
 
 func newPump(self string, eng engine.Doc, post func(body string) error) *Pump {
@@ -65,11 +66,12 @@ func (p *Pump) Edit(fn func(engine.Doc) ([]engine.Msg, error)) (posted []string,
 	defer p.mu.Unlock()
 	msgs, err := fn(p.eng)
 	for _, m := range msgs {
-		body, perr := engine.EncodeItemBody(p.codec, m)
-		if perr == nil {
-			perr = p.post(body)
+		var perr error
+		if p.buf, perr = engine.AppendItemBody(p.buf[:0], p.codec, m); perr != nil {
+			return posted, perr
 		}
-		if perr != nil {
+		body := string(p.buf)
+		if perr = p.post(body); perr != nil {
 			return posted, perr
 		}
 		posted = append(posted, body)

@@ -91,8 +91,11 @@ func TestOTCommitRidesWithSubmission(t *testing.T) {
 }
 
 // frameCounter counts the frames, and their bytes, that every site hands
-// its transport: a WrapTransport seam.
-type frameCounter struct{ frames, bytes atomic.Int64 }
+// its transport for to, or for anyone when to is "": a WrapTransport seam.
+type frameCounter struct {
+	to            string
+	frames, bytes atomic.Int64
+}
 
 func (c *frameCounter) wrap(ep transport.Endpoint) transport.Endpoint { return countedFrames{ep, c} }
 
@@ -102,8 +105,10 @@ type countedFrames struct {
 }
 
 func (e countedFrames) Send(to string, data []byte) error {
-	e.c.frames.Add(1)
-	e.c.bytes.Add(int64(len(data)))
+	if e.c.to == "" || e.c.to == to {
+		e.c.frames.Add(1)
+		e.c.bytes.Add(int64(len(data)))
+	}
 	return e.Endpoint.Send(to, data)
 }
 
@@ -116,13 +121,32 @@ func (e countedFrames) Send(to string, data []byte) error {
 // writes between 0.27 s and 34 s of uptime. Under CRDT an edit is one post
 // and 3 pushes; under OT one post and 4 pushes: the others get the
 // submission with its commit in one frame, the submitter the commit.
+//
+// The OT count, frame by frame. A frame is 8 bytes of magic, version,
+// encoding and body length plus its tag, and a push body is Doc "doc" (4)
+// and the item count (1) before its items. An item in full is Seq (1),
+// From, Kind "eng/op" (7), Body and At (5). The submission body is
+// "!host|", a kind byte and 5 bytes of op (12); the commit body is "|", a
+// kind byte and 8 bytes of commit (10).
+//   - the post, 20+27 = 47: the tag "session/post" (12), then Doc, From
+//     "pN" (3), Kind and the submission body (13);
+//   - the submitter's push, 21+5+30 = 56: the tag "session/items" (13) and
+//     the commit in full, From "!host" (6);
+//   - each other participant's push, 21+5+29+20 = 75: the submission in
+//     full (From "pN", 3), then the commit against it: Seq +1 (1), From a
+//     new string "!host" (6), Kind a reference to the first item's (1), Body
+//     (11) and At +0 (1). Written in full, as frame version 1 did, the
+//     commit was 30 bytes and this push 85.
+//
+// 47 + 56 + 3×75 = 328 (358 in version 1). Under CRDT every push carries one
+// item, which is written in full, so the 248 did not move.
 func TestWireBytesPerEdit(t *testing.T) {
 	for _, c := range []struct {
 		eng           string
 		pushes, bytes int64
 	}{
 		{engine.CRDT, 3, 248},
-		{engine.OT, 4, 358},
+		{engine.OT, 4, 328},
 	} {
 		t.Run(c.eng, func(t *testing.T) {
 			wire, pushes := &frameCounter{}, &pushCounter{}
@@ -179,5 +203,100 @@ func TestWireBytesPerEdit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCatchUpJoinAckBytes pins the wire bytes of a catch-up, the paper's
+// participant back from a disconnection: two writers take 400 turns
+// inserting one character each into a CRDT document, and then a roamer
+// joins and gets every item in one join ack. The daemon's clock is stopped
+// at one second, as in TestWireBytesPerEdit, so the count is exact: 10 941
+// bytes. The ack writes its first item in full and each later one against
+// the item before it, which saves 12 or 13 bytes an item: the author is a
+// one-byte reference where "w0" took 3, the kind another where "eng/op"
+// took 7, the Seq step one byte where the Seq took one or two, and the At
+// step 0, one byte where the clock's one second took 5. Frame version 1,
+// which wrote every item in full, sent 16 000 bytes.
+func TestCatchUpJoinAckBytes(t *testing.T) {
+	toRoamer := &frameCounter{to: "roamer"}
+	cfg := hostConfig(engine.CRDT)
+	cfg.WrapTransport = toRoamer.wrap
+	tep, err := transport.ListenTCP(HostID, cfg.Listen, transport.NewAddressBook())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := cfg.edge(tep)
+	t.Cleanup(func() { ep.Close() })
+	if _, err := NewHost(ep, func() time.Duration { return time.Second }, cfg); err != nil {
+		t.Fatal(err)
+	}
+	d := &Daemon{addr: tep.Addr(), ep: ep}
+	writers := []*peer{dial(t, d, "w0", "doc", Config{Engine: engine.CRDT}), dial(t, d, "w1", "doc", Config{Engine: engine.CRDT})}
+	for _, w := range writers {
+		w.join()
+	}
+	const backlog = 400
+	for n := 1; n <= backlog; n++ {
+		edit(writers, n)
+	}
+	roamer := dial(t, d, "roamer", "doc", Config{Engine: engine.CRDT})
+	roamer.join()
+	roamer.until("the backlog", func() bool { return len(roamer.items) == backlog })
+	if text, _ := roamer.Text(); text != first(writers[0].Text()) {
+		t.Errorf("roamer has %q, w0 has %q", text, first(writers[0].Text()))
+	}
+	if frames, bytes := toRoamer.frames.Load(), toRoamer.bytes.Load(); frames != 1 || bytes != 10941 {
+		t.Errorf("the roamer was sent %d frames of %d bytes, want one join ack of 10941", frames, bytes)
+	}
+}
+
+// TestHostOTIntegrateAllocs pins what the OT daemon's integration site
+// allocates for one submission, from Pump.Deliver to the commit's post: 6
+// objects. They are DecodeItemBody's two, the server's commit and the
+// one-message slice it comes in, the commit body's string, and the slice
+// Deliver returns it in. Pump.Edit encodes the body into a buffer it keeps;
+// before it kept one, the buffer was a seventh. The submissions are p1's
+// keystrokes, each made once the commit of the one before it came back,
+// recorded on a second pair of pumps and replayed.
+func TestHostOTIntegrateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const runs = 300
+	newSite := func(self string) *Pump {
+		eng, err := engine.New(engine.OT, "doc", self, session.HostAuthor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newPump(self, eng, func(string) error { return nil })
+	}
+	client, recorder := newSite("p1"), newSite(session.HostAuthor)
+	subs := make([]session.Item, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range subs {
+		posted, err := client.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Insert(0, 'x') })
+		if err != nil || len(posted) != 1 {
+			t.Fatalf("keystroke %d posted %q, %v; want one submission", i, posted, err)
+		}
+		subs[i] = session.Item{Seq: uint64(2*i + 1), From: "p1", Kind: engine.ItemKind, Body: posted[0]}
+		_, commits, err := recorder.Deliver(subs[i])
+		if err != nil || len(commits) != 1 {
+			t.Fatalf("submission %d committed %q, %v; want one commit", i, commits, err)
+		}
+		if _, _, err := client.Deliver(session.Item{Seq: uint64(2*i + 2), From: session.HostAuthor, Kind: engine.ItemKind, Body: commits[0]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	site, next := newSite(session.HostAuthor), 0
+	n := testing.AllocsPerRun(runs, func() {
+		if applied, commits, err := site.Deliver(subs[next]); !applied || len(commits) != 1 || err != nil {
+			t.Fatalf("submission %d: applied %v, commits %q, %v", next, applied, commits, err)
+		}
+		next++
+	})
+	if n != 6 {
+		t.Errorf("integrating one OT submission at the daemon allocates %v objects, want 6", n)
+	}
+	if text, _ := site.Text(); len(text) != runs+1 {
+		t.Errorf("the site holds %d runes, want %d", len(text), runs+1)
 	}
 }

@@ -39,31 +39,44 @@ const itemBodyCap = 64
 
 // EncodeItemBody renders one engine message as a session item body:
 // "<to>|<kind><binary body>", with an empty <to> meaning every replica. A
-// payload with no item kind is an error, even one the codec registered.
+// payload with no item kind is an error, even one the codec registered. It
+// allocates twice, a buffer and the string; a caller that keeps a buffer for
+// AppendItemBody pays for the string alone.
 //
 //cscw:hotpath
 func EncodeItemBody(codec *fabric.Codec, m Msg) (string, error) {
-	if strings.IndexByte(m.To, '|') >= 0 {
-		return "", fmt.Errorf("engine: site %q cannot ride an item body ('|' is the address separator)", m.To)
-	}
-	tag, err := codec.TagOf(m.Body)
+	dst, err := AppendItemBody(make([]byte, 0, len(m.To)+1+itemBodyCap), codec, m)
 	if err != nil {
 		return "", err
 	}
+	// The item body is a string on the session log; this is its one copy.
+	return string(dst), nil
+}
+
+// AppendItemBody appends the body EncodeItemBody renders for m to dst and
+// returns the extended slice; into a buffer with room it allocates nothing.
+//
+//cscw:hotpath
+func AppendItemBody(dst []byte, codec *fabric.Codec, m Msg) ([]byte, error) {
+	if strings.IndexByte(m.To, '|') >= 0 {
+		return dst, fmt.Errorf("engine: site %q cannot ride an item body ('|' is the address separator)", m.To)
+	}
+	tag, err := codec.TagOf(m.Body)
+	if err != nil {
+		return dst, err
+	}
 	kind := slices.Index(itemKinds[:], tag)
 	if kind < 0 {
-		return "", fmt.Errorf("engine: %s has no item kind", tag)
+		return dst, fmt.Errorf("engine: %s has no item kind", tag)
 	}
-	dst := make([]byte, 0, len(m.To)+1+itemBodyCap)
 	dst = append(dst, m.To...)
 	dst = append(dst, '|', byte(kind))
 	// The codec registers only types that implement BinaryAppender.
 	dst, err = m.Body.(fabric.BinaryAppender).AppendBinary(dst)
 	if err != nil {
-		return "", fmt.Errorf("engine: encode %s item body: %w", tag, err)
+		return dst, fmt.Errorf("engine: encode %s item body: %w", tag, err)
 	}
-	// The item body is a string on the session log; this is its one copy.
-	return string(dst), nil
+	return dst, nil
 }
 
 // DecodeItemBody reverses EncodeItemBody: it cuts at the first '|', reads

@@ -204,8 +204,9 @@ func TestShowItemBody(t *testing.T) {
 }
 
 // TestItemBodyAllocs pins the per-keystroke cost of a CRDT op. Encode: the
-// buffer and the string. Decode: the one copy of the binary body and the
-// payload value; every string field is a substring of that copy.
+// buffer and the string, or nothing appended into a buffer the caller keeps.
+// Decode: the one copy of the binary body and the payload value; every
+// string field is a substring of that copy.
 func TestItemBodyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -218,6 +219,10 @@ func TestItemBodyAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _, _ = EncodeItemBody(codec, m) }); n != 2 {
 		t.Errorf("EncodeItemBody of a crdt op allocates %v objects, want 2", n)
+	}
+	buf := make([]byte, 0, len(body))
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendItemBody(buf[:0], codec, m) }); n != 0 || string(buf) != body {
+		t.Errorf("AppendItemBody of a crdt op into a kept buffer allocates %v objects and gives %q, want 0 and %q", n, buf, body)
 	}
 	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeItemBody(codec, body) }); n != 2 {
 		t.Errorf("DecodeItemBody of a crdt op allocates %v objects, want 2", n)

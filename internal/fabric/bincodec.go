@@ -16,7 +16,7 @@ import (
 // Frame layout:
 //
 //	[0]  magic 0xC5
-//	[1]  version (1)
+//	[1]  version (2; 1 wrote every item of a session item run in full)
 //	[2]  body encoding (1, binary: the only one)
 //	[3]  tag length (tags are short path-like strings, ≤255 bytes)
 //	[4:] tag, then a big-endian uint32 body length, then the body
@@ -54,7 +54,7 @@ type BinaryParser interface {
 
 const (
 	binMagic   = 0xC5
-	binVersion = 1
+	binVersion = 2
 	bodyBinary = 1
 )
 
@@ -344,8 +344,11 @@ func (r *Reader) Byte() byte {
 
 // String reads a length-prefixed string: a substring of the body, except
 // that an empty one is "" and pins nothing.
-func (r *Reader) String() string {
-	n := r.Uvarint()
+func (r *Reader) String() string { return r.Raw(r.Uvarint()) }
+
+// Raw reads the next n bytes as String reads a string's bytes, for a body
+// that writes the length its own way.
+func (r *Reader) Raw(n uint64) string {
 	if rest := len(r.body) - r.off; n > uint64(rest) {
 		r.fail(fmt.Errorf("%w: string declares %d bytes, %d remain", ErrTruncatedFrame, n, rest))
 		return ""

@@ -55,6 +55,16 @@ func registeredPayloads() map[string]any {
 	ctr := crdt.NewCounter("c")
 	ctr.Add(41)
 	ctr.Add(-4)
+	// An item run as a push or a catch-up backlog carries it: two writers
+	// taking turns, one of them writing twice running, under two kinds, with
+	// the clock moving forward and standing still.
+	run := []session.Item{
+		{Seq: 300, From: "p1", Kind: "eng/op", Body: "|\x00a", At: time.Second},
+		{Seq: 301, From: "p2", Kind: "eng/op", Body: "|\x00b", At: time.Second + 40*time.Microsecond},
+		{Seq: 302, From: "p2", Kind: "eng/op", Body: "|\x00c", At: time.Second + 90*time.Microsecond},
+		{Seq: 303, From: "p1", Kind: "chat", Body: "hi", At: time.Second + 90*time.Microsecond},
+		{Seq: 304, From: "p1", Kind: "eng/op", At: time.Second + 2*time.Millisecond},
+	}
 	// A submitted op has no site (its sender is its site) and a committed op
 	// its commit's, so each decodes to what was encoded.
 	op := ot.Op{Kind: ot.Insert, Pos: 4, Ch: 'ß'}
@@ -70,15 +80,16 @@ func registeredPayloads() map[string]any {
 		"engine/ot-pull":    engine.MsgPull{Base: 7},
 		"engine/ot-commits": engine.MsgCommits{Cs: []ot.Committed{{Op: c1, Rev: 1, Site: "c1", Seq: 1}, {Op: c2, Rev: 2, Site: "c2", Seq: 1}}},
 
-		"fabric/hello":     fabric.Hello{Addr: "127.0.0.1:9999"},
-		"session/join":     session.MsgJoin{From: "carol", Since: 41, State: session.Away},
-		"session/join-ack": session.MsgJoinAck{Mode: session.Asynchronous, Backlog: items, Members: []string{"alice", "bob"}},
-		"session/post":     session.MsgPost{From: "alice", Kind: "edit", Body: "delete y"},
-		"session/items":    session.MsgItems{Items: items},
-		"session/poll":     session.MsgPoll{From: "bob", Since: 2},
-		"session/mode":     session.MsgMode{Mode: session.Synchronous},
-		"session/presence": session.MsgPresence{From: "carol", State: session.Offline},
-		"session/leave":    session.MsgLeave{From: "bob"},
+		"fabric/hello":      fabric.Hello{Addr: "127.0.0.1:9999"},
+		"session/join":      session.MsgJoin{From: "carol", Since: 41, State: session.Away},
+		"session/join-ack":  session.MsgJoinAck{Mode: session.Asynchronous, Backlog: items, Members: []string{"alice", "bob"}},
+		"session/post":      session.MsgPost{From: "alice", Kind: "edit", Body: "delete y"},
+		"session/items":     session.MsgItems{Items: items},
+		"session/items run": session.MsgItems{Doc: "d", Items: run},
+		"session/poll":      session.MsgPoll{From: "bob", Since: 2},
+		"session/mode":      session.MsgMode{Mode: session.Synchronous},
+		"session/presence":  session.MsgPresence{From: "carol", State: session.Offline},
+		"session/leave":     session.MsgLeave{From: "bob"},
 	}
 }
 
@@ -324,16 +335,20 @@ func TestBinaryTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestBinaryBadVersion pins the version gate.
+// TestBinaryBadVersion pins the version gate: an unknown version, and
+// version 1, whose item runs wrote every item in full, are refused. The
+// hello body is the same in both versions, so only the gate refuses it.
 func TestBinaryBadVersion(t *testing.T) {
 	codec := fullRegistry()
-	frame, err := codec.Encode(fabric.Hello{Addr: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame[1] = 99
-	if _, err := codec.Decode(frame); err == nil {
-		t.Fatal("unknown version accepted")
+	for _, v := range []byte{1, 99} {
+		frame, err := codec.Encode(fabric.Hello{Addr: "x"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[1] = v
+		if _, err := codec.Decode(frame); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("version %d: got %v, want a version error", v, err)
+		}
 	}
 }
 
@@ -366,8 +381,8 @@ func FuzzBinaryDecode(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add([]byte{0xC5})
-	f.Add([]byte{0xC5, 1, 0, 255})
-	f.Add([]byte{0xC5, 1, 1, 1, 'x', 0, 0, 0, 0}) // well-formed, tag "x" unregistered: skipped
+	f.Add([]byte{0xC5, 2, 0, 255})
+	f.Add([]byte{0xC5, 2, 1, 1, 'x', 0, 0, 0, 0}) // well-formed, tag "x" unregistered: skipped
 	f.Add([]byte(`{"type":"fabric/hello","body":{"addr":"x"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := codec.Decode(data)

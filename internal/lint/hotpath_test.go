@@ -21,6 +21,7 @@ var hotpathPins = map[string]string{
 	"repro/internal/fabric.Codec.Decode":           "repro/internal/fabric.TestBinaryDecodeAllocs",
 	"repro/internal/fabric.Codec.ParseBody":        "repro/internal/engine.TestItemBodyAllocs",
 	"repro/internal/engine.EncodeItemBody":         "repro/internal/engine.TestItemBodyAllocs",
+	"repro/internal/engine.AppendItemBody":         "repro/internal/engine.TestItemBodyAllocs",
 	"repro/internal/engine.DecodeItemBody":         "repro/internal/engine.TestItemBodyAllocs",
 	"repro/internal/session.Client.deliver":        "repro/internal/session.TestClientReceivePushAllocs",
 	"repro/internal/transport.TCPEndpoint.Send":    "repro/internal/transport.TestTCPSendAllocs",
