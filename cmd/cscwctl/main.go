@@ -137,7 +137,7 @@ func run(args []string) error {
 			fmt.Printf("[#%d %s] %s: %s\n", it.Seq, it.Kind, it.From, engine.ShowItemBody(it.Kind, it.Body))
 			return
 		}
-		applied, _, err := p.Deliver(it)
+		applied, err := p.Deliver(it)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "engine: %v\n", err)
 		}
@@ -176,7 +176,7 @@ func run(args []string) error {
 		case p.Pump != nil && line == "/text":
 			showDoc("-- doc %q (%d pending) --\n")
 		case p.Pump != nil && line == "/tick":
-			_, err = p.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Tick(), nil })
+			err = p.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Tick(), nil })
 		case p.Pump != nil && strings.HasPrefix(line, "/i "):
 			if err = engineInsert(p, line[len("/i "):]); err == nil {
 				showDoc("-- doc now %q (%d pending) --\n")
@@ -206,7 +206,7 @@ func engineInsert(p *daemon.Participant, arg string) error {
 	if err != nil {
 		return fmt.Errorf("usage: /i <pos> <text>: %v", err)
 	}
-	_, err = p.Edit(func(d engine.Doc) (msgs []engine.Msg, err error) {
+	return p.Edit(func(d engine.Doc) (msgs []engine.Msg, err error) {
 		for _, ch := range text {
 			out, err := d.Insert(pos, ch)
 			if err != nil {
@@ -217,7 +217,6 @@ func engineInsert(p *daemon.Participant, arg string) error {
 		}
 		return msgs, nil
 	})
-	return err
 }
 
 // engineDelete handles "/d <pos>".
@@ -226,6 +225,5 @@ func engineDelete(p *daemon.Participant, arg string) error {
 	if err != nil {
 		return fmt.Errorf("usage: /d <pos>: %v", err)
 	}
-	_, err = p.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Delete(pos) })
-	return err
+	return p.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Delete(pos) })
 }

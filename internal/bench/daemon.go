@@ -96,7 +96,7 @@ func startDaemonRig(eng string) (r *daemonRig, err error) {
 		}
 		r.peers = append(r.peers, p)
 		p.Client.OnItem = func(it session.Item) {
-			applied, _, err := p.Deliver(it)
+			applied, err := p.Deliver(it)
 			if err != nil {
 				r.failMu.Lock()
 				r.fail = err
@@ -122,7 +122,7 @@ func startDaemonRig(eng string) (r *daemonRig, err error) {
 func (r *daemonRig) edit() error {
 	n := r.ops
 	r.ops++
-	_, err := r.peers[n%len(r.peers)].Edit(func(d engine.Doc) ([]engine.Msg, error) {
+	err := r.peers[n%len(r.peers)].Edit(func(d engine.Doc) ([]engine.Msg, error) {
 		if n%2 == 1 {
 			return d.Delete(0)
 		}

@@ -4,7 +4,11 @@
 // halves on any endpoint, which is how internal/simworld runs the shipped
 // composition on the simulator. Placement and engine arrive as Config
 // policy; the seam fields let a harness interpose on the shipped wiring
-// instead of copying it. Pump is how an engine rides the session log.
+// instead of copying it. An engine rides the session log as eng/op items: a
+// participant's Pump holds its replica, and with Engine ot the host hands
+// each submission's item body to one engine.Server per document, which
+// answers with the commit's body. Every substrate runs this NewHost; there
+// is no second loop.
 //
 // Protocol: length-prefixed frames (internal/transport) carrying the binary
 // frames of the one wire codec (internal/fabric) with the session wire tags.
@@ -50,11 +54,11 @@ type Config struct {
 	// Seams, nil in both commands. A Wrap returns what the wiring uses in
 	// place of what it built; Middleware wraps the fabric endpoint;
 	// OnIntegrate stands around the host's integration of one eng/op item and
-	// must call integrate, which returns the commit bodies posted for it.
+	// must call integrate, which returns the body posted for it ("" for none).
 	WrapTransport func(transport.Endpoint) transport.Endpoint
 	WrapCodec     func(fabric.PayloadCodec) fabric.PayloadCodec
 	Middleware    []fabric.Middleware
-	OnIntegrate   func(doc string, it session.Item, integrate func() []string)
+	OnIntegrate   func(doc string, it session.Item, integrate func() string)
 }
 
 // edge puts the fabric on a TCP endpoint both sides build the same way:
@@ -87,8 +91,8 @@ func (cfg Config) mode() (session.Mode, error) {
 }
 
 // NewHost is the daemon above its TCP edge, on any endpoint and clock: a
-// session.Host that, with Engine ot, integrates eng/op submissions. It reads
-// Mode, Shards, Shard, Engine and OnIntegrate.
+// session.Host that, with Engine ot, integrates eng/op submissions body to
+// body. It reads Mode, Shards, Shard, Engine and OnIntegrate.
 func NewHost(ep fabric.Endpoint, clock fabric.Clock, cfg Config) (*session.Host, error) {
 	mode, err := cfg.mode()
 	if err != nil {
@@ -99,35 +103,57 @@ func NewHost(ep fabric.Endpoint, clock fabric.Clock, cfg Config) (*session.Host,
 		host.Owns = func(doc string) bool { return shardOf(doc, cfg.Shards) == cfg.Shard }
 	}
 
-	var sites sync.Map // doc → *Pump, the document's integration site
-	integrate := func(doc string, it session.Item) []string {
+	var sites sync.Map // doc → *otSite, the document's integration site
+	integrate := func(doc string, it session.Item) string {
 		site, ok := sites.Load(doc)
 		if !ok {
-			// New cannot fail: OT with a server site is what it accepts.
-			eng, _ := engine.New(engine.OT, doc, session.HostAuthor, session.HostAuthor)
 			h := host.Host(doc)
-			site, _ = sites.LoadOrStore(doc, newPump(session.HostAuthor, eng, func(body string) error {
-				h.PostLocal(engine.ItemKind, body)
-				return nil
-			}))
+			site, _ = sites.LoadOrStore(doc, &otSite{
+				srv:  engine.NewServer(session.HostAuthor),
+				post: func(body string) { h.PostLocal(engine.ItemKind, body) },
+			})
 		}
-		_, commits, err := site.(*Pump).Deliver(it)
-		if err != nil {
-			log.Printf("engine: %v", err)
-		}
-		return commits
+		return site.(*otSite).integrate(it)
 	}
 	// OnItem runs outside the host lock, so PostLocal from inside it is safe.
 	host.OnItem = func(doc string, it session.Item) {
 		switch {
 		case cfg.Engine != engine.OT || it.Kind != engine.ItemKind || it.From == session.HostAuthor:
 		case cfg.OnIntegrate != nil:
-			cfg.OnIntegrate(doc, it, func() []string { return integrate(doc, it) })
+			cfg.OnIntegrate(doc, it, func() string { return integrate(doc, it) })
 		default:
 			integrate(doc, it)
 		}
 	}
 	return host, nil
+}
+
+// otSite is one document's OT integration site at the daemon: the server,
+// the buffer it appends each answer to, and the lock that holds both across
+// the post, so the site's items enter the log in the order it produced them.
+type otSite struct {
+	mu   sync.Mutex
+	srv  *engine.Server
+	buf  []byte
+	post func(body string)
+}
+
+// integrate hands one eng/op item to the server and posts the body it
+// answers with, which it returns ("" for none). The posted string is the one
+// allocation: the log keeps it.
+func (s *otSite) integrate(it session.Item) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var err error
+	if s.buf, err = s.srv.Integrate(it.From, it.Body, s.buf[:0]); err != nil {
+		log.Printf("engine: bad eng/op from %s: %v", it.From, err)
+	}
+	if len(s.buf) == 0 {
+		return ""
+	}
+	body := string(s.buf)
+	s.post(body)
+	return body
 }
 
 // shardOf places doc in one of shards ordering domains: FNV-1a over the key,

@@ -61,7 +61,7 @@ func dial(t testing.TB, d *Daemon, user, doc string, cfg Config) *peer {
 	pr := &peer{Participant: p, t: t, changed: make(chan struct{}, 1)}
 	p.Client.OnItem = func(it session.Item) {
 		if p.Pump != nil {
-			if _, _, err := p.Deliver(it); err != nil {
+			if _, err := p.Deliver(it); err != nil {
 				t.Errorf("%s: %v", user, err)
 			}
 		}
@@ -111,7 +111,7 @@ func (pr *peer) join() {
 
 func (pr *peer) insert(pos int, text string) {
 	pr.t.Helper()
-	_, err := pr.Edit(func(d engine.Doc) (msgs []engine.Msg, err error) {
+	err := pr.Edit(func(d engine.Doc) (msgs []engine.Msg, err error) {
 		for i, ch := range text {
 			out, err := d.Insert(pos+i, ch)
 			if err != nil {
@@ -455,11 +455,13 @@ func (r *recorder) seams(cfg Config) Config {
 	cfg.WrapTransport = func(ep transport.Endpoint) transport.Endpoint { return countedTransport{ep, &r.sends} }
 	cfg.WrapCodec = func(c fabric.PayloadCodec) fabric.PayloadCodec { return countedCodec{c, &r.encodes} }
 	cfg.Middleware = []fabric.Middleware{fabric.Tap(join(&r.joinsSent), join(&r.joinsRecv))}
-	cfg.OnIntegrate = func(doc string, it session.Item, integrate func() []string) {
-		commits := integrate()
+	cfg.OnIntegrate = func(doc string, it session.Item, integrate func() string) {
+		commit := integrate()
 		r.mu.Lock()
 		r.integrations++
-		r.commits = append(r.commits, commits...)
+		if commit != "" {
+			r.commits = append(r.commits, commit)
+		}
 		r.mu.Unlock()
 	}
 	return cfg
@@ -481,7 +483,7 @@ func parityStream(t *testing.T, seams func(Config) Config) []session.Item {
 	reader.join()
 	rng, length := rand.New(rand.NewSource(42)), 0
 	for i := 0; i < parityOps; i++ {
-		_, err := writer.Edit(func(d engine.Doc) ([]engine.Msg, error) {
+		err := writer.Edit(func(d engine.Doc) ([]engine.Msg, error) {
 			if length > 0 && rng.Intn(3) == 0 {
 				length--
 				return d.Delete(rng.Intn(length + 1))
@@ -630,7 +632,7 @@ func TestPumpSkipsOthersItemsUndecoded(t *testing.T) {
 	p := newPump("p1", eng, func(string) error { t.Fatal("the pump posted"); return nil })
 	it := session.Item{Seq: 1, From: "p2", Kind: engine.ItemKind, Body: body}
 	n := testing.AllocsPerRun(100, func() {
-		if applied, _, err := p.Deliver(it); applied || err != nil {
+		if applied, err := p.Deliver(it); applied || err != nil {
 			t.Fatalf("Deliver = %v, %v; want the item skipped", applied, err)
 		}
 	})

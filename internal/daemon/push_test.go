@@ -184,7 +184,7 @@ func TestWireBytesPerEdit(t *testing.T) {
 				if n%2 == 0 {
 					text = string(rune('a' + n))
 					pr.insert(0, text)
-				} else if _, err := pr.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Delete(0) }); err != nil {
+				} else if err := pr.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Delete(0) }); err != nil {
 					t.Fatal(err)
 				}
 				for _, pr := range peers {
@@ -250,53 +250,56 @@ func TestCatchUpJoinAckBytes(t *testing.T) {
 	}
 }
 
-// TestHostOTIntegrateAllocs pins what the OT daemon's integration site
-// allocates for one submission, from Pump.Deliver to the commit's post: 6
-// objects. They are DecodeItemBody's two, the server's commit and the
-// one-message slice it comes in, the commit body's string, and the slice
-// Deliver returns it in. Pump.Edit encodes the body into a buffer it keeps;
-// before it kept one, the buffer was a seventh. The submissions are p1's
-// keystrokes, each made once the commit of the one before it came back,
-// recorded on a second pair of pumps and replayed.
+// TestHostOTIntegrateAllocs pins what the OT daemon's integration step
+// allocates for one submission, from the item to the commit's post: 1
+// object, the commit body's string, which the log keeps. engine.Server
+// parses the submission into a value on the stack and appends the commit to
+// the site's kept buffer. Behind a Pump the step took 6: DecodeItemBody's
+// copy and MsgSubmit box, the commit's MsgCommit box and the one-message
+// slice it came in, the string, and the slice Deliver returned it in. The
+// submissions are p1's keystrokes, each made once the commit of the one
+// before it came back, recorded against a second site and replayed.
 func TestHostOTIntegrateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	const runs = 300
-	newSite := func(self string) *Pump {
-		eng, err := engine.New(engine.OT, "doc", self, session.HostAuthor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return newPump(self, eng, func(string) error { return nil })
+	var posted string
+	newSite := func() *otSite {
+		return &otSite{srv: engine.NewServer(session.HostAuthor), post: func(body string) { posted = body }}
 	}
-	client, recorder := newSite("p1"), newSite(session.HostAuthor)
+	eng, err := engine.New(engine.OT, "doc", "p1", session.HostAuthor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := newPump("p1", eng, func(body string) error { posted = body; return nil })
+	recorder := newSite()
 	subs := make([]session.Item, runs+1) // AllocsPerRun runs once more to warm up
 	for i := range subs {
-		posted, err := client.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Insert(0, 'x') })
-		if err != nil || len(posted) != 1 {
+		posted = ""
+		if err := client.Edit(func(d engine.Doc) ([]engine.Msg, error) { return d.Insert(0, 'x') }); err != nil || posted == "" {
 			t.Fatalf("keystroke %d posted %q, %v; want one submission", i, posted, err)
 		}
-		subs[i] = session.Item{Seq: uint64(2*i + 1), From: "p1", Kind: engine.ItemKind, Body: posted[0]}
-		_, commits, err := recorder.Deliver(subs[i])
-		if err != nil || len(commits) != 1 {
-			t.Fatalf("submission %d committed %q, %v; want one commit", i, commits, err)
+		subs[i] = session.Item{Seq: uint64(2*i + 1), From: "p1", Kind: engine.ItemKind, Body: posted}
+		commit := recorder.integrate(subs[i])
+		if commit == "" || commit != posted {
+			t.Fatalf("submission %d committed %q, posted %q; want one commit, posted", i, commit, posted)
 		}
-		if _, _, err := client.Deliver(session.Item{Seq: uint64(2*i + 2), From: session.HostAuthor, Kind: engine.ItemKind, Body: commits[0]}); err != nil {
+		if _, err := client.Deliver(session.Item{Seq: uint64(2*i + 2), From: session.HostAuthor, Kind: engine.ItemKind, Body: commit}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	site, next := newSite(session.HostAuthor), 0
+	site, next := newSite(), 0
 	n := testing.AllocsPerRun(runs, func() {
-		if applied, commits, err := site.Deliver(subs[next]); !applied || len(commits) != 1 || err != nil {
-			t.Fatalf("submission %d: applied %v, commits %q, %v", next, applied, commits, err)
+		if commit := site.integrate(subs[next]); commit == "" {
+			t.Fatalf("submission %d committed nothing", next)
 		}
 		next++
 	})
-	if n != 6 {
-		t.Errorf("integrating one OT submission at the daemon allocates %v objects, want 6", n)
+	if n != 1 {
+		t.Errorf("integrating one OT submission at the daemon allocates %v objects, want 1", n)
 	}
-	if text, _ := site.Text(); len(text) != runs+1 {
+	if text := site.srv.Text(); len(text) != runs+1 {
 		t.Errorf("the site holds %d runes, want %d", len(text), runs+1)
 	}
 }

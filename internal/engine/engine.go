@@ -10,6 +10,11 @@
 // sockets): a Doc turns edits into messages and messages into edits.
 // Delivery may lose, duplicate and reorder; Tick is the recovery heartbeat
 // (OT: resend + pull missed commits; CRDT: gossip a state snapshot).
+//
+// Server is the OT integration site's role alone, on item bodies: a
+// submission's body in, its commit's body out, with no message boxed. The
+// daemon runs it per document, and the OT Doc's server replica is a typed
+// adapter over it, so the integration logic exists once.
 package engine
 
 import "fmt"

@@ -88,23 +88,36 @@ func AppendItemBody(dst []byte, codec *fabric.Codec, m Msg) ([]byte, error) {
 //
 //cscw:hotpath
 func DecodeItemBody(codec *fabric.Codec, body string) (to string, payload any, err error) {
-	i := strings.IndexByte(body, '|')
-	if i < 0 {
-		return "", nil, fmt.Errorf("engine: item body has no address separator")
+	to, tag, raw, err := cutItemBody(body)
+	if err != nil {
+		return "", nil, err
 	}
-	if i+1 == len(body) || int(body[i+1]) >= len(itemKinds) || itemKinds[body[i+1]] == "" {
-		return "", nil, fmt.Errorf("engine: unknown item kind %q", body[i+1:min(i+2, len(body))])
-	}
-	// ParseBody copies nothing, so passing body[i+2:] itself would save
-	// this allocation on every pushed op. It is kept for now because the
+	// ParseBody copies nothing, so passing raw itself would save this
+	// allocation on every pushed op. It is kept for now because the
 	// benchmark's smoke test (benchmark/load TestQuickSmoke) bounds
 	// relay_1x4's allocs_per_op at 20 or more; ROADMAP item 1 drops the
 	// copy once that bound is replaced.
-	payload, err = codec.ParseBody(itemKinds[body[i+1]], strings.Clone(body[i+2:]))
+	payload, err = codec.ParseBody(tag, strings.Clone(raw))
 	if err != nil {
 		return "", nil, fmt.Errorf("engine: item body payload: %w", err)
 	}
-	return body[:i], payload, nil
+	return to, payload, nil
+}
+
+// cutItemBody splits an item body into its address, the tag its kind byte
+// names and the payload's binary body, all substrings of body. A body with
+// no separator is an error with an empty address; one whose kind is
+// missing or unknown is an error that still returns the address, so a
+// replica can skip another site's body before judging it.
+func cutItemBody(body string) (to, tag, raw string, err error) {
+	i := strings.IndexByte(body, '|')
+	if i < 0 {
+		return "", "", "", fmt.Errorf("engine: item body has no address separator")
+	}
+	if i+1 == len(body) || int(body[i+1]) >= len(itemKinds) || itemKinds[body[i+1]] == "" {
+		return body[:i], "", "", fmt.Errorf("engine: unknown item kind %q", body[i+1:min(i+2, len(body))])
+	}
+	return body[:i], itemKinds[body[i+1]], body[i+2:], nil
 }
 
 // ItemTo reads an item body's address without decoding it: the site it is

@@ -36,17 +36,16 @@ type MsgCommits struct {
 }
 
 // otDoc adapts the ot Server/Client pair to the Doc interface. The replica
-// whose site equals the configured server runs the authoritative server
-// and edits at authoritative revisions; every other replica runs a client
-// with one submission in flight, a hold-back map for commits that arrive
-// out of revision order, and pull-based resync on Tick.
+// whose site equals the configured server is a typed adapter over Server,
+// the integration site a daemon runs on item bodies, and edits at
+// authoritative revisions; every other replica runs a client with one
+// submission in flight, a hold-back map for commits that arrive out of
+// revision order, and pull-based resync on Tick.
 type otDoc struct {
 	site   string
 	server string
 
-	srv     *ot.Server        // server site only
-	srvSeq  uint64            // server site's own op counter
-	lastSeq map[string]uint64 // server: committed seq per site, dedups resent submissions
+	srv *Server // server site only
 
 	cl       *ot.Client // client sites only
 	hold     map[int]ot.Committed
@@ -57,8 +56,7 @@ type otDoc struct {
 func newOTDoc(site, server string) *otDoc {
 	d := &otDoc{site: site, server: server}
 	if site == server {
-		d.srv = ot.NewServer("")
-		d.lastSeq = make(map[string]uint64)
+		d.srv = NewServer(site)
 	} else {
 		d.cl = ot.NewClient(site, ot.NewServer(""))
 		d.hold = make(map[int]ot.Committed)
@@ -90,14 +88,10 @@ func (d *otDoc) Delete(pos int) ([]Msg, error) {
 
 func (d *otDoc) edit(op ot.Op) ([]Msg, error) {
 	if d.srv != nil {
-		// The server site edits at the authoritative revision: no pending
-		// list, the commit broadcasts immediately.
-		d.srvSeq++
-		cm, err := d.srv.Submit(op, d.srv.Rev(), d.site, d.srvSeq)
+		cm, err := d.srv.edit(op)
 		if err != nil {
 			return nil, err
 		}
-		d.lastSeq[d.site] = d.srvSeq
 		return []Msg{{Body: &MsgCommit{C: cm}}}, nil
 	}
 	sub, send, err := d.cl.Generate(op)
@@ -135,21 +129,14 @@ func (d *otDoc) Apply(from string, payload any) ([]Msg, error) {
 	}
 }
 
-// applySubmit integrates a submission under from, the site that delivered
-// it: the body names no site, so no participant can submit in another's
-// name.
 func (d *otDoc) applySubmit(from string, sub ot.Submission) ([]Msg, error) {
 	if d.srv == nil {
 		return nil, fmt.Errorf("engine: submission sent to non-server site %s", d.site)
 	}
-	if sub.Seq <= d.lastSeq[from] {
-		return nil, nil // duplicate of a committed submission; pull recovers the commit
-	}
-	cm, err := d.srv.Submit(sub.Op, sub.Base, from, sub.Seq)
-	if err != nil {
+	cm, ok, err := d.srv.submit(from, sub)
+	if !ok {
 		return nil, err
 	}
-	d.lastSeq[from] = sub.Seq
 	return []Msg{{Body: &MsgCommit{C: cm}}}, nil
 }
 
@@ -157,7 +144,7 @@ func (d *otDoc) applyPull(from string, base int) ([]Msg, error) {
 	if d.srv == nil {
 		return nil, fmt.Errorf("engine: pull sent to non-server site %s", d.site)
 	}
-	cs := d.srv.CommittedSince(base)
+	cs := d.srv.core.CommittedSince(base)
 	if len(cs) == 0 {
 		return nil, nil
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
 	"repro/internal/ot"
@@ -125,6 +126,25 @@ func TestLogBytesFlat(t *testing.T) {
 				seq++
 				if _, err := s.Submit(op, s.Rev(), "p0", seq); err != nil {
 					t.Fatal(err)
+				}
+			}
+		}},
+		{"engine.Server.Integrate", func(t *testing.T) func() {
+			s, codec := engine.NewServer(HostAuthor), engine.NewWireCodec()
+			var body, answer []byte
+			var seq uint64
+			return func() { // an insert, then its delete, each at the current revision
+				sub := ot.Submission{Op: ot.Op{Kind: ot.Insert, Ch: 'x'}, Base: int(seq), Seq: seq + 1}
+				if seq%2 == 1 {
+					sub.Op = ot.Op{Kind: ot.Delete}
+				}
+				seq++
+				var err error
+				if body, err = engine.AppendItemBody(body[:0], codec, engine.Msg{To: HostAuthor, Body: engine.MsgSubmit{Sub: sub}}); err != nil {
+					t.Fatal(err)
+				}
+				if answer, err = s.Integrate("p0", string(body), answer[:0]); err != nil || len(answer) == 0 {
+					t.Fatalf("submission %d: answer %x, %v", seq, answer, err)
 				}
 			}
 		}},

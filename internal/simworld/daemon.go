@@ -67,8 +67,7 @@ func (d *Daemon) Edit(user string, fn func(engine.Doc) ([]engine.Msg, error)) {
 	if d.err != nil {
 		return
 	}
-	_, err := d.Parts[user].Edit(fn)
-	d.keep(user, err)
+	d.keep(user, d.Parts[user].Edit(fn))
 }
 
 // Tick runs one recovery round: every participant posts what its replica's
@@ -95,7 +94,7 @@ func (d *Daemon) deliver(user string, p *daemon.Participant, it session.Item) {
 	if d.err != nil {
 		return
 	}
-	applied, _, err := p.Deliver(it)
+	applied, err := p.Deliver(it)
 	applied = applied || refused(err) // applied; what it answered with was lost
 	d.keep(user, err)
 	if applied && d.Applied != nil {
