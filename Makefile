@@ -1,10 +1,10 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all check build vet lint lint-golden test race bugs reach bench bench-json bench-lint bench-e2e-test chaos chaos-golden chaos-scale experiments experiments-golden examples cover fuzz-smoke
+.PHONY: all check build vet lint lint-golden test race bugs progcover bench bench-json bench-lint bench-e2e-test chaos chaos-golden chaos-scale experiments experiments-golden examples cover fuzz-smoke
 
 all: check
 
-check: build vet lint test race bugs reach
+check: build vet lint test race bugs progcover
 
 build:
 	go build ./...
@@ -51,14 +51,19 @@ race:
 bugs:
 	go test -tags bugs -count=1 -run Ledger .
 
-# The reachability gate (reach_test.go): builds every main package of this
-# module and of benchmark/ with inlining off into a temporary directory,
-# reads their symbols with `go tool nm`, and fails on any function declared
-# outside a _test.go file that no binary contains, unless
-# testdata/unreached.txt lists it with a reason; a listed function that a
-# binary does contain fails as stale. Behind the `reach` build tag.
-reach:
-	go test -tags reach -count=1 -run Reach .
+# The program-coverage gate (progcover_test.go): builds every main package
+# of this module and of benchmark/ with `go build -cover` into a temporary
+# directory, runs the corpus the test fixes (experiments, the examples, every
+# chaos scenario at seeds 7/11/23, cscwbench, cscwload, cscwlint, a scripted
+# sessiond with cscwctl clients), merges the counters with `go tool covdata`,
+# and fails on a function no program runs, on a block of a protocol package
+# no program runs unless it is a refusal its tests run, and on a stale entry
+# of testdata/unreached.txt, whose header gives the list's grammar and
+# reasons. Prints each corpus step's wall time and every package's executed
+# and total statements. Behind the `progcover` build tag; writes nothing to
+# the tree.
+progcover:
+	go test -tags progcover -count=1 -v -run ProgCover .
 
 # Benchmarks. PKG narrows the sweep: `make bench PKG=./internal/bench`.
 bench:

@@ -1,7 +1,7 @@
 // Command cscwctl is the control tool for the CSCW stack. With no
 // subcommand it is the interactive client for cmd/sessiond: it joins a
-// TCP-hosted session, posts items from stdin, and prints items, presence
-// changes and mode switches as they arrive.
+// TCP-hosted session, posts items from stdin, and prints items and presence
+// changes as they arrive.
 //
 // Usage:
 //
@@ -144,9 +144,6 @@ func run(args []string) error {
 		if applied {
 			showDoc("-- doc now %q (%d pending) --\n")
 		}
-	}
-	cli.OnMode = func(m session.Mode) {
-		fmt.Printf("-- session is now %s --\n", m)
 	}
 	cli.OnPresence = func(who string, p session.Presence) {
 		fmt.Printf("-- %s is %s --\n", who, p)

@@ -27,12 +27,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "experiment RNG seed")
 	only := fs.String("only", "", "comma-separated experiment IDs (default: all)")
-	format := fs.String("format", "table", "output format: table or csv")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *format != "table" && *format != "csv" {
-		return fmt.Errorf("unknown format %q", *format)
 	}
 	want := map[string]bool{}
 	if *only != "" {
@@ -45,12 +41,7 @@ func run(args []string) error {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		table := e.Run(*seed)
-		if *format == "csv" {
-			fmt.Print(table.RenderCSV())
-		} else {
-			fmt.Println(table.Render())
-		}
+		fmt.Println(e.Run(*seed).Render())
 		ran++
 	}
 	if ran == 0 {

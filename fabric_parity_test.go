@@ -45,14 +45,15 @@ func runParityScenario(t *testing.T, sub paritySubstrate) parityResult {
 	var mu sync.Mutex
 	res := parityResult{Orders: make(map[string][]string)}
 
-	// --- Group: three FIFO members.
+	// --- Group: three members under the sequencer ordering, the one whose
+	// packets cross the wire codec.
 	gids := []string{"g0", "g1", "g2"}
 	members := make(map[string]*group.Member)
 	for _, id := range gids {
 		id := id
 		m, err := group.NewMember(group.Config{
 			Endpoint: sub.endpoint(id),
-			Ordering: group.FIFO,
+			Ordering: group.TotalSequencer,
 			Deliver: func(d group.Delivery) {
 				mu.Lock()
 				res.Orders[id] = append(res.Orders[id], fmt.Sprintf("%s:%v", d.From, d.Body))

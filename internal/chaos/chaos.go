@@ -112,17 +112,9 @@ func (r *Result) Report() string {
 func Run(name string, seed int64) (*Result, error) {
 	s, ok := Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("chaos: unknown scenario %q (have %v)", name, scenarioNames())
+		return nil, fmt.Errorf("chaos: unknown scenario %q (see cscwctl chaos -list)", name)
 	}
 	return run(s, seed), nil
-}
-
-func scenarioNames() []string {
-	var names []string
-	for _, s := range Scenarios() {
-		names = append(names, s.Name)
-	}
-	return names
 }
 
 func run(s Scenario, seed int64) *Result {

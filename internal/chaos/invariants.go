@@ -2,7 +2,10 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+
+	"repro/internal/session"
 )
 
 // sortedKeys returns the map's keys in deterministic order.
@@ -89,4 +92,59 @@ func firstDiff(want, got []string) string {
 		}
 	}
 	return ""
+}
+
+// sessionLog records a session scenario's ground truth: the host's log, as
+// its OnItem sees each item, and what each client was pushed, as its OnItem
+// sees it.
+type sessionLog struct {
+	host []session.Item
+	got  map[string][]string
+}
+
+// recordSession installs the recorders on host and on the clients ids.
+func recordSession(host *session.Host, cls map[string]*session.Client, ids []string) *sessionLog {
+	l := &sessionLog{got: make(map[string][]string, len(ids))}
+	host.OnItem = func(_ string, it session.Item) { l.host = append(l.host, it) }
+	for _, id := range ids {
+		cls[id].OnItem = func(it session.Item) { l.got[id] = append(l.got[id], fmtItem(it)) }
+	}
+	return l
+}
+
+func fmtItem(it session.Item) string {
+	return fmt.Sprintf("%03d:%s:%s", it.Seq, it.From, it.Body)
+}
+
+// check is the session-completeness invariant: each client heard the host
+// log minus its own items, in order, up to its high-water mark, and a
+// client present at the end heard up to the last item someone else posted
+// (its own items never advance its cursor). A client that left stops
+// hearing, so present says who must be caught up. Past three, violations
+// are counted in one line.
+func (l *sessionLog) check(w *World, cls map[string]*session.Client, ids []string, present func(id string) bool) {
+	bad := 0
+	for _, id := range ids {
+		var want []string
+		var maxOther uint64
+		for _, it := range l.host {
+			if it.From == id {
+				continue
+			}
+			maxOther = it.Seq
+			if it.Seq <= cls[id].LastSeq() {
+				want = append(want, fmtItem(it))
+			}
+		}
+		if slices.Equal(l.got[id], want) && (!present(id) || cls[id].LastSeq() == maxOther) {
+			continue
+		}
+		if bad++; bad <= 3 {
+			w.Violatef("session-completeness", "%s: log %d items vs %d expected (lastSeq %d, last foreign seq %d, present=%v)",
+				id, len(l.got[id]), len(want), cls[id].LastSeq(), maxOther, present(id))
+		}
+	}
+	if bad > 3 {
+		w.Violatef("session-completeness", "... and %d more inconsistent client logs", bad-3)
+	}
 }

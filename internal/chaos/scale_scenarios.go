@@ -337,14 +337,7 @@ func runFlashCrowdJoinLeave(w *World) {
 	ids := append([]string(nil), crowd.IDs...)
 	hostID := w.In(crowd, "crowd-host")
 	host, cls := w.Session(hostID, session.Synchronous, ids...)
-
-	var hostItems []session.Item
-	host.OnItem = func(_ string, it session.Item) { hostItems = append(hostItems, it) }
-	got := make(map[string][]string, len(ids))
-	for _, id := range ids {
-		id := id
-		cls[id].OnItem = func(it session.Item) { got[id] = append(got[id], fmtItem(it)) }
-	}
+	rec := recordSession(host, cls, ids)
 
 	// Churn script: everyone flash-joins inside the ramp, then cycles leave/
 	// rejoin until the horizon. A floor of 5ms between one user's events
@@ -422,41 +415,9 @@ func runFlashCrowdJoinLeave(w *World) {
 	if bad > 3 {
 		w.Violatef("view-consistency", "... and %d more members with inconsistent views", bad-3)
 	}
-	// Completeness: each client's log is exactly the host log (minus its own
-	// items) up to its high-water mark; members still present at the end
-	// must have caught up to the last item someone else posted (their own
-	// items never advance their cursor).
-	bad = 0
-	for _, id := range ids {
-		var want []string
-		var maxOther uint64
-		for _, it := range hostItems {
-			if it.From == id {
-				continue
-			}
-			maxOther = it.Seq
-			if it.Seq <= cls[id].LastSeq() {
-				want = append(want, fmtItem(it))
-			}
-		}
-		ok := len(got[id]) == len(want)
-		for i := 0; ok && i < len(want); i++ {
-			ok = got[id][i] == want[i]
-		}
-		if model[id] && cls[id].LastSeq() != maxOther {
-			ok = false
-		}
-		if !ok {
-			bad++
-			if bad <= 3 {
-				w.Violatef("session-completeness", "%s: log %d items vs %d expected (lastSeq %d, last foreign seq %d, present=%v)",
-					id, len(got[id]), len(want), cls[id].LastSeq(), maxOther, model[id])
-			}
-		}
-	}
-	if bad > 3 {
-		w.Violatef("session-completeness", "... and %d more inconsistent client logs", bad-3)
-	}
+	// Completeness, up to each client's high-water mark: a member that left
+	// stops hearing, so only those present at the end must be caught up.
+	rec.check(w, cls, ids, func(id string) bool { return model[id] })
 	present := 0
 	for _, id := range ids {
 		if model[id] {

@@ -164,15 +164,7 @@ func runCrashRestartSession(w *World) {
 	clean := netsim.Link{Latency: time.Millisecond, Bandwidth: 1_250_000}
 	w.Star("host", clean, clean, clients...)
 	h, cls := w.Session("host", session.Synchronous, clients...)
-	var hostItems []session.Item
-	h.OnItem = func(_ string, it session.Item) { hostItems = append(hostItems, it) }
-	got := make(map[string][]string)
-	for _, id := range clients {
-		id := id
-		cls[id].OnItem = func(it session.Item) {
-			got[id] = append(got[id], fmtItem(it))
-		}
-	}
+	rec := recordSession(h, cls, clients)
 	for i, id := range clients {
 		id := id
 		w.Sim.At(time.Duration(i+1)*300*time.Microsecond, func() {
@@ -221,20 +213,7 @@ func runCrashRestartSession(w *World) {
 			w.Violatef("membership-agreement", "%s not joined at end", id)
 		}
 	}
-	for _, id := range clients {
-		var want []string
-		for _, it := range hostItems {
-			if it.From != id {
-				want = append(want, fmtItem(it))
-			}
-		}
-		checkSameSequences(w, "session-completeness",
-			map[string][]string{"!expected": want, id: got[id]})
-	}
-}
-
-func fmtItem(it session.Item) string {
-	return fmt.Sprintf("%03d:%s:%s", it.Seq, it.From, it.Body)
+	rec.check(w, cls, clients, func(string) bool { return true })
 }
 
 // --- scenario: loss-resync-ot -------------------------------------------
@@ -677,13 +656,7 @@ func runSessionModeChurn(w *World) {
 	lossyUp.Loss = 0.25
 	w.Star("host", lossyUp, clean, clients...)
 	host, cls := w.Session("host", session.Synchronous, clients...)
-	var hostItems []session.Item
-	host.OnItem = func(_ string, it session.Item) { hostItems = append(hostItems, it) }
-	got := make(map[string][]string)
-	for _, id := range clients {
-		id := id
-		cls[id].OnItem = func(it session.Item) { got[id] = append(got[id], fmtItem(it)) }
-	}
+	rec := recordSession(host, cls, clients)
 	for _, mode := range []struct {
 		at int
 		to session.Mode
@@ -711,11 +684,11 @@ func runSessionModeChurn(w *World) {
 	}
 	converged := func() bool {
 		own := make(map[string]int)
-		for _, it := range hostItems {
+		for _, it := range rec.host {
 			own[it.From]++
 		}
 		for _, id := range clients {
-			if !cls[id].Joined() || len(got[id]) != len(hostItems)-own[id] {
+			if !cls[id].Joined() || len(rec.got[id]) != len(rec.host)-own[id] {
 				return false
 			}
 		}
@@ -752,18 +725,9 @@ func runSessionModeChurn(w *World) {
 	w.Run()
 	h := host.Host("")
 	if !converged() {
-		w.Violatef("session-completeness", "clients never converged on the host log (%d items)", len(hostItems))
+		w.Violatef("session-completeness", "clients never converged on the host log (%d items)", len(rec.host))
 	}
-	for _, id := range clients {
-		var want []string
-		for _, it := range hostItems {
-			if it.From != id {
-				want = append(want, fmtItem(it))
-			}
-		}
-		checkSameSequences(w, "session-completeness",
-			map[string][]string{"!expected": want, id: got[id]})
-	}
+	rec.check(w, cls, clients, func(string) bool { return true })
 	if h.Mode() != session.Synchronous {
 		w.Violatef("mode-agreement", "host ended in mode %v, want synchronous", h.Mode())
 	}
@@ -778,7 +742,7 @@ func runSessionModeChurn(w *World) {
 	if p := h.PresenceOf("ben"); p != session.Active {
 		w.Violatef("mode-agreement", "ben's presence ended %v, want active", p)
 	}
-	w.Logf("host log %d items after churn", len(hostItems))
+	w.Logf("host log %d items after churn", len(rec.host))
 }
 
 // --- scenario: induced-drop-blindness (deliberately broken) --------------

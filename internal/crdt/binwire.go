@@ -1,7 +1,7 @@
 package crdt
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -11,10 +11,11 @@ import (
 
 // Binary bodies for the CRDT wire messages (fabric.BinaryAppender /
 // BinaryParser). Op traffic is per-keystroke and state gossip is periodic,
-// so both get hand-rolled bodies: uvarint integers, length-prefixed
-// strings, zigzag varints for signed deltas. Map-backed state is encoded
-// in sorted key order so equal states produce identical bytes — the
-// convergence checks in chaos and the fuzzers compare encodings directly.
+// so both get hand-rolled bodies: uvarint integers and length-prefixed
+// strings. Only the sequence engine's ops and states cross a byte codec;
+// set and counter replicas gossip in process (chaos), so the codec refuses
+// them both ways. The version vector is encoded in sorted site order so
+// equal states produce identical bytes.
 
 func appendID(dst []byte, id ID) []byte {
 	dst = fabric.AppendUvarint(dst, id.N)
@@ -26,26 +27,6 @@ func readID(r *fabric.Reader) ID {
 	id.N = r.Uvarint()
 	id.Site = r.String()
 	return id
-}
-
-func appendIDs(dst []byte, ids []ID) []byte {
-	dst = fabric.AppendUvarint(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = appendID(dst, id)
-	}
-	return dst
-}
-
-func readIDs(r *fabric.Reader) []ID {
-	n := r.Count("ids", 2) // N and an empty Site
-	if n == 0 {
-		return nil
-	}
-	ids := make([]ID, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		ids = append(ids, readID(r))
-	}
-	return ids
 }
 
 func appendVC(dst []byte, vv vclock.VC) []byte {
@@ -72,19 +53,24 @@ func readVC(r *fabric.Reader) vclock.VC {
 	return vv
 }
 
-func appendOp(dst []byte, op Op) []byte {
+// appendOp writes a sequence op. The set and counter fields (Elem, Dots,
+// Delta) follow as three zero bytes: only the sequence engine's ops cross
+// the wire, and the bytes keep the layout of the tree that carried all
+// three.
+func appendOp(dst []byte, op Op) ([]byte, error) {
+	if op.Kind != OpSeqInsert && op.Kind != OpSeqDelete || op.Elem != "" || len(op.Dots) > 0 || op.Delta != 0 {
+		return nil, errNotSeqOp
+	}
 	dst = append(dst, byte(op.Kind))
 	dst = fabric.AppendString(dst, op.Site)
 	dst = fabric.AppendUvarint(dst, op.Seq)
 	dst = appendID(dst, op.ID)
 	dst = appendID(dst, op.After)
 	dst = fabric.AppendUvarint(dst, uint64(uint32(op.Ch)))
-	dst = fabric.AppendString(dst, op.Elem)
-	dst = appendIDs(dst, op.Dots)
-	return binary.AppendVarint(dst, op.Delta)
+	return append(dst, 0, 0, 0), nil
 }
 
-func readOp(r *fabric.Reader) Op {
+func readOp(r *fabric.Reader) (Op, error) {
 	var op Op
 	op.Kind = OpKind(r.Byte())
 	op.Site = r.String()
@@ -92,22 +78,24 @@ func readOp(r *fabric.Reader) Op {
 	op.ID = readID(r)
 	op.After = readID(r)
 	op.Ch = rune(uint32(r.Uvarint()))
-	op.Elem = r.String()
-	op.Dots = readIDs(r)
-	op.Delta = r.Varint()
-	return op
+	if (r.Byte()|r.Byte()|r.Byte() != 0 || op.Kind != OpSeqInsert && op.Kind != OpSeqDelete) && r.Err() == nil {
+		return op, errNotSeqOp
+	}
+	return op, nil
 }
 
 // AppendBinary implements fabric.BinaryAppender.
 func (m MsgOp) AppendBinary(dst []byte) ([]byte, error) {
-	dst = fabric.AppendString(dst, m.Doc)
-	return appendOp(dst, m.Op), nil
+	return appendOp(fabric.AppendString(dst, m.Doc), m.Op)
 }
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgOp) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
-	m.Op = readOp(&r)
+	var err error
+	if m.Op, err = readOp(&r); err != nil {
+		return err
+	}
 	return r.Done(TagOp)
 }
 
@@ -141,107 +129,29 @@ func readSeqState(r *fabric.Reader) *SeqState {
 	return st
 }
 
-func appendSetState(dst []byte, st *SetState) []byte {
-	elems := make([]string, 0, len(st.Elems))
-	for elem := range st.Elems {
-		elems = append(elems, elem)
-	}
-	sort.Strings(elems)
-	dst = fabric.AppendUvarint(dst, uint64(len(elems)))
-	for _, elem := range elems {
-		dst = fabric.AppendString(dst, elem)
-		dst = appendIDs(dst, st.Elems[elem])
-	}
-	dst = appendIDs(dst, st.Removed)
-	return appendVC(dst, st.VV)
-}
+// stateSeq is the state-kind byte of a sequence state, the one state that
+// crosses the wire. Kinds 2 and 3 carried set and counter states, which
+// only travel between in-process replicas: a body with either is refused
+// as an unknown kind.
+const stateSeq = 1
 
-func readSetState(r *fabric.Reader) *SetState {
-	n := r.Count("elements", 2) // an empty name and an empty dot list
-	st := &SetState{Elems: make(map[string][]ID, n)}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		elem := r.String()
-		st.Elems[elem] = readIDs(r)
-	}
-	st.Removed = readIDs(r)
-	st.VV = readVC(r)
-	return st
-}
-
-func appendCtrState(dst []byte, st *CtrState) []byte {
-	dst = appendSiteCounts(dst, st.Pos)
-	dst = appendSiteCounts(dst, st.Neg)
-	return appendVC(dst, st.VV)
-}
-
-func appendSiteCounts(dst []byte, m map[string]uint64) []byte {
-	sites := make([]string, 0, len(m))
-	for site := range m {
-		sites = append(sites, site)
-	}
-	sort.Strings(sites)
-	dst = fabric.AppendUvarint(dst, uint64(len(sites)))
-	for _, site := range sites {
-		dst = fabric.AppendString(dst, site)
-		dst = fabric.AppendUvarint(dst, m[site])
-	}
-	return dst
-}
-
-func readSiteCounts(r *fabric.Reader) map[string]uint64 {
-	n := r.Count("site counts", 2) // an empty site and its count
-	m := make(map[string]uint64, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		site := r.String()
-		m[site] = r.Uvarint()
-	}
-	return m
-}
-
-func readCtrState(r *fabric.Reader) *CtrState {
-	st := &CtrState{}
-	st.Pos = readSiteCounts(r)
-	st.Neg = readSiteCounts(r)
-	st.VV = readVC(r)
-	return st
-}
-
-// State-kind discriminators in the MsgState binary body.
-const (
-	stateSeq = 1
-	stateSet = 2
-	stateCtr = 3
-)
+var errNotSeqOp = errors.New("crdt: only sequence ops cross the wire; set and counter fields stay in process")
 
 // AppendBinary implements fabric.BinaryAppender.
 func (m MsgState) AppendBinary(dst []byte) ([]byte, error) {
 	dst = fabric.AppendString(dst, m.Doc)
-	switch {
-	case m.Seq != nil:
-		return appendSeqState(append(dst, stateSeq), m.Seq), nil
-	case m.Set != nil:
-		return appendSetState(append(dst, stateSet), m.Set), nil
-	case m.Ctr != nil:
-		return appendCtrState(append(dst, stateCtr), m.Ctr), nil
-	default:
-		return nil, fmt.Errorf("crdt: state message carries no state")
+	if m.Seq == nil || m.Set != nil || m.Ctr != nil {
+		return nil, fmt.Errorf("crdt: a state message crosses the wire with a sequence state alone")
 	}
+	return appendSeqState(append(dst, stateSeq), m.Seq), nil
 }
 
 // ParseBinary implements fabric.BinaryParser.
 func (m *MsgState) ParseBinary(r fabric.Reader) error {
 	m.Doc = r.String()
-	switch kind := r.Byte(); kind {
-	case stateSeq:
-		m.Seq = readSeqState(&r)
-	case stateSet:
-		m.Set = readSetState(&r)
-	case stateCtr:
-		m.Ctr = readCtrState(&r)
-	default:
-		if r.Err() == nil {
-			return fmt.Errorf("crdt: unknown state kind %d", kind)
-		}
+	if kind := r.Byte(); kind != stateSeq && r.Err() == nil {
+		return fmt.Errorf("crdt: unknown state kind %d", kind)
 	}
+	m.Seq = readSeqState(&r) // after a failed read it reads empty, and Done reports the error
 	return r.Done(TagState)
 }

@@ -27,7 +27,9 @@
 package crdt
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 
 	"repro/internal/vclock"
 )
@@ -45,14 +47,12 @@ type ID struct {
 // IsZero reports whether the ID is the zero value (the sequence head).
 func (a ID) IsZero() bool { return a.N == 0 && a.Site == "" }
 
-// Less orders IDs by (N, Site). RGA integration walks past successors
-// whose ID is greater than the new element's, so causally-later and
-// tie-broken-later elements keep their place ahead of it.
-func (a ID) Less(b ID) bool {
-	if a.N != b.N {
-		return a.N < b.N
-	}
-	return a.Site < b.Site
+// Compare orders IDs by (N, Site), as cmp.Compare orders numbers. RGA
+// integration walks past successors whose ID is greater than the new
+// element's, so causally-later and tie-broken-later elements keep their
+// place ahead of it.
+func (a ID) Compare(b ID) int {
+	return cmp.Or(cmp.Compare(a.N, b.N), strings.Compare(a.Site, b.Site))
 }
 
 // OpKind discriminates the operation types carried by Op.

@@ -21,16 +21,16 @@ func TestSequenceLocalEditing(t *testing.T) {
 	if _, err := s.Insert(0, 'H'); err != nil {
 		t.Fatal(err)
 	}
-	if s.Text() != "Hello" || s.Len() != 5 {
-		t.Fatalf("text %q len %d", s.Text(), s.Len())
+	if s.Text() != "Hello" || seqLen(s) != 5 {
+		t.Fatalf("text %q len %d", s.Text(), seqLen(s))
 	}
 	if _, err := s.Insert(-1, 'x'); err == nil {
 		t.Fatal("insert at -1 accepted")
 	}
-	if _, err := s.Insert(s.Len()+1, 'x'); err == nil {
+	if _, err := s.Insert(seqLen(s)+1, 'x'); err == nil {
 		t.Fatal("insert past end accepted")
 	}
-	if _, err := s.Delete(s.Len()); err == nil {
+	if _, err := s.Delete(seqLen(s)); err == nil {
 		t.Fatal("delete past end accepted")
 	}
 }
@@ -149,16 +149,16 @@ func TestSequenceMergeStateAllOrNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	text, n, vv, held := s.Text(), s.Len(), s.vv.Clone(), s.Held()
+	text, n, vv, held := s.Text(), seqLen(s), s.vv.Clone(), s.Held()
 
 	bad := peer.State()
 	bad.Nodes[2].After = ID{N: 99, Site: "ghost"}
 	if err := s.MergeState(bad); err == nil {
 		t.Fatal("a state with an unknown reference was accepted")
 	}
-	if s.Text() != text || s.Len() != n || !reflect.DeepEqual(s.vv.Clone(), vv) || s.Held() != held {
+	if s.Text() != text || seqLen(s) != n || !reflect.DeepEqual(s.vv.Clone(), vv) || s.Held() != held {
 		t.Fatalf("rejected merge changed the replica: text %q len %d vv %v held %d, want %q %d %v %d",
-			s.Text(), s.Len(), s.vv.Clone(), s.Held(), text, n, vv, held)
+			s.Text(), seqLen(s), s.vv.Clone(), s.Held(), text, n, vv, held)
 	}
 
 	if err := s.MergeState(peer.State()); err != nil {
@@ -167,8 +167,8 @@ func TestSequenceMergeStateAllOrNothing(t *testing.T) {
 	if err := peer.MergeState(s.State()); err != nil {
 		t.Fatal(err)
 	}
-	if s.Text() != peer.Text() || s.Len() != 4 || s.Held() != held {
-		t.Fatalf("after the valid merge: %q vs %q, len %d, held %d", s.Text(), peer.Text(), s.Len(), s.Held())
+	if s.Text() != peer.Text() || seqLen(s) != 4 || s.Held() != held {
+		t.Fatalf("after the valid merge: %q vs %q, len %d, held %d", s.Text(), peer.Text(), seqLen(s), s.Held())
 	}
 }
 

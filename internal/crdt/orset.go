@@ -2,6 +2,7 @@ package crdt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/vclock"
@@ -77,7 +78,7 @@ func (s *Set) Remove(elem string) Op {
 	for dot := range s.dots[elem] {
 		observed = append(observed, dot)
 	}
-	sort.Slice(observed, func(i, j int) bool { return observed[i].Less(observed[j]) })
+	slices.SortFunc(observed, ID.Compare)
 	op := Op{
 		Kind: OpSetRemove,
 		Site: s.site,
@@ -128,7 +129,7 @@ func (s *Set) applyOp(op Op) {
 
 // SetState is the full serializable state of a Set: live dots per element,
 // the removed-dot tombstones, and the applied-op vector. Slices are sorted
-// so equal states encode identically.
+// so equal states are equal values.
 type SetState struct {
 	Elems   map[string][]ID
 	Removed []ID
@@ -138,22 +139,19 @@ type SetState struct {
 // State snapshots the replica for anti-entropy.
 func (s *Set) State() *SetState {
 	st := &SetState{Elems: make(map[string][]ID, len(s.dots)), VV: s.vv.Clone()}
-	for elem, m := range s.dots {
-		if len(m) == 0 {
-			continue
-		}
+	for elem, m := range s.dots { // Apply and MergeState delete an emptied element
 		dots := make([]ID, 0, len(m))
 		for dot := range m {
 			dots = append(dots, dot)
 		}
-		sort.Slice(dots, func(i, j int) bool { return dots[i].Less(dots[j]) })
+		slices.SortFunc(dots, ID.Compare)
 		st.Elems[elem] = dots
 	}
 	st.Removed = make([]ID, 0, len(s.removed))
 	for dot := range s.removed {
 		st.Removed = append(st.Removed, dot)
 	}
-	sort.Slice(st.Removed, func(i, j int) bool { return st.Removed[i].Less(st.Removed[j]) })
+	slices.SortFunc(st.Removed, ID.Compare)
 	return st
 }
 

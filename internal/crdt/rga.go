@@ -53,9 +53,6 @@ func NewSequence(site string) *Sequence {
 	return s
 }
 
-// Len returns the number of visible (non-tombstoned) elements.
-func (s *Sequence) Len() int { return s.visible }
-
 // Held returns the number of remote ops waiting on FIFO order or missing
 // dependencies.
 func (s *Sequence) Held() int { return len(s.held) }
@@ -90,7 +87,7 @@ func (s *Sequence) visibleAt(pos int) (int32, error) {
 }
 
 // Insert applies a local insertion of ch at visible position pos (0 =
-// front, Len() = back) and returns the op to broadcast.
+// front, the visible length = back) and returns the op to broadcast.
 func (s *Sequence) Insert(pos int, ch rune) (Op, error) {
 	if pos < 0 || pos > s.visible {
 		return Op{}, fmt.Errorf("crdt: insert position %d outside [0,%d]", pos, s.visible)
@@ -184,7 +181,7 @@ func (s *Sequence) insertNode(id, after ID, ch rune) {
 	if !after.IsZero() {
 		at = s.index[after]
 	}
-	for next := s.nodes[at].next; next != -1 && id.Less(s.nodes[next].id); next = s.nodes[at].next {
+	for next := s.nodes[at].next; next != -1 && id.Compare(s.nodes[next].id) < 0; next = s.nodes[at].next {
 		at = next
 	}
 	n := int32(len(s.nodes))

@@ -19,7 +19,8 @@ type MsgOp struct {
 }
 
 // MsgState carries a full replica snapshot for anti-entropy (gossip after
-// loss or partition). Exactly one of Seq/Set/Ctr is set.
+// loss or partition). Exactly one of Seq/Set/Ctr is set, and only a Seq
+// state has a binary body.
 type MsgState struct {
 	Doc string
 	Seq *SeqState

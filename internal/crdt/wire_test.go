@@ -48,44 +48,63 @@ func sampleStates(t *testing.T) (*SeqState, *SetState, *CtrState) {
 	return seq.State(), set.State(), ctr.State()
 }
 
+// TestWireRoundTrip: sequence ops and states come back from the codec as
+// they went in; set and counter ops and states, which only in-process
+// replicas exchange, are refused at encode.
 func TestWireRoundTrip(t *testing.T) {
 	codec := wireCodec()
 	seqSt, setSt, ctrSt := sampleStates(t)
 	msgs := []any{
 		&MsgOp{Doc: "d1", Op: Op{Kind: OpSeqInsert, Site: "a", Seq: 3, ID: ID{N: 7, Site: "a"}, After: ID{N: 2, Site: "b"}, Ch: 'é'}},
-		&MsgOp{Doc: "d1", Op: Op{Kind: OpSetRemove, Site: "b", Seq: 9, Elem: "doc", Dots: []ID{{N: 1, Site: "a"}, {N: 4, Site: "b"}}}},
-		&MsgOp{Op: Op{Kind: OpCtrAdd, Site: "c", Seq: 1, Delta: -77}},
+		&MsgOp{Op: Op{Kind: OpSeqDelete, Site: "b", Seq: 4, ID: ID{N: 7, Site: "a"}}},
 		&MsgState{Doc: "d2", Seq: seqSt},
-		&MsgState{Doc: "d2", Set: setSt},
-		&MsgState{Doc: "d2", Ctr: ctrSt},
 	}
 	for _, msg := range msgs {
 		if out := roundTrip(t, codec, msg); !reflect.DeepEqual(out, msg) {
 			t.Errorf("round trip of %T changed the message:\n got %+v\nwant %+v", msg, out, msg)
 		}
 	}
+	for _, msg := range []any{
+		&MsgOp{Doc: "d1", Op: Op{Kind: OpSetRemove, Site: "b", Seq: 9, Elem: "doc", Dots: []ID{{N: 1, Site: "a"}, {N: 4, Site: "b"}}}},
+		&MsgOp{Op: Op{Kind: OpCtrAdd, Site: "c", Seq: 1, Delta: -77}},
+		&MsgOp{Op: Op{Kind: OpSeqInsert, Site: "a", Seq: 1, Elem: "x"}},
+		&MsgState{Doc: "d2", Set: setSt},
+		&MsgState{Doc: "d2", Ctr: ctrSt},
+		&MsgState{Doc: "d2", Seq: seqSt, Set: setSt},
+	} {
+		if data, err := codec.Encode(msg); err == nil {
+			t.Errorf("%+v encoded to %x, want it refused", msg, data)
+		}
+	}
 }
 
 func TestWireBinaryDeterministicBytes(t *testing.T) {
 	// Equal states must encode to identical bytes regardless of the map
-	// insertion history — chaos invariants and the fuzzers compare
-	// encodings directly.
+	// insertion history: the version vector is written in site order.
 	codec := wireCodec()
-	a, b := NewSet("s1"), NewSet("s2")
-	opX := a.Add("x")
-	opY := a.Add("y")
-	// b learns the same ops in the opposite order (held, then drained).
-	if err := b.Apply(opY); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Apply(opX); err != nil {
-		t.Fatal(err)
-	}
-	ea, err := codec.Encode(&MsgState{Doc: "d", Set: a.State()})
+	a, b, c := NewSequence("s1"), NewSequence("s2"), NewSequence("s3")
+	opX, err := a.Insert(0, 'x')
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := codec.Encode(&MsgState{Doc: "d", Set: b.State()})
+	opY, err := b.Insert(0, 'y')
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a and c learn the other ops in opposite orders.
+	for _, step := range []struct {
+		s  *Sequence
+		op Op
+	}{{a, opY}, {c, opY}, {c, opX}} {
+		if err := step.s.Apply(step.op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ea, err := codec.Encode(&MsgState{Doc: "d", Seq: a.State()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := codec.Encode(&MsgState{Doc: "d", Seq: c.State()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +118,7 @@ func TestMsgStateRejectsEmptyAndTrailing(t *testing.T) {
 		t.Fatal("empty state message encoded")
 	}
 	var m MsgOp
-	body, err := MsgOp{Doc: "d", Op: Op{Kind: OpCtrAdd, Site: "a", Seq: 1, Delta: 5}}.AppendBinary(nil)
+	body, err := MsgOp{Doc: "d", Op: Op{Kind: OpSeqInsert, Site: "a", Seq: 1, ID: ID{N: 1, Site: "a"}, Ch: 'x'}}.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

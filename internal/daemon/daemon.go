@@ -189,11 +189,8 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	ep := cfg.edge(tep)
 	// fabric.WallClock is the declared real-time boundary (cscwlint det-time).
-	host, err := NewHost(ep, fabric.WallClock(), cfg)
-	if err != nil {
-		_ = ep.Close() // cfg.mode passed above; its error is the one to report
-		return nil, err
-	}
+	// cfg.mode, NewHost's one error, passed above.
+	host, _ := NewHost(ep, fabric.WallClock(), cfg)
 	return &Daemon{Host: host, Mode: mode, addr: tep.Addr(), ep: ep}, nil
 }
 

@@ -50,9 +50,9 @@ func (p *Pump) Deliver(it session.Item) (applied bool, err error) {
 	err = p.Edit(func(d engine.Doc) ([]engine.Msg, error) {
 		out, err := d.Apply(it.From, payload)
 		if err != nil {
-			err = fmt.Errorf("applying %T from %s: %v", payload, it.From, err)
+			return out, fmt.Errorf("applying %T from %s: %v", payload, it.From, err)
 		}
-		return out, err
+		return out, nil
 	})
 	return err == nil, err
 }

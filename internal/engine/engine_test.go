@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -105,12 +106,22 @@ func buildDocs(t *testing.T, kind string, sites ...string) []Doc {
 	return docs
 }
 
+// firstEditor is the index of the first site that edits: every CRDT site
+// does, but the OT server (site 0) only integrates what its clients submit.
+func firstEditor(kind string) int {
+	if kind == OT {
+		return 1
+	}
+	return 0
+}
+
 func TestEnginesConvergeOnCleanLinks(t *testing.T) {
 	for _, kind := range []string{OT, CRDT} {
 		r := rand.New(rand.NewSource(7))
 		b := newBus(t, 7, 0, kind, "srv", "c1", "c2", "c3")
+		lo := firstEditor(kind)
 		for i := 0; i < 200; i++ {
-			b.edit(t, r, b.sites[r.Intn(len(b.sites))])
+			b.edit(t, r, b.sites[lo+r.Intn(len(b.sites)-lo)])
 			b.drain(t)
 		}
 		if !b.converged() {
@@ -125,12 +136,29 @@ func TestEnginesConvergeOnCleanLinks(t *testing.T) {
 	}
 }
 
+// TestOTServerRefusesLocalEdit: the OT integration site only integrates
+// what its clients submit; an insert or delete at it is refused and leaves
+// the document as it was.
+func TestOTServerRefusesLocalEdit(t *testing.T) {
+	srv := buildDocs(t, OT, "srv")[0]
+	if msgs, err := srv.Insert(0, 'x'); !errors.Is(err, errServerEdit) || msgs != nil {
+		t.Errorf("Insert at the server: (%v, %v), want errServerEdit", msgs, err)
+	}
+	if msgs, err := srv.Delete(0); !errors.Is(err, errServerEdit) || msgs != nil {
+		t.Errorf("Delete at the server: (%v, %v), want errServerEdit", msgs, err)
+	}
+	if srv.Text() != "" || srv.Pending() != 0 {
+		t.Errorf("server doc %q, %d pending after refused edits", srv.Text(), srv.Pending())
+	}
+}
+
 func TestEnginesRecoverFromLossViaTick(t *testing.T) {
 	for _, kind := range []string{OT, CRDT} {
 		r := rand.New(rand.NewSource(11))
 		b := newBus(t, 11, 40, kind, "srv", "c1", "c2")
+		lo := firstEditor(kind)
 		for i := 0; i < 60; i++ {
-			b.edit(t, r, b.sites[r.Intn(len(b.sites))])
+			b.edit(t, r, b.sites[lo+r.Intn(len(b.sites)-lo)])
 			b.drain(t) // 40% of deliveries vanish
 		}
 		rounds := 0

@@ -131,9 +131,6 @@ func ShowItemBody(kind, body string) string {
 	if kind != ItemKind {
 		return body
 	}
-	to, payload, ok := strings.Cut(body, "|")
-	if !ok {
-		return strconv.Itoa(len(body)) + " bytes"
-	}
-	return to + "|" + strconv.Itoa(len(payload)) + " bytes"
+	i := strings.IndexByte(body, '|') // -1 without a separator: no address shown
+	return body[:i+1] + strconv.Itoa(len(body)-i-1) + " bytes"
 }

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ot"
 )
+
+var errServerEdit = errors.New("engine: the ot integration site takes no local edits")
 
 // OT engine wire messages. Submissions flow client → server, commits flow
 // server → everyone; pull/commits is the loss-recovery path (a client that
@@ -37,8 +40,8 @@ type MsgCommits struct {
 
 // otDoc adapts the ot Server/Client pair to the Doc interface. The replica
 // whose site equals the configured server is a typed adapter over Server,
-// the integration site a daemon runs on item bodies, and edits at
-// authoritative revisions; every other replica runs a client with one
+// the integration site a daemon runs on item bodies, and refuses local
+// edits (errServerEdit); every other replica runs a client with one
 // submission in flight, a hold-back map for commits that arrive out of
 // revision order, and pull-based resync on Tick.
 type otDoc struct {
@@ -86,13 +89,11 @@ func (d *otDoc) Delete(pos int) ([]Msg, error) {
 	return d.edit(ot.Op{Kind: ot.Delete, Pos: pos})
 }
 
+// edit is a client's: the integration site only integrates what its
+// clients submit, and no program edits at it.
 func (d *otDoc) edit(op ot.Op) ([]Msg, error) {
 	if d.srv != nil {
-		cm, err := d.srv.edit(op)
-		if err != nil {
-			return nil, err
-		}
-		return []Msg{{Body: &MsgCommit{C: cm}}}, nil
+		return nil, errServerEdit
 	}
 	sub, send, err := d.cl.Generate(op)
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 type Server struct {
 	site    string
 	core    *ot.Server
-	seq     uint64            // the site's own op counter, for its local edits
 	lastSeq map[string]uint64 // committed seq per site, dedups resent submissions
 }
 
@@ -113,16 +112,4 @@ func (s *Server) submit(from string, sub ot.Submission) (cm ot.Committed, ok boo
 	}
 	s.lastSeq[from] = sub.Seq
 	return cm, true, nil
-}
-
-// edit commits the site's own op at the authoritative revision: there is no
-// pending list, and the commit broadcasts at once.
-func (s *Server) edit(op ot.Op) (ot.Committed, error) {
-	s.seq++
-	cm, err := s.core.Submit(op, s.core.Rev(), s.site, s.seq)
-	if err != nil {
-		return cm, err
-	}
-	s.lastSeq[s.site] = s.seq
-	return cm, nil
 }

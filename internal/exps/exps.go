@@ -9,7 +9,6 @@
 package exps
 
 import (
-	"encoding/csv"
 	"fmt"
 	"strings"
 	"time"
@@ -62,20 +61,6 @@ func (t Table) Render() string {
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
-	return b.String()
-}
-
-// RenderCSV formats the table as CSV (one header row plus data rows, with
-// the experiment ID prefixed to every row) for plotting pipelines.
-func (t Table) RenderCSV() string {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
-	header := append([]string{"experiment"}, t.Columns...)
-	_ = w.Write(header)
-	for _, row := range t.Rows {
-		_ = w.Write(append([]string{t.ID}, row...))
-	}
-	w.Flush()
 	return b.String()
 }
 

@@ -106,8 +106,8 @@ func runWalls(seed int64, prof workload.EditProfile) []string {
 		aborted[u.name] = u
 	}
 	sim.Every(30*time.Second, func() bool {
-		for _, tx := range mgr.CheckTimeouts(sim.Now()) {
-			if u, ok := aborted[tx.User()]; ok {
+		for _, user := range mgr.CheckTimeouts(sim.Now()) {
+			if u, ok := aborted[user]; ok {
 				u := u
 				sim.At(time.Second, func() { startUser(u) })
 			}

@@ -324,11 +324,7 @@ func (r *Reader) Varint() int64 {
 		r.fail(fmt.Errorf("%w: bad varint", ErrTruncatedFrame))
 		return 0
 	}
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Byte reads one byte.

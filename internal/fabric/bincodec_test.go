@@ -48,13 +48,6 @@ func registeredPayloads() map[string]any {
 	seq.Insert(0, 'h')
 	seq.Insert(1, 'é')
 	seq.Delete(0)
-	set := crdt.NewSet("b")
-	set.Add("x")
-	set.Add("y")
-	set.Remove("x")
-	ctr := crdt.NewCounter("c")
-	ctr.Add(41)
-	ctr.Add(-4)
 	// An item run as a push or a catch-up backlog carries it: two writers
 	// taking turns, one of them writing twice running, under two kinds, with
 	// the clock moving forward and standing still.
@@ -71,10 +64,8 @@ func registeredPayloads() map[string]any {
 	c1, c2 := op, op
 	c1.Site, c2.Site = "c1", "c2"
 	return map[string]any{
-		"crdt/op":           crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: crdt.OpSetRemove, Site: "b", Seq: 9, Elem: "doc", Dots: []crdt.ID{{N: 1, Site: "a"}, {N: 4, Site: "b"}}, Delta: -77}},
+		"crdt/op insert":    crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: crdt.OpSeqInsert, Site: "a", Seq: 4, ID: crdt.ID{N: 4, Site: "a"}, After: crdt.ID{N: 3, Site: "b"}, Ch: 'x'}},
 		"crdt/state seq":    crdt.MsgState{Doc: "d", Seq: seq.State()},
-		"crdt/state set":    crdt.MsgState{Doc: "d", Set: set.State()},
-		"crdt/state ctr":    crdt.MsgState{Doc: "d", Ctr: ctr.State()},
 		"engine/ot-submit":  engine.MsgSubmit{Sub: ot.Submission{Op: op, Base: 9, Seq: 3}},
 		"engine/ot-commit":  engine.MsgCommit{C: ot.Committed{Op: c1, Rev: 10, Site: "c1", Seq: 3}},
 		"engine/ot-pull":    engine.MsgPull{Base: 7},
@@ -87,7 +78,6 @@ func registeredPayloads() map[string]any {
 		"session/items":     session.MsgItems{Items: items},
 		"session/items run": session.MsgItems{Doc: "d", Items: run},
 		"session/poll":      session.MsgPoll{From: "bob", Since: 2},
-		"session/mode":      session.MsgMode{Mode: session.Synchronous},
 		"session/presence":  session.MsgPresence{From: "carol", State: session.Offline},
 		"session/leave":     session.MsgLeave{From: "bob"},
 	}
@@ -98,20 +88,20 @@ func registeredPayloads() map[string]any {
 // every field it carries, so a field both halves of a codec leave out
 // cannot hide behind a zero. registeredPayloads leaves some fields zero
 // (their frames are pinned in testdata/frames.golden); the instances added
-// here set them. An OT submission's site is the one field no body carries:
-// the server files a submission under its sender.
+// here set them. An OT submission's site is a field no body carries: the
+// server files a submission under its sender. Nor do a CRDT op's set and
+// counter fields or a set or counter state: those replicas gossip in
+// process only.
 func TestBinaryRoundTripParity(t *testing.T) {
 	codec := fullRegistry()
 	payloads := registeredPayloads()
 	for name, p := range map[string]any{
-		"crdt/op insert":   crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: crdt.OpSeqInsert, Site: "a", Seq: 4, ID: crdt.ID{N: 4, Site: "a"}, After: crdt.ID{N: 3, Site: "b"}, Ch: 'x'}},
 		"session/join doc": session.MsgJoin{Doc: "d", From: "a", Since: 2, State: session.Away},
 		"session/join-ack doc": session.MsgJoinAck{Doc: "d", Mode: session.Asynchronous,
 			Backlog: []session.Item{{Seq: 1, From: "b", Kind: "chat", Body: "x"}}, Members: []string{"a", "b"}},
 		"session/post doc":     session.MsgPost{Doc: "d", From: "a", Kind: "edit", Body: "insert"},
 		"session/items doc":    session.MsgItems{Doc: "d", Items: []session.Item{{Seq: 2, From: "a"}}},
 		"session/poll doc":     session.MsgPoll{Doc: "d", From: "a", Since: 1},
-		"session/mode doc":     session.MsgMode{Doc: "d", Mode: session.Synchronous},
 		"session/presence doc": session.MsgPresence{Doc: "d", From: "a", State: session.Active},
 		"session/leave doc":    session.MsgLeave{Doc: "d", From: "a"},
 	} {
@@ -127,7 +117,11 @@ func TestBinaryRoundTripParity(t *testing.T) {
 			return got, err
 		}
 		return reflect.ValueOf(got).Elem().Interface(), nil
-	}, map[string][]string{"engine.MsgSubmit": {"ot.Submission.Site", "ot.Op.Site"}})
+	}, map[string][]string{
+		"engine.MsgSubmit": {"ot.Submission.Site", "ot.Op.Site"},
+		"crdt.MsgOp":       {"crdt.Op.Elem", "crdt.Op.Dots", "crdt.Op.Delta"},
+		"crdt.MsgState":    {"crdt.MsgState.Set", "crdt.MsgState.Ctr"},
+	})
 }
 
 // TestBinaryJSONInterop: a JSON envelope — what a peer from before the one
@@ -280,7 +274,6 @@ func TestBinaryBodyPrefixesAndTrailing(t *testing.T) {
 // its allocation by it — with ErrTruncatedFrame. Members are absent: their
 // minimum is one byte, so the two bounds coincide.
 func TestCountBoundUsesElementSize(t *testing.T) {
-	opHead := []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 0} // Doc, Kind, Site, Seq, ID, After, Ch, Elem
 	cases := []struct {
 		list   string
 		into   fabric.BinaryParser
@@ -288,11 +281,8 @@ func TestCountBoundUsesElementSize(t *testing.T) {
 		n, pad int    // the count, then pad zero bytes: n <= pad < n*min
 	}{
 		{"items", &session.MsgItems{}, []byte{0}, 2, 9},
-		{"ids", &crdt.MsgOp{}, opHead, 2, 3},
 		{"nodes", &crdt.MsgState{}, []byte{0, 1}, 2, 11},
 		{"vector entries", &crdt.MsgState{}, []byte{0, 1, 0}, 2, 3},
-		{"elements", &crdt.MsgState{}, []byte{0, 2}, 2, 3},
-		{"site counts", &crdt.MsgState{}, []byte{0, 3}, 2, 3},
 		{"commits", &engine.MsgCommits{}, nil, 2, 11},
 	}
 	for _, tc := range cases {
@@ -378,6 +368,9 @@ func FuzzBinaryDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		f.Add(frame)
+	}
+	for _, frame := range readFrames(f, "testdata/frames-retired.golden") {
 		f.Add(frame)
 	}
 	f.Add([]byte{0xC5})

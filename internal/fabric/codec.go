@@ -44,17 +44,15 @@ var (
 	parserType   = reflect.TypeFor[BinaryParser]()
 )
 
-// Register associates tag with prototype's (pointer-stripped) type. Both a
-// value and a pointer of the type encode under the tag; Decode always
+// Register associates tag with the type of prototype, a struct value. Both
+// a value and a pointer of the type encode under the tag; Decode always
 // returns a pointer to a freshly allocated value. It panics — a set-up
 // error, not a wire one — when the type lacks a half of the binary body
-// (a value-receiver BinaryAppender and a BinaryParser on the pointer) or
-// the tag does not fit the frame's one-byte length.
+// (a value-receiver BinaryAppender and a BinaryParser on the pointer; a
+// pointer prototype has no parser on its pointer) or the tag does not fit
+// the frame's one-byte length.
 func (c *Codec) Register(tag string, prototype any) {
 	t := reflect.TypeOf(prototype)
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
 	switch {
 	case len(tag) > 255:
 		panic(fmt.Sprintf("fabric: tag %q for %v is longer than 255 bytes", tag, t))

@@ -111,11 +111,11 @@ func (b *inbox) deliver(from string, payload any, size int) {
 	h := b.handler
 	if h == nil {
 		b.dropped++
+		b.mu.Unlock()
+		return
 	}
 	b.mu.Unlock()
-	if h != nil {
-		h(from, payload, size)
-	}
+	h(from, payload, size)
 }
 
 func (b *inbox) countDrop() {

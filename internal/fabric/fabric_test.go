@@ -72,6 +72,40 @@ func TestRegisterChecks(t *testing.T) {
 	NewCodec().Register(strings.Repeat("t", 255), ping{}) // the longest tag fits
 }
 
+// TestRegisterRefusesPointerPrototype: a prototype is a struct value; a
+// pointer's pointer has no parser, so Register panics naming it.
+func TestRegisterRefusesPointerPrototype(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "**fabric.ping (tag test/ptr) implements no BinaryParser") {
+			t.Errorf("Register(&ping{}) panicked with %q", msg)
+		}
+	}()
+	NewCodec().Register("test/ptr", &ping{})
+}
+
+// TestEncodeRefusesOversizedBody: a body past MaxBinaryFrame fails at
+// encode, before any peer would refuse it.
+func TestEncodeRefusesOversizedBody(t *testing.T) {
+	c := newTestCodec()
+	if frame, err := c.Encode(&ping{Note: strings.Repeat("x", MaxBinaryFrame)}); !errors.Is(err, ErrOversizedFrame) {
+		t.Fatalf("Encode of an oversized body = %d bytes, %v; want ErrOversizedFrame", len(frame), err)
+	}
+}
+
+// TestDecodeRefusesUnknownBodyEncoding: a frame whose body-encoding byte is
+// not the binary one is refused.
+func TestDecodeRefusesUnknownBodyEncoding(t *testing.T) {
+	c := newTestCodec()
+	frame, err := c.Encode(&ping{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[2] = 9
+	if got, err := c.Decode(frame); err == nil || !strings.Contains(err.Error(), "unknown body encoding 9") {
+		t.Fatalf("Decode = %v, %v; want unknown body encoding 9", got, err)
+	}
+}
+
 type appendOnly struct{}
 
 func (appendOnly) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
@@ -407,6 +441,47 @@ func TestWrapOrderOutermostFirst(t *testing.T) {
 	}
 	if ep.ID() != "a" {
 		t.Fatalf("wrapped ID = %q", ep.ID())
+	}
+}
+
+// TestWrapSkipsNilMiddleware: a nil middleware in the list wraps nothing.
+func TestWrapSkipsNilMiddleware(t *testing.T) {
+	sim := netsim.New(1, netsim.LocalLink)
+	base := FromSim(sim.MustAddNode("a"))
+	if ep := Wrap(base, nil); ep != Endpoint(base) {
+		t.Fatalf("Wrap(ep, nil) = %T, want ep itself", ep)
+	}
+}
+
+// countless is an endpoint that neither counts drops nor wraps another.
+type countless struct{ Endpoint }
+
+// TestDroppedOfWithoutCounter: a chain that ends in no drop counter, or no
+// endpoint at all, reads zero.
+func TestDroppedOfWithoutCounter(t *testing.T) {
+	if d := DroppedOf(nil); d != 0 {
+		t.Errorf("DroppedOf(nil) = %d", d)
+	}
+	if d := DroppedOf(Wrap(countless{}, Tap(nil, nil))); d != 0 {
+		t.Errorf("DroppedOf(tap over an endpoint with no counter) = %d", d)
+	}
+}
+
+// TestTapRemovesHandler: SetHandler(nil) through a tap removes the
+// substrate's handler, so a delivery after it is a counted drop.
+func TestTapRemovesHandler(t *testing.T) {
+	sim := netsim.New(1, netsim.LocalLink)
+	a := FromSim(sim.MustAddNode("a"))
+	b := FromSim(sim.MustAddNode("b"))
+	wb := Wrap(b, Tap(nil, nil))
+	wb.SetHandler(func(string, any, int) { t.Error("delivered after the handler was removed") })
+	wb.SetHandler(nil)
+	if err := a.Send("b", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if d := b.Dropped(); d != 1 {
+		t.Fatalf("Dropped() = %d, want 1", d)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/crdt"
 	"repro/internal/fabric"
 	"repro/internal/session"
 	"repro/internal/transport"
@@ -57,7 +58,7 @@ func TestFrameGolden(t *testing.T) {
 }
 
 // readFrames reads a frames golden file: one "name<TAB>hex frame" per line.
-func readFrames(t *testing.T, path string) map[string][]byte {
+func readFrames(t testing.TB, path string) map[string][]byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -81,10 +82,14 @@ func readFrames(t *testing.T, path string) map[string][]byte {
 // length of a frame whose body moved. Bodies moved only where an item run
 // rides, in session/items and session/join-ack: version 2 writes each item
 // after the first against the one before it, and neither body grew. The
-// codec refuses every version-1 frame.
+// codec refuses every version-1 frame. A form the codec no longer carries
+// maps to its line in frames-retired.golden.
 func TestFrameGoldenFromV1(t *testing.T) {
 	codec := fullRegistry()
 	old, cur := readFrames(t, "testdata/frames-v1.golden"), readFrames(t, "testdata/frames.golden")
+	for name, frame := range readFrames(t, "testdata/frames-retired.golden") {
+		cur[name] = frame
+	}
 	for name, o := range old {
 		n, ok := cur[name]
 		if !ok {
@@ -108,6 +113,38 @@ func TestFrameGoldenFromV1(t *testing.T) {
 			if !bytes.Equal(o[tagEnd:], n[tagEnd:]) {
 				t.Errorf("%s: body %x became %x, want it unchanged", name, oldBody, body)
 			}
+		}
+	}
+}
+
+// TestRetiredFramesRefused: the forms no program sends through a codec are
+// gone from it both ways. Each line of testdata/frames-retired.golden is a
+// frame this codec wrote before (a CRDT set-remove op, a set state, a
+// counter state, a mode switch): decoding it yields nothing, and encoding
+// the value it carried fails.
+func TestRetiredFramesRefused(t *testing.T) {
+	codec := fullRegistry()
+	values := map[string]any{
+		"crdt/op":        crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: crdt.OpSetRemove, Site: "b", Seq: 9, Elem: "doc", Dots: []crdt.ID{{N: 1, Site: "a"}}, Delta: -77}},
+		"crdt/state set": crdt.MsgState{Doc: "d", Set: crdt.NewSet("b").State()},
+		"crdt/state ctr": crdt.MsgState{Doc: "d", Ctr: crdt.NewCounter("c").State()},
+		"session/mode":   session.MsgMode{Mode: session.Synchronous},
+	}
+	frames := readFrames(t, "testdata/frames-retired.golden")
+	if len(frames) != len(values) {
+		t.Fatalf("frames-retired.golden has %d lines, want %d", len(frames), len(values))
+	}
+	for name, frame := range frames {
+		if got, err := codec.Decode(frame); got != nil {
+			t.Errorf("%s: retired frame decoded to %#v (err %v)", name, got, err)
+		}
+		v, ok := values[name]
+		if !ok {
+			t.Errorf("%s: no value for this retired line", name)
+			continue
+		}
+		if frame, err := codec.Encode(v); err == nil {
+			t.Errorf("%s: %#v encoded to %x", name, v, frame)
 		}
 	}
 }

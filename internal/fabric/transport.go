@@ -15,7 +15,7 @@ type TransportEndpoint struct {
 // or a wrapper around one). The raw byte handler is claimed immediately, so
 // every frame is decoded here; one that arrives before SetHandler, fails to
 // decode, or carries a tag the codec has not registered is counted as
-// dropped.
+// dropped, and so is a payload Send cannot encode.
 func FromTransport(ep transport.Endpoint, codec PayloadCodec) *TransportEndpoint {
 	t := &TransportEndpoint{ep: ep, codec: codec}
 	ep.SetHandler(func(from string, data []byte) {
@@ -38,11 +38,14 @@ func (t *TransportEndpoint) ID() string { return t.ep.ID() }
 // advisory on byte transports — the encoded frame length is what travels.
 // The transport keeps nothing of the frame once its Send returns, so the
 // frame's storage goes back to the codec's free list for the next Encode.
+// A payload the codec cannot encode is counted as dropped as well as
+// returned, so a send whose error an Outbox discards still leaves a trace.
 //
 //cscw:hotpath
 func (t *TransportEndpoint) Send(to string, payload any, size int) error {
 	data, err := t.codec.Encode(payload)
 	if err != nil {
+		t.in.countDrop()
 		return err
 	}
 	err = t.ep.Send(to, data)
@@ -61,5 +64,6 @@ func (t *TransportEndpoint) Close() error {
 }
 
 // Dropped counts frames that arrived with no handler installed, failed to
-// decode, or carried an unregistered tag.
+// decode, or carried an unregistered tag, and payloads Send could not
+// encode.
 func (t *TransportEndpoint) Dropped() uint64 { return t.in.droppedCount() }

@@ -4,32 +4,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/fabric"
-	"repro/internal/vclock"
 )
 
 // The binary body of the group packet (fabric.BinaryAppender /
 // BinaryParser): Kind, a uvarint presence mask with one bit per field, then
 // only the fields whose bit is set, in bit order. A field is absent when it
-// is zero, so a packet pays for the fields its kind uses: the fields of a
-// data or an order packet have the low seven bits, and their mask is one
-// byte. Integers are uvarints (Size a zigzag varint) and strings are
+// is zero, so a packet pays for the fields its kind uses: every field the
+// wire carries has one of the low seven bits, and the mask is one byte.
+// Integers are uvarints (Size a zigzag varint) and strings are
 // length-prefixed. A data packet's MsgID.Origin is its From, so a bit says
-// so and the origin is not written twice; IsError is just its bit. A Body
-// on the wire is nil or a string, so an RPC or token body decodes to what
-// was sent, and "" is a present Body. VC entries go in strictly increasing
-// site order. A kBatch carries its run inline, each inner packet through
-// the same walk, and an inner packet may not be a batch itself.
+// so and the origin is not written twice. A Body on the wire is nil or a
+// string, so a token body decodes to what was sent, and "" is a present
+// Body.
+//
+// The wire carries what the sequencer ordering sends over TCP: data to the
+// sequencer, its orders for one message, and the token orderings' packets.
+// The fields of FIFO and causal ordering (SenderSeq, VC), of group RPC
+// (CallID, Op, IsError, ErrText), of FIFO repair (NackFrom, NackTo) and of
+// batching (Msgs, MsgIDs) are exchanged only by members in one process,
+// over netsim: the encoder refuses a packet that sets any of them, and
+// bits 7 to 17, which carried them and a view change's view, stay reserved,
+// so a body that sets one is refused like any unknown bit.
 //
 // Every accepted body is the one encoding of its packet: the parser
-// rejects unknown bits, a set bit whose field is zero (an empty count
-// included), the origin bit without a MsgID or with an origin that is not
-// From, and VC sites out of order, so equal packets are equal bytes.
-//
-// Bit 9 carried a view change's view, which no member sends now: it stays
-// reserved, so a body that sets it is refused like any unknown bit.
+// rejects unknown bits, a set bit whose field is zero, and the origin bit
+// without a MsgID or with an origin that is not From, so equal packets are
+// equal bytes.
 //
 // The tag names this layout and the protocol it carries. A frame from a
 // tree that wrote every field (tag "group/packet"), or from one whose
@@ -38,10 +40,6 @@ import (
 // registers, so it is a counted drop, never a misparse.
 
 const tagPacket = "group/pkt/v3"
-
-// minPacketBytes is the shortest packet body: Kind and the mask, one byte
-// each, with every bit clear.
-const minPacketBytes = 2
 
 // Presence bits, in wire order.
 const (
@@ -52,34 +50,23 @@ const (
 	hasMsgID
 	originIsFrom // MsgID.Origin equals From and is not written
 	hasGlobalSeq
-	hasSenderSeq
-	hasVC
-	retiredView // reserved: a view change's view
-	hasCallID
-	hasOp
-	isError
-	hasErrText
-	hasNackFrom
-	hasNackTo
-	hasMsgs
-	hasMsgIDs
 
-	knownBits = (hasMsgIDs<<1 - 1) &^ retiredView
+	knownBits = hasGlobalSeq<<1 - 1
 )
 
 var (
-	errNestedBatch  = errors.New("group: a batched packet carries a batch")
+	errInProcess    = errors.New("group: packet sets a field only in-process members exchange")
 	errNotCanonical = errors.New("group: packet body is not its canonical encoding")
 )
 
 // AppendBinary implements fabric.BinaryAppender.
 func (p packet) AppendBinary(dst []byte) ([]byte, error) {
-	return appendPacket(dst, &p, false)
+	return appendPacket(dst, &p)
 }
 
 // ParseBinary implements fabric.BinaryParser.
 func (p *packet) ParseBinary(r fabric.Reader) error {
-	if err := readPacket(&r, p, false); err != nil {
+	if err := readPacket(&r, p); err != nil {
 		return err
 	}
 	return r.Done(tagPacket)
@@ -101,28 +88,22 @@ func presence(p *packet) uint64 {
 		bit(p.Size != 0, hasSize) |
 		bit(p.MsgID != msgID{}, hasMsgID) |
 		bit(p.MsgID != msgID{} && p.MsgID.Origin == p.From, originIsFrom) |
-		bit(p.GlobalSeq != 0, hasGlobalSeq) |
-		bit(p.SenderSeq != 0, hasSenderSeq) |
-		bit(len(p.VC) > 0, hasVC) |
-		bit(p.CallID != 0, hasCallID) |
-		bit(p.Op != "", hasOp) |
-		bit(p.IsError, isError) |
-		bit(p.ErrText != "", hasErrText) |
-		bit(p.NackFrom != 0, hasNackFrom) |
-		bit(p.NackTo != 0, hasNackTo) |
-		bit(len(p.Msgs) > 0, hasMsgs) |
-		bit(len(p.MsgIDs) > 0, hasMsgIDs)
+		bit(p.GlobalSeq != 0, hasGlobalSeq)
 }
 
-// appendPacket writes p's kind, mask and present fields; a batch writes its
-// inner packets the same way, inline, with nested set so that they may not
-// be batches.
-func appendPacket(dst []byte, p *packet, nested bool) ([]byte, error) {
+// inProcess reports whether p sets a field the wire does not carry.
+func inProcess(p *packet) bool {
+	return p.SenderSeq != 0 || len(p.VC) > 0 || p.CallID != 0 || p.Op != "" || p.IsError ||
+		p.ErrText != "" || p.NackFrom != 0 || p.NackTo != 0 || len(p.Msgs) > 0 || len(p.MsgIDs) > 0
+}
+
+// appendPacket writes p's kind, mask and present fields.
+func appendPacket(dst []byte, p *packet) ([]byte, error) {
+	if inProcess(p) {
+		return nil, errInProcess
+	}
 	dst = fabric.AppendUvarint(dst, uint64(p.Kind))
 	mask := presence(p)
-	if nested && mask&hasMsgs != 0 {
-		return nil, errNestedBatch
-	}
 	dst = fabric.AppendUvarint(dst, mask)
 	if mask&hasFrom != 0 {
 		dst = fabric.AppendString(dst, p.From)
@@ -149,58 +130,16 @@ func appendPacket(dst []byte, p *packet, nested bool) ([]byte, error) {
 	if mask&hasGlobalSeq != 0 {
 		dst = fabric.AppendUvarint(dst, p.GlobalSeq)
 	}
-	if mask&hasSenderSeq != 0 {
-		dst = fabric.AppendUvarint(dst, p.SenderSeq)
-	}
-	if mask&hasVC != 0 {
-		dst = appendVC(dst, p.VC)
-	}
-	if mask&hasCallID != 0 {
-		dst = fabric.AppendUvarint(dst, p.CallID)
-	}
-	if mask&hasOp != 0 {
-		dst = fabric.AppendString(dst, p.Op)
-	}
-	if mask&hasErrText != 0 {
-		dst = fabric.AppendString(dst, p.ErrText)
-	}
-	if mask&hasNackFrom != 0 {
-		dst = fabric.AppendUvarint(dst, p.NackFrom)
-	}
-	if mask&hasNackTo != 0 {
-		dst = fabric.AppendUvarint(dst, p.NackTo)
-	}
-	if mask&hasMsgs != 0 {
-		dst = fabric.AppendUvarint(dst, uint64(len(p.Msgs)))
-		for _, q := range p.Msgs {
-			var err error
-			if dst, err = appendPacket(dst, q, true); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if mask&hasMsgIDs != 0 {
-		dst = fabric.AppendUvarint(dst, uint64(len(p.MsgIDs)))
-		for _, id := range p.MsgIDs {
-			dst = appendMsgID(dst, id)
-		}
-	}
 	return dst, nil
 }
 
 // readPacket reads the fields appendPacket wrote into p, then checks that
-// they are the ones the mask says are present and no others. A nested
-// packet fails as soon as its mask declares inner packets of its own,
-// before reading any field, so the walk is never more than two packets
-// deep.
-func readPacket(r *fabric.Reader, p *packet, nested bool) error {
+// they are the ones the mask says are present and no others.
+func readPacket(r *fabric.Reader, p *packet) error {
 	p.Kind = kind(r.Uvarint())
 	mask := r.Uvarint()
 	if unknown := mask &^ knownBits; unknown != 0 {
 		return fmt.Errorf("group: unknown presence bits %#x", unknown)
-	}
-	if nested && mask&hasMsgs != 0 {
-		return errNestedBatch
 	}
 	if mask&hasFrom != 0 {
 		p.From = r.String()
@@ -225,52 +164,6 @@ func readPacket(r *fabric.Reader, p *packet, nested bool) error {
 	if mask&hasGlobalSeq != 0 {
 		p.GlobalSeq = r.Uvarint()
 	}
-	if mask&hasSenderSeq != 0 {
-		p.SenderSeq = r.Uvarint()
-	}
-	if mask&hasVC != 0 {
-		vc, err := readVC(r)
-		if err != nil {
-			return err
-		}
-		p.VC = vc
-	}
-	if mask&hasCallID != 0 {
-		p.CallID = r.Uvarint()
-	}
-	if mask&hasOp != 0 {
-		p.Op = r.String()
-	}
-	p.IsError = mask&isError != 0
-	if mask&hasErrText != 0 {
-		p.ErrText = r.String()
-	}
-	if mask&hasNackFrom != 0 {
-		p.NackFrom = r.Uvarint()
-	}
-	if mask&hasNackTo != 0 {
-		p.NackTo = r.Uvarint()
-	}
-	if mask&hasMsgs != 0 {
-		if n := r.Count("batched packets", minPacketBytes); n > 0 {
-			p.Msgs = make([]*packet, 0, n)
-			for i := 0; i < n && r.Err() == nil; i++ {
-				q := &packet{}
-				if err := readPacket(r, q, true); err != nil {
-					return err
-				}
-				p.Msgs = append(p.Msgs, q)
-			}
-		}
-	}
-	if mask&hasMsgIDs != 0 {
-		if n := r.Count("message ids", 2); n > 0 { // an empty origin and its number
-			p.MsgIDs = make([]msgID, 0, n)
-			for i := 0; i < n && r.Err() == nil; i++ {
-				p.MsgIDs = append(p.MsgIDs, readMsgID(r))
-			}
-		}
-	}
 	// A set bit whose field read as zero, or the origin bit where the
 	// origin is not From, makes a mask the encoder would not have written.
 	// A read that failed is Done's to report.
@@ -278,51 +171,4 @@ func readPacket(r *fabric.Reader, p *packet, nested bool) error {
 		return fmt.Errorf("%w: mask %#x, fields %#x", errNotCanonical, mask, presence(p))
 	}
 	return nil
-}
-
-func appendMsgID(dst []byte, id msgID) []byte {
-	dst = fabric.AppendString(dst, id.Origin)
-	return fabric.AppendUvarint(dst, id.N)
-}
-
-func readMsgID(r *fabric.Reader) msgID {
-	var id msgID
-	id.Origin = r.String()
-	id.N = r.Uvarint()
-	return id
-}
-
-func appendVC(dst []byte, vc vclock.VC) []byte {
-	sites := make([]string, 0, len(vc))
-	for site := range vc {
-		sites = append(sites, site)
-	}
-	sort.Strings(sites)
-	dst = fabric.AppendUvarint(dst, uint64(len(sites)))
-	for _, site := range sites {
-		dst = fabric.AppendString(dst, site)
-		dst = fabric.AppendUvarint(dst, vc[site])
-	}
-	return dst
-}
-
-// readVC reads a vector timestamp whose sites must strictly increase, so a
-// site cannot appear twice. A count of zero reads as nil, which the mask
-// check then rejects.
-func readVC(r *fabric.Reader) (vclock.VC, error) {
-	n := r.Count("vector entries", 2) // an empty site and its counter
-	if n == 0 {
-		return nil, nil
-	}
-	vc := make(vclock.VC, n)
-	prev := ""
-	for i := 0; i < n && r.Err() == nil; i++ {
-		site := r.String()
-		if i > 0 && site <= prev && r.Err() == nil {
-			return nil, fmt.Errorf("group: vector site %q follows %q", site, prev)
-		}
-		vc[site] = r.Uvarint()
-		prev = site
-	}
-	return vc, nil
 }

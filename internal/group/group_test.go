@@ -69,7 +69,7 @@ func TestViewBasics(t *testing.T) {
 func TestMulticastNotMember(t *testing.T) {
 	r := newRig(t, 2, FIFO, netsim.LANLink)
 	outsiderNode := r.sim.MustAddNode("outsider")
-	m, err := NewMember(Config{Endpoint: fabric.FromSim(outsiderNode), Deliver: func(Delivery) {}})
+	m, err := NewMember(Config{Endpoint: fabric.FromSim(outsiderNode), Ordering: FIFO, Deliver: func(Delivery) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

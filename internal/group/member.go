@@ -3,6 +3,7 @@ package group
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -123,6 +124,13 @@ type pendingCall struct {
 }
 
 // Config configures a new member.
+//
+// Over a byte codec (fabric.FromTransport) only the Unordered,
+// TotalSequencer and TotalToken orderings run, and only unbatched: the
+// packet codec refuses the fields of FIFO and Causal data, NACKs, batches
+// and group calls, so each such packet is a send error and a counted drop
+// of the member's endpoint (fabric.DroppedOf), never a frame. Every
+// ordering, batching and Call run between members in one process.
 type Config struct {
 	Endpoint fabric.Endpoint
 	Timer    Timer
@@ -144,8 +152,8 @@ func NewMember(cfg Config) (*Member, error) {
 	if cfg.Deliver == nil {
 		return nil, fmt.Errorf("group: config needs a deliver callback")
 	}
-	if cfg.Ordering == 0 {
-		cfg.Ordering = FIFO
+	if cfg.Ordering < Unordered || cfg.Ordering > TotalToken {
+		return nil, fmt.Errorf("group: config needs an ordering, not %v", cfg.Ordering)
 	}
 	if cfg.Batch.Window > 0 && cfg.Timer == nil {
 		return nil, fmt.Errorf("group: a batch window requires a timer")
@@ -601,10 +609,7 @@ func (m *Member) receiveFIFO(pkt *packet) {
 // holes are recovered progressively as earlier ones fill (or by
 // RequestRepair).
 func (m *Member) maybeNack(sender string) {
-	next := m.fifoNext[sender]
-	if next == 0 {
-		next = 1
-	}
+	next := max(m.fifoNext[sender], 1)
 	var target uint64
 	if hold := m.fifoHold[sender]; len(hold) > 0 {
 		minHeld := uint64(0)
@@ -689,10 +694,7 @@ func (m *Member) RequestRepair() {
 // the sequences sentBuf can hold, so a NACK costs at most retainWindow
 // lookups under m.mu whatever range it names.
 func (m *Member) receiveNack(pkt *packet) {
-	lo, hi := pkt.NackFrom, min(pkt.NackTo, m.fifoSent)
-	if m.fifoSent > retainWindow {
-		lo = max(lo, m.fifoSent-retainWindow+1)
-	}
+	lo, hi := max(pkt.NackFrom, m.fifoSent-min(m.fifoSent, retainWindow-1)), min(pkt.NackTo, m.fifoSent)
 	for seq := lo; seq <= hi; seq++ {
 		p, ok := m.sentBuf[seq]
 		if !ok {
@@ -727,13 +729,7 @@ func (m *Member) drainCausal() {
 		}
 	}
 	// Compact the hold-back queue.
-	live := m.causalHold[:0]
-	for _, p := range m.causalHold {
-		if p != nil {
-			live = append(live, p)
-		}
-	}
-	m.causalHold = live
+	m.causalHold = slices.DeleteFunc(m.causalHold, func(p *packet) bool { return p == nil })
 }
 
 // receiveOrder files the messages a sequencer's announcement places: its
@@ -867,7 +863,9 @@ type CallOpts struct {
 
 // Call invokes op with body on every member of the view (group invocation).
 // done is called exactly once: with every member's reply, or with the
-// replies so far and ErrRPCDeadline if the deadline passes first.
+// replies so far and ErrRPCDeadline if the deadline passes first. A call
+// runs between members in one process: over a byte codec the codec refuses
+// its request (see Config).
 func (m *Member) Call(op string, body any, opts CallOpts, done func([]Reply, error)) error {
 	m.mu.Lock()
 	if !m.view.Contains(m.id) {

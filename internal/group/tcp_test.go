@@ -210,9 +210,11 @@ func (h heardFrom) SetHandler(fn fabric.Handler) {
 }
 
 // TestOutsiderOverTCPDropped: a third loopback endpoint, x9, outside the
-// view of two FIFO members, sends m1 data in m0's name (bare and in a
-// batch) and in its own. Once m1 has handled all three, m0 multicasts; every
-// member delivers m0's message and nothing else.
+// view of two sequencer-ordered members, sends the sequencer m0 data in
+// m1's name and in its own. Once m0 has handled both, m1 multicasts; every
+// member delivers m1's message and nothing else. (A batch, which would
+// carry forged data inline, no longer crosses the wire: its encoding is
+// refused, TestRetiredPacketsRefused.)
 func TestOutsiderOverTCPDropped(t *testing.T) {
 	ids := []string{"m0", "m1"}
 	book := transport.NewAddressBook()
@@ -229,7 +231,7 @@ func TestOutsiderOverTCPDropped(t *testing.T) {
 		t.Cleanup(func() { ep.Close() })
 		members[i], err = NewMember(Config{
 			Endpoint: heardFrom{ep, "x9", &heard},
-			Ordering: FIFO,
+			Ordering: TotalSequencer,
 			Deliver: func(d Delivery) {
 				mu.Lock()
 				deliv[id] = append(deliv[id], d.From+": "+d.Body.(string))
@@ -250,31 +252,27 @@ func TestOutsiderOverTCPDropped(t *testing.T) {
 	}
 	x9 := fabric.FromTransport(dialer, wireCodec())
 	t.Cleanup(func() { x9.Close() })
-	forged := func(seq uint64) *packet {
-		return &packet{Kind: kData, From: "m0", ViewID: 1, Body: "forged", Size: 8, SenderSeq: seq}
-	}
 	sends := []*packet{
-		forged(1),
-		{Kind: kBatch, From: "x9", ViewID: 1, Size: 16, Msgs: []*packet{forged(1), forged(2)}},
-		{Kind: kData, From: "x9", ViewID: 1, Body: "outsider", Size: 8, SenderSeq: 1},
+		{Kind: kData, From: "m1", ViewID: 1, Body: "forged", Size: 8, MsgID: msgID{Origin: "m1", N: 1}},
+		{Kind: kData, From: "x9", ViewID: 1, Body: "outsider", Size: 8, MsgID: msgID{Origin: "x9", N: 1}},
 	}
 	for _, p := range sends {
-		if err := x9.Send("m1", p, 64); err != nil {
+		if err := x9.Send("m0", p, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for deadline := time.Now().Add(5 * time.Second); heard.Load() < int64(len(sends)); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("m1 handled %d of x9's %d packets in 5s", heard.Load(), len(sends))
+			t.Fatalf("m0 handled %d of x9's %d packets in 5s", heard.Load(), len(sends))
 		}
 	}
-	if err := members[0].Multicast("real", 8); err != nil {
+	if err := members[1].Multicast("real", 8); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"m0: real"}
+	want := []string{"m1: real"}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		mu.Lock()
-		done := len(deliv["m0"]) == 1 && len(deliv["m1"]) >= 1
+		done := len(deliv["m0"]) >= 1 && len(deliv["m1"]) >= 1
 		mu.Unlock()
 		if done {
 			break
@@ -291,6 +289,57 @@ func TestOutsiderOverTCPDropped(t *testing.T) {
 	for _, id := range ids {
 		if !slices.Equal(deliv[id], want) {
 			t.Errorf("%s delivered %q, want %q", id, deliv[id], want)
+		}
+	}
+}
+
+// TestInProcessPacketsCountedOverTCP: the packet codec carries only the
+// sequencer and token orderings' fields, so over a byte codec a FIFO or
+// causal multicast and a group call cannot be framed. Each refused packet
+// is a counted drop of the sender's endpoint, not a silent loss, even where
+// an outbox discards the send's error; an unbatched sequencer, token or
+// unordered multicast frames with no drop.
+func TestInProcessPacketsCountedOverTCP(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		ordering Ordering
+		send     func(m *Member) error
+		drops    bool
+	}{
+		{"fifo multicast", FIFO, func(m *Member) error { return m.Multicast("x", 1) }, true},
+		{"causal multicast", Causal, func(m *Member) error { return m.Multicast("x", 1) }, true},
+		{"call", TotalSequencer, func(m *Member) error { return m.Call("op", "x", CallOpts{}, func([]Reply, error) {}) }, true},
+		{"sequencer multicast", TotalSequencer, func(m *Member) error { return m.Multicast("x", 1) }, false},
+		{"token multicast", TotalToken, func(m *Member) error { return m.Multicast("x", 1) }, false},
+		{"unordered multicast", Unordered, func(m *Member) error { return m.Multicast("x", 1) }, false},
+	} {
+		book := transport.NewAddressBook()
+		ids := []string{"m0", "m1"}
+		eps := make([]*fabric.TransportEndpoint, len(ids))
+		members := make([]*Member, len(ids))
+		for i, id := range ids {
+			tep, err := transport.ListenTCP(id, "127.0.0.1:0", book)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps[i] = fabric.FromTransport(tep, wireCodec())
+			t.Cleanup(func() { eps[i].Close() })
+			if members[i], err = NewMember(Config{Endpoint: eps[i], Ordering: c.ordering, Deliver: func(Delivery) {}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, m := range members {
+			m.InstallView(NewView(1, ids))
+		}
+		// m1 sends: it is not the sequencer, so its multicast leaves the
+		// member whatever the ordering. A send the member performs at once
+		// also returns the codec's refusal.
+		err := c.send(members[1])
+		if err != nil && !c.drops {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if d := fabric.DroppedOf(eps[1]); (d > 0) != c.drops {
+			t.Errorf("%s: %d counted drops at the sender (error %v), want drops %v", c.name, d, err, c.drops)
 		}
 	}
 }

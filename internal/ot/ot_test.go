@@ -3,6 +3,7 @@ package ot
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +39,9 @@ func TestApplyOutOfRange(t *testing.T) {
 	}
 	if _, err := Apply([]rune("ab"), Op{Kind: Delete, Pos: -1}); err == nil {
 		t.Error("negative delete should fail")
+	}
+	if _, err := Apply([]rune("ab"), Op{Kind: Kind(9)}); err == nil || !strings.Contains(err.Error(), "unknown op kind 9") {
+		t.Errorf("an unknown kind applied: %v", err)
 	}
 }
 

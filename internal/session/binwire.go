@@ -256,19 +256,6 @@ func (m *MsgPoll) ParseBinary(r fabric.Reader) error {
 }
 
 // AppendBinary implements fabric.BinaryAppender.
-func (m MsgMode) AppendBinary(dst []byte) ([]byte, error) {
-	dst = fabric.AppendString(dst, m.Doc)
-	return fabric.AppendUvarint(dst, uint64(m.Mode)), nil
-}
-
-// ParseBinary implements fabric.BinaryParser.
-func (m *MsgMode) ParseBinary(r fabric.Reader) error {
-	m.Doc = r.String()
-	m.Mode = Mode(r.Uvarint())
-	return r.Done(tagMode)
-}
-
-// AppendBinary implements fabric.BinaryAppender.
 func (m MsgPresence) AppendBinary(dst []byte) ([]byte, error) {
 	dst = fabric.AppendString(dst, m.Doc)
 	dst = fabric.AppendString(dst, m.From)

@@ -28,8 +28,6 @@ type Client struct {
 
 	// OnItem receives session items (pushed or polled), in order.
 	OnItem func(it Item)
-	// OnMode observes session mode switches.
-	OnMode func(m Mode)
 	// OnPresence observes other participants' presence changes.
 	OnPresence func(user string, p Presence)
 	// OnJoined fires when the join acknowledgement (with backlog) arrives.
@@ -154,10 +152,6 @@ func (c *Client) Receive(from string, payload any) {
 
 func (c *Client) onMode(m MsgMode) {
 	c.mode = m.Mode
-	if c.OnMode != nil {
-		onMode := c.OnMode
-		c.out.Call(func() { onMode(m.Mode) })
-	}
 }
 
 func (c *Client) onPresenceMsg(m MsgPresence) {

@@ -88,9 +88,7 @@ func TestReceiveHandFedMessages(t *testing.T) {
 
 	cNode := sim.MustAddNode("c")
 	c := NewClientForDoc(fabric.FromSim(cNode), "host", "")
-	var modes []Mode
 	var presences []string
-	c.OnMode = func(m Mode) { modes = append(modes, m) }
 	c.OnPresence = func(u string, p Presence) { presences = append(presences, u) }
 	c.Receive("host", &MsgJoinAck{Mode: Asynchronous})
 	if !c.Joined() || c.Mode() != Asynchronous {
@@ -102,8 +100,8 @@ func TestReceiveHandFedMessages(t *testing.T) {
 	}
 	c.Receive("host", &MsgMode{Mode: Synchronous})
 	c.Receive("host", &MsgPresence{From: "x", State: Away})
-	if len(modes) != 1 || modes[0] != Synchronous {
-		t.Errorf("modes = %v", modes)
+	if c.Mode() != Synchronous {
+		t.Errorf("mode = %v", c.Mode())
 	}
 	if len(presences) != 1 || presences[0] != "x" {
 		t.Errorf("presences = %v", presences)

@@ -262,10 +262,7 @@ func (d *docHost) onJoin(m MsgJoin) {
 		i, _ := slices.BinarySearch(d.ids, m.From)
 		d.ids = slices.Insert(slices.Clip(d.ids), i, m.From)
 	}
-	p.presence = m.State
-	if p.presence == 0 {
-		p.presence = Active
-	}
+	p.presence = max(m.State, Active) // a join that names no state is Active
 	backlog := d.catchUp(p, m.Since)
 	ack := &MsgJoinAck{Doc: d.key, Mode: d.mode, Backlog: backlog, Members: d.ids}
 	d.out.Queue(m.From, ack, len(backlog)*32+64)
@@ -400,6 +397,12 @@ func (d *docHost) onPoll(m MsgPoll) {
 // SetMode switches the document's session mode. An asynchronous-to-
 // synchronous switch flushes every present participant's backlog so nobody
 // resumes live work with stale state — the seamless transition.
+//
+// The MsgMode it sends its clients exists only in-process (netsim and
+// SimEndpoint worlds): the wire codec does not register it, so on a
+// fabric.FromTransport endpoint each announcement is a counted drop of the
+// host's endpoint (fabric.DroppedOf) and the clients keep the old mode.
+// sessiond's mode is fixed at start.
 func (d *docHost) SetMode(mode Mode) {
 	d.mu.Lock()
 	if mode == d.mode {

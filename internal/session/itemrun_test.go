@@ -49,6 +49,19 @@ func TestItemRunRefusesHostile(t *testing.T) {
 	if !reflect.DeepEqual(m.Items, want) {
 		t.Fatalf("canonical run decoded to %+v, want %+v", m.Items, want)
 	}
+	// A join ack's backlog is the same run after doc "", a mode and no
+	// members: canonical, it decodes; hostile, the ack is refused.
+	const ackHead = "\x00\x01\x00"
+	var ack MsgJoinAck
+	if err := ack.ParseBinary(fabric.NewReader(ackHead + runHead[1:] + "\x01\x01\x00\x00\x00")); err != nil || !reflect.DeepEqual(ack.Backlog, want) {
+		t.Fatalf("canonical join ack: %+v, %v", ack.Backlog, err)
+	}
+	for name, body := range hostileRuns {
+		var ack MsgJoinAck
+		if err := ack.ParseBinary(fabric.NewReader(ackHead + body[1:])); err == nil {
+			t.Errorf("join ack with %s: decoded to %+v", name, ack.Backlog)
+		}
+	}
 	book := transport.NewAddressBook()
 	ep := tcpEndpoint(t, "host", book)
 	ep.SetHandler(func(from string, payload any, _ int) { t.Errorf("delivered %#v from %s", payload, from) })

@@ -96,7 +96,6 @@ func TestNoSendUnderSessionLocks(t *testing.T) {
 			}
 		}
 		cl.OnJoined = func(Mode, []string) {}
-		cl.OnMode = func(Mode) {}
 		cl.OnPresence = func(string, Presence) {}
 		c[id] = cl
 	}

@@ -183,13 +183,11 @@ func TestModeTransitionFlushes(t *testing.T) {
 	if len(r.items["u02"]) != 0 {
 		t.Fatal("nothing should be delivered in async mode")
 	}
-	var modeSeen Mode
-	r.clients["u02"].OnMode = func(m Mode) { modeSeen = m }
 	// The meeting starts: switch to synchronous. Backlogs flush.
 	r.doc().SetMode(Synchronous)
 	r.sim.Run()
-	if modeSeen != Synchronous {
-		t.Errorf("client mode notification = %v", modeSeen)
+	if m := r.clients["u02"].Mode(); m != Synchronous {
+		t.Errorf("client mode = %v", m)
 	}
 	if len(r.items["u02"]) != 2 {
 		t.Fatalf("u02 flushed items = %+v", r.items["u02"])

@@ -108,3 +108,39 @@ func TestWireEndpointRejectsForeignPayload(t *testing.T) {
 		t.Error("non-session payload should be rejected")
 	}
 }
+
+// TestSetModeOverTCPIsCountedDrop: MsgMode is not on the wire, so a
+// TCP-hosted SetMode changes the host's mode, its announcement is a counted
+// drop of the host's endpoint, and the client keeps the mode it joined in.
+func TestSetModeOverTCPIsCountedDrop(t *testing.T) {
+	book := transport.NewAddressBook()
+	hostEP := tcpEndpoint(t, "host", book)
+	start := time.Now()
+	h := NewHost(hostEP, Synchronous, func() time.Duration { return time.Since(start) })
+	cli := NewClientForDoc(tcpEndpoint(t, "alice", book), "host", "")
+	joined := make(chan struct{})
+	cli.OnJoined = func(Mode, []string) { close(joined) }
+	if err := cli.Join(0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-joined:
+	case <-time.After(5 * time.Second):
+		t.Fatal("join timeout")
+	}
+	before := fabric.DroppedOf(hostEP)
+	h.Host("").SetMode(Asynchronous)
+	if got := h.Host("").Mode(); got != Asynchronous {
+		t.Fatalf("host mode %v after SetMode(Asynchronous)", got)
+	}
+	// The announcement is sent by whichever drain is running, which may
+	// still be the one that answered the join.
+	for deadline := time.Now().Add(5 * time.Second); fabric.DroppedOf(hostEP)-before != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("SetMode left %d counted drops at the host, want 1 (its MsgMode to alice)", fabric.DroppedOf(hostEP)-before)
+		}
+	}
+	if got := cli.Mode(); got != Synchronous {
+		t.Errorf("client mode %v, want the Synchronous it joined in", got)
+	}
+}

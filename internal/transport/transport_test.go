@@ -705,3 +705,29 @@ func TestTCPSendAfterPeerRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPTruncatedFrameDropsConn: a peer that declares a frame and closes
+// before its last byte delivers nothing, and its connection is dropped.
+func TestTCPTruncatedFrameDropsConn(t *testing.T) {
+	ep, err := ListenTCP("host", "127.0.0.1:0", NewAddressBook())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	ep.SetHandler(func(from string, data []byte) { t.Errorf("delivered %q from %s", data, from) })
+	c, err := net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	openConns := func() int {
+		ep.mu.Lock()
+		defer ep.mu.Unlock()
+		return len(ep.open)
+	}
+	waitFor(t, func() bool { return openConns() == 1 }, "the conn to be accepted")
+	if _, err := c.Write([]byte{0, 0, 0, 10, 0, 1, 'x'}); err != nil { // 10 bytes declared, 3 sent
+		t.Fatal(err)
+	}
+	c.Close()
+	waitFor(t, func() bool { return openConns() == 0 }, "the truncated conn to be dropped")
+}

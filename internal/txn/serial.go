@@ -113,9 +113,6 @@ func (m *Manager) Begin(user string, now time.Duration) *Txn {
 	return t
 }
 
-// User returns the owning user.
-func (t *Txn) User() string { return t.user }
-
 // acquire takes key's exclusive lock for the transaction. It returns
 // ErrWouldBlock when the request was queued.
 func (t *Txn) acquire(key string, now time.Duration) error {
@@ -217,7 +214,7 @@ func (m *Manager) onLockEvent(e locks.Event) {
 // CheckTimeouts aborts every transaction blocked longer than the manager's
 // timeout. It returns the aborted transactions. The experiment harness
 // calls this periodically, standing in for a deadlock detector.
-func (m *Manager) CheckTimeouts(now time.Duration) []*Txn {
+func (m *Manager) CheckTimeouts(now time.Duration) (users []string) {
 	if m.timeout <= 0 {
 		return nil
 	}
@@ -238,6 +235,7 @@ func (m *Manager) CheckTimeouts(now time.Duration) []*Txn {
 	for _, t := range out {
 		m.stats.TimeoutAborts++
 		_ = t.Abort(now)
+		users = append(users, t.user)
 	}
-	return out
+	return users
 }

@@ -13,8 +13,8 @@ import (
 // that comes back different, and for an exported field, reached through
 // exported fields, that no value of the same top-level type sets.
 //
-// unsent names, under a top-level type, the fields its wire form leaves to
-// the carrier, such as a sender the transport already names, each as
+// unsent names, under a top-level type, the fields its wire form does not
+// carry, such as a sender the transport already names, each as
 // reflect prints its struct and name ("engine.MsgSubmit":
 // {"ot.Submission.Site"}). Those are the other way round: every value must
 // leave them zero, and a name that is no field of the type fails too.
@@ -49,7 +49,7 @@ func Check(t testing.TB, values map[string]any, rt func(any) (any, error), unsen
 		for _, name := range unsent[typ.String()] {
 			left[name] = true
 		}
-		for _, f := range fields(typ, make(map[reflect.Type]bool), nil) {
+		for _, f := range fields(typ, make(map[reflect.Type]bool), left, nil) {
 			name := f.in.String() + "." + f.in.Field(f.i).Name
 			switch {
 			case left[name] && set[typ][f]:
@@ -74,19 +74,26 @@ type field struct {
 }
 
 // fields appends to out every exported field reachable from t through
-// exported fields, pointers, slices, arrays and map values, depth first.
-func fields(t reflect.Type, seen map[reflect.Type]bool, out []field) []field {
+// exported fields, pointers, slices, arrays and map values, depth first. It
+// does not descend into a field that unsent names: what lies under a field
+// the wire does not carry is not carried either.
+func fields(t reflect.Type, seen map[reflect.Type]bool, unsent map[string]bool, out []field) []field {
 	switch t.Kind() {
 	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
-		return fields(t.Elem(), seen, out)
+		return fields(t.Elem(), seen, unsent, out)
 	case reflect.Struct:
 		if seen[t] {
 			return out
 		}
 		seen[t] = true
 		for i := 0; i < t.NumField(); i++ {
-			if f := t.Field(i); f.IsExported() {
-				out = fields(f.Type, seen, append(out, field{t, i}))
+			f := t.Field(i)
+			switch {
+			case !f.IsExported():
+			case unsent[t.String()+"."+f.Name]:
+				out = append(out, field{t, i})
+			default:
+				out = fields(f.Type, seen, unsent, append(out, field{t, i}))
 			}
 		}
 	}
