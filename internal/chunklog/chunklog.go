@@ -4,8 +4,12 @@
 // of its history at every growth, and past a few hundred elements Go grows it
 // by a quarter at a time, so the bytes it allocates per element rise with its
 // length. A Log allocates each chunk once and never copies a stored element
-// again, so what an append costs does not depend on how long the log is.
+// again, so what an append costs does not depend on how long the log is,
+// and a reader takes a range where it lies, chunk by chunk (Runs), rather
+// than as a copy.
 package chunklog
+
+import "slices"
 
 // Size is the number of elements a chunk holds.
 const Size = 256
@@ -55,18 +59,26 @@ func (l *Log[T]) At(i int) T {
 	return l.chunks[i/Size][i%Size]
 }
 
-// Slice returns the elements in [from, to), a range of the log. When the
-// range lies in one chunk it is that chunk's own storage, capped at to, so an
-// append to the result copies rather than writing into the log; when it
-// straddles chunks it is a fresh copy. Callers only read it.
-func (l *Log[T]) Slice(from, to int) []T {
-	if from == to {
-		return nil
+// Runs calls yield, in order, with the elements in [from, to) that skip
+// does not report, as the log's own storage: each is a stretch of one chunk
+// ended by the chunk's end, by an element skip reports or by to, none is
+// empty, and each is capped at its length, so an append to it copies rather
+// than writing into the log. Runs copies and allocates nothing. What it
+// yields may be read after the owner's lock is released: a stored element
+// is never written again, and a first chunk that grows moves to a new array
+// and leaves the old one as it was.
+func (l *Log[T]) Runs(from, to int, skip func(T) bool, yield func([]T)) {
+	for from < to {
+		c := from / Size
+		s := l.chunks[c][from%Size : min(to-c*Size, Size)]
+		if j := slices.IndexFunc(s, skip); j >= 0 {
+			s, from = s[:j:j], from+1 // the skipped element
+		}
+		if len(s) > 0 {
+			yield(s[:len(s):len(s)])
+		}
+		from += len(s)
 	}
-	if c := from / Size; c == (to-1)/Size {
-		return l.chunks[c][from%Size : to-c*Size : to-c*Size]
-	}
-	return l.Copy(from, to)
 }
 
 // Copy returns a fresh copy of the elements in [from, to).

@@ -25,6 +25,7 @@ var hotpathPins = map[string]string{
 	"repro/internal/engine.DecodeItemBody":         "repro/internal/engine.TestItemBodyAllocs",
 	"repro/internal/engine.Server.Integrate":       "repro/internal/daemon.TestHostOTIntegrateAllocs",
 	"repro/internal/session.Client.deliver":        "repro/internal/session.TestClientReceivePushAllocs",
+	"repro/internal/session.docHost.run":           "repro/internal/session.TestServeJoinAckBytes",
 	"repro/internal/transport.TCPEndpoint.Send":    "repro/internal/transport.TestTCPSendAllocs",
 	"repro/internal/group.Member.Multicast":        "repro/internal/bench.TestMulticastAllocs",
 	"repro/internal/group.Member.flush":            "repro/internal/bench.TestMulticastAllocs",

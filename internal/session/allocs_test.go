@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chunklog"
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
@@ -168,4 +169,49 @@ func bytesPerCall(call func(), n int) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestServeJoinAckBytes pins what Host.Receive allocates to serve a rejoin
+// over an endpoint that does nothing: the join ack (80 B), the presence it
+// fans out to the two writers (48 B), and the ack's segments, a slice (24 B)
+// holding one slice header (24 B) for each chunk of the log the backlog
+// touches. That is 200 B for a backlog in two chunks and 232 B for one in
+// three (an 80 B size class), whatever the backlog's length: the backlog is
+// read out of the log in place. When the host copied the backlog, a
+// 400-item ack cost 27 392 B.
+func TestServeJoinAckBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	h := NewHost(nullEndpoint{}, Synchronous, func() time.Duration { return 0 })
+	joinAll(h, "w0", "w1", "roamer")
+	h.Receive("roamer", &MsgLeave{From: "roamer"})
+	const logged = 4 * chunklog.Size
+	for i := range logged {
+		w := []string{"w0", "w1"}[i%2]
+		h.Receive(w, &MsgPost{From: w, Kind: "eng/op", Body: "|AQID"})
+	}
+	for _, tc := range []struct {
+		since uint64 // the backlog is (since, logged]
+		want  uint64
+	}{
+		{logged - 400, 200},             // 400 items, two chunks
+		{logged - 2*chunklog.Size, 200}, // 512 items, two chunks
+		{logged - 300, 200},             // 300 items, two chunks
+		{logged - 600, 232},             // 600 items, three chunks
+		{logged - 700, 232},             // 700 items, three chunks
+	} {
+		join := &MsgJoin{From: "roamer", Since: tc.since, State: Active}
+		leave := &MsgLeave{From: "roamer"}
+		h.Receive("roamer", join) // warm the outbox's array
+		h.Receive("roamer", leave)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.Receive("roamer", join)
+		runtime.ReadMemStats(&after)
+		h.Receive("roamer", leave)
+		if got := after.TotalAlloc - before.TotalAlloc; got != tc.want {
+			t.Errorf("serving a join ack of %d items allocates %d B, want %d", logged-tc.since, got, tc.want)
+		}
+	}
 }

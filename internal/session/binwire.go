@@ -98,13 +98,40 @@ func (t *runStrings) readRef(r *fabric.Reader) (string, error) {
 	return s, nil
 }
 
-// appendItem writes an item in full, as the first item of a run.
-func appendItem(dst []byte, it Item) []byte {
-	dst = fabric.AppendUvarint(dst, it.Seq)
-	dst = fabric.AppendString(dst, it.From)
-	dst = fabric.AppendString(dst, it.Kind)
-	dst = fabric.AppendString(dst, it.Body)
-	return fabric.AppendUvarint(dst, uint64(it.At))
+// appendItems writes items, or segs when it is set, as one item run: a run
+// in segments encodes byte for byte as the same run in one slice.
+func appendItems(dst []byte, items []Item, segs *[][]Item) []byte {
+	run := [][]Item{items}
+	if segs != nil {
+		run = *segs
+	}
+	n := 0
+	for _, s := range run {
+		n += len(s)
+	}
+	dst = fabric.AppendUvarint(dst, uint64(n))
+	var prev Item
+	var tab runStrings
+	for _, s := range run {
+		for _, it := range s {
+			if tab.n == 0 { // the first item, in full; tab.first enters at least its From
+				dst = fabric.AppendUvarint(dst, it.Seq)
+				dst = fabric.AppendString(dst, it.From)
+				dst = fabric.AppendString(dst, it.Kind)
+				dst = fabric.AppendString(dst, it.Body)
+				dst = fabric.AppendUvarint(dst, uint64(it.At))
+				tab.first(it)
+			} else {
+				dst = fabric.AppendUvarint(dst, it.Seq-prev.Seq)
+				dst = tab.appendRef(dst, it.From)
+				dst = tab.appendRef(dst, it.Kind)
+				dst = fabric.AppendString(dst, it.Body)
+				dst = binary.AppendVarint(dst, int64(it.At-prev.At))
+			}
+			prev = it
+		}
+	}
+	return dst
 }
 
 func readItem(r *fabric.Reader) Item {
@@ -115,26 +142,6 @@ func readItem(r *fabric.Reader) Item {
 	it.Body = r.String()
 	it.At = time.Duration(r.Uvarint())
 	return it
-}
-
-func appendItems(dst []byte, items []Item) []byte {
-	dst = fabric.AppendUvarint(dst, uint64(len(items)))
-	if len(items) == 0 {
-		return dst
-	}
-	prev := items[0]
-	dst = appendItem(dst, prev)
-	var tab runStrings
-	tab.first(prev)
-	for _, it := range items[1:] {
-		dst = fabric.AppendUvarint(dst, it.Seq-prev.Seq)
-		dst = tab.appendRef(dst, it.From)
-		dst = tab.appendRef(dst, it.Kind)
-		dst = fabric.AppendString(dst, it.Body)
-		dst = binary.AppendVarint(dst, int64(it.At-prev.At))
-		prev = it
-	}
-	return dst
 }
 
 func readItems(r *fabric.Reader) ([]Item, error) {
@@ -187,7 +194,7 @@ func (m MsgJoinAck) AppendBinary(dst []byte) ([]byte, error) {
 	for _, id := range m.Members {
 		dst = fabric.AppendString(dst, id)
 	}
-	return appendItems(dst, m.Backlog), nil
+	return appendItems(dst, m.Backlog, m.segs), nil
 }
 
 // ParseBinary implements fabric.BinaryParser.
@@ -227,7 +234,7 @@ func (m *MsgPost) ParseBinary(r fabric.Reader) error {
 // AppendBinary implements fabric.BinaryAppender.
 func (m MsgItems) AppendBinary(dst []byte) ([]byte, error) {
 	dst = fabric.AppendString(dst, m.Doc)
-	return appendItems(dst, m.Items), nil
+	return appendItems(dst, m.Items, m.segs), nil
 }
 
 // ParseBinary implements fabric.BinaryParser.

@@ -139,53 +139,41 @@ func (c *Client) Receive(from string, payload any) {
 	c.mu.Lock()
 	switch m := payload.(type) {
 	case *MsgJoinAck:
-		c.onJoinAck(*m)
+		c.joined, c.mode = true, m.Mode
+		if onJoined := c.OnJoined; onJoined != nil {
+			c.out.Call(func() { onJoined(m.Mode, m.Members) })
+		}
+		c.deliver(m.Backlog, m.segs)
 	case *MsgItems:
-		c.onItems(*m)
+		c.deliver(m.Items, m.segs)
 	case *MsgMode:
-		c.onMode(*m)
+		c.mode = m.Mode
 	case *MsgPresence:
-		c.onPresenceMsg(*m)
+		if onPresence := c.OnPresence; onPresence != nil {
+			c.out.Call(func() { onPresence(m.From, m.State) })
+		}
 	}
 	c.out.Drain(&c.mu)
 }
 
-func (c *Client) onMode(m MsgMode) {
-	c.mode = m.Mode
-}
-
-func (c *Client) onPresenceMsg(m MsgPresence) {
-	if c.OnPresence != nil {
-		onPresence := c.OnPresence
-		c.out.Call(func() { onPresence(m.From, m.State) })
-	}
-}
-
-func (c *Client) onJoinAck(m MsgJoinAck) {
-	c.joined = true
-	c.mode = m.Mode
-	if c.OnJoined != nil {
-		onJoined := c.OnJoined
-		c.out.Call(func() { onJoined(m.Mode, m.Members) })
-	}
-	c.deliver(m.Backlog)
-}
-
-func (c *Client) onItems(m MsgItems) {
-	c.deliver(m.Items)
-}
-
-// deliver queues the items this client has not seen yet, in order.
+// deliver queues the items of a run (items, or segs when it is set, which
+// is the host's log) that this client has not seen yet, in order.
 //
 //cscw:hotpath
-func (c *Client) deliver(items []Item) {
-	for i := range items {
-		if items[i].Seq <= c.lastSeq {
-			continue // duplicate (e.g. rejoin replay racing a push)
-		}
-		c.lastSeq = items[i].Seq
-		if c.OnItem != nil {
-			c.out.Deliver(&items[i], 0)
+func (c *Client) deliver(items []Item, segs *[][]Item) {
+	run := [][]Item{items}
+	if segs != nil {
+		run = *segs
+	}
+	for _, seg := range run {
+		for i := range seg {
+			if seg[i].Seq <= c.lastSeq {
+				continue // duplicate (e.g. rejoin replay racing a push)
+			}
+			c.lastSeq = seg[i].Seq
+			if c.OnItem != nil {
+				c.out.Deliver(&seg[i], 0)
+			}
 		}
 	}
 }

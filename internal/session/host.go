@@ -15,7 +15,6 @@ import (
 type HostStats struct {
 	Posts        int
 	Pushes       int // items pushed synchronously: items, not frames
-	PollServes   int // items served to polls
 	FlushServes  int // items flushed by a mode transition
 	ModeSwitches int
 }
@@ -263,9 +262,9 @@ func (d *docHost) onJoin(m MsgJoin) {
 		d.ids = slices.Insert(slices.Clip(d.ids), i, m.From)
 	}
 	p.presence = max(m.State, Active) // a join that names no state is Active
-	backlog := d.catchUp(p, m.Since)
-	ack := &MsgJoinAck{Doc: d.key, Mode: d.mode, Backlog: backlog, Members: d.ids}
-	d.out.Queue(m.From, ack, len(backlog)*32+64)
+	backlog, n, _ := d.catchUp(p, m.Since)
+	ack := &MsgJoinAck{Doc: d.key, Mode: d.mode, Backlog: backlog.Items, Members: d.ids, segs: backlog.segs}
+	d.out.Queue(m.From, ack, n*32+64)
 	// Tell the others someone arrived (presence awareness).
 	d.fanout(&MsgPresence{Doc: d.key, From: m.From, State: p.presence}, m.From)
 }
@@ -356,29 +355,24 @@ func (d *docHost) appendItem(from, kind, body string) {
 	}
 }
 
-// seal queues one push per owed member: the items of its range that it did
+// seal queues one push per owed member: the run of its range that it did
 // not post. Members owed the same range, none of it their own, share one
-// message over the log itself, which receivers only read: a range within
-// one of the log's chunks is that chunk's storage, and one that crosses
-// chunks is a copy. Callers hold d.mu.
+// push, which receivers only read. Callers hold d.mu.
 func (d *docHost) seal() {
-	var shared *MsgItems // the last unfiltered push, of (from, to]
+	var shared *MsgItems // the last push of a whole range, (from, to]
 	var from, to uint64
 	for _, p := range d.owed {
 		p.owed = false
-		owed := d.log.Slice(int(p.from), int(p.acked))
+		r, n, body := d.run(p, p.from, p.acked)
+		whole := n == int(p.acked-p.from)
 		push := shared
-		if slices.ContainsFunc(owed, p.wrote) {
-			push = &MsgItems{Doc: d.key, Items: d.unseen(p, p.from, p.acked)}
-		} else if shared == nil || p.from != from || p.acked != to {
-			shared, from, to = &MsgItems{Doc: d.key, Items: owed}, p.from, p.acked
-			push = shared
+		if !whole || shared == nil || p.from != from || p.acked != to {
+			push = &MsgItems{Doc: d.key, Items: r.Items, segs: r.segs} // r stays on the stack
+			if whole {
+				shared, from, to = push, p.from, p.acked
+			}
 		}
-		size := 64
-		for _, it := range push.Items {
-			size += len(it.Body)
-		}
-		d.out.Queue(p.id, push, size)
+		d.out.Queue(p.id, push, 64+body)
 	}
 	clear(d.owed)
 	d.owed = d.owed[:0]
@@ -389,9 +383,8 @@ func (d *docHost) onPoll(m MsgPoll) {
 	if !ok {
 		return
 	}
-	items := d.catchUp(p, m.Since)
-	d.stats.PollServes += len(items)
-	d.out.Queue(m.From, &MsgItems{Doc: d.key, Items: items}, len(items)*32+64)
+	items, n, _ := d.catchUp(p, m.Since)
+	d.out.Queue(m.From, &items, n*32+64)
 }
 
 // SetMode switches the document's session mode. An asynchronous-to-
@@ -424,28 +417,35 @@ func (d *docHost) SetMode(mode Mode) {
 
 // catchUp is the one catch-up path, for a join, a poll and a flush: it
 // seals what is owed, so no push falls behind the frame it returns for,
-// then returns the items after since that p did not author and moves p's
-// cursor to the head of the log.
-func (d *docHost) catchUp(p *partState, since uint64) []Item {
+// then returns the run of the items after since that p did not author (see
+// run) and moves p's cursor to the head of the log.
+func (d *docHost) catchUp(p *partState, since uint64) (MsgItems, int, int) {
 	d.seal()
 	p.acked = d.seq
-	if since >= d.seq {
-		return nil
-	}
-	return d.unseen(p, since, d.seq)
+	return d.run(p, min(since, d.seq), d.seq)
 }
 
-// unseen returns a copy of the items in (since, upto] that p did not author:
-// a member is never sent its own items. Sequence numbers are dense (1..seq),
-// so it indexes the log directly.
-func (d *docHost) unseen(p *partState, since, upto uint64) []Item {
-	out := make([]Item, 0, upto-since)
-	for i := int(since); i < int(upto); i++ {
-		if it := d.log.At(i); !p.wrote(it) {
-			out = append(out, it)
+// run returns, as a push, the items in (since, upto] that p did not author
+// (a member is never sent its own items), read in place (chunklog.Log.Runs),
+// never copied: one segment is Items, several are segs, and they may be read
+// after d.mu is released. n and body count the items and their bodies' bytes.
+//
+//cscw:hotpath
+func (d *docHost) run(p *partState, since, upto uint64) (m MsgItems, n, body int) {
+	m.Doc = d.key
+	segs := 0
+	d.log.Runs(int(since), int(upto), p.wrote, func(s []Item) {
+		m.Items, n, segs = s, n+len(s), segs+1
+		for _, it := range s {
+			body += len(it.Body)
 		}
+	})
+	if segs > 1 {
+		all := make([][]Item, 0, segs)
+		d.log.Runs(int(since), int(upto), p.wrote, func(s []Item) { all = append(all, s) })
+		m.Items, m.segs = nil, &all
 	}
-	return out
+	return m, n, body
 }
 
 func (p *partState) wrote(it Item) bool { return it.From == p.id }
@@ -453,9 +453,9 @@ func (p *partState) wrote(it Item) bool { return it.From == p.id }
 // flush pushes p what it missed since its cursor, if anything: on a return
 // to Active, or when the session turns synchronous.
 func (d *docHost) flush(p *partState) {
-	if missed := d.catchUp(p, p.acked); len(missed) > 0 {
-		d.stats.FlushServes += len(missed)
-		d.out.Queue(p.id, &MsgItems{Doc: d.key, Items: missed}, len(missed)*32+64)
+	if missed, n, _ := d.catchUp(p, p.acked); n > 0 {
+		d.stats.FlushServes += n
+		d.out.Queue(p.id, &MsgItems{Doc: d.key, Items: missed.Items, segs: missed.segs}, n*32+64)
 	}
 }
 

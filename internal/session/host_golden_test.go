@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,9 +24,9 @@ func (r frameRecorder) Send(to string, payload any, size int) error {
 	fmt.Fprintf(r.b, "  to=%s %T doc=%q", to, payload, DocOf(payload))
 	switch m := payload.(type) {
 	case *MsgJoinAck:
-		fmt.Fprintf(r.b, " mode=%v backlog=%s members=%v", m.Mode, seqList(m.Backlog), m.Members)
+		fmt.Fprintf(r.b, " mode=%v backlog=%s members=%v", m.Mode, seqList(runOf(m.Backlog, m.segs)), m.Members)
 	case *MsgItems:
-		fmt.Fprintf(r.b, " items=%s", seqList(m.Items))
+		fmt.Fprintf(r.b, " items=%s", seqList(runOf(m.Items, m.segs)))
 	case *MsgMode:
 		fmt.Fprintf(r.b, " mode=%v", m.Mode)
 	case *MsgPresence:
@@ -33,6 +34,15 @@ func (r frameRecorder) Send(to string, payload any, size int) error {
 	}
 	r.b.WriteByte('\n')
 	return r.Endpoint.Send(to, payload, size)
+}
+
+// runOf is the run a host's message carries: its items, or its segments
+// joined.
+func runOf(items []Item, segs *[][]Item) []Item {
+	if segs != nil {
+		return slices.Concat(*segs...)
+	}
+	return items
 }
 
 func seqList(items []Item) string {

@@ -103,7 +103,7 @@ func TestItemRunManyAuthors(t *testing.T) {
 			At:   time.Duration(i*i) * time.Millisecond,
 		})
 	}
-	body := string(appendItems(nil, items))
+	body := string(appendItems(nil, items, nil))
 	r := fabric.NewReader(body)
 	got, err := readItems(&r)
 	if err == nil {
@@ -112,14 +112,16 @@ func TestItemRunManyAuthors(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, items) {
 		t.Fatalf("round trip: %v\n got %+v\nwant %+v", err, got, items)
 	}
-	if again := string(appendItems(nil, got)); again != body {
+	if again := string(appendItems(nil, got, nil)); again != body {
 		t.Fatalf("re-encoded to %x, was %x", again, body)
 	}
 }
 
 // FuzzItemRun: an item list built from arbitrary bytes round-trips through
-// appendItems and readItems; arbitrary bytes parsed as a MsgItems body never
-// panic, and a body that parses re-encodes to itself.
+// appendItems and readItems, and cut into segments where the bytes say, the
+// way a host reads a run out of its log, it encodes byte for byte as the one
+// slice, in a push and in a join ack; arbitrary bytes parsed as a MsgItems
+// body never panic, and a body that parses re-encodes to itself.
 func FuzzItemRun(f *testing.F) {
 	f.Add([]byte(runHead + "\x01\x01\x00\x00\x00"))
 	for _, body := range hostileRuns {
@@ -129,7 +131,9 @@ func FuzzItemRun(f *testing.F) {
 		{Seq: 7, From: "p1", Kind: "eng/op", Body: "x", At: time.Second},
 		{Seq: 8, From: "p2", Kind: "eng/op", Body: "y", At: time.Second + time.Microsecond},
 		{Seq: 9, From: "p1", Kind: "eng/op", At: time.Second},
-	}))
+	}, nil))
+	// Three items by two authors, cut into [1] [] [2] [3] (fuzzSegments).
+	f.Add([]byte{1, 1, 0, 0, 1, 1, 1, 1, 0, 0xc1, 1, 1, 0, 0, 0x82})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 25 items reach every table state; a longer input adds nothing
 		// but the minimizer's time, which grows with its square.
@@ -137,13 +141,23 @@ func FuzzItemRun(f *testing.F) {
 			return
 		}
 		items := fuzzItems(data)
-		r := fabric.NewReader(string(appendItems(nil, items)))
+		r := fabric.NewReader(string(appendItems(nil, items, nil)))
 		got, err := readItems(&r)
 		if err == nil {
 			err = r.Done("item run")
 		}
 		if err != nil || !slices.Equal(got, items) {
 			t.Fatalf("round trip of %+v: got %+v, %v", items, got, err)
+		}
+		segs := fuzzSegments(data, items)
+		for _, m := range [][2]fabric.BinaryAppender{
+			{MsgItems{Doc: "d", Items: items}, MsgItems{Doc: "d", segs: &segs}},
+			{MsgJoinAck{Doc: "d", Backlog: items}, MsgJoinAck{Doc: "d", segs: &segs}},
+		} {
+			whole, _ := m[0].AppendBinary(nil)
+			if split, _ := m[1].AppendBinary(nil); string(split) != string(whole) {
+				t.Fatalf("%T of %+v in segments %+v encodes to %x, in one slice to %x", m[0], items, segs, split, whole)
+			}
 		}
 		var m MsgItems
 		if m.ParseBinary(fabric.NewReader(string(data))) != nil {
@@ -153,6 +167,24 @@ func FuzzItemRun(f *testing.F) {
 			t.Fatalf("accepted body %x re-encodes to %x", data, again)
 		}
 	})
+}
+
+// fuzzSegments cuts items into segments where data says: before item i when
+// the top bit of its fifth byte is set, with an empty segment there too when
+// the next bit is.
+func fuzzSegments(data []byte, items []Item) [][]Item {
+	segs := [][]Item{}
+	start := 0
+	for i := range items {
+		if b := data[5*i+4]; b&0x80 != 0 {
+			segs = append(segs, items[start:i])
+			if b&0x40 != 0 {
+				segs = append(segs, nil)
+			}
+			start = i
+		}
+	}
+	return append(segs, items[start:])
 }
 
 // fuzzAuthors is a pool of authors twice the size of the table.

@@ -34,7 +34,7 @@ func (r *recorder) Send(to string, payload any, _ int) error {
 	defer r.mu.Unlock()
 	r.got[to] = append(r.got[to], frameEvents(payload)...)
 	if m, ok := payload.(*MsgItems); ok {
-		r.frames[to] = append(r.frames[to], seqList(m.Items))
+		r.frames[to] = append(r.frames[to], seqList(runOf(m.Items, m.segs)))
 	}
 	return nil
 }
@@ -56,9 +56,9 @@ func frameEvents(payload any) []string {
 	var items []Item
 	switch m := payload.(type) {
 	case *MsgJoinAck:
-		ev, items = []string{fmt.Sprintf("ack %v %v", m.Mode, m.Members)}, m.Backlog
+		ev, items = []string{fmt.Sprintf("ack %v %v", m.Mode, m.Members)}, runOf(m.Backlog, m.segs)
 	case *MsgItems:
-		items = m.Items
+		items = runOf(m.Items, m.segs)
 	case *MsgMode:
 		ev = []string{"mode " + m.Mode.String()}
 	case *MsgPresence:

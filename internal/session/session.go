@@ -105,6 +105,7 @@ type MsgJoinAck struct {
 	Mode    Mode
 	Backlog []Item
 	Members []string
+	segs    *[][]Item // as MsgItems.segs
 }
 
 // MsgPost submits an item to the host.
@@ -119,6 +120,10 @@ type MsgPost struct {
 type MsgItems struct {
 	Doc   string
 	Items []Item
+	// segs, set by the host, is the run as segments of its log (docHost.run)
+	// and encodes as one run; Items is then nil. A pointer keeps a push in
+	// the 48 B size class: sessiond runs no GC in a rep, so pushes are RSS.
+	segs *[][]Item
 }
 
 // MsgPoll requests items after Since.
