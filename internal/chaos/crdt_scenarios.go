@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/crdt"
@@ -20,11 +19,11 @@ func init() {
 		Run:       runPartitionCRDTConverge,
 	})
 	register(Scenario{
-		Name:      "reorder-loss-crdt-set",
-		Desc:      "OR-set and PN-counter replicas over unordered lossy reordering multicast, reconciled against an oracle that saw every op",
-		Invariant: "all replicas converge to the oracle's set and counter value, and a concurrent add beats its concurrent remove (add-wins)",
+		Name:      "reorder-loss-crdt-seq",
+		Desc:      "sequence replicas over unordered lossy reordering multicast, reconciled against an oracle that saw every op",
+		Invariant: "all replicas converge to the oracle's text with nothing held back, and an insert beside a concurrently deleted character survives the delete",
 		Challenge: "real-time cooperation without locking: commutative state survives an adversarial network (paper §5.4)",
-		Run:       runReorderLossCRDTSet,
+		Run:       runReorderLossCRDTSeq,
 	})
 }
 
@@ -104,9 +103,24 @@ func runPartitionCRDTConverge(w *World) {
 	w.Logf("final doc %q at all %d replicas", final, len(ids))
 }
 
-// --- scenario: reorder-loss-crdt-set ------------------------------------
+// --- scenario: reorder-loss-crdt-seq ------------------------------------
 
-func runReorderLossCRDTSet(w *World) {
+// stateSize is the size a sequence state is charged on a simulated link:
+// a header plus each element's two IDs, rune and tombstone flag.
+func stateSize(st *crdt.SeqState) int { return 64 + 16*len(st.Nodes) }
+
+// runeAt returns the visible position of the first rune of text that
+// match accepts, or -1.
+func runeAt(text string, match func(rune) bool) int {
+	for pos, ch := range []rune(text) {
+		if match(ch) {
+			return pos
+		}
+	}
+	return -1
+}
+
+func runReorderLossCRDTSeq(w *World) {
 	ids := []string{"s1", "s2", "s3"}
 	adverse := netsim.Link{
 		Latency: ms(2), Jitter: ms(1) / 2,
@@ -114,39 +128,41 @@ func runReorderLossCRDTSet(w *World) {
 		Bandwidth: 1_250_000,
 	}
 
-	sets := make(map[string]*crdt.Set, len(ids))
-	ctrs := make(map[string]*crdt.Counter, len(ids))
+	seqs := make(map[string]*crdt.Sequence, len(ids))
+	for _, id := range ids {
+		seqs[id] = crdt.NewSequence(id)
+	}
 	// The oracle replica sits off the network and applies every op the
 	// moment it is generated — the state the group must converge to.
-	oracleSet := crdt.NewSet("oracle")
-	oracleCtr := crdt.NewCounter("oracle")
+	oracle := crdt.NewSequence("oracle")
 
-	for _, id := range ids {
-		sets[id] = crdt.NewSet(id)
-		ctrs[id] = crdt.NewCounter(id)
+	// The document every replica opens with: one marker character, the
+	// target of the duel below, present everywhere before the run.
+	const marker, beside = '#', '+'
+	seed, err := seqs["s1"].Insert(0, marker)
+	if err != nil {
+		w.Violatef("setup", "%v", err)
+		return
 	}
+	for _, s := range []*crdt.Sequence{seqs["s2"], seqs["s3"], oracle} {
+		if err := s.Apply(seed); err != nil {
+			w.Violatef("setup", "%v", err)
+			return
+		}
+	}
+
 	w.FullMesh(adverse, ids...)
 	members := w.Members(ids, group.Unordered, group.BatchConfig{}, func(id string) func(group.Delivery) {
 		return func(d group.Delivery) {
+			var err error
 			switch b := d.Body.(type) {
 			case *crdt.MsgOp:
-				var err error
-				switch b.Op.Kind {
-				case crdt.OpSetAdd, crdt.OpSetRemove:
-					err = sets[id].Apply(b.Op)
-				case crdt.OpCtrAdd:
-					err = ctrs[id].Apply(b.Op)
-				}
-				if err != nil {
-					w.Violatef("set-convergence", "%s applying %v from %s: %v", id, b.Op.Kind, d.From, err)
-				}
+				err = seqs[id].Apply(b.Op)
 			case *crdt.MsgState:
-				if b.Set != nil {
-					sets[id].MergeState(b.Set)
-				}
-				if b.Ctr != nil {
-					ctrs[id].MergeState(b.Ctr)
-				}
+				err = seqs[id].MergeState(b.Seq)
+			}
+			if err != nil {
+				w.Violatef("seq-convergence", "%s applying %T from %s: %v", id, d.Body, d.From, err)
 			}
 		}
 	})
@@ -157,16 +173,12 @@ func runReorderLossCRDTSet(w *World) {
 	// Every generated op reaches the oracle instantly and the group via
 	// unordered multicast over the adverse links (the sender included: its
 	// own loop-back delivery is a duplicate its replica must shrug off).
-	bcastOp := func(site string, op crdt.Op) {
-		var err error
-		switch op.Kind {
-		case crdt.OpSetAdd, crdt.OpSetRemove:
-			err = oracleSet.Apply(op)
-		case crdt.OpCtrAdd:
-			err = oracleCtr.Apply(op)
+	bcastOp := func(site string, op crdt.Op, err error) {
+		if err == nil {
+			err = oracle.Apply(op)
 		}
 		if err != nil {
-			w.Violatef("set-convergence", "oracle rejected %v from %s: %v", op.Kind, site, err)
+			w.Violatef("seq-convergence", "%s editing: %v", site, err)
 			return
 		}
 		if err := members[site].Multicast(&crdt.MsgOp{Doc: "shared", Op: op}, 48); err != nil {
@@ -174,35 +186,42 @@ func runReorderLossCRDTSet(w *World) {
 		}
 	}
 
-	// Scripted traffic: adds, removes and counter deltas from every site.
+	// Scripted traffic: two inserts from a site per step, then a delete.
 	for i := 0; i < 12; i++ {
 		i := i
 		site := ids[i%len(ids)]
 		w.Sim.At(ms(1+3*i), func() {
-			bcastOp(site, sets[site].Add(fmt.Sprintf("item-%02d", i)))
-			bcastOp(site, ctrs[site].Add(int64(i%5)-1))
+			s := seqs[site]
+			pos := i % (len([]rune(s.Text())) + 1)
+			op, err := s.Insert(pos, rune('a'+i))
+			bcastOp(site, op, err)
+			op, err = s.Insert(pos+1, rune('A'+i))
+			bcastOp(site, op, err)
 		})
 	}
 	w.Sim.At(ms(40), func() {
-		bcastOp("s3", sets["s3"].Remove("item-02"))
+		if pos := runeAt(seqs["s3"].Text(), func(ch rune) bool { return ch != marker }); pos >= 0 {
+			op, err := seqs["s3"].Delete(pos)
+			bcastOp("s3", op, err)
+		}
 	})
-	// The add-wins duel: s1 removes "shared-key" (it only observes dots it
-	// has seen) in the same instant s2 re-adds it with a fresh dot. The
-	// element must survive everywhere.
-	w.Sim.At(ms(10), func() { bcastOp("s1", sets["s1"].Add("shared-key")) })
+	// The concurrent duel: s1 deletes the marker in the same instant s2
+	// inserts a character right after it. The insert is anchored on an
+	// element that is a tombstone everywhere once the delete lands, and it
+	// must survive there; the marker must be gone.
 	w.Sim.At(ms(50), func() {
-		bcastOp("s1", sets["s1"].Remove("shared-key"))
-		bcastOp("s2", sets["s2"].Add("shared-key"))
+		op, err := seqs["s1"].Delete(runeAt(seqs["s1"].Text(), func(ch rune) bool { return ch == marker }))
+		bcastOp("s1", op, err)
+		op, err = seqs["s2"].Insert(runeAt(seqs["s2"].Text(), func(ch rune) bool { return ch == marker })+1, beside)
+		bcastOp("s2", op, err)
 	})
 
 	// Anti-entropy rounds through the adverse phase, then the links calm
 	// down and three clean rounds guarantee the sweep converges every seed.
 	gossip := func() {
 		for _, id := range ids {
-			if err := members[id].Multicast(&crdt.MsgState{Doc: "shared", Set: sets[id].State()}, 96); err != nil {
-				w.Logf("gossip %s: %v", id, err)
-			}
-			if err := members[id].Multicast(&crdt.MsgState{Doc: "shared", Ctr: ctrs[id].State()}, 48); err != nil {
+			st := seqs[id].State()
+			if err := members[id].Multicast(&crdt.MsgState{Doc: "shared", Seq: st}, stateSize(st)); err != nil {
 				w.Logf("gossip %s: %v", id, err)
 			}
 		}
@@ -224,24 +243,21 @@ func runReorderLossCRDTSet(w *World) {
 
 	w.Run()
 
-	want := strings.Join(oracleSet.Elements(), ",")
+	want := oracle.Text()
 	for _, id := range ids {
-		if got := strings.Join(sets[id].Elements(), ","); got != want {
-			w.Violatef("set-convergence", "%s set {%s} != oracle {%s}", id, got, want)
+		got := seqs[id].Text()
+		if got != want {
+			w.Violatef("seq-convergence", "%s text %q != oracle %q", id, got, want)
 		}
-		if got := ctrs[id].Value(); got != oracleCtr.Value() {
-			w.Violatef("set-convergence", "%s counter %d != oracle %d", id, got, oracleCtr.Value())
+		if seqs[id].Held() != 0 {
+			w.Violatef("seq-convergence", "%s still holds %d ops back", id, seqs[id].Held())
 		}
-		if sets[id].Held() != 0 || ctrs[id].Held() != 0 {
-			w.Violatef("set-convergence", "%s still holds ops back (set %d, ctr %d)",
-				id, sets[id].Held(), ctrs[id].Held())
-		}
-		if !sets[id].Contains("shared-key") {
-			w.Violatef("add-wins", "%s lost shared-key: the concurrent remove beat the concurrent add", id)
+		if !strings.ContainsRune(got, beside) || strings.ContainsRune(got, marker) {
+			w.Violatef("delete-beside-insert", "%s text %q: want the insert %q kept and the marker %q gone", id, got, beside, marker)
 		}
 	}
-	if !oracleSet.Contains("shared-key") {
-		w.Violatef("add-wins", "the oracle itself lost shared-key")
+	if !strings.ContainsRune(want, beside) || strings.ContainsRune(want, marker) {
+		w.Violatef("delete-beside-insert", "the oracle itself has %q", want)
 	}
-	w.Logf("final set {%s} counter %d at all replicas", want, oracleCtr.Value())
+	w.Logf("final doc %q at all %d replicas", want, len(ids))
 }

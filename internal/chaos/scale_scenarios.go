@@ -21,7 +21,7 @@ func init() {
 	register(Scenario{
 		Name:      "federation-crdt-wan",
 		Desc:      "two ~100-replica LAN clusters bridged by a single WAN pipe, gossiping CRDT state hub-and-spoke through a WAN outage",
-		Invariant: "after the outage heals, every replica in both federations matches the oracle's set and counter exactly, with nothing held back",
+		Invariant: "after the outage heals, every replica in both federations holds the oracle's text exactly, with nothing held back",
 		Challenge: "federated organisations: autonomous domains cooperate across one administrative boundary link (paper §4.1, §5.2)",
 		Run:       runFederationCRDTWAN,
 	})
@@ -51,16 +51,13 @@ func runFederationCRDTWAN(w *World) {
 	gwA, gwB := w.Bridge(lanA, lanB, netsim.WANLink)
 	all := append(append([]string(nil), lanA.IDs...), lanB.IDs...)
 
-	sets := make(map[string]*crdt.Set, len(all))
-	ctrs := make(map[string]*crdt.Counter, len(all))
+	seqs := make(map[string]*crdt.Sequence, len(all))
 	for _, id := range all {
-		sets[id] = crdt.NewSet(id)
-		ctrs[id] = crdt.NewCounter(id)
+		seqs[id] = crdt.NewSequence(id)
 	}
 	// The oracle sits off the network and applies every op the moment it is
 	// generated — the state both federations must converge to.
-	oracleSet := crdt.NewSet("oracle")
-	oracleCtr := crdt.NewCounter("oracle")
+	oracle := crdt.NewSequence("oracle")
 
 	for _, id := range all {
 		id := id
@@ -69,29 +66,38 @@ func runFederationCRDTWAN(w *World) {
 			if !ok {
 				return
 			}
-			if st.Set != nil {
-				sets[id].MergeState(st.Set)
-			}
-			if st.Ctr != nil {
-				ctrs[id].MergeState(st.Ctr)
+			if err := seqs[id].MergeState(st.Seq); err != nil {
+				w.Violatef("federation-convergence", "%s merging from %s: %v", id, from, err)
 			}
 		})
 	}
-
-	edit := func(id, item string, delta int64) {
-		if err := oracleSet.Apply(sets[id].Add(item)); err != nil {
-			w.Violatef("federation-convergence", "oracle rejected add from %s: %v", id, err)
+	apply := func(id string, op crdt.Op, err error) {
+		if err == nil {
+			err = oracle.Apply(op)
 		}
-		if err := oracleCtr.Apply(ctrs[id].Add(delta)); err != nil {
-			w.Violatef("federation-convergence", "oracle rejected delta from %s: %v", id, err)
+		if err != nil {
+			w.Violatef("federation-convergence", "%s editing: %v", id, err)
 		}
+	}
+	insert := func(i int, id string) {
+		s := seqs[id]
+		op, err := s.Insert(i%(len([]rune(s.Text()))+1), rune('a'+i%26))
+		apply(id, op, err)
 	}
 	// Wave one lands before the outage, wave two during it: both sides keep
 	// editing while the bridge is down and must merge the divergence after.
+	// Every third replica also deletes a character in wave two.
 	for i, id := range all {
 		i, id := i, id
-		w.Sim.At(ms(1+i%20), func() { edit(id, "pre-"+id, int64(i%9)-4) })
-		w.Sim.At(ms(40+i%60), func() { edit(id, "cut-"+id, int64(i%5)-2) })
+		w.Sim.At(ms(1+i%20), func() { insert(i, id) })
+		w.Sim.At(ms(40+i%60), func() {
+			insert(i, id)
+			if i%3 == 0 {
+				s := seqs[id]
+				op, err := s.Delete(i % len([]rune(s.Text())))
+				apply(id, op, err)
+			}
+		})
 	}
 	const lastEdit = 100
 
@@ -109,25 +115,16 @@ func runFederationCRDTWAN(w *World) {
 	// back out. Full states are idempotent, so jitter reordering and the
 	// outage itself cost only rounds, never correctness.
 	send := func(from, to string) {
-		m := &crdt.MsgState{Doc: "fed", Set: sets[from].State(), Ctr: ctrs[from].State()}
-		if err := w.Endpoint(from).Send(to, m, 64+16*len(m.Set.Elems)); err != nil {
+		st := seqs[from].State()
+		if err := w.Endpoint(from).Send(to, &crdt.MsgState{Doc: "fed", Seq: st}, stateSize(st)); err != nil {
 			w.Logf("gossip %s->%s: %v", from, to, err)
 		}
 	}
 	converged := func() bool {
-		wantSet, wantCtr := oracleSet.Elements(), oracleCtr.Value()
+		want := oracle.Text()
 		for _, id := range all {
-			if ctrs[id].Value() != wantCtr {
+			if seqs[id].Text() != want {
 				return false
-			}
-			got := sets[id].Elements()
-			if len(got) != len(wantSet) {
-				return false
-			}
-			for i := range got {
-				if got[i] != wantSet[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -159,24 +156,20 @@ func runFederationCRDTWAN(w *World) {
 
 	w.Run()
 
-	if want := 2 * len(all); len(oracleSet.Elements()) != want {
-		w.Violatef("federation-convergence", "oracle holds %d items, want %d; the edits never happened",
-			len(oracleSet.Elements()), want)
+	if want, got := 2*len(all), len(oracle.State().Nodes); got != want {
+		w.Violatef("federation-convergence", "oracle holds %d elements, want %d; the edits never happened", got, want)
 	}
 	if !done {
 		w.Violatef("federation-convergence", "deadline passed before convergence")
 	}
+	want := oracle.Text()
 	bad := 0
 	for _, id := range all {
-		mismatch := ctrs[id].Value() != oracleCtr.Value() ||
-			len(sets[id].Elements()) != len(oracleSet.Elements()) ||
-			sets[id].Held() != 0 || ctrs[id].Held() != 0
-		if mismatch {
+		if got := seqs[id].Text(); got != want || seqs[id].Held() != 0 {
 			bad++
 			if bad <= 3 {
-				w.Violatef("federation-convergence", "%s: %d items / counter %d / held %d+%d vs oracle %d items / %d",
-					id, len(sets[id].Elements()), ctrs[id].Value(), sets[id].Held(), ctrs[id].Held(),
-					len(oracleSet.Elements()), oracleCtr.Value())
+				w.Violatef("federation-convergence", "%s: %d chars / held %d vs oracle %d chars",
+					id, len([]rune(got)), seqs[id].Held(), len([]rune(want)))
 			}
 		}
 	}
@@ -184,8 +177,7 @@ func runFederationCRDTWAN(w *World) {
 		w.Violatef("federation-convergence", "... and %d more diverged replicas", bad-3)
 	}
 	if bad == 0 && done {
-		w.Logf("final state: %d items, counter %d, at all %d replicas across both federations",
-			len(oracleSet.Elements()), oracleCtr.Value(), len(all))
+		w.Logf("final state: %d chars at all %d replicas across both federations", len([]rune(want)), len(all))
 	}
 }
 

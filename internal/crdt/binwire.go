@@ -12,10 +12,8 @@ import (
 // Binary bodies for the CRDT wire messages (fabric.BinaryAppender /
 // BinaryParser). Op traffic is per-keystroke and state gossip is periodic,
 // so both get hand-rolled bodies: uvarint integers and length-prefixed
-// strings. Only the sequence engine's ops and states cross a byte codec;
-// set and counter replicas gossip in process (chaos), so the codec refuses
-// them both ways. The version vector is encoded in sorted site order so
-// equal states produce identical bytes.
+// strings. The version vector is encoded in sorted site order so equal
+// states produce identical bytes.
 
 func appendID(dst []byte, id ID) []byte {
 	dst = fabric.AppendUvarint(dst, id.N)
@@ -53,12 +51,11 @@ func readVC(r *fabric.Reader) vclock.VC {
 	return vv
 }
 
-// appendOp writes a sequence op. The set and counter fields (Elem, Dots,
-// Delta) follow as three zero bytes: only the sequence engine's ops cross
-// the wire, and the bytes keep the layout of the tree that carried all
-// three.
+// appendOp writes a sequence op, then three zero bytes where older trees
+// wrote a set element, its dots and a counter delta: the layout stays the
+// one those trees read, and readOp refuses an op that sets any of them.
 func appendOp(dst []byte, op Op) ([]byte, error) {
-	if op.Kind != OpSeqInsert && op.Kind != OpSeqDelete || op.Elem != "" || len(op.Dots) > 0 || op.Delta != 0 {
+	if op.Kind != OpSeqInsert && op.Kind != OpSeqDelete {
 		return nil, errNotSeqOp
 	}
 	dst = append(dst, byte(op.Kind))
@@ -129,19 +126,18 @@ func readSeqState(r *fabric.Reader) *SeqState {
 	return st
 }
 
-// stateSeq is the state-kind byte of a sequence state, the one state that
-// crosses the wire. Kinds 2 and 3 carried set and counter states, which
-// only travel between in-process replicas: a body with either is refused
-// as an unknown kind.
+// stateSeq is the state-kind byte of a sequence state, the one state there
+// is. Kinds 2 and 3 carried the set and counter states of older trees: a
+// body with either is refused as an unknown kind.
 const stateSeq = 1
 
-var errNotSeqOp = errors.New("crdt: only sequence ops cross the wire; set and counter fields stay in process")
+var errNotSeqOp = errors.New("crdt: not a sequence op")
 
 // AppendBinary implements fabric.BinaryAppender.
 func (m MsgState) AppendBinary(dst []byte) ([]byte, error) {
 	dst = fabric.AppendString(dst, m.Doc)
-	if m.Seq == nil || m.Set != nil || m.Ctr != nil {
-		return nil, fmt.Errorf("crdt: a state message crosses the wire with a sequence state alone")
+	if m.Seq == nil {
+		return nil, errors.New("crdt: a state message without a state")
 	}
 	return appendSeqState(append(dst, stateSeq), m.Seq), nil
 }

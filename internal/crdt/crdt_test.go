@@ -61,8 +61,8 @@ func TestSequenceRemoteReorderAndDuplicates(t *testing.T) {
 	if b.Text() != "xy" || b.Held() != 0 {
 		t.Fatalf("duplicates changed state: text %q held %d", b.Text(), b.Held())
 	}
-	if err := b.Apply(Op{Kind: OpSetAdd, Site: "z", Seq: 1}); err == nil {
-		t.Fatal("sequence accepted a set op")
+	if err := b.Apply(Op{Kind: OpSeqDelete + 1, Site: "z", Seq: 1}); err == nil {
+		t.Fatal("sequence accepted an op of an unknown kind")
 	}
 }
 
@@ -172,93 +172,43 @@ func TestSequenceMergeStateAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestSetAddWins(t *testing.T) {
-	a, b := NewSet("a"), NewSet("b")
-	add := a.Add("doc")
-	if err := b.Apply(add); err != nil {
-		t.Fatal(err)
+// TestSequenceMergeDrainsHeld: a state merge drains the hold-back queue.
+// An op held at a FIFO gap that the merged state already covers is dropped
+// as subsumed; one whose gap the state fills is applied.
+func TestSequenceMergeDrainsHeld(t *testing.T) {
+	a, b, c := NewSequence("a"), NewSequence("b"), NewSequence("c")
+	var ops []Op
+	var mid *SeqState // a after x and y
+	for i, ch := range "xyz" {
+		if i == 2 {
+			mid = a.State()
+		}
+		op, err := a.Insert(i, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, op)
 	}
-	// b removes having observed a's dot; concurrently a re-adds.
-	rm := b.Remove("doc")
-	re := a.Add("doc")
-	if err := a.Apply(rm); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Apply(re); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Contains("doc") || !b.Contains("doc") {
-		t.Fatalf("concurrent add lost to remove: a=%v b=%v", a.Contains("doc"), b.Contains("doc"))
-	}
-	if got := a.Elements(); len(got) != 1 || got[0] != "doc" {
-		t.Fatalf("elements %v", got)
-	}
-}
-
-func TestSetRemoveBeforeAddArrives(t *testing.T) {
-	// c hears about the removal of a's dot before the add itself: the
-	// tombstone must still win when the add finally lands.
-	a, b, c := NewSet("a"), NewSet("b"), NewSet("c")
-	add := a.Add("x")
-	if err := b.Apply(add); err != nil {
-		t.Fatal(err)
-	}
-	rm := b.Remove("x")
-	if err := c.Apply(rm); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Apply(add); err != nil {
-		t.Fatal(err)
-	}
-	if c.Contains("x") {
-		t.Fatal("tombstoned add resurfaced")
-	}
-	if err := c.Apply(Op{Kind: OpCtrAdd, Site: "z", Seq: 1}); err == nil {
-		t.Fatal("set accepted a counter op")
-	}
-}
-
-func TestCounterValueAndMerge(t *testing.T) {
-	a, b := NewCounter("a"), NewCounter("b")
-	ops := []Op{a.Add(5), a.Add(-2), b.Add(10)}
-	for _, op := range ops[:2] {
+	for _, op := range ops[1:] { // held: a's first op is missing
 		if err := b.Apply(op); err != nil {
 			t.Fatal(err)
 		}
+		if err := c.Apply(op); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := a.Apply(ops[2]); err != nil {
+	if b.Held() != 2 || c.Held() != 2 {
+		t.Fatalf("held %d and %d before the merge, want 2", b.Held(), c.Held())
+	}
+	if err := b.MergeState(a.State()); err != nil { // covers every held op
 		t.Fatal(err)
 	}
-	if a.Value() != 13 || b.Value() != 13 {
-		t.Fatalf("values %d %d", a.Value(), b.Value())
-	}
-	// Duplicate and state-merge idempotence.
-	if err := b.Apply(ops[0]); err != nil {
+	if err := c.MergeState(mid); err != nil { // covers y; fills z's gap
 		t.Fatal(err)
 	}
-	b.MergeState(a.State())
-	if b.Value() != 13 {
-		t.Fatalf("value after dup+merge %d", b.Value())
-	}
-	if err := b.Apply(Op{Kind: OpSeqInsert, Site: "z", Seq: 1}); err == nil {
-		t.Fatal("counter accepted a sequence op")
-	}
-}
-
-func TestCounterFIFOGap(t *testing.T) {
-	a, b := NewCounter("a"), NewCounter("b")
-	op1 := a.Add(1)
-	op2 := a.Add(2)
-	if err := b.Apply(op2); err != nil {
-		t.Fatal(err)
-	}
-	if b.Held() != 1 || b.Value() != 0 {
-		t.Fatalf("gap not held: held %d value %d", b.Held(), b.Value())
-	}
-	if err := b.Apply(op1); err != nil {
-		t.Fatal(err)
-	}
-	if b.Held() != 0 || b.Value() != 3 {
-		t.Fatalf("after drain: held %d value %d", b.Held(), b.Value())
+	for _, s := range []*Sequence{b, c} {
+		if s.Held() != 0 || s.Text() != "xyz" {
+			t.Fatalf("after the merge: held %d, text %q", s.Held(), s.Text())
+		}
 	}
 }

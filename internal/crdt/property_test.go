@@ -108,75 +108,6 @@ func TestSequenceConvergesUnderPermutations(t *testing.T) {
 	}
 }
 
-func TestSetConvergesUnderPermutations(t *testing.T) {
-	universe := []string{"alpha", "beta", "gamma", "delta"}
-	for seed := 0; seed < sweepSeeds(t); seed++ {
-		r := rand.New(rand.NewSource(int64(seed)))
-		n := 2 + r.Intn(3)
-		reps := make([]*Set, n)
-		for i := range reps {
-			reps[i] = NewSet(string(rune('a' + i)))
-		}
-		scramble(r, n,
-			func(r *rand.Rand, site int) (Op, bool) {
-				elem := universe[r.Intn(len(universe))]
-				if r.Intn(100) < 60 {
-					return reps[site].Add(elem), true
-				}
-				return reps[site].Remove(elem), true
-			},
-			func(site int, op Op) {
-				if err := reps[site].Apply(op); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-			})
-		for i := 1; i < n; i++ {
-			if !reflect.DeepEqual(reps[i].Elements(), reps[0].Elements()) {
-				t.Fatalf("seed %d: replica %d diverged: %v vs %v", seed, i, reps[i].Elements(), reps[0].Elements())
-			}
-			if !reflect.DeepEqual(reps[i].State(), reps[0].State()) {
-				t.Fatalf("seed %d: replica %d full state diverged", seed, i)
-			}
-		}
-		for i, s := range reps {
-			if s.Held() != 0 {
-				t.Fatalf("seed %d: replica %d still holds %d ops", seed, i, s.Held())
-			}
-		}
-	}
-}
-
-func TestCounterConvergesUnderPermutations(t *testing.T) {
-	for seed := 0; seed < sweepSeeds(t); seed++ {
-		r := rand.New(rand.NewSource(int64(seed)))
-		n := 2 + r.Intn(3)
-		reps := make([]*Counter, n)
-		for i := range reps {
-			reps[i] = NewCounter(string(rune('a' + i)))
-		}
-		var want int64
-		scramble(r, n,
-			func(r *rand.Rand, site int) (Op, bool) {
-				delta := int64(r.Intn(41) - 20)
-				want += delta
-				return reps[site].Add(delta), true
-			},
-			func(site int, op Op) {
-				if err := reps[site].Apply(op); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-			})
-		for i, c := range reps {
-			if c.Value() != want {
-				t.Fatalf("seed %d: replica %d value %d want %d", seed, i, c.Value(), want)
-			}
-			if c.Held() != 0 {
-				t.Fatalf("seed %d: replica %d still holds %d ops", seed, i, c.Held())
-			}
-		}
-	}
-}
-
 // randomSequences builds independently edited replicas with partial op
 // exchange — raw material for the merge-law tests.
 func randomSequences(r *rand.Rand, n int) []*Sequence {
@@ -236,70 +167,6 @@ func TestSequenceMergeLaws(t *testing.T) {
 		right := mergedSeq(t, a, mergedSeq(t, b, c))
 		if !reflect.DeepEqual(left, right) {
 			t.Fatalf("seed %d: sequence merge not associative", seed)
-		}
-	}
-}
-
-func TestSetAndCounterMergeLaws(t *testing.T) {
-	universe := []string{"x", "y", "z"}
-	mergedSet := func(states ...*SetState) *SetState {
-		acc := NewSet("merge")
-		for _, st := range states {
-			acc.MergeState(st)
-		}
-		return acc.State()
-	}
-	mergedCtr := func(states ...*CtrState) *CtrState {
-		acc := NewCounter("merge")
-		for _, st := range states {
-			acc.MergeState(st)
-		}
-		return acc.State()
-	}
-	for seed := 0; seed < 40; seed++ {
-		r := rand.New(rand.NewSource(int64(2000 + seed)))
-		sets := make([]*Set, 3)
-		ctrs := make([]*Counter, 3)
-		for i := range sets {
-			sets[i] = NewSet(string(rune('a' + i)))
-			ctrs[i] = NewCounter(string(rune('a' + i)))
-		}
-		for step := 0; step < 30; step++ {
-			i := r.Intn(3)
-			elem := universe[r.Intn(len(universe))]
-			var op Op
-			if r.Intn(2) == 0 {
-				op = sets[i].Add(elem)
-			} else {
-				op = sets[i].Remove(elem)
-			}
-			cop := ctrs[i].Add(int64(r.Intn(21) - 10))
-			for to := 0; to < 3; to++ {
-				if to != i && r.Intn(2) == 0 {
-					_ = sets[to].Apply(op)
-					_ = ctrs[to].Apply(cop)
-				}
-			}
-		}
-		sa, sb, sc := sets[0].State(), sets[1].State(), sets[2].State()
-		ca, cb, cc := ctrs[0].State(), ctrs[1].State(), ctrs[2].State()
-		if !reflect.DeepEqual(mergedSet(sa, sa), mergedSet(sa)) {
-			t.Fatalf("seed %d: set merge not idempotent", seed)
-		}
-		if !reflect.DeepEqual(mergedSet(sa, sb), mergedSet(sb, sa)) {
-			t.Fatalf("seed %d: set merge not commutative", seed)
-		}
-		if !reflect.DeepEqual(mergedSet(mergedSet(sa, sb), sc), mergedSet(sa, mergedSet(sb, sc))) {
-			t.Fatalf("seed %d: set merge not associative", seed)
-		}
-		if !reflect.DeepEqual(mergedCtr(ca, ca), mergedCtr(ca)) {
-			t.Fatalf("seed %d: counter merge not idempotent", seed)
-		}
-		if !reflect.DeepEqual(mergedCtr(ca, cb), mergedCtr(cb, ca)) {
-			t.Fatalf("seed %d: counter merge not commutative", seed)
-		}
-		if !reflect.DeepEqual(mergedCtr(mergedCtr(ca, cb), cc), mergedCtr(ca, mergedCtr(cb, cc))) {
-			t.Fatalf("seed %d: counter merge not associative", seed)
 		}
 	}
 }

@@ -142,8 +142,57 @@ func (s *Sequence) Apply(op Op) error {
 	default:
 		return fmt.Errorf("crdt: sequence cannot apply %v op", op.Kind)
 	}
-	s.held = integrate(s.vv, s.held, op, s.ready, s.applyOp)
+	s.integrate(op)
 	return nil
+}
+
+// integrate runs the hold-back protocol: deliver op if its per-site FIFO
+// turn has come and its reference or target is present, otherwise queue
+// it; then drain the queue. Duplicates (Seq at or below the applied
+// vector) are dropped, including retransmissions of ops already held.
+func (s *Sequence) integrate(op Op) {
+	switch {
+	case op.Seq <= s.vv.Get(op.Site):
+		return // duplicate of an applied op
+	case op.Seq == s.vv.Get(op.Site)+1 && s.ready(op):
+		s.applyOp(op)
+		s.vv.Tick(op.Site)
+		s.drainHeld()
+	default:
+		for _, h := range s.held {
+			if h.Site == op.Site && h.Seq == op.Seq {
+				return // retransmission of a held op
+			}
+		}
+		s.held = append(s.held, op)
+	}
+}
+
+// drainHeld re-scans the hold-back queue after the applied vector advanced
+// (an op was applied, or a state merge subsumed some ops) until a full pass
+// makes no progress, applying every op whose turn has come and dropping
+// ops the vector now covers.
+func (s *Sequence) drainHeld() {
+	for {
+		progress := false
+		kept := s.held[:0]
+		for _, h := range s.held {
+			switch {
+			case h.Seq <= s.vv.Get(h.Site):
+				progress = true // subsumed while held
+			case h.Seq == s.vv.Get(h.Site)+1 && s.ready(h):
+				s.applyOp(h)
+				s.vv.Tick(h.Site)
+				progress = true
+			default:
+				kept = append(kept, h)
+			}
+		}
+		s.held = kept
+		if !progress || len(s.held) == 0 {
+			return
+		}
+	}
 }
 
 func (s *Sequence) ready(op Op) bool {
@@ -261,6 +310,6 @@ func (s *Sequence) MergeState(st *SeqState) error {
 		}
 	}
 	s.vv.Merge(st.VV)
-	s.held = drainHeld(s.vv, s.held, s.ready, s.applyOp)
+	s.drainHeld()
 	return nil
 }

@@ -19,13 +19,10 @@ type MsgOp struct {
 }
 
 // MsgState carries a full replica snapshot for anti-entropy (gossip after
-// loss or partition). Exactly one of Seq/Set/Ctr is set, and only a Seq
-// state has a binary body.
+// loss or partition).
 type MsgState struct {
 	Doc string
 	Seq *SeqState
-	Set *SetState
-	Ctr *CtrState
 }
 
 // RegisterWire registers the CRDT wire messages with a fabric codec, so

@@ -27,7 +27,7 @@ func roundTrip(t *testing.T, codec *fabric.Codec, msg any) any {
 	return out
 }
 
-func sampleStates(t *testing.T) (*SeqState, *SetState, *CtrState) {
+func sampleState(t *testing.T) *SeqState {
 	t.Helper()
 	seq := NewSequence("a")
 	for i, ch := range "state" {
@@ -38,26 +38,18 @@ func sampleStates(t *testing.T) (*SeqState, *SetState, *CtrState) {
 	if _, err := seq.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	set := NewSet("b")
-	set.Add("x")
-	set.Add("y")
-	set.Remove("x")
-	ctr := NewCounter("c")
-	ctr.Add(41)
-	ctr.Add(-4)
-	return seq.State(), set.State(), ctr.State()
+	return seq.State()
 }
 
 // TestWireRoundTrip: sequence ops and states come back from the codec as
-// they went in; set and counter ops and states, which only in-process
-// replicas exchange, are refused at encode.
+// they went in; an op of any other kind, the retired set and counter kinds
+// included, and a state message without a state are refused at encode.
 func TestWireRoundTrip(t *testing.T) {
 	codec := wireCodec()
-	seqSt, setSt, ctrSt := sampleStates(t)
 	msgs := []any{
 		&MsgOp{Doc: "d1", Op: Op{Kind: OpSeqInsert, Site: "a", Seq: 3, ID: ID{N: 7, Site: "a"}, After: ID{N: 2, Site: "b"}, Ch: 'é'}},
 		&MsgOp{Op: Op{Kind: OpSeqDelete, Site: "b", Seq: 4, ID: ID{N: 7, Site: "a"}}},
-		&MsgState{Doc: "d2", Seq: seqSt},
+		&MsgState{Doc: "d2", Seq: sampleState(t)},
 	}
 	for _, msg := range msgs {
 		if out := roundTrip(t, codec, msg); !reflect.DeepEqual(out, msg) {
@@ -65,12 +57,10 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 	for _, msg := range []any{
-		&MsgOp{Doc: "d1", Op: Op{Kind: OpSetRemove, Site: "b", Seq: 9, Elem: "doc", Dots: []ID{{N: 1, Site: "a"}, {N: 4, Site: "b"}}}},
-		&MsgOp{Op: Op{Kind: OpCtrAdd, Site: "c", Seq: 1, Delta: -77}},
-		&MsgOp{Op: Op{Kind: OpSeqInsert, Site: "a", Seq: 1, Elem: "x"}},
-		&MsgState{Doc: "d2", Set: setSt},
-		&MsgState{Doc: "d2", Ctr: ctrSt},
-		&MsgState{Doc: "d2", Seq: seqSt, Set: setSt},
+		&MsgOp{Doc: "d1", Op: Op{Kind: 4, Site: "b", Seq: 9}},
+		&MsgOp{Op: Op{Kind: 5, Site: "c", Seq: 1}},
+		&MsgOp{Op: Op{Site: "a", Seq: 1}},
+		&MsgState{Doc: "d2"},
 	} {
 		if data, err := codec.Encode(msg); err == nil {
 			t.Errorf("%+v encoded to %x, want it refused", msg, data)

@@ -43,9 +43,6 @@ func (d *crdtDoc) Apply(_ string, payload any) ([]Msg, error) {
 	case *crdt.MsgOp:
 		return nil, d.seq.Apply(m.Op)
 	case *crdt.MsgState:
-		if m.Seq == nil {
-			return nil, fmt.Errorf("engine: crdt doc received a non-sequence state")
-		}
 		return nil, d.seq.MergeState(m.Seq)
 	default:
 		return nil, fmt.Errorf("engine: crdt doc cannot apply %T", payload)

@@ -22,15 +22,6 @@ func TestDocsRefuseBadEdits(t *testing.T) {
 	}
 }
 
-// TestCRDTDocRefusesStateWithoutSequence: a state message carrying no
-// sequence state is an error, not a merge of nothing.
-func TestCRDTDocRefusesStateWithoutSequence(t *testing.T) {
-	d := buildDocs(t, CRDT, "a")[0]
-	if _, err := d.Apply("b", &crdt.MsgState{Doc: "doc1", Set: crdt.NewSet("b").State()}); err == nil || !strings.Contains(err.Error(), "non-sequence state") {
-		t.Fatalf("Apply of a set state = %v", err)
-	}
-}
-
 // TestOTClientRefusesServerTraffic: a client is no integration site, so a
 // submission or a pull sent to it is an error; commits from anyone but the
 // server are dropped; a commit the client cannot apply is an error.
@@ -88,8 +79,8 @@ func TestItemBodyRefusesUnencodable(t *testing.T) {
 	if body, err := EncodeItemBody(codec, Msg{Body: "plain text"}); err == nil {
 		t.Errorf("an unregistered payload encoded to %q", body)
 	}
-	setOp := &crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: crdt.OpSetAdd, Site: "a", Seq: 1, Elem: "x"}}
-	if body, err := EncodeItemBody(codec, Msg{Body: setOp}); err == nil || !strings.Contains(err.Error(), "encode crdt/op item body") {
-		t.Errorf("a set op encoded to (%q, %v)", body, err)
+	unknown := &crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: crdt.OpSeqDelete + 1, Site: "a", Seq: 1}}
+	if body, err := EncodeItemBody(codec, Msg{Body: unknown}); err == nil || !strings.Contains(err.Error(), "encode crdt/op item body") {
+		t.Errorf("an op of an unknown kind encoded to (%q, %v)", body, err)
 	}
 }

@@ -38,9 +38,10 @@ func RunE7Groups(seed int64) Table {
 		fmt.Sprintf("%d/60 delivered in order, %d retransmissions", delivered, retrans),
 	})
 
-	// Bounded group RPC: one member partitioned away.
-	for _, bounded := range []bool{false, true} {
-		label, detail := runGroupRPC(seed, bounded)
+	// Group RPC to eight members: every member reachable (the control),
+	// then one member partitioned away, without and with a deadline.
+	for _, c := range []struct{ partition, bounded bool }{{false, false}, {true, false}, {true, true}} {
+		label, detail := runGroupRPC(seed, c.partition, c.bounded)
 		t.Rows = append(t.Rows, []string{label, "8", "-", "-", detail})
 	}
 	t.Notes = append(t.Notes,
@@ -132,7 +133,7 @@ func runMulticast(seed int64, n int, ord group.Ordering) (mean, p95 time.Duratio
 	return sum / time.Duration(len(lats)), lats[len(lats)*95/100], delivered
 }
 
-func runGroupRPC(seed int64, bounded bool) (label, detail string) {
+func runGroupRPC(seed int64, partition, bounded bool) (label, detail string) {
 	w := simworld.New(seed, netsim.WANLink)
 	sim := w.Sim
 	ids := memberIDs(8)
@@ -145,8 +146,9 @@ func runGroupRPC(seed int64, bounded bool) (label, detail string) {
 	for _, id := range ids {
 		members[id].Handle("status", func(from string, body any) (any, error) { return "ok", nil })
 	}
-	// m07 is unreachable.
-	sim.Partition([]string{"m07"}, ids[:7])
+	if partition { // m07 is unreachable
+		sim.Partition([]string{"m07"}, ids[:7])
+	}
 
 	var opts group.CallOpts
 	if bounded {
@@ -163,9 +165,12 @@ func runGroupRPC(seed int64, bounded bool) (label, detail string) {
 		got, gotErr = len(rs), err
 	})
 	sim.RunUntil(10 * time.Second)
-	if bounded {
+	switch {
+	case !partition:
+		label = "group RPC, no partition"
+	case bounded:
 		label = "group RPC, 500ms deadline"
-	} else {
+	default:
 		label = "group RPC, unbounded"
 	}
 	switch {
@@ -174,7 +179,7 @@ func runGroupRPC(seed int64, bounded bool) (label, detail string) {
 	case gotErr != nil:
 		detail = fmt.Sprintf("%d/8 replies at deadline (%s after call)", got, fmtDur(answeredAt-start))
 	default:
-		detail = fmt.Sprintf("%d/8 replies", got)
+		detail = fmt.Sprintf("%d/8 replies (%s after call)", got, fmtDur(answeredAt-start))
 	}
 	return label, detail
 }

@@ -214,7 +214,7 @@ func TestE7OrderingCosts(t *testing.T) {
 	if !(byKey["causal/16"] <= byKey["total-sequencer/16"]) {
 		t.Errorf("causal %v should beat total %v", byKey["causal/16"], byKey["total-sequencer/16"])
 	}
-	var sawStall, sawPartial bool
+	var sawStall, sawPartial, sawAll bool
 	for _, r := range tb.Rows {
 		if strings.Contains(r[4], "stalled") {
 			sawStall = true
@@ -222,9 +222,12 @@ func TestE7OrderingCosts(t *testing.T) {
 		if strings.Contains(r[4], "7/8 replies at deadline") {
 			sawPartial = true
 		}
+		if r[0] == "group RPC, no partition" && strings.HasPrefix(r[4], "8/8 replies (") {
+			sawAll = true
+		}
 	}
-	if !sawStall || !sawPartial {
-		t.Error("group RPC rows missing stall/deadline outcomes")
+	if !sawStall || !sawPartial || !sawAll {
+		t.Error("group RPC rows missing the all-answered, stall or deadline outcome")
 	}
 }
 

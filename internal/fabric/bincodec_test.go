@@ -89,9 +89,7 @@ func registeredPayloads() map[string]any {
 // cannot hide behind a zero. registeredPayloads leaves some fields zero
 // (their frames are pinned in testdata/frames.golden); the instances added
 // here set them. An OT submission's site is a field no body carries: the
-// server files a submission under its sender. Nor do a CRDT op's set and
-// counter fields or a set or counter state: those replicas gossip in
-// process only.
+// server files a submission under its sender.
 func TestBinaryRoundTripParity(t *testing.T) {
 	codec := fullRegistry()
 	payloads := registeredPayloads()
@@ -119,8 +117,6 @@ func TestBinaryRoundTripParity(t *testing.T) {
 		return reflect.ValueOf(got).Elem().Interface(), nil
 	}, map[string][]string{
 		"engine.MsgSubmit": {"ot.Submission.Site", "ot.Op.Site"},
-		"crdt.MsgOp":       {"crdt.Op.Elem", "crdt.Op.Dots", "crdt.Op.Delta"},
-		"crdt.MsgState":    {"crdt.MsgState.Set", "crdt.MsgState.Ctr"},
 	})
 }
 

@@ -121,13 +121,14 @@ func TestFrameGoldenFromV1(t *testing.T) {
 // gone from it both ways. Each line of testdata/frames-retired.golden is a
 // frame this codec wrote before (a CRDT set-remove op, a set state, a
 // counter state, a mode switch): decoding it yields nothing, and encoding
-// the value it carried fails.
+// what is left of the value it carried fails. The set and counter states
+// have no Go value any more, so only their decode is checked.
 func TestRetiredFramesRefused(t *testing.T) {
 	codec := fullRegistry()
 	values := map[string]any{
-		"crdt/op":        crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: crdt.OpSetRemove, Site: "b", Seq: 9, Elem: "doc", Dots: []crdt.ID{{N: 1, Site: "a"}}, Delta: -77}},
-		"crdt/state set": crdt.MsgState{Doc: "d", Set: crdt.NewSet("b").State()},
-		"crdt/state ctr": crdt.MsgState{Doc: "d", Ctr: crdt.NewCounter("c").State()},
+		"crdt/op":        crdt.MsgOp{Doc: "d", Op: crdt.Op{Kind: 4, Site: "b", Seq: 9}},
+		"crdt/state set": nil,
+		"crdt/state ctr": nil,
 		"session/mode":   session.MsgMode{Mode: session.Synchronous},
 	}
 	frames := readFrames(t, "testdata/frames-retired.golden")
@@ -141,6 +142,9 @@ func TestRetiredFramesRefused(t *testing.T) {
 		v, ok := values[name]
 		if !ok {
 			t.Errorf("%s: no value for this retired line", name)
+			continue
+		}
+		if v == nil {
 			continue
 		}
 		if frame, err := codec.Encode(v); err == nil {

@@ -48,18 +48,21 @@ type Msg struct {
 // Handler consumes messages delivered to a node.
 type Handler func(m Msg)
 
-// Link models a unidirectional network path.
+// Link models a unidirectional network path. Jitter and Reorder are drawn
+// per message after the bandwidth serialization point, so either lets a
+// later send to the same node overtake an earlier one: only a link with no
+// Jitter and no Reorder delivers each pair's messages in send order.
 type Link struct {
 	Latency   time.Duration // propagation delay
-	Jitter    time.Duration // uniform random extra delay in [0, Jitter)
+	Jitter    time.Duration // uniform random extra delay in [0, Jitter); reorders a pair
 	Loss      float64       // probability in [0,1] that a message is dropped
 	Bandwidth int64         // bytes/second; 0 means infinite
 	Down      bool          // true severs the link entirely
 	// Reorder is the probability in [0,1] that a message is held back by
 	// ReorderDelay on top of its normal delay, letting later sends overtake
-	// it. The hold bypasses the FIFO bandwidth serialization point, so this
-	// is the knob for exercising out-of-order delivery deterministically
-	// (the simulator's seeded RNG decides which messages are held).
+	// it. Like Jitter, the hold is added after the bandwidth serialization
+	// point; it is the knob for reordering on purpose, by a fixed delay (the
+	// simulator's seeded RNG decides which messages are held).
 	Reorder      float64
 	ReorderDelay time.Duration
 }
@@ -137,8 +140,10 @@ func (n *Node) SetHandler(h Handler) { n.handler = h }
 
 // Send transmits payload of the given size to node to. It never blocks; the
 // message is delivered (or dropped) during simulation execution, after the
-// link's loss, latency, jitter and bandwidth. Messages between the same pair
-// are delivered FIFO (the bandwidth serialization point enforces this).
+// link's loss, latency, jitter and bandwidth. The bandwidth serialization
+// point orders a pair's transmissions, but jitter and Reorder are drawn
+// after it, so messages between the same pair arrive in send order only on
+// a link with no Jitter and no Reorder.
 //
 //cscw:hotpath
 func (n *Node) Send(to string, payload any, size int) error {
@@ -175,8 +180,8 @@ type Sim struct {
 	regionIdx  map[string]RegionID
 	regions    []string
 
-	// pairBusy is the per-pair FIFO serialization point for bandwidth
-	// modelling. Only pairs that actually transmit bytes get an entry —
+	// pairBusy is the per-pair serialization point for bandwidth
+	// modelling (jitter and Reorder are added after it). Only pairs that actually transmit bytes get an entry —
 	// unlike link descriptors it is inherently per-pair state, but it grows
 	// with traffic, not with the node count squared.
 	pairBusy map[pairKey]time.Duration

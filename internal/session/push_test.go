@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chunklog"
 	"repro/internal/fabric"
 )
 
@@ -376,10 +377,11 @@ func onItemAct(h sessionHost, it Item) {
 // TestPushesMatchPerItemModel holds the host to the per-item reference over
 // seeded scripts: every member hears the same items and control frames, in
 // the same order, however the items are grouped into frames, and Pushes
-// counts the same items.
+// counts the same items. Each script's log outgrows the log's first chunk,
+// so pushes, join acks, polls and flushes read runs across a chunk edge.
 func TestPushesMatchPerItemModel(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
-		script := modelScript(seed, 300)
+		script := modelScript(seed, 500)
 		rec := newRecorder()
 		h := NewHost(rec, Synchronous, func() time.Duration { return 0 })
 		live := realHost{h}
@@ -402,6 +404,9 @@ func TestPushesMatchPerItemModel(t *testing.T) {
 		}
 		if got := h.Host("").Stats().Pushes; got != ref.pushes {
 			t.Errorf("seed %d: Pushes = %d, want %d", seed, got, ref.pushes)
+		}
+		if n := h.Host("").LogLen(); n <= chunklog.Size {
+			t.Errorf("seed %d: the log holds %d items, within its first chunk of %d", seed, n, chunklog.Size)
 		}
 	}
 }
