@@ -132,12 +132,14 @@ func (c *Codec) Encode(payload any) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses a frame into a pointer to the registered type for its tag.
-// Unknown tags return (nil, nil) so callers can skip traffic meant for other
-// protocols sharing the endpoint; malformed frames (no magic byte, bad
-// version or body encoding, truncation, a length prefix past the limit or
-// disagreeing with the actual frame size, a body its parser rejects) are
-// errors.
+// Decode parses a frame into a pointer to the registered type for its tag:
+// a fresh value, or for a Scoped type one from its free list, which the
+// caller hands back when the value's readers are done (FromTransport does,
+// once its handler chain has returned). Unknown tags return (nil, nil) so
+// callers can skip traffic meant for other protocols sharing the endpoint;
+// malformed frames (no magic byte, bad version or body encoding,
+// truncation, a length prefix past the limit or disagreeing with the actual
+// frame size, a body its parser rejects) are errors.
 //
 //cscw:hotpath
 func (c *Codec) Decode(data []byte) (any, error) {
@@ -175,31 +177,31 @@ func (c *Codec) Decode(data []byte) (any, error) {
 		return nil, fmt.Errorf("fabric: unknown body encoding %d", enc)
 	}
 	c.mu.RLock()
-	t, ok := c.byTag[string(tag)]
+	reg, ok := c.byTag[string(tag)]
 	c.mu.RUnlock()
 	if !ok {
 		return nil, nil
 	}
 	// The one copy of a received frame: the transport reuses data once
 	// this returns, and every string field is a substring of this.
-	return c.parse(t, string(body))
+	return c.parse(reg, string(body))
 }
 
 // ParseBody parses body, all of it, as the binary body of the type
-// registered under tag, and returns a pointer to a fresh value of it. A tag
-// nothing registered is an error: the caller named it, so it has no other
-// protocol to belong to. Nothing is copied: every string field is a
-// substring of body.
+// registered under tag, and returns a pointer to a value of it, as Decode
+// does. A tag nothing registered is an error: the caller named it, so it
+// has no other protocol to belong to. Nothing is copied: every string field
+// is a substring of body.
 //
 //cscw:hotpath
 func (c *Codec) ParseBody(tag, body string) (any, error) {
 	c.mu.RLock()
-	t, ok := c.byTag[tag]
+	reg, ok := c.byTag[tag]
 	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("fabric: no type registered for tag %q", tag)
 	}
-	return c.parse(t, body)
+	return c.parse(reg, body)
 }
 
 // TagOf is the one type → tag lookup: the tag registered for payload's
@@ -220,13 +222,21 @@ func (c *Codec) TagOf(payload any) (string, error) {
 	return tag, nil
 }
 
-// parse is the one parse step of Decode and ParseBody: a fresh value of
-// t, a registered type, with body parsed into it. Register checked that the
-// pointer type implements BinaryParser.
-func (c *Codec) parse(t reflect.Type, body string) (any, error) {
-	out := reflect.New(t).Interface()
+// parse is the one parse step of Decode and ParseBody: a zero value of a
+// registered type, taken from the type's free list when it has one, with
+// body parsed into it. Register checked that the pointer type implements
+// BinaryParser. A value the body does not parse into goes back to its free
+// list, if it has one.
+func (c *Codec) parse(reg registered, body string) (any, error) {
+	var out any
+	if reg.free != nil {
+		out = reg.free.take()
+	} else {
+		out = reflect.New(reg.t).Interface()
+	}
 	if err := out.(BinaryParser).ParseBinary(NewReader(body)); err != nil {
 		tag, _ := c.TagOf(out)
+		release(out)
 		return nil, fmt.Errorf("fabric: binary-decode %s body: %w", tag, err)
 	}
 	return out, nil

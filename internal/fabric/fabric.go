@@ -39,10 +39,14 @@ type Handler func(from string, payload any, size int)
 //
 // Struct payloads are pointers, on every substrate: senders pass &T{...},
 // in-process substrates hand that pointer through, and byte substrates
-// decode into a fresh *T, a send to the endpoint's own id included. A
-// receiver must treat a payload as shared and never modify it. Receivers
-// switch on *T only; a T sent by value reaches no case and is dropped as
-// foreign traffic.
+// decode into a *T of their own, a send to the endpoint's own id included.
+// That *T is freshly allocated unless T is Scoped: then it comes from T's
+// free list and is the receivers' only until the handler call returns, after
+// which FromTransport zeroes it and hands it to a later decode, so a
+// receiver that keeps the message copies the struct inside the call (its
+// strings it may keep). A receiver must treat a payload as shared and never
+// modify it. Receivers switch on *T only; a T sent by value reaches no case
+// and is dropped as foreign traffic.
 type Endpoint interface {
 	// ID returns the endpoint's stable address on its substrate.
 	ID() string
@@ -57,6 +61,9 @@ type Endpoint interface {
 
 // Middleware wraps an Endpoint with interposed behaviour. The wrapper must
 // delegate ID and Close and may transform Send and the installed Handler.
+// A delivered payload of a Scoped type is valid only until the wrapped
+// handler returns, so a middleware that keeps one past that (to deliver it
+// later, or to record it) keeps a copy of the struct, never the pointer.
 type Middleware func(Endpoint) Endpoint
 
 // Wrap composes middlewares around ep. The first middleware is outermost:

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/crdt"
+	"repro/internal/fabric"
 	"repro/internal/session"
 )
 
@@ -44,8 +45,10 @@ func TestDecodedPayloadOutlivesFrame(t *testing.T) {
 }
 
 // TestBinaryDecodeAllocs pins the cost of decoding the per-keystroke
-// frames: the payload value itself, one string holding every string field,
-// and for MsgItems the item slice.
+// frames, each released after its decode as FromTransport releases it: the
+// payload value itself, one string holding every string field, and for
+// MsgItems the item slice. A MsgPost is Scoped, so its value comes back
+// from the free list and only the string is new.
 func TestBinaryDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -56,7 +59,7 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 		payload any
 		want    float64
 	}{
-		{"session/post", session.MsgPost{Doc: "doc", From: "alice", Kind: "eng/op", Body: "|AQID"}, 2},
+		{"session/post", session.MsgPost{Doc: "doc", From: "alice", Kind: "eng/op", Body: "|AQID"}, 1},
 		{"session/items x1", session.MsgItems{Doc: "doc", Items: []session.Item{{Seq: 9, From: "alice", Kind: "eng/op", Body: "|AQID", At: 3}}}, 3},
 		{"crdt/op", crdt.MsgOp{Doc: "doc", Op: crdt.Op{Kind: crdt.OpSeqInsert, Site: "alice", Seq: 4, ID: crdt.ID{N: 4, Site: "alice"}, After: crdt.ID{N: 3, Site: "bob"}, Ch: 'x'}}, 2},
 	}
@@ -66,12 +69,82 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 			t.Fatalf("%s: encode: %v", tc.name, err)
 		}
 		got := testing.AllocsPerRun(100, func() {
-			if _, err := codec.Decode(frame); err != nil {
+			v, err := codec.Decode(frame)
+			if err != nil {
 				t.Fatal(err)
 			}
+			fabric.Release(v)
 		})
 		if got != tc.want {
 			t.Errorf("%s: Decode allocates %v objects, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestScopedValueReuse: a MsgPost is Scoped, so a released post is zeroed
+// and the next decode parses into it. After a post with every field set, a
+// post with every field empty and a body whose parse failed (which leaves
+// the fields before the failure set, and goes back to the list itself), a
+// decode of either post must reuse that value and equal a decode into a new
+// one.
+func TestScopedValueReuse(t *testing.T) {
+	codec := session.NewWireCodec()
+	type input struct {
+		name  string
+		frame []byte
+		fresh session.MsgPost // the post a decode into a new value reads
+	}
+	inputOf := func(name string, p session.MsgPost) input {
+		frame, err := codec.Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := p.AppendBinary(nil)
+		var fresh session.MsgPost
+		if err := fresh.ParseBinary(fabric.NewReader(string(body))); err != nil {
+			t.Fatal(err)
+		}
+		return input{name, bytes.Clone(frame), fresh}
+	}
+	full := inputOf("full", session.MsgPost{Doc: "doc", From: "alice", Kind: "eng/op", Body: "|AQID"})
+	empty := inputOf("empty", session.MsgPost{})
+	// The failed body declares its Kind 127 bytes long, past the body's
+	// end, once Doc and From have parsed.
+	failed := input{name: "failed", frame: bytes.Clone(full.frame)}
+	failed.frame[len(failed.frame)-len("\x06eng/op\x05|AQID")] = 0x7F
+	// decode returns the post frame decodes to, or nil when it does not.
+	decode := func(frame []byte) *session.MsgPost {
+		v, err := codec.Decode(frame)
+		if err != nil {
+			return nil
+		}
+		return v.(*session.MsgPost)
+	}
+	if decode(failed.frame) != nil {
+		t.Fatal("the failed body decoded")
+	}
+	for _, before := range []input{full, empty, failed} {
+		for _, after := range []input{full, empty} {
+			// The value the next decode takes: one just released.
+			kept := decode(full.frame)
+			fabric.Release(kept)
+			if *kept != (session.MsgPost{}) {
+				t.Fatalf("a released post holds %+v, want it zeroed", *kept)
+			}
+			if m := decode(before.frame); m != nil {
+				if m != kept {
+					t.Fatalf("%s: the decode did not reuse the released post", before.name)
+				}
+				fabric.Release(m)
+			}
+			m := decode(after.frame)
+			if m != kept {
+				t.Fatalf("%s post after a %s one: the decode did not reuse the released post", after.name, before.name)
+			}
+			if *m != after.fresh {
+				t.Fatalf("%s post after a %s one decoded as %+v, want %+v", after.name, before.name, *m, after.fresh)
+			}
+			fabric.Release(m)
 		}
 	}
 }

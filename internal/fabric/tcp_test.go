@@ -187,9 +187,9 @@ func TestTransportConcurrentSendsDecodeIntact(t *testing.T) {
 
 // TestTransportSelfSend: a FromTransport send to its own id is an ordinary
 // transport send. From a listening endpoint it dials its own listener and
-// arrives on a reader goroutine, from "a", sized as the frame, as a freshly
-// decoded payload rather than the sender's pointer. A dial-only endpoint
-// has no address to reach itself at, so its self-send fails with
+// arrives on a reader goroutine, from "a", sized as the frame, as a decoded
+// payload rather than the sender's pointer. A dial-only endpoint has no
+// address to reach itself at, so its self-send fails with
 // transport.ErrUnknownPeer and delivers nothing.
 func TestTransportSelfSend(t *testing.T) {
 	codec := session.NewWireCodec()
@@ -198,9 +198,12 @@ func TestTransportSelfSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An arrival is read inside the handler call: a decoded post is lent
+	// to the handler (fabric.Scoped), so the test keeps a copy of it.
 	type arrival struct {
 		from    string
-		payload any
+		post    *session.MsgPost // a copy of the delivered post; nil for another payload
+		senders bool             // the delivered pointer was the sender's own
 		size    int
 	}
 	// selfSend sends post from a to itself and returns what arrived within
@@ -209,7 +212,14 @@ func TestTransportSelfSend(t *testing.T) {
 		got := make(chan arrival, 1)
 		fa := fabric.FromTransport(tep, codec)
 		t.Cleanup(func() { fa.Close() })
-		fa.SetHandler(func(from string, payload any, size int) { got <- arrival{from, payload, size} })
+		fa.SetHandler(func(from string, payload any, size int) {
+			a := arrival{from: from, size: size}
+			if p, ok := payload.(*session.MsgPost); ok {
+				a.post, a.senders = new(session.MsgPost), p == post
+				*a.post = *p
+			}
+			got <- a
+		})
 		err := fa.Send("a", post, 0)
 		select {
 		case a := <-got:
@@ -223,8 +233,8 @@ func TestTransportSelfSend(t *testing.T) {
 		if err != nil || a == nil {
 			t.Fatalf("self-send: error %v, arrival %v", err, a)
 		}
-		if p, ok := a.payload.(*session.MsgPost); !ok || p == post || *p != *post {
-			t.Fatalf("self-send delivered %#v, want a decoded copy of %#v", a.payload, post)
+		if a.post == nil || a.senders || *a.post != *post {
+			t.Fatalf("self-send delivered %#v (the sender's pointer: %v), want a decoded copy of %#v", a.post, a.senders, post)
 		}
 		if a.from != "a" || a.size != len(frame) {
 			t.Errorf("self-send delivered from %q size %d, want from \"a\" size %d (the frame length)", a.from, a.size, len(frame))

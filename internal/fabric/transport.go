@@ -15,7 +15,10 @@ type TransportEndpoint struct {
 // or a wrapper around one). The raw byte handler is claimed immediately, so
 // every frame is decoded here; one that arrives before SetHandler, fails to
 // decode, or carries a tag the codec has not registered is counted as
-// dropped, and so is a payload Send cannot encode.
+// dropped, and so is a payload Send cannot encode. A decoded payload of a
+// Scoped type is lent to the handler chain: once the chain has returned it
+// goes back to its type's free list for a later Decode, whatever codec
+// decoded it.
 func FromTransport(ep transport.Endpoint, codec PayloadCodec) *TransportEndpoint {
 	t := &TransportEndpoint{ep: ep, codec: codec}
 	ep.SetHandler(func(from string, data []byte) {
@@ -25,6 +28,7 @@ func FromTransport(ep transport.Endpoint, codec PayloadCodec) *TransportEndpoint
 			return
 		}
 		t.in.deliver(from, payload, len(data))
+		release(payload)
 	})
 	return t
 }

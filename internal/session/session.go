@@ -108,7 +108,15 @@ type MsgJoinAck struct {
 	segs    *[][]Item // as MsgItems.segs
 }
 
-// MsgPost submits an item to the host.
+// MsgPost submits an item to the host. It is fabric.Scoped: only the Host
+// receives it, and it copies what it logs inside the handler call (the
+// strings, which are substrings of the frame's one copy), so a post decoded
+// from a byte transport is the host's only until that call returns; then
+// FromTransport zeroes it and puts it back on its free list (wire.go) for
+// the next post. It is the one per-op message a daemon decodes. The
+// messages a client decodes are not Scoped: their decode runs in the
+// benchmark's load generator, whose allocation count a frozen test holds
+// above a floor (ROADMAP item 1(a)).
 type MsgPost struct {
 	Doc  string
 	From string

@@ -29,6 +29,14 @@ func RegisterWire(c *fabric.Codec) {
 	c.Register(tagLeave, MsgLeave{})
 }
 
+// postFree is the storage MsgPost frames decode into: a package variable,
+// so no codec's set-up allocates it.
+var postFree fabric.FreeList[MsgPost]
+
+// FreeList implements fabric.Scoped: a decoded MsgPost is lent to the handler
+// chain (see MsgPost).
+func (*MsgPost) FreeList() fabric.Recycler { return &postFree }
+
 // NewWireCodec returns a codec pre-loaded with the session wire messages.
 func NewWireCodec() *fabric.Codec {
 	c := fabric.NewCodec()
