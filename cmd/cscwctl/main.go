@@ -9,9 +9,6 @@
 //	cscwctl chaos -list
 //	cscwctl chaos -scenario <name> [-seed <n>] [-v]
 //
-// The wire has one codec; -codec binary, its one accepted value, is still
-// taken for old scripts.
-//
 // The chaos subcommand runs one deterministic fault scenario from
 // internal/chaos and exits non-zero if any invariant is violated; -v prints
 // the full event trace. The same seed always reproduces the same trace.
@@ -110,16 +107,12 @@ func run(args []string) error {
 	fs.StringVar(&cfg.User, "user", "", "participant name (required)")
 	fs.StringVar(&cfg.Host, "host", "127.0.0.1:7480", "sessiond address")
 	fs.StringVar(&cfg.Doc, "doc", "", "document (session) to join; empty joins the unnamed session")
-	codec := fs.String("codec", "binary", "wire codec: binary, the only one")
 	fs.StringVar(&cfg.Engine, "engine", "", "edit -doc through a convergence engine: ot or crdt (default: plain chat)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if cfg.User == "" {
 		return fmt.Errorf("cscwctl: -user is required")
-	}
-	if *codec != "binary" {
-		return fmt.Errorf("cscwctl: unknown codec %q (binary is the only codec)", *codec)
 	}
 	p, err := daemon.Dial(cfg)
 	if err != nil {

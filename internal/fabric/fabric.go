@@ -13,9 +13,10 @@
 // straight through.
 //
 // It also owns the one rule for acting on an Endpoint from under a lock:
-// a protocol owner (a group member, a session document or client) queues
-// its sends, deliveries and callbacks on an Outbox while holding its mutex,
-// and Outbox.Drain releases the mutex and performs them in order.
+// every entry point of a protocol owner (a group member, a session document
+// or client) is one Outbox.Do, which locks the owner's mutex while the owner
+// decides and queues its sends, deliveries and callbacks, then releases it
+// and performs them in order.
 package fabric
 
 import (

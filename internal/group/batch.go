@@ -51,18 +51,16 @@ func (b BatchConfig) limit(o Ordering) int {
 
 // batchTimerFire is the accumulation-window callback.
 func (m *Member) batchTimerFire() {
-	m.mu.Lock()
-	m.batchArmed = false
-	m.queueFlush()
-	m.out.Drain(&m.mu)
+	m.out.Do(func() {
+		m.batchArmed = false
+		m.queueFlush()
+	})
 }
 
 // Flush forces any accumulated batch onto the wire now. A no-op for
 // unbatched members and empty buffers.
 func (m *Member) Flush() {
-	m.mu.Lock()
-	m.queueFlush()
-	m.out.Drain(&m.mu)
+	m.out.Do(m.queueFlush)
 }
 
 // queueFlush flushes the accumulation buffer as a fire-and-forget send
@@ -103,7 +101,7 @@ func (m *Member) flush() (*packet, []string) {
 //
 //cscw:hotpath
 func (m *Member) wireRun(run []*packet) (*packet, []string) {
-	targets := m.viewTargets()
+	targets := m.view.Members
 	switch m.ordering {
 	case TotalToken:
 		if !m.hasToken {

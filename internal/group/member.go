@@ -14,10 +14,11 @@ import (
 
 // Member is one group endpoint. All state is guarded by an internal mutex,
 // so a member is safe to drive from the simulator goroutine and from real
-// transport delivery goroutines alike. Receive-path sends and application
-// callbacks (Deliver, RPC handlers and completions) are queued on
-// the member's fabric.Outbox and run outside the lock, so they may freely
-// call back into the member (e.g. Multicast from inside Deliver).
+// transport delivery goroutines alike. Every entry point is one
+// fabric.Outbox.Do: receive-path sends and application callbacks (Deliver,
+// RPC handlers and completions) are queued on the member's outbox and run
+// outside the lock, so they may freely call back into the member (e.g.
+// Multicast from inside Deliver).
 //
 // A program installs the view on every member before traffic starts, and a
 // later InstallView assumes quiescence (no multicasts in flight), as in
@@ -28,8 +29,9 @@ type Member struct {
 	timer    Timer
 	ordering Ordering
 
-	// mu guards everything below, out included: effects are queued on out
-	// while holding mu, and out.Drain(&m.mu) performs them with mu released.
+	// mu guards everything below, out included: out.Do locks it while an
+	// entry point decides and queues effects, and performs them with it
+	// released.
 	mu  sync.Mutex
 	out *fabric.Outbox
 
@@ -174,7 +176,7 @@ func NewMember(cfg Config) (*Member, error) {
 	// Delivery is built when the outbox performs it. cfg.Deliver is
 	// immutable after NewMember, so calling it without the lock is safe.
 	deliver := cfg.Deliver
-	m.out = fabric.NewOutbox(cfg.Endpoint, func(payload any, seq uint64) {
+	m.out = fabric.NewOutbox(&m.mu, cfg.Endpoint, func(payload any, seq uint64) {
 		pkt := payload.(*packet)
 		deliver(Delivery{From: pkt.origin(), Body: pkt.Body, Seq: seq, VC: pkt.VC, ViewID: pkt.ViewID})
 	})
@@ -185,45 +187,43 @@ func NewMember(cfg Config) (*Member, error) {
 }
 
 // Delivered returns the count of messages delivered to the application.
-func (m *Member) Delivered() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.delivered
+func (m *Member) Delivered() (n uint64) {
+	m.out.Do(func() { n = m.delivered })
+	return n
 }
 
 // RetransmissionCount returns the number of repairs served to other
 // members.
-func (m *Member) RetransmissionCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retransmissions
+func (m *Member) RetransmissionCount() (n int) {
+	m.out.Do(func() { n = m.retransmissions })
+	return n
 }
 
 // InstallView installs a membership view locally, resetting ordering state.
 func (m *Member) InstallView(v View) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.view = v
-	m.fifoSent = 0
-	m.fifoNext = make(map[string]uint64)
-	m.fifoHold = make(map[string]map[uint64]*packet)
-	m.sentBuf = make(map[uint64]*packet)
-	m.nacked = make(map[string]uint64)
-	m.knownHi = make(map[string]uint64)
-	m.vc = vclock.New()
-	m.causalSent = 0
-	m.causalHold = nil
-	m.nextGlobal = 1
-	m.seqNext = 1
-	m.held = make(map[uint64]*packet)
-	m.own = make(map[uint64]*packet)
-	m.ownLow = m.msgCounter + 1
-	m.sequenced = make(map[string]*seqMark)
-	m.outbox = nil
-	m.batchBuf = nil // view change assumes quiescence; unsent buffered messages drop with it
-	m.tokenWait = nil
-	m.waitKnown = make(map[string]bool)
-	m.hasToken = m.ordering == TotalToken && v.Sequencer() == m.id
+	m.out.Do(func() {
+		m.view = v
+		m.fifoSent = 0
+		m.fifoNext = make(map[string]uint64)
+		m.fifoHold = make(map[string]map[uint64]*packet)
+		m.sentBuf = make(map[uint64]*packet)
+		m.nacked = make(map[string]uint64)
+		m.knownHi = make(map[string]uint64)
+		m.vc = vclock.New()
+		m.causalSent = 0
+		m.causalHold = nil
+		m.nextGlobal = 1
+		m.seqNext = 1
+		m.held = make(map[uint64]*packet)
+		m.own = make(map[uint64]*packet)
+		m.ownLow = m.msgCounter + 1
+		m.sequenced = make(map[string]*seqMark)
+		m.outbox = nil
+		m.batchBuf = nil // view change assumes quiescence; unsent buffered messages drop with it
+		m.tokenWait = nil
+		m.waitKnown = make(map[string]bool)
+		m.hasToken = m.ordering == TotalToken && v.Sequencer() == m.id
+	})
 }
 
 // Multicast delivers body to every member of the current view (including
@@ -237,29 +237,29 @@ func (m *Member) InstallView(v View) {
 //
 //cscw:hotpath
 func (m *Member) Multicast(body any, size int) error {
-	m.mu.Lock()
-	if !m.view.Contains(m.id) {
-		m.mu.Unlock()
-		return ErrNotMember
-	}
-	pkt := m.newPacket()
-	*pkt = packet{Kind: kData, From: m.id, ViewID: m.view.ID, Body: body, Size: size}
-	m.stamp(pkt)
-	m.batchBuf = append(m.batchBuf, pkt)
+	var member bool
 	var out *packet
 	var targets []string
-	if len(m.batchBuf) >= m.limit {
-		out, targets = m.flush()
-	} else if m.batch.Window > 0 && !m.batchArmed {
-		m.batchArmed = true
-		// One timer closure per accumulation window, amortized over the whole batch.
-		m.timer.After(m.batch.Window, m.batchTimerFire)
+	m.out.Do(func() {
+		if member = m.view.Contains(m.id); !member {
+			return
+		}
+		pkt := m.newPacket()
+		*pkt = packet{Kind: kData, From: m.id, ViewID: m.view.ID, Body: body, Size: size}
+		m.stamp(pkt)
+		m.batchBuf = append(m.batchBuf, pkt)
+		if len(m.batchBuf) >= m.limit {
+			out, targets = m.flush()
+		} else if m.batch.Window > 0 && !m.batchArmed {
+			m.batchArmed = true
+			// One timer closure per accumulation window, amortized over the whole batch.
+			m.timer.After(m.batch.Window, m.batchTimerFire)
+		}
+	})
+	if !member {
+		return ErrNotMember
 	}
-	m.out.Drain(&m.mu) // releases m.mu: the sends below must not run under it
-	if out == nil {
-		return nil
-	}
-	return m.sendToAll(targets, out)
+	return m.sendToAll(targets, out) // m.mu is released; no targets unless this call flushed
 }
 
 // stamp gives an outgoing data packet its identity under the configured
@@ -296,14 +296,6 @@ func (m *Member) stamp(pkt *packet) {
 	}
 }
 
-// viewTargets returns the current view's membership for fan-out, without
-// copying: View.Members is immutable once installed (see the View doc), and
-// a view change installs a wholly new slice, so a fan-out running after the
-// lock is released still ranges over exactly the snapshot it captured.
-func (m *Member) viewTargets() []string {
-	return m.view.Members
-}
-
 // sendToAll fans pkt out to targets. It must be called without m.mu held —
 // a Send can block over a real transport, and a member that sends while
 // locked can deadlock with a peer doing the same, or with its own reader
@@ -312,7 +304,9 @@ func (m *Member) viewTargets() []string {
 // fail (partial failure must not silence members listed after the first
 // unreachable one; under netsim, whose self-link can drop, that includes
 // self-delivery, which nothing repairs). The first error is reported after
-// all attempts.
+// all attempts. targets is read uncopied, m.mu released: a view's Members is
+// immutable once installed (see the View doc), and a view change installs a
+// wholly new slice.
 func (m *Member) sendToAll(targets []string, pkt *packet) error {
 	var first error
 	for _, id := range targets {
@@ -321,16 +315,6 @@ func (m *Member) sendToAll(targets []string, pkt *packet) error {
 		}
 	}
 	return first
-}
-
-// queueSendToView schedules a fire-and-forget fan-out of pkt to the current
-// view on the outbox: targets are snapshotted now, under the lock, and the
-// sends run once m.mu is released, in queue order (which preserves their
-// order relative to queued deliveries). Receive-path protocol sends use
-// this; a loss surfaces as stalled delivery, repaired by NACK/SyncPoint or
-// measured by the experiments.
-func (m *Member) queueSendToView(pkt *packet) {
-	m.out.QueueAll(m.viewTargets(), pkt, pkt.Size+64)
 }
 
 // Receive ingests a packet from the endpoint. NewMember wires the
@@ -346,42 +330,41 @@ func (m *Member) Receive(from string, payload any) {
 	if !ok {
 		return // foreign traffic on a shared endpoint; not ours
 	}
-	m.mu.Lock()
-	if pkt.From != from || !m.view.Contains(from) || pkt.Kind == kBatch && !sentBy(from, pkt.Msgs) {
-		m.mu.Unlock()
-		return
-	}
-	switch pkt.Kind {
-	case kData:
-		m.receiveMsgs(from, pkt)
-	case kBatch:
-		m.receiveMsgs(from, pkt.Msgs...)
-	case kOrder:
-		// An announcement from any other member would make this member
-		// deliver in an order the rest of the view does not.
-		if from == m.view.Sequencer() {
-			m.receiveOrder(pkt)
+	m.out.Do(func() {
+		if pkt.From != from || !m.view.Contains(from) || pkt.Kind == kBatch && !sentBy(from, pkt.Msgs) {
+			return
 		}
-	case kToken:
-		// The token protocol's packets mean nothing to the others; taken,
-		// a token would reset a sequencer's next position.
-		if m.ordering == TotalToken {
-			m.receiveToken(pkt)
+		switch pkt.Kind {
+		case kData:
+			m.receiveMsgs(from, pkt)
+		case kBatch:
+			m.receiveMsgs(from, pkt.Msgs...)
+		case kOrder:
+			// An announcement from any other member would make this member
+			// deliver in an order the rest of the view does not.
+			if from == m.view.Sequencer() {
+				m.receiveOrder(pkt)
+			}
+		case kToken:
+			// The token protocol's packets mean nothing to the others; taken,
+			// a token would reset a sequencer's next position.
+			if m.ordering == TotalToken {
+				m.receiveToken(pkt)
+			}
+		case kTokenReq:
+			if m.ordering == TotalToken {
+				m.receiveTokenReq(pkt)
+			}
+		case kNack:
+			m.receiveNack(pkt)
+		case kSync:
+			m.receiveSync(pkt)
+		case kRPCReq:
+			m.receiveRPCRequest(pkt)
+		case kRPCRep:
+			m.receiveRPCReply(pkt)
 		}
-	case kTokenReq:
-		if m.ordering == TotalToken {
-			m.receiveTokenReq(pkt)
-		}
-	case kNack:
-		m.receiveNack(pkt)
-	case kSync:
-		m.receiveSync(pkt)
-	case kRPCReq:
-		m.receiveRPCRequest(pkt)
-	case kRPCRep:
-		m.receiveRPCReply(pkt)
-	}
-	m.out.Drain(&m.mu)
+	})
 }
 
 // sentBy reports whether every packet of a batch names from as its sender.
@@ -640,15 +623,15 @@ func (m *Member) maybeNack(sender string) {
 // letting receivers detect and repair *tail* loss (a lost final message
 // reveals no gap by itself). Schedule it periodically over lossy links.
 func (m *Member) SyncPoint() error {
-	m.mu.Lock()
-	if m.ordering != FIFO || !m.view.Contains(m.id) {
-		m.mu.Unlock()
-		return nil
-	}
-	pkt := &packet{Kind: kSync, From: m.id, ViewID: m.view.ID, SenderSeq: m.fifoSent}
-	targets := m.viewTargets()
-	m.out.Drain(&m.mu) // releases m.mu: sends must not run under the lock
-	return m.sendToAll(targets, pkt)
+	var pkt *packet
+	var targets []string
+	m.out.Do(func() {
+		if m.ordering == FIFO && m.view.Contains(m.id) {
+			pkt = &packet{Kind: kSync, From: m.id, ViewID: m.view.ID, SenderSeq: m.fifoSent}
+			targets = m.view.Members
+		}
+	})
+	return m.sendToAll(targets, pkt) // m.mu is released; no targets unless a FIFO member
 }
 
 func (m *Member) receiveSync(pkt *packet) {
@@ -666,28 +649,28 @@ func (m *Member) receiveSync(pkt *packet) {
 // timer for sessions over lossy links (a lost NACK or a lost repair
 // otherwise only recovers when more traffic arrives).
 func (m *Member) RequestRepair() {
-	m.mu.Lock()
-	senders := make(map[string]bool, len(m.fifoHold)+len(m.knownHi))
-	for s := range m.fifoHold {
-		senders[s] = true
-	}
-	for s := range m.knownHi {
-		senders[s] = true
-	}
-	// Deterministic NACK order keeps seeded simulations replayable.
-	ordered := make([]string, 0, len(senders))
-	for s := range senders {
-		ordered = append(ordered, s)
-	}
-	sort.Strings(ordered)
-	for _, sender := range ordered {
-		if sender == m.id {
-			continue
+	m.out.Do(func() {
+		senders := make(map[string]bool, len(m.fifoHold)+len(m.knownHi))
+		for s := range m.fifoHold {
+			senders[s] = true
 		}
-		m.nacked[sender] = 0
-		m.maybeNack(sender)
-	}
-	m.out.Drain(&m.mu) // releases m.mu and sends the NACKs now
+		for s := range m.knownHi {
+			senders[s] = true
+		}
+		// Deterministic NACK order keeps seeded simulations replayable.
+		ordered := make([]string, 0, len(senders))
+		for s := range senders {
+			ordered = append(ordered, s)
+		}
+		sort.Strings(ordered)
+		for _, sender := range ordered {
+			if sender == m.id {
+				continue
+			}
+			m.nacked[sender] = 0
+			m.maybeNack(sender)
+		}
+	})
 }
 
 // receiveNack serves a repair request from sentBuf. The walk is clamped to
@@ -846,14 +829,12 @@ func (m *Member) maybePassToken() {
 	next := m.tokenWait[0]
 	m.hasToken = false
 	tok := &packet{Kind: kToken, From: m.id, ViewID: m.view.ID, Body: next, GlobalSeq: m.seqNext}
-	m.queueSendToView(tok)
+	m.out.QueueAll(m.view.Members, tok, tok.Size+64)
 }
 
 // Handle registers an RPC handler for op.
 func (m *Member) Handle(op string, h HandlerFunc) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handlers[op] = h
+	m.out.Do(func() { m.handlers[op] = h })
 }
 
 // CallOpts configures a group RPC.
@@ -867,38 +848,43 @@ type CallOpts struct {
 // runs between members in one process: over a byte codec the codec refuses
 // its request (see Config).
 func (m *Member) Call(op string, body any, opts CallOpts, done func([]Reply, error)) error {
-	m.mu.Lock()
-	if !m.view.Contains(m.id) {
-		m.mu.Unlock()
-		return ErrNotMember
-	}
-	m.callCounter++
-	id := m.callCounter
-	pc := &pendingCall{need: len(m.view.Members), callback: done}
-	m.calls[id] = pc
-	if opts.Deadline > 0 {
-		if m.timer == nil {
-			delete(m.calls, id)
-			m.mu.Unlock()
-			return fmt.Errorf("group: deadline requires a timer")
+	var err error
+	var req *packet
+	var targets []string
+	m.out.Do(func() {
+		if !m.view.Contains(m.id) {
+			err = ErrNotMember
+			return
 		}
-		m.timer.After(opts.Deadline, func() {
-			m.mu.Lock()
-			c, ok := m.calls[id]
-			if !ok || c.done {
-				m.out.Drain(&m.mu)
-				return
-			}
-			c.done = true
-			delete(m.calls, id)
-			m.out.Call(func() { c.callback(c.replies, ErrRPCDeadline) })
-			m.out.Drain(&m.mu)
-		})
+		m.callCounter++
+		id := m.callCounter
+		if opts.Deadline > 0 && m.timer == nil {
+			err = fmt.Errorf("group: deadline requires a timer")
+			return
+		}
+		m.calls[id] = &pendingCall{need: len(m.view.Members), callback: done}
+		if opts.Deadline > 0 {
+			m.timer.After(opts.Deadline, func() { m.out.Do(func() { m.expireCall(id) }) })
+		}
+		req = &packet{Kind: kRPCReq, From: m.id, ViewID: m.view.ID, CallID: id, Op: op, Body: body}
+		targets = m.view.Members
+	})
+	if err != nil {
+		return err
 	}
-	req := &packet{Kind: kRPCReq, From: m.id, ViewID: m.view.ID, CallID: id, Op: op, Body: body}
-	targets := m.viewTargets()
-	m.out.Drain(&m.mu) // releases m.mu: the fan-out below must not run under it
-	return m.sendToAll(targets, req)
+	return m.sendToAll(targets, req) // m.mu is released: the fan-out must not run under it
+}
+
+// expireCall completes call id with the replies so far and ErrRPCDeadline,
+// unless every reply has already come.
+func (m *Member) expireCall(id uint64) {
+	c, ok := m.calls[id]
+	if !ok || c.done {
+		return
+	}
+	c.done = true
+	delete(m.calls, id)
+	m.out.Call(func() { c.callback(c.replies, ErrRPCDeadline) })
 }
 
 func (m *Member) receiveRPCRequest(pkt *packet) {

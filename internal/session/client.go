@@ -16,9 +16,9 @@ type Client struct {
 	host string
 	doc  string // document key; "" is the unnamed document
 
-	// mu guards everything below, out included: the On* callbacks due are
-	// queued on out while mu is held, and out.Drain(&c.mu) runs them with
-	// it released.
+	// mu guards everything below, out included: every entry point is one
+	// out.Do, which queues the On* callbacks due while mu is held and runs
+	// them with it released.
 	mu  sync.Mutex
 	out *fabric.Outbox
 
@@ -41,10 +41,17 @@ type Client struct {
 // without cross-talk.
 func NewClientForDoc(ep fabric.Endpoint, host, doc string) *Client {
 	c := &Client{ep: ep, host: host, doc: doc, mode: Synchronous}
-	// An item — the push hot path — is queued as a pointer into the
-	// received message, which receivers only read; mode, presence and
-	// joined notifications are queued calls.
-	c.out = fabric.NewOutbox(ep, func(it any, _ uint64) { c.OnItem(*it.(*Item)) })
+	// A frame's items — the push hot path — are queued as one delivery of
+	// the received message, which receivers only read, and the last
+	// sequence number seen before it; mode, presence and joined
+	// notifications are queued calls.
+	c.out = fabric.NewOutbox(&c.mu, ep, func(frame any, since uint64) {
+		if m, ok := frame.(*MsgJoinAck); ok {
+			unseen(m.Backlog, m.segs, since, c.OnItem)
+		} else {
+			unseen(frame.(*MsgItems).Items, frame.(*MsgItems).segs, since, c.OnItem)
+		}
+	})
 	ep.SetHandler(func(from string, payload any, size int) {
 		c.Receive(from, payload)
 	})
@@ -55,24 +62,21 @@ func NewClientForDoc(ep fabric.Endpoint, host, doc string) *Client {
 func (c *Client) ID() string { return c.ep.ID() }
 
 // Joined reports whether the join handshake completed.
-func (c *Client) Joined() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.joined
+func (c *Client) Joined() (joined bool) {
+	c.out.Do(func() { joined = c.joined })
+	return joined
 }
 
 // Mode returns the last known session mode.
-func (c *Client) Mode() Mode {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mode
+func (c *Client) Mode() (m Mode) {
+	c.out.Do(func() { m = c.mode })
+	return m
 }
 
 // LastSeq returns the highest item sequence number seen.
-func (c *Client) LastSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastSeq
+func (c *Client) LastSeq() (seq uint64) {
+	c.out.Do(func() { seq = c.lastSeq })
+	return seq
 }
 
 // Join requests (re)admission, asking for replay of anything after the last
@@ -81,10 +85,7 @@ func (c *Client) Join(now time.Duration) error {
 	if c.host == "" {
 		return ErrNoHost
 	}
-	c.mu.Lock()
-	since := c.lastSeq
-	c.mu.Unlock()
-	return c.ep.Send(c.host, &MsgJoin{Doc: c.doc, From: c.ID(), Since: since, State: Active}, 64)
+	return c.ep.Send(c.host, &MsgJoin{Doc: c.doc, From: c.ID(), Since: c.LastSeq(), State: Active}, 64)
 }
 
 // Post submits an item to the session.
@@ -98,9 +99,9 @@ func (c *Client) Post(kind, body string, now time.Duration) error {
 // Poll fetches items posted since the client last saw one (the
 // asynchronous-mode pull path).
 func (c *Client) Poll(now time.Duration) error {
-	c.mu.Lock()
-	joined, since := c.joined, c.lastSeq
-	c.mu.Unlock()
+	var joined bool
+	var since uint64
+	c.out.Do(func() { joined, since = c.joined, c.lastSeq })
 	if !joined {
 		return fmt.Errorf("%w: %s", ErrNotJoined, c.ID())
 	}
@@ -118,13 +119,11 @@ func (c *Client) SetPresence(p Presence, now time.Duration) error {
 // Leave departs the session (items continue to queue server-side and replay
 // on rejoin).
 func (c *Client) Leave(now time.Duration) error {
-	c.mu.Lock()
-	if !c.joined {
-		c.mu.Unlock()
+	var joined bool
+	c.out.Do(func() { joined, c.joined = c.joined, false })
+	if !joined {
 		return fmt.Errorf("%w: %s", ErrNotJoined, c.ID())
 	}
-	c.joined = false
-	c.mu.Unlock()
 	return c.ep.Send(c.host, &MsgLeave{Doc: c.doc, From: c.ID()}, 64)
 }
 
@@ -136,44 +135,57 @@ func (c *Client) Receive(from string, payload any) {
 	if from != c.host || DocOf(payload) != c.doc {
 		return
 	}
-	c.mu.Lock()
-	switch m := payload.(type) {
-	case *MsgJoinAck:
-		c.joined, c.mode = true, m.Mode
-		if onJoined := c.OnJoined; onJoined != nil {
-			c.out.Call(func() { onJoined(m.Mode, m.Members) })
+	c.out.Do(func() {
+		switch m := payload.(type) {
+		case *MsgJoinAck:
+			c.joined, c.mode = true, m.Mode
+			if onJoined := c.OnJoined; onJoined != nil {
+				c.out.Call(func() { onJoined(m.Mode, m.Members) })
+			}
+			c.deliver(m, m.Backlog, m.segs)
+		case *MsgItems:
+			c.deliver(m, m.Items, m.segs)
+		case *MsgMode:
+			c.mode = m.Mode
+		case *MsgPresence:
+			if onPresence := c.OnPresence; onPresence != nil {
+				c.out.Call(func() { onPresence(m.From, m.State) })
+			}
 		}
-		c.deliver(m.Backlog, m.segs)
-	case *MsgItems:
-		c.deliver(m.Items, m.segs)
-	case *MsgMode:
-		c.mode = m.Mode
-	case *MsgPresence:
-		if onPresence := c.OnPresence; onPresence != nil {
-			c.out.Call(func() { onPresence(m.From, m.State) })
-		}
-	}
-	c.out.Drain(&c.mu)
+	})
 }
 
-// deliver queues the items of a run (items, or segs when it is set, which
-// is the host's log) that this client has not seen yet, in order.
+// deliver moves the client's cursor past the items of frame's run (items,
+// or segs when it is set, which is the host's log) and, if any is new to
+// it, queues one delivery of the frame from the cursor it started at.
 //
 //cscw:hotpath
-func (c *Client) deliver(items []Item, segs *[][]Item) {
+func (c *Client) deliver(frame any, items []Item, segs *[][]Item) {
+	since := c.lastSeq
+	c.lastSeq = unseen(items, segs, since, nil)
+	if c.lastSeq > since && c.OnItem != nil {
+		c.out.Deliver(frame, since)
+	}
+}
+
+// unseen calls yield, unless it is nil, with each item of a run (items, or
+// segs when it is set) whose sequence number is above since and every one
+// before it, in order, and returns the highest sequence number it saw.
+func unseen(items []Item, segs *[][]Item, since uint64, yield func(Item)) uint64 {
 	run := [][]Item{items}
 	if segs != nil {
 		run = *segs
 	}
 	for _, seg := range run {
 		for i := range seg {
-			if seg[i].Seq <= c.lastSeq {
+			if seg[i].Seq <= since {
 				continue // duplicate (e.g. rejoin replay racing a push)
 			}
-			c.lastSeq = seg[i].Seq
-			if c.OnItem != nil {
-				c.out.Deliver(&seg[i], 0)
+			since = seg[i].Seq
+			if yield != nil {
+				yield(seg[i])
 			}
 		}
 	}
+	return since
 }

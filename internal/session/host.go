@@ -135,8 +135,9 @@ func NewMultiHost(ep fabric.Endpoint, mode Mode, clock func() time.Duration, own
 }
 
 // docHost is one document's session: its item log, members and presence.
-// It guards all of that with its own mutex and queues every send and OnItem
-// call on its outbox, to run after the mutex is released. A synchronous
+// It guards all of that with its own mutex, and every entry point and
+// accessor is one Do on its outbox, which queues every send and OnItem call
+// under the mutex and performs them after it is released. A synchronous
 // push is not queued when its item is logged: the item extends each
 // recipient's owed range, and a seal queued behind the item's OnItem call
 // turns every owed range into one frame, so an item that OnItem posts (an
@@ -162,8 +163,8 @@ type docHost struct {
 	ids   []string
 	owed  []*partState // members due a push, in the order they became due
 	stats HostStats
-	// sealOwed seals what is owed from the outbox, d.mu released; it is
-	// built once, so queueing it costs no allocation.
+	// sealOwed is the queued seal: a Do that seals what is owed, run as an
+	// effect; it is built once, so queueing it costs no allocation.
 	sealOwed func()
 }
 
@@ -171,83 +172,76 @@ func newDocHost(h *Host, key string) *docHost {
 	d := &docHost{host: h, key: key, mode: h.mode, parts: make(map[string]*partState)}
 	// A logged item is never modified, so the outbox can hand OnItem a
 	// pointer into the log. OnItem is set before traffic flows.
-	d.out = fabric.NewOutbox(h.ep, func(it any, _ uint64) {
+	d.out = fabric.NewOutbox(&d.mu, h.ep, func(it any, _ uint64) {
 		h.OnItem(key, *it.(*Item))
 	})
-	d.sealOwed = func() {
-		d.mu.Lock()
-		d.seal()
-		d.mu.Unlock()
-	}
+	d.sealOwed = func() { d.out.Do(d.seal) }
 	return d
 }
 
 // Mode returns the document's current session mode.
-func (d *docHost) Mode() Mode {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mode
+func (d *docHost) Mode() (m Mode) {
+	d.out.Do(func() { m = d.mode })
+	return m
 }
 
 // Stats returns accumulated statistics.
-func (d *docHost) Stats() HostStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
+func (d *docHost) Stats() (s HostStats) {
+	d.out.Do(func() { s = d.stats })
+	return s
 }
 
 // LogLen returns the number of items in the document's log.
-func (d *docHost) LogLen() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int(d.seq)
+func (d *docHost) LogLen() (n int) {
+	d.out.Do(func() { n = int(d.seq) })
+	return n
 }
 
 // Members returns joined participants (any presence), sorted.
-func (d *docHost) Members() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return slices.Clone(d.ids)
+func (d *docHost) Members() (ids []string) {
+	d.out.Do(func() { ids = slices.Clone(d.ids) })
+	return ids
 }
 
 // PresenceOf returns a participant's presence (Offline if never joined).
 func (d *docHost) PresenceOf(id string) Presence {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if p, ok := d.parts[id]; ok {
-		return p.presence
-	}
-	return Offline
+	pr := Offline
+	d.out.Do(func() {
+		if p, ok := d.parts[id]; ok {
+			pr = p.presence
+		}
+	})
+	return pr
 }
 
 // receive ingests one message for this document. The author is the
 // transport sender: a message whose From names anyone else is dropped, so no
 // peer can post, poll or leave as someone else.
 func (d *docHost) receive(from string, payload any) {
-	d.mu.Lock()
-	switch m := payload.(type) {
-	case *MsgJoin:
-		if m.From == from {
-			d.onJoin(*m)
+	d.out.Do(func() {
+		switch m := payload.(type) {
+		case *MsgJoin:
+			if m.From == from {
+				d.onJoin(*m)
+			}
+		case *MsgPost:
+			if m.From == from {
+				d.onPost(*m)
+			}
+		case *MsgPoll:
+			if m.From == from {
+				d.onPoll(*m)
+			}
+		case *MsgPresence:
+			if m.From == from {
+				d.onPresence(*m)
+			}
+		case *MsgLeave:
+			if m.From == from {
+				d.onLeave(*m)
+			}
 		}
-	case *MsgPost:
-		if m.From == from {
-			d.onPost(*m)
-		}
-	case *MsgPoll:
-		if m.From == from {
-			d.onPoll(*m)
-		}
-	case *MsgPresence:
-		if m.From == from {
-			d.onPresence(*m)
-		}
-	case *MsgLeave:
-		if m.From == from {
-			d.onLeave(*m)
-		}
-	}
-	d.out.Drain(&d.mu)
+	})
 }
 
 func (d *docHost) onJoin(m MsgJoin) {
@@ -312,9 +306,7 @@ const HostAuthor = "!host"
 // exactly like an accepted participant post — daemon-side convergence
 // engines publish OT commits into the session log this way.
 func (d *docHost) PostLocal(kind, body string) {
-	d.mu.Lock()
-	d.appendItem(HostAuthor, kind, body)
-	d.out.Drain(&d.mu)
+	d.out.Do(func() { d.appendItem(HostAuthor, kind, body) })
 }
 
 // appendItem logs one item and, in a synchronous session, makes every
@@ -397,22 +389,21 @@ func (d *docHost) onPoll(m MsgPoll) {
 // host's endpoint (fabric.DroppedOf) and the clients keep the old mode.
 // sessiond's mode is fixed at start.
 func (d *docHost) SetMode(mode Mode) {
-	d.mu.Lock()
-	if mode == d.mode {
-		d.mu.Unlock()
-		return
-	}
-	d.mode = mode
-	d.stats.ModeSwitches++
-	d.fanout(&MsgMode{Doc: d.key, Mode: mode}, "")
-	if mode == Synchronous {
-		for _, id := range d.ids {
-			if p := d.parts[id]; p.presence == Active {
-				d.flush(p)
+	d.out.Do(func() {
+		if mode == d.mode {
+			return
+		}
+		d.mode = mode
+		d.stats.ModeSwitches++
+		d.fanout(&MsgMode{Doc: d.key, Mode: mode}, "")
+		if mode == Synchronous {
+			for _, id := range d.ids {
+				if p := d.parts[id]; p.presence == Active {
+					d.flush(p)
+				}
 			}
 		}
-	}
-	d.out.Drain(&d.mu)
+	})
 }
 
 // catchUp is the one catch-up path, for a join, a poll and a flush: it

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -169,10 +168,12 @@ func outboxSize(o *fabric.Outbox) int { return max(sizeOf(o, "queue"), sizeOf(o,
 // made:
 //   - the host's route table (its routes and open connections) empties once
 //     every participant has hung up;
-//   - the document outbox's arrays, and each client outbox's, hold at most
-//     outboxBound effects: room for the few effects of every post of one
-//     round, and for append's doubling, where a leak per post would pass
-//     6 000;
+//   - the document outbox's arrays hold at most outboxBound effects: room
+//     for the few effects of every post of one round, and for append's
+//     doubling, where a leak per post would pass 6 000;
+//   - each client outbox's hold at most clientBound: a client queues one
+//     delivery per frame, however long a rejoin's backlog is, where one per
+//     item would reach a round's posts;
 //   - the MsgPost free list holds at most one post per reader that decoded
 //     at once, here 2 per participant (a redial's reader and its
 //     predecessor's).
@@ -184,7 +185,7 @@ func TestChurnSoak(t *testing.T) {
 		t.Skip("the sizes are read without the locks that guard them")
 	}
 	const parts, rounds, perRound = 4, 30, 50
-	const outboxBound = 4 * parts * perRound
+	const outboxBound, clientBound = 4 * parts * perRound, 16
 	book := transport.NewAddressBook()
 	tep, err := transport.ListenTCP("host", "127.0.0.1:0", book)
 	if err != nil {
@@ -193,11 +194,6 @@ func TestChurnSoak(t *testing.T) {
 	ep := fabric.FromTransport(tep, NewWireCodec())
 	t.Cleanup(func() { ep.Close() })
 	h := NewHost(ep, Synchronous, func() time.Duration { return 0 })
-	// A participant hangs up only once the host has logged its posts: a
-	// close with pushes unread resets the connection, and the reset drops
-	// what the host had not read yet.
-	logged := make([]atomic.Int64, parts)
-	h.OnItem = func(_ string, it Item) { logged[it.From[1]-'0'].Add(1) }
 	since := make([]uint64, parts)     // the last item each participant saw
 	clientOutbox := make([]int, parts) // the largest outbox array of each participant's clients
 	// round is participant p's round r, from dial to hang-up.
@@ -226,11 +222,6 @@ func TestChurnSoak(t *testing.T) {
 			kind, body := postOf(id, r*perRound+i)
 			if err := c.Post(kind, body, 0); err != nil {
 				return err
-			}
-		}
-		for deadline := time.Now().Add(5 * time.Second); logged[p].Load() < int64((r+1)*perRound); time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("%s's posts of round %d were not logged in 5 s", id, r)
 			}
 		}
 		if r%2 == 0 {
@@ -275,8 +266,8 @@ func TestChurnSoak(t *testing.T) {
 		t.Errorf("the document outbox keeps a %d-effect array, want at most %d", hostOutbox, outboxBound)
 	}
 	for p, n := range clientOutbox {
-		if n > outboxBound {
-			t.Errorf("a client of p%d kept a %d-effect outbox array, want at most %d", p, n, outboxBound)
+		if n > clientBound {
+			t.Errorf("a client of p%d kept a %d-effect outbox array, want at most %d", p, n, clientBound)
 		}
 	}
 	if n := sizeOf(&postFree, "n"); n > 2*parts {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"time"
 )
 
 // maxFrame bounds a single message to protect against corrupt length
@@ -345,8 +346,14 @@ func (e *TCPEndpoint) route(to string) (*tcpConn, error) {
 	return tc, nil
 }
 
+// closeWait bounds how long Close waits for a peer to close its end.
+const closeWait = time.Second
+
 // Close shuts the listener, if any, and all connections, then waits for
-// their readers to exit.
+// their readers to exit. A connection is half-closed and read to the peer's
+// EOF (for at most closeWait) before it is closed: closing it with input
+// unread would reset it, and the reset discards whatever this side wrote
+// that the peer had not read yet.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -365,7 +372,10 @@ func (e *TCPEndpoint) Close() error {
 		err = e.listener.Close()
 	}
 	for _, tc := range open {
-		tc.c.Close()
+		// Its reader closes tc at the peer's EOF, or at the deadline.
+		if cw, ok := tc.c.(interface{ CloseWrite() error }); !ok || cw.CloseWrite() != nil || tc.c.SetReadDeadline(time.Now().Add(closeWait)) != nil {
+			tc.c.Close()
+		}
 	}
 	e.wg.Wait()
 	return err

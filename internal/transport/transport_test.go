@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -577,6 +578,12 @@ func TestTCPCloseJoinsReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// The peer closes its end at b's EOF, as an endpoint's reader does, so
+	// b's Close need not wait out its read deadline.
+	go func() {
+		io.Copy(io.Discard, c)
+		c.Close()
+	}()
 	frame := make([]byte, 6+len("a")+len("x"))
 	putFrame(frame, "a", []byte("x"))
 	if _, err := c.Write(frame); err != nil {
